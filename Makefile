@@ -1,5 +1,6 @@
 # Development targets.  `make verify` is the gate: the full test suite,
-# the perf smoke benchmarks — which fail loudly when a cache/engine
+# the import contract (what each entry point may load), the perf smoke
+# benchmarks — which fail loudly when a cache/engine
 # speedup regresses below its floor, a parallel run stops being
 # byte-identical to sequential, or disabled tracing stops being (near)
 # free — and a traced end-to-end extraction whose artifacts must
@@ -11,7 +12,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke bench bench-report trace-smoke service-smoke verify
+.PHONY: test bench-smoke bench bench-report trace-smoke service-smoke \
+	import-check verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,5 +60,12 @@ trace-smoke:
 	print(f'trace-smoke: OK ({n} spans, ' \
 	      f'{m[\"report\"][\"count\"]} dependencies)')"
 
-verify: test bench-smoke bench-report trace-smoke
+# Import contract: each entry point loads only the layers it runs
+# (module sets in fresh interpreters, plus the serve/obs layering
+# check), then each console script's repro.* module count.
+import-check:
+	$(PYTHON) -m pytest -q tests/test_import_graph.py tests/test_lazy_exports.py
+	$(PYTHON) tests/test_import_graph.py
+
+verify: test import-check bench-smoke bench-report trace-smoke
 	@echo "verify: OK"

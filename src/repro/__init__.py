@@ -28,61 +28,30 @@ Quick start::
     print(len(issues))              # 12
 """
 
-from repro.analysis.extractor import (
-    ExtractionReport,
-    Extractor,
-    SCENARIOS,
-    ScenarioSpec,
-    extract_all,
-)
-from repro.analysis.model import Category, Dependency, ParamRef, SubKind
-from repro.ecosystem import (
-    E2fsck,
-    E2fsckConfig,
-    E4defrag,
-    E4defragConfig,
-    Ext4Mount,
-    FeatureSet,
-    Mke2fs,
-    Mke2fsConfig,
-    MountConfig,
-    Resize2fs,
-    Resize2fsConfig,
-)
-from repro.fsimage import BlockDevice, Ext4Image, Superblock
-from repro.tools import ConBugCk, ConDocCk, ConHandleCk
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # analysis
-    "extract_all",
-    "Extractor",
-    "ExtractionReport",
-    "ScenarioSpec",
-    "SCENARIOS",
-    "Dependency",
-    "ParamRef",
-    "Category",
-    "SubKind",
-    # ecosystem
-    "BlockDevice",
-    "Ext4Image",
-    "Superblock",
-    "FeatureSet",
-    "Mke2fs",
-    "Mke2fsConfig",
-    "Ext4Mount",
-    "MountConfig",
-    "E4defrag",
-    "E4defragConfig",
-    "Resize2fs",
-    "Resize2fsConfig",
-    "E2fsck",
-    "E2fsckConfig",
-    # tools
-    "ConDocCk",
-    "ConHandleCk",
-    "ConBugCk",
-]
+__all__ = ["__version__"]
+
+# Exports resolve on first access (PEP 562), so ``import repro`` loads
+# no subpackage; add new public names to this table, never as eager
+# imports.
+_lazy.install(globals(), {
+    "repro.analysis.extractor": ("extract_all", "Extractor",
+                                 "ExtractionReport", "ScenarioSpec",
+                                 "SCENARIOS"),
+    "repro.analysis.model": ("Dependency", "ParamRef", "Category", "SubKind"),
+    "repro.fsimage.blockdev": ("BlockDevice",),
+    "repro.fsimage.image": ("Ext4Image",),
+    "repro.fsimage.layout": ("Superblock",),
+    "repro.ecosystem.featureset": ("FeatureSet",),
+    "repro.ecosystem.mke2fs": ("Mke2fs", "Mke2fsConfig"),
+    "repro.ecosystem.mount": ("Ext4Mount", "MountConfig"),
+    "repro.ecosystem.e4defrag": ("E4defrag", "E4defragConfig"),
+    "repro.ecosystem.resize2fs": ("Resize2fs", "Resize2fsConfig"),
+    "repro.ecosystem.e2fsck": ("E2fsck", "E2fsckConfig"),
+    "repro.tools.condocck": ("ConDocCk",),
+    "repro.tools.conhandleck": ("ConHandleCk",),
+    "repro.tools.conbugck": ("ConBugCk",),
+})

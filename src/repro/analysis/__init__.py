@@ -16,23 +16,11 @@ Pipeline (paper §4.1):
    dependencies as JSON.
 """
 
-from repro.analysis.model import (
-    Category,
-    SubKind,
-    ParamRef,
-    Dependency,
-)
-from repro.analysis.taint import TaintEngine, TaintState
-from repro.analysis.extractor import Extractor, ExtractionReport, SCENARIOS
+from repro import _lazy
 
-__all__ = [
-    "Category",
-    "SubKind",
-    "ParamRef",
-    "Dependency",
-    "TaintEngine",
-    "TaintState",
-    "Extractor",
-    "ExtractionReport",
-    "SCENARIOS",
-]
+_lazy.install(globals(), {
+    "repro.analysis.model": ("Category", "SubKind", "ParamRef", "Dependency"),
+    "repro.analysis.taint": ("TaintEngine", "TaintState"),
+    "repro.analysis.extractor": ("Extractor", "ExtractionReport",
+                                 "SCENARIOS"),
+})

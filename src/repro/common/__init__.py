@@ -1,7 +1,9 @@
 """Shared helpers: size parsing, bit flags, text tables, deterministic RNG."""
 
-from repro.common.units import format_size, parse_size
-from repro.common.bitflags import FlagRegistry
-from repro.common.texttable import TextTable
+from repro import _lazy
 
-__all__ = ["parse_size", "format_size", "FlagRegistry", "TextTable"]
+_lazy.install(globals(), {
+    "repro.common.units": ("parse_size", "format_size"),
+    "repro.common.bitflags": ("FlagRegistry",),
+    "repro.common.texttable": ("TextTable",),
+})

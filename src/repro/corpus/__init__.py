@@ -8,6 +8,9 @@ the header comment in each file and DESIGN.md for what is modelled and
 why the substitution preserves the analyzer-relevant structure).
 """
 
-from repro.corpus.loader import CorpusUnit, load_corpus, load_unit, corpus_path
+from repro import _lazy
 
-__all__ = ["CorpusUnit", "load_corpus", "load_unit", "corpus_path"]
+_lazy.install(globals(), {
+    "repro.corpus.loader": ("CorpusUnit", "load_corpus", "load_unit",
+                            "corpus_path"),
+})

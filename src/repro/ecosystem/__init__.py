@@ -14,33 +14,16 @@ All components communicate only through the shared on-disk metadata of
 to connect parameters across components.
 """
 
-from repro.ecosystem.featureset import FeatureSet, COMPAT, INCOMPAT, RO_COMPAT
-from repro.ecosystem.mke2fs import Mke2fs, Mke2fsConfig
-from repro.ecosystem.mount import Ext4Mount, MountConfig
-from repro.ecosystem.e4defrag import E4defrag, E4defragConfig
-from repro.ecosystem.resize2fs import Resize2fs, Resize2fsConfig
-from repro.ecosystem.e2fsck import E2fsck, E2fsckConfig, FsckProblem
-from repro.ecosystem.dumpe2fs import Dumpe2fs, Dumpe2fsConfig
-from repro.ecosystem.tune2fs import Tune2fs, Tune2fsConfig
+from repro import _lazy
 
-__all__ = [
-    "FeatureSet",
-    "COMPAT",
-    "INCOMPAT",
-    "RO_COMPAT",
-    "Mke2fs",
-    "Mke2fsConfig",
-    "Ext4Mount",
-    "MountConfig",
-    "E4defrag",
-    "E4defragConfig",
-    "Resize2fs",
-    "Resize2fsConfig",
-    "E2fsck",
-    "E2fsckConfig",
-    "FsckProblem",
-    "Dumpe2fs",
-    "Dumpe2fsConfig",
-    "Tune2fs",
-    "Tune2fsConfig",
-]
+_lazy.install(globals(), {
+    "repro.ecosystem.featureset": ("FeatureSet", "COMPAT", "INCOMPAT",
+                                   "RO_COMPAT"),
+    "repro.ecosystem.mke2fs": ("Mke2fs", "Mke2fsConfig"),
+    "repro.ecosystem.mount": ("Ext4Mount", "MountConfig"),
+    "repro.ecosystem.e4defrag": ("E4defrag", "E4defragConfig"),
+    "repro.ecosystem.resize2fs": ("Resize2fs", "Resize2fsConfig"),
+    "repro.ecosystem.e2fsck": ("E2fsck", "E2fsckConfig", "FsckProblem"),
+    "repro.ecosystem.dumpe2fs": ("Dumpe2fs", "Dumpe2fsConfig"),
+    "repro.ecosystem.tune2fs": ("Tune2fs", "Tune2fsConfig"),
+})

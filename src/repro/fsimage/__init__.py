@@ -12,24 +12,14 @@ corruption — which is what ConHandleCk and the Figure-1 reproduction
 need.
 """
 
-from repro.fsimage.blockdev import BlockDevice
-from repro.fsimage.layout import GroupDescriptor, Superblock, EXT2_MAGIC
-from repro.fsimage.bitmap import Bitmap
-from repro.fsimage.inode import Inode
-from repro.fsimage.image import Ext4Image, GroupLayout
-from repro.fsimage.dirent import DirBlock, Dirent
-from repro.fsimage.dirtree import DirectoryTree
+from repro import _lazy
 
-__all__ = [
-    "BlockDevice",
-    "Superblock",
-    "GroupDescriptor",
-    "Bitmap",
-    "Inode",
-    "Ext4Image",
-    "GroupLayout",
-    "EXT2_MAGIC",
-    "Dirent",
-    "DirBlock",
-    "DirectoryTree",
-]
+_lazy.install(globals(), {
+    "repro.fsimage.blockdev": ("BlockDevice",),
+    "repro.fsimage.layout": ("Superblock", "GroupDescriptor", "EXT2_MAGIC"),
+    "repro.fsimage.bitmap": ("Bitmap",),
+    "repro.fsimage.inode": ("Inode",),
+    "repro.fsimage.image": ("Ext4Image", "GroupLayout"),
+    "repro.fsimage.dirent": ("Dirent", "DirBlock"),
+    "repro.fsimage.dirtree": ("DirectoryTree",),
+})

@@ -1,5 +1,8 @@
 """Cross-file-system configuration-method knowledge base (Table 1)."""
 
-from repro.knowledge.fstable import FS_CONFIG_METHODS, FileSystemEntry, config_method_table
+from repro import _lazy
 
-__all__ = ["FS_CONFIG_METHODS", "FileSystemEntry", "config_method_table"]
+_lazy.install(globals(), {
+    "repro.knowledge.fstable": ("FS_CONFIG_METHODS", "FileSystemEntry",
+                                "config_method_table"),
+})

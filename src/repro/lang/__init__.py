@@ -23,29 +23,32 @@ Typical use::
 #: orphaned at once.
 FRONTEND_VERSION = "1"
 
-from repro.lang.lexer import Lexer, Token, TokenKind, tokenize
-from repro.lang.parser import Parser, parse
-from repro.lang.sema import analyze
-from repro.lang.lower import lower
-from repro.lang.ir import Module as IRModule
+from repro import _lazy
 
-__all__ = [
-    "FRONTEND_VERSION",
-    "Lexer",
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "Parser",
-    "parse",
-    "analyze",
-    "lower",
-    "IRModule",
-    "compile_c",
-]
+__all__ = ["FRONTEND_VERSION", "compile_c"]
+
+_lazy.install(globals(), {
+    "repro.lang.lexer": ("Lexer", "Token", "TokenKind", "tokenize"),
+    "repro.lang.parser": ("Parser", "parse"),
+    "repro.lang.sema": ("analyze",),
+    "repro.lang.lower": ("lower",),
+    "repro.lang.ir": ("IRModule",),
+})
 
 
-def compile_c(source: str, filename: str = "<input>") -> IRModule:
-    """Front-to-back compilation: source text to an IR module."""
+def compile_c(source: str, filename: str = "<input>") -> "IRModule":
+    """Front-to-back compilation: source text to an IR module.
+
+    The frontend loads on the first call, so a run whose IR all comes
+    from the cache only ever imports :mod:`repro.lang.ir`.
+    """
+    from repro.lang.lower import lower
+    from repro.lang.parser import parse
+    from repro.lang.sema import analyze
+
+    # Loading the ``lower`` submodule binds it over the exported
+    # function of the same name; put the function back.
+    globals()["lower"] = lower
     tree = parse(source, filename)
     analyze(tree)
     return lower(tree)

@@ -400,3 +400,7 @@ class Module:
 
     def __str__(self) -> str:
         return "\n\n".join(str(fn) for fn in self.functions.values())
+
+
+#: The name :mod:`repro.lang` exports :class:`Module` under.
+IRModule = Module

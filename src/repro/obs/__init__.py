@@ -14,36 +14,18 @@ Four pieces, layered bottom-up:
 - :mod:`repro.obs.manifest` — atomic per-run manifests plus the
   ``repro-runs diff`` engine.
 
-:mod:`repro.obs.provenance` (per-dependency taint-path records,
-``--explain``) is imported lazily: it sits *above* the analysis layer,
-and importing it here would cycle through :mod:`repro.perf`, which
+Every export resolves on first access, like every package here.  That
+matters most for :mod:`repro.obs.provenance` (per-dependency taint-path
+records, ``--explain``): it sits *above* the analysis layer, and
+importing it eagerly would cycle through :mod:`repro.perf`, which
 imports the tracer and metrics submodules directly.
 """
 
 from __future__ import annotations
 
-from repro.obs import events, manifest, metrics, tracer
-from repro.obs.metrics import REGISTRY, MetricsRegistry, PhaseStat
-from repro.obs.tracer import Span, Tracer, span
+from repro import _lazy
 
-__all__ = [
-    "REGISTRY",
-    "MetricsRegistry",
-    "PhaseStat",
-    "Span",
-    "Tracer",
-    "events",
-    "manifest",
-    "metrics",
-    "provenance",
-    "span",
-    "tracer",
-]
-
-
-def __getattr__(name: str):
-    if name == "provenance":
-        import repro.obs.provenance as module
-
-        return module
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+_lazy.install(globals(), {
+    "repro.obs.metrics": ("REGISTRY", "MetricsRegistry", "PhaseStat"),
+    "repro.obs.tracer": ("Span", "Tracer", "span"),
+}, submodules=("events", "manifest", "metrics", "provenance", "tracer"))

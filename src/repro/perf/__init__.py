@@ -1,6 +1,6 @@
 """Performance substrate for the analysis pipeline and the checkers.
 
-Five small pieces:
+Imported eagerly with the package (cheap, and needed by every command):
 
 - :mod:`repro.perf.timers` — context-manager phase timers and named
   counters, rendered as a text table by the ``--profile`` CLI flag
@@ -8,22 +8,30 @@ Five small pieces:
   and span attrs read the same numbers);
 - :mod:`repro.perf.parallel` — the ``--jobs``/``REPRO_JOBS`` fan-out
   helper with deterministic (submission-order) result merging;
-- :mod:`repro.perf.campaign` — the checker campaign engine: parallel
-  fan-out with spec-order merging plus the post-mkfs snapshot cache;
 - :mod:`repro.perf.lattice` — the hash-consed label-set lattice the
   sparse taint solver runs on (interned ``frozenset``s + memoized
-  binary join);
+  binary join), registered below as a memo and a ``--profile``
+  counter source;
 - the memo registry below — every process-level memo table in the
   analyzer registers a clear callback here so
   :func:`repro.corpus.loader.clear_cache` can drop them all without
   import cycles.
+
+Loaded on first use: :mod:`repro.perf.campaign` (the checker campaign
+engine: parallel fan-out with spec-order merging plus the post-mkfs
+snapshot cache), whose ``SnapshotCache`` and ``run_campaign`` resolve
+lazily from this package, and the submodules imported by path —
+:mod:`~repro.perf.modes` (engine knobs), :mod:`~repro.perf.sampling`
+(campaign samplers), :mod:`~repro.perf.codec` (the analysis-result
+codec), :mod:`~repro.perf.procpool` and :mod:`~repro.perf.shm` (the
+process backend and its shared-memory transport).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.perf.campaign import SnapshotCache, run_campaign
+from repro import _lazy
 from repro.perf.parallel import resolve_jobs, run_ordered
 from repro.perf.timers import (
     bump,
@@ -48,12 +56,14 @@ __all__ = [
     "render_profile",
     "reset_profile",
     "resolve_jobs",
-    "run_campaign",
     "run_ordered",
-    "SnapshotCache",
     "stats",
     "timed",
 ]
+
+_lazy.install(globals(), {
+    "repro.perf.campaign": ("SnapshotCache", "run_campaign"),
+})
 
 #: name -> clear callback for every registered memo table.
 _MEMO_REGISTRY: Dict[str, Callable[[], None]] = {}

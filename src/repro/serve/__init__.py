@@ -23,4 +23,6 @@ floor on a mixed workload, and service responses byte-identical to
 direct CLI runs of the same request.
 """
 
-from repro.serve.keys import request_key  # noqa: F401
+from repro import _lazy
+
+_lazy.install(globals(), {"repro.serve.keys": ("request_key",)})

@@ -33,7 +33,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.serve.db import DONE, FAILED
+from repro.serve.keys import DONE, FAILED
 
 #: Remembered (etag, body) pairs per client, LRU-bounded.
 MAX_ETAG_ENTRIES = 256

@@ -84,14 +84,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import servicelog
 from repro.obs.metrics import REGISTRY, Histogram
-
-#: Queue states.
-QUEUED = "queued"
-CLAIMED = "claimed"
-DONE = "done"
-FAILED = "failed"
-
-STATES = (QUEUED, CLAIMED, DONE, FAILED)
+from repro.serve.keys import CLAIMED, DONE, FAILED, QUEUED, STATES  # noqa: F401
 
 #: Seconds a claim stays valid without renewal.
 DEFAULT_LEASE_SECONDS = 120.0

@@ -20,6 +20,16 @@ import hashlib
 import json
 from typing import Any, Dict, Optional
 
+#: Queue states of a run (the ``runs.status`` column of
+#: :mod:`repro.serve.db`).  They live here, with the run identity, so
+#: the client can test a run's state without loading the queue.
+QUEUED = "queued"
+CLAIMED = "claimed"
+DONE = "done"
+FAILED = "failed"
+
+STATES = (QUEUED, CLAIMED, DONE, FAILED)
+
 #: Bump when the request→execution mapping changes (new tool semantics,
 #: changed argv building) — orphans every queued/done run's identity at
 #: once, exactly like a frontend-version bump orphans IR cache entries.

@@ -9,16 +9,10 @@
   regenerate Tables 3 and 4.
 """
 
-from repro.study.patches import BugPatch, CriticalDependency, load_dataset
-from repro.study.mining import MiningPipeline, MiningResult
-from repro.study.classify import scenario_table, taxonomy_table
+from repro import _lazy
 
-__all__ = [
-    "BugPatch",
-    "CriticalDependency",
-    "load_dataset",
-    "MiningPipeline",
-    "MiningResult",
-    "scenario_table",
-    "taxonomy_table",
-]
+_lazy.install(globals(), {
+    "repro.study.patches": ("BugPatch", "CriticalDependency", "load_dataset"),
+    "repro.study.mining": ("MiningPipeline", "MiningResult"),
+    "repro.study.classify": ("scenario_table", "taxonomy_table"),
+})

@@ -1,14 +1,10 @@
 """Test-suite models and configuration-coverage computation (Table 2)."""
 
-from repro.suites.xfstest import XFSTEST_SUITE
-from repro.suites.e2fsprogs_test import E2FSCK_SUITE, RESIZE2FS_SUITE
-from repro.suites.coverage import CoverageRow, compute_coverage, coverage_table
+from repro import _lazy
 
-__all__ = [
-    "XFSTEST_SUITE",
-    "E2FSCK_SUITE",
-    "RESIZE2FS_SUITE",
-    "CoverageRow",
-    "compute_coverage",
-    "coverage_table",
-]
+_lazy.install(globals(), {
+    "repro.suites.xfstest": ("XFSTEST_SUITE",),
+    "repro.suites.e2fsprogs_test": ("E2FSCK_SUITE", "RESIZE2FS_SUITE"),
+    "repro.suites.coverage": ("CoverageRow", "compute_coverage",
+                              "coverage_table"),
+})

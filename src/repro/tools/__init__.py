@@ -7,16 +7,11 @@
   configuration generation that drives tests deep into the target.
 """
 
-from repro.tools.condocck import ConDocCk, DocIssue
-from repro.tools.conhandleck import ConHandleCk, ViolationOutcome, ViolationReport
-from repro.tools.conbugck import ConBugCk, GeneratedConfig
+from repro import _lazy
 
-__all__ = [
-    "ConDocCk",
-    "DocIssue",
-    "ConHandleCk",
-    "ViolationOutcome",
-    "ViolationReport",
-    "ConBugCk",
-    "GeneratedConfig",
-]
+_lazy.install(globals(), {
+    "repro.tools.condocck": ("ConDocCk", "DocIssue"),
+    "repro.tools.conhandleck": ("ConHandleCk", "ViolationOutcome",
+                                "ViolationReport"),
+    "repro.tools.conbugck": ("ConBugCk", "GeneratedConfig"),
+})

@@ -1,0 +1,258 @@
+"""Import contract: each entry point loads only the layers it runs.
+
+Every check starts a fresh interpreter over a warm private cache and
+reads ``sys.modules`` after the run.  These are module-set checks, not
+wall-clock budgets, so they pass or fail the same way on any host.  The
+layering check reads the source instead: module-level imports in
+``serve/`` and ``obs/`` must never reach the analysis stack.
+
+Run as a script (``python tests/test_import_graph.py``, or ``make
+import-check``) to print each console script's ``repro.*`` module count.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from typing import Dict, Iterable, List, Optional, Set
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+#: The analysis stack: what the service and observability layers must
+#: not load at import time.
+ANALYSIS_STACK = ("repro.analysis", "repro.lang", "repro.corpus",
+                  "repro.ecosystem", "repro.fsimage", "repro.tools")
+
+#: Console script -> (module, call) run in the fresh interpreter.  The
+#: long-lived services only parse ``--help``; the client commands point
+#: at a closed local port and fail fast after loading what they use.
+ENTRY_POINTS = {
+    "repro-extract": ("repro.cli", "main_extract([])"),
+    "repro-condocck": ("repro.cli", "main_condocck([])"),
+    "repro-conhandleck": ("repro.cli", "main_conhandleck([])"),
+    "repro-conbugck": ("repro.cli", "main_conbugck([])"),
+    "repro-study": ("repro.cli", "main_study([])"),
+    "repro-demo": ("repro.cli", "main_demo([])"),
+    "repro-runs": ("repro.cli_service",
+                   "main_runs(['tail', '--data-dir', CACHE])"),
+    "repro-serve": ("repro.cli_service", "main_serve(['--help'])"),
+    "repro-worker": ("repro.cli_service", "main_worker(['--help'])"),
+    "repro-submit": ("repro.cli_service",
+                     "main_submit(['demo', '--url', 'http://127.0.0.1:9'])"),
+    "repro-top": ("repro.cli_service",
+                  "main_top(['--url', 'http://127.0.0.1:9', '--once'])"),
+}
+
+_CHILD = """\
+import contextlib, io, json, sys
+CACHE = {cache!r}
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+{body}
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _env(cache_dir: str) -> Dict[str, str]:
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    env["REPRO_CACHE_DIR"] = cache_dir
+    return env
+
+
+def loaded_modules(code: str, cache_dir: str) -> Set[str]:
+    """``sys.modules`` after running ``code`` in a fresh interpreter."""
+    body = "\n".join("        " + line for line in code.splitlines())
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(cache=cache_dir, body=body)],
+        env=_env(cache_dir), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def entry_point_modules(script: str, cache_dir: str) -> Set[str]:
+    module, call = ENTRY_POINTS[script]
+    name = call.split("(", 1)[0]
+    return loaded_modules(f"from {module} import {name}\n{call}", cache_dir)
+
+
+def warm(cache_dir: str) -> None:
+    """Fill the IR and analysis caches the way a first run does."""
+    loaded_modules("from repro.cli import main_extract\nmain_extract([])",
+                   cache_dir)
+
+
+def within(modules: Iterable[str], prefixes: Iterable[str]) -> List[str]:
+    """The modules that are one of ``prefixes`` or inside one."""
+    prefixes = tuple(prefixes)
+    return sorted(m for m in modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory) -> str:
+    cache_dir = str(tmp_path_factory.mktemp("import-graph-cache"))
+    warm(cache_dir)
+    return cache_dir
+
+
+class TestEntryPoints:
+    def test_import_repro_loads_no_subpackage(self, warm_cache):
+        modules = loaded_modules("import repro", warm_cache)
+        assert within(modules, ["repro"]) == ["repro", "repro._lazy"]
+
+    def test_service_client_skips_analysis_and_sqlite(self, warm_cache):
+        modules = loaded_modules("import repro.serve.client", warm_cache)
+        assert within(modules, ANALYSIS_STACK) == []
+        assert "sqlite3" not in modules
+        assert within(modules, ["repro.serve.db"]) == []
+
+    def test_warm_extract_skips_frontend_and_checkers(self, warm_cache):
+        modules = entry_point_modules("repro-extract", warm_cache)
+        frontend = [f"repro.lang.{name}" for name in
+                    ("lexer", "parser", "sema", "lower", "ast_nodes")]
+        assert within(modules, frontend + [
+            "repro.tools", "repro.fsimage", "repro.perf.campaign",
+            "repro.serve"]) == []
+        # The analysis itself did run.
+        assert "repro.analysis.taint" in modules
+        assert "repro.lang.ir" in modules
+
+    def test_condocck_never_touches_images(self, warm_cache):
+        modules = entry_point_modules("repro-condocck", warm_cache)
+        assert within(modules, ["repro.fsimage"]) == []
+        assert "repro.tools.condocck" in modules
+
+    def test_service_clients_skip_analysis(self, warm_cache):
+        for script in ("repro-submit", "repro-top"):
+            modules = entry_point_modules(script, warm_cache)
+            assert within(modules, ANALYSIS_STACK) == [], script
+            assert "sqlite3" not in modules, script
+            assert "repro.cli" not in modules, script
+
+
+# ---------------------------------------------------------------------------
+# Layering, read from the source
+# ---------------------------------------------------------------------------
+
+#: Modules allowed to import the analysis stack at module level: the
+#: provenance records sit *above* analysis (see their docstring).
+LAYERING_EXEMPT = {"repro.obs.provenance"}
+
+
+def module_file(name: str) -> Optional[str]:
+    """The source file of module ``name`` under ``src``, if any."""
+    base = os.path.join(SRC, *name.split("."))
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _import_time_nodes(node: ast.AST) -> Iterable[ast.AST]:
+    """The nodes that run when the module is imported: everything but
+    function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+            continue
+        yield child
+        yield from _import_time_nodes(child)
+
+
+def module_level_imports(name: str) -> Set[str]:
+    """The ``repro`` modules that importing ``name`` itself imports.
+
+    Only code that runs at import counts (function bodies run later,
+    when called); importing ``a.b.c`` also runs ``a`` and ``a.b``.
+    """
+    path = module_file(name)
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    is_package = path.endswith("__init__.py")
+    targets: Set[str] = set()
+    for node in _import_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = name.split(".")
+                if not is_package:
+                    anchor = anchor[:-1]
+                anchor = anchor[:len(anchor) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            targets.add(base)
+            # ``from pkg import sub`` runs the submodule too.
+            targets.update(f"{base}.{alias.name}" for alias in node.names
+                           if module_file(f"{base}.{alias.name}"))
+    out: Set[str] = set()
+    for target in targets:
+        parts = target.split(".")
+        out.update(".".join(parts[:i + 1]) for i in range(len(parts)))
+    return {m for m in out if m.startswith("repro") and module_file(m)}
+
+
+def import_closure(name: str) -> Set[str]:
+    """Every ``repro`` module importing ``name`` loads, transitively."""
+    seen: Set[str] = set()
+    stack = [name]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        stack.extend(module_level_imports(current) - seen)
+    return seen
+
+
+def package_modules(package: str) -> List[str]:
+    directory = os.path.join(SRC, *package.split("."))
+    return sorted(f"{package}.{entry[:-3]}".replace(".__init__", "")
+                  for entry in os.listdir(directory)
+                  if entry.endswith(".py"))
+
+
+class TestLayering:
+    @pytest.mark.parametrize("package", ["repro.serve", "repro.obs"])
+    def test_service_and_obs_stay_below_analysis(self, package):
+        offenders = {}
+        for name in package_modules(package):
+            if name in LAYERING_EXEMPT:
+                continue
+            reached = within(import_closure(name), ANALYSIS_STACK)
+            if reached:
+                offenders[name] = reached
+        assert offenders == {}
+
+    def test_closure_sees_through_packages(self):
+        # The checker itself must notice a real analysis import.
+        assert "repro.analysis.taint" in import_closure(
+            "repro.obs.provenance")
+        assert "repro.perf.timers" in import_closure("repro.serve.worker")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as cache_dir:
+        warm(cache_dir)
+        print(f"{'entry point':<20s} {'repro.* modules':>15s}")
+        for script in ENTRY_POINTS:
+            modules = within(entry_point_modules(script, cache_dir),
+                             ["repro"])
+            print(f"{script:<20s} {len(modules):>15d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

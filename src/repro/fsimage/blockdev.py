@@ -17,21 +17,29 @@ MIN_BLOCK_SIZE = 512
 MAX_BLOCK_SIZE = 65536
 
 
+def _check_geometry(num_blocks: int, block_size: int) -> None:
+    if block_size < MIN_BLOCK_SIZE or block_size > MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"block size must be in [{MIN_BLOCK_SIZE}, {MAX_BLOCK_SIZE}], got {block_size}"
+        )
+    if block_size & (block_size - 1):
+        raise ValueError(f"block size must be a power of two, got {block_size}")
+    if num_blocks <= 0:
+        raise ValueError(f"device needs at least one block, got {num_blocks}")
+
+
 class BlockDevice:
     """A resizable in-memory device addressed in fixed-size blocks."""
 
     def __init__(self, num_blocks: int, block_size: int = 4096,
                  track_io: bool = True) -> None:
-        if block_size < MIN_BLOCK_SIZE or block_size > MAX_BLOCK_SIZE:
-            raise ValueError(
-                f"block size must be in [{MIN_BLOCK_SIZE}, {MAX_BLOCK_SIZE}], got {block_size}"
-            )
-        if block_size & (block_size - 1):
-            raise ValueError(f"block size must be a power of two, got {block_size}")
-        if num_blocks <= 0:
-            raise ValueError(f"device needs at least one block, got {num_blocks}")
+        _check_geometry(num_blocks, block_size)
+        self._setup(bytearray(num_blocks * block_size), block_size, track_io)
+
+    def _setup(self, buf: bytearray, block_size: int,
+               track_io: bool) -> None:
         self.block_size = block_size
-        self._buf = bytearray(num_blocks * block_size)
+        self._buf = buf
         self._closed = False
         #: Per-block access accounting.  The I/O-pattern benchmarks read
         #: these dicts; campaign runs that never consume them construct
@@ -55,8 +63,11 @@ class BlockDevice:
             raise ValueError(
                 f"snapshot of {len(snapshot)} bytes is not a whole number "
                 f"of {block_size}-byte blocks")
-        dev = cls(len(snapshot) // block_size, block_size, track_io=track_io)
-        dev._buf = bytearray(snapshot)
+        _check_geometry(len(snapshot) // block_size, block_size)
+        # Not via __init__: it would zero-fill a device-sized buffer
+        # only for the copy to replace it.
+        dev = cls.__new__(cls)
+        dev._setup(bytearray(snapshot), block_size, track_io)
         return dev
 
     # ------------------------------------------------------------------

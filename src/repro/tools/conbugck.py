@@ -448,9 +448,10 @@ class ConBugCk:
 # full mke2fs+mount param registry, and the sharded streaming driver
 # (repro.perf.campaign.run_sharded) fans contiguous index ranges across
 # the thread or process backend.  Each shard regenerates its own slice
-# from (seed, index) — no config list is ever materialized — and folds
-# outcomes into a bounded ShardAggregate, so campaign memory stays
-# constant regardless of N.
+# from (seed, index) — no config list is ever materialized; a covering
+# array, which is small and exists only whole, ships each shard its rows
+# instead — and folds outcomes into a bounded ShardAggregate, so
+# campaign memory stays constant regardless of N.
 
 #: mkfs params a GeneratedConfig can express numerically.  Everything
 #: else in the mke2fs component (journal sizing, group geometry, usage
@@ -632,13 +633,15 @@ def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Drive global config indices ``[spec['lo'], spec['hi'])``.
 
     The shard runner behind :data:`repro.perf.campaign.SHARD_RUNNERS`
-    ["conbugck"]: regenerates its own slice (``source="sampler"``) or
-    drives an explicit config slice shipped as ``spec['hint']``
-    (``source="configs"``), folds outcomes into a bounded
-    :class:`~repro.perf.campaign.ShardAggregate`, and reports shard-
-    local cache traffic in the payload counters.  Pure: fresh snapshot
-    cache and memo per shard, no shared mutable state — which is what
-    makes thread, process, and sequential runs byte-identical.
+    ["conbugck"]: regenerates its own slice from the sampler's hint
+    (``source="sampler"``; a covering array's hint is the slice's rows,
+    so no shard rebuilds the array) or drives an explicit config slice
+    shipped as ``spec['hint']`` (``source="configs"``), folds outcomes
+    into a bounded :class:`~repro.perf.campaign.ShardAggregate`, and
+    reports shard-local cache traffic in the payload counters.  Pure:
+    fresh snapshot cache and memo per shard, no shared mutable state —
+    which is what makes thread, process, and sequential runs
+    byte-identical.
     """
     lo, hi = int(spec["lo"]), int(spec["hi"])
     fs_blocks = int(spec.get("fs_blocks", 512))

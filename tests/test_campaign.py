@@ -1,5 +1,7 @@
 """Tests for the campaign engine (repro.perf.campaign + checker wiring)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.ecosystem.mke2fs import Mke2fs
@@ -159,6 +161,24 @@ class TestBlockDeviceFastPath:
         with pytest.raises(ValueError):
             BlockDevice.from_snapshot(b"", 1024)
 
+    def test_from_snapshot_checks_geometry(self):
+        with pytest.raises(ValueError):
+            BlockDevice.from_snapshot(b"\x00" * 3072, 1536)
+        with pytest.raises(ValueError):
+            BlockDevice.from_snapshot(b"\x00" * 512, 256)
+
+    def test_from_snapshot_allocates_one_buffer(self):
+        # The clone's only device-sized allocation is the copy itself.
+        snapshot = BlockDevice(256, 4096).snapshot()
+        tracemalloc.start()
+        try:
+            clone = BlockDevice.from_snapshot(snapshot, 4096, track_io=False)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clone.size_bytes == len(snapshot)
+        assert peak < 1.25 * len(snapshot), (peak, len(snapshot))
+
 
 # ---------------------------------------------------------------------------
 # DriveStats guards and failure capping
@@ -281,6 +301,7 @@ from repro.perf.campaign import (
     outcome_digest_term,
     shard_ranges,
 )
+from repro.perf import counters, reset_profile
 from repro.tools import conhandleck as chc
 from repro.tools.conbugck import sweep_campaign, sampled_campaign
 
@@ -412,6 +433,32 @@ class TestSampledCampaign:
         assert meta["sampler"] == "random+feasible"
         assert report.total + meta["infeasible_skipped"] == 150
         assert meta["infeasible_skipped"] > 0
+
+    #: perfbench's pinned reference digest for this spec and seed.
+    PAIRWISE_FEASIBLE_DIGEST = ("e65799ef7009fef5fc8a30b27714c6dd"
+                                "269f52d64462fd48fcbeb5bce8a82c60")
+
+    @pytest.mark.parametrize("sample", ["pairwise", "pairwise+feasible"])
+    def test_pairwise_shards_and_backends(self, deps, sample):
+        runs = {}
+        for shards, backend in ((1, "thread"), (3, "thread"), (7, "thread"),
+                                (3, "process")):
+            reset_profile()
+            report, meta = sampled_campaign(deps, sample=sample, seed=2022,
+                                            shards=shards, jobs=2,
+                                            backend=backend)
+            # The array is built once, in the caller, whatever the
+            # shard count or backend: shards get its rows as hints.
+            assert counters().get("sampling.twise.build") == 1, \
+                (shards, backend)
+            assert meta.pop("shards") == min(shards, report.total)
+            runs[shards, backend] = (report.digest_hex,
+                                     _report_canonical(report), meta)
+        baseline = runs[1, "thread"]
+        for key, run in runs.items():
+            assert run == baseline, key
+        if sample == "pairwise+feasible":
+            assert baseline[0] == self.PAIRWISE_FEASIBLE_DIGEST
 
 
 class TestConHandleCkSampled:

@@ -1,9 +1,12 @@
 """Tests for the campaign config samplers (repro.perf.sampling)."""
 
+import random
+from hashlib import sha256
 from itertools import combinations, product
 
 import pytest
 
+from repro.perf import counters, reset_profile
 from repro.perf.sampling import (
     ConfigSpace,
     ConstraintIndex,
@@ -11,11 +14,13 @@ from repro.perf.sampling import (
     FeasibleSampler,
     OptionSweepSampler,
     RandomSampler,
+    RowSlice,
     Stream,
     TWiseSampler,
     make_sampler,
     parse_sample_spec,
 )
+from repro.tools.conbugck import build_campaign_space
 
 
 def synth_space(*sizes):
@@ -79,6 +84,13 @@ class TestConfigSpace:
             ConfigSpace([])
         with pytest.raises(ValueError):
             Domain("x", "test", ())
+
+    def test_rejects_repeated_values(self):
+        # Covering arrays identify values by position in the domain.
+        with pytest.raises(ValueError):
+            Domain("x", "test", (1, 2, 1))
+        with pytest.raises(ValueError):
+            Domain("x", "test", (0, False))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +167,100 @@ class TestTWiseSampler:
             TWiseSampler(synth_space(2, 2), 1, seed=0)
         with pytest.raises(ValueError):
             TWiseSampler(synth_space(2, 2), 3, seed=0)
+
+    def test_random_spaces_are_covered(self):
+        rng = random.Random(16)
+        for _ in range(25):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(3, 7))]
+            t = rng.choice((2, 3))
+            space = synth_space(*sizes)
+            sampler = TWiseSampler(space, t, seed=rng.randrange(1 << 30))
+            rows = [row for _, row in sampler.iter_range(0, sampler.total())]
+            assert_covers(space, rows, t)
+
+    def test_shard_hints_ship_rows_without_rebuilding(self):
+        space = synth_space(3, 2, 4, 2, 3)
+        parent = TWiseSampler(space, 2, seed=5)
+        full = list(parent.iter_range(0, parent.total()))
+        ranges = [(0, 4), (4, 9), (9, parent.total())]
+        hints = parent.shard_hints(ranges)
+        assert all(isinstance(hint, RowSlice) for hint in hints)
+        sharded = []
+        for (lo, hi), hint in zip(ranges, hints):
+            shard = TWiseSampler(space, 2, seed=5)
+            sharded.extend(shard.iter_range(lo, hi, hint=hint))
+            assert shard._rows is None
+        assert sharded == full
+
+    def test_one_build_per_sampler(self):
+        reset_profile()
+        sampler = TWiseSampler(synth_space(3, 3, 2, 2), 2, seed=1)
+        for _ in range(3):
+            sampler.total()
+        list(sampler.iter_range(0, 100))
+        sampler.shard_hints([(0, 2), (2, sampler.total())])
+        assert counters()["sampling.twise.build"] == 1
+
+
+class TestPinnedCoveringArrays:
+    """sha256 of ``repr(rows)`` for fixed (space, t, seed) cases: the
+    construction order (first-best value, vertical placement in repr
+    order, seeded don't-care fill) is pinned row for row."""
+
+    CAMPAIGN_T2 = {
+        2022: "536ceb428ff620b98972c3447a670cb8"
+              "66a823eb0cfed1d3755d710446c41bf2",
+        1: "3d7b783e938a8305cdf749fff1757eec"
+           "c5cad829d224eefc5d622c5cbe44cd66",
+        7: "e69beccb185417e8507561d3746b0545"
+           "e9d22837be28078eb24915aa7b0c64b6",
+        99: "01a896b7084f842810adcab18a677c31"
+            "39885c7009715a86e3e7bbd75faf9cb8",
+    }
+    CAMPAIGN14_T3_SEED5 = ("926eb33eb9befc25c475454e5fa99a33"
+                           "c3c3d9ce25d7544f48bec06b1795576c")
+    CAMPAIGN_T3_SEED5 = ("3483365752cc8338634979aef86b35f0"
+                         "7ca8e10f59bd4cc996d2c747f79192a3")
+    SYNTH = {
+        ((2, 3, 4, 2, 3), 2, 2022): "ee1851662455987a37b8ed5fbdbcf8e7"
+                                    "2bb41327085f88775858a806d9e674a3",
+        ((2, 2, 3, 2), 3, 7): "40b9be8d2bcfd2924aa75d6bcc638156"
+                              "497cf7020bd75a73927cc5f679dc7e33",
+    }
+
+    @staticmethod
+    def _hash(sampler):
+        rows = [row for _, row in sampler.iter_range(0, sampler.total())]
+        return sha256(repr(rows).encode()).hexdigest()
+
+    def test_campaign_space_pairwise(self):
+        space = build_campaign_space()
+        assert len(space) == 66
+        for seed, expected in self.CAMPAIGN_T2.items():
+            assert self._hash(TWiseSampler(space, 2, seed)) == expected, seed
+
+    def test_campaign_domains_three_wise(self):
+        space = build_campaign_space()
+        assert self._hash(TWiseSampler(ConfigSpace(space.domains[:14]),
+                                       3, 5)) == self.CAMPAIGN14_T3_SEED5
+        assert self._hash(TWiseSampler(space, 3, 5)) == \
+            self.CAMPAIGN_T3_SEED5
+
+    def test_synthetic_spaces(self):
+        for (sizes, t, seed), expected in self.SYNTH.items():
+            assert self._hash(TWiseSampler(synth_space(*sizes), t, seed)) \
+                == expected, (sizes, t, seed)
+
+    def test_campaign_pairwise_covers_every_value_pair(self):
+        space = build_campaign_space()
+        sampler = TWiseSampler(space, 2, seed=2022)
+        rows = [row for _, row in sampler.iter_range(0, sampler.total())]
+        seen = {(i, j, row[i], row[j]) for row in rows
+                for i, j in combinations(range(len(space)), 2)}
+        needed = sum(len(a.values) * len(b.values)
+                     for a, b in combinations(space.domains, 2))
+        assert needed == 8968
+        assert len(seen) == needed
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +342,37 @@ class TestFeasibleSampler:
         for (lo, hi), hint in zip(ranges, hints):
             sharded.extend(build().iter_range(lo, hi, hint=hint))
         assert sharded == full
+
+    def test_covering_array_hints_carry_rows_and_skips(self):
+        flags = [Domain(name, "test", (False, True)) for name in "abcd"]
+        space = ConfigSpace(flags + [Domain("n", "test", (1, 5, 9)),
+                                     Domain("m", "test", (1, 2, 3))])
+        index = ConstraintIndex(requires=[("a", "b")],
+                                conflicts=[("c", "d")], ranges={"n": (2, 9)})
+
+        def build():
+            return FeasibleSampler(TWiseSampler(space, 2, seed=3), index)
+
+        parent = build()
+        total = parent.total()
+        # Feasible rows sit between infeasible ones: skips are interior.
+        assert parent._starts == [4, 6, 9, 10]
+        full = list(parent.iter_range(0, total))
+        starts = parent._starts
+        for cuts in ((0, total), (0, 1, total), tuple(range(total + 1))):
+            ranges = list(zip(cuts, cuts[1:]))
+            hints = parent.shard_hints(ranges)
+            sharded = []
+            for (lo, hi), hint in zip(ranges, hints):
+                assert isinstance(hint, RowSlice)
+                shipped = build()
+                sharded.extend(shipped.iter_range(lo, hi, hint=hint))
+                assert shipped.inner._rows is None
+                # Same skip tally as regenerating the raw window.
+                regenerated = build()
+                list(regenerated.iter_range(lo, hi, hint=starts[lo]))
+                assert shipped.skipped == regenerated.skipped
+            assert sharded == full
 
 
 # ---------------------------------------------------------------------------

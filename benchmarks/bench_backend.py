@@ -1,25 +1,5 @@
-"""Execution backends: process pool vs threads, and incremental reuse.
+"""Incremental reuse: the function-level analysis store after an edit.
 
-Two contracts added with the ``--backend process`` engine and the
-function-level analysis store:
-
-- **process vs thread, cold** — a from-scratch extraction fanned out
-  over spawn workers under the shared-memory result transport
-  (``REPRO_TRANSPORT=shm``) must beat the thread backend by
-  ``MIN_PROCESS_SPEEDUP`` *when the machine has cores to use*
-  (``os.cpu_count() >= 2``).  On a single-core box the measurement is
-  still taken and recorded, but the floor is not enforced
-  (``floor_enforced: false`` in ``BENCH_backend.json``) — a process
-  pool cannot beat the GIL without a second core.  Pool spawn/warmup
-  happens *outside* the timed region (the pool is persistent across
-  runs; spawn cost is paid once per configuration, not per run).
-- **wire bytes per function** — one instrumented cold run per
-  transport records how many bytes of result payload crossed the
-  result queues per analyzed function.  The shm transport ships
-  descriptors instead of blobs, and must cut wire bytes by
-  ``MIN_WIRE_REDUCTION`` versus pickle; byte counts do not depend on
-  core count, so this floor is enforced everywhere, single-core boxes
-  included.
 - **warm-incremental** — after editing ONE corpus file, a re-run in a
   fresh process (in-memory memos dropped, analysis store warm) must
   cut the *recompute phases* — ``frontend.compile`` + ``analysis.*``,
@@ -36,9 +16,8 @@ function-level analysis store:
   timed run really is the 1-miss incremental case, not a fully warm
   replay.
 
-Both measurements assert byte-identical reports: process vs thread on
-the same corpus, and incremental vs a fresh cold extraction of the
-edited corpus.
+The measurement asserts byte-identical reports: incremental vs a fresh
+cold extraction of the edited corpus.
 
 Results land machine-readable in ``BENCH_backend.json`` at the repo
 root.  Runnable standalone (``python benchmarks/bench_backend.py
@@ -54,17 +33,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Callable, List, Optional
-
-#: Required process/thread cold speedup when >= 2 CPUs are available.
-#: ROADMAP item 5 pins the floor at 1.8x; smoke no longer relaxes it —
-#: the shm transport + batched dispatch exist to clear it with margin.
-MIN_PROCESS_SPEEDUP = 1.8
-SMOKE_PROCESS_SPEEDUP = 1.8
-
-#: Required pickle/shm wire-bytes-per-function reduction (always
-#: enforced: byte counts are hardware-independent).
-MIN_WIRE_REDUCTION = 5.0
+from typing import List, Optional
 
 #: Required cold/incremental speedup of the recompute phases after a
 #: single-file edit.
@@ -105,15 +74,6 @@ def _canonical(report) -> str:
     return "\n".join(lines)
 
 
-def _best_of(repeat: int, fn: Callable[[], None]) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _copy_corpus(dest: str) -> None:
     """Copy the checked-in corpus sources into ``dest``."""
     from repro.corpus import loader
@@ -124,75 +84,22 @@ def _copy_corpus(dest: str) -> None:
             shutil.copy(os.path.join(src_dir, name), os.path.join(dest, name))
 
 
-def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
+def run_benchmark(smoke: bool = False, repeat: int = 3,
                   emit_fn=None) -> int:
-    """Measure, render, and enforce the backend contracts; 0 on success."""
+    """Measure, render, and enforce the incremental contract; 0 on success."""
     _ensure_imports()
 
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
     from repro.corpus.cache import analysis_stats, reset_cache_stats
     from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
-    from repro.perf import counters, procpool, reset_profile, stats
+    from repro.perf import reset_profile, stats
 
     if smoke:
         repeat = 1
-    min_process = SMOKE_PROCESS_SPEEDUP if smoke else MIN_PROCESS_SPEEDUP
     min_incremental = (SMOKE_INCREMENTAL_SPEEDUP if smoke
                        else MIN_INCREMENTAL_SPEEDUP)
     cpus = os.cpu_count() or 1
-    process_floor_enforced = cpus >= 2
-
-    # ---- process vs thread, cold --------------------------------------
-
-    thread_outputs: List[str] = []
-    process_outputs: List[str] = []
-    pickle_outputs: List[str] = []
-
-    def thread_cold() -> None:
-        clear_cache(disk=True)
-        thread_outputs.append(
-            _canonical(extract_all(jobs=jobs, backend="thread")))
-
-    # Spawn + warm the pool before timing: the pool persists across
-    # runs, so spawn cost is per configuration, not per extraction.
-    pool = procpool.get_pool(jobs)
-
-    def process_cold(transport: str, outputs: List[str]) -> None:
-        clear_cache(disk=True)
-        pool.reset_workers()
-        outputs.append(_canonical(extract_all(
-            jobs=jobs, backend="process", transport=transport)))
-
-    thread_cold_s = _best_of(repeat, thread_cold)
-    # The timed (and floor-enforced) process configuration is shm.
-    process_cold_s = _best_of(
-        repeat, lambda: process_cold("shm", process_outputs))
-    process_speedup = (thread_cold_s / process_cold_s
-                       if process_cold_s > 0 else float("inf"))
-
-    # One instrumented cold run per transport: bytes of result payload
-    # that crossed the result queues, per analyzed function.
-    wire_bytes_per_function = {}
-    for transport in ("shm", "pickle"):
-        reset_profile()
-        process_cold(transport,
-                     process_outputs if transport == "shm" else pickle_outputs)
-        snap = counters()
-        functions = snap.get("transport.functions", 0)
-        wire_bytes_per_function[transport] = (
-            snap.get("transport.wire_bytes", 0) / functions
-            if functions else 0.0)
-    reset_profile()
-    wire_reduction = (
-        wire_bytes_per_function["pickle"] / wire_bytes_per_function["shm"]
-        if wire_bytes_per_function["shm"] else 0.0)
-
-    backends_identical = (
-        thread_outputs and process_outputs and pickle_outputs
-        and all(o == thread_outputs[0]
-                for o in thread_outputs[1:] + process_outputs
-                + pickle_outputs))
 
     # ---- warm-incremental after a single-file edit --------------------
 
@@ -217,7 +124,7 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
 
         def cold_run() -> str:
             clear_cache(disk=True)
-            return _canonical(extract_all(jobs=1, backend="thread"))
+            return _canonical(extract_all(jobs=1))
 
         # Populate the analysis store with a cold run over the copy.
         cold_baseline = cold_run()
@@ -229,7 +136,7 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
             # run recompiles and re-analyzes exactly one unit.
             clear_cache()
             incremental_outputs.append(
-                _canonical(extract_all(jobs=1, backend="thread")))
+                _canonical(extract_all(jobs=1)))
 
         incremental_s = float("inf")
         incremental_recompute_s = float("inf")
@@ -280,12 +187,8 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
 
     table = TextTable(
         ["configuration", "best s", "speedup"],
-        title=f"execution backends (best of {repeat}, "
+        title=f"incremental reuse (best of {repeat}, "
               f"{'smoke' if smoke else 'full'}, {cpus} cpu)")
-    table.add_row(f"thread backend, cold, jobs={jobs}",
-                  f"{thread_cold_s:.4f}", "1.00x")
-    table.add_row(f"process backend (shm), cold, jobs={jobs}",
-                  f"{process_cold_s:.4f}", f"{process_speedup:.2f}x")
     table.add_row("cold (incremental corpus copy)", f"{cold_s:.4f}", "1.00x")
     table.add_row("warm-incremental (1 file edited)",
                   f"{incremental_s:.4f}", f"{incremental_wall:.2f}x")
@@ -298,20 +201,8 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
     rendered += (f"\n\nanalysis store during incremental runs: "
                  f"{an_stats['hits']} hits, {an_stats['misses']} misses, "
                  f"{an_stats['stores']} stores, {an_stats['errors']} errors")
-    rendered += (f"\nwire bytes/function: "
-                 f"shm {wire_bytes_per_function['shm']:.1f}, "
-                 f"pickle {wire_bytes_per_function['pickle']:.1f} "
-                 f"({wire_reduction:.1f}x reduction, floor "
-                 f"{MIN_WIRE_REDUCTION:.1f}x)")
-    rendered += (f"\nprocess backend (shm + pickle transports) "
-                 f"byte-identical to thread: "
-                 f"{'yes' if backends_identical else 'NO'}")
     rendered += (f"\nincremental byte-identical to fresh cold: "
                  f"{'yes' if incremental_identical else 'NO'}")
-    enforcement = ("enforced" if process_floor_enforced
-                   else "recorded only: single-core host")
-    rendered += (f"\nprocess-vs-thread speedup {process_speedup:.2f}x "
-                 f"(floor {min_process:.1f}x, {enforcement})")
     rendered += (f"\nwarm-incremental recompute speedup "
                  f"{incremental_speedup:.2f}x "
                  f"(required >= {min_incremental:.1f}x; "
@@ -321,45 +212,30 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
         json.dump({
             "mode": "smoke" if smoke else "full",
             "workload": {
-                "description": "full-corpus extraction; process pool warm "
-                               "and spawned outside timing; incremental "
-                               "runs re-edit one unit per repetition",
+                "description": "full-corpus extraction; incremental runs "
+                               "re-edit one unit per repetition",
                 "repeat": repeat,
-                "jobs": jobs,
                 "cpu_count": cpus,
                 "edited_unit": EDIT_UNIT,
-                "transport": "shm",
-            },
-            "transport": {
-                "wire_bytes_per_function": wire_bytes_per_function,
             },
             "seconds": {
-                "thread_cold": thread_cold_s,
-                "process_cold": process_cold_s,
                 "cold": cold_s,
                 "incremental": incremental_s,
                 "cold_recompute": cold_recompute_s,
                 "incremental_recompute": incremental_recompute_s,
             },
             "speedups": {
-                "process_vs_thread": process_speedup,
                 "warm_incremental": incremental_speedup,
                 "warm_incremental_wall": incremental_wall,
-                "wire_bytes_reduction": wire_reduction,
             },
             "floors": {
-                "process_vs_thread": min_process,
                 "warm_incremental": min_incremental,
-                "wire_bytes_reduction": MIN_WIRE_REDUCTION,
             },
             "floor_enforced": {
-                "process_vs_thread": process_floor_enforced,
                 "warm_incremental": True,
-                "wire_bytes_reduction": True,
             },
             "analysis_store": an_stats,
             "identical_outputs": {
-                "process_vs_thread": bool(backends_identical),
                 "incremental_vs_cold": bool(incremental_identical),
             },
         }, fh, indent=2, sort_keys=True)
@@ -370,24 +246,9 @@ def run_benchmark(smoke: bool = False, jobs: int = 2, repeat: int = 3,
     else:
         print(rendered)
 
-    if not backends_identical:
-        print("FAIL: process backend output differs from thread backend",
-              file=sys.stderr)
-        return 1
     if not incremental_identical:
         print("FAIL: incremental output differs from a fresh cold run",
               file=sys.stderr)
-        return 1
-    if process_floor_enforced and process_speedup < min_process:
-        print(f"FAIL: process-vs-thread speedup {process_speedup:.2f}x is "
-              f"below the {min_process:.1f}x floor — perf regression",
-              file=sys.stderr)
-        return 1
-    if wire_reduction < MIN_WIRE_REDUCTION:
-        print(f"FAIL: shm transport cuts wire bytes/function only "
-              f"{wire_reduction:.2f}x vs pickle (floor "
-              f"{MIN_WIRE_REDUCTION:.1f}x) — descriptors are not paying "
-              f"for themselves", file=sys.stderr)
         return 1
     if incremental_speedup < min_incremental:
         print(f"FAIL: warm-incremental recompute speedup "
@@ -416,14 +277,11 @@ def test_backend_perf():
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the execution backends: process pool vs "
-                    "threads (cold) and warm-incremental reuse after a "
-                    "single-file edit.")
+        description="Benchmark warm-incremental reuse of the analysis "
+                    "store after a single-file edit.")
     parser.add_argument("--smoke", action="store_true",
                         help="single repetition, relaxed floors "
                              "(the CI verify mode)")
-    parser.add_argument("--jobs", type=int, default=2, metavar="N",
-                        help="worker count for both backends (default 2)")
     parser.add_argument("--repeat", type=int, default=3, metavar="N",
                         help="repetitions per configuration, best-of "
                              "(default 3)")
@@ -435,12 +293,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.cache_dir is not None:
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-        return run_benchmark(smoke=args.smoke, jobs=args.jobs,
-                             repeat=args.repeat)
+        return run_benchmark(smoke=args.smoke, repeat=args.repeat)
     with tempfile.TemporaryDirectory(prefix="repro-backend-bench-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
-        return run_benchmark(smoke=args.smoke, jobs=args.jobs,
-                             repeat=args.repeat)
+        return run_benchmark(smoke=args.smoke, repeat=args.repeat)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ the whole perf posture of the tree in one read instead of five.
 Floors are *reported*, not re-enforced: each benchmark already fails
 its own run when a floor regresses, and ``make verify`` runs them all
 before this aggregation.  A floor marked ``enforced: false`` by its
-benchmark (e.g. the process-pool floor on a single-core host) shows up
+benchmark (e.g. the sampled-campaign floor on a small host) shows up
 here with that caveat preserved.
 
 Each aggregation also appends one compact summary line to
@@ -100,11 +100,6 @@ def collect(root: str = REPO_ROOT) -> Dict[str, Any]:
             "identical_outputs": data.get("identical_outputs"),
             "source": os.path.basename(path),
         }
-        # bench_backend additionally measures wire bytes per analyzed
-        # function under each result transport; carry the comparison
-        # through so the aggregate answers "how much does shm save".
-        if "transport" in data:
-            entries[name]["transport"] = data["transport"]
     all_ok = all(
         check["ok"]
         for entry in entries.values() if "floors" in entry
@@ -134,10 +129,6 @@ def render(report: Dict[str, Any]) -> str:
                 shown = f"{measured:.2f}x" if measured is not None else "?"
                 bound = f">={check['floor']:.1f}x"
             parts.append(f"{key}={shown}{bound} [{mark}]")
-        wire = (entry.get("transport") or {}).get("wire_bytes_per_function")
-        if wire:
-            shown = ", ".join(f"{t}={b:.0f}B/fn" for t, b in sorted(wire.items()))
-            parts.append(f"wire[{shown}]")
         mode = entry.get("mode") or "?"
         lines.append(f"  {name:<10s} ({mode}) " + "; ".join(parts))
     lines.append(f"all enforced floors hold: "
@@ -205,9 +196,7 @@ def run_report(emit_fn=None) -> int:
 def test_bench_report(tmp_path):
     """Pytest entry: aggregation and floor logic on synthetic files."""
     good = {"mode": "smoke", "speedups": {"x": 2.0},
-            "floors": {"x": 1.5}, "identical_outputs": True,
-            "transport": {"wire_bytes_per_function":
-                          {"shm": 100.0, "pickle": 900.0}}}
+            "floors": {"x": 1.5}, "identical_outputs": True}
     gated = {"mode": "full", "speedups": {"y": 0.6}, "floors": {"y": 1.8},
              "floor_enforced": {"y": False}}
     bad = {"mode": "full", "speedups": {"z": 1.0}, "floors": {"z": 5.0}}
@@ -216,9 +205,6 @@ def test_bench_report(tmp_path):
     report = collect(str(tmp_path))
     assert set(report["benchmarks"]) == {"a", "b"}
     assert report["all_floors_ok"] is True
-    assert (report["benchmarks"]["a"]["transport"]["wire_bytes_per_function"]
-            ["shm"] == 100.0)
-    assert "wire[" in render(report)
     assert report["benchmarks"]["b"]["floors"]["y"]["ok"] is True
     assert report["benchmarks"]["b"]["floors"]["y"]["enforced"] is False
     (tmp_path / "BENCH_c.json").write_text(json.dumps(bad))

@@ -42,9 +42,10 @@ dedup gauge, two live workers, and nonzero hot-path counters
 (``repro_serve_cache_hits_total``, ``repro_serve_wait_wakeups_total``);
 an explicit ``If-None-Match`` revalidation must answer ``304`` with no
 body; the structured service log must validate against its schema and
-contain the full run lifecycle; and a ``repro-submit`` run executed
-with ``--backend process`` must reassemble into a single rooted span
-tree via ``repro-runs trace``.  Then SIGTERM everything and require
+contain the full run lifecycle; and a ``repro-submit`` sampled
+campaign executed with ``--backend process`` must reassemble into a
+single rooted span tree via ``repro-runs trace``, with the pool
+workers' ``campaign.shard`` spans grafted under ``campaign.sharded``.  Then SIGTERM everything and require
 clean signal semantics.
 
 Results land machine-readable in ``BENCH_service.json`` at the repo
@@ -529,6 +530,15 @@ def _spawn(code: List[str], env: Dict[str, str],
                             env=env, text=True)
 
 
+def _shard_parents(node: Dict[str, Any],
+                   parent: Optional[str] = None) -> List[Optional[str]]:
+    """Parent name of every ``campaign.shard`` node in a trace tree."""
+    found = [parent] if node["name"] == "campaign.shard" else []
+    for child in node["children"]:
+        found.extend(_shard_parents(child, node["name"]))
+    return found
+
+
 def run_ci_smoke() -> int:
     """Boot API + 2 workers as real processes; 50 requests, 25 dupes."""
     _ensure_imports()
@@ -646,16 +656,18 @@ def run_ci_smoke() -> int:
         print(f"ci-smoke: service log OK ({log_events} schema-valid "
               f"events)")
 
-        # ---- distributed trace: submit a process-backend run through
-        # the real repro-submit CLI, then require `repro-runs trace` to
-        # reassemble it into a single rooted span tree (API row ->
-        # worker -> procpool children).
+        # ---- distributed trace: submit a process-backend campaign
+        # through the real repro-submit CLI, then require `repro-runs
+        # trace` to reassemble it into a single rooted span tree (API
+        # row -> worker -> campaign-shard pool children).
         submit = subprocess.run(
             [sys.executable, "-c",
              "import sys; from repro.cli import main_submit; "
              "sys.exit(main_submit(sys.argv[1:]))",
-             "extract", "--url", url, "--no-wait",
-             "--params", '{"jobs": 2, "backend": "process"}'],
+             "conbugck", "--url", url, "--no-wait",
+             "--params", json.dumps({"sample": "random", "budget": 200,
+                                     "shards": 4, "jobs": 2,
+                                     "backend": "process"})],
             capture_output=True, env=env, text=True, timeout=60)
         if submit.returncode != 0:
             print(f"FAIL: repro-submit failed: {submit.stderr}",
@@ -681,9 +693,17 @@ def run_ci_smoke() -> int:
                   f"match={assembled['traceparent_match']} "
                   f"spans={assembled['file_spans']}", file=sys.stderr)
             return 1
+        shard_parents = _shard_parents(assembled["tree"])
+        if len(shard_parents) != 4 or \
+                set(shard_parents) != {"campaign.sharded"}:
+            print(f"FAIL: pool-side campaign.shard spans not grafted under "
+                  f"campaign.sharded: parents {shard_parents}",
+                  file=sys.stderr)
+            return 1
         print(f"ci-smoke: distributed trace OK (run "
               f"{traced_run_id[:16]}, {assembled['file_spans']} spans, "
-              f"single rooted tree)")
+              f"{len(shard_parents)} grafted shard spans, single rooted "
+              f"tree)")
 
         # Result equivalence vs the direct CLI, via real subprocesses:
         # byte-identical stdout, and manifests that `repro-runs diff`
@@ -771,7 +791,7 @@ def run_ci_smoke() -> int:
                   "direct CLI run are NOT equivalent", file=sys.stderr)
             return 1
 
-        # SIGTERM teardown: the signal handlers sweep pools/arenas and
+        # SIGTERM teardown: the signal handlers stop the pools and
         # re-deliver, so every process dies by SIGTERM, cleanly.
         for proc in procs:
             proc.send_signal(signal.SIGTERM)

@@ -35,7 +35,7 @@ from repro.corpus.loader import CorpusUnit, load_unit, unit_slices
 from repro.errors import UnknownFunctionError
 from repro.lang.cfg import build_cfg
 from repro.obs.tracer import span
-from repro.perf import lattice, modes, resolve_jobs, run_ordered, timed
+from repro.perf import lattice, resolve_jobs, run_ordered, timed
 
 
 @dataclass(frozen=True)
@@ -205,29 +205,17 @@ class Extractor:
     scheduler (``None`` defers to ``$REPRO_SOLVER``); both schedulers
     extract identical dependency sets.
 
-    ``backend`` picks the execution engine (``None`` defers to
-    ``$REPRO_BACKEND``): ``thread`` fans out inside this process,
-    ``process`` puts the CPU-bound phases — unit compiles and function
-    analyses — on a spawn-based worker pool
-    (:mod:`repro.perf.procpool`), then assembles scenarios in the
-    parent from seeded memos.  ``transport`` picks how process-backend
-    results cross back (``None`` defers to ``$REPRO_TRANSPORT``):
-    ``shm`` ships arena descriptors and decodes lazily from mmap views
-    (:mod:`repro.perf.shm`), ``pickle`` ships the codec blobs through
-    the queues.  Every backend/transport combination produces
-    byte-identical reports; only wall-clock and wire bytes differ.
+    Extraction always runs in this process: the per-function analyses
+    are small and share every memo table, so ``jobs`` fans out over
+    threads only.
     """
 
     def __init__(self, scenarios: Sequence[ScenarioSpec] = SCENARIOS,
                  jobs: Optional[int] = None,
-                 solver: Optional[str] = None,
-                 backend: Optional[str] = None,
-                 transport: Optional[str] = None) -> None:
+                 solver: Optional[str] = None) -> None:
         self.scenarios = tuple(scenarios)
         self.jobs = resolve_jobs(jobs)
         self.solver = solver
-        self.backend = modes.resolve_mode("backend", backend)
-        self.transport = modes.resolve_mode("transport", transport)
 
     # ------------------------------------------------------------------
     # per-scenario
@@ -243,29 +231,6 @@ class Extractor:
         hit seeds both memos, so the pair keeps the identity coupling
         (``findings`` derived from exactly ``state``) the memos assert.
         """
-        pair, _blob = self._analyze_impl(task, want_blob=False)
-        return pair
-
-    def _analyze_one_blob(self, task: Tuple[str, str]) -> bytes:
-        """Like :meth:`_analyze_one`, but returns the encoded pair.
-
-        The process-backend worker path: one codec encode serves the
-        wire (arena frame or queue blob) *and* the store flush — a
-        store hit returns the very bytes just read, the compute path
-        encodes once and flushes those same bytes via
-        :func:`repro.corpus.cache.store_analysis_blob`.
-        """
-        _pair, blob = self._analyze_impl(task, want_blob=True)
-        return blob
-
-    def _analyze_impl(self, task: Tuple[str, str], want_blob: bool):
-        """The shared memo → store → compute path; ``(pair, blob)``.
-
-        ``blob`` is only materialized when ``want_blob`` (the worker
-        side) — the thread backend never pays an encode for a memo hit.
-        """
-        from repro.perf import codec
-
         filename, fn_name = task
         with span("extract.function", unit=filename, function=fn_name):
             unit = load_unit(filename)
@@ -282,32 +247,29 @@ class Extractor:
                 findings = findings_peek(func, state, sources, component,
                                          filename)
                 if findings is not None:
-                    pair = (state, findings)
-                    return pair, codec.dumps(pair) if want_blob else None
+                    return state, findings
             store_key = self._store_key(unit, fn_name, sources)
             if store_key:
-                loaded = disk.load_analysis_with_blob(store_key)
+                loaded = disk.load_analysis(store_key)
                 if loaded is not None:
-                    (state, findings), blob = loaded
+                    state, findings = loaded
                     if (getattr(state, "function", None) == fn_name
                             and getattr(findings, "function", None) == fn_name):
                         memo_seed(func, sources, component, state, self.solver)
                         findings_seed(func, state, findings, sources,
                                       component, filename)
                         self._record_graph(unit, fn_name, store_key, state)
-                        return (state, findings), blob if want_blob else None
+                        return state, findings
             cfg = build_cfg(func)
             state = analyze_function(func, sources, component,
                                      solver=self.solver)
             findings = derive_constraints(
                 func, cfg, state, sources, component, filename
             )
-            pair = (state, findings)
-            blob = codec.dumps(pair) if (want_blob or store_key) else None
             if store_key:
-                disk.store_analysis_blob(store_key, blob)
+                disk.store_analysis(store_key, state, findings)
                 self._record_graph(unit, fn_name, store_key, state)
-            return pair, blob if want_blob else None
+            return state, findings
 
     def _store_key(self, unit: CorpusUnit, fn_name: str, sources) -> str:
         """The analysis-store key for one function, or '' when disabled."""
@@ -319,7 +281,7 @@ class Extractor:
         return disk.analysis_key(
             unit.filename, fn_name, slice_hash, sources.fingerprint(),
             unit.component, resolve_solver(self.solver),
-            lattice.resolve_lattice_mode(), self.transport,
+            lattice.resolve_lattice_mode(),
         )
 
     @staticmethod
@@ -382,170 +344,14 @@ class Extractor:
     def extract_all(self) -> ExtractionReport:
         """Extract every scenario plus the unique union."""
         with span("extract.all", scenarios=len(self.scenarios),
-                  jobs=self.jobs, backend=self.backend), timed("extract.all"):
-            if self.backend == "process":
-                self._process_prepare()
-            else:
-                self._invalidate_stale()
+                  jobs=self.jobs), timed("extract.all"):
+            self._invalidate_stale()
             results = run_ordered(self.jobs, self.extract_scenario, self.scenarios)
             union: List[Dependency] = []
             for result in results:
                 union.extend(result.dependencies)
             disk.flush_graph()
             return ExtractionReport(results, _dedupe(union))
-
-    # ------------------------------------------------------------------
-    # process backend
-    # ------------------------------------------------------------------
-
-    def _fns_by_unit(self) -> Dict[str, List[str]]:
-        """Distinct selected functions per unit, in first-use order."""
-        out: Dict[str, List[str]] = {}
-        for spec in self.scenarios:
-            for filename, functions in spec.selected:
-                bucket = out.setdefault(filename, [])
-                for fn_name in functions:
-                    if fn_name not in bucket:
-                        bucket.append(fn_name)
-        return out
-
-    def _process_prepare(self) -> None:
-        """Run the CPU-bound phases on the worker pool, seed the memos.
-
-        Two overlapped pool waves ahead of assembly:
-
-        1. distribute the distinct unit *compiles* across workers —
-           compiled IR lands in the shared disk cache, so the parent's
-           own loads afterwards are cheap decodes (with the disk cache
-           disabled this phase is skipped and the parent compiles);
-        2. dedupe the distinct ``(unit, function)`` analyses across
-           all scenarios — each Table-5 scenario re-selects mostly the
-           same functions — batch them by source size
-           (``REPRO_BATCH_BYTES``), and fan the batches out.  On a
-           cold store (no invalidation-graph records for these units)
-           each unit's batches dispatch the moment its compile lands,
-           so workers analyze early units while later units still
-           compile; with prior records the compile wave barriers
-           first, the parent prunes stale entries from the
-           worker-reported slices, and only then dispatches — the
-           exact eager-invalidation ordering of earlier revisions.
-
-        Results cross back per ``self.transport`` — arena descriptors
-        decoded lazily from mmap views under ``shm``, codec blobs
-        under ``pickle`` — and seed the parent's memos either way.  A
-        frame that fails validation (:exc:`~repro.perf.codec.CodecError`)
-        is recomputed in the parent, never trusted.
-
-        Assembly then runs the ordinary thread path: every
-        ``_analyze_one`` is a memo hit, the bridge joins in the parent,
-        and merge order comes from the spec — which is how a process
-        run stays byte-identical to thread and sequential runs.
-        """
-        import pickle
-
-        from repro.perf import bump, procpool
-
-        if not disk.disk_cache_enabled():
-            # Without the shared disk cache workers cannot hand the
-            # parent compiled IR or store entries, so the pool would
-            # only duplicate work the parent must redo anyway.
-            self._invalidate_stale()
-            return
-
-        with span("extract.procpool", jobs=self.jobs,
-                  transport=self.transport):
-            pool = procpool.get_pool(self.jobs)
-            unit_names = self._unit_names()
-            fns_by_unit = self._fns_by_unit()
-            batch_bytes = modes.resolve_int("batch_bytes")
-            # Prior graph records mean invalidate_changed() may prune —
-            # only then must every unit's slices land before the first
-            # analyze dispatch.
-            barrier = disk.has_graph_records(unit_names)
-            analyze_seqs: List[Tuple[int, str, List[str]]] = []
-
-            def dispatch(filename: str, sizes: Dict[str, int]) -> None:
-                names = fns_by_unit.get(filename, [])
-                batches = procpool.plan_batches(
-                    names,
-                    lambda fn: sizes.get(fn, procpool.DEFAULT_TASK_BYTES),
-                    batch_bytes,
-                )
-                for batch in batches:
-                    seq = pool.submit(
-                        "extract.batch",
-                        (filename, tuple(batch), self.solver, self.transport),
-                    )
-                    analyze_seqs.append((seq, filename, batch))
-
-            slices_by_unit: Dict[str, Dict[str, str]] = {}
-            sizes_by_unit: Dict[str, Dict[str, int]] = {}
-            with span("extract.procpool.compile", units=len(unit_names)):
-                pending = {pool.submit("corpus.compile", (name,))
-                           for name in unit_names}
-                while pending:
-                    seq, result = pool.wait_any(pending)
-                    pending.discard(seq)
-                    filename, slices, sizes = result
-                    slices_by_unit[filename] = slices
-                    sizes_by_unit[filename] = sizes
-                    if not barrier:
-                        dispatch(filename, sizes)
-            if barrier:
-                disk.invalidate_changed(slices_by_unit)
-                for filename in unit_names:
-                    dispatch(filename, sizes_by_unit[filename])
-
-            total = sum(len(batch) for _seq, _f, batch in analyze_seqs)
-            with span("extract.procpool.analyze", functions=total,
-                      batches=len(analyze_seqs)):
-                for seq, filename, batch in analyze_seqs:
-                    transport_used, items, records = pool.wait(seq)
-                    disk.merge_pending(records)
-                    bump("transport.batches")
-                    bump("transport.functions", len(batch))
-                    if transport_used == "shm":
-                        # The queue carried only the descriptors.
-                        bump("transport.wire_bytes",
-                             len(pickle.dumps(items)))
-                    else:
-                        bump("transport.wire_bytes",
-                             sum(len(blob) for blob in items))
-                    unit = load_unit(filename)
-                    sources = SOURCES_BY_UNIT[filename]
-                    for fn_name, item in zip(batch, items):
-                        pair = self._decode_result(
-                            pool, transport_used, item, (filename, fn_name)
-                        )
-                        state, findings = pair
-                        func = unit.module.function(fn_name)
-                        memo_seed(func, sources, unit.component, state,
-                                  self.solver)
-                        findings_seed(func, state, findings, sources,
-                                      unit.component, filename)
-
-    def _decode_result(self, pool, transport_used: str, item,
-                       task: Tuple[str, str]):
-        """One worker result back into a live ``(state, findings)`` pair.
-
-        Validation failures are loud but not fatal: a corrupt arena
-        frame or blob bumps ``transport.decode_errors`` and the parent
-        recomputes the function itself — degrade to local work, never
-        to a wrong (or missing) result.
-        """
-        from repro.perf import bump, codec
-
-        try:
-            if transport_used == "shm":
-                view = pool.reader.view(item)
-                try:
-                    return codec.loads(view)
-                finally:
-                    view.release()
-            return codec.loads(item)
-        except codec.CodecError:
-            bump("transport.decode_errors")
-            return self._analyze_one(task)
 
 
 def _dedupe(deps: List[Dependency]) -> List[Dependency]:
@@ -562,9 +368,6 @@ def _dedupe(deps: List[Dependency]) -> List[Dependency]:
 
 def extract_all(scenarios: Sequence[ScenarioSpec] = SCENARIOS,
                 jobs: Optional[int] = None,
-                solver: Optional[str] = None,
-                backend: Optional[str] = None,
-                transport: Optional[str] = None) -> ExtractionReport:
+                solver: Optional[str] = None) -> ExtractionReport:
     """Convenience: run the full Table-5 extraction."""
-    return Extractor(scenarios, jobs=jobs, solver=solver,
-                     backend=backend, transport=transport).extract_all()
+    return Extractor(scenarios, jobs=jobs, solver=solver).extract_all()

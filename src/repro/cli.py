@@ -38,24 +38,13 @@ def _status(message: str) -> None:
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` flag (extraction execution engine)."""
+    """The shared ``--backend`` flag (where campaign shards run)."""
     parser.add_argument("--backend", choices=("thread", "process"),
                         default=None,
-                        help="extraction execution backend (default: "
-                             "$REPRO_BACKEND or thread; process runs the "
-                             "frontend and taint fixpoints on real cores "
-                             "via a warm spawn pool — reports are "
+                        help="where sampled-campaign shards run (default: "
+                             "$REPRO_BACKEND or thread; process puts them "
+                             "on a spawn process pool — reports are "
                              "byte-identical either way)")
-
-
-def _add_transport_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--transport`` flag (process-backend result path)."""
-    parser.add_argument("--transport", choices=("shm", "pickle"),
-                        default=None,
-                        help="process-backend result transport (default: "
-                             "$REPRO_TRANSPORT or shm; shm ships mmap arena "
-                             "descriptors instead of pickled blobs — "
-                             "reports are byte-identical either way)")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -231,8 +220,6 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
                         help="taint fixpoint scheduler (default: $REPRO_SOLVER "
                              "or sparse; dense is the reference escape hatch — "
                              "both produce identical dependencies)")
-    _add_backend_arg(parser)
-    _add_transport_arg(parser)
     parser.add_argument("--explain", metavar="PARAM", action="append",
                         default=None,
                         help="print the taint provenance of one parameter "
@@ -258,12 +245,7 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
     with _ObsSession("repro-extract", args, argv) as obs:
         if args.solver:
             obs.set_engine(solver=args.solver)
-        if args.backend:
-            obs.set_engine(backend=args.backend)
-        if args.transport:
-            obs.set_engine(transport=args.transport)
-        report = extract_all(jobs=args.jobs, solver=args.solver,
-                             backend=args.backend, transport=args.transport)
+        report = extract_all(jobs=args.jobs, solver=args.solver)
         obs.set_report([d.key() for d in report.union],
                        summary=f"{len(report.union)} unique dependencies, "
                                f"{len(report.scenarios)} scenarios")
@@ -346,7 +328,6 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2022,
                         help="seed for budgeted violation draws")
     _add_backend_arg(parser)
-    _add_transport_arg(parser)
     _add_sampling_args(
         parser,
         sample_help="sharded violation campaign sampler; only 'random' "
@@ -369,18 +350,15 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
     with _ObsSession("repro-conhandleck", args, argv) as obs:
         if args.backend:
             obs.set_engine(backend=args.backend)
-        if args.transport:
-            obs.set_engine(transport=args.transport)
         if args.sample or args.budget is not None or args.shards > 1:
             from repro.analysis.extractor import extract_all
 
-            deps = extract_all(jobs=args.jobs,
-                               backend=args.backend).true_dependencies()
+            deps = extract_all(jobs=args.jobs).true_dependencies()
             started = time.perf_counter()
             report, meta = sampled_check(
                 deps, seed=args.seed, budget=args.budget,
                 shards=args.shards, jobs=args.jobs,
-                backend=args.backend, transport=args.transport)
+                backend=args.backend)
             wall = time.perf_counter() - started
             rate = report.total / wall if wall > 0 else 0.0
             obs.set_campaign(_campaign_section(report, meta))
@@ -414,8 +392,7 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
                 _status("")
                 _status(render_profile())
             return 0 if not report.failure_count else 1
-        report = ConHandleCk().check_extracted(jobs=args.jobs,
-                                               backend=args.backend)
+        report = ConHandleCk().check_extracted(jobs=args.jobs)
         summary = ", ".join(f"{o.value}={c}"
                             for o, c in report.by_outcome().items() if c)
         obs.set_report([str(r) for r in report.results], summary=summary)
@@ -448,7 +425,6 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
                         help="parallel campaign workers (0 = one per CPU; "
                              "default: $REPRO_JOBS or sequential)")
     _add_backend_arg(parser)
-    _add_transport_arg(parser)
     _add_sampling_args(
         parser,
         sample_help="run a registry-wide sampled campaign instead of the "
@@ -470,19 +446,16 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
     with _ObsSession("repro-conbugck", args, argv) as obs:
         if args.backend:
             obs.set_engine(backend=args.backend)
-        if args.transport:
-            obs.set_engine(transport=args.transport)
         if args.sample:
             from repro.analysis.extractor import extract_all
 
-            deps = extract_all(jobs=args.jobs,
-                               backend=args.backend).true_dependencies()
+            deps = extract_all(jobs=args.jobs).true_dependencies()
             started = time.perf_counter()
             report, meta = sampled_campaign(
                 deps, sample=args.sample, seed=args.seed,
                 budget=args.budget, shards=args.shards,
                 fs_blocks=args.fs_blocks, jobs=args.jobs,
-                backend=args.backend, transport=args.transport)
+                backend=args.backend)
             wall = time.perf_counter() - started
             rate = report.total / wall if wall > 0 else 0.0
             obs.set_campaign(_campaign_section(report, meta))
@@ -512,8 +485,7 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
                 _status("")
                 _status(render_profile())
             return 0
-        generator = ConBugCk.from_extraction(seed=args.seed, jobs=args.jobs,
-                                             backend=args.backend)
+        generator = ConBugCk.from_extraction(seed=args.seed, jobs=args.jobs)
         guided = generator.drive(generator.generate(args.count), jobs=args.jobs)
         naive = generator.drive(generator.generate_naive(args.count),
                                 jobs=args.jobs)

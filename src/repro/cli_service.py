@@ -282,9 +282,9 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-worker",
         description="Run one queue worker: claim batches of compatible "
-                    "runs, execute them on the warm pipeline (procpool+shm "
-                    "under --backend process), and record obs manifests as "
-                    "the run records.",
+                    "runs, execute them on the warm pipeline (campaign "
+                    "shards on a process pool under --backend process), "
+                    "and record obs manifests as the run records.",
     )
     parser.add_argument("--id", default=None,
                         help="worker identity recorded in claims and "
@@ -305,7 +305,8 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
                         help="concurrent exec slots: run up to N compatible "
                              "batchmates at once (default: "
                              "$REPRO_SERVE_SLOTS or 1; pays off for "
-                             "--backend process jobs on multi-core hosts)")
+                             "--backend process campaigns on multi-core "
+                             "hosts)")
     parser.add_argument("--max-jobs", type=int, default=None, metavar="N",
                         help="exit after N jobs (default: run forever)")
     parser.add_argument("--once", action="store_true",

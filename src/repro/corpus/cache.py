@@ -279,41 +279,10 @@ def function_slices(source: str, line_of: Dict[str, int]) -> Dict[str, str]:
     return out
 
 
-def function_sizes(source: str, line_of: Dict[str, int]) -> Dict[str, int]:
-    """Per-function source-slice byte sizes for one translation unit.
-
-    Mirrors the slicing of :func:`function_slices` — preamble bytes
-    plus the function's own lines — so the size tracks exactly the
-    text whose hash keys the function's store entry.  The process
-    backend uses these as batch-planning weights: bytes of analyzed
-    source is a crude but content-derived proxy for analysis cost.
-    """
-    if not line_of:
-        return {}
-    lines = source.splitlines(keepends=True)
-    ordered = sorted(line_of.items(), key=lambda item: item[1])
-    first_line = ordered[0][1]
-    preamble = len("".join(lines[:max(first_line - 1, 0)]).encode("utf-8"))
-    out: Dict[str, int] = {}
-    for index, (name, line) in enumerate(ordered):
-        start = max(line - 1, 0)
-        end = ordered[index + 1][1] - 1 if index + 1 < len(ordered) else len(lines)
-        body = len("".join(lines[start:end]).encode("utf-8"))
-        out[name] = preamble + body
-    return out
-
-
 def analysis_key(filename: str, function: str, slice_hash: str,
                  sources_fp: str, component: str, solver: str,
-                 lattice_mode: str, transport: str) -> str:
-    """Content hash identifying one function's analysis result.
-
-    ``transport`` (the result-transport mode) is part of the engine
-    configuration like ``solver`` and ``lattice_mode``: entries written
-    under one transport are never served under another, which keeps
-    A/B transport benchmarks honest — each mode populates and hits its
-    own entries.
-    """
+                 lattice_mode: str) -> str:
+    """Content hash identifying one function's analysis result."""
     from repro.perf import codec
 
     digest = hashlib.sha256()
@@ -327,7 +296,6 @@ def analysis_key(filename: str, function: str, slice_hash: str,
     digest.update(f"component={component}\n".encode("utf-8"))
     digest.update(f"solver={solver}\n".encode("utf-8"))
     digest.update(f"lattice={lattice_mode}\n".encode("utf-8"))
-    digest.update(f"transport={transport}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -340,13 +308,8 @@ def _analysis_path(key: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_analysis_with_blob(key: str) -> Optional[Tuple[Tuple[Any, Any], bytes]]:
-    """The cached pair *and* its raw encoded bytes, or None.
-
-    The blob comes back alongside the decoded ``(TaintState,
-    FunctionFindings)`` so a process-pool worker serving a store hit
-    can ship the bytes it already holds — into an arena segment or a
-    queue — without re-encoding what it just decoded.
+def load_analysis(key: str) -> Optional[Tuple[Any, Any]]:
+    """The cached ``(TaintState, FunctionFindings)`` pair, or None.
 
     Corrupt or truncated entries — a killed writer, a flipped bit, a
     codec-schema skew that slipped past the key — decode to a loud
@@ -379,13 +342,7 @@ def load_analysis_with_blob(key: str) -> Optional[Tuple[Tuple[Any, Any], bytes]]
         return None
     _AN_STATS.tally("hits")
     bump("cache.an.hit")
-    return pair, blob
-
-
-def load_analysis(key: str) -> Optional[Tuple[Any, Any]]:
-    """The cached ``(TaintState, FunctionFindings)`` pair, or None."""
-    loaded = load_analysis_with_blob(key)
-    return None if loaded is None else loaded[0]
+    return pair
 
 
 def store_analysis(key: str, state: Any, findings: Any) -> bool:
@@ -398,16 +355,6 @@ def store_analysis(key: str, state: Any, findings: Any) -> bool:
         _AN_STATS.tally("errors")
         bump("cache.an.error")
         return False
-    return store_analysis_blob(key, blob)
-
-
-def store_analysis_blob(key: str, blob: bytes) -> bool:
-    """Atomically persist an already-encoded entry; False on failure.
-
-    The encode-free half of :func:`store_analysis`: workers that just
-    produced (or are about to ship) a codec blob flush exactly those
-    bytes, so one encode serves both the wire and the store.
-    """
     path = _analysis_path(key)
     try:
         with span("cache.an.store", key=key[:12]), timed("cache.an.store"):
@@ -485,20 +432,6 @@ def _write_graph(units: Dict[str, Dict[str, Dict[str, Any]]]) -> None:
         raise
 
 
-def has_graph_records(units: Iterable[str]) -> bool:
-    """Whether the on-disk graph holds records for any of ``units``.
-
-    The process backend's scheduling hint: with no prior records there
-    is nothing :func:`invalidate_changed` could prune, so analyze
-    batches may dispatch the moment each unit's compile lands instead
-    of barriering on a whole-corpus slice collection first.
-    """
-    if not disk_cache_enabled():
-        return False
-    graph = _load_graph()
-    return any(graph.get(unit) for unit in units)
-
-
 def record_analysis(filename: str, function: str, slice_hash: str,
                     key: str, reads: Iterable[str],
                     writes: Iterable[str]) -> None:
@@ -518,22 +451,8 @@ def record_analysis(filename: str, function: str, slice_hash: str,
         _GRAPH_PENDING.setdefault(filename, {})[function] = record
 
 
-def take_pending() -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Drain the queued graph records (for a process-boundary crossing).
-
-    Worker processes cannot usefully flush — their graph merge would
-    race the parent's — so they drain their pending records, ship them
-    back with the task result, and the parent re-queues them with
-    :func:`merge_pending` and flushes once.
-    """
-    with _GRAPH_LOCK:
-        out = {unit: dict(fns) for unit, fns in _GRAPH_PENDING.items()}
-        _GRAPH_PENDING.clear()
-    return out
-
-
 def merge_pending(records: Dict[str, Dict[str, Dict[str, Any]]]) -> None:
-    """Re-queue records drained in another process by :func:`take_pending`."""
+    """Re-queue graph records (a failed flush hands its batch back)."""
     with _GRAPH_LOCK:
         for unit, fns in records.items():
             _GRAPH_PENDING.setdefault(unit, {}).update(fns)

@@ -252,7 +252,7 @@ def capture() -> Optional[Span]:
 
 
 # ---------------------------------------------------------------------------
-# cross-process handoff (used by repro.perf.procpool)
+# cross-process handoff (used by the campaign process pool)
 # ---------------------------------------------------------------------------
 
 
@@ -284,8 +284,8 @@ def graft(exported: List[Dict[str, Any]], tracer: Tracer,
     Fresh span ids are allocated under the receiving tracer's lock so
     referential integrity holds alongside locally recorded spans;
     worker-side roots re-parent to ``parent`` (the span that was open
-    at fan-out time), which keeps a ``--backend process --trace`` run
-    a *single* rooted tree.  Returns the number of spans grafted.
+    at fan-out time), which keeps a ``--backend process --trace``
+    campaign a *single* rooted tree.  Returns the number of spans grafted.
     """
     if not exported:
         return 0
@@ -323,8 +323,8 @@ def graft(exported: List[Dict[str, Any]], tracer: Tracer,
 # Span ids stitch a tree together *within* one trace file; they say
 # nothing about which distributed operation the file belongs to.  The
 # serving layer needs that second identity: a run submitted over HTTP
-# is executed by a worker (separate process) which fans out to procpool
-# children (more processes), and `repro-runs trace` must find and trust
+# is executed by a worker (separate process) which may fan campaign
+# shards out to pool children (more processes), and `repro-runs trace` must find and trust
 # that all those fragments describe the same run.  We borrow the W3C
 # Trace Context wire shape — `00-<32hex trace-id>-<16hex span-id>-01` —
 # because it is compact, greppable, and lets any OTel-literate reader
@@ -338,7 +338,7 @@ def graft(exported: List[Dict[str, Any]], tracer: Tracer,
 # The environment variable is the un-prefixed `TRACEPARENT` (the
 # convention emerging around OTel CLI tooling), NOT `REPRO_TRACEPARENT`:
 # `repro.perf.modes.env_signature()` snapshots every `REPRO_*` variable
-# to key persistent process pools, and a per-run-unique value there
+# to key the campaign process pool, and a per-run-unique value there
 # would retire the warm pool on every service run.
 
 #: ``version-traceid-spanid-flags`` per W3C Trace Context level 1.

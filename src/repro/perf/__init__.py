@@ -23,8 +23,8 @@ snapshot cache), whose ``SnapshotCache`` and ``run_campaign`` resolve
 lazily from this package, and the submodules imported by path —
 :mod:`~repro.perf.modes` (engine knobs), :mod:`~repro.perf.sampling`
 (campaign samplers), :mod:`~repro.perf.codec` (the analysis-result
-codec), :mod:`~repro.perf.procpool` and :mod:`~repro.perf.shm` (the
-process backend and its shared-memory transport).
+codec) and :mod:`~repro.perf.procpool` (the process pool campaign
+shards run on under ``--backend process``).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
 
 from repro.errors import ReproError
 from repro.fsimage.blockdev import BlockDevice
+from repro.obs import tracer
 from repro.obs.tracer import span
 from repro.perf.parallel import resolve_jobs, run_ordered
 from repro.perf.timers import bump, timed
@@ -269,8 +270,8 @@ def run_campaign(worker: Callable[[T], R], items: Sequence[T],
 # into contiguous shards, each shard regenerates its own config slice
 # and folds outcomes into a bounded ShardAggregate as it drives, and the
 # parent merges the (small, constant-size) shard payloads.  Shards run
-# on the thread pool or, with backend="process", on the process pool
-# with payloads returned through the shm arena transport.
+# on the thread pool or, with backend="process", on the campaign process
+# pool (repro.perf.procpool), whose payloads come back pickled.
 #
 # Merged results are provably identical to an unsharded sequential run:
 # stage counts are sums, the digest is commutative (a sum of per-config
@@ -357,10 +358,9 @@ class ShardAggregate:
         self.counters[name] = self.counters.get(name, 0) + count
 
     def as_payload(self) -> Dict[str, Any]:
-        """Plain-container form (codec/pickle-safe for the transport).
+        """Plain-container form (picklable across the process pool).
 
-        The digest travels as fixed-width hex: it is a 256-bit integer
-        and the wire codec's varints are 64-bit.
+        The digest travels as fixed-width hex, the form reports print.
         """
         return {
             "total": self.total,
@@ -437,19 +437,39 @@ class CampaignReport:
 
 
 def _run_shard_local(runner: str, spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Resolve and run one shard in this process (thread backend)."""
+    """Resolve and run one shard in this process, timing it.
+
+    The wall-clock of the shard (sampling + driving, not queue time) is
+    stamped into the payload for the run manifest's shard timings.
+    """
     module = importlib.import_module(SHARD_RUNNERS[runner])
-    started = time.perf_counter()
-    payload = module.run_shard(spec)
-    payload["seconds"] = time.perf_counter() - started
+    with span("campaign.shard", shard=spec.get("shard"), lo=spec["lo"],
+              hi=spec["hi"]):
+        started = time.perf_counter()
+        payload = module.run_shard(spec)
+        payload["seconds"] = time.perf_counter() - started
     return payload
+
+
+def _run_shard_child(runner: str, spec: Dict[str, Any],
+                     trace: bool) -> Tuple[Dict[str, Any], List[Any]]:
+    """One shard in a pool worker: ``(payload, exported spans)``.
+
+    With tracing on, the shard runs under a worker-local tracer whose
+    spans travel back for the parent to graft into its own tree.
+    """
+    if not trace:
+        return _run_shard_local(runner, spec), []
+    local = tracer.Tracer(f"shard-{spec.get('shard')}")
+    with tracer.enabled(local):
+        payload = _run_shard_local(runner, spec)
+    return payload, tracer.export_spans(local)
 
 
 def run_sharded(runner: str, spec: Dict[str, Any], total: int,
                 shards: int = 1,
                 jobs: Optional[int] = None,
                 backend: Optional[str] = None,
-                transport: Optional[str] = None,
                 hints: Optional[Sequence[Any]] = None,
                 phase: str = "campaign.sharded") -> CampaignReport:
     """Drive a sampled campaign of ``total`` configs in shards.
@@ -461,18 +481,16 @@ def run_sharded(runner: str, spec: Dict[str, Any], total: int,
     ride along in each shard's spec as ``spec['hint']``.
 
     Thread backend: shards fan out over ``run_ordered``.  Process
-    backend: shards dispatch to the persistent pool as
-    ``campaign.shard`` envelopes and payloads return over the resolved
-    transport (shm arena descriptors by default).  Both merge in shard
-    order, so the report is identical for any backend, job count, or
-    shard count.
+    backend: each shard runs on the campaign process pool
+    (:mod:`repro.perf.procpool`) and its payload comes back pickled.
+    Both merge in shard order, so the report is identical for any
+    backend, job count, or shard count.
     """
     from repro.perf import modes
 
     if runner not in SHARD_RUNNERS:
         raise ValueError(f"unknown shard runner {runner!r}")
     backend = modes.resolve_mode("backend", backend)
-    transport = modes.resolve_mode("transport", transport)
     ranges = shard_ranges(total, shards)
     specs: List[Dict[str, Any]] = []
     for index, (lo, hi) in enumerate(ranges):
@@ -484,7 +502,7 @@ def run_sharded(runner: str, spec: Dict[str, Any], total: int,
     with span(phase, total=total, shards=len(specs), backend=backend), \
             timed(phase):
         if backend == "process":
-            payloads = _run_shards_process(runner, specs, jobs, transport)
+            payloads = _run_shards_process(runner, specs, jobs)
         else:
             payloads = run_ordered(
                 resolve_jobs(jobs),
@@ -493,21 +511,22 @@ def run_sharded(runner: str, spec: Dict[str, Any], total: int,
 
 
 def _run_shards_process(runner: str, specs: Sequence[Dict[str, Any]],
-                        jobs: Optional[int],
-                        transport: str) -> List[Dict[str, Any]]:
-    """Fan shard specs over the process pool; payloads in shard order."""
-    from repro.perf import codec, procpool
+                        jobs: Optional[int]) -> List[Dict[str, Any]]:
+    """Fan shard specs over the process pool; payloads in shard order.
 
-    pool = procpool.get_pool(jobs)
-    results = pool.run_ordered([
-        ("campaign.shard", (runner, spec, transport)) for spec in specs])
+    Worker-side spans graft under the span open at submit time, so a
+    traced run stays one rooted tree.
+    """
+    from repro.perf import procpool
+
+    active = tracer.active()
+    parent = tracer.capture()
+    results = procpool.run_ordered(
+        jobs, _run_shard_child,
+        [(runner, spec, active is not None) for spec in specs])
     payloads: List[Dict[str, Any]] = []
-    for kind, shipped in results:
-        if kind == "shm":
-            blob = pool.reader.view(shipped)
-            bump("transport.wire_bytes", shipped.length)
-        else:
-            blob = shipped
-            bump("transport.wire_bytes", len(shipped))
-        payloads.append(codec.loads(blob))
+    for payload, spans in results:
+        if active is not None and spans:
+            tracer.graft(spans, active, parent)
+        payloads.append(payload)
     return payloads

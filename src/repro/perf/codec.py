@@ -359,8 +359,6 @@ def _decode_stream(data) -> Tuple[Any, int]:
             if end > size:
                 raise CodecError("truncated stream")
             try:
-                # str(buf, ...) decodes bytes and memoryview slices
-                # alike, so one loop serves owned blobs and arena views.
                 value = str(data[pos:end], "utf-8")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"bad utf-8 in string: {exc}") from None
@@ -476,12 +474,10 @@ def _decode_stream(data) -> Tuple[Any, int]:
 def dump_into(value: Any, out: bytearray) -> Tuple[int, int]:
     """Append one magic-framed encoding of ``value`` to ``out``.
 
-    Returns ``(offset, length)`` of the frame within ``out`` — the
-    shape a shared-memory arena descriptor needs — so a worker can
-    encode straight into its segment buffer and ship coordinates
-    instead of bytes.  Each frame is self-contained (the back-reference
-    table resets per call), so any frame decodes independently of its
-    neighbors in the same buffer.
+    Returns ``(offset, length)`` of the frame within ``out``.  Each
+    frame is self-contained (the back-reference table resets per
+    call), so any frame decodes independently of its neighbors in the
+    same buffer.
     """
     _ensure_registry()
     offset = len(out)
@@ -501,12 +497,9 @@ def loads(data) -> Any:
     """Rebuild a value from :func:`dumps`/:func:`dump_into` output.
 
     ``data`` may be ``bytes`` or any buffer (``memoryview``,
-    ``bytearray``, an mmap view) — decoding from a view copies only
-    the strings and bytes it materializes, never the frame itself,
-    which is what lets the parent decode worker results lazily out of
-    a shared-memory arena.  Raises :exc:`CodecError` for anything
-    malformed — wrong magic, truncation, unknown tags or indexes,
-    trailing bytes.
+    ``bytearray``), so a frame sliced out of a larger buffer decodes
+    without first being copied.  Raises :exc:`CodecError` for anything malformed — wrong magic,
+    truncation, unknown tags or indexes, trailing bytes.
     """
     _ensure_registry()
     if data[:len(MAGIC)] != MAGIC:

@@ -1,8 +1,7 @@
 """Single source of truth for the engine-mode knobs.
 
 Every switchable engine in the pipeline — taint solver, lexer, parser,
-label lattice, execution backend, result transport — follows the same
-contract: an
+label lattice, campaign shard backend — follows the same contract: an
 explicit argument wins, else a ``REPRO_*`` environment variable, else
 the first (default) mode; anything else is a loud error.  That
 resolution logic used to be restated in each engine module and again in
@@ -15,8 +14,8 @@ The registry also powers two consumers that need *all* knobs at once:
 - :func:`resolve_modes` — the resolved mode dict recorded in run
   manifests and compared by ``repro-runs diff``;
 - :func:`env_signature` — a snapshot of every ``REPRO_*`` variable,
-  used by :mod:`repro.perf.procpool` to decide whether a persistent
-  worker pool is still consistent with the parent's environment.
+  used by :mod:`repro.perf.procpool` to decide whether the campaign
+  process pool is still consistent with the parent's environment.
 """
 
 from __future__ import annotations
@@ -46,69 +45,11 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("lex", "REPRO_LEX", ("regex", "scan")),
     Knob("parser", "REPRO_PARSER", ("climb", "ladder")),
     Knob("lattice", "REPRO_LATTICE", ("intern", "plain")),
+    # Where sampled-campaign shards run; extraction is always in-process.
     Knob("backend", "REPRO_BACKEND", ("thread", "process")),
-    Knob("transport", "REPRO_TRANSPORT", ("shm", "pickle")),
 )
 
 _BY_NAME: Dict[str, Knob] = {knob.name: knob for knob in KNOBS}
-
-
-@dataclass(frozen=True)
-class IntKnob:
-    """One integer tuning knob: env var, default, and lower bound."""
-
-    name: str
-    env: str
-    default: int
-    minimum: int = 1
-
-
-#: Integer tuning knobs.  Unlike the enumerated engine modes these do
-#: not change *what* runs, only how work is chunked — but they still
-#: resolve explicit > env > default with loud errors, and their env
-#: vars share the ``REPRO_`` prefix so :func:`env_signature` (and the
-#: process-pool keying built on it) covers them automatically.
-INT_KNOBS: Tuple[IntKnob, ...] = (
-    # Target payload bytes per worker dispatch: the batcher packs
-    # consecutive small functions until their estimated source size
-    # crosses this, amortizing queue round-trips.
-    IntKnob("batch_bytes", "REPRO_BATCH_BYTES", 16384),
-    # Arena segment rollover size for the shm result transport.
-    IntKnob("shm_segment_bytes", "REPRO_SHM_SEGMENT_BYTES", 1 << 20),
-)
-
-_INT_BY_NAME: Dict[str, IntKnob] = {knob.name: knob for knob in INT_KNOBS}
-
-
-def int_knob(name: str) -> IntKnob:
-    """The registry entry for one integer knob; KeyError when unknown."""
-    return _INT_BY_NAME[name]
-
-
-def resolve_int(name: str, explicit: Optional[int] = None) -> int:
-    """Resolve one integer knob: explicit arg, else env var, else default.
-
-    Raises ``ValueError`` (never a silent fallback) when the value is
-    not an integer or falls below the knob's minimum.
-    """
-    entry = _INT_BY_NAME[name]
-    if explicit is not None:
-        value = explicit
-    else:
-        raw = os.environ.get(entry.env, "").strip()
-        if not raw:
-            return entry.default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{entry.env} must be an integer, got {raw!r}"
-            ) from None
-    if value < entry.minimum:
-        raise ValueError(
-            f"{entry.name} must be >= {entry.minimum}, got {value}"
-        )
-    return value
 
 
 def knob(name: str) -> Knob:

@@ -1,557 +1,124 @@
-"""Spawn-safe persistent process pool (the ``--backend process`` engine).
+"""The process pool behind sharded campaigns (``--backend process``).
 
-The thread backend (:mod:`repro.perf.parallel`) shares every memo table
-but executes Python under one GIL, so CPU-bound phases — the mini-C
-frontend and the taint fixpoints — serialize no matter how many workers
-run.  This pool puts those phases on real cores:
-
-- **spawn, not fork** — workers start from a clean interpreter, so the
-  pool behaves identically on every platform and never inherits
-  half-initialized locks or memo tables;
-- **warm workers** — each worker imports the pipeline once and keeps
-  its in-process memos and loaded corpus across tasks, so per-task cost
-  is the task, not interpreter startup;
-- **lean envelopes** — tasks cross the boundary as ``(handler name,
-  small payload)``; results come back as arena descriptors
-  (:mod:`repro.perf.shm`), compact :mod:`repro.perf.codec` blobs, or
-  tiny primitives, never whole IR modules;
-- **per-worker task queues** — round-robin dispatch plus the ability to
-  *broadcast* a control task to every worker (``pool.reset`` lets the
-  cold benchmarks drop worker memos without respawning);
-- **submit/wait dispatch** — :meth:`ProcessPool.submit` returns a
-  sequence id immediately and :meth:`ProcessPool.wait` /
-  :meth:`ProcessPool.wait_any` collect later, which is what lets the
-  extractor overlap compile and analyze waves;
-  :meth:`ProcessPool.run_ordered` keeps the submission-order contract
-  of :func:`repro.perf.parallel.run_ordered` on top, so callers stay
-  byte-identical regardless of completion order;
-- **result arena** — the pool owns a shared-memory arena directory;
-  workers write encoded results there under ``REPRO_TRANSPORT=shm``
-  and the parent decodes lazily through :attr:`ProcessPool.reader`.
-  Every retirement path — normal shutdown, ``atexit``, the
-  :class:`ProcessPoolError` raised when a worker dies, and (for
-  long-lived service processes that call
-  :func:`install_signal_cleanup`) SIGINT/SIGTERM — unlinks every
-  segment the pool created, so crashes and interrupts cannot leak
-  arena files;
-- **span handoff** — when tracing is enabled, each worker runs its task
-  under a fresh :class:`~repro.obs.tracer.Tracer`, ships the finished
-  spans back with the result, and the parent grafts them under the span
-  that was open at submit time: one rooted tree per run, same as the
-  thread backend.
-
-Workers see the parent's ``REPRO_*`` environment (snapshotted at spawn)
-and the pool is keyed by that snapshot — flip any knob and the next
-:func:`get_pool` builds a fresh, consistent pool.  The pool registers
-an ``atexit`` hook, so interactive callers never leak worker processes.
+Campaign shards are CPU-bound simulated mkfs → mount → use → fsck
+drives that share no state, so they are the one job that gains from
+real cores; extraction always runs in-process.  :func:`get_pool` hands
+out one lazily created spawn-context ``ProcessPoolExecutor`` keyed by
+``(jobs, REPRO_* snapshot)``: flip any knob or the cache/corpus dir and
+the next call retires the stale pool, so workers always agree with the
+parent (counters ``procpool.created``/``procpool.reused``).
+:func:`run_ordered` returns results in call order; a worker that dies
+fails the whole call with :class:`ProcessPoolError`, never a partial
+result, and retires the pool.  An ``atexit`` hook and, for long-lived
+service processes, :func:`install_signal_cleanup` stop every worker.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import queue as queue_mod
-import tempfile
 import threading
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import tracer
-from repro.perf import modes, shm
+from repro.perf import modes
 from repro.perf.parallel import resolve_jobs
 from repro.perf.timers import bump
 
-#: Seconds between liveness checks while waiting on results.
-_POLL_SECONDS = 0.25
-
-#: Seconds to wait for workers to drain their queues on shutdown.
-_SHUTDOWN_GRACE = 5.0
-
-#: Batch-planning weight for a function whose source size is unknown.
-DEFAULT_TASK_BYTES = 2048
-
 
 class ProcessPoolError(RuntimeError):
-    """A worker died or the pool is unusable."""
+    """A pool worker died; the run has no complete result."""
 
 
-def plan_batches(items: Sequence[Any], size_of: Callable[[Any], int],
-                 target: int) -> List[List[Any]]:
-    """Group consecutive ``items`` into batches of roughly ``target`` size.
-
-    Greedy and order-preserving: a batch closes when adding the next
-    item would push its accumulated ``size_of`` weight past ``target``,
-    so small functions amortize queue round-trips while a single large
-    function still gets a batch to itself.  Every item lands in exactly
-    one batch; concatenating the batches reproduces ``items``.
-    """
-    batches: List[List[Any]] = []
-    current: List[Any] = []
-    total = 0
-    for item in items:
-        size = max(1, size_of(item))
-        if current and total + size > target:
-            batches.append(current)
-            current, total = [], 0
-        current.append(item)
-        total += size
-    if current:
-        batches.append(current)
-    return batches
-
-
-# ---------------------------------------------------------------------------
-# task handlers (executed in workers)
-# ---------------------------------------------------------------------------
-#
-# Handlers are module-level so the spawned child resolves them by name
-# after importing this module — no closures cross the process boundary.
-
-#: The worker's arena writer, created by :func:`_worker_main` before
-#: any task runs (None in the parent process).
-_WORKER_ARENA: Optional[shm.ArenaWriter] = None
-
-
-def _h_ping(_payload: Any) -> str:
-    """Liveness/warmup probe; imports the pipeline as a side effect."""
-    import repro.analysis.extractor  # noqa: F401  (warm the import graph)
-
-    return "pong"
-
-
-def _h_reset(_payload: Any) -> str:
-    """Drop the worker's in-memory state (memos + loaded units).
-
-    Broadcast by cold benchmarks so a "cold" measurement over a warm
-    pool really recomputes instead of serving worker memos.  The disk
-    caches are left alone — cold benches isolate those via
-    ``REPRO_CACHE_DIR``/``REPRO_NO_DISK_CACHE``.
-    """
-    from repro.corpus.loader import clear_cache
-
-    clear_cache()
-    return "reset"
-
-
-def _h_compile(payload: Any) -> Tuple[str, Dict[str, str], Dict[str, int]]:
-    """Compile one corpus unit; returns (filename, slice hashes, sizes).
-
-    Warms the shared disk IR cache, and ships back the unit's
-    per-function slice hashes (so the parent can run invalidation
-    without compiling anything itself) and source-slice byte sizes
-    (the batch-planning weights).
-    """
-    from repro.corpus import cache as disk
-    from repro.corpus.loader import load_unit, unit_slices
-
-    (filename,) = payload
-    unit = load_unit(filename)
-    sizes = disk.function_sizes(
-        unit.source,
-        {name: fn.line for name, fn in unit.module.functions.items()},
-    )
-    return filename, dict(unit_slices(unit)), sizes
-
-
-def _h_extract_batch(payload: Any) -> Tuple[str, List[Any], Dict[str, Any]]:
-    """Analyze a batch of pre-selected functions from one unit.
-
-    Each function runs the exact memo → store → compute path of the
-    thread backend (:meth:`repro.analysis.extractor.Extractor`
-    ``_analyze_one_blob``), so store entries written by workers are the
-    same entries the thread backend writes — and the store flush reuses
-    the already-encoded bytes, never a second encode.  Returns
-    ``(transport, results, graph records)`` where results are arena
-    descriptors under the shm transport and raw codec blobs under
-    pickle; graph records are drained and shipped back — the parent is
-    the single flusher.
-    """
-    from repro.analysis.extractor import Extractor
-    from repro.corpus import cache as disk
-
-    filename, fn_names, solver, transport = payload
-    extractor = Extractor(jobs=1, solver=solver, transport=transport)
-    blobs = [extractor._analyze_one_blob((filename, fn_name))
-             for fn_name in fn_names]
-    records = disk.take_pending()
-    if transport == "shm":
-        assert _WORKER_ARENA is not None
-        return "shm", [_WORKER_ARENA.write(blob) for blob in blobs], records
-    return "pickle", blobs, records
-
-
-def _h_campaign_shard(payload: Any) -> Tuple[str, Any]:
-    """Run one campaign shard and ship its aggregate payload back.
-
-    The payload is ``(runner, spec, transport)`` — ``runner`` names a
-    :data:`repro.perf.campaign.SHARD_RUNNERS` module whose
-    ``run_shard(spec)`` drives the spec's config range and returns a
-    bounded, plain-container aggregate.  The wall-clock of the shard
-    (sampling + driving, not queue time) is stamped into the payload so
-    the parent can record per-shard timings in run manifests.  Returns
-    ``("shm", descriptor)`` under the arena transport, else
-    ``("pickle", blob)``.
-    """
-    import importlib
-    import time as _time
-
-    from repro.perf import campaign, codec
-
-    runner, spec, transport = payload
-    module = importlib.import_module(campaign.SHARD_RUNNERS[runner])
-    started = _time.perf_counter()
-    result = module.run_shard(spec)
-    result["seconds"] = _time.perf_counter() - started
-    blob = codec.dumps(result)
-    if transport == "shm":
-        assert _WORKER_ARENA is not None
-        return "shm", _WORKER_ARENA.write(blob)
-    return "pickle", blob
-
-
-_HANDLERS: Dict[str, Callable[[Any], Any]] = {
-    "pool.ping": _h_ping,
-    "pool.reset": _h_reset,
-    "corpus.compile": _h_compile,
-    "extract.batch": _h_extract_batch,
-    "campaign.shard": _h_campaign_shard,
-}
-
-
-def _worker_main(index: int, env: Dict[str, str], arena_dir: str,
-                 task_queue: Any, result_queue: Any) -> None:
-    """Worker loop: apply handlers to envelopes until the None sentinel."""
-    # Re-assert the parent's REPRO_* snapshot: inherited environment is
-    # already correct for spawn, this just makes the contract explicit
-    # and immune to platform quirks.
-    for key in [k for k in os.environ if k.startswith("REPRO_")]:
-        if key not in env:
-            del os.environ[key]
-    os.environ.update(env)
-    global _WORKER_ARENA
-    _WORKER_ARENA = shm.ArenaWriter(arena_dir, f"w{index}")
-    while True:
-        envelope = task_queue.get()
-        if envelope is None:
-            _WORKER_ARENA.close()
-            return
-        seq, handler_name, payload, trace_requested, traceparent = envelope
-        spans: List[Dict[str, Any]] = []
-        try:
-            handler = _HANDLERS[handler_name]
-            if trace_requested:
-                local = tracer.Tracer(f"worker-{index}",
-                                      traceparent=traceparent)
-                with tracer.enabled(local):
-                    result = handler(payload)
-                spans = tracer.export_spans(local)
-            else:
-                result = handler(payload)
-        except BaseException as exc:  # ship the failure, keep serving
-            # mp.Queue pickles in a feeder thread, where a pickling
-            # failure would silently drop the message and hang the
-            # parent — so prove the exception picklable *here* and
-            # degrade to a description when it is not.
-            import pickle
-
-            try:
-                pickle.dumps(exc)
-                shipped: BaseException = exc
-            except Exception:
-                shipped = ProcessPoolError(f"{type(exc).__name__}: {exc}")
-            result_queue.put((seq, "err", shipped, spans))
-            continue
-        result_queue.put((seq, "ok", result, spans))
-
-
-# ---------------------------------------------------------------------------
-# the pool
-# ---------------------------------------------------------------------------
-
-
-class ProcessPool:
-    """A fixed set of warm spawn workers with submit/wait dispatch."""
-
-    def __init__(self, jobs: int) -> None:
-        import multiprocessing as mp
-
-        self.jobs = max(1, jobs)
-        self.env = {k: v for k, v in os.environ.items()
-                    if k.startswith("REPRO_")}
-        self.arena_dir = tempfile.mkdtemp(prefix="repro-arena-")
-        self._reader: Optional[shm.ArenaReader] = None
-        self._ctx = mp.get_context("spawn")
-        self._result_queue = self._ctx.Queue()
-        self._task_queues = []
-        self._workers = []
-        self._seq = 0
-        self._rr = 0
-        self._lock = threading.Lock()
-        self._closed = False
-        #: seq -> parent-span token captured at submit time.
-        self._outstanding: Dict[int, Any] = {}
-        #: seq -> (status, payload, spans) arrived but not yet waited on.
-        self._buffer: Dict[int, Tuple[str, Any, list]] = {}
-        for index in range(self.jobs):
-            task_queue = self._ctx.Queue()
-            worker = self._ctx.Process(
-                target=_worker_main,
-                args=(index, self.env, self.arena_dir, task_queue,
-                      self._result_queue),
-                daemon=True,
-                name=f"repro-worker-{index}",
-            )
-            worker.start()
-            self._task_queues.append(task_queue)
-            self._workers.append(worker)
-
-    # -- dispatch -------------------------------------------------------
-
-    @property
-    def reader(self) -> shm.ArenaReader:
-        """Lazy parent-side view of this pool's result arena."""
-        if self._reader is None:
-            self._reader = shm.ArenaReader(self.arena_dir)
-        return self._reader
-
-    def submit(self, handler_name: str, payload: Any,
-               worker: Optional[int] = None,
-               trace: Optional[bool] = None) -> int:
-        """Enqueue one ``(handler, payload)`` envelope; returns its seq.
-
-        Dispatch is round-robin over the per-worker queues unless
-        ``worker`` pins one.  The caller collects with :meth:`wait` /
-        :meth:`wait_any`; the span open right now is remembered so the
-        worker's spans graft under it at collection time.
-        """
-        if self._closed:
-            raise ProcessPoolError("pool is shut down")
-        trace_requested = tracer.is_enabled() if trace is None else trace
-        parent_span = tracer.capture()
-        # Trace context rides the envelope, not the environment: the
-        # pool is keyed by the REPRO_* snapshot, and a per-run value in
-        # the environment would respawn the warm pool on every run.
-        active = tracer.active()
-        traceparent = active.traceparent if active is not None else None
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-            self._outstanding[seq] = parent_span
-            if worker is None:
-                worker = self._rr % self.jobs
-                self._rr += 1
-        self._task_queues[worker].put(
-            (seq, handler_name, payload, trace_requested, traceparent)
-        )
-        return seq
-
-    def _pump(self) -> None:
-        """Move one result (if any) from the queue into the buffer.
-
-        Detecting a dead worker here is the leaked-segment choke point:
-        the pool shuts down — reclaiming every arena segment — *before*
-        the :class:`ProcessPoolError` propagates, so a killed worker
-        can fail the run but never leak arena files.
-        """
-        try:
-            seq, status, payload, spans = self._result_queue.get(
-                timeout=_POLL_SECONDS
-            )
-        except queue_mod.Empty:
-            dead = [w.name for w in self._workers if not w.is_alive()]
-            if dead:
-                reclaimed = self.shutdown()
-                raise ProcessPoolError(
-                    f"worker(s) died while tasks were pending: {dead} "
-                    f"(reclaimed {reclaimed} arena segment(s))"
-                ) from None
-            return
-        if seq in self._outstanding:
-            self._buffer[seq] = (status, payload, spans)
-        # else: a stale result from an abandoned call; drop it.
-
-    def wait(self, seq: int) -> Any:
-        """Block for one submitted seq; re-raises its worker exception."""
-        while seq not in self._buffer:
-            if self._closed:
-                raise ProcessPoolError("pool is shut down")
-            self._pump()
-        status, payload, spans = self._buffer.pop(seq)
-        parent_span = self._outstanding.pop(seq, None)
-        active = tracer.active()
-        if active is not None and spans:
-            tracer.graft(spans, active, parent_span)
-        if status == "err":
-            raise payload
-        return payload
-
-    def wait_any(self, seqs: Iterable[int]) -> Tuple[int, Any]:
-        """Block until any seq in ``seqs`` completes; ``(seq, result)``."""
-        seqs = list(seqs)
-        while True:
-            for seq in seqs:
-                if seq in self._buffer:
-                    return seq, self.wait(seq)
-            if self._closed:
-                raise ProcessPoolError("pool is shut down")
-            self._pump()
-
-    def forget(self, seqs: Iterable[int]) -> None:
-        """Abandon submitted calls; late results are silently dropped."""
-        for seq in seqs:
-            self._outstanding.pop(seq, None)
-            self._buffer.pop(seq, None)
-
-    def run_ordered(self, calls: Sequence[Tuple[str, Any]]) -> List[Any]:
-        """Run ``(handler name, payload)`` envelopes; results in call order.
-
-        The merge collects by submission sequence, so ordering never
-        depends on which worker finished first.  The first failing call
-        (in submission order) re-raises its worker-side exception in
-        the parent.
-        """
-        seqs = [self.submit(handler_name, payload)
-                for handler_name, payload in calls]
-        try:
-            return [self.wait(seq) for seq in seqs]
-        except BaseException:
-            self.forget(seqs)
-            raise
-
-    def broadcast(self, handler_name: str, payload: Any = None) -> List[Any]:
-        """Run one control task on *every* worker; results in worker order."""
-        seqs = [self.submit(handler_name, payload, worker=index, trace=False)
-                for index in range(self.jobs)]
-        try:
-            return [self.wait(seq) for seq in seqs]
-        except BaseException:
-            self.forget(seqs)
-            raise
-
-    def warm(self) -> None:
-        """Block until every worker has imported the pipeline."""
-        self.broadcast("pool.ping")
-
-    def reset_workers(self) -> None:
-        """Drop all worker in-memory memos (cold-measurement support)."""
-        self.broadcast("pool.reset")
-
-    # -- lifecycle ------------------------------------------------------
-
-    def alive(self) -> bool:
-        """Whether every worker process is still running."""
-        return not self._closed and all(w.is_alive() for w in self._workers)
-
-    def shutdown(self) -> int:
-        """Stop the workers and reclaim the arena; idempotent.
-
-        Returns the number of arena segments unlinked — every segment
-        this pool's workers ever created, whatever the exit path.
-        """
-        if self._closed:
-            return 0
-        self._closed = True
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:
-                pass
-        for worker in self._workers:
-            worker.join(timeout=_SHUTDOWN_GRACE)
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=_SHUTDOWN_GRACE)
-        for task_queue in self._task_queues:
-            task_queue.close()
-        self._result_queue.close()
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-        reclaimed = shm.unlink_segments(self.arena_dir)
-        if reclaimed:
-            bump("shm.segments_reclaimed", reclaimed)
-        try:
-            os.rmdir(self.arena_dir)
-        except OSError:
-            pass
-        return reclaimed
-
-
-# ---------------------------------------------------------------------------
-# module-global pool reuse
-# ---------------------------------------------------------------------------
-
-#: (jobs, REPRO_* snapshot) -> the live pool.  One consistent pool per
-#: configuration; flipping an engine knob or the cache/corpus dir makes
-#: the old pool unreachable (and shut down) rather than subtly stale.
-_POOLS: Dict[Tuple[int, Tuple[Tuple[str, str], ...]], ProcessPool] = {}
+#: (jobs, REPRO_* snapshot) -> the live pool.  At most one entry.
+_POOLS: Dict[Tuple[int, Tuple[Tuple[str, str], ...]], Any] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def get_pool(jobs: Optional[int] = None, warm: bool = True) -> ProcessPool:
-    """The shared pool for the current configuration (created on demand).
+def _retire(pool) -> None:
+    """Stop ``pool`` now: cancel queued work, terminate its workers."""
+    # Read the worker table before shutdown() drops it; terminating
+    # rather than draining keeps signal-time cleanup prompt even when a
+    # shard is mid-drive.
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        if worker.is_alive():
+            worker.terminate()
+    for worker in workers:
+        worker.join(5.0)
 
-    ``jobs`` resolves through :func:`repro.perf.parallel.resolve_jobs`.
-    A configuration change (any ``REPRO_*`` variable, or a different
-    job count) shuts the old pool down and builds a fresh one — workers
-    must agree with the parent on every knob, cache path, and corpus
-    location or ordered-merge identity would quietly break.
-    """
+
+def get_pool(jobs: Optional[int] = None):
+    """The shared pool for the current configuration (created on demand)."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     resolved = resolve_jobs(jobs)
     key = (resolved, modes.env_signature())
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
-        if pool is not None and pool.alive():
-            # The serving layer's cross-job reuse metric: a warm wave
-            # of compatible requests should count one create and many
-            # reuses, never a respawn per job.
+        if pool is not None and not getattr(pool, "_broken", False):
             bump("procpool.reused")
             return pool
-        # Retire every other configuration: workers with a stale
-        # environment can only produce stale answers.
-        for old in _POOLS.values():
-            old.shutdown()
+        stale = list(_POOLS.values())
         _POOLS.clear()
-        pool = ProcessPool(resolved)
+        # Workers spawn lazily at submit time and inherit the
+        # environment then, which the key guarantees is this snapshot.
+        pool = ProcessPoolExecutor(
+            max_workers=resolved,
+            mp_context=multiprocessing.get_context("spawn"))
         _POOLS[key] = pool
         bump("procpool.created")
-    if warm:
-        pool.warm()
+    for old in stale:
+        _retire(old)
     return pool
 
 
+def run_ordered(jobs: Optional[int], fn: Callable[..., Any],
+                calls: Sequence[Tuple[Any, ...]]) -> List[Any]:
+    """Run ``fn(*args)`` for every args tuple; results in call order.
+
+    ``fn`` must be a module-level function and every argument and
+    result picklable.  The first failing call (in call order) re-raises
+    its worker-side exception; a dead worker raises
+    :class:`ProcessPoolError` and retires the pool.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = get_pool(jobs)
+    futures = []
+    try:
+        futures = [pool.submit(fn, *args) for args in calls]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        shutdown_pools()  # the registry holds only this pool
+        raise ProcessPoolError(
+            f"a pool worker died with {len(calls)} call(s) in flight") from exc
+    finally:
+        for future in futures:
+            future.cancel()
+
+
 def shutdown_pools() -> None:
-    """Shut down every pool (atexit hook; also used by tests)."""
+    """Stop every pool (atexit hook, signal handler; also used by tests)."""
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
-        pool.shutdown()
+        _retire(pool)
 
 
 atexit.register(shutdown_pools)
-
 
 #: Whether :func:`install_signal_cleanup` already ran in this process.
 _SIGNALS_INSTALLED = False
 
 
 def install_signal_cleanup() -> bool:
-    """Sweep pools (and their arena segments) on SIGINT/SIGTERM too.
-
-    ``atexit`` covers normal interpreter exit and the worker-death
-    error path covers crashes, but a long-lived service worker stopped
-    with SIGTERM (or a ^C that unwinds past the atexit machinery) used
-    to leave its mmap arena files behind.  The installed handler shuts
-    every pool down — unlinking every segment — then re-delivers the
-    signal through the previous handler (or the default action), so
-    process semantics (exit status, KeyboardInterrupt) are preserved.
-
-    Must run on the main thread (CPython restricts ``signal.signal``).
-    Idempotent; returns False when the handlers were already installed.
-    Called by the ``repro-serve``/``repro-worker`` entry points — plain
-    CLI runs are short-lived and keep the lighter atexit-only story.
-    """
+    """Stop every pool on SIGINT/SIGTERM, then re-deliver the signal
+    through the previous handler (or the default action), preserving
+    exit status.  Main thread only; idempotent (False when already
+    installed).  Called by ``repro-serve``/``repro-worker``."""
     global _SIGNALS_INSTALLED
     if _SIGNALS_INSTALLED:
         return False

@@ -8,8 +8,8 @@ Turns the CLI-only pipeline into a long-lived service:
   (queued→claimed→done/failed, leases with timeout reclaim, no
   broker) plus the content-addressed corpus snapshot store;
 - :mod:`repro.serve.worker` — worker processes that claim compatible
-  job batches and execute them on the existing procpool+shm backend,
-  writing obs manifests as the run records;
+  job batches and execute them through the CLI entry points, writing
+  obs manifests as the run records;
 - :mod:`repro.serve.keys`   — the content-keyed request identity
   (sha256 of corpus shas + resolved engine modes + request params)
   that gives **single-flight dedup**: concurrent identical requests

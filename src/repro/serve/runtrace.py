@@ -2,10 +2,10 @@
 
 A run submitted over HTTP crosses three process boundaries: the API
 process that queued it, the ``repro-worker`` that claimed and executed
-it, and the procpool children the CLI fanned out to (``--backend
+it, and the campaign-shard children the CLI fanned out to (``--backend
 process``).  Each leaves its own evidence — the queue row's timestamps,
 and the run directory's ``trace.jsonl`` written by the worker-driven
-CLI (whose procpool spans were already grafted in-process by
+CLI (whose shard spans were already grafted in-process by
 :func:`repro.obs.tracer.graft`).
 
 :func:`assemble` stitches those fragments into a single rooted tree:

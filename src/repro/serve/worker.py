@@ -13,13 +13,12 @@ identity rather than trusting it.
 Perf shape:
 
 - the worker process is **warm**: in-process memos, the loaded corpus,
-  and the persistent process pool (``--backend process``) survive
+  and the campaign process pool (``--backend process``) survive
   across jobs, so only the first job of a configuration pays cold
   costs — every compatible job after it rides warm memos and the
   shared function-level analysis store;
 - **batching**: a claimed batch shares one engine signature and
-  corpus, so the batch executes as one warm wave — for extraction-
-  shaped jobs that is one procpool dispatch wave (the first job
+  corpus, so the batch executes as one warm wave (the first job
   populates the memos; the rest replay them);
 - each run's manifest (the obs run record) is written into the service
   data dir and linked back into the ``runs`` row, carrying a ``run``
@@ -125,12 +124,6 @@ def _opt(option: str) -> Callable[[Any], List[str]]:
     return lambda value: [option, str(value)]
 
 
-_ENGINE_PARAMS = {
-    "solver": (str, _opt("--solver")),
-    "backend": (str, _opt("--backend")),
-    "transport": (str, _opt("--transport")),
-}
-
 _CAMPAIGN_PARAMS = {
     "jobs": (int, _opt("--jobs")),
     "seed": (int, _opt("--seed")),
@@ -138,7 +131,6 @@ _CAMPAIGN_PARAMS = {
     "budget": (int, _opt("--budget")),
     "shards": (int, _opt("--shards")),
     "backend": (str, _opt("--backend")),
-    "transport": (str, _opt("--transport")),
 }
 
 #: Every tool the service executes.  ``repro-runs`` and ``repro-demo``
@@ -147,7 +139,7 @@ TOOLS: Dict[str, ToolSpec] = {
     "extract": ToolSpec("extract", "main_extract", {
         "jobs": (int, _opt("--jobs")),
         "list": (bool, _flag("--list")),
-        **_ENGINE_PARAMS,
+        "solver": (str, _opt("--solver")),
     }),
     "condocck": ToolSpec("condocck", "main_condocck", {}),
     "conhandleck": ToolSpec("conhandleck", "main_conhandleck", {
@@ -189,7 +181,7 @@ def resolved_engine(params: Dict[str, Any]) -> Dict[str, str]:
     from repro.perf import modes
 
     overrides = {knob: params.get(knob)
-                 for knob in ("solver", "backend", "transport")}
+                 for knob in ("solver", "backend")}
     try:
         return modes.resolve_modes(overrides)
     except ValueError as exc:
@@ -280,9 +272,9 @@ class Worker:
     N > 1 slots runs up to N compatible batchmates at once on a thread
     pool (their per-job output capture is thread-routed, see
     :func:`capture_output`).  The payoff comes when the jobs dispatch
-    real work to the persistent *process* pool — the slots keep that
-    pool saturated — so slots default to 1 and are worth raising only
-    for ``--backend process`` traffic on a multi-core host.
+    campaign shards to the *process* pool — the slots keep that pool
+    saturated — so slots default to 1 and are worth raising only for
+    ``--backend process`` campaigns on a multi-core host.
     """
 
     def __init__(self, db_path: str, data_dir: str,
@@ -377,9 +369,9 @@ class Worker:
         # derived from the request key, so every process agrees on it
         # with no coordination — rides a thread-scoped override
         # (:func:`repro.obs.tracer.traceparent_scope`) into the
-        # session, and from there inside procpool task envelopes into
-        # the pool workers.  The old process-global TRACEPARENT export
-        # would race between concurrent exec slots.
+        # session, whose trace file header carries it.  The old
+        # process-global TRACEPARENT export would race between
+        # concurrent exec slots.
         traceparent = obs_tracer.make_traceparent(
             run["run_id"], f"attempt-{int(run['attempts'])}")
         if tracing is None:
@@ -433,7 +425,7 @@ class Worker:
     def _wave_key(self, run: Dict[str, Any]) -> Tuple[Any, ...]:
         """Which batchmates may safely share a concurrent wave.
 
-        Process-backend jobs share the persistent process pool, which
+        Process-backend jobs share the campaign process pool, which
         is keyed by its ``--jobs`` width: a concurrent job with a
         *different* width would retire the pool out from under its
         wavemates, so only equal widths ride one wave together.

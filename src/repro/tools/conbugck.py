@@ -132,18 +132,12 @@ class ConBugCk:
         self._index_dependencies()
 
     @classmethod
-    def from_extraction(cls, seed: int = 2022, jobs: Optional[int] = None,
-                        backend: Optional[str] = None) -> "ConBugCk":
-        """Build from a fresh Table-5 extraction (validated deps only).
-
-        ``jobs``/``backend`` shape the *extraction* phase only — the
-        violation campaign itself always fans out over threads
-        (device snapshots are cheap in-process state).
-        """
+    def from_extraction(cls, seed: int = 2022,
+                        jobs: Optional[int] = None) -> "ConBugCk":
+        """Build from a fresh Table-5 extraction (validated deps only)."""
         from repro.analysis.extractor import extract_all
 
-        return cls(extract_all(jobs=jobs, backend=backend).true_dependencies(),
-                   seed=seed)
+        return cls(extract_all(jobs=jobs).true_dependencies(), seed=seed)
 
     def _index_dependencies(self) -> None:
         # The index itself lives in repro.perf.sampling so samplers and
@@ -692,7 +686,6 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
                      fs_blocks: int = 512,
                      jobs: Optional[int] = None,
                      backend: Optional[str] = None,
-                     transport: Optional[str] = None,
                      ) -> Tuple[CampaignReport, Dict[str, Any]]:
     """Sample the registry and drive the campaign in streaming shards.
 
@@ -730,7 +723,7 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
     if constraints is not None:
         spec["constraints"] = constraints.as_payload()
     report = run_sharded("conbugck", spec, total, shards=shards, jobs=jobs,
-                         backend=backend, transport=transport, hints=hints)
+                         backend=backend, hints=hints)
     meta = {
         "sampler": sampler.name,
         "seed": seed,
@@ -749,7 +742,6 @@ def sweep_campaign(configs: Sequence[GeneratedConfig],
                    shards: int = 1,
                    jobs: Optional[int] = None,
                    backend: Optional[str] = None,
-                   transport: Optional[str] = None,
                    ) -> CampaignReport:
     """Drive an explicit config list through the sharded streaming
     driver (``source="configs"``): each shard receives only its own
@@ -760,4 +752,4 @@ def sweep_campaign(configs: Sequence[GeneratedConfig],
     spec: Dict[str, Any] = {"tool": "conbugck", "source": "configs",
                             "fs_blocks": fs_blocks}
     return run_sharded("conbugck", spec, total, shards=shards, jobs=jobs,
-                       backend=backend, transport=transport, hints=hints)
+                       backend=backend, hints=hints)

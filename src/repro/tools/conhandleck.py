@@ -169,17 +169,11 @@ class ConHandleCk:
             self.violate, dependencies, jobs=jobs, phase="campaign.violate"))
         return report
 
-    def check_extracted(self, jobs: Optional[int] = None,
-                        backend: Optional[str] = None) -> ViolationReport:
-        """Run extraction and violate every validated dependency.
-
-        ``backend`` shapes the *extraction* phase only; the violation
-        campaign always fans out over threads (device snapshots are
-        cheap in-process state).
-        """
+    def check_extracted(self, jobs: Optional[int] = None) -> ViolationReport:
+        """Run extraction and violate every validated dependency."""
         from repro.analysis.extractor import extract_all
 
-        deps = extract_all(jobs=jobs, backend=backend).true_dependencies()
+        deps = extract_all(jobs=jobs).true_dependencies()
         return self.check(deps, jobs=jobs)
 
     # ------------------------------------------------------------------
@@ -483,7 +477,6 @@ def sampled_check(dependencies: Sequence[Dependency],
                   shards: int = 1,
                   jobs: Optional[int] = None,
                   backend: Optional[str] = None,
-                  transport: Optional[str] = None,
                   device_blocks: int = 4096,
                   block_size: int = 4096):
     """Drive a (budgeted) violation campaign in streaming shards.
@@ -505,7 +498,7 @@ def sampled_check(dependencies: Sequence[Dependency],
         "device_blocks": device_blocks, "block_size": block_size,
     }
     report = run_sharded("conhandleck", spec, total, shards=shards,
-                         jobs=jobs, backend=backend, transport=transport,
+                         jobs=jobs, backend=backend,
                          phase="campaign.violate.sharded")
     meta = {
         "sampler": "deps" if budget is None else "random",

@@ -1,25 +1,31 @@
-"""Execution backends, the analysis-store codec, and cache invalidation.
-
-Covers the perf surface introduced with the process-pool backend and
-the function-level analysis store:
+"""Engine modes, the analysis-store codec, cache invalidation, and the
+campaign process pool.
 
 - engine-mode resolution (explicit > ``REPRO_*`` env > default) and the
-  environment signature pools are keyed by;
+  environment signature the campaign pool is keyed by;
 - the compact binary codec: round-trips, aliasing preservation, loud
   corruption, the closed type registry, schema fingerprint stability;
 - the analysis store: hit/miss/error accounting, corrupt-entry
   tolerance, key sensitivity (frontend version, engine modes, source
   slice), ``clear_cache(disk=True)`` coverage;
-- the invalidation graph: pending-record handoff across process
-  boundaries and the two-wave (changed + bridge-neighbor) eager prune;
-- end-to-end: thread and process backends byte-identical, warm
-  incremental re-extraction after a single-file edit correct, frontend
-  version bumps forcing full recompute, corrupted store entries
-  degrading to recompute instead of wrong results.
+- the invalidation graph: the two-wave (changed + bridge-neighbor)
+  eager prune;
+- end-to-end: pinned golden digests of the extraction, thread and
+  process campaign backends giving identical CLI output, the process
+  backend's trace staying one rooted tree, warm incremental
+  re-extraction after a single-file edit correct, frontend version
+  bumps forcing full recompute, corrupted store entries degrading to
+  recompute instead of wrong results;
+- the campaign process pool: ordered results, configuration keying,
+  and a killed worker failing loudly.
 """
 
 import os
 import shutil
+import signal
+import threading
+import time
+from hashlib import sha256
 
 import pytest
 
@@ -242,11 +248,11 @@ class TestAnalysisStore:
 
         base = dict(filename="mount.c", function="parse_opts",
                     slice_hash="s1", sources_fp="f1", component="mount",
-                    solver="sparse", lattice_mode="intern", transport="shm")
+                    solver="sparse", lattice_mode="intern")
         key = disk.analysis_key(**base)
         assert disk.analysis_key(**base) == key  # deterministic
         for field, value in [("slice_hash", "s2"), ("solver", "dense"),
-                             ("lattice_mode", "plain"), ("transport", "pickle"),
+                             ("lattice_mode", "plain"),
                              ("function", "other"), ("filename", "e2fsck.c"),
                              ("sources_fp", "f2"), ("component", "fsck")]:
             assert disk.analysis_key(**{**base, field: value}) != key
@@ -298,19 +304,6 @@ class TestAnalysisStore:
 
 
 class TestInvalidationGraph:
-    def test_pending_records_cross_process_boundary(self, isolated_store):
-        from repro.corpus import cache as disk
-
-        disk.record_analysis("a.c", "f", "s1", "k1", ["sb.x"], ["sb.y"])
-        shipped = disk.take_pending()  # what a worker sends back
-        assert shipped["a.c"]["f"]["reads"] == ["sb.x"]
-        assert disk.take_pending() == {}  # drained
-        disk.merge_pending(shipped)  # what the parent re-queues
-        disk.flush_graph()
-        graph = disk._load_graph()
-        assert graph["a.c"]["f"]["key"] == "k1"
-        assert graph["a.c"]["f"]["writes"] == ["sb.y"]
-
     def test_invalidate_changed_prunes_bridge_neighbors(self, isolated_store):
         from repro.corpus import cache as disk
 
@@ -358,36 +351,63 @@ class TestInvalidationGraph:
 # ---------------------------------------------------------------------------
 
 
+class TestPinnedExtraction:
+    """sha256 of the default extraction outputs, recorded before the
+    extraction process backend was deleted: in-process extraction at
+    any job count must keep producing exactly these bytes."""
+
+    REPORT = ("2ad09294a76928cde8948068f6c53018"
+              "316fb3c0fd18c9c4874460c7dcbf1265")
+    STDOUT = ("c354627cdce6765fc4259b1d1c1acdb4"
+              "8b7119d13e04c7877d0dcb9d6233ae1c")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_digest(self, jobs):
+        from repro.analysis.extractor import extract_all
+
+        report = _canonical(extract_all(jobs=jobs))
+        assert sha256(report.encode()).hexdigest() == self.REPORT
+
+    def test_default_stdout_digest(self, capsys):
+        from repro.cli import main_extract
+
+        assert main_extract([]) == 0
+        out = capsys.readouterr().out
+        assert sha256(out.encode()).hexdigest() == self.STDOUT
+
+
 class TestBackendsEndToEnd:
-    def test_process_backend_matches_thread(self):
-        from repro.analysis.extractor import extract_all
+    def test_process_backend_matches_thread(self, capsys):
+        from repro.cli import main_conbugck, main_conhandleck
 
-        thread = _canonical(extract_all(jobs=2, backend="thread"))
-        process = _canonical(extract_all(jobs=2, backend="process"))
-        assert process == thread
+        def run(main, backend):
+            rc = main(["--sample", "random", "--budget", "120",
+                       "--shards", "3", "--jobs", "2",
+                       "--backend", backend])
+            out = capsys.readouterr().out
+            # Everything but the wall-clock throughput line.
+            return rc, [line for line in out.splitlines()
+                        if not line.startswith("throughput:")]
 
-    def test_both_transports_match_thread(self, isolated_store):
-        from repro.analysis.extractor import extract_all
-        from repro.corpus.loader import clear_cache
-
-        thread = _canonical(extract_all(jobs=2, backend="thread"))
-        for transport in ("shm", "pickle"):
-            clear_cache()
-            assert _canonical(extract_all(
-                jobs=2, backend="process", transport=transport)) == thread
+        for main in (main_conbugck, main_conhandleck):
+            thread = run(main, "thread")
+            assert thread[1]
+            assert run(main, "process") == thread
 
     def test_process_backend_trace_is_one_rooted_tree(self):
-        from repro.analysis.extractor import extract_all
         from repro.obs import tracer
+        from repro.tools.conbugck import sampled_campaign
 
         run = tracer.Tracer("test")
         with tracer.enabled(run):
-            with run.span("extract.run", {}):
-                extract_all(jobs=2, backend="process")
+            with run.span("campaign.run", {}):
+                sampled_campaign(sample="random", budget=40, shards=3,
+                                 jobs=2, backend="process")
         roots = run.roots()
-        assert [r.name for r in roots] == ["extract.run"]
-        # Worker-side spans grafted in, parented under the run root.
-        assert len(run) > 1
+        assert [r.name for r in roots] == ["campaign.run"]
+        # Worker-side shard spans grafted in, parented under the root.
+        shards = [s for s in run.spans if s.name == "campaign.shard"]
+        assert len(shards) == 3
         root_id = roots[0].span_id
         by_id = {s.span_id: s for s in run.spans}
         for span in run.spans:
@@ -422,7 +442,7 @@ class TestBackendsEndToEnd:
 
         # Cold run populates the store; nothing to hit yet.
         disk.reset_cache_stats()
-        extract_all(jobs=1, backend="thread")
+        extract_all(jobs=1)
         cold_hits, cold_misses, cold_stores, _ = stats_snapshot()
         assert cold_hits == 0
         assert cold_stores == cold_misses > 0
@@ -430,7 +450,7 @@ class TestBackendsEndToEnd:
         # Warm, untouched corpus: everything served from the store.
         clear_cache()
         disk.reset_cache_stats()
-        untouched = _canonical(extract_all(jobs=1, backend="thread"))
+        untouched = _canonical(extract_all(jobs=1))
         warm_hits, warm_misses, _, _ = stats_snapshot()
         assert warm_misses == 0 and warm_hits == cold_stores
 
@@ -440,7 +460,7 @@ class TestBackendsEndToEnd:
             handle.write("\n/* incremental edit */\n")
         clear_cache()
         disk.reset_cache_stats()
-        incremental = _canonical(extract_all(jobs=1, backend="thread"))
+        incremental = _canonical(extract_all(jobs=1))
         edited_hits, edited_misses, _, _ = stats_snapshot()
         assert 0 < edited_misses < cold_misses
         assert edited_hits == cold_stores - edited_misses
@@ -448,7 +468,7 @@ class TestBackendsEndToEnd:
         # untouched run — and, decisively, a cold run of the edited tree.
         assert incremental == untouched
         clear_cache(disk=True)
-        fresh = _canonical(extract_all(jobs=1, backend="thread"))
+        fresh = _canonical(extract_all(jobs=1))
         assert incremental == fresh
 
     def test_frontend_version_bump_forces_recompute(self, isolated_store,
@@ -457,13 +477,13 @@ class TestBackendsEndToEnd:
         from repro.corpus import cache as disk
         from repro.corpus.loader import clear_cache
 
-        baseline = _canonical(extract_all(jobs=1, backend="thread"))
+        baseline = _canonical(extract_all(jobs=1))
         assert disk.analysis_stats().stores > 0
         monkeypatch.setattr(disk, "FRONTEND_VERSION",
                             disk.FRONTEND_VERSION + "-bumped")
         clear_cache()
         disk.reset_cache_stats()
-        bumped = _canonical(extract_all(jobs=1, backend="thread"))
+        bumped = _canonical(extract_all(jobs=1))
         stats = disk.analysis_stats()
         assert stats.hits == 0 and stats.misses > 0
         assert bumped == baseline
@@ -473,7 +493,7 @@ class TestBackendsEndToEnd:
         from repro.corpus import cache as disk
         from repro.corpus.loader import clear_cache
 
-        baseline = _canonical(extract_all(jobs=1, backend="thread"))
+        baseline = _canonical(extract_all(jobs=1))
         entries = [name for name in os.listdir(disk.cache_dir())
                    if name.endswith(".an.bin")]
         assert entries
@@ -482,7 +502,7 @@ class TestBackendsEndToEnd:
                 handle.write(b"\x00 corrupted \xff")
         clear_cache()
         disk.reset_cache_stats()
-        recovered = _canonical(extract_all(jobs=1, backend="thread"))
+        recovered = _canonical(extract_all(jobs=1))
         stats = disk.analysis_stats()
         assert stats.errors == len(entries)
         assert stats.hits == 0 and stats.stores == len(entries)
@@ -490,63 +510,63 @@ class TestBackendsEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# process pool mechanics
+# the campaign process pool
 # ---------------------------------------------------------------------------
 
 
 class TestProcessPool:
     def test_run_ordered_merges_in_call_order(self):
-        pool = procpool.get_pool(2)
-        names = ["mount.c", "e2fsck.c", "resize2fs.c", "mke2fs.c", "mount.c"]
-        results = pool.run_ordered(
-            [("corpus.compile", (name,)) for name in names])
-        assert [filename for filename, _slices, _sizes in results] == names
-        # Compile results carry the batch-planning inputs: every
-        # function has both a slice hash and a source-size weight.
-        for _filename, slices, sizes in results:
-            assert set(slices) == set(sizes)
-            assert all(size > 0 for size in sizes.values())
+        calls = [(n, 3) for n in range(9)]
+        assert procpool.run_ordered(2, divmod, calls) == \
+            [divmod(n, d) for n, d in calls]
 
     def test_worker_errors_propagate_and_pool_survives(self):
         pool = procpool.get_pool(2)
-        with pytest.raises(KeyError):
-            pool.run_ordered([("no.such.handler", None)])
-        # The worker kept serving; the pool is still usable.
-        assert pool.alive()
-        assert pool.broadcast("pool.ping") == ["pong", "pong"]
-
-    def test_killed_worker_reclaims_arena_segments(self):
-        # A private pool: killing a worker retires the whole pool, and
-        # doing that to the shared get_pool() instance would make every
-        # later test pay a respawn.
-        pool = procpool.ProcessPool(2)
-        try:
-            (result,) = pool.run_ordered([(
-                "extract.batch",
-                ("mount.c", ("parse_mount_options",), None, "shm"),
-            )])
-            transport, descriptors, _records = result
-            assert transport == "shm" and descriptors
-            segments = [name for name in os.listdir(pool.arena_dir)
-                        if name.startswith("seg-")]
-            assert segments  # the worker really wrote into the arena
-            # Hard-kill one worker, then ask it for more work: the pool
-            # must fail loudly AND unlink every arena segment on the way.
-            pool._workers[0].terminate()
-            pool._workers[0].join()
-            seq = pool.submit("pool.ping", None, worker=0)
-            with pytest.raises(ProcessPoolError, match="arena segment"):
-                pool.wait(seq)
-            assert not os.path.exists(pool.arena_dir)
-        finally:
-            pool.shutdown()
+        with pytest.raises(ZeroDivisionError):
+            procpool.run_ordered(2, divmod, [(7, 2), (1, 0)])
+        assert procpool.run_ordered(2, divmod, [(7, 2)]) == [(3, 1)]
+        assert procpool.get_pool(2) is pool
 
     def test_pool_is_keyed_by_configuration(self, monkeypatch):
-        pool = procpool.get_pool(2, warm=False)
-        assert procpool.get_pool(2, warm=False) is pool
+        pool = procpool.get_pool(2)
+        assert procpool.get_pool(2) is pool
         monkeypatch.setenv("REPRO_SOLVER", "dense")
-        fresh = procpool.get_pool(2, warm=False)
+        fresh = procpool.get_pool(2)
         assert fresh is not pool
-        assert not pool.alive()  # stale configuration was retired
+        with pytest.raises(RuntimeError):  # stale configuration retired
+            pool.submit(divmod, 1, 1)
         monkeypatch.delenv("REPRO_SOLVER")
-        assert procpool.get_pool(2, warm=False) is not fresh
+        assert procpool.get_pool(2) is not fresh
+
+    def test_killed_worker_fails_the_campaign_loudly(self):
+        from repro.perf import counters
+        from repro.tools.conbugck import sampled_campaign
+
+        procpool.shutdown_pools()
+        pool = procpool.get_pool(2)
+        procpool.run_ordered(2, divmod, [(1, 1), (2, 1)])  # spawn workers
+        outcome = {}
+
+        def campaign():
+            try:
+                outcome["report"] = sampled_campaign(
+                    sample="random", budget=3000, shards=8, jobs=2,
+                    backend="process")
+            except ProcessPoolError as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=campaign)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not pool._pending_work_items:  # wait for shards in flight
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        thread.join(120)
+        # One named error, never a partial report.
+        assert set(outcome) == {"error"}
+        created = counters().get("procpool.created", 0)
+        report, _ = sampled_campaign(sample="random", budget=40, shards=2,
+                                     jobs=2, backend="process")
+        assert counters()["procpool.created"] == created + 1
+        assert report.total == 40

@@ -403,7 +403,7 @@ class TestShardedSweepCampaign:
         sweep = gen.generate_mount_sweep(30, bases=2, violate_rate=0.6)
         thread = sweep_campaign(sweep, shards=3)
         process = sweep_campaign(sweep, shards=3, jobs=2,
-                                 backend="process", transport="shm")
+                                 backend="process")
         assert process.digest_hex == thread.digest_hex
         assert _report_canonical(process) == _report_canonical(thread)
 
@@ -459,6 +459,31 @@ class TestSampledCampaign:
             assert run == baseline, key
         if sample == "pairwise+feasible":
             assert baseline[0] == self.PAIRWISE_FEASIBLE_DIGEST
+
+
+class TestProcessBackendCampaigns:
+    """Process and thread shards give the same report, digest and meta
+    for every campaign kind, whatever the shard count."""
+
+    @staticmethod
+    def _run(deps, kind, shards, backend):
+        if kind == "violations":
+            return chc.sampled_check(deps, seed=3, budget=24, shards=shards,
+                                     jobs=2, backend=backend)
+        budget = 60 if kind == "random" else None
+        return sampled_campaign(deps, sample=kind, seed=2022, budget=budget,
+                                shards=shards, jobs=2, backend=backend)
+
+    @pytest.mark.parametrize("kind", ["random", "pairwise",
+                                      "pairwise+feasible", "violations"])
+    def test_process_matches_thread(self, deps, kind):
+        for shards in (1, 3, 8):
+            runs = {}
+            for backend in ("thread", "process"):
+                report, meta = self._run(deps, kind, shards, backend)
+                runs[backend] = (report.digest_hex,
+                                 _report_canonical(report), meta)
+            assert runs["process"] == runs["thread"], (kind, shards)
 
 
 class TestConHandleCkSampled:

@@ -70,3 +70,22 @@ class TestCheckerClis:
         assert "Table 3" in out
         assert "Table 4" in out
         assert "2700" in out
+
+
+class TestRetiredFlags:
+    """Flags of the deleted extraction process backend fail loudly."""
+
+    @pytest.mark.parametrize("main", [main_extract, main_conhandleck,
+                                      main_conbugck])
+    @pytest.mark.parametrize("value", ["shm", "pickle"])
+    def test_transport_is_an_argparse_error(self, main, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--transport", value])
+        assert exc.value.code == 2
+        assert "--transport" in capsys.readouterr().err
+
+    def test_extract_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_extract(["--backend", "process"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err

@@ -115,7 +115,7 @@ class TestSnapshotCacheConcurrency:
 
 def _an_key(tag):
     return cache.analysis_key("unit.c", f"fn_{tag}", "s" * 8, "f" * 8,
-                              "comp", "dense", "eager", "pickle")
+                              "comp", "dense", "eager")
 
 
 class TestAnalysisStoreConcurrency:
@@ -195,12 +195,20 @@ class TestAnalysisStoreConcurrency:
 # ---------------------------------------------------------------------------
 
 
+def _drain_pending():
+    with cache._GRAPH_LOCK:
+        pending = {unit: dict(fns)
+                   for unit, fns in cache._GRAPH_PENDING.items()}
+        cache._GRAPH_PENDING.clear()
+    return pending
+
+
 @pytest.fixture
 def graph_records():
-    cache.take_pending()  # isolate from earlier tests
+    _drain_pending()  # isolate from earlier tests
     cache.record_analysis("unit.c", "fn_a", "s1", "k1", [], [])
     yield
-    cache.take_pending()
+    _drain_pending()
 
 
 class TestFlushRetry:
@@ -219,7 +227,7 @@ class TestFlushRetry:
         assert cache.flush_graph(backoff=0.001) is True
         assert failures["left"] == 0
         # The records landed: nothing left pending, graph holds them.
-        assert cache.take_pending() == {}
+        assert _drain_pending() == {}
         assert "fn_a" in cache._load_graph().get("unit.c", {})
 
     def test_exhausted_retries_requeue_the_records(self, graph_records,
@@ -230,13 +238,13 @@ class TestFlushRetry:
         monkeypatch.setattr(cache, "_write_graph", always_fails)
         assert cache.flush_graph(attempts=3, backoff=0.001) is False
         # The batch survived: pending again, nothing silently dropped.
-        pending = cache.take_pending()
+        pending = _drain_pending()
         assert "fn_a" in pending.get("unit.c", {})
 
     def test_concurrent_flushes_lose_no_records(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "graph"))
-        cache.take_pending()
+        _drain_pending()
         total = 40
 
         def flush_some(index):

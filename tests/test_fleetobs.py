@@ -17,9 +17,9 @@ layer:
 - cross-process trace reassembly (:mod:`repro.serve.runtrace` +
   ``repro-runs trace``): a worker-executed run stitches into a single
   rooted span tree, traceparent mismatches are quarantined;
-- trace context through the *process* backend under shm batching (the
-  procpool envelope carries the traceparent; the trace file stays one
-  rooted tree);
+- trace context through a process-backend campaign (the trace file
+  carries the traceparent and stays one rooted tree, with the shard
+  spans from the pool workers grafted in);
 - the ``repro-top`` dashboard and ``repro-runs tail`` CLI surfaces.
 """
 
@@ -478,24 +478,24 @@ class TestRunTrace:
 
 
 # ---------------------------------------------------------------------------
-# Trace context through the process backend (shm batching)
+# Trace context through a process-backend campaign
 # ---------------------------------------------------------------------------
 
 
 class TestProcessBackendTrace:
     def test_process_pool_preserves_context_under_batching(
             self, tmp_path, monkeypatch, capsys):
-        from repro.cli import main_extract
+        from repro.cli import main_conbugck
 
-        # Tiny batches force many shm envelopes; the traceparent must
-        # ride every one of them, and the grafted spans must still form
-        # one tree under the CLI root.
-        monkeypatch.setenv("REPRO_BATCH_BYTES", "64")
+        # Four shard batches over two pool workers: the traceparent must
+        # ride every shard, and the grafted spans must still form one
+        # tree under the CLI root.
         traceparent = obs_tracer.make_traceparent("ctx-test", "attempt-1")
         monkeypatch.setenv(obs_tracer.TRACEPARENT_ENV, traceparent)
         trace = str(tmp_path / "proc.jsonl")
-        rc = main_extract(["--backend", "process", "-j", "2",
-                           "--trace", trace])
+        rc = main_conbugck(["--sample", "random", "--budget", "60",
+                            "--shards", "4", "--backend", "process",
+                            "--jobs", "2", "--trace", trace])
         capsys.readouterr()
         assert rc == 0
         assert obs_events.validate_events_file(trace) > 0
@@ -503,12 +503,14 @@ class TestProcessBackendTrace:
         assert header["traceparent"] == traceparent
         roots = [e for e in span_events if e["parent"] is None]
         assert len(roots) == 1
-        assert roots[0]["name"] == "repro-extract"
-        # Worker-side spans actually crossed the process boundary and
-        # were grafted under the submitting side's tree.
-        fanned = [e for e in span_events
-                  if e["name"].startswith("extract.procpool.")]
-        assert fanned
+        assert roots[0]["name"] == "repro-conbugck"
+        # Worker-side shard spans crossed the process boundary and were
+        # grafted under the span open at submit time.
+        by_id = {e["id"]: e for e in span_events}
+        shards = [e for e in span_events if e["name"] == "campaign.shard"]
+        assert len(shards) == 4
+        assert {by_id[e["parent"]]["name"] for e in shards} == \
+            {"campaign.sharded"}
 
 
 # ---------------------------------------------------------------------------

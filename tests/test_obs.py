@@ -357,7 +357,7 @@ def test_manifest_build_write_load(tmp_path):
     assert loaded["report"]["count"] == 2
     assert loaded["report"]["digest"] == manifest.report_digest(["a", "b"])
     assert set(loaded["engine"]) == {"solver", "lex", "parser", "lattice",
-                                     "backend", "transport"}
+                                     "backend"}
     assert len(loaded["corpus"]) == 9
 
 

@@ -16,7 +16,7 @@ Covers the tier-8 surface (:mod:`repro.serve`):
   error statuses, corpus upload, concurrent identical submissions
   collapsing onto one run id;
 - signal cleanup (:func:`repro.perf.procpool.install_signal_cleanup`):
-  a SIGTERM'd worker process sweeps its shm arena segments.
+  a SIGTERM'd or SIGINT'd worker stops its campaign pool's children.
 """
 
 import json
@@ -267,6 +267,16 @@ class TestValidateRequest:
         with pytest.raises(RequestError, match="must be an integer"):
             validate_request("extract", {"jobs": True})
 
+    @pytest.mark.parametrize("tool", ["extract", "conhandleck",
+                                      "conbugck"])
+    def test_retired_transport_param_is_rejected(self, tool):
+        with pytest.raises(RequestError, match="does not accept"):
+            validate_request(tool, {"transport": "shm"})
+
+    def test_extract_no_longer_takes_a_backend(self):
+        with pytest.raises(RequestError, match="does not accept"):
+            validate_request("extract", {"backend": "process"})
+
     def test_valid_request_canonicalizes(self):
         assert validate_request("extract", {"jobs": 2, "list": None}) == \
             {"jobs": 2}
@@ -441,7 +451,10 @@ class TestServiceAPI:
     def test_submit_rejects_bad_requests(self, client):
         from repro.serve.client import ServiceError
 
-        for payload in (("frobnicate", None), ("extract", {"jobs": "x"})):
+        for payload in (("frobnicate", None), ("extract", {"jobs": "x"}),
+                        ("extract", {"transport": "shm"}),
+                        ("conbugck", {"sample": "random",
+                                      "transport": "pickle"})):
             with pytest.raises(ServiceError) as err:
                 client.submit(*payload)
             assert err.value.status == 400
@@ -519,44 +532,94 @@ class TestServiceAPI:
 
 
 # ---------------------------------------------------------------------------
-# signal cleanup (satellite: sweep shm arenas on SIGINT/SIGTERM)
+# signal cleanup: SIGTERM/SIGINT stop the campaign pool's children
 # ---------------------------------------------------------------------------
 
 
-_SIGNAL_SCRIPT = """
-import os, sys, time
-from repro.perf import procpool
+def _live_children(pid):
+    """Pids of ``pid``'s children that are still running (not zombies)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
 
-assert procpool.install_signal_cleanup() is True
-assert procpool.install_signal_cleanup() is False  # idempotent
 
-pool = procpool.get_pool(jobs=1, warm=False)
-print(pool.arena_dir, flush=True)
-time.sleep(60)  # killed long before this lapses
-"""
+def _still_running(pids):
+    alive = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if state != "Z":
+            alive.append(pid)
+    return alive
 
 
 class TestSignalCleanup:
+    def test_install_is_idempotent(self):
+        script = ("from repro.perf import procpool\n"
+                  "assert procpool.install_signal_cleanup() is True\n"
+                  "assert procpool.install_signal_cleanup() is False\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), os.pardir, "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-    def test_signal_sweeps_the_arena(self, tmp_path, signum):
+    def test_signal_stops_pool_children(self, tmp_path, signum):
+        data_dir = str(tmp_path / "serve")
+        os.makedirs(data_dir)
+        queue = RunQueue(os.path.join(data_dir, "service.db"))
+        row, _ = submit_request(
+            queue, CorpusStore(data_dir), "conbugck",
+            {"sample": "random", "budget": 200, "shards": 4, "jobs": 2,
+             "backend": "process"})
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(os.path.dirname(__file__),
                                            os.pardir, "src"),
                    REPRO_CACHE_DIR=str(tmp_path / "cache"))
-        proc = subprocess.Popen([sys.executable, "-c", _SIGNAL_SCRIPT],
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env, text=True)
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import main_worker; "
+             "sys.exit(main_worker(sys.argv[1:]))",
+             "--data-dir", data_dir, "--poll", "0.05"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+            text=True)
+        children = []
         try:
-            arena_dir = proc.stdout.readline().strip()
-            assert arena_dir, proc.stderr.read()
-            assert os.path.isdir(arena_dir)
+            deadline = time.monotonic() + 120
+            while queue.get(row["run_id"])["status"] not in (DONE, FAILED):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "campaign never finished"
+                time.sleep(0.05)
+            assert queue.get(row["run_id"])["status"] == DONE
+            # The campaign ran on the pool, whose workers stay warm.
+            children = _live_children(proc.pid)
+            assert children
             proc.send_signal(signum)
             proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while _still_running(children) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _still_running(children) == []
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        # The handler swept the arena before re-delivering the signal:
-        # no mmap segment files survive the process.
-        assert not os.path.isdir(arena_dir) or not os.listdir(arena_dir)
-        assert proc.returncode != 0  # default signal semantics preserved
+            for pid in _still_running(children):  # never leak on failure
+                os.kill(pid, signal.SIGKILL)
+        if signum == signal.SIGTERM:
+            assert proc.returncode == -signal.SIGTERM  # re-delivered
+        else:  # the KeyboardInterrupt unwinds into repro-worker's clean exit
+            assert proc.returncode == 0

@@ -1,21 +1,14 @@
-"""The shared-memory result transport: arena, descriptors, knobs.
-
-Covers the tier-6 perf surface (:mod:`repro.perf.shm` and friends):
+"""Codec buffer framing and the retired ``transport`` manifest field.
 
 - the codec's buffer entry points: ``dump_into`` packing adjacent,
-  independently-decodable frames, and ``loads`` accepting memoryviews;
-- the arena: descriptor round-trips, segment rollover, remap-on-growth
-  in the parent-side reader, and loud :exc:`~repro.perf.codec.CodecError`
-  rejection of corrupt lengths, checksums, and missing segments;
-- the size-targeted batch planner;
-- the ``REPRO_TRANSPORT`` engine knob and the integer tuning knobs
-  (``REPRO_BATCH_BYTES``, ``REPRO_SHM_SEGMENT_BYTES``), including their
-  appearance in run manifests and the pool-keying env signature.
+  independently-decodable frames, ``dumps`` producing exactly one such
+  frame, and ``loads`` accepting memoryviews;
+- run manifests: ``transport`` is no longer a knob, so new manifests
+  leave it out, while a manifest of an older run that recorded one
+  still validates, writes and loads.
 """
 
-import pytest
-
-from repro.perf import codec, modes, procpool, shm
+from repro.perf import codec
 
 
 # ---------------------------------------------------------------------------
@@ -65,180 +58,23 @@ class TestCodecBuffers:
 
 
 # ---------------------------------------------------------------------------
-# the arena
-# ---------------------------------------------------------------------------
-
-
-def _decode(reader, desc):
-    view = reader.view(desc)
-    try:
-        return codec.loads(view)
-    finally:
-        view.release()
-
-
-class TestArena:
-    def test_descriptor_roundtrip(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0")
-        reader = shm.ArenaReader(str(tmp_path))
-        values = [{"n": i, "payload": "x" * (i * 7)} for i in range(5)]
-        descriptors = [writer.write(codec.dumps(v)) for v in values]
-        for desc, value in zip(descriptors, values):
-            assert desc.sha == shm.frame_sha(codec.dumps(value))
-            assert _decode(reader, desc) == value
-        reader.close()
-        writer.close()
-
-    def test_rollover_spreads_frames_across_segments(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0", segment_bytes=64)
-        reader = shm.ArenaReader(str(tmp_path))
-        values = ["x" * 40 for _ in range(4)]
-        descriptors = [writer.write(codec.dumps(v)) for v in values]
-        assert len({d.segment for d in descriptors}) > 1
-        for desc, value in zip(descriptors, values):
-            assert _decode(reader, desc) == value
-        # A frame bigger than the segment target still fits — it just
-        # gets a segment to itself.
-        big = codec.dumps("y" * 500)
-        desc = writer.write(big)
-        assert desc.offset == 0 and desc.length == len(big)
-        assert _decode(reader, desc) == "y" * 500
-        reader.close()
-        writer.close()
-
-    def test_reader_remaps_when_segment_grows(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0")
-        reader = shm.ArenaReader(str(tmp_path))
-        first = writer.write(codec.dumps("first"))
-        assert _decode(reader, first) == "first"  # maps the short file
-        second = writer.write(codec.dumps("second"))
-        assert second.segment == first.segment
-        assert second.offset > 0
-        # The cached map is now too short; the reader must remap.
-        assert _decode(reader, second) == "second"
-        assert _decode(reader, first) == "first"
-        reader.close()
-        writer.close()
-
-    def test_corrupt_sha_is_loud(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0")
-        reader = shm.ArenaReader(str(tmp_path))
-        desc = writer.write(codec.dumps({"x": 1}))
-        forged = shm.Descriptor(desc.segment, desc.offset, desc.length,
-                                "0" * shm.SHA_PREFIX_LEN)
-        with pytest.raises(codec.CodecError, match="checksum"):
-            reader.view(forged)
-        reader.close()
-        writer.close()
-
-    def test_corrupt_length_is_loud(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0")
-        reader = shm.ArenaReader(str(tmp_path))
-        desc = writer.write(codec.dumps({"x": 1}))
-        past_eof = shm.Descriptor(desc.segment, desc.offset,
-                                  desc.length + 1000, desc.sha)
-        with pytest.raises(codec.CodecError, match="too short"):
-            reader.view(past_eof)
-        truncated = shm.Descriptor(desc.segment, desc.offset,
-                                   desc.length - 1, desc.sha)
-        with pytest.raises(codec.CodecError, match="checksum"):
-            reader.view(truncated)
-        reader.close()
-        writer.close()
-
-    def test_missing_segment_is_loud(self, tmp_path):
-        reader = shm.ArenaReader(str(tmp_path))
-        ghost = shm.Descriptor("seg-w9-0.bin", 0, 8, "0" * shm.SHA_PREFIX_LEN)
-        with pytest.raises(codec.CodecError, match="missing"):
-            reader.view(ghost)
-        reader.close()
-
-    def test_unlink_segments_sweeps_only_arena_files(self, tmp_path):
-        writer = shm.ArenaWriter(str(tmp_path), "w0", segment_bytes=32)
-        for _ in range(3):
-            writer.write(codec.dumps("x" * 30))
-        writer.close()
-        bystander = tmp_path / "not-a-segment.txt"
-        bystander.write_text("keep me")
-        assert shm.unlink_segments(str(tmp_path)) == 3
-        assert list(tmp_path.iterdir()) == [bystander]
-        assert shm.unlink_segments(str(tmp_path)) == 0  # idempotent
-
-
-# ---------------------------------------------------------------------------
-# batch planning
-# ---------------------------------------------------------------------------
-
-
-class TestPlanBatches:
-    def test_groups_consecutive_items_to_target(self):
-        items = list("abcdef")
-        batches = procpool.plan_batches(items, lambda _i: 10, 30)
-        assert batches == [["a", "b", "c"], ["d", "e", "f"]]
-        assert [i for batch in batches for i in batch] == items
-
-    def test_oversized_item_gets_its_own_batch(self):
-        sizes = {"big": 100, "s1": 1, "s2": 1}
-        batches = procpool.plan_batches(["big", "s1", "s2"], sizes.get, 10)
-        assert batches == [["big"], ["s1", "s2"]]
-
-    def test_empty_and_degenerate_sizes(self):
-        assert procpool.plan_batches([], lambda _i: 1, 10) == []
-        # Zero/negative weights clamp to 1 instead of looping forever.
-        batches = procpool.plan_batches([1, 2, 3], lambda _i: 0, 2)
-        assert batches == [[1, 2], [3]]
-
-
-# ---------------------------------------------------------------------------
-# knobs and provenance
+# provenance
 # ---------------------------------------------------------------------------
 
 
 class TestTransportKnobs:
-    def test_transport_defaults_to_shm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert modes.resolve_mode("transport") == "shm"
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert modes.resolve_mode("transport") == "pickle"
-        assert modes.resolve_mode("transport", "shm") == "shm"
-        monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown transport mode"):
-            modes.resolve_mode("transport")
-
-    def test_int_knob_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_BYTES", raising=False)
-        monkeypatch.delenv("REPRO_SHM_SEGMENT_BYTES", raising=False)
-        assert modes.resolve_int("batch_bytes") == 16384
-        assert modes.resolve_int("shm_segment_bytes") == 1 << 20
-        monkeypatch.setenv("REPRO_BATCH_BYTES", "64")
-        assert modes.resolve_int("batch_bytes") == 64
-        assert modes.resolve_int("batch_bytes", 128) == 128  # explicit wins
-        monkeypatch.setenv("REPRO_BATCH_BYTES", "lots")
-        with pytest.raises(ValueError, match="integer"):
-            modes.resolve_int("batch_bytes")
-        with pytest.raises(ValueError, match=">= 1"):
-            modes.resolve_int("batch_bytes", 0)
-
-    def test_transport_is_in_env_signature(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        before = modes.env_signature()
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        after = modes.env_signature()
-        assert after != before
-        assert ("REPRO_TRANSPORT", "pickle") in after
-
     def test_manifest_records_transport(self, monkeypatch, tmp_path):
         from repro.obs import manifest
 
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")  # ignored now
         built = manifest.build_manifest("repro-extract", wall_seconds=0.1)
-        assert built["engine"]["transport"] == "shm"
+        assert "transport" not in built["engine"]
         manifest.validate_manifest(built)
-        pinned = manifest.build_manifest(
-            "repro-extract", wall_seconds=0.1,
-            engine_overrides={"transport": "pickle"})
-        assert pinned["engine"]["transport"] == "pickle"
+        # A manifest written when transport was a knob still loads.
+        older = manifest.build_manifest("repro-extract", wall_seconds=0.1)
+        older["engine"]["transport"] = "pickle"
+        manifest.validate_manifest(older)
         path = tmp_path / "manifest.json"
-        manifest.write_manifest(pinned, str(path))
+        manifest.write_manifest(older, str(path))
         assert (manifest.load_manifest(str(path))["engine"]["transport"]
                 == "pickle")

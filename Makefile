@@ -4,8 +4,8 @@
 # speedup regresses below its floor, a parallel run stops being
 # byte-identical to sequential, or disabled tracing stops being (near)
 # free — and a traced end-to-end extraction whose artifacts must
-# validate against the checked-in schemas.  The solver, campaign, obs,
-# and backend benchmarks refresh the machine-readable BENCH_*.json
+# validate against the checked-in schemas.  The campaign, obs, backend
+# and service benchmarks refresh the machine-readable BENCH_*.json
 # files at the repo root, and bench-report folds them into one
 # BENCH_report.json trajectory.
 
@@ -20,7 +20,6 @@ test:
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_pipeline.py --smoke
-	$(PYTHON) benchmarks/bench_solver.py --smoke
 	$(PYTHON) benchmarks/bench_campaign.py --smoke
 	$(PYTHON) benchmarks/bench_obs.py --smoke
 	$(PYTHON) benchmarks/bench_backend.py --smoke
@@ -28,7 +27,6 @@ bench-smoke:
 
 bench:
 	$(PYTHON) benchmarks/bench_pipeline.py
-	$(PYTHON) benchmarks/bench_solver.py
 	$(PYTHON) benchmarks/bench_campaign.py
 	$(PYTHON) benchmarks/bench_obs.py
 	$(PYTHON) benchmarks/bench_backend.py

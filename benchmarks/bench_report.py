@@ -1,7 +1,7 @@
 """Aggregate every ``BENCH_*.json`` into one ``BENCH_report.json``.
 
-Each perf benchmark (``bench_pipeline``, ``bench_solver``,
-``bench_campaign``, ``bench_obs``, ``bench_backend``) records its
+Each perf benchmark (``bench_pipeline``, ``bench_campaign``,
+``bench_obs``, ``bench_backend``, ``bench_service``) records its
 machine-readable results in a ``BENCH_<name>.json`` file at the repo
 root.  This tool folds them into a single trajectory file — one entry
 per benchmark with its measured speedups, the floors they are held to,

@@ -15,12 +15,12 @@ tier-10 hot path, ``src/repro/serve``):
   at ``MIN_THROUGHPUT_RPS`` requests/second through one API and one
   worker.
 - **read hot path** — a read-heavy workload (result/manifest fetches
-  of finished runs) against the hot configuration (connection reuse,
-  hot-result cache with ``ETag``/``If-None-Match`` 304s, keep-alive
-  conditional client) must beat the per-call baseline (no DB pooling,
-  no cache, reconnect-per-request unconditional client) by at least
-  ``MIN_READ_SPEEDUP``.  Enforced everywhere — it is pure CPU-side
-  plumbing, not parallelism.
+  of finished runs through connection reuse, the hot-result cache and
+  ``ETag``/``If-None-Match`` 304s) is timed and recorded.  Its gate is
+  deterministic work counters in the test suite
+  (``tests/test_serve_hotpath.py::TestWarmReadCounters``: no new DB
+  connections, every read a cache hit answered with a 304, one
+  kept-alive client connection), not a wall-clock ratio.
 - **concurrent worker execution** — a worker with two exec slots must
   complete a compatible two-job batch (sampled ``conbugck`` campaigns
   with distinct seeds, ``--backend process``) faster than one slot by
@@ -28,8 +28,7 @@ tier-10 hot path, ``src/repro/serve``):
   (recorded elsewhere), and the outputs must be byte-identical across
   slot counts — concurrency must not perturb results.
 - **byte identity** — the service's result bytes for a request must
-  equal the stdout of a direct CLI invocation of the same request,
-  and the hot and baseline configurations must serve identical bytes.
+  equal the stdout of a direct CLI invocation of the same request.
 
 ``--ci-smoke`` is the CI service job: boot a real ``repro-serve``
 process and two ``repro-worker`` processes, push 50 requests of which
@@ -74,11 +73,6 @@ MIN_DUP_SPEEDUP = 5.0
 #: one worker, mostly-duplicate traffic).
 MIN_THROUGHPUT_RPS = 8.0
 SMOKE_THROUGHPUT_RPS = 5.0
-
-#: Required hot-vs-baseline ratio on the read-heavy workload.  The
-#: hot side reuses connections and answers 304s from the in-memory
-#: cache; the baseline reconnects and re-reads the database per call.
-MIN_READ_SPEEDUP = 3.0
 
 #: Required two-slot vs one-slot ratio on a compatible process-backend
 #: batch.  Parallel speedup needs cores: enforced at >= 4 CPUs,
@@ -216,8 +210,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
         warm_queue = RunQueue(warm_db)
         submit_request(warm_queue, CorpusStore(warm_dir), "conbugck",
                        params_for(99))
-        warm_worker = Worker(warm_db, warm_dir, worker_id="bench-warm",
-                             watch=False)
+        warm_worker = Worker(warm_db, warm_dir, worker_id="bench-warm")
         try:
             warm_worker.run_once()
         finally:
@@ -232,7 +225,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
             rows = [submit_request(queue, store, "conbugck",
                                    params_for(seed))[0] for seed in seeds]
             worker = Worker(db_path, tmp, worker_id=f"bench-slots{slots}",
-                            exec_slots=slots, watch=False)
+                            exec_slots=slots)
             try:
                 started = time.perf_counter()
                 ran = worker.run_once()
@@ -336,32 +329,12 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
         workload_s = time.perf_counter() - started
         throughput = requests_total / workload_s if workload_s else 0.0
 
-        # ---- read-heavy hot path vs the per-call baseline -------------
-        # Same database, same finished runs, two service shapes: the
-        # hot one (connection pooling, hot cache, 304s, keep-alive
-        # conditional client) against the baseline (per-call DB
-        # connects, no cache or ETag, reconnect-per-request client).
+        # ---- read-heavy hot path ---------------------------------------
         done_ids = [row["run_id"]
                     for row in client.runs(status="done", limit=16)]
         assert done_ids, "no finished runs to read back"
         _warm_reads(client, done_ids)  # populate cache + client ETags
         hot_reads_s = _read_workload(client, done_ids, reads_total)
-
-        baseline, _bthread = start_in_thread(
-            db_path, data_dir, pooling=False, cache_bytes=0, watch=False)
-        base_client = ServiceClient(baseline.url, conditional=False,
-                                    keepalive=False)
-        try:
-            _warm_reads(base_client, done_ids)
-            base_reads_s = _read_workload(base_client, done_ids, reads_total)
-            baseline_bytes = base_client.result_bytes(probe_id)
-        finally:
-            baseline.shutdown()
-            baseline.server_close()
-        read_speedup = (base_reads_s / hot_reads_s) if hot_reads_s > 0 \
-            else float("inf")
-        hot_vs_baseline = (client.result_bytes(probe_id) == baseline_bytes
-                           == service_bytes)
 
         stats = client.stats()
     finally:
@@ -390,9 +363,6 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
                   f"(floor {min_rps:.1f})")
     table.add_row(f"read workload hot ({reads_total} reads)",
                   f"{hot_reads_s:.3f} s")
-    table.add_row("read workload baseline", f"{base_reads_s:.3f} s")
-    table.add_row("read hot-path speedup", f"{read_speedup:.1f}x "
-                  f"(floor {MIN_READ_SPEEDUP:.1f}x)")
     table.add_row("concurrent batch, 1 slot",
                   f"{concurrent['slots1_s']:.3f} s")
     table.add_row("concurrent batch, 2 slots",
@@ -407,8 +377,6 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
     rendered = table.render()
     rendered += (f"\n\nservice result byte-identical to direct CLI: "
                  f"{'yes' if byte_identical else 'NO'}")
-    rendered += (f"\nhot and baseline services serve identical bytes: "
-                 f"{'yes' if hot_vs_baseline else 'NO'}")
     rendered += (f"\nconcurrent outputs identical across slot counts: "
                  f"{'yes' if concurrent['identical'] else 'NO'}")
     rendered += (f"\nqueue after workload: "
@@ -436,31 +404,26 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
                 "duplicate_request": dup_s,
                 "workload": workload_s,
                 "read_workload_hot": hot_reads_s,
-                "read_workload_baseline": base_reads_s,
                 "concurrent_slots1": concurrent["slots1_s"],
                 "concurrent_slots2": concurrent["slots2_s"],
             },
             "speedups": {
                 "duplicate_vs_cold": dup_speedup,
                 "throughput_rps": throughput,
-                "read_hot_vs_baseline": read_speedup,
                 "concurrent_two_slots": concurrent["speedup"],
             },
             "floors": {
                 "duplicate_vs_cold": MIN_DUP_SPEEDUP,
                 "throughput_rps": min_rps,
-                "read_hot_vs_baseline": MIN_READ_SPEEDUP,
                 "concurrent_two_slots": MIN_CONCURRENT_SPEEDUP,
             },
             "floor_enforced": {
                 "duplicate_vs_cold": True,
                 "throughput_rps": True,
-                "read_hot_vs_baseline": True,
                 "concurrent_two_slots": concurrent["enforced"],
             },
             "identical_outputs": {
                 "service_vs_cli": bool(byte_identical),
-                "hot_vs_baseline_service": bool(hot_vs_baseline),
                 "slots1_vs_slots2": bool(concurrent["identical"]),
                 "distinct_seeds_distinct": bool(
                     concurrent["distinct_seeds_distinct_outputs"]),
@@ -482,10 +445,6 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
         print("FAIL: service result differs from direct CLI stdout",
               file=sys.stderr)
         return 1
-    if not hot_vs_baseline:
-        print("FAIL: hot and baseline services served different bytes",
-              file=sys.stderr)
-        return 1
     if not concurrent["identical"]:
         print("FAIL: concurrent execution changed result bytes "
               "(slots=1 vs slots=2)", file=sys.stderr)
@@ -502,11 +461,6 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
     if throughput < min_rps:
         print(f"FAIL: mixed-workload throughput {throughput:.2f} req/s is "
               f"below the {min_rps:.1f} req/s floor", file=sys.stderr)
-        return 1
-    if read_speedup < MIN_READ_SPEEDUP:
-        print(f"FAIL: read hot-path speedup {read_speedup:.2f}x is below "
-              f"the {MIN_READ_SPEEDUP:.1f}x floor — connection reuse / "
-              f"hot cache / 304s are not paying", file=sys.stderr)
         return 1
     if (concurrent["enforced"]
             and concurrent["speedup"] < MIN_CONCURRENT_SPEEDUP):

@@ -24,18 +24,13 @@ from repro.analysis.constraints import (
 from repro.analysis.groundtruth import is_false_positive
 from repro.analysis.model import Category, Dependency
 from repro.analysis.sources import SOURCES_BY_UNIT
-from repro.analysis.taint import (
-    analyze_function,
-    memo_peek,
-    memo_seed,
-    resolve_solver,
-)
+from repro.analysis.taint import analyze_function, memo_peek, memo_seed
 from repro.corpus import cache as disk
 from repro.corpus.loader import CorpusUnit, load_unit, unit_slices
 from repro.errors import UnknownFunctionError
 from repro.lang.cfg import build_cfg
 from repro.obs.tracer import span
-from repro.perf import lattice, resolve_jobs, run_ordered, timed
+from repro.perf import resolve_jobs, run_ordered, timed
 
 
 @dataclass(frozen=True)
@@ -201,9 +196,7 @@ class Extractor:
     path analyzes (unit, function) pairs concurrently but *merges in
     spec order*, so its dependency sets are byte-identical to a
     sequential run: ordering comes from the assembly loop, never from
-    thread completion order.  ``solver`` picks the taint fixpoint
-    scheduler (``None`` defers to ``$REPRO_SOLVER``); both schedulers
-    extract identical dependency sets.
+    thread completion order.
 
     Extraction always runs in this process: the per-function analyses
     are small and share every memo table, so ``jobs`` fans out over
@@ -211,11 +204,9 @@ class Extractor:
     """
 
     def __init__(self, scenarios: Sequence[ScenarioSpec] = SCENARIOS,
-                 jobs: Optional[int] = None,
-                 solver: Optional[str] = None) -> None:
+                 jobs: Optional[int] = None) -> None:
         self.scenarios = tuple(scenarios)
         self.jobs = resolve_jobs(jobs)
-        self.solver = solver
 
     # ------------------------------------------------------------------
     # per-scenario
@@ -242,7 +233,7 @@ class Extractor:
                     f"pre-selected function {fn_name!r} missing from {filename}"
                 ) from None
             component = unit.component
-            state = memo_peek(func, sources, component, self.solver)
+            state = memo_peek(func, sources, component)
             if state is not None:
                 findings = findings_peek(func, state, sources, component,
                                          filename)
@@ -255,14 +246,13 @@ class Extractor:
                     state, findings = loaded
                     if (getattr(state, "function", None) == fn_name
                             and getattr(findings, "function", None) == fn_name):
-                        memo_seed(func, sources, component, state, self.solver)
+                        memo_seed(func, sources, component, state)
                         findings_seed(func, state, findings, sources,
                                       component, filename)
                         self._record_graph(unit, fn_name, store_key, state)
                         return state, findings
             cfg = build_cfg(func)
-            state = analyze_function(func, sources, component,
-                                     solver=self.solver)
+            state = analyze_function(func, sources, component)
             findings = derive_constraints(
                 func, cfg, state, sources, component, filename
             )
@@ -280,8 +270,7 @@ class Extractor:
             return ""
         return disk.analysis_key(
             unit.filename, fn_name, slice_hash, sources.fingerprint(),
-            unit.component, resolve_solver(self.solver),
-            lattice.resolve_lattice_mode(),
+            unit.component,
         )
 
     @staticmethod
@@ -367,7 +356,6 @@ def _dedupe(deps: List[Dependency]) -> List[Dependency]:
 
 
 def extract_all(scenarios: Sequence[ScenarioSpec] = SCENARIOS,
-                jobs: Optional[int] = None,
-                solver: Optional[str] = None) -> ExtractionReport:
+                jobs: Optional[int] = None) -> ExtractionReport:
     """Convenience: run the full Table-5 extraction."""
-    return Extractor(scenarios, jobs=jobs, solver=solver).extract_all()
+    return Extractor(scenarios, jobs=jobs).extract_all()

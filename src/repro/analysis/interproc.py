@@ -61,7 +61,6 @@ class UnitAnalysis:
     unit: CorpusUnit
     sources: ComponentSources
     jobs: int = 1
-    solver: Optional[str] = None
     states: Dict[str, TaintState] = dc_field(default_factory=dict)
     rounds: int = 0
 
@@ -104,7 +103,6 @@ class UnitAnalysis:
                 initial_taint=initial,
                 field_injections=frozen_inj,
                 call_returns=frozen_ret,
-                solver=self.solver,
             )
             return name, engine.run()
 
@@ -186,11 +184,9 @@ class InterproceduralExtractor:
     """
 
     def __init__(self, scenarios: Optional[Sequence[ScenarioSpec]] = None,
-                 jobs: Optional[int] = None,
-                 solver: Optional[str] = None) -> None:
+                 jobs: Optional[int] = None) -> None:
         self.scenarios = tuple(scenarios) if scenarios else (full_pipeline_spec(),)
         self.jobs = resolve_jobs(jobs)
-        self.solver = solver
 
     def extract_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
         """Extract one scenario with the inter-procedural engine."""
@@ -199,8 +195,7 @@ class InterproceduralExtractor:
         for filename, functions in spec.selected:
             unit = load_unit(filename)
             sources = SOURCES_BY_UNIT[filename]
-            states = UnitAnalysis(unit, sources, jobs=self.jobs,
-                                  solver=self.solver).run()
+            states = UnitAnalysis(unit, sources, jobs=self.jobs).run()
 
             def derive_one(fn_name: str):
                 func = unit.module.function(fn_name)
@@ -230,7 +225,6 @@ class InterproceduralExtractor:
         return ExtractionReport(results, _dedupe(union))
 
 
-def extract_interprocedural(jobs: Optional[int] = None,
-                            solver: Optional[str] = None) -> ExtractionReport:
+def extract_interprocedural(jobs: Optional[int] = None) -> ExtractionReport:
     """Run the full-pipeline inter-procedural extraction."""
-    return InterproceduralExtractor(jobs=jobs, solver=solver).extract_all()
+    return InterproceduralExtractor(jobs=jobs).extract_all()

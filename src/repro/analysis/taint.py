@@ -20,30 +20,26 @@ Field stores and loads are recorded as :class:`FieldWrite` /
 :class:`FieldRead` events; :mod:`repro.analysis.bridge` joins them
 across components.
 
-Solvers
--------
+Solver
+------
 
-Two schedulers drive the same transfer functions to the same least
-fixpoint:
+A worklist solver over def-use edges
+(:meth:`~repro.lang.ir.Instr.flow_dst` /
+:meth:`~repro.lang.ir.Instr.flow_srcs`) drives the transfer functions
+to their least fixpoint: only instructions whose inputs changed are
+re-evaluated.  Rounds are structured to *replay* a chaotic-iteration
+sweep schedule exactly — within a round instructions fire in ascending
+reverse-postorder position, and a change at position ``p``
+re-schedules users after ``p`` into the current round and users at or
+before ``p`` into the next — so the result is byte-identical to full
+sweeps until nothing changes (the skipped evaluations are provably
+no-ops: transfers are deterministic and leave no footprint when their
+inputs are unchanged).  The test suite keeps that full-sweep scheduler
+as a reference engine and compares the two function by function.
 
-- ``dense`` — the original chaotic iteration: full sweeps over every
-  instruction until a sweep changes nothing;
-- ``sparse`` (default) — a worklist solver over def-use edges
-  (:meth:`~repro.lang.ir.Instr.flow_dst` /
-  :meth:`~repro.lang.ir.Instr.flow_srcs`): only instructions whose
-  inputs changed are re-evaluated.  Rounds are structured to *replay*
-  the dense sweep schedule exactly — within a round instructions fire
-  in ascending reverse-postorder position, and a change at position
-  ``p`` re-schedules users after ``p`` into the current round and users
-  at or before ``p`` into the next — so the two solvers produce
-  byte-identical :class:`TaintState`\\ s (the skipped evaluations are
-  provably no-ops: transfers are deterministic and leave no footprint
-  when their inputs are unchanged).
-
-Both iterate instructions in reverse postorder of the CFG and run on
-the interned label-set lattice (:mod:`repro.perf.lattice`), so "did
-this transfer change anything" is a pointer comparison.  Select with
-``REPRO_SOLVER=sparse|dense`` or the ``--solver`` CLI flag.
+Instructions run in reverse postorder of the CFG over the interned
+label-set lattice (:mod:`repro.perf.lattice`), so "did this transfer
+change anything" is a pointer comparison.
 """
 
 from __future__ import annotations
@@ -83,13 +79,7 @@ from repro.lang.ir import (
     Value,
     Var,
 )
-from repro.perf import lattice, modes
-
-#: Environment knob selecting the fixpoint scheduler.
-SOLVER_ENV = modes.knob("solver").env
-
-#: Recognized scheduler names (first is the default).
-SOLVER_MODES = modes.knob("solver").modes
+from repro.perf import lattice
 
 #: Extra sweeps/rounds the convergence bound allows beyond the
 #: instruction count.  The longest dependency chain a flow-insensitive
@@ -97,11 +87,6 @@ SOLVER_MODES = modes.knob("solver").modes
 #: instructions, so ``n + slack`` sweeps means the transfer functions
 #: are not monotone — a bug, not a big function.
 CONVERGENCE_SLACK = 16
-
-
-def resolve_solver(explicit: Optional[str] = None) -> str:
-    """The scheduler to use: ``explicit`` arg, else $REPRO_SOLVER, else sparse."""
-    return modes.resolve_mode("solver", explicit)
 
 
 @dataclass(frozen=True)
@@ -168,7 +153,7 @@ class _FuncPrep:
     __slots__ = ("func", "order", "users", "defs", "field_instrs")
 
     def __init__(self, func: Function, order: List[Instr],
-                 users: Optional[Dict[Value, List[int]]],
+                 users: Dict[Value, List[int]],
                  defs: Dict[Value, List[Instr]],
                  field_instrs: List[Instr]) -> None:
         self.func = func
@@ -277,9 +262,7 @@ class TaintEngine:
     - ``call_returns`` — labels the result of a call to a unit-local
       function receives (return-taint summaries).
 
-    ``solver`` picks the fixpoint scheduler (see the module docstring);
-    ``None`` defers to ``$REPRO_SOLVER``.  Hook label sets are interned
-    on entry so every set the transfer functions touch is canonical —
+    Hook label sets are interned on entry so every set the transfer functions touch is canonical —
     the identity-keyed join memo in :mod:`repro.perf.lattice` requires
     it.
     """
@@ -289,11 +272,10 @@ class TaintEngine:
                  initial_taint: Optional[Dict[str, FrozenSet[Label]]] = None,
                  field_injections: Optional[Dict[Tuple[str, str], FrozenSet[Label]]] = None,
                  call_returns: Optional[Dict[str, FrozenSet[Label]]] = None,
-                 solver: Optional[str] = None) -> None:
+                 ) -> None:
         self.func = func
         self.sources = sources
         self.component = component
-        lattice.apply_mode()  # honour $REPRO_LATTICE (cheap when unchanged)
         self.initial_taint = {
             name: lattice.intern_labels(labels)
             for name, labels in (initial_taint or {}).items()
@@ -306,7 +288,6 @@ class TaintEngine:
             name: lattice.intern_labels(labels)
             for name, labels in (call_returns or {}).items()
         }
-        self.solver = resolve_solver(solver)
         self.state = TaintState(function=func.name)
         #: (struct, field) -> canonical labels a load of it produces.
         self._load_labels: Dict[Tuple[str, str], FrozenSet[Label]] = {}
@@ -328,13 +309,7 @@ class TaintEngine:
         state.invalidate_caches()
         prep = self._prep()
         state.defs = prep.defs  # shared, read-only (see _FuncPrep)
-        if self.solver == "sparse":
-            users = prep.users
-            if users is None:
-                users = prep.users = self._use_edges(prep.order)
-            self._solve_sparse(prep.order, users)
-        else:
-            self._solve_dense(prep.order)
+        self._solve(prep)
         self._collect_field_events(prep.field_instrs)
         return state
 
@@ -345,8 +320,7 @@ class TaintEngine:
         only on the (immutable) function body, while the engine re-runs
         per component and per interprocedural round.  The memo holds a
         strong reference to the function, so its ``id`` key can never
-        be recycled while the entry is alive.  Use edges are filled
-        lazily — only the sparse scheduler needs them.
+        be recycled while the entry is alive.
         """
         key = id(self.func)
         cached = _PREP_MEMO.get(key)
@@ -360,7 +334,8 @@ class TaintEngine:
             t = type(instr)
             if t is StoreField or t is LoadField:
                 field_instrs.append(instr)
-        prep = _FuncPrep(self.func, self._instruction_order(), None, defs,
+        order = self._instruction_order()
+        prep = _FuncPrep(self.func, order, self._use_edges(order), defs,
                          field_instrs)
         _PREP_MEMO[key] = prep
         return prep
@@ -368,9 +343,8 @@ class TaintEngine:
     def _instruction_order(self) -> List[Instr]:
         """Instructions flattened in reverse postorder of the CFG.
 
-        RPO lets one sweep push taint through every forward dependency
-        chain, so only loop-carried (backward) flows cost extra sweeps
-        or worklist rounds.  The analysis itself is flow-insensitive:
+        RPO lets one round push taint through every forward dependency
+        chain, so only loop-carried (backward) flows cost extra rounds.  The analysis itself is flow-insensitive:
         the order affects convergence speed and trace ordering, never
         the fixpoint.
         """
@@ -382,7 +356,7 @@ class TaintEngine:
         return order
 
     # ------------------------------------------------------------------
-    # schedulers
+    # scheduler
     # ------------------------------------------------------------------
 
     def _sweep_limit(self, n_instrs: int) -> int:
@@ -399,28 +373,8 @@ class TaintEngine:
             f"{CONVERGENCE_SLACK}, so a transfer function is not monotone"
         )
 
-    def _solve_dense(self, order: List[Instr]) -> None:
-        """Chaotic iteration: full sweeps until nothing changes."""
-        limit = self._sweep_limit(len(order))
-        sweeps = 0
-        evaluations = 0
-        changed = True
-        while changed:
-            changed = False
-            sweeps += 1
-            if sweeps > limit:
-                raise self._diverged("dense", sweeps, len(order),
-                                     len(order), evaluations)
-            for instr in order:
-                evaluations += 1
-                if self._transfer(instr):
-                    changed = True
-        perf.bump("solver.dense.sweeps", sweeps)
-        perf.bump("solver.dense.evals", evaluations)
-
-    def _solve_sparse(self, order: List[Instr],
-                      users: Dict[Value, List[int]]) -> None:
-        """Worklist iteration replaying the dense sweep schedule.
+    def _solve(self, prep: "_FuncPrep") -> None:
+        """Worklist iteration replaying the full-sweep schedule.
 
         Each round is a min-heap of pending positions, popped in
         ascending order (the heap only ever holds positions after the
@@ -428,10 +382,11 @@ class TaintEngine:
         transfer at position ``p`` changes its destination, every user
         of that value after ``p`` joins the current round and every
         user at or before ``p`` joins the next — exactly the positions
-        at which the dense schedule would next observe the change.
+        at which a full sweep would next observe the change.
         Instructions left out of a round are no-ops by construction:
         their inputs have not changed since they last fired.
         """
+        order = prep.order
         n = len(order)
         limit = self._sweep_limit(n)
         current = list(range(n))  # ascending == already a valid heap
@@ -442,7 +397,7 @@ class TaintEngine:
         pops = 0
         heappop, heappush = heapq.heappop, heapq.heappush
         transfer = self._transfer
-        users_get = users.get
+        users_get = prep.users.get
         while current:
             rounds += 1
             if rounds > limit:
@@ -565,8 +520,11 @@ class TaintEngine:
         current = state.taint.get(dst, lattice.EMPTY)
         merged = lattice.join(current, labels)
         # Interned sets settle "did anything change" on the pointer
-        # check; the plain (legacy) lattice allocates fresh unions, so
-        # equal content needs the comparison — same fixpoint, more work.
+        # check.  The content comparison only runs on a real change (a
+        # strictly larger set, so it fails on the size test); it keeps
+        # the transfer correct over label sets that are equal but not
+        # interned, which the tests' allocate-per-join reference
+        # lattice produces.
         if merged is current or merged == current:
             return False
         state.taint[dst] = merged
@@ -629,8 +587,8 @@ def _feature_of(value: Value) -> Optional[str]:
     return None
 
 
-#: (unit fingerprint, function name, sources fingerprint, component,
-#: solver) -> TaintState.  Shared across scenarios and checkers: the
+#: (unit fingerprint, function name, sources fingerprint, component)
+#: -> TaintState.  Shared across scenarios and checkers: the
 #: four Table-5 scenarios all pre-select e.g. ``ext4_fill_super``, and
 #: the three checkers each re-run extraction, so one process used to
 #: analyze the same function a dozen times.  Safe to share because a
@@ -638,33 +596,30 @@ def _feature_of(value: Value) -> Optional[str]:
 #: keys are pure content (a re-loaded module with the same source hits
 #: the same entry), and only the hook-free intra-procedural engine is
 #: memoized — :mod:`repro.analysis.interproc` builds its hooked engines
-#: directly.  The solver and lattice modes are part of the key so
-#: differential tests comparing schedulers or lattice implementations
-#: never serve one configuration from another's cache.
-_ANALYSIS_MEMO: Dict[Tuple[str, str, str, str, str, str], TaintState] = {}
+#: directly.
+_ANALYSIS_MEMO: Dict[Tuple[str, str, str, str], TaintState] = {}
 
 perf.register_memo("taint.analyze", _ANALYSIS_MEMO.clear)
 
 
-def _memo_key(func: Function, sources: ComponentSources, component: str,
-              solver: str) -> Optional[Tuple[str, str, str, str, str, str]]:
+def _memo_key(func: Function, sources: ComponentSources,
+              component: str) -> Optional[Tuple[str, str, str, str]]:
     """The analysis-memo key for ``func``, or None when unkeyable."""
     fingerprint = getattr(func, "module_fingerprint", "")
     if not fingerprint:
         return None
-    return (fingerprint, func.name, sources.fingerprint(), component, solver,
-            lattice.resolve_lattice_mode())
+    return (fingerprint, func.name, sources.fingerprint(), component)
 
 
-def memo_peek(func: Function, sources: ComponentSources, component: str,
-              solver: Optional[str] = None) -> Optional[TaintState]:
+def memo_peek(func: Function, sources: ComponentSources,
+              component: str) -> Optional[TaintState]:
     """The memoized state for ``func``, without computing on a miss."""
-    key = _memo_key(func, sources, component, resolve_solver(solver))
+    key = _memo_key(func, sources, component)
     return _ANALYSIS_MEMO.get(key) if key is not None else None
 
 
 def memo_seed(func: Function, sources: ComponentSources, component: str,
-              state: TaintState, solver: Optional[str] = None) -> bool:
+              state: TaintState) -> bool:
     """Install a state (e.g. decoded from the disk store) into the memo.
 
     Returns False when ``func`` carries no module fingerprint (nothing
@@ -672,7 +627,7 @@ def memo_seed(func: Function, sources: ComponentSources, component: str,
     call for the same content return *this exact object*, which is what
     lets the constraint layer's identity-checked memo pair up with it.
     """
-    key = _memo_key(func, sources, component, resolve_solver(solver))
+    key = _memo_key(func, sources, component)
     if key is None:
         return False
     _ANALYSIS_MEMO[key] = state
@@ -680,28 +635,23 @@ def memo_seed(func: Function, sources: ComponentSources, component: str,
 
 
 def analyze_function(func: Function, sources: ComponentSources,
-                     component: str, solver: Optional[str] = None) -> TaintState:
+                     component: str) -> TaintState:
     """Run the taint engine on one function (memoized per content).
 
     Results are memoized when the function belongs to a fingerprinted
     module (anything loaded through :mod:`repro.corpus.loader`); ad-hoc
-    functions built by tests analyze unmemoized.  ``solver`` picks the
-    fixpoint scheduler; ``None`` defers to ``$REPRO_SOLVER``.
+    functions built by tests analyze unmemoized.
     """
-    mode = resolve_solver(solver)
-    fingerprint = getattr(func, "module_fingerprint", "")
-    key: Optional[Tuple[str, str, str, str, str, str]] = None
-    if fingerprint:
-        key = (fingerprint, func.name, sources.fingerprint(), component, mode,
-               lattice.resolve_lattice_mode())
+    key = _memo_key(func, sources, component)
+    if key is not None:
         cached = _ANALYSIS_MEMO.get(key)
         if cached is not None:
             perf.bump("memo.taint.hit")
             return cached
         perf.bump("memo.taint.miss")
-    with obs_span("taint.solve", function=func.name, solver=mode), \
+    with obs_span("taint.solve", function=func.name), \
             perf.timed("analysis.taint"):
-        state = TaintEngine(func, sources, component, solver=mode).run()
+        state = TaintEngine(func, sources, component).run()
     if key is not None:
         _ANALYSIS_MEMO[key] = state
     return state

@@ -94,7 +94,7 @@ class _ObsSession:
         self.campaign = dict(campaign)
 
     def set_engine(self, **modes: Optional[str]) -> None:
-        """Record engine knobs the run pinned explicitly (e.g. --solver)."""
+        """Record engine knobs the run pinned explicitly (e.g. --backend)."""
         self.engine_overrides.update(modes)
 
     def __enter__(self) -> "_ObsSession":
@@ -216,10 +216,6 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cold", action="store_true",
                         help="drop the persistent IR cache first "
                              "(measure a from-scratch run)")
-    parser.add_argument("--solver", choices=("sparse", "dense"), default=None,
-                        help="taint fixpoint scheduler (default: $REPRO_SOLVER "
-                             "or sparse; dense is the reference escape hatch — "
-                             "both produce identical dependencies)")
     parser.add_argument("--explain", metavar="PARAM", action="append",
                         default=None,
                         help="print the taint provenance of one parameter "
@@ -243,9 +239,7 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
         reset_profile()
 
     with _ObsSession("repro-extract", args, argv) as obs:
-        if args.solver:
-            obs.set_engine(solver=args.solver)
-        report = extract_all(jobs=args.jobs, solver=args.solver)
+        report = extract_all(jobs=args.jobs)
         obs.set_report([d.key() for d in report.union],
                        summary=f"{len(report.union)} unique dependencies, "
                                f"{len(report.scenarios)} scenarios")
@@ -254,7 +248,7 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
         if args.explain or args.provenance:
             from repro.obs.provenance import ProvenanceIndex
 
-            index = ProvenanceIndex.build(report=report, solver=args.solver)
+            index = ProvenanceIndex.build(report=report)
 
         if args.explain:
             try:

@@ -246,10 +246,6 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
                         help="hot result/manifest cache budget in bytes; "
                              "0 disables the cache and ETag emission "
                              "(default: $REPRO_SERVE_CACHE_BYTES or 32 MiB)")
-    parser.add_argument("--no-pool", action="store_true",
-                        help="open a fresh DB connection per call and "
-                             "sleep-poll long-polls instead of the "
-                             "event-driven watcher (debugging/baseline)")
     _add_service_args(parser)
     args = parser.parse_args(argv)
 
@@ -261,9 +257,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     from repro.obs import servicelog
     servicelog.configure(servicelog.default_path(data_dir), proc="api")
     service = Service((args.host, args.port), db_path, data_dir,
-                      verbose=args.verbose, cache_bytes=args.cache_bytes,
-                      pooling=False if args.no_pool else None,
-                      watch=False if args.no_pool else None)
+                      verbose=args.verbose, cache_bytes=args.cache_bytes)
     # stdout, not stderr: scripts parse the resolved URL (port 0).
     print(f"listening on {service.url}", flush=True)
     _status(f"queue database: {db_path}")
@@ -365,7 +359,7 @@ def main_submit(argv: Optional[List[str]] = None) -> int:
                         help="service base URL")
     parser.add_argument("--params", metavar="JSON", default=None,
                         help='request params as a JSON object, e.g. '
-                             '\'{"jobs": 2, "solver": "sparse"}\'')
+                             '\'{"jobs": 2, "list": true}\'')
     parser.add_argument("--corpus", metavar="ID", default=None,
                         help="corpus snapshot id from a prior upload")
     parser.add_argument("--upload", metavar="FILE", action="append",

@@ -24,7 +24,7 @@ keyed by the function's **source slice**, not the whole unit:
 
     sha256(analysis schema | codec schema | frontend version
            | filename | function | slice hash | sources fingerprint
-           | component | solver | lattice)
+           | component)
 
 The slice hash covers the unit's preamble (macros, struct layouts)
 plus the lines of the function itself, so editing one function's body
@@ -280,8 +280,7 @@ def function_slices(source: str, line_of: Dict[str, int]) -> Dict[str, str]:
 
 
 def analysis_key(filename: str, function: str, slice_hash: str,
-                 sources_fp: str, component: str, solver: str,
-                 lattice_mode: str) -> str:
+                 sources_fp: str, component: str) -> str:
     """Content hash identifying one function's analysis result."""
     from repro.perf import codec
 
@@ -294,8 +293,6 @@ def analysis_key(filename: str, function: str, slice_hash: str,
     digest.update(f"slice={slice_hash}\n".encode("utf-8"))
     digest.update(f"sources={sources_fp}\n".encode("utf-8"))
     digest.update(f"component={component}\n".encode("utf-8"))
-    digest.update(f"solver={solver}\n".encode("utf-8"))
-    digest.update(f"lattice={lattice_mode}\n".encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -7,18 +7,14 @@ analyzer uses this to recognize feature-bit constants like
 ``EXT2_FEATURE_COMPAT_SPARSE_SUPER2`` even after substitution.
 ``#include`` lines are skipped (the corpus is self-contained).
 
-Two scanners produce identical token streams:
-
-- ``regex`` (default) — one compiled master pattern consumes a whole
-  token (or whitespace/comment run) per match, tracking line/column
-  from the matched text;
-- ``scan`` — the original per-character scanner, kept as the reference
-  and the error path: whenever the master pattern cannot match (an
-  unterminated literal, an unknown character, a malformed hex prefix),
-  the regex scanner hands that position to the per-character scanner
-  so diagnostics stay byte-identical.
-
-Select with ``REPRO_LEX=regex|scan``.
+Scanning runs on one compiled master pattern that consumes a whole
+token (or whitespace/comment run) per match, tracking line/column from
+the matched text.  A per-character scanner is the error path:
+whenever the master pattern cannot match (an unterminated literal, an
+unknown character, a malformed hex prefix), the regex scanner hands
+that position to the per-character scanner, which owns every
+diagnostic.  Its whole-input loop (:meth:`Lexer._raw_tokens_scan`) is
+the reference the test suite compares token streams against.
 """
 
 from __future__ import annotations
@@ -29,18 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional
 
 from repro.errors import LexError
-from repro.perf import modes as engine_modes
-
-#: Environment knob selecting the scanner implementation.
-LEX_ENV = engine_modes.knob("lex").env
-
-#: Recognized scanner names (first is the default).
-LEX_MODES = engine_modes.knob("lex").modes
-
-
-def resolve_lex_mode(explicit: Optional[str] = None) -> str:
-    """The scanner to use: ``explicit`` arg, else $REPRO_LEX, else regex."""
-    return engine_modes.resolve_mode("lex", explicit)
 
 
 KEYWORDS = {
@@ -59,7 +43,7 @@ _OPERATORS = [
     "?", ":", ",", ";", ".", "(", ")", "{", "}", "[", "]",
 ]
 
-#: Character-literal escapes (shared by both scanners).
+#: Character-literal escapes (shared by both scan paths).
 _CHAR_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39, "r": 13}
 
 #: One master pattern, one token per match.  The leading non-capturing
@@ -138,11 +122,9 @@ class MacroDef:
 class Lexer:
     """Tokenize one translation unit."""
 
-    def __init__(self, source: str, filename: str = "<input>",
-                 mode: Optional[str] = None) -> None:
+    def __init__(self, source: str, filename: str = "<input>") -> None:
         self.source = source
         self.filename = filename
-        self.mode = resolve_lex_mode(mode)
         self.pos = 0
         self.line = 1
         self.col = 1
@@ -163,12 +145,8 @@ class Lexer:
     # raw scanning
     # ------------------------------------------------------------------
 
-    def _raw_tokens(self) -> List[Token]:
-        if self.mode == "regex":
-            return self._raw_tokens_regex()
-        return self._raw_tokens_scan()
-
     def _raw_tokens_scan(self) -> List[Token]:
+        """Per-character scan of the whole input (the reference scanner)."""
         out: List[Token] = []
         while True:
             self._skip_space_and_comments()
@@ -181,7 +159,7 @@ class Lexer:
             token = self._next_token()
             out.append(token)
 
-    def _raw_tokens_regex(self) -> List[Token]:
+    def _raw_tokens(self) -> List[Token]:
         """Master-pattern scanner; see the module docstring.
 
         Position tracking lives in locals (the per-character
@@ -339,7 +317,7 @@ class Lexer:
                     self.filename, line_start, 1,
                 )
             replacement = rest[name_end:].strip()
-            sub = Lexer(replacement, self.filename, mode=self.mode)
+            sub = type(self)(replacement, self.filename)
             sub.line = line_start
             tokens = sub._raw_tokens()
             for t in tokens:
@@ -494,7 +472,6 @@ class Lexer:
         self._advance(pos - self.pos)
 
 
-def tokenize(source: str, filename: str = "<input>",
-             mode: Optional[str] = None) -> List[Token]:
+def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Convenience wrapper: tokenize ``source`` with macro expansion."""
-    return Lexer(source, filename, mode=mode).tokenize()
+    return Lexer(source, filename).tokenize()

@@ -5,17 +5,13 @@ covers everything the modelled corpus uses: struct/enum/typedef
 declarations, functions, the full statement set (including ``switch``
 and ``do``/``while``), and C expressions with standard precedence.
 
-Binary expressions parse through one of two equivalent engines:
-
-- ``climb`` (default) — precedence climbing with a single operator →
-  precedence table: one recursion level per *operand*, not one per
-  grammar level, so ``a + b`` costs 2 calls instead of 11;
-- ``ladder`` — the original 10-level recursive ladder, kept as the
-  reference implementation.
-
-Ladder level ``L`` corresponds to climbing with minimum precedence
-``L + 1`` and both build left-associative trees, so the ASTs are
-identical node for node.  Select with ``REPRO_PARSER=climb|ladder``.
+Binary expressions parse by precedence climbing over a single
+operator → precedence table: one recursion level per *operand*, not
+one per grammar level, so ``a + b`` costs 2 calls instead of 11.  The
+test suite keeps the original 10-level recursive ladder as a reference
+parser; ladder level ``L`` corresponds to climbing with minimum
+precedence ``L + 1`` and both build left-associative trees, so the
+ASTs are identical node for node.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from typing import List, Optional, Set, Tuple
 
 from repro.errors import ParseError
 from repro.lang import ast_nodes as A
-from repro.perf import modes as engine_modes
 from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.lang.types import CType
 
@@ -36,18 +31,6 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 
 #: Tokens that continue a postfix expression (or start a call).
 _POSTFIX_START = {".", "->", "[", "++", "--", "("}
-
-#: Environment knob selecting the binary-expression engine.
-PARSER_ENV = engine_modes.knob("parser").env
-
-#: Recognized engine names (first is the default).
-PARSER_MODES = engine_modes.knob("parser").modes
-
-
-def resolve_parser_mode(explicit: Optional[str] = None) -> str:
-    """The engine to use: ``explicit`` arg, else $REPRO_PARSER, else climb."""
-    return engine_modes.resolve_mode("parser", explicit)
-
 
 #: Binary operator -> precedence (higher binds tighter); all left-assoc.
 _PRECEDENCE = {
@@ -63,12 +46,9 @@ _PRECEDENCE = {
 class Parser:
     """Parse one translation unit."""
 
-    def __init__(self, tokens: List[Token], filename: str = "<input>",
-                 mode: Optional[str] = None) -> None:
+    def __init__(self, tokens: List[Token], filename: str = "<input>") -> None:
         self.tokens = tokens
         self.filename = filename
-        self.mode = resolve_parser_mode(mode)
-        self._climb = self.mode == "climb"
         self.pos = 0
         self.typedef_names: Set[str] = set()
         self.enum_constants: Set[str] = set()
@@ -535,10 +515,7 @@ class Parser:
         return left
 
     def _parse_ternary(self) -> A.Expr:
-        if self._climb:
-            cond = self._parse_binary_climb(1)
-        else:
-            cond = self._parse_binary(0)
+        cond = self._parse_binary(1)
         if self._accept("?"):
             then = self._parse_assignment()
             self._expect(":")
@@ -546,39 +523,11 @@ class Parser:
             return A.Ternary(cond.line, cond, then, otherwise)
         return cond
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def _parse_binary(self, level: int) -> A.Expr:
-        """Reference engine: one recursion level per grammar level."""
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        expr = self._parse_binary(level + 1)
-        while True:
-            token = self._peek()
-            if token.kind is TokenKind.OP and token.text in ops:
-                self._next()
-                right = self._parse_binary(level + 1)
-                expr = A.Binary(expr.line, token.text, expr, right)
-            else:
-                return expr
-
-    def _parse_binary_climb(self, min_prec: int) -> A.Expr:
+    def _parse_binary(self, min_prec: int) -> A.Expr:
         """Precedence climbing over :data:`_PRECEDENCE`.
 
         Recursing with ``prec + 1`` for the right operand makes every
-        operator left-associative — the same trees the ladder builds.
+        operator left-associative.
         """
         expr = self._parse_unary()
         tokens = self.tokens
@@ -591,7 +540,7 @@ class Parser:
             if prec is None or prec < min_prec:
                 return expr
             self.pos += 1
-            right = self._parse_binary_climb(prec + 1)
+            right = self._parse_binary(prec + 1)
             expr = A.Binary(expr.line, token.text, expr, right)
 
     def _parse_unary(self) -> A.Expr:
@@ -720,13 +669,6 @@ class Parser:
         raise self._error(f"unexpected token {token.text!r} in expression")
 
 
-def parse(source: str, filename: str = "<input>",
-          lex_mode: Optional[str] = None,
-          parser_mode: Optional[str] = None) -> A.TranslationUnit:
-    """Tokenize and parse ``source`` into a translation unit.
-
-    ``lex_mode``/``parser_mode`` pick the scanner and binary-expression
-    engines (``None`` defers to ``$REPRO_LEX``/``$REPRO_PARSER``).
-    """
-    tokens = tokenize(source, filename, mode=lex_mode)
-    return Parser(tokens, filename, mode=parser_mode).parse_unit()
+def parse(source: str, filename: str = "<input>") -> A.TranslationUnit:
+    """Tokenize and parse ``source`` into a translation unit."""
+    return Parser(tokenize(source, filename), filename).parse_unit()

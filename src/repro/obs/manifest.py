@@ -2,8 +2,7 @@
 
 A manifest is the run-level complement of a span trace: one JSON
 document capturing everything needed to explain *why two runs differ*
-— corpus content hashes, the four engine-mode knobs
-(``REPRO_SOLVER``/``REPRO_LEX``/``REPRO_PARSER``/``REPRO_LATTICE``),
+— corpus content hashes, the engine-mode knobs (``REPRO_BACKEND``),
 the job count, the counter snapshot, wall time, and a digest of the
 dependency report.  ``repro-runs diff a.json b.json`` reads two
 manifests and prints exactly what differed; the digest comparison is
@@ -46,7 +45,7 @@ def report_digest(keys: Iterable[str]) -> str:
 
     Sorting first makes the digest a property of the dependency *set*,
     so any two runs extracting the same dependencies — sequential or
-    parallel, dense or sparse — produce the same digest.
+    parallel — produce the same digest.
     """
     digest = hashlib.sha256()
     for key in sorted(keys):
@@ -88,7 +87,7 @@ def build_manifest(tool: str,
     """Assemble the manifest dict for one finished run.
 
     ``engine_overrides`` records knobs the run pinned explicitly (e.g.
-    a ``--solver`` flag) that the environment-based resolution below
+    a ``--backend`` flag) that the environment-based resolution below
     would miss.  ``campaign`` (sampled-campaign runs only) records the
     sampler identity, shard layout and timings, snapshot-cache traffic,
     and the streaming campaign digest — the fields ``repro-runs diff``
@@ -160,6 +159,23 @@ def load_manifest(path: str) -> Dict[str, Any]:
 # diffing
 # ---------------------------------------------------------------------------
 
+#: Engine knobs that no longer exist, with the one engine that survived
+#: each.  A manifest written before a knob was retired records its
+#: value; a newer one omits the key and compares as the survivor, so a
+#: run on the old default diffs as equivalent while a run on a deleted
+#: mode (``solver: dense``) still shows up as a difference.
+RETIRED_ENGINE_KNOBS: Dict[str, str] = {
+    "transport": "shm",
+    "solver": "sparse",
+    "lex": "regex",
+    "parser": "climb",
+    "lattice": "intern",
+}
+
+
+def _engine_value(engine: Dict[str, Any], knob: str) -> Any:
+    return engine.get(knob, RETIRED_ENGINE_KNOBS.get(knob))
+
 
 def diff_manifests(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
     """Human-readable lines explaining how run ``b`` differs from ``a``.
@@ -176,8 +192,9 @@ def diff_manifests(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
 
     ea, eb = a.get("engine", {}), b.get("engine", {})
     for knob in sorted(set(ea) | set(eb)):
-        if ea.get(knob) != eb.get(knob):
-            lines.append(f"engine.{knob}: {ea.get(knob)} -> {eb.get(knob)}")
+        va, vb = _engine_value(ea, knob), _engine_value(eb, knob)
+        if va != vb:
+            lines.append(f"engine.{knob}: {va} -> {vb}")
 
     if a.get("jobs") != b.get("jobs"):
         lines.append(f"jobs: {a.get('jobs')} -> {b.get('jobs')}")

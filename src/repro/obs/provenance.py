@@ -131,8 +131,7 @@ class ProvenanceIndex:
 
     @classmethod
     def build(cls, scenarios: Optional[Sequence[Any]] = None,
-              report: Optional[Any] = None,
-              solver: Optional[str] = None) -> "ProvenanceIndex":
+              report: Optional[Any] = None) -> "ProvenanceIndex":
         """Analyze every pre-selected function of ``scenarios``.
 
         ``scenarios`` defaults to the Table-5 set; ``report`` is an
@@ -145,20 +144,19 @@ class ProvenanceIndex:
         for spec in (scenarios if scenarios is not None else SCENARIOS):
             for filename, functions in spec.selected:
                 for fn_name in functions:
-                    index._add_function(filename, fn_name, solver)
+                    index._add_function(filename, fn_name)
         if report is not None:
             index.link_report(report)
         return index
 
-    def _add_function(self, filename: str, fn_name: str,
-                      solver: Optional[str]) -> None:
+    def _add_function(self, filename: str, fn_name: str) -> None:
         key = (filename, fn_name)
         if key in self._functions:
             return
         unit = load_unit(filename)
         sources = SOURCES_BY_UNIT[filename]
         func = unit.module.function(fn_name)
-        state = analyze_function(func, sources, unit.component, solver=solver)
+        state = analyze_function(func, sources, unit.component)
         findings = derive_constraints(func, build_cfg(func), state, sources,
                                       unit.component, filename)
         self._functions[key] = (unit.component, state, findings)

@@ -1,9 +1,9 @@
 """Hash-consed (interned) label-set lattice with a memoized binary join.
 
 The taint solver's domain is "finite sets of labels ordered by
-inclusion".  The dense engine allocated a fresh ``frozenset`` on every
-transfer and compared by content; at fixpoint scale that is the hot
-allocation site of the whole analysis.  This module interns the sets:
+inclusion".  Allocating a fresh ``frozenset`` on every transfer and
+comparing by content makes that the hot allocation site of the whole
+analysis at fixpoint scale, so this module interns the sets:
 
 - :func:`intern_labels` returns one canonical object per distinct set
   content, so equal sets *are* the same object and "did this transfer
@@ -23,39 +23,14 @@ object per content (the solver's change detection relies on identity).
 The hit/miss tallies are deliberately unlocked — they are diagnostics,
 and a lost increment under thread races is acceptable where a lock on
 the join fast path is not.
-
-``$REPRO_LATTICE`` selects between two modes:
-
-- ``intern`` (default) — the hash-consed lattice described above;
-- ``plain`` — the legacy allocation behaviour this PR replaced: every
-  join builds a fresh ``frozenset`` and callers compare by content.
-  It exists so the cold-path benchmark can measure the dense baseline
-  as it actually was, and as a differential check that interning is
-  purely an optimization.
-
-Both modes produce content-identical label sets; only object identity
-and allocation behaviour differ.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, TypeVar
+from typing import Dict, FrozenSet, Iterable, Tuple, TypeVar
 
 L = TypeVar("L")
-
-from repro.perf import modes as engine_modes
-
-#: Environment knob selecting the lattice implementation.
-LATTICE_ENV = engine_modes.knob("lattice").env
-
-#: Recognized lattice modes (first is the default).
-LATTICE_MODES = engine_modes.knob("lattice").modes
-
-
-def resolve_lattice_mode(explicit: Optional[str] = None) -> str:
-    """The mode to use: ``explicit`` arg, else $REPRO_LATTICE, else intern."""
-    return engine_modes.resolve_mode("lattice", explicit)
 
 _LOCK = threading.Lock()
 
@@ -73,7 +48,7 @@ _INTERN[EMPTY] = EMPTY
 _HITS = {"intern.hit": 0, "intern.miss": 0, "join.hit": 0, "join.miss": 0}
 
 
-def _intern_labels_interned(labels: Iterable[L]) -> FrozenSet[L]:
+def intern_labels(labels: Iterable[L]) -> FrozenSet[L]:
     """The canonical frozenset whose content equals ``labels``."""
     content = labels if isinstance(labels, frozenset) else frozenset(labels)
     canonical = _INTERN.get(content)
@@ -86,7 +61,7 @@ def _intern_labels_interned(labels: Iterable[L]) -> FrozenSet[L]:
     return canonical
 
 
-def _join_interned(a: FrozenSet[L], b: FrozenSet[L]) -> FrozenSet[L]:
+def join(a: FrozenSet[L], b: FrozenSet[L]) -> FrozenSet[L]:
     """Canonical ``a | b`` for two *canonical* sets (memoized)."""
     if a is b:
         return a
@@ -99,57 +74,10 @@ def _join_interned(a: FrozenSet[L], b: FrozenSet[L]) -> FrozenSet[L]:
     if merged is not None:
         _HITS["join.hit"] += 1
         return merged
-    merged = _intern_labels_interned(a | b)
+    merged = intern_labels(a | b)
     _JOIN[key] = merged
     _HITS["join.miss"] += 1
     return merged
-
-
-def _intern_labels_plain(labels: Iterable[L]) -> FrozenSet[L]:
-    """Legacy behaviour: a frozenset of the content, nothing shared."""
-    return labels if isinstance(labels, frozenset) else frozenset(labels)
-
-
-def _join_plain(a: FrozenSet[L], b: FrozenSet[L]) -> FrozenSet[L]:
-    """Legacy behaviour: a fresh union allocation on every join."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return a | b
-
-
-#: The active implementations; rebind through :func:`apply_mode` only.
-intern_labels = _intern_labels_interned
-join = _join_interned
-_MODE = "intern"
-
-
-def mode() -> str:
-    """The active lattice mode ('intern' or 'plain')."""
-    return _MODE
-
-
-def apply_mode(new_mode: Optional[str] = None) -> str:
-    """Switch the active implementations; returns the mode applied.
-
-    ``None`` re-reads ``$REPRO_LATTICE``.  Rebinding module attributes
-    is atomic under the GIL, and every caller accesses the functions
-    through the module, so the switch takes effect immediately.  The
-    tables are left alone — stale canonical sets stay content-correct
-    in plain mode, and interned mode re-fills them on demand.
-    """
-    global _MODE, intern_labels, join
-    resolved = resolve_lattice_mode(new_mode)
-    if resolved != _MODE:
-        if resolved == "plain":
-            intern_labels = _intern_labels_plain
-            join = _join_plain
-        else:
-            intern_labels = _intern_labels_interned
-            join = _join_interned
-        _MODE = resolved
-    return resolved
 
 
 def is_interned(labels: FrozenSet) -> bool:

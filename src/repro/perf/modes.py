@@ -1,13 +1,10 @@
 """Single source of truth for the engine-mode knobs.
 
-Every switchable engine in the pipeline — taint solver, lexer, parser,
-label lattice, campaign shard backend — follows the same contract: an
-explicit argument wins, else a ``REPRO_*`` environment variable, else
-the first (default) mode; anything else is a loud error.  That
-resolution logic used to be restated in each engine module and again in
-:mod:`repro.obs.manifest`; this module holds the one knob registry they
-all delegate to, so adding a knob (or changing a default) happens in
-exactly one place.
+Each analysis stage has exactly one engine, so the only switchable
+mode left is where sampled-campaign shards run (``backend``).  A knob
+follows one contract: an explicit argument wins, else its ``REPRO_*``
+environment variable, else the first (default) mode; anything else is
+a loud error.
 
 The registry also powers two consumers that need *all* knobs at once:
 
@@ -41,10 +38,6 @@ class Knob:
 #: The engine-mode registry.  Order is presentation order (manifests,
 #: docs); the first mode of each knob is its default.
 KNOBS: Tuple[Knob, ...] = (
-    Knob("solver", "REPRO_SOLVER", ("sparse", "dense")),
-    Knob("lex", "REPRO_LEX", ("regex", "scan")),
-    Knob("parser", "REPRO_PARSER", ("climb", "ladder")),
-    Knob("lattice", "REPRO_LATTICE", ("intern", "plain")),
     # Where sampled-campaign shards run; extraction is always in-process.
     Knob("backend", "REPRO_BACKEND", ("thread", "process")),
 )

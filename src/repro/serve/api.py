@@ -61,10 +61,6 @@ from repro.serve.worker import RequestError, submit_request
 #: Cap on long-poll waits so a stuck client cannot pin an API thread.
 MAX_WAIT_SECONDS = 60.0
 
-#: Seconds between run-row re-reads while long-polling *without* a
-#: queue watcher (``watch=False``); with one, waits are event-driven.
-_WAIT_POLL_SECONDS = 0.05
-
 #: Upload size cap (corpus sources are tens of KB; 8 MB is generous).
 MAX_BODY_BYTES = 8 << 20
 
@@ -336,8 +332,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                   query: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """The run row, long-polled to a terminal state when asked.
 
-        With a queue watcher the wait is event-driven: take a change
-        token, re-read the row (*after* the token, so a completion
+        The wait is event-driven: take a change token from the queue
+        watcher, re-read the row (*after* the token, so a completion
         racing the read is never missed — at worst the wakeup is
         spurious), and block on the shared condition variable until
         the database changes or the deadline lapses.
@@ -356,14 +352,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            if watcher is None:
-                time.sleep(min(_WAIT_POLL_SECONDS, remaining))
-            else:
-                token = watcher.token()
-                run = self.queue.get(run_id)
-                if run is None or run["status"] in (DONE, FAILED):
-                    break
-                watcher.wait(token, remaining)
+            token = watcher.token()
+            run = self.queue.get(run_id)
+            if run is None or run["status"] in (DONE, FAILED):
+                break
+            watcher.wait(token, remaining)
             run = self.queue.get(run_id)
         return run
 
@@ -419,7 +412,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     str(run["result"].get("exit_code", 0))),)
         cache = self.cache
         if cache is None:
-            # Baseline shape (cache disabled): plain 200, no validator.
+            # Cache disabled: plain 200, no validator.
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
@@ -506,16 +499,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 class Service(ThreadingHTTPServer):
     """The HTTP front end bound to one queue + corpus store.
 
-    Hot-path knobs (all default on; each has an env override so the
-    deployed service is tunable without code):
-
-    - ``cache_bytes`` — :class:`HotCache` budget for finished-run
-      result/manifest bytes (``REPRO_SERVE_CACHE_BYTES``; 0 disables
-      the cache *and* ``ETag`` emission — the benchmark baseline);
-    - ``pooling`` — per-thread DB connection reuse in the queue
-      (``REPRO_SERVE_POOL=0`` disables);
-    - ``watch`` — the single :class:`QueueWatcher` behind event-driven
-      long-polls (``REPRO_SERVE_WATCH=0`` falls back to sleep-polls).
+    The queue keeps one DB connection per thread, and long-polls ride
+    a single shared :class:`QueueWatcher`.  ``cache_bytes`` is the
+    :class:`HotCache` budget for finished-run result/manifest bytes
+    (``REPRO_SERVE_CACHE_BYTES`` overrides the default; 0 disables the
+    cache *and* ``ETag`` emission).
     """
 
     daemon_threads = True
@@ -526,27 +514,20 @@ class Service(ThreadingHTTPServer):
 
     def __init__(self, address: Tuple[str, int], db_path: str,
                  data_dir: str, verbose: bool = False,
-                 cache_bytes: Optional[int] = None,
-                 pooling: Optional[bool] = None,
-                 watch: Optional[bool] = None) -> None:
+                 cache_bytes: Optional[int] = None) -> None:
         super().__init__(address, ServiceHandler)
-        self.queue = RunQueue(db_path, pooling=pooling)
+        self.queue = RunQueue(db_path)
         self.store = CorpusStore(data_dir)
         self.verbose = verbose
         if cache_bytes is None:
             cache_bytes = int(os.environ.get("REPRO_SERVE_CACHE_BYTES",
                                              DEFAULT_CACHE_BYTES))
         self.cache = HotCache(cache_bytes) if cache_bytes > 0 else None
-        if watch is None:
-            watch = os.environ.get("REPRO_SERVE_WATCH", "1") != "0"
-        self._watch = bool(watch)
         self._watcher: Optional[QueueWatcher] = None
         self._watcher_lock = threading.Lock()
 
-    def get_watcher(self) -> Optional[QueueWatcher]:
-        """The shared queue watcher, started on first use (or None)."""
-        if not self._watch:
-            return None
+    def get_watcher(self) -> QueueWatcher:
+        """The shared queue watcher, started on first use."""
         with self._watcher_lock:
             if self._watcher is None:
                 self._watcher = QueueWatcher(self.queue)
@@ -573,9 +554,8 @@ def start_in_thread(db_path: str, data_dir: str,
                     **kwargs: Any) -> Tuple[Service, threading.Thread]:
     """Boot a service on a background thread (tests and benchmarks).
 
-    Extra keyword arguments (``cache_bytes``, ``pooling``, ``watch``)
-    pass through to :class:`Service` so benchmarks can boot the
-    baseline configuration next to the hot one.
+    Extra keyword arguments (``cache_bytes``) pass through to
+    :class:`Service`.
     """
     service = Service((host, port), db_path, data_dir, **kwargs)
     thread = threading.Thread(target=service.serve_forever,

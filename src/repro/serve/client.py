@@ -5,7 +5,7 @@ Thin by design: every method is one request, JSON in / JSON out, with
 surface as :class:`ServiceError` carrying the HTTP status and the
 server's ``error`` message, so callers never parse HTML tracebacks.
 
-Two hot-path behaviours (both on by default, both switchable):
+Two hot-path behaviours:
 
 - **keep-alive**: one persistent ``http.client.HTTPConnection`` per
   thread instead of a fresh TCP connect per call.  The server is a
@@ -50,14 +50,9 @@ class ServiceError(RuntimeError):
 class ServiceClient:
     """One service endpoint, addressed by base URL."""
 
-    def __init__(self, base_url: str, timeout: float = 30.0,
-                 conditional: bool = True, keepalive: bool = True) -> None:
+    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.conditional = conditional
-        #: ``keepalive=False`` reconnects per request — the benchmark
-        #: baseline against which connection reuse is measured.
-        self.keepalive = keepalive
         #: Conditional-GET hits answered from remembered bytes.
         self.not_modified = 0
         split = urlsplit(self.base_url)
@@ -115,17 +110,14 @@ class ServiceClient:
         url = self._prefix + path
         last_error: Optional[Exception] = None
         for attempt in (0, 1):
-            conn = self._connection(fresh=attempt > 0 or not self.keepalive)
+            conn = self._connection(fresh=attempt > 0)
             try:
                 conn.request(method, url, body=body, headers=send_headers)
                 response = conn.getresponse()
                 payload = response.read()
-                result = (response.status,
-                          {k.title(): v for k, v in response.getheaders()},
-                          payload)
-                if not self.keepalive:
-                    self.close()
-                return result
+                return (response.status,
+                        {k.title(): v for k, v in response.getheaders()},
+                        payload)
             except (http.client.HTTPException, ConnectionError,
                     OSError) as exc:
                 # A stale keep-alive socket fails here; one fresh
@@ -154,15 +146,13 @@ class ServiceClient:
                          path: str) -> Tuple[bytes, Dict[str, str]]:
         """GET with ``If-None-Match`` revalidation from remembered bytes."""
         key = (kind, run_id)
-        remembered: Optional[Tuple[str, bytes]] = None
         headers: Dict[str, str] = {}
-        if self.conditional:
-            with self._etag_lock:
-                remembered = self._etags.get(key)
-                if remembered is not None:
-                    self._etags.move_to_end(key)
+        with self._etag_lock:
+            remembered = self._etags.get(key)
             if remembered is not None:
-                headers["If-None-Match"] = remembered[0]
+                self._etags.move_to_end(key)
+        if remembered is not None:
+            headers["If-None-Match"] = remembered[0]
         status, resp_headers, body = self._http("GET", path, headers=headers)
         if status == 304 and remembered is not None:
             self.not_modified += 1
@@ -174,7 +164,7 @@ class ServiceClient:
                 message = body.decode("utf-8", "replace")[:200]
             raise ServiceError(status, message)
         etag = resp_headers.get("Etag")
-        if self.conditional and etag:
+        if etag:
             with self._etag_lock:
                 self._etags[key] = (etag, body)
                 self._etags.move_to_end(key)

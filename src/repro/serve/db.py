@@ -79,7 +79,7 @@ import os
 import sqlite3
 import threading
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import servicelog
@@ -176,16 +176,11 @@ class RunQueue:
     One instance may be shared across API threads — each thread gets
     its own cached connection (see :meth:`_conn`) — and separate
     instances in separate worker processes coordinate through the same
-    file.  ``pooling=False`` restores the original
-    connection-per-call behaviour (the benchmark baseline, also useful
-    when debugging locking issues).
+    file.
     """
 
-    def __init__(self, path: str, pooling: Optional[bool] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        if pooling is None:
-            pooling = os.environ.get("REPRO_SERVE_POOL", "1") != "0"
-        self.pooling = bool(pooling)
         self._local = threading.local()
         self._pool_lock = threading.Lock()
         self._pool: Dict[int, sqlite3.Connection] = {}
@@ -261,17 +256,13 @@ class RunQueue:
 
     @contextmanager
     def _conn(self) -> Iterator[sqlite3.Connection]:
-        """This thread's cached connection (or a throwaway one).
+        """This thread's cached connection.
 
         On error the cached connection is rolled back — a reused
         handle must never carry a half-open transaction into the next
         call — and if even the rollback fails the handle is retired so
         the next call starts fresh.
         """
-        if not self.pooling:
-            with closing(self._connect()) as conn:
-                yield conn
-            return
         conn = self._cached_conn()
         try:
             yield conn
@@ -762,8 +753,8 @@ class QueueWatcher:
     def _run(self) -> None:
         # A dedicated connection: data_version is per-connection state
         # (it counts commits made by *other* connections), so the
-        # baseline must live on one persistent handle — the pool's
-        # per-call baseline mode would reset it every read.
+        # baseline must live on one persistent handle that no API
+        # thread ever commits through.
         try:
             conn = self.queue._connect()
         except sqlite3.Error:

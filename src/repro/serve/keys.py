@@ -56,7 +56,7 @@ def request_key(tool: str,
     would analyze); ``engine`` is the fully resolved mode dict
     (:func:`repro.perf.modes.resolve_modes` with the request's pinned
     knobs applied).  Any difference that could change what executes —
-    a corpus edit, a flipped solver, an extra param — changes the key;
+    a corpus edit, a flipped backend, an extra param — changes the key;
     anything that cannot (submission time, client identity, which API
     thread handled it) is absent from it.
     """

@@ -64,8 +64,9 @@ DEFAULT_POLL_SECONDS = 0.2
 #: Seconds between worker heartbeat upserts while idle.
 HEARTBEAT_SECONDS = 5.0
 
-#: Event-driven idle cap: with a queue watcher, the claim query only
-#: reruns on a database change, with a safety-net re-poll this often.
+#: Event-driven idle cap: the claim query only reruns on a database
+#: change (seen by the queue watcher), with a safety-net re-poll this
+#: often.
 IDLE_WAIT_SECONDS = 5.0
 
 #: Slice width for the stop-aware idle wait — bounds both shutdown
@@ -139,7 +140,6 @@ TOOLS: Dict[str, ToolSpec] = {
     "extract": ToolSpec("extract", "main_extract", {
         "jobs": (int, _opt("--jobs")),
         "list": (bool, _flag("--list")),
-        "solver": (str, _opt("--solver")),
     }),
     "condocck": ToolSpec("condocck", "main_condocck", {}),
     "conhandleck": ToolSpec("conhandleck", "main_conhandleck", {
@@ -180,10 +180,8 @@ def resolved_engine(params: Dict[str, Any]) -> Dict[str, str]:
     """
     from repro.perf import modes
 
-    overrides = {knob: params.get(knob)
-                 for knob in ("solver", "backend")}
     try:
-        return modes.resolve_modes(overrides)
+        return modes.resolve_modes({"backend": params.get("backend")})
     except ValueError as exc:
         raise RequestError(str(exc)) from None
 
@@ -282,8 +280,7 @@ class Worker:
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  poll_seconds: float = DEFAULT_POLL_SECONDS,
-                 exec_slots: Optional[int] = None,
-                 watch: Optional[bool] = None) -> None:
+                 exec_slots: Optional[int] = None) -> None:
         self.queue = RunQueue(db_path)
         self.store = CorpusStore(data_dir)
         self.data_dir = data_dir
@@ -294,9 +291,6 @@ class Worker:
         if exec_slots is None:
             exec_slots = int(os.environ.get("REPRO_SERVE_SLOTS", "1") or 1)
         self.exec_slots = max(1, exec_slots)
-        if watch is None:
-            watch = os.environ.get("REPRO_SERVE_WATCH", "1") != "0"
-        self.watch = bool(watch)
         self.jobs_done = 0
         self.jobs_failed = 0
         self.batches = 0
@@ -568,9 +562,7 @@ class Worker:
 
     # -- the long-running loop ------------------------------------------
 
-    def _get_watcher(self) -> Optional[QueueWatcher]:
-        if not self.watch:
-            return None
+    def _get_watcher(self) -> QueueWatcher:
         if self._watcher is None:
             self._watcher = QueueWatcher(self.queue)
         if not self._watcher.running:
@@ -580,19 +572,12 @@ class Worker:
     def _idle_wait(self, stop: Optional[threading.Event]) -> None:
         """Block until the queue may have work (or the poll cap).
 
-        With a watcher the claim query only reruns when the database
-        actually changed (or every :data:`IDLE_WAIT_SECONDS` as a
-        safety net); without one this is the plain poll sleep.  Either
-        way ``stop`` interrupts the wait immediately — shutdown never
-        waits out a poll interval.
+        The claim query only reruns when the database actually changed
+        (or every :data:`IDLE_WAIT_SECONDS` as a safety net), and
+        ``stop`` interrupts the wait — shutdown never waits out a poll
+        interval.
         """
         watcher = self._get_watcher()
-        if watcher is None:
-            if stop is not None:
-                stop.wait(self.poll_seconds)
-            else:
-                time.sleep(self.poll_seconds)
-            return
         token = watcher.token()
         deadline = time.monotonic() + max(self.poll_seconds,
                                           IDLE_WAIT_SECONDS)

@@ -6,8 +6,7 @@ campaign process pool.
 - the compact binary codec: round-trips, aliasing preservation, loud
   corruption, the closed type registry, schema fingerprint stability;
 - the analysis store: hit/miss/error accounting, corrupt-entry
-  tolerance, key sensitivity (frontend version, engine modes, source
-  slice), ``clear_cache(disk=True)`` coverage;
+  tolerance, key sensitivity (frontend version, source slice), ``clear_cache(disk=True)`` coverage;
 - the invalidation graph: the two-wave (changed + bridge-neighbor)
   eager prune;
 - end-to-end: pinned golden digests of the extraction, thread and
@@ -87,16 +86,16 @@ class TestModes:
         monkeypatch.setenv("REPRO_BACKEND", "fork")
         with pytest.raises(ValueError, match="unknown backend mode"):
             modes.resolve_mode("backend")
-        with pytest.raises(ValueError):
-            modes.resolve_mode("solver", "quantum")
+        # A retired knob is no knob at all, not a silent default.
+        with pytest.raises(KeyError):
+            modes.resolve_mode("solver", "sparse")
 
     def test_resolve_modes_covers_every_knob(self, monkeypatch):
         for knob in modes.KNOBS:
             monkeypatch.delenv(knob.env, raising=False)
         resolved = modes.resolve_modes({"backend": "process"})
-        assert set(resolved) == {k.name for k in modes.KNOBS}
+        assert set(resolved) == {k.name for k in modes.KNOBS} == {"backend"}
         assert resolved["backend"] == "process"
-        assert resolved["solver"] == "sparse"
 
     def test_env_signature_tracks_repro_vars_only(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -247,12 +246,10 @@ class TestAnalysisStore:
         from repro.corpus import cache as disk
 
         base = dict(filename="mount.c", function="parse_opts",
-                    slice_hash="s1", sources_fp="f1", component="mount",
-                    solver="sparse", lattice_mode="intern")
+                    slice_hash="s1", sources_fp="f1", component="mount")
         key = disk.analysis_key(**base)
         assert disk.analysis_key(**base) == key  # deterministic
-        for field, value in [("slice_hash", "s2"), ("solver", "dense"),
-                             ("lattice_mode", "plain"),
+        for field, value in [("slice_hash", "s2"),
                              ("function", "other"), ("filename", "e2fsck.c"),
                              ("sources_fp", "f2"), ("component", "fsck")]:
             assert disk.analysis_key(**{**base, field: value}) != key
@@ -361,7 +358,7 @@ class TestPinnedExtraction:
     STDOUT = ("c354627cdce6765fc4259b1d1c1acdb4"
               "8b7119d13e04c7877d0dcb9d6233ae1c")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_report_digest(self, jobs):
         from repro.analysis.extractor import extract_all
 

@@ -73,7 +73,7 @@ class TestCheckerClis:
 
 
 class TestRetiredFlags:
-    """Flags of the deleted extraction process backend fail loudly."""
+    """Flags of deleted engines and service modes fail loudly."""
 
     @pytest.mark.parametrize("main", [main_extract, main_conhandleck,
                                       main_conbugck])
@@ -89,3 +89,18 @@ class TestRetiredFlags:
             main_extract(["--backend", "process"])
         assert exc.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["sparse", "dense"])
+    def test_extract_solver_is_an_argparse_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_extract(["--solver", value])
+        assert exc.value.code == 2
+        assert "--solver" in capsys.readouterr().err
+
+    def test_serve_no_pool_is_an_argparse_error(self, capsys):
+        from repro.cli_service import main_serve
+
+        with pytest.raises(SystemExit) as exc:
+            main_serve(["--no-pool"])
+        assert exc.value.code == 2
+        assert "--no-pool" in capsys.readouterr().err

@@ -115,7 +115,7 @@ class TestSnapshotCacheConcurrency:
 
 def _an_key(tag):
     return cache.analysis_key("unit.c", f"fn_{tag}", "s" * 8, "f" * 8,
-                              "comp", "dense", "eager")
+                              "comp")
 
 
 class TestAnalysisStoreConcurrency:

@@ -39,7 +39,7 @@ from repro.serve import runtrace
 from repro.serve.db import DONE, RunQueue
 from repro.serve.worker import Worker, submit_request
 
-ENGINE = {"solver": "dense", "backend": "inline"}
+ENGINE = {"backend": "inline"}
 
 
 # ---------------------------------------------------------------------------

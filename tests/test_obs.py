@@ -356,16 +356,16 @@ def test_manifest_build_write_load(tmp_path):
     assert loaded["tool"] == "repro-extract"
     assert loaded["report"]["count"] == 2
     assert loaded["report"]["digest"] == manifest.report_digest(["a", "b"])
-    assert set(loaded["engine"]) == {"solver", "lex", "parser", "lattice",
-                                     "backend"}
+    assert set(loaded["engine"]) == {"backend"}
     assert len(loaded["corpus"]) == 9
 
 
 def test_manifest_schema_rejects_bad_engine_mode(tmp_path):
-    m = manifest.build_manifest("t", wall_seconds=0.0)
-    m["engine"]["solver"] = "quantum"
-    with pytest.raises(SchemaError):
-        manifest.write_manifest(m, str(tmp_path / "bad.json"))
+    for knob in ("backend", "solver"):  # live and retired knobs alike
+        m = manifest.build_manifest("t", wall_seconds=0.0)
+        m["engine"][knob] = "quantum"
+        with pytest.raises(SchemaError):
+            manifest.write_manifest(m, str(tmp_path / "bad.json"))
 
 
 def test_manifest_diff_flags_solver_and_digest():
@@ -385,6 +385,49 @@ def test_manifest_diff_flags_solver_and_digest():
     d = manifest.build_manifest("t", 1.0, report_keys=["x"])
     assert any(line.startswith("report.digest:")
                for line in manifest.diff_manifests(a, d))
+
+
+#: The engine section manifests recorded before the solver, lexer,
+#: parser, lattice and transport knobs were retired (their defaults).
+_RETIRED_DEFAULTS = {"solver": "sparse", "lex": "regex", "parser": "climb",
+                     "lattice": "intern", "transport": "shm"}
+
+
+def _write_pair(tmp_path, old_engine):
+    new = manifest.build_manifest("t", 1.0, report_keys=["x", "y"])
+    old = json.loads(json.dumps(new))
+    old["engine"].update(old_engine)
+    paths = str(tmp_path / "old.json"), str(tmp_path / "new.json")
+    manifest.write_manifest(old, paths[0])
+    manifest.write_manifest(new, paths[1])
+    return paths
+
+
+def test_retired_knobs_at_their_survivor_diff_as_equivalent(tmp_path,
+                                                            capsys):
+    from repro.cli import main_runs
+
+    old, new = _write_pair(tmp_path, _RETIRED_DEFAULTS)
+    diff = manifest.diff_manifests(manifest.load_manifest(old),
+                                   manifest.load_manifest(new))
+    assert not any(line.startswith("engine.") for line in diff)
+    assert manifest.manifests_equivalent(diff)
+    assert main_runs(["diff", old, new]) == 0
+    assert "runs are equivalent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("knob,mode", [
+    ("solver", "dense"), ("lex", "scan"), ("parser", "ladder"),
+    ("lattice", "plain"), ("transport", "pickle"),
+])
+def test_retired_knob_on_a_deleted_mode_still_differs(tmp_path, capsys,
+                                                      knob, mode):
+    from repro.cli import main_runs
+
+    old, new = _write_pair(tmp_path, {**_RETIRED_DEFAULTS, knob: mode})
+    survivor = manifest.RETIRED_ENGINE_KNOBS[knob]
+    assert main_runs(["diff", old, new]) == 1
+    assert f"engine.{knob}: {mode} -> {survivor}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +540,18 @@ def test_cli_manifest_digest_matches_report(tmp_path, capsys,
 
 
 def test_cli_runs_diff(tmp_path, capsys):
-    from repro.cli import main_extract, main_runs
+    from repro.cli import main_conbugck, main_runs
 
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main_extract(["--manifest", a, "--solver", "sparse"]) == 0
-    assert main_extract(["--manifest", b, "--solver", "dense"]) == 0
+    assert main_conbugck(["--manifest", a, "--backend", "thread"]) == 0
+    assert main_conbugck(["--manifest", b, "--backend", "process"]) == 0
     capsys.readouterr()
     rc = main_runs(["diff", a, b])
     out, _err = capsys.readouterr()
     assert rc == 1
-    assert "engine.solver: sparse -> dense" in out
+    assert "engine.backend: thread -> process" in out
     # Same modes -> equivalent, exit 0.
-    assert main_extract(["--manifest", b, "--solver", "sparse"]) == 0
+    assert main_conbugck(["--manifest", b, "--backend", "thread"]) == 0
     capsys.readouterr()
     rc = main_runs(["diff", a, b])
     out, _err = capsys.readouterr()

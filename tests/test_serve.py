@@ -38,7 +38,7 @@ from repro.serve.worker import (RequestError, Worker, resolved_engine,
                                 submit_request, validate_request)
 
 CORPUS = {"mount.c": "a" * 64, "super.c": "b" * 64}
-ENGINE = {"solver": "dense", "backend": "inline"}
+ENGINE = {"backend": "inline"}
 
 
 @pytest.fixture
@@ -95,7 +95,7 @@ class TestRequestKeys:
         lambda t, p, c, e: ("condocck", p, c, e),
         lambda t, p, c, e: (t, {"jobs": 2}, c, e),
         lambda t, p, c, e: (t, p, {**c, "mount.c": "c" * 64}, e),
-        lambda t, p, c, e: (t, p, c, {**e, "solver": "sparse"}),
+        lambda t, p, c, e: (t, p, c, {**e, "backend": "process"}),
     ])
     def test_any_content_difference_changes_the_key(self, mutate):
         base = ("extract", {"jobs": 1}, CORPUS, ENGINE)
@@ -167,7 +167,7 @@ class TestRunQueue:
     def test_batch_shares_engine_and_corpus(self, queue):
         ids = submit_n(queue, 2)
         other_engine = submit_n(queue, 1, params={"i": 9},
-                                engine={**ENGINE, "solver": "sparse"})
+                                engine={**ENGINE, "backend": "process"})
         other_corpus = submit_n(queue, 1, params={"i": 10},
                                 corpus_id="c" * 32)
         batch = queue.claim_batch("w1", limit=10)
@@ -283,11 +283,15 @@ class TestValidateRequest:
 
     def test_resolved_engine_rejects_bad_modes(self):
         with pytest.raises(RequestError):
-            resolved_engine({"solver": "quantum"})
+            resolved_engine({"backend": "quantum"})
 
     def test_resolved_engine_pins_request_knobs(self):
-        engine = resolved_engine({"solver": "sparse"})
-        assert engine["solver"] == "sparse"
+        engine = resolved_engine({"backend": "process"})
+        assert engine == {"backend": "process"}
+
+    def test_retired_solver_param_is_rejected(self):
+        with pytest.raises(RequestError, match="does not accept"):
+            validate_request("extract", {"solver": "sparse"})
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +457,7 @@ class TestServiceAPI:
 
         for payload in (("frobnicate", None), ("extract", {"jobs": "x"}),
                         ("extract", {"transport": "shm"}),
+                        ("extract", {"solver": "sparse"}),
                         ("conbugck", {"sample": "random",
                                       "transport": "pickle"})):
             with pytest.raises(ServiceError) as err:

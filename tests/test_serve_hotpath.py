@@ -4,9 +4,9 @@ Covers the tier-10 surface (connection reuse, the hot-result cache
 with ``ETag``/``If-None-Match`` revalidation, event-driven long-polls,
 and concurrent worker execution):
 
-- the per-thread connection pool (:class:`repro.serve.db.RunQueue`
-  with ``pooling`` on): reuse across calls, graceful invalidation on
-  :meth:`close`, the fork/pid guard, and the per-call baseline mode;
+- the per-thread connection pool (:class:`repro.serve.db.RunQueue`):
+  reuse across calls, graceful invalidation on :meth:`close`, and the
+  fork/pid guard;
 - :class:`repro.serve.db.QueueWatcher`: wakeups on commit, timeout
   semantics, clean stop;
 - :class:`repro.serve.api.HotCache`: byte-bounded LRU eviction and
@@ -15,9 +15,12 @@ and concurrent worker execution):
   duplicate submissions, bodyless ``304`` on ``If-None-Match``,
   eviction falling back to a correct ``200``, no validator at all in
   the cache-disabled baseline;
-- the client side: remembered-bytes revalidation (``not_modified``),
-  the reconnect-per-request baseline mode, and ``wait``/``wait_done``
-  timeout semantics under the event-driven wakeup path;
+- the client side: remembered-bytes revalidation (``not_modified``)
+  and ``wait``/``wait_done`` timeout semantics under the event-driven
+  wakeup path;
+- the warm read workload's work counters: no new DB connections,
+  every result/manifest read a hot-cache hit answered with a ``304``,
+  one kept-alive client connection throughout;
 - concurrent worker execution: thread-routed output capture, a
   two-slot worker completing a compatible batch with per-job results
   intact and byte-identical to a one-slot worker's.
@@ -38,7 +41,7 @@ from repro.serve.api import HotCache
 from repro.serve.db import DONE, QUEUED, QueueWatcher, RunQueue
 from repro.serve.worker import Worker, capture_output, submit_request
 
-ENGINE = {"solver": "dense", "backend": "inline"}
+ENGINE = {"backend": "inline"}
 
 
 @pytest.fixture
@@ -51,7 +54,6 @@ def service_dir(tmp_path):
 def make_worker(service_dir, **kwargs):
     db = os.path.join(service_dir, "service.db")
     kwargs.setdefault("worker_id", "test-worker")
-    kwargs.setdefault("watch", False)
     return Worker(db, service_dir, **kwargs)
 
 
@@ -70,7 +72,7 @@ class TestConnectionPool:
             counter("serve.db.conn_reuse")
         # Schema setup inside __init__ opens this thread's pooled
         # connection; every later call on the thread reuses it.
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=True)
+        queue = RunQueue(str(tmp_path / "q.db"))
         queue.submit("k1", "demo", {}, ENGINE)
         for _ in range(5):
             queue.stats()
@@ -79,7 +81,7 @@ class TestConnectionPool:
         queue.close()
 
     def test_close_invalidates_then_reopens(self, tmp_path):
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=True)
+        queue = RunQueue(str(tmp_path / "q.db"))
         queue.submit("k1", "demo", {}, ENGINE)
         queue.close()
         opened = counter("serve.db.conn_opened")
@@ -90,7 +92,7 @@ class TestConnectionPool:
         queue.close()
 
     def test_each_thread_gets_its_own_connection(self, tmp_path):
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=True)
+        queue = RunQueue(str(tmp_path / "q.db"))
         queue.submit("k1", "demo", {}, ENGINE)
         opened = counter("serve.db.conn_opened")
         seen = []
@@ -111,7 +113,7 @@ class TestConnectionPool:
                                                      monkeypatch):
         import repro.serve.db as db_module
 
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=True)
+        queue = RunQueue(str(tmp_path / "q.db"))
         queue.submit("k1", "demo", {}, ENGINE)
         inherited = queue._local.holder.conn
         real_pid = os.getpid()
@@ -124,17 +126,8 @@ class TestConnectionPool:
         inherited.execute("SELECT 1")  # still usable: never closed
         queue.close()
 
-    def test_pooling_off_uses_throwaway_connections(self, tmp_path):
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=False)
-        queue.submit("k1", "demo", {}, ENGINE)
-        reused = counter("serve.db.conn_reuse")
-        for _ in range(3):
-            assert queue.get("k1")["status"] == QUEUED
-        assert counter("serve.db.conn_reuse") == reused
-        queue.close()
-
     def test_error_rolls_back_the_cached_connection(self, tmp_path):
-        queue = RunQueue(str(tmp_path / "q.db"), pooling=True)
+        queue = RunQueue(str(tmp_path / "q.db"))
         with pytest.raises(sqlite3.Error):
             with queue._conn() as conn:
                 conn.execute("BEGIN IMMEDIATE")
@@ -385,18 +378,46 @@ class TestClientConditional:
             service.shutdown()
             service.server_close()
 
-    def test_reconnect_per_request_baseline_works(self, service_dir):
+
+class TestWarmReadCounters:
+    """The read hot path, gated on work counters instead of wall clock.
+
+    N rounds of result, manifest and run-row reads through one warm
+    client: each layer of the hot path must show up in its counter.
+    """
+
+    N = 20
+
+    def test_warm_reads_reuse_everything(self, service_dir):
         run_id = _finish_one(service_dir)
         service, _thread = _boot(service_dir)
         try:
             from repro.serve.client import ServiceClient
 
-            keepalive = ServiceClient(service.url)
-            baseline = ServiceClient(service.url, conditional=False,
-                                     keepalive=False)
-            assert baseline.result_bytes(run_id) == \
-                keepalive.result_bytes(run_id)
-            assert baseline.not_modified == 0
+            client = ServiceClient(service.url)
+            # Warm-up: fills the hot cache, the client's remembered
+            # ETags, and this connection's server-thread DB handle.
+            result = client.result_bytes(run_id)
+            manifest = client.manifest(run_id)
+            assert client.run(run_id)["status"] == DONE
+            conn = client._local.conn
+            opened = counter("serve.db.conn_opened")
+            reused = counter("serve.db.conn_reuse")
+            hits = counter("serve.cache.hits")
+            not_modified = client.not_modified
+            for _ in range(self.N):
+                assert client.result_bytes(run_id) == result
+                assert client.manifest(run_id) == manifest
+                assert client.run(run_id)["status"] == DONE
+            # Connection reuse on both sides: no DB handle opened, every
+            # run-row read on the cached one, one client socket.
+            assert counter("serve.db.conn_opened") - opened == 0
+            assert counter("serve.db.conn_reuse") - reused >= self.N
+            assert client._local.conn is conn
+            # Hot cache plus conditional GETs: every result/manifest
+            # read served from memory as a bodyless 304.
+            assert counter("serve.cache.hits") - hits >= 2 * self.N
+            assert client.not_modified - not_modified == 2 * self.N
         finally:
             service.shutdown()
             service.server_close()

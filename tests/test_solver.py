@@ -1,41 +1,136 @@
-"""Differential tests: the sparse worklist solver against the dense
-baseline (plus the frontend and lattice engine pairs).
+"""Differential tests: each default engine against a test-owned
+reference, plus the work-counter gates that pin its optimisations.
 
-The perf rework's contract is "faster, never different": every engine
-pair — dense/sparse fixpoint scheduler, scan/regex lexer, ladder/climb
-expression parser, plain/interned label lattice — must produce results
-that are *identical*, not merely equivalent.  These tests compare the
-pairs on three levels:
+Every analysis stage has exactly one engine in ``src/``.  The slower
+implementations they replaced live on here, as references the default
+must match *exactly*, not merely equivalently:
 
-- raw engine output on the real corpus (token streams, ASTs, per-
-  function ``TaintState``s field by field, including the trace);
-- randomized IR: seeded generated functions with loops, field stores
-  and calls, compiled through the real frontend;
-- end to end: extracted dependencies and checker verdicts (ConDocCk,
-  ConBugCk, ConHandleCk) across the full config matrix at ``--jobs 1``
-  and ``--jobs 4``.
+- :class:`DenseEngine` — the taint fixpoint by full sweeps until a
+  sweep changes nothing (the default replays that schedule on a
+  worklist);
+- :class:`ScanLexer` — the per-character scanner over the whole input
+  (the default hands it only the positions its master pattern cannot
+  match);
+- :class:`LadderParser` — the original 10-level recursive ladder for
+  binary expressions (the default climbs precedences);
+- :data:`PLAIN` — a label lattice that allocates a fresh ``frozenset``
+  per join (the default interns).
+
+The comparisons run on the real corpus (token streams, ASTs, per-
+function ``TaintState``s field by field, including the trace) and on
+seeded random IR.  End to end, the extraction, the interprocedural
+union and the checker verdicts are pinned to sha256 digests recorded
+while the references were still selectable engines.  The work
+counters (solver pops/rounds, lattice intern misses, scanner path)
+turn "still the optimised engine" into a deterministic check.
 """
 
 import random
+import types
+from hashlib import sha256
 
 import pytest
 
+import tests.test_backend as backend_tests
+from repro import perf
 from repro.analysis.model import ParamRef
 from repro.analysis.sources import ComponentSources
-from repro.analysis.taint import TaintEngine, resolve_solver
+from repro.analysis.taint import TaintEngine
 from repro.corpus import loader
 from repro.corpus.loader import UNIT_COMPONENTS
+from repro.lang import ast_nodes as A
 from repro.lang import compile_c
-from repro.lang.lexer import resolve_lex_mode, tokenize
-from repro.lang.parser import Parser, resolve_parser_mode
+from repro.lang.lexer import Lexer, TokenKind, tokenize
+from repro.lang.parser import Parser
 from repro.perf import lattice
 
 
-@pytest.fixture()
-def intern_lattice_restored():
-    """Restore the default interned lattice after a mode-switching test."""
-    yield
-    lattice.apply_mode("intern")
+class DenseEngine(TaintEngine):
+    """Reference scheduler: full sweeps until a sweep changes nothing."""
+
+    def _solve(self, prep):
+        order = prep.order
+        limit = self._sweep_limit(len(order))
+        sweeps = evaluations = 0
+        changed = True
+        while changed:
+            changed = False
+            sweeps += 1
+            if sweeps > limit:
+                raise self._diverged("dense", sweeps, len(order),
+                                     len(order), evaluations)
+            for instr in order:
+                evaluations += 1
+                if self._transfer(instr):
+                    changed = True
+
+
+class ScanLexer(Lexer):
+    """Reference scanner: per-character over the whole input."""
+
+    def _raw_tokens(self):
+        return self._raw_tokens_scan()
+
+
+class LadderParser(Parser):
+    """Reference parser: one recursion level per precedence level."""
+
+    LEVELS = [
+        ["||"],
+        ["&&"],
+        ["|"],
+        ["^"],
+        ["&"],
+        ["==", "!="],
+        ["<", ">", "<=", ">="],
+        ["<<", ">>"],
+        ["+", "-"],
+        ["*", "/", "%"],
+    ]
+
+    def _parse_binary(self, min_prec):
+        # Climbing from precedence P is ladder level P - 1.
+        return self._ladder(min_prec - 1)
+
+    def _ladder(self, level):
+        if level >= len(self.LEVELS):
+            return self._parse_unary()
+        ops = self.LEVELS[level]
+        expr = self._ladder(level + 1)
+        while True:
+            token = self._peek()
+            if token.kind is TokenKind.OP and token.text in ops:
+                self._next()
+                right = self._ladder(level + 1)
+                expr = A.Binary(expr.line, token.text, expr, right)
+            else:
+                return expr
+
+
+def _plain_join(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    return a | b
+
+
+#: Reference lattice: content-equal sets, a fresh union per join.
+PLAIN = types.SimpleNamespace(
+    EMPTY=frozenset(),
+    intern_labels=lambda labels: (labels if isinstance(labels, frozenset)
+                                  else frozenset(labels)),
+    join=_plain_join,
+)
+
+
+def _run_plain(func, sources, component):
+    """Run the engine with the taint module's lattice swapped for PLAIN."""
+    import repro.analysis.taint as taint_mod
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(taint_mod, "lattice", PLAIN)
+        return TaintEngine(func, sources, component).run()
 
 
 def _corpus_functions():
@@ -45,8 +140,8 @@ def _corpus_functions():
             yield unit, func
 
 
-def _run_engine(func, sources, component, solver):
-    return TaintEngine(func, sources, component, solver=solver).run()
+def _run_engine(func, sources, component, engine=TaintEngine):
+    return engine(func, sources, component).run()
 
 
 def _assert_states_identical(a, b, context):
@@ -62,7 +157,7 @@ def _assert_states_identical(a, b, context):
 
 
 class TestCorpusDifferential:
-    """Dense and sparse agree on every real corpus function."""
+    """The reference sweep and the worklist agree on every corpus function."""
 
     def test_taint_states_identical_per_function(self):
         from repro.analysis.sources import SOURCES_BY_UNIT
@@ -70,28 +165,26 @@ class TestCorpusDifferential:
         checked = 0
         for unit, func in _corpus_functions():
             sources = SOURCES_BY_UNIT[unit.filename]
-            dense = _run_engine(func, sources, unit.component, "dense")
-            sparse = _run_engine(func, sources, unit.component, "sparse")
+            dense = _run_engine(func, sources, unit.component, DenseEngine)
+            sparse = _run_engine(func, sources, unit.component)
             _assert_states_identical(
                 dense, sparse, f"{unit.filename}:{func.name}")
             checked += 1
         assert checked > 20  # the corpus is not trivially empty
 
-    def test_lattice_mode_does_not_change_states(self, intern_lattice_restored):
+    def test_lattice_mode_does_not_change_states(self):
         from repro.analysis.sources import SOURCES_BY_UNIT
 
         for unit, func in _corpus_functions():
             sources = SOURCES_BY_UNIT[unit.filename]
-            lattice.apply_mode("intern")
-            interned = _run_engine(func, sources, unit.component, "sparse")
-            lattice.apply_mode("plain")
-            plain = _run_engine(func, sources, unit.component, "sparse")
+            interned = _run_engine(func, sources, unit.component)
+            plain = _run_plain(func, sources, unit.component)
             _assert_states_identical(
                 interned, plain, f"{unit.filename}:{func.name}")
 
 
 class TestFrontendDifferential:
-    """Both lexers and both expression parsers agree on the corpus."""
+    """The reference lexer and parser agree with the defaults on the corpus."""
 
     @staticmethod
     def _sources():
@@ -101,8 +194,8 @@ class TestFrontendDifferential:
 
     def test_regex_lexer_matches_scan_lexer(self):
         for filename, source in self._sources():
-            scan = tokenize(source, filename, mode="scan")
-            regex = tokenize(source, filename, mode="regex")
+            scan = ScanLexer(source, filename).tokenize()
+            regex = tokenize(source, filename)
             assert len(scan) == len(regex), filename
             for s, r in zip(scan, regex):
                 assert (s.kind, s.text, s.line, s.col, s.value, s.macro) == \
@@ -112,8 +205,8 @@ class TestFrontendDifferential:
     def test_climb_parser_matches_ladder_parser(self):
         for filename, source in self._sources():
             tokens = tokenize(source, filename)
-            ladder = Parser(list(tokens), filename, mode="ladder").parse_unit()
-            climb = Parser(list(tokens), filename, mode="climb").parse_unit()
+            ladder = LadderParser(list(tokens), filename).parse_unit()
+            climb = Parser(list(tokens), filename).parse_unit()
             # AST nodes are plain dataclasses: == is deep equality.
             assert ladder == climb, filename
 
@@ -203,23 +296,20 @@ class TestRandomIRDifferential:
             "a": ParamRef("mke2fs", "alpha"),
             "b": ParamRef("mke2fs", "beta"),
         }})
-        dense = _run_engine(func, sources, "mke2fs", "dense")
-        sparse = _run_engine(func, sources, "mke2fs", "sparse")
+        dense = _run_engine(func, sources, "mke2fs", DenseEngine)
+        sparse = _run_engine(func, sources, "mke2fs")
         _assert_states_identical(dense, sparse, f"seed {seed}")
 
     @pytest.mark.parametrize("seed", [3, 11, 19])
-    def test_lattice_modes_agree_on_random_ir(self, seed,
-                                              intern_lattice_restored):
+    def test_lattice_modes_agree_on_random_ir(self, seed):
         source = self._gen_function(seed)
         module = compile_c(source, filename=f"<random-{seed}>")
         func = module.function("f")
         sources = ComponentSources("mke2fs", {"*": {
             "a": ParamRef("mke2fs", "alpha"),
         }})
-        lattice.apply_mode("plain")
-        plain = _run_engine(func, sources, "mke2fs", "sparse")
-        lattice.apply_mode("intern")
-        interned = _run_engine(func, sources, "mke2fs", "sparse")
+        plain = _run_plain(func, sources, "mke2fs")
+        interned = _run_engine(func, sources, "mke2fs")
         _assert_states_identical(plain, interned, f"seed {seed}")
 
 
@@ -233,83 +323,141 @@ def _canonical_report(report):
     return "\n".join(lines)
 
 
-def _extract_with(monkeypatch, solver, lex, parser, lat, jobs):
-    from repro.analysis.extractor import extract_all
+def _digest(text):
+    return sha256(text.encode()).hexdigest()
 
-    monkeypatch.setenv("REPRO_SOLVER", solver)
-    monkeypatch.setenv("REPRO_LEX", lex)
-    monkeypatch.setenv("REPRO_PARSER", parser)
-    monkeypatch.setenv("REPRO_LATTICE", lat)
+
+@pytest.fixture()
+def cold_memory(monkeypatch):
+    """Disk cache off and every memo dropped, before and after."""
     monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
     loader.clear_cache(disk=False)
-    try:
-        return extract_all(jobs=jobs)
-    finally:
-        lattice.apply_mode("intern")
-
-
-BASELINE = ("dense", "scan", "ladder", "plain")
-OPTIMIZED = ("sparse", "regex", "climb", "intern")
+    yield
+    loader.clear_cache(disk=False)
 
 
 class TestEndToEndDifferential:
-    """Full config matrix: identical dependencies and checker verdicts."""
+    """Extraction, interprocedural union and checker verdicts, pinned.
 
-    @pytest.fixture(autouse=True)
-    def _clean_caches(self):
-        yield
-        loader.clear_cache(disk=False)
-        lattice.apply_mode("intern")
+    The digests were recorded while the dense/scan/ladder/plain engines
+    were still selectable, and were identical under both engine sets at
+    ``--jobs 1`` and ``--jobs 4``.
+    """
 
-    def test_extraction_identical_across_configs_and_jobs(self, monkeypatch):
-        canon = [
-            _canonical_report(_extract_with(monkeypatch, *config, jobs=jobs))
-            for config in (BASELINE, OPTIMIZED)
-            for jobs in (1, 4)
-        ]
-        assert all(c == canon[0] for c in canon[1:])
-        assert canon[0].count("\n") > 60  # a real report, not an empty one
+    #: sha256 of the sorted interprocedural union keys (70 dependencies).
+    INTERPROC = ("48acbe8c91f1b893572ac3e6397bd92a"
+                 "b5df9f0a68791a1567b82db6046afcef")
+    #: sha256 of ConDocCk issues, eight ConBugCk configs (seed 2022)
+    #: and ConHandleCk verdicts on the first six true dependencies.
+    VERDICTS = ("65c3aa9fb222816866e77ec4d5dc32cf"
+                "21c7b4023b9ba6ca60f51e33ac79aee5")
 
-    def test_interprocedural_identical(self, monkeypatch):
+    @pytest.mark.usefixtures("cold_memory")
+    def test_extraction_identical_across_configs_and_jobs(self):
+        from repro.analysis.extractor import extract_all
+
+        for jobs in (1, 4):
+            loader.clear_cache(disk=False)
+            canon = _canonical_report(extract_all(jobs=jobs))
+            assert canon.count("\n") > 60  # a real report
+            assert _digest(canon) == \
+                backend_tests.TestPinnedExtraction.REPORT, f"jobs={jobs}"
+
+    @pytest.mark.usefixtures("cold_memory")
+    def test_interprocedural_identical(self):
         from repro.analysis.interproc import extract_interprocedural
 
-        outputs = []
-        for config in (BASELINE, OPTIMIZED):
-            monkeypatch.setenv("REPRO_SOLVER", config[0])
-            monkeypatch.setenv("REPRO_LEX", config[1])
-            monkeypatch.setenv("REPRO_PARSER", config[2])
-            monkeypatch.setenv("REPRO_LATTICE", config[3])
+        for jobs in (1, 4):
             loader.clear_cache(disk=False)
-            try:
-                report = extract_interprocedural(jobs=1)
-            finally:
-                lattice.apply_mode("intern")
-            outputs.append(sorted(dep.key() for dep in report.union))
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0]) > 0
+            report = extract_interprocedural(jobs=jobs)
+            keys = sorted(dep.key() for dep in report.union)
+            assert len(keys) == 70
+            assert _digest("\n".join(keys)) == self.INTERPROC, f"jobs={jobs}"
 
-    def test_checker_verdicts_identical(self, monkeypatch):
+    @pytest.mark.usefixtures("cold_memory")
+    def test_checker_verdicts_identical(self):
+        from repro.analysis.extractor import extract_all
         from repro.tools.conbugck import ConBugCk
         from repro.tools.condocck import ConDocCk
         from repro.tools.conhandleck import ConHandleCk
 
-        base = _extract_with(monkeypatch, *BASELINE, jobs=1)
-        opt = _extract_with(monkeypatch, *OPTIMIZED, jobs=4)
+        for jobs in (1, 4):
+            loader.clear_cache(disk=False)
+            report = extract_all(jobs=jobs)
+            lines = ["## condocck"]
+            lines += [f"{i.dependency.key()}|{i.issue}|{i.detail}"
+                      for i in ConDocCk().check(report.union)]
+            lines.append("## conbugck")
+            lines += [repr(config) for config in ConBugCk(
+                report.true_dependencies(), seed=2022).generate(8)]
+            lines.append("## conhandleck")
+            lines += [f"{r.dependency.key()}|{r.outcome}|{r.detail}"
+                      for r in ConHandleCk().check(
+                          report.true_dependencies()[:6], jobs=jobs).results]
+            assert _digest("\n".join(lines)) == self.VERDICTS, f"jobs={jobs}"
 
-        docck = ConDocCk()
-        assert docck.check(base.union) == docck.check(opt.union)
 
-        base_cfgs = ConBugCk(base.true_dependencies(), seed=2022).generate(8)
-        opt_cfgs = ConBugCk(opt.true_dependencies(), seed=2022).generate(8)
-        assert base_cfgs == opt_cfgs
+class TestWorkCounters:
+    """Deterministic counters on a cold full-corpus extraction.
 
-        deps = base.true_dependencies()[:6]
-        base_report = ConHandleCk().check(deps, jobs=1)
-        opt_report = ConHandleCk().check(opt.true_dependencies()[:6], jobs=4)
-        assert [(r.dependency.key(), r.outcome, r.detail)
-                for r in base_report.results] == \
-               [(r.dependency.key(), r.outcome, r.detail)
-                for r in opt_report.results]
+    Each pins one optimisation: reverting it changes the count (the
+    full-sweep reference needs 1557 evaluations where the worklist
+    pops 830; an uninterned lattice records no intern misses; the
+    per-character scanner shows up as a call).
+    """
+
+    @pytest.fixture()
+    def cold_counters(self, cold_memory):
+        from repro.analysis.extractor import extract_all
+
+        perf.reset_profile()
+        lattice.reset_tallies()
+        report = extract_all(jobs=1)
+        return report, perf.counters()
+
+    def test_solver_pops_and_rounds(self, cold_counters):
+        _report, counters = cold_counters
+        assert counters["solver.sparse.pops"] == 830
+        assert counters["solver.sparse.rounds"] == 16
+
+    def test_lattice_interns_every_state(self, cold_counters):
+        from repro.analysis.extractor import SCENARIOS
+        from repro.analysis.sources import SOURCES_BY_UNIT
+        from repro.analysis.taint import memo_peek
+
+        _report, counters = cold_counters
+        assert counters["lattice.intern.miss"] == 126
+        checked = 0
+        for spec in SCENARIOS:
+            for filename, functions in spec.selected:
+                unit = loader.load_unit(filename)
+                for fn_name in functions:
+                    state = memo_peek(unit.module.function(fn_name),
+                                      SOURCES_BY_UNIT[filename],
+                                      unit.component)
+                    assert state is not None, (filename, fn_name)
+                    for labels in state.taint.values():
+                        assert lattice.is_interned(labels), \
+                            (filename, fn_name, labels)
+                        checked += 1
+        assert checked > 100
+
+    def test_corpus_never_takes_the_scan_path(self, monkeypatch):
+        calls = []
+        original = Lexer._raw_tokens_scan
+
+        def spy(self):
+            calls.append(self.filename)
+            return original(self)
+
+        monkeypatch.setattr(Lexer, "_raw_tokens_scan", spy)
+        for filename in sorted(UNIT_COMPONENTS):
+            with open(loader.corpus_path(filename), encoding="utf-8") as fh:
+                assert tokenize(fh.read(), filename)
+        assert calls == []
+        # The spy does see the reference path when it is taken.
+        ScanLexer("int x;").tokenize()
+        assert calls == ["<input>"]
 
 
 class TestConvergenceDiagnostics:
@@ -325,8 +473,9 @@ class TestConvergenceDiagnostics:
     }
     """
 
-    @pytest.mark.parametrize("solver", ["dense", "sparse"])
-    def test_bound_raises_with_diagnosis(self, solver, monkeypatch):
+    @pytest.mark.parametrize("engine", [DenseEngine, TaintEngine],
+                             ids=["dense", "sparse"])
+    def test_bound_raises_with_diagnosis(self, engine, monkeypatch):
         import repro.analysis.taint as taint_mod
 
         module = compile_c(self.LOOPY)
@@ -338,21 +487,22 @@ class TestConvergenceDiagnostics:
         # report divergence rather than spin.
         monkeypatch.setattr(taint_mod, "CONVERGENCE_SLACK", -(10 ** 9))
         with pytest.raises(RuntimeError, match="did not converge"):
-            _run_engine(func, sources, "mke2fs", solver)
+            _run_engine(func, sources, "mke2fs", engine)
 
-    @pytest.mark.parametrize("solver", ["dense", "sparse"])
-    def test_bound_admits_real_functions(self, solver):
+    @pytest.mark.parametrize("engine", [DenseEngine, TaintEngine],
+                             ids=["dense", "sparse"])
+    def test_bound_admits_real_functions(self, engine):
         module = compile_c(self.LOOPY)
         func = module.function("f")
         sources = ComponentSources("mke2fs", {"*": {
             "a": ParamRef("mke2fs", "alpha")}})
-        state = _run_engine(func, sources, "mke2fs", solver)
+        state = _run_engine(func, sources, "mke2fs", engine)
         assert ParamRef("mke2fs", "alpha") in state.params(
             next(iter(state.taint)))  # taint actually flowed
 
 
 class TestLattice:
-    """Unit coverage for the interned lattice and its mode switch."""
+    """Unit coverage for the interned lattice."""
 
     def test_intern_returns_canonical_object(self):
         a = lattice.intern_labels(frozenset({"p", "q"}))
@@ -374,26 +524,18 @@ class TestLattice:
         assert lattice.join(lattice.EMPTY, a) is a
         assert lattice.join(a, lattice.EMPTY) is a
 
-    def test_plain_mode_allocates_but_agrees(self, intern_lattice_restored):
-        lattice.apply_mode("plain")
+    def test_plain_mode_allocates_but_agrees(self):
         a = lattice.intern_labels(frozenset({"p"}))
         b = lattice.intern_labels(frozenset({"q"}))
         merged = lattice.join(a, b)
-        assert merged == frozenset({"p", "q"})
-        # Plain mode never promises identity for equal content.
-        other = lattice.intern_labels(frozenset({"p", "q"}))
-        assert merged == other
-
-    def test_apply_mode_round_trip(self, intern_lattice_restored):
-        assert lattice.apply_mode("plain") == "plain"
-        assert lattice.mode() == "plain"
-        assert lattice.apply_mode("intern") == "intern"
-        a = lattice.intern_labels(frozenset({"p"}))
-        assert lattice.intern_labels(frozenset({"p"})) is a
-
-    def test_mode_resolution_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            lattice.resolve_lattice_mode("fancy")
+        # The plain reference allocates a fresh union per join; the
+        # interned join agrees on content and allocates nothing new
+        # when the same join repeats.
+        assert PLAIN.join(a, b) is not PLAIN.join(a, b)
+        assert merged == PLAIN.join(a, b)
+        sizes = lattice.table_sizes()
+        assert lattice.join(a, b) is merged
+        assert lattice.table_sizes() == sizes
 
     def test_hit_rate_tracks_tallies(self):
         lattice.reset_tallies()
@@ -404,33 +546,6 @@ class TestLattice:
         assert 0.0 < lattice.hit_rate("join") <= 0.5
         lattice.reset_tallies()
         assert lattice.hit_rate("join") == 0.0
-
-
-class TestModeResolvers:
-    """Every engine knob validates its input the same way."""
-
-    @pytest.mark.parametrize("resolver,good", [
-        (resolve_solver, "sparse"),
-        (resolve_lex_mode, "regex"),
-        (resolve_parser_mode, "climb"),
-        (lattice.resolve_lattice_mode, "intern"),
-    ])
-    def test_explicit_mode_wins(self, resolver, good):
-        assert resolver(good) == good
-
-    @pytest.mark.parametrize("resolver", [
-        resolve_solver, resolve_lex_mode, resolve_parser_mode,
-        lattice.resolve_lattice_mode,
-    ])
-    def test_unknown_mode_rejected(self, resolver):
-        with pytest.raises(ValueError):
-            resolver("quantum")
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "dense")
-        assert resolve_solver() == "dense"
-        monkeypatch.delenv("REPRO_SOLVER")
-        assert resolve_solver() == "sparse"
 
 
 class TestDefIndex:
@@ -448,7 +563,7 @@ class TestDefIndex:
         func = module.function("f")
         sources = ComponentSources("mke2fs", {"*": {
             "a": ParamRef("mke2fs", "alpha")}})
-        state = _run_engine(func, sources, "mke2fs", "sparse")
+        state = _run_engine(func, sources, "mke2fs")
         for value, defs in state.defs.items():
             scanned = [instr for instr in func.instructions()
                        if value in instr.defs()]
@@ -460,6 +575,6 @@ class TestDefIndex:
         func = module.function("f")
         sources = ComponentSources("mke2fs", {"*": {
             "a": ParamRef("mke2fs", "alpha")}})
-        state = _run_engine(func, sources, "mke2fs", "dense")
+        state = _run_engine(func, sources, "mke2fs", DenseEngine)
         from repro.lang.ir import Var
         assert state.defining(Var("no_such_value")) == []

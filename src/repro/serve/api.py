@@ -182,6 +182,33 @@ def render_metrics(queue: RunQueue) -> str:
     return exp.render()
 
 
+#: ``(method, path)`` -> route name, for the fixed routes.
+_ROUTES = {("GET", "/healthz"): "healthz", ("GET", "/v1/stats"): "stats",
+           ("GET", "/v1/metrics"): "metrics", ("GET", "/v1/runs"): "runs_list",
+           ("POST", "/v1/runs"): "runs_submit",
+           ("POST", "/v1/corpus"): "corpus_upload"}
+
+
+def route_name(method: str, path: str) -> str:
+    """The route a request hit, as a metric-name suffix.
+
+    ``serve.http.latency.<route>`` carries the route in the name (the
+    registry has no labels), so the set is closed: a path outside the
+    API maps to ``other``, never to a client-chosen name.
+    """
+    path = path.rstrip("/") or "/"
+    name = _ROUTES.get((method, path))
+    if name is not None:
+        return name
+    parts = path.split("/")
+    if method == "GET" and parts[1:3] == ["v1", "runs"]:
+        if len(parts) == 4:
+            return "runs_get"
+        if len(parts) == 5 and parts[4] in ("result", "manifest"):
+            return f"runs_{parts[4]}"
+    return "other"
+
+
 def _public_run(run: Dict[str, Any]) -> Dict[str, Any]:
     """The externally visible shape of one run row."""
     out = {key: run.get(key) for key in (
@@ -200,6 +227,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on each accepted connection.  ``StreamRequestHandler
+    #: .setup()`` reads this from the handler class, not the server.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 
@@ -211,49 +241,60 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def store(self) -> CorpusStore:
         return self.server.store  # type: ignore[attr-defined]
 
-    def log_request(self, code: Any = "-", size: Any = "-") -> None:
-        """Per-response access record: structured, not a stderr line.
-
-        Every ``send_response`` lands here, so this is the single choke
-        point for HTTP request telemetry — the service log gets a
-        schema-validated event with method/path/status/duration, the
-        registry gets a counter bump and a latency observation, and
-        stderr gets the classic access line only under ``--verbose``.
-        """
-        try:
-            status: Any = int(code)
-        except (TypeError, ValueError):
-            status = str(code)
-        duration = time.perf_counter() - getattr(
-            self, "_began", time.perf_counter())
-        path = urlparse(self.path).path if self.path else "?"
-        REGISTRY.bump("serve.http.requests")
-        REGISTRY.observe("serve.http.latency", duration)
-        servicelog.emit("http.request", method=str(self.command),
-                        path=path, status=status,
-                        duration=round(duration, 6))
-        if getattr(self.server, "verbose", False):
-            # The classic access line, without re-entering our
-            # log_message override (which would double-emit).
-            BaseHTTPRequestHandler.log_message(
-                self, '"%s" %s %s', self.requestline, str(code), str(size))
-
     def log_message(self, format: str, *args: Any) -> None:
         """Handler diagnostics (errors etc.) go to the service log too."""
         servicelog.emit("http.log", detail=format % args)
         if getattr(self.server, "verbose", False):  # quiet by default
             super().log_message(format, *args)
 
-    def _send(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _respond(self, code: int, body: bytes, content_type: str,
+                 headers: Sequence[Tuple[str, str]] = (),
+                 etag: Optional[str] = None) -> None:
+        """Send one whole response in a single ``wfile.write``; record it.
+
+        Headers and body written apart are two TCP segments, and the
+        second can wait ~40 ms behind the peer's delayed ACK; one write
+        cannot split that way, whatever the socket options.  With an
+        ``etag``, a matching ``If-None-Match`` turns the 200 into a
+        bodyless 304.
+
+        This is the single choke point for HTTP telemetry, taken after
+        the write so the latency covers sending the body: a counter,
+        the overall and per-route latency histograms, a service-log
+        event, and the classic access line only under ``--verbose``.
+        """
+        if etag is not None and self.headers.get("If-None-Match") == etag:
+            REGISTRY.bump("serve.cache.304s")
+            code, body = 304, b""
+        lines = [f"{self.protocol_version} {code} {self.responses[code][0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}"]
+        if code != 304:
+            lines += [f"Content-Type: {content_type}",
+                      f"Content-Length: {len(body)}"]
+        if etag is not None:
+            lines.append(f"ETag: {etag}")
+        lines += [f"{name}: {value}" for name, value in headers]
+        self.wfile.write(
+            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+
+        duration = time.perf_counter() - self._began
+        path = urlparse(self.path).path
+        REGISTRY.bump("serve.http.requests")
+        REGISTRY.observe("serve.http.latency", duration)
+        REGISTRY.observe(
+            f"serve.http.latency.{route_name(self.command, path)}", duration)
+        servicelog.emit("http.request", method=self.command, path=path,
+                        status=code, duration=round(duration, 6))
+        if getattr(self.server, "verbose", False):
+            # The classic access line, without re-entering our
+            # log_message override (which would double-emit).
+            BaseHTTPRequestHandler.log_message(
+                self, '"%s" %s %s', self.requestline, code, len(body))
 
     def _json(self, code: int, payload: Any) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send(code, body, "application/json; charset=utf-8")
+        self._respond(code, body, "application/json; charset=utf-8")
 
     def _error(self, code: int, message: str) -> None:
         self._json(code, {"error": message})
@@ -292,8 +333,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._json(200, self.queue.stats())
             return
         if path == "/v1/metrics":
-            body = render_metrics(self.queue).encode("utf-8")
-            self._send(200, body, prom.CONTENT_TYPE)
+            self._respond(200, render_metrics(self.queue).encode("utf-8"),
+                          prom.CONTENT_TYPE)
             return
         if path == "/v1/runs":
             status = query.get("status")
@@ -366,26 +407,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def cache(self) -> Optional[HotCache]:
         return getattr(self.server, "cache", None)
 
-    def _conditional_send(self, body: bytes, etag: str, content_type: str,
-                          headers: Sequence[Tuple[str, str]] = ()) -> None:
-        """200 with an ``ETag``, or bodyless 304 on a validator match."""
-        if self.headers.get("If-None-Match") == etag:
-            REGISTRY.bump("serve.cache.304s")
-            self.send_response(304)
-            self.send_header("ETag", etag)
-            for name, value in headers:
-                self.send_header(name, value)
-            self.end_headers()
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("ETag", etag)
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_cached(self, run_id: str, kind: str) -> bool:
         """Serve one result/manifest from the hot cache; False on miss."""
         cache = self.cache
@@ -395,38 +416,35 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if entry is None:
             return False
         REGISTRY.bump("serve.cache.hits")
-        self._conditional_send(entry["body"], entry["etag"],
-                               entry["content_type"], entry["headers"])
+        self._respond(200, entry["body"], entry["content_type"],
+                      entry["headers"], entry["etag"])
         return True
 
-    @staticmethod
-    def _etag(body: bytes) -> str:
-        return f'"{hashlib.sha256(body).hexdigest()}"'
+    def _send_read(self, run_id: str, kind: str, body: bytes,
+                   content_type: str,
+                   headers: Sequence[Tuple[str, str]] = ()) -> None:
+        """A 200 for bytes read from the database or disk.
+
+        With the cache on, the bytes are cached and validated by a
+        strong ``ETag``; with it off, the 200 carries no validator.
+        """
+        etag = None
+        cache = self.cache
+        if cache is not None:
+            REGISTRY.bump("serve.cache.misses")
+            etag = f'"{hashlib.sha256(body).hexdigest()}"'
+            cache.put((run_id, kind), body, etag, content_type, headers)
+        self._respond(200, body, content_type, headers, etag)
 
     def _send_result(self, run: Dict[str, Any]) -> None:
         if run["status"] != DONE or not isinstance(run.get("result"), dict):
             self._error(409, f"run is {run['status']}, result not available")
             return
-        body = run["result"].get("output", "").encode("utf-8")
-        headers = (("X-Repro-Exit-Code",
-                    str(run["result"].get("exit_code", 0))),)
-        cache = self.cache
-        if cache is None:
-            # Cache disabled: plain 200, no validator.
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in headers:
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        REGISTRY.bump("serve.cache.misses")
-        etag = self._etag(body)
-        cache.put((run["run_id"], "result"), body, etag,
-                  "text/plain; charset=utf-8", headers)
-        self._conditional_send(body, etag, "text/plain; charset=utf-8",
-                               headers)
+        self._send_read(run["run_id"], "result",
+                        run["result"].get("output", "").encode("utf-8"),
+                        "text/plain; charset=utf-8",
+                        (("X-Repro-Exit-Code",
+                          str(run["result"].get("exit_code", 0))),))
 
     def _send_manifest(self, run: Dict[str, Any]) -> None:
         path = run.get("manifest_path")
@@ -435,15 +453,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         with open(path, "rb") as handle:
             body = handle.read()
-        cache = self.cache
-        if cache is None:
-            self._send(200, body, "application/json; charset=utf-8")
-            return
-        REGISTRY.bump("serve.cache.misses")
-        etag = self._etag(body)
-        cache.put((run["run_id"], "manifest"), body, etag,
-                  "application/json; charset=utf-8")
-        self._conditional_send(body, etag, "application/json; charset=utf-8")
+        self._send_read(run["run_id"], "manifest", body,
+                        "application/json; charset=utf-8")
 
     # -- POST -----------------------------------------------------------
 
@@ -507,10 +518,6 @@ class Service(ThreadingHTTPServer):
     """
 
     daemon_threads = True
-    #: TCP_NODELAY: a 200 on a kept-alive connection is two small
-    #: writes (headers, then body); with Nagle on, the second write
-    #: can stall ~40ms behind the peer's delayed ACK.
-    disable_nagle_algorithm = True
 
     def __init__(self, address: Tuple[str, int], db_path: str,
                  data_dir: str, verbose: bool = False,

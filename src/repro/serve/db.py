@@ -674,6 +674,8 @@ class QueueWatcher:
 
     With no waiters registered the poll thread parks on an event and
     touches nothing — an idle service does zero recurring DB reads.
+    A waiter may pass a ``stop`` event: while it waits, each poll tick
+    also checks that event and notifies the condition once it is set.
     """
 
     def __init__(self, queue: RunQueue,
@@ -683,6 +685,8 @@ class QueueWatcher:
         self._cond = threading.Condition()
         self._tick = 0
         self._waiters = 0
+        #: ``stop`` events of the blocked waiters that passed one.
+        self._stops: List[threading.Event] = []
         self._stop = threading.Event()
         self._kick = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -690,12 +694,25 @@ class QueueWatcher:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "QueueWatcher":
-        """Start (or restart) the poll thread; idempotent."""
+        """Start (or restart) the poll thread; idempotent.
+
+        The ``data_version`` baseline is read here, before returning:
+        a commit that lands after ``start()`` is then always a change
+        to the first waiter, never folded into a baseline the poll
+        thread reads later.
+        """
         with self._cond:
             if self._thread is None or not self._thread.is_alive():
+                # A dedicated connection: data_version is per-connection
+                # state (it counts commits made by *other* connections),
+                # so the baseline must live on one persistent handle
+                # that no API thread ever commits through.
+                conn = self.queue._connect()
+                version = self._data_version(conn)
                 self._stop.clear()
                 self._thread = threading.Thread(
-                    target=self._run, name="repro-queue-watch", daemon=True)
+                    target=self._run, args=(conn, version),
+                    name="repro-queue-watch", daemon=True)
                 self._thread.start()
         return self
 
@@ -727,22 +744,31 @@ class QueueWatcher:
         with self._cond:
             return self._tick != token
 
-    def wait(self, token: int, timeout: float) -> int:
-        """Block until a change after ``token`` (or timeout).
+    def wait(self, token: int, timeout: float,
+             stop: Optional[threading.Event] = None) -> int:
+        """Block until a change after ``token``, ``stop`` is set, or
+        the timeout lapses.
 
         Returns the current tick either way; callers re-read their
         predicate and loop with the fresh token.
         """
+        def ready() -> bool:
+            return self._tick != token or (stop is not None
+                                           and stop.is_set())
+
         with self._cond:
             self._waiters += 1
+            if stop is not None:
+                self._stops.append(stop)
             REGISTRY.set_gauge("serve.wait.waiters", self._waiters)
             self._kick.set()
             try:
-                self._cond.wait_for(lambda: self._tick != token,
-                                    timeout=max(0.0, timeout))
+                self._cond.wait_for(ready, timeout=max(0.0, timeout))
                 return self._tick
             finally:
                 self._waiters -= 1
+                if stop is not None:
+                    self._stops.remove(stop)
                 REGISTRY.set_gauge("serve.wait.waiters", self._waiters)
 
     # -- the poll thread ------------------------------------------------
@@ -750,17 +776,8 @@ class QueueWatcher:
     def _data_version(self, conn: sqlite3.Connection) -> int:
         return int(conn.execute("PRAGMA data_version").fetchone()[0])
 
-    def _run(self) -> None:
-        # A dedicated connection: data_version is per-connection state
-        # (it counts commits made by *other* connections), so the
-        # baseline must live on one persistent handle that no API
-        # thread ever commits through.
+    def _run(self, conn: sqlite3.Connection, version: int) -> None:
         try:
-            conn = self.queue._connect()
-        except sqlite3.Error:
-            return
-        try:
-            version = self._data_version(conn)
             while not self._stop.is_set():
                 with self._cond:
                     waiting = self._waiters
@@ -773,12 +790,15 @@ class QueueWatcher:
                     continue
                 REGISTRY.bump("serve.wait.polls")
                 current = self._data_version(conn)
-                if current != version:
-                    version = current
-                    with self._cond:
+                with self._cond:
+                    changed, woken = current != version, self._waiters
+                    if changed:
+                        version = current
                         self._tick += 1
-                        woken = self._waiters
+                    if changed or any(stop.is_set()
+                                      for stop in self._stops):
                         self._cond.notify_all()
+                if changed:
                     REGISTRY.bump("serve.wait.wakeups", max(1, woken))
                 self._stop.wait(self.poll_seconds)
         except sqlite3.Error:

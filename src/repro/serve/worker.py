@@ -65,13 +65,9 @@ DEFAULT_POLL_SECONDS = 0.2
 HEARTBEAT_SECONDS = 5.0
 
 #: Event-driven idle cap: the claim query only reruns on a database
-#: change (seen by the queue watcher), with a safety-net re-poll this
-#: often.
+#: change (seen by the queue watcher) or ``stop``, with a safety-net
+#: re-poll this often.
 IDLE_WAIT_SECONDS = 5.0
-
-#: Slice width for the stop-aware idle wait — bounds both shutdown
-#: latency and work-pickup latency once the watcher fires.
-IDLE_SLICE_SECONDS = 0.05
 
 
 def service_tracing_enabled() -> bool:
@@ -569,35 +565,22 @@ class Worker:
             self._watcher.start()
         return self._watcher
 
-    def _idle_wait(self, stop: Optional[threading.Event]) -> None:
-        """Block until the queue may have work (or the poll cap).
-
-        The claim query only reruns when the database actually changed
-        (or every :data:`IDLE_WAIT_SECONDS` as a safety net), and
-        ``stop`` interrupts the wait — shutdown never waits out a poll
-        interval.
-        """
-        watcher = self._get_watcher()
-        token = watcher.token()
-        deadline = time.monotonic() + max(self.poll_seconds,
-                                          IDLE_WAIT_SECONDS)
-        if stop is None:
-            watcher.wait(token, deadline - time.monotonic())
-            return
-        while not stop.is_set() and not watcher.changed(token):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            stop.wait(min(IDLE_SLICE_SECONDS, remaining))
-
     def run_forever(self, stop: Optional[threading.Event] = None,
                     max_jobs: Optional[int] = None) -> int:
-        """Poll-and-execute until ``stop`` is set (or ``max_jobs`` run)."""
+        """Claim-and-execute until ``stop`` is set (or ``max_jobs`` run).
+
+        When idle, the worker blocks in the queue watcher until the
+        database changes or ``stop`` is set.  The change token is taken
+        *before* the claim query, so a submit racing an empty claim
+        still wakes the wait that follows it.
+        """
         total = 0
         self.queue.heartbeat(self.worker_id)
         servicelog.emit("worker.online", worker=self.worker_id)
         last_beat = time.time()
+        watcher = self._get_watcher()
         while stop is None or not stop.is_set():
+            token = watcher.token()
             ran = self.run_once()
             total += ran
             if max_jobs is not None and total >= max_jobs:
@@ -609,7 +592,8 @@ class Worker:
                 if now - last_beat >= HEARTBEAT_SECONDS:
                     self.queue.heartbeat(self.worker_id)
                     last_beat = now
-                self._idle_wait(stop)
+                watcher.wait(token, max(self.poll_seconds, IDLE_WAIT_SECONDS),
+                             stop)
             else:
                 last_beat = time.time()
         servicelog.emit("worker.offline", worker=self.worker_id)

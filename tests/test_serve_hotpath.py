@@ -8,7 +8,10 @@ and concurrent worker execution):
   reuse across calls, graceful invalidation on :meth:`close`, and the
   fork/pid guard;
 - :class:`repro.serve.db.QueueWatcher`: wakeups on commit, timeout
-  semantics, clean stop;
+  semantics, clean stop, ``stop=`` events, and no missed first change
+  after a lazy start;
+- the idle worker: a submit wakes it within a poll tick, and ``stop``
+  ends ``run_forever`` just as promptly;
 - :class:`repro.serve.api.HotCache`: byte-bounded LRU eviction and
   the fallback to the database/disk read path;
 - the conditional-GET contract end to end: stable ``ETag`` across
@@ -21,6 +24,11 @@ and concurrent worker execution):
 - the warm read workload's work counters: no new DB connections,
   every result/manifest read a hot-cache hit answered with a ``304``,
   one kept-alive client connection throughout;
+- the wire: one ``wfile.write`` per response of every kind, Nagle off
+  on both ends, kept-alive round trips in milliseconds (a response
+  split into headers and body waits ~40 ms on a delayed ACK), and
+  HTTP latency histograms, overall and per route, taken after the
+  body is written;
 - concurrent worker execution: thread-routed output capture, a
   two-slot worker completing a compatible batch with per-job results
   intact and byte-identical to a one-slot worker's.
@@ -29,7 +37,9 @@ and concurrent worker execution):
 import http.client
 import json
 import os
+import socket
 import sqlite3
+import statistics
 import threading
 import time
 from urllib.parse import urlsplit
@@ -37,7 +47,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.obs.metrics import REGISTRY
-from repro.serve.api import HotCache
+from repro.serve.api import HotCache, ServiceHandler, route_name
 from repro.serve.db import DONE, QUEUED, QueueWatcher, RunQueue
 from repro.serve.worker import Worker, capture_output, submit_request
 
@@ -209,6 +219,103 @@ class TestQueueWatcher:
         thread.join()
         assert not watcher.running
         queue.close()
+
+    def test_stop_event_wakes_a_waiter(self, tmp_path):
+        queue = RunQueue(str(tmp_path / "q.db"))
+        watcher = QueueWatcher(queue).start()
+        stop = threading.Event()
+        try:
+            timer = threading.Timer(0.1, stop.set)
+            timer.start()
+            started = time.monotonic()
+            watcher.wait(watcher.token(), timeout=5.0, stop=stop)
+            elapsed = time.monotonic() - started
+            timer.join()
+            assert elapsed < 0.1 + 0.25  # woke on stop, not the timeout
+        finally:
+            watcher.stop()
+            queue.close()
+
+    def test_first_change_after_lazy_start_is_not_missed(self, tmp_path,
+                                                         monkeypatch):
+        # Hold the poll thread's first data_version read back, so a
+        # commit lands between start() and that read.  The baseline
+        # must already predate the commit, or the first waiter sleeps
+        # out its whole timeout.
+        real_read = QueueWatcher._data_version
+        held = []
+
+        def held_first_read(self, conn):
+            if (threading.current_thread().name == "repro-queue-watch"
+                    and not held):
+                held.append(True)
+                time.sleep(0.2)
+            return real_read(self, conn)
+
+        monkeypatch.setattr(QueueWatcher, "_data_version", held_first_read)
+        queue = RunQueue(str(tmp_path / "q.db"))
+        watcher = QueueWatcher(queue, poll_seconds=0.01).start()
+        try:
+            token = watcher.token()
+            queue.submit("k1", "demo", {}, ENGINE)
+            started = time.monotonic()
+            watcher.wait(token, timeout=3.0)
+            assert time.monotonic() - started < 1.0
+            assert watcher.changed(token)
+            assert held
+        finally:
+            watcher.stop()
+            queue.close()
+
+
+# ---------------------------------------------------------------------------
+# the idle worker
+# ---------------------------------------------------------------------------
+
+
+class TestIdleWorker:
+    """An idle ``run_forever(stop)`` worker waits on the queue watcher:
+    a submit or ``stop`` wakes it within a poll tick, not the 5 s
+    safety-net poll."""
+
+    TRIALS = 50
+    PROMPT = 0.25
+
+    def test_submit_and_stop_wake_the_idle_worker(self, service_dir,
+                                                  monkeypatch):
+        worker = make_worker(service_dir)
+        monkeypatch.setattr(worker, "execute", lambda run, tracing=None: (
+            {"exit_code": 0, "output": "", "wall_seconds": 0.0}, None))
+        submitter = RunQueue(os.path.join(service_dir, "service.db"))
+        stop = threading.Event()
+        thread = threading.Thread(target=worker.run_forever, args=(stop,),
+                                  daemon=True)
+        thread.start()
+        try:
+            for trial in range(self.TRIALS):
+                time.sleep(0.03)  # let the worker go idle again
+                run_id = f"k{trial}"
+                submitter.submit(run_id, "demo", {}, ENGINE)
+                deadline = time.monotonic() + 1.0
+                row = submitter.get(run_id)
+                while row["status"] != DONE and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                    row = submitter.get(run_id)
+                assert row["claimed_at"] is not None, f"trial {trial}"
+                pickup = row["claimed_at"] - row["created"]
+                assert pickup < self.PROMPT, (trial, pickup)
+            time.sleep(0.1)
+            started = time.monotonic()
+            stop.set()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - started < self.PROMPT
+            assert worker.jobs_done == self.TRIALS
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            worker.close()
+            submitter.close()
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +526,196 @@ class TestWarmReadCounters:
             assert counter("serve.cache.hits") - hits >= 2 * self.N
             assert client.not_modified - not_modified == 2 * self.N
         finally:
+            service.shutdown()
+            service.server_close()
+
+
+class _SpyWriter:
+    """A handler ``wfile`` stand-in: records each write, optionally
+    after a delay (a slow body write)."""
+
+    def __init__(self, inner, writes, delay):
+        self.inner, self.writes, self.delay = inner, writes, delay
+
+    def write(self, data):
+        time.sleep(self.delay)
+        self.writes.append(len(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _spy_boot(service_dir, delay=0.0, **kwargs):
+    """A service whose handlers write through a :class:`_SpyWriter`;
+    also records whether each accepted socket has Nagle off."""
+    writes, nodelay = [], []
+
+    class SpyHandler(ServiceHandler):
+        def setup(self):
+            super().setup()
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            self.wfile = _SpyWriter(self.wfile, writes, delay)
+
+    service, _thread = _boot(service_dir, **kwargs)
+    service.RequestHandlerClass = SpyHandler
+    return service, writes, nodelay
+
+
+def _keepalive(service):
+    split = urlsplit(service.url)
+    return http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+
+
+def _round_trip(conn, method, path, body=None, headers=None):
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return response.status, dict(response.getheaders()), response.read()
+
+
+class TestWireLevel:
+    """What goes on the socket: one write per response, Nagle off on
+    both ends, and kept-alive round trips that never wait on a
+    delayed ACK."""
+
+    SUBMIT = json.dumps({"tool": "demo"}).encode("utf-8")
+
+    @pytest.mark.parametrize("cache_bytes", [None, 0],
+                             ids=["cache", "no-cache"])
+    def test_one_write_per_response(self, service_dir, cache_bytes):
+        run_id = _finish_one(service_dir)
+        service, writes, nodelay = _spy_boot(service_dir,
+                                             cache_bytes=cache_bytes)
+        conn = _keepalive(service)
+        try:
+            queued = json.dumps({"tool": "condocck"}).encode("utf-8")
+            result = f"/v1/runs/{run_id}/result"
+            requests = [
+                ("submit new", 201, "POST", "/v1/runs", queued),
+                ("submit duplicate", 200, "POST", "/v1/runs", self.SUBMIT),
+                ("run row", 200, "GET", f"/v1/runs/{run_id}", None),
+                ("wait on done", 200, "GET", f"/v1/runs/{run_id}?wait=5",
+                 None),
+                ("result", 200, "GET", result, None),
+                ("result again", 200, "GET", result, None),
+                ("manifest", 200, "GET", f"/v1/runs/{run_id}/manifest",
+                 None),
+                ("unknown run", 404, "GET", "/v1/runs/" + "0" * 64, None),
+                ("no route", 404, "GET", "/v1/nope", None),
+                ("metrics", 200, "GET", "/v1/metrics", None),
+            ]
+            answers = {}
+            for label, status, method, path, body in requests:
+                writes.clear()
+                got, headers, answer = _round_trip(conn, method, path, body)
+                assert got == status, label
+                assert len(writes) == 1, (label, writes)
+                answers[label] = headers, answer
+            queued_id = json.loads(answers["submit new"][1])["run"]["run_id"]
+            writes.clear()
+            got, _headers, _body = _round_trip(
+                conn, "GET", f"/v1/runs/{queued_id}/result")
+            assert got == 409 and len(writes) == 1, writes
+            if cache_bytes is None:
+                etag = answers["result"][0]["ETag"]
+                writes.clear()
+                got, _headers, body = _round_trip(
+                    conn, "GET", result, headers={"If-None-Match": etag})
+                assert got == 304 and body == b"" and len(writes) == 1
+            assert nodelay == [1]  # one kept-alive connection, Nagle off
+        finally:
+            conn.close()
+            service.shutdown()
+            service.server_close()
+
+    def test_kept_alive_round_trips_take_milliseconds(self, service_dir):
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        conn = _keepalive(service)
+        kinds = {
+            "submit": ("POST", "/v1/runs", self.SUBMIT),
+            "wait": ("GET", f"/v1/runs/{run_id}?wait=5", None),
+            "result": ("GET", f"/v1/runs/{run_id}/result", None),
+        }
+        try:
+            medians = {}
+            for kind, (method, path, body) in kinds.items():
+                samples = []
+                for _ in range(50):
+                    started = time.perf_counter()
+                    status, _headers, _body = _round_trip(conn, method,
+                                                          path, body)
+                    samples.append(time.perf_counter() - started)
+                    assert status == 200, kind
+                medians[kind] = statistics.median(samples)
+            assert all(median < 0.005 for median in medians.values()), \
+                medians
+        finally:
+            conn.close()
+            service.shutdown()
+            service.server_close()
+
+    def test_client_socket_has_nagle_off(self, service_dir):
+        # http.client writes a POST's headers and body in two sends;
+        # they cannot stall on the server's delayed ACK because the
+        # client's connect() turns Nagle off.
+        from repro.serve.client import ServiceClient
+
+        service, _thread = _boot(service_dir)
+        try:
+            client = ServiceClient(service.url)
+            client.submit("demo")
+            sock = client._local.conn.sock
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            client.close()
+        finally:
+            service.shutdown()
+            service.server_close()
+
+
+def _hist_totals(name):
+    hist = REGISTRY.histograms().get(name)
+    return (0, 0.0) if hist is None else (hist.count, hist.sum)
+
+
+class TestHttpTelemetry:
+    @pytest.mark.parametrize("method, path, route", [
+        ("GET", "/healthz", "healthz"),
+        ("GET", "/v1/metrics", "metrics"),
+        ("GET", "/v1/stats/", "stats"),
+        ("GET", "/v1/runs", "runs_list"),
+        ("POST", "/v1/runs", "runs_submit"),
+        ("POST", "/v1/corpus", "corpus_upload"),
+        ("GET", "/v1/runs/abc", "runs_get"),
+        ("GET", "/v1/runs/abc/result", "runs_result"),
+        ("GET", "/v1/runs/abc/manifest", "runs_manifest"),
+        ("GET", "/v1/runs/abc/anything", "other"),
+        ("POST", "/v1/runs/abc", "other"),
+        ("GET", "/made-up", "other"),
+    ])
+    def test_route_names_are_a_closed_set(self, method, path, route):
+        assert route_name(method, path) == route
+
+    def test_latency_covers_the_body_write(self, service_dir):
+        service, _writes, _nodelay = _spy_boot(service_dir, delay=0.05)
+        names = ("serve.http.latency", "serve.http.latency.healthz")
+        before = {name: _hist_totals(name) for name in names}
+        conn = _keepalive(service)
+        try:
+            assert _round_trip(conn, "GET", "/healthz")[0] == 200
+            deadline = time.monotonic() + 2.0
+            while (_hist_totals(names[1])[0] == before[names[1]][0]
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            for name in names:
+                count, total = _hist_totals(name)
+                assert count - before[name][0] == 1, name
+                assert total - before[name][1] >= 0.05, name
+            _status, _headers, text = _round_trip(conn, "GET", "/v1/metrics")
+            assert b"repro_serve_http_latency_healthz_seconds_count" in text
+        finally:
+            conn.close()
             service.shutdown()
             service.server_close()
 

@@ -1,10 +1,17 @@
 """An in-memory block device with block-granular I/O accounting.
 
-The device is deliberately simple: a flat byte buffer addressed in
-fixed-size blocks.  It enforces bounds (so a resize bug that writes past
-the device fails loudly), tracks read/write counts per block for the
-benchmarks, and supports growing — which is how the simulated
-``resize2fs`` models operating on an enlarged partition.
+The device is sparse: it stores a map of block number → immutable
+``bytes`` holding only the blocks that are not all zeroes, and every
+absent block reads as one shared zero block.  A freshly formatted image
+is overwhelmingly zeroes (mkfs writes a few dozen metadata blocks), so a
+device costs what was written to it, not its size.  Because stored
+blocks are never mutated in place, :meth:`BlockDevice.clone` is a copy
+of the block map — copy-on-write at block granularity.
+
+It enforces bounds (so a resize bug that writes past the device fails
+loudly), tracks read/write counts per block for the benchmarks, and
+supports growing — which is how the simulated ``resize2fs`` models
+operating on an enlarged partition.
 """
 
 from __future__ import annotations
@@ -15,6 +22,13 @@ from repro.errors import DeviceClosedError, OutOfRangeIO
 
 MIN_BLOCK_SIZE = 512
 MAX_BLOCK_SIZE = 65536
+
+#: One shared all-zero block per valid block size: what absent blocks read as.
+_ZERO_BLOCKS: Dict[int, bytes] = {
+    1 << shift: bytes(1 << shift)
+    for shift in range(MIN_BLOCK_SIZE.bit_length() - 1,
+                       MAX_BLOCK_SIZE.bit_length())
+}
 
 
 def _check_geometry(num_blocks: int, block_size: int) -> None:
@@ -34,12 +48,11 @@ class BlockDevice:
     def __init__(self, num_blocks: int, block_size: int = 4096,
                  track_io: bool = True) -> None:
         _check_geometry(num_blocks, block_size)
-        self._setup(bytearray(num_blocks * block_size), block_size, track_io)
-
-    def _setup(self, buf: bytearray, block_size: int,
-               track_io: bool) -> None:
         self.block_size = block_size
-        self._buf = buf
+        self._num_blocks = num_blocks
+        #: The non-zero blocks; every value is exactly one block of bytes.
+        self._blocks: Dict[int, bytes] = {}
+        self._zero = _ZERO_BLOCKS[block_size]
         self._closed = False
         #: Per-block access accounting.  The I/O-pattern benchmarks read
         #: these dicts; campaign runs that never consume them construct
@@ -52,22 +65,25 @@ class BlockDevice:
     @classmethod
     def from_snapshot(cls, snapshot: bytes, block_size: int,
                       track_io: bool = True) -> "BlockDevice":
-        """A fresh, independent device initialized from a snapshot.
-
-        This is the campaign engine's clone primitive: restoring a
-        post-mkfs snapshot into a new device is a plain buffer copy,
-        orders of magnitude cheaper than re-running mkfs, and the clone
-        shares no mutable state with the device the snapshot came from.
-        """
+        """A fresh, independent device initialized from a snapshot."""
         if not snapshot or len(snapshot) % block_size:
             raise ValueError(
                 f"snapshot of {len(snapshot)} bytes is not a whole number "
                 f"of {block_size}-byte blocks")
-        _check_geometry(len(snapshot) // block_size, block_size)
-        # Not via __init__: it would zero-fill a device-sized buffer
-        # only for the copy to replace it.
-        dev = cls.__new__(cls)
-        dev._setup(bytearray(snapshot), block_size, track_io)
+        dev = cls(len(snapshot) // block_size, block_size, track_io)
+        dev._blocks = dev._split(snapshot)
+        return dev
+
+    def clone(self, track_io: bool = True) -> "BlockDevice":
+        """An independent device with this device's size and contents.
+
+        Only the block map is copied: the two devices share every stored
+        block until one of them overwrites it, which replaces that entry
+        in its own map alone.
+        """
+        self._check_open()
+        dev = type(self)(self._num_blocks, self.block_size, track_io)
+        dev._blocks = self._blocks.copy()
         return dev
 
     # ------------------------------------------------------------------
@@ -77,12 +93,12 @@ class BlockDevice:
     @property
     def num_blocks(self) -> int:
         """Current size of the device in blocks."""
-        return len(self._buf) // self.block_size
+        return self._num_blocks
 
     @property
     def size_bytes(self) -> int:
         """Current size of the device in bytes."""
-        return len(self._buf)
+        return self._num_blocks * self.block_size
 
     def grow(self, new_num_blocks: int) -> None:
         """Extend the device to ``new_num_blocks`` (zero-filled).
@@ -92,11 +108,11 @@ class BlockDevice:
         device (the image's ``s_blocks_count`` is the source of truth).
         """
         self._check_open()
-        if new_num_blocks < self.num_blocks:
+        if new_num_blocks < self._num_blocks:
             raise ValueError(
                 f"cannot shrink device from {self.num_blocks} to {new_num_blocks} blocks"
             )
-        self._buf.extend(bytes((new_num_blocks - self.num_blocks) * self.block_size))
+        self._num_blocks = new_num_blocks
 
     # ------------------------------------------------------------------
     # I/O
@@ -108,26 +124,23 @@ class BlockDevice:
         self._check_range(blockno)
         if self.track_io:
             self.reads[blockno] = self.reads.get(blockno, 0) + 1
-        start = blockno * self.block_size
-        return bytes(self._buf[start : start + self.block_size])
+        return self._blocks.get(blockno, self._zero)
 
     def read_block_view(self, blockno: int) -> memoryview:
         """Zero-copy read of one block.
 
-        Returns a read-only :class:`memoryview` into the device buffer —
-        no bytes are copied, which is what makes whole-table scans (the
-        e2fsck inode and bitmap passes) cheap.  The view reflects the
-        *live* buffer and must not outlive the next write to the block;
-        callers that need to keep data around copy it with ``bytes()``.
-        A held view also blocks :meth:`grow` (the underlying buffer
-        cannot be resized while exported), so consume views promptly.
+        Returns a read-only :class:`memoryview` of the stored block — no
+        bytes are copied, which is what makes whole-table scans (the
+        e2fsck inode and bitmap passes) cheap.  Stored blocks are
+        immutable and a write replaces the block instead of mutating it,
+        so a view taken before a write keeps reading the bytes the block
+        held when the view was taken.
         """
         self._check_open()
         self._check_range(blockno)
         if self.track_io:
             self.reads[blockno] = self.reads.get(blockno, 0) + 1
-        start = blockno * self.block_size
-        return memoryview(self._buf).toreadonly()[start : start + self.block_size]
+        return memoryview(self._blocks.get(blockno, self._zero))
 
     def write_block(self, blockno: int, data: bytes) -> None:
         """Write one block; short data is zero-padded, long data rejected."""
@@ -139,30 +152,44 @@ class BlockDevice:
             )
         if self.track_io:
             self.writes[blockno] = self.writes.get(blockno, 0) + 1
-        start = blockno * self.block_size
-        if len(data) == self.block_size:
-            self._buf[start : start + self.block_size] = data
-        else:
-            self._buf[start : start + self.block_size] = (
-                data + bytes(self.block_size - len(data)))
+        if len(data) < self.block_size:
+            data = b"".join((data, self._zero[len(data):]))
+        elif type(data) is not bytes:
+            data = bytes(data)
+        self._store(blockno, data)
 
     def read_bytes(self, offset: int, length: int) -> bytes:
         """Byte-granular read (used for the 1024-byte superblock window)."""
         self._check_open()
-        if offset < 0 or length < 0 or offset + length > len(self._buf):
+        if offset < 0 or length < 0 or offset + length > self.size_bytes:
             raise OutOfRangeIO(
-                f"byte read [{offset}, {offset + length}) outside device of {len(self._buf)} bytes"
+                f"byte read [{offset}, {offset + length}) outside device of {self.size_bytes} bytes"
             )
-        return bytes(self._buf[offset : offset + length])
+        bs = self.block_size
+        first, within = divmod(offset, bs)
+        if within + length <= bs:
+            return self._blocks.get(first, self._zero)[within:within + length]
+        last = (offset + length - 1) // bs
+        blocks, zero = self._blocks, self._zero
+        joined = b"".join([blocks.get(b, zero) for b in range(first, last + 1)])
+        return joined[within:within + length]
 
     def write_bytes(self, offset: int, data: bytes) -> None:
         """Byte-granular write (used for the superblock and its backups)."""
         self._check_open()
-        if offset < 0 or offset + len(data) > len(self._buf):
+        if offset < 0 or offset + len(data) > self.size_bytes:
             raise OutOfRangeIO(
-                f"byte write [{offset}, {offset + len(data)}) outside device of {len(self._buf)} bytes"
+                f"byte write [{offset}, {offset + len(data)}) outside device of {self.size_bytes} bytes"
             )
-        self._buf[offset : offset + len(data)] = data
+        bs = self.block_size
+        pos = 0
+        while pos < len(data):
+            blockno, within = divmod(offset + pos, bs)
+            take = min(bs - within, len(data) - pos)
+            old = self._blocks.get(blockno, self._zero)
+            self._store(blockno, b"".join(
+                (old[:within], data[pos:pos + take], old[within + take:])))
+            pos += take
 
     def zero_block(self, blockno: int) -> None:
         """Fill one block with zeroes."""
@@ -184,25 +211,45 @@ class BlockDevice:
     def snapshot(self) -> bytes:
         """An immutable copy of the whole device (for failure injection tests)."""
         self._check_open()
-        return bytes(self._buf)
+        blocks, zero = self._blocks, self._zero
+        return b"".join([blocks.get(b, zero) for b in range(self._num_blocks)])
 
     def restore(self, snapshot: bytes) -> None:
         """Restore device contents from a snapshot of the same geometry."""
         self._check_open()
-        if len(snapshot) % self.block_size:
-            raise ValueError("snapshot length is not block-aligned")
-        self._buf = bytearray(snapshot)
+        if len(snapshot) != self.size_bytes:
+            raise ValueError(
+                f"snapshot of {len(snapshot)} bytes does not match the "
+                f"device's {self.size_bytes} bytes")
+        self._blocks = self._split(snapshot)
 
     # ------------------------------------------------------------------
     # internal
     # ------------------------------------------------------------------
+
+    def _store(self, blockno: int, data: bytes) -> None:
+        """Keep one full block of ``bytes``; all zeroes drop the entry."""
+        if data == self._zero:
+            self._blocks.pop(blockno, None)
+        else:
+            self._blocks[blockno] = data
+
+    def _split(self, snapshot: bytes) -> Dict[int, bytes]:
+        """The non-zero blocks of a device-sized image, as a block map."""
+        bs, zero = self.block_size, self._zero
+        blocks: Dict[int, bytes] = {}
+        for blockno in range(len(snapshot) // bs):
+            data = bytes(snapshot[blockno * bs:(blockno + 1) * bs])
+            if data != zero:
+                blocks[blockno] = data
+        return blocks
 
     def _check_open(self) -> None:
         if self._closed:
             raise DeviceClosedError("I/O on closed device")
 
     def _check_range(self, blockno: int) -> None:
-        if blockno < 0 or blockno >= self.num_blocks:
+        if blockno < 0 or blockno >= self._num_blocks:
             raise OutOfRangeIO(
                 f"block {blockno} outside device of {self.num_blocks} blocks"
             )

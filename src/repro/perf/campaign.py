@@ -10,13 +10,14 @@ campaigns fast without changing a single result:
   simulated mkfs is fully deterministic (even the UUID derives from the
   geometry), so configurations sharing the same mkfs-relevant tuple
   produce byte-identical fresh images.  The cache formats once per
-  tuple, stores a *sparse* snapshot (only the blocks mkfs actually
-  wrote — a fresh device is all zeroes), and stamps every later request
-  onto a brand-new device.  Each driven configuration still gets its own
-  :class:`~repro.fsimage.blockdev.BlockDevice`; no mutable state is ever
-  shared across campaign workers.  Deterministic mkfs *failures* are
-  cached too, so a tuple that mkfs rejects is rejected from the cache
-  with the identical error.
+  tuple and keeps the formatted device; every later request gets a
+  :meth:`~repro.fsimage.blockdev.BlockDevice.clone` of it — a copy of
+  its block map, which holds only the blocks mkfs wrote.  Stored blocks
+  are immutable, so each driven configuration still gets its own
+  independent device and no mutable state is ever shared across
+  campaign workers.  Deterministic mkfs *failures* are cached too, so a
+  tuple that mkfs rejects is rejected from the cache with the identical
+  error.
 
 - :func:`run_campaign` — deterministic parallel fan-out over the
   ``--jobs``/``REPRO_JOBS`` thread pool.  Items are split into
@@ -52,36 +53,22 @@ R = TypeVar("R")
 CacheKey = Tuple
 
 
-class _Entry:
-    """One cached mkfs outcome: a sparse image or a deterministic error."""
-
-    __slots__ = ("num_blocks", "block_size", "chunks", "error", "flat")
-
-    def __init__(self, num_blocks: int, block_size: int,
-                 chunks: Optional[Tuple[Tuple[int, bytes], ...]],
-                 error: Optional[ReproError]) -> None:
-        self.num_blocks = num_blocks
-        self.block_size = block_size
-        self.chunks = chunks
-        #: Lazily materialized full image for the flat-clone fast path.
-        self.flat: Optional[bytes] = None
-        self.error = error
-
-
 class SnapshotCache:
     """Post-mkfs image snapshots, cloned instead of re-formatted.
 
-    ``device_for`` either replays a cached outcome (clone the sparse
-    snapshot onto a fresh device, or re-raise the cached rejection) or
-    runs ``build`` cold and caches what it did.  Thread-safe: the entry
+    ``device_for`` either replays a cached outcome (clone the formatted
+    device's block map, or re-raise the cached rejection) or runs
+    ``build`` cold and caches what it did.  Thread-safe: the entry
     table is lock-protected, and a racing double-build of the same key
     is harmless because the builder is deterministic — both threads
-    compute identical snapshots and the second store is a no-op.
+    compute identical images and the second store is a no-op.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[CacheKey, _Entry] = {}
+        #: key -> a private formatted device (the template every hit
+        #: clones), or the deterministic rejection mkfs raised.
+        self._entries: Dict[CacheKey, Union[BlockDevice, ReproError]] = {}
         #: Per-instance hit/miss tallies (the global ``campaign.snapshot``
         #: counters aggregate across caches; shard runners report these).
         self.hits = 0
@@ -111,14 +98,9 @@ class SnapshotCache:
                 self.misses += 1
         if entry is not None:
             bump("campaign.snapshot.hit")
-            if entry.error is not None:
-                raise entry.error
-            dev = BlockDevice(entry.num_blocks, entry.block_size,
-                              track_io=track_io)
-            bs = entry.block_size
-            for blockno, data in entry.chunks:
-                dev.write_bytes(blockno * bs, data)
-            return dev
+            if isinstance(entry, ReproError):
+                raise entry
+            return entry.clone(track_io=track_io)
         bump("campaign.snapshot.miss")
         dev = BlockDevice(num_blocks, block_size, track_io=track_io)
         try:
@@ -128,111 +110,19 @@ class SnapshotCache:
         except ReproError as exc:
             # Cache the rejection *without* pinning the build state: a
             # stored exception drags its traceback along, and the
-            # traceback's frames reference the (device-sized!) locals of
-            # the failed build.  On a diverse campaign — thousands of
-            # distinct rejected tuples — that pinned one dead device per
-            # entry and ballooned a bounded cache into gigabytes.
+            # traceback's frames reference the locals of the failed
+            # build (the device and every image structure mkfs had
+            # made).  On a diverse campaign — thousands of distinct
+            # rejected tuples — that pins one dead build per entry.
             del dev
             exc.__traceback__ = None
             with self._lock:
-                self._entries.setdefault(
-                    key, _Entry(num_blocks, block_size, None, exc))
+                self._entries.setdefault(key, exc)
             raise
-        entry = _Entry(num_blocks, block_size,
-                       _sparse_snapshot(dev.snapshot(), block_size), None)
+        template = dev.clone(track_io=False)
         with self._lock:
-            self._entries.setdefault(key, entry)
+            self._entries.setdefault(key, template)
         return dev
-
-    def clone_flat(self, key: CacheKey, num_blocks: int, block_size: int,
-                   build: Callable[[BlockDevice], None]) -> BlockDevice:
-        """:meth:`device_for` for hot campaign loops: flat-image clones.
-
-        Identical outcomes (same image bytes, same replayed rejections),
-        different mechanics: the full image is materialized once per
-        entry and every hit is a single buffer copy
-        (:meth:`BlockDevice.from_snapshot`) instead of a zeroed
-        allocation plus sparse-run writes — measurably cheaper at
-        campaign block sizes — and accounting is always off
-        (``track_io=False``), which campaign drivers never read.
-        """
-        # Tally under the entry lock: ``+=`` on a shared int is a
-        # read-modify-write, and concurrent checker threads sharing one
-        # cache could lose increments — hits + misses must equal calls
-        # for per-instance stats (and the service counters) to add up.
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        if entry is not None:
-            bump("campaign.snapshot.hit")
-            if entry.error is not None:
-                raise entry.error
-            flat = entry.flat
-            if flat is None:
-                buf = bytearray(entry.num_blocks * entry.block_size)
-                bs = entry.block_size
-                for blockno, data in entry.chunks or ():
-                    buf[blockno * bs:blockno * bs + len(data)] = data
-                flat = bytes(buf)
-                # Benign race: concurrent materializations are identical.
-                entry.flat = flat
-            return BlockDevice.from_snapshot(flat, entry.block_size,
-                                             track_io=False)
-        bump("campaign.snapshot.miss")
-        dev = BlockDevice(num_blocks, block_size, track_io=False)
-        try:
-            with span("campaign.snapshot.build", blocks=num_blocks,
-                      block_size=block_size):
-                build(dev)
-        except ReproError as exc:
-            del dev
-            exc.__traceback__ = None
-            with self._lock:
-                self._entries.setdefault(
-                    key, _Entry(num_blocks, block_size, None, exc))
-            raise
-        snap = dev.snapshot()
-        entry = _Entry(num_blocks, block_size,
-                       _sparse_snapshot(snap, block_size), None)
-        entry.flat = snap
-        with self._lock:
-            self._entries.setdefault(key, entry)
-        return dev
-
-
-def _sparse_snapshot(snapshot: bytes,
-                     block_size: int) -> Tuple[Tuple[int, bytes], ...]:
-    """The non-zero runs of a snapshot, as ``(blockno, bytes)`` pairs.
-
-    A freshly formatted image is overwhelmingly zeroes (mkfs writes a
-    few dozen metadata blocks and leaves the data area untouched), and
-    the restore target is a zeroed device, so dropping all-zero blocks
-    is lossless and makes the clone a handful of slice writes instead of
-    a device-sized copy.  Adjacent non-zero blocks coalesce into one
-    run — mkfs metadata is mostly contiguous (superblock, descriptors,
-    bitmaps, inode table), so a typical image restores in a few writes.
-    """
-    zero = bytes(block_size)
-    runs: List[Tuple[int, bytes]] = []
-    run_start = -1
-    run_end = -1
-    for blockno in range(len(snapshot) // block_size):
-        if snapshot[blockno * block_size:(blockno + 1) * block_size] == zero:
-            continue
-        if blockno == run_end:
-            run_end = blockno + 1
-            continue
-        if run_start >= 0:
-            runs.append((run_start,
-                         snapshot[run_start * block_size:run_end * block_size]))
-        run_start, run_end = blockno, blockno + 1
-    if run_start >= 0:
-        runs.append((run_start,
-                     snapshot[run_start * block_size:run_end * block_size]))
-    return tuple(runs)
 
 
 def run_campaign(worker: Callable[[T], R], items: Sequence[T],

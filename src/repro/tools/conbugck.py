@@ -574,8 +574,7 @@ def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
     Outcome-identical to :meth:`ConBugCk._drive_one_inner` with a cache
     (same stage labels, same failure strings) but stripped for campaign
     shards: no per-config span/timer (a 10^6-config shard cannot afford
-    two context managers per stage) and flat-image snapshot clones
-    (:meth:`SnapshotCache.clone_flat`) with IO accounting off.
+    two context managers per stage) and IO accounting off.
     """
     def build(dev: BlockDevice) -> None:
         Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
@@ -584,7 +583,8 @@ def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
            config.inode_ratio, config.reserved_percent, fs_blocks)
     reached: List[str] = []
     try:
-        dev = cache.clone_flat(key, fs_blocks, config.blocksize, build)
+        dev = cache.device_for(key, fs_blocks, config.blocksize, build,
+                               track_io=False)
     except ValueError as exc:
         return (), f"device: {exc}"
     except ReproError as exc:

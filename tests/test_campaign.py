@@ -8,14 +8,13 @@ from repro.ecosystem.mke2fs import Mke2fs
 from repro.errors import UsageError
 from repro.fsimage.blockdev import BlockDevice
 from repro.perf import SnapshotCache, run_campaign
-from repro.perf.campaign import _sparse_snapshot
 from repro.tools.conbugck import (
     ConBugCk,
     DriveStats,
     MAX_STORED_FAILURES,
     VIOLATING_MOUNT_OPTIONS,
 )
-from repro.tools.conhandleck import ConHandleCk
+from repro.tools.conhandleck import ConHandleCk, sampled_check
 
 
 @pytest.fixture(scope="module")
@@ -105,18 +104,20 @@ class TestSnapshotCache:
         clone.write_block(0, b"x")
         assert clone.reads == {} and clone.writes == {}
 
-    def test_sparse_snapshot_roundtrip(self):
-        dev = BlockDevice(64, 1024)
-        self_blocks = (0, 1, 2, 9, 10, 40)
-        for b in self_blocks:
-            dev.write_block(b, bytes([b + 1]) * 1024)
-        runs = _sparse_snapshot(dev.snapshot(), 1024)
-        # Adjacent blocks coalesce: (0,1,2), (9,10), (40).
-        assert [r[0] for r in runs] == [0, 9, 40]
-        restored = BlockDevice(64, 1024)
-        for blockno, data in runs:
-            restored.write_bytes(blockno * 1024, data)
-        assert restored.snapshot() == dev.snapshot()
+    def test_block_map_clone_roundtrip(self):
+        written = (0, 1, 2, 9, 10, 40)
+
+        def build(dev):
+            for b in written:
+                dev.write_block(b, bytes([b + 1]) * 1024)
+
+        cache = SnapshotCache()
+        cold = cache.device_for(("k",), 64, 1024, build)
+        clone = cache.device_for(("k",), 64, 1024,
+                                 lambda dev: pytest.fail("must not rebuild"))
+        # A hit holds exactly the blocks the build wrote.
+        assert sorted(clone._blocks) == list(written)
+        assert clone.snapshot() == cold.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +549,71 @@ class TestSnapshotCacheCounters:
         cache.device_for(("k",), 512, 1024, self._mkfs)
         assert (cache.hits, cache.misses) == (0, 1)
         cache.device_for(("k",), 512, 1024, self._mkfs)
-        cache.clone_flat(("k",), 512, 1024, self._mkfs)
+        cache.device_for(("k",), 512, 1024, self._mkfs, track_io=False)
         assert (cache.hits, cache.misses) == (2, 1)
-        cache.clone_flat(("k2",), 512, 1024, self._mkfs)
+        cache.device_for(("k2",), 512, 1024, self._mkfs, track_io=False)
         assert (cache.hits, cache.misses) == (2, 2)
 
-    def test_clone_flat_matches_device_for(self):
+    def test_untracked_clone_matches_tracked(self):
         cache = SnapshotCache()
         tracked = cache.device_for(("k",), 512, 1024, self._mkfs)
-        flat = cache.clone_flat(("k",), 512, 1024, self._mkfs)
-        assert flat.snapshot() == tracked.snapshot()
-        flat.write_block(0, b"x" * 1024)
-        assert cache.clone_flat(("k",), 512, 1024,
-                                self._mkfs).snapshot() == tracked.snapshot()
+        untracked = cache.device_for(("k",), 512, 1024, self._mkfs,
+                                     track_io=False)
+        assert untracked.snapshot() == tracked.snapshot()
+        untracked.write_block(0, b"x" * 1024)
+        assert cache.device_for(("k",), 512, 1024, self._mkfs,
+                                track_io=False).snapshot() == \
+            tracked.snapshot()
+
+    def test_cached_rejection_reraised_verbatim(self):
+        error = UsageError("mke2fs", "bad geometry")
+
+        def build(dev):
+            raise error
+
+        cache = SnapshotCache()
+        for track_io in (True, False, False):
+            with pytest.raises(UsageError) as caught:
+                cache.device_for(("bad",), 512, 1024, build,
+                                 track_io=track_io)
+            assert caught.value is error
+        assert (cache.hits, cache.misses) == (2, 1)
+
+
+class TestSparseAllocationGate:
+    """Host-independent memory gates for the sparse block device.
+
+    A flat device allocates its whole size up front: 4 GiB for the
+    first case, and ~160 MiB of peak for the violation campaign.
+    """
+
+    def test_construction_allocates_no_device_buffer(self):
+        tracemalloc.start()
+        try:
+            dev = BlockDevice(1 << 20, 4096)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dev.size_bytes == 1 << 32
+        assert peak < 64 * 1024, peak
+
+    def test_violation_campaign_peak_under_one_device(self, deps):
+        tracemalloc.start()
+        try:
+            report, _meta = sampled_check(deps, seed=2022, budget=3000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.total == 3000
+        assert peak < 4 * 1024 * 1024, peak
+
+    def test_stored_blocks_are_the_nonzero_blocks(self):
+        dev = BlockDevice(4096, 4096)
+        Mke2fs.from_args(["-b", "4096", "4096"]).run(dev)
+        image = dev.snapshot()
+        nonzero = sum(1 for b in range(4096)
+                      if image[b * 4096:(b + 1) * 4096] != bytes(4096))
+        assert len(dev._blocks) == nonzero == 6
 
 
 class TestManifestCampaignSection:

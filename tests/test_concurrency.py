@@ -6,7 +6,7 @@ analysis store directory, and campaign shards share one
 :class:`~repro.perf.campaign.SnapshotCache`.  These tests pin the
 guarantees that make that safe:
 
-- SnapshotCache: concurrent ``device_for``/``clone_flat`` calls from
+- SnapshotCache: concurrent ``device_for`` calls from
   many threads produce exactly one cold build per key and tallies that
   add up (``hits + misses == calls`` — the increments run under the
   entry lock);
@@ -106,6 +106,45 @@ class TestSnapshotCacheConcurrency:
         assert len(snapshots) == 4
         assert snapshots.hits + snapshots.misses == \
             self.THREADS * self.ROUNDS
+
+    def test_concurrent_clones_stay_independent(self):
+        # Clones share the template's immutable blocks; each thread's
+        # writes must land in its own block map only.
+        snapshots = SnapshotCache()
+        image = b"\x42" * 512
+
+        def build(dev):
+            dev.write_block(0, image)
+
+        snapshots.device_for(("k",), 8, 512, build)
+        errors = []
+
+        def hammer(index):
+            mark = bytes([index + 1]) * 512
+            for _round in range(self.ROUNDS):
+                dev = snapshots.device_for(("k",), 8, 512, build,
+                                           track_io=False)
+                dev.write_block(1, mark)
+                dev.write_bytes(0, mark[:16])
+                if (dev.read_block(1) != mark
+                        or dev.read_block(0) != mark[:16] + image[16:]):
+                    errors.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        fresh = snapshots.device_for(("k",), 8, 512, build)
+        assert fresh.snapshot() == image + bytes(7 * 512)
 
 
 # ---------------------------------------------------------------------------

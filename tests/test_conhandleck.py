@@ -40,6 +40,16 @@ class TestPaperResult:
         assert "mke2fs.sparse_super2" in params
         assert "resize2fs" in bad.detail or "sparse_super2" in bad.detail
 
+    def test_figure1_driver_detail_pinned(self, report):
+        bad = report.bad_handling()[0]
+        assert bad.dependency.key() == (
+            "CCD.behavioral:mke2fs.sparse_super2,resize2fs.*@s_feature_compat")
+        assert bad.outcome is ViolationOutcome.CORRUPTION
+        assert bad.detail == (
+            "sparse_super2 expansion: e2fsck found free blocks count wrong "
+            "for group #0 (1947, counted=3995); free blocks count wrong "
+            "(1947, counted=3995)")
+
     def test_most_violations_rejected_gracefully(self, report):
         outcomes = report.by_outcome()
         assert outcomes[ViolationOutcome.REJECTED] >= 50

@@ -1,7 +1,7 @@
 # Development targets.  `make verify` is the gate: the full test suite,
 # the import contract (what each entry point may load), the perf smoke
 # benchmarks — which fail loudly when a cache/engine
-# speedup regresses below its floor, a parallel run stops being
+# speedup regresses below its floor, a sharded run stops being
 # byte-identical to sequential, or disabled tracing stops being (near)
 # free — and a traced end-to-end extraction whose artifacts must
 # validate against the checked-in schemas.  The campaign, obs, backend
@@ -49,7 +49,7 @@ trace-smoke:
 	$(PYTHON) -c "import sys; from repro.cli import main_extract; \
 	sys.exit(main_extract(['--trace', '$$tmp/run.jsonl', \
 	'--chrome-trace', '$$tmp/run.json', '--manifest', '$$tmp/manifest.json', \
-	'-j', '4', '--explain', 'sparse_super2']))" >/dev/null && \
+	'--explain', 'sparse_super2']))" >/dev/null && \
 	$(PYTHON) -c "from repro.obs import events, manifest; \
 	n = events.validate_events_file('$$tmp/run.jsonl'); \
 	assert events.validate_chrome_trace_file('$$tmp/run.json') == n; \

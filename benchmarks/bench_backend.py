@@ -89,6 +89,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
     """Measure, render, and enforce the incremental contract; 0 on success."""
     _ensure_imports()
 
+    from conftest import usable_cpus
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
     from repro.corpus.cache import analysis_stats, reset_cache_stats
@@ -99,7 +100,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
         repeat = 1
     min_incremental = (SMOKE_INCREMENTAL_SPEEDUP if smoke
                        else MIN_INCREMENTAL_SPEEDUP)
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
 
     # ---- warm-incremental after a single-file edit --------------------
 
@@ -124,7 +125,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
 
         def cold_run() -> str:
             clear_cache(disk=True)
-            return _canonical(extract_all(jobs=1))
+            return _canonical(extract_all())
 
         # Populate the analysis store with a cold run over the copy.
         cold_baseline = cold_run()
@@ -136,7 +137,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
             # run recompiles and re-analyzes exactly one unit.
             clear_cache()
             incremental_outputs.append(
-                _canonical(extract_all(jobs=1)))
+                _canonical(extract_all()))
 
         incremental_s = float("inf")
         incremental_recompute_s = float("inf")

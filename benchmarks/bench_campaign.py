@@ -1,42 +1,40 @@
-"""Campaign engine performance: serial-cold vs snapshot-warm vs parallel,
-plus campaign-scale sharded streaming throughput.
+"""Campaign engine performance: serial-cold vs snapshot-warm, plus
+campaign-scale sharded streaming throughput.
 
 Benchmarks the checker campaign engine (``repro.perf.campaign``) on a
 realistic workload: a mount-option sweep over a few shared on-disk
 formats, most configurations dying at mount validation — the shape the
-paper's ConBugCk campaigns take.  Three engine configurations run the
+paper's ConBugCk campaigns take.  Two engine configurations run the
 same sweep:
 
-- **serial-cold**    — jobs=1, snapshot cache off, I/O accounting on
-  (the pre-engine behavior: every config re-runs mkfs);
-- **snapshot-warm**  — jobs=1, snapshot cache on: configs sharing an
-  mkfs tuple clone one formatted image instead of re-formatting;
-- **parallel**       — jobs=4 with the cache and accounting off (the
-  full engine as ``--jobs`` enables it).
+- **serial-cold**    — snapshot cache off (the pre-engine behavior:
+  every config re-runs mkfs);
+- **snapshot-warm**  — snapshot cache on: configs sharing an mkfs tuple
+  clone one formatted image instead of re-formatting.
 
 A second, campaign-scale section measures the sharded streaming driver
 (``sweep_campaign``/``sampled_campaign``) against the pre-shard
 ``ConBugCk.drive`` path at N=10^4 configurations (10^5 in full mode):
 
 - **sharded sweep**  — the 10^4-config sweep through the sharded
-  streaming driver (per-shard outcome memo + flat-image clones) versus
-  the serial-cold pre-shard driver;
+  streaming driver in-process (``jobs=1``: per-shard outcome memo +
+  block-map clones) versus the serial-cold pre-shard driver;
 - **sharded sampled** — a diverse random-registry campaign
-  (``sampled_campaign``) where every shard regenerates its own slice,
+  (``sampled_campaign``) where every shard regenerates its own slice
+  on ``--jobs`` process workers (in-process on a single usable CPU),
   versus materializing the configs and driving them serially.
 
 Contract (the ``verify`` target runs ``--smoke`` and fails loudly):
 
 - snapshot-warm must beat serial-cold by ``MIN_CACHE_SPEEDUP`` (1.5x);
-- the parallel engine must beat serial-cold by ``MIN_ENGINE_SPEEDUP``
-  (2.0x);
 - the sharded streaming driver must beat the serial pre-shard driver
   by ``MIN_SHARDED_SPEEDUP`` (3.0x) at campaign scale — always
   enforced: the win comes from outcome memoization, not parallelism;
 - the sharded *sampled* campaign must beat its serial baseline by
-  ``MIN_SAMPLED_SPEEDUP`` (3.0x) — enforced only on >= 4 CPUs (the
-  diverse workload has few duplicate configs, so this win is
-  parallelism; smaller hosts record the measurement unenforced);
+  ``MIN_SAMPLED_SPEEDUP`` (3.0x) — enforced only with >= 4 usable CPUs
+  (the CPUs this process may run on, not the host's count: the diverse
+  workload has few duplicate configs, so this win is parallelism;
+  smaller hosts record the measurement unenforced);
 - every configuration, any job/shard count: byte-identical DriveStats,
   and the sharded campaign digest must equal the unsharded one.
 
@@ -56,17 +54,16 @@ import sys
 import time
 from typing import List, Optional
 
-#: Required speedup of the snapshot cache alone (jobs=1, cache on).
+#: Required speedup of the snapshot cache (cache on vs off).
 MIN_CACHE_SPEEDUP = 1.5
-#: Required speedup of the full engine (jobs=4 + cache + no accounting).
-MIN_ENGINE_SPEEDUP = 2.0
 #: Required campaign-scale speedup of the sharded streaming driver over
 #: the serial pre-shard driver (always enforced).
 MIN_SHARDED_SPEEDUP = 3.0
-#: Required speedup of the sharded sampled campaign (enforced >= 4 CPUs).
+#: Required speedup of the sharded sampled campaign (enforced >= 4
+#: usable CPUs).
 MIN_SAMPLED_SPEEDUP = 3.0
-#: CPU floor below which the sampled-campaign speedup is recorded but
-#: not enforced — its win is parallel shard execution.
+#: Usable-CPU floor below which the sampled-campaign speedup is
+#: recorded but not enforced — its win is parallel shard execution.
 SAMPLED_FLOOR_CPUS = 4
 
 #: Sweep geometry: small blocks and a small device keep mkfs the
@@ -137,6 +134,7 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
     """Measure, render, and enforce the perf contract; 0 on success."""
     _ensure_imports()
 
+    from conftest import usable_cpus
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
     from repro.perf.sampling import RandomSampler
@@ -155,20 +153,17 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
 
     outputs: List[str] = []
 
-    def timed_run(jobs_arg: int, cache: bool, track_io: bool) -> float:
+    def timed_run(cache: bool) -> float:
         def one_run():
             stats = ConBugCk(deps, seed=SEED).drive(
-                sweep, fs_blocks=FS_BLOCKS, jobs=jobs_arg,
-                snapshot_cache=cache, track_io=track_io)
+                sweep, fs_blocks=FS_BLOCKS, snapshot_cache=cache)
             outputs.append(_canonical(stats))
         return _best_of(repeat, one_run)
 
-    serial_cold = timed_run(1, cache=False, track_io=True)
-    snapshot_warm = timed_run(1, cache=True, track_io=True)
-    parallel = timed_run(jobs, cache=True, track_io=False)
+    serial_cold = timed_run(cache=False)
+    snapshot_warm = timed_run(cache=True)
 
     cache_speedup = serial_cold / snapshot_warm if snapshot_warm else float("inf")
-    engine_speedup = serial_cold / parallel if parallel else float("inf")
 
     # ---- campaign scale: sharded streaming vs the pre-shard driver ----
     # Large N self-averages, so each mode is timed once.
@@ -179,13 +174,12 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
 
     start = time.perf_counter()
     scale_stats = ConBugCk(deps, seed=SEED).drive(
-        sweep_scale, fs_blocks=FS_BLOCKS, jobs=1, snapshot_cache=False,
-        track_io=True)
+        sweep_scale, fs_blocks=FS_BLOCKS, snapshot_cache=False)
     scale_serial = time.perf_counter() - start
 
     start = time.perf_counter()
     scale_report = sweep_campaign(sweep_scale, fs_blocks=FS_BLOCKS,
-                                  shards=CAMPAIGN_SHARDS, jobs=jobs)
+                                  shards=CAMPAIGN_SHARDS, jobs=1)
     scale_sharded = time.perf_counter() - start
 
     scale_unsharded = sweep_campaign(sweep_scale, fs_blocks=FS_BLOCKS,
@@ -199,9 +193,10 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
     sweep_cps = scale_n / scale_sharded if scale_sharded else float("inf")
 
     # Diverse sampled campaign: shards regenerate their own slices, so
-    # the serial baseline must also pay config materialization.
-    cpus = os.cpu_count() or 1
-    sampled_backend = "process" if cpus >= 2 else "thread"
+    # the serial baseline must also pay config materialization.  With
+    # one usable CPU, process workers would only add spawn cost.
+    cpus = usable_cpus()
+    sampled_jobs = jobs if cpus >= 2 else 1
     sampled_enforced = cpus >= SAMPLED_FLOOR_CPUS
 
     start = time.perf_counter()
@@ -210,14 +205,14 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
     sampled_configs = [config_from_assignment(space, assignment)
                        for _, assignment in sampler.iter_range(0, scale_n)]
     sampled_stats = ConBugCk(deps, seed=SEED).drive(
-        sampled_configs, fs_blocks=SAMPLED_FS_BLOCKS, jobs=1)
+        sampled_configs, fs_blocks=SAMPLED_FS_BLOCKS)
     sampled_serial = time.perf_counter() - start
 
     start = time.perf_counter()
     sampled_report, _meta = sampled_campaign(
         deps, sample="random", seed=SEED, budget=scale_n,
-        shards=CAMPAIGN_SHARDS, fs_blocks=SAMPLED_FS_BLOCKS, jobs=jobs,
-        backend=sampled_backend)
+        shards=CAMPAIGN_SHARDS, fs_blocks=SAMPLED_FS_BLOCKS,
+        jobs=sampled_jobs)
     sampled_sharded = time.perf_counter() - start
 
     sampled_unsharded, _ = sampled_campaign(
@@ -236,10 +231,8 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
         ["configuration", "best s", "vs serial"],
         title=f"campaign wall time ({count} configs, best of {repeat}, {mode})")
     table.add_row("serial-cold (mkfs per config)", f"{serial_cold:.4f}", "1.00x")
-    table.add_row("snapshot-warm (jobs=1, cache)", f"{snapshot_warm:.4f}",
+    table.add_row("snapshot-warm (cache)", f"{snapshot_warm:.4f}",
                   f"{cache_speedup:.2f}x")
-    table.add_row(f"parallel engine (jobs={jobs})", f"{parallel:.4f}",
-                  f"{engine_speedup:.2f}x")
     rendered = table.render()
 
     scale_table = TextTable(
@@ -249,13 +242,13 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
     scale_table.add_row("sweep: pre-shard serial driver",
                         f"{scale_serial:.3f}",
                         f"{scale_n / scale_serial:.0f}", "1.00x")
-    scale_table.add_row("sweep: sharded streaming",
+    scale_table.add_row("sweep: sharded streaming (jobs=1)",
                         f"{scale_sharded:.3f}", f"{sweep_cps:.0f}",
                         f"{sharded_speedup:.2f}x")
     scale_table.add_row("sampled: materialize + serial drive",
                         f"{sampled_serial:.3f}",
                         f"{scale_n / sampled_serial:.0f}", "1.00x")
-    scale_table.add_row(f"sampled: sharded ({sampled_backend})",
+    scale_table.add_row(f"sampled: sharded (jobs={sampled_jobs})",
                         f"{sampled_sharded:.3f}", f"{sampled_cps:.0f}",
                         f"{sampled_speedup:.2f}x")
     rendered += "\n\n" + scale_table.render()
@@ -267,13 +260,12 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
                  f"{'yes' if identical else 'NO'}")
     rendered += (f"\nsnapshot-cache speedup {cache_speedup:.2f}x "
                  f"(required >= {MIN_CACHE_SPEEDUP:.1f}x)")
-    rendered += (f"\nparallel-engine speedup {engine_speedup:.2f}x "
-                 f"(required >= {MIN_ENGINE_SPEEDUP:.1f}x)")
     rendered += (f"\nsharded-campaign speedup {sharded_speedup:.2f}x "
                  f"(required >= {MIN_SHARDED_SPEEDUP:.1f}x)")
     rendered += (f"\nsharded-sampled speedup {sampled_speedup:.2f}x "
                  f"(required >= {MIN_SAMPLED_SPEEDUP:.1f}x on "
-                 f">= {SAMPLED_FLOOR_CPUS} CPUs; this box has {cpus}, "
+                 f">= {SAMPLED_FLOOR_CPUS} usable CPUs; this process "
+                 f"has {cpus}, "
                  f"{'enforced' if sampled_enforced else 'recorded only'})")
 
     with open(JSON_PATH, "w", encoding="utf-8") as fh:
@@ -282,12 +274,11 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
             "workload": {
                 "configs": count, "bases": BASES, "fs_blocks": FS_BLOCKS,
                 "block_size": BLOCK_SIZE, "violate_rate": VIOLATE_RATE,
-                "seed": SEED, "jobs": jobs, "repeat": repeat,
+                "seed": SEED, "repeat": repeat,
             },
             "seconds": {
                 "serial_cold": serial_cold,
                 "snapshot_warm": snapshot_warm,
-                "parallel": parallel,
             },
             "campaign_scale": {
                 "configs": scale_n,
@@ -300,7 +291,7 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
                     "digest": scale_report.digest_hex,
                 },
                 "sampled": {
-                    "backend": sampled_backend,
+                    "jobs": sampled_jobs,
                     "serial_seconds": sampled_serial,
                     "sharded_seconds": sampled_sharded,
                     "configs_per_sec": sampled_cps,
@@ -309,19 +300,16 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
             },
             "speedups": {
                 "snapshot_cache": cache_speedup,
-                "parallel_engine": engine_speedup,
                 "sharded_campaign": sharded_speedup,
                 "sharded_sampled": sampled_speedup,
             },
             "floors": {
                 "snapshot_cache": MIN_CACHE_SPEEDUP,
-                "parallel_engine": MIN_ENGINE_SPEEDUP,
                 "sharded_campaign": MIN_SHARDED_SPEEDUP,
                 "sharded_sampled": MIN_SAMPLED_SPEEDUP,
             },
             "floor_enforced": {
                 "snapshot_cache": True,
-                "parallel_engine": True,
                 "sharded_campaign": True,
                 "sharded_sampled": sampled_enforced,
             },
@@ -342,11 +330,6 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 5,
     if cache_speedup < MIN_CACHE_SPEEDUP:
         print(f"FAIL: snapshot-cache speedup {cache_speedup:.2f}x is below "
               f"the {MIN_CACHE_SPEEDUP:.1f}x floor — perf regression",
-              file=sys.stderr)
-        return 1
-    if engine_speedup < MIN_ENGINE_SPEEDUP:
-        print(f"FAIL: parallel-engine speedup {engine_speedup:.2f}x is below "
-              f"the {MIN_ENGINE_SPEEDUP:.1f}x floor — perf regression",
               file=sys.stderr)
         return 1
     if sharded_speedup < MIN_SHARDED_SPEEDUP:
@@ -372,13 +355,14 @@ def test_campaign_perf():
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the campaign engine: serial-cold vs "
-                    "snapshot-warm vs parallel checker execution, plus "
+                    "snapshot-warm checker execution, plus "
                     "campaign-scale sharded streaming throughput.")
     parser.add_argument("--smoke", action="store_true",
                         help="smaller sweep, fewer repetitions "
                              "(the CI verify mode; floors unchanged)")
     parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker count for the parallel run (default 4)")
+                        help="process workers for the sharded sampled "
+                             "campaign (default 4)")
     parser.add_argument("--repeat", type=int, default=5, metavar="N",
                         help="repetitions per configuration, best-of (default 5)")
     parser.add_argument("--count", type=int, default=800, metavar="N",

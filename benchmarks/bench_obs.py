@@ -164,7 +164,7 @@ def _measure_service_telemetry(smoke: bool) -> dict:
         uniques = [
             {"tool": "demo", "params": {}},
             {"tool": "condocck", "params": {}},
-            {"tool": "extract", "params": {"jobs": 1}},
+            {"tool": "extract", "params": {}},
             {"tool": "extract", "params": {"list": True}},
         ]
         started = time.perf_counter()

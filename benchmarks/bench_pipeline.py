@@ -1,4 +1,4 @@
-"""Pipeline performance: cold vs warm IR cache, sequential vs parallel.
+"""Pipeline performance: cold vs warm IR cache.
 
 Unlike the other ``bench_*`` modules (which regenerate paper tables),
 this one benchmarks the *reproduction's own* analysis pipeline — the
@@ -7,13 +7,12 @@ perf layer added on top of the paper:
 - **cold**       — empty disk cache: compile the corpus + analyze;
 - **warm-disk**  — fresh process simulated (in-memory caches dropped),
   IR modules unpickled from the persistent cache;
-- **warm-memo**  — everything memoized in-process (steady state);
-- **jobs=N**     — parallel fan-out, checked byte-identical to jobs=1.
+- **warm-memo**  — everything memoized in-process (steady state).
 
 Contract (the ``verify`` target runs ``--smoke`` and fails loudly):
 
 - warm-disk must beat cold by ``MIN_WARM_SPEEDUP`` (3x full, 2x smoke);
-- every run, any cache state, any job count: identical dependencies.
+- every run, any cache state: identical dependencies.
 
 Runnable standalone (``python benchmarks/bench_pipeline.py [--smoke]``)
 or under pytest (``test_pipeline_perf`` applies the smoke thresholds).
@@ -67,7 +66,7 @@ def _best_of(repeat: int, fn) -> float:
     return best
 
 
-def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 3,
+def run_benchmark(smoke: bool = False, repeat: int = 3,
                   emit_fn=None) -> int:
     """Measure, render, and enforce the perf contract; 0 on success."""
     _ensure_imports()
@@ -83,18 +82,16 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 3,
 
     outputs: List[str] = []
 
-    def timed_run(prepare, jobs_arg: Optional[int]) -> float:
+    def timed_run(prepare) -> float:
         def one_run():
             prepare()
-            outputs.append(_canonical(extract_all(jobs=jobs_arg)))
+            outputs.append(_canonical(extract_all()))
         return _best_of(repeat, one_run)
 
     reset_cache_stats()
-    cold = timed_run(lambda: clear_cache(disk=True), 1)
-    warm_disk = timed_run(clear_cache, 1)
-    warm_memo = timed_run(lambda: None, 1)
-    par_cold = timed_run(lambda: clear_cache(disk=True), jobs)
-    par_warm = timed_run(clear_cache, jobs)
+    cold = timed_run(lambda: clear_cache(disk=True))
+    warm_disk = timed_run(clear_cache)
+    warm_memo = timed_run(lambda: None)
 
     warm_speedup = cold / warm_disk if warm_disk > 0 else float("inf")
     memo_speedup = cold / warm_memo if warm_memo > 0 else float("inf")
@@ -107,17 +104,13 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 3,
                   f"{warm_speedup:.2f}x")
     table.add_row("warm in-process memo", f"{warm_memo:.4f}",
                   f"{memo_speedup:.2f}x")
-    table.add_row(f"jobs={jobs}, cold", f"{par_cold:.4f}",
-                  f"{cold / par_cold:.2f}x" if par_cold else "-")
-    table.add_row(f"jobs={jobs}, warm disk", f"{par_warm:.4f}",
-                  f"{cold / par_warm:.2f}x" if par_warm else "-")
     rendered = table.render()
     stats = cache_stats()
     rendered += (f"\n\ndisk cache: {stats.hits} hits, {stats.misses} misses, "
                  f"{stats.stores} stores, {stats.errors} errors")
 
     identical = all(out == outputs[0] for out in outputs[1:])
-    rendered += (f"\noutputs byte-identical across all runs/job counts: "
+    rendered += (f"\noutputs byte-identical across all runs: "
                  f"{'yes' if identical else 'NO'}")
     rendered += (f"\nwarm-disk speedup {warm_speedup:.2f}x "
                  f"(required >= {min_speedup:.1f}x)")
@@ -126,13 +119,10 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 3,
         json.dump({
             "mode": "smoke" if smoke else "full",
             "repeat": repeat,
-            "jobs": jobs,
             "seconds": {
                 "cold": cold,
                 "warm_disk": warm_disk,
                 "warm_memo": warm_memo,
-                "parallel_cold": par_cold,
-                "parallel_warm": par_warm,
             },
             "speedups": {
                 "warm_disk": warm_speedup,
@@ -152,7 +142,7 @@ def run_benchmark(smoke: bool = False, jobs: int = 4, repeat: int = 3,
         print(rendered)
 
     if not identical:
-        print("FAIL: parallel/warm outputs differ from the cold sequential run",
+        print("FAIL: warm outputs differ from the cold run",
               file=sys.stderr)
         return 1
     if warm_speedup < min_speedup:
@@ -181,12 +171,10 @@ def test_pipeline_perf():
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the extraction pipeline: cold vs warm IR "
-                    "cache and sequential vs parallel fan-out.")
+                    "cache.")
     parser.add_argument("--smoke", action="store_true",
                         help="single repetition, relaxed 2x threshold "
                              "(the CI verify mode)")
-    parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker count for the parallel runs (default 4)")
     parser.add_argument("--repeat", type=int, default=3, metavar="N",
                         help="repetitions per configuration, best-of (default 3)")
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
@@ -196,12 +184,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.cache_dir is not None:
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-        return run_benchmark(smoke=args.smoke, jobs=args.jobs,
-                             repeat=args.repeat)
+        return run_benchmark(smoke=args.smoke, repeat=args.repeat)
     with tempfile.TemporaryDirectory(prefix="repro-ir-bench-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
-        return run_benchmark(smoke=args.smoke, jobs=args.jobs,
-                             repeat=args.repeat)
+        return run_benchmark(smoke=args.smoke, repeat=args.repeat)
 
 
 if __name__ == "__main__":

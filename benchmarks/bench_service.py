@@ -23,9 +23,10 @@ tier-10 hot path, ``src/repro/serve``):
   kept-alive client connection), not a wall-clock ratio.
 - **concurrent worker execution** — a worker with two exec slots must
   complete a compatible two-job batch (sampled ``conbugck`` campaigns
-  with distinct seeds, ``--backend process``) faster than one slot by
-  ``MIN_CONCURRENT_SPEEDUP``; enforced only on hosts with >= 4 CPUs
-  (recorded elsewhere), and the outputs must be byte-identical across
+  with distinct seeds, shards on ``--jobs 2`` process workers) faster
+  than one slot by ``MIN_CONCURRENT_SPEEDUP``; enforced only with >= 4
+  usable CPUs (the process's affinity mask, not the host's count;
+  recorded elsewhere), and the outputs must be byte-identical across
   slot counts — concurrency must not perturb results.
 - **byte identity** — the service's result bytes for a request must
   equal the stdout of a direct CLI invocation of the same request.
@@ -42,10 +43,10 @@ dedup gauge, two live workers, and nonzero hot-path counters
 an explicit ``If-None-Match`` revalidation must answer ``304`` with no
 body; the structured service log must validate against its schema and
 contain the full run lifecycle; and a ``repro-submit`` sampled
-campaign executed with ``--backend process`` must reassemble into a
-single rooted span tree via ``repro-runs trace``, with the pool
-workers' ``campaign.shard`` spans grafted under ``campaign.sharded``.  Then SIGTERM everything and require
-clean signal semantics.
+campaign executed with ``--jobs 2`` must reassemble into a single
+rooted span tree via ``repro-runs trace``, with the pool workers'
+``campaign.shard`` spans grafted under ``campaign.sharded``.  Then
+SIGTERM everything and require clean signal semantics.
 
 Results land machine-readable in ``BENCH_service.json`` at the repo
 root.  Runnable standalone (``python benchmarks/bench_service.py
@@ -74,9 +75,9 @@ MIN_DUP_SPEEDUP = 5.0
 MIN_THROUGHPUT_RPS = 8.0
 SMOKE_THROUGHPUT_RPS = 5.0
 
-#: Required two-slot vs one-slot ratio on a compatible process-backend
-#: batch.  Parallel speedup needs cores: enforced at >= 4 CPUs,
-#: recorded (never failed) below that.
+#: Required two-slot vs one-slot ratio on a compatible batch of
+#: process-worker campaigns.  Parallel speedup needs cores: enforced
+#: at >= 4 usable CPUs, recorded (never failed) below that.
 MIN_CONCURRENT_SPEEDUP = 1.25
 CONCURRENT_FLOOR_MIN_CPUS = 4
 
@@ -130,8 +131,7 @@ def _unique_requests(client, overlays: int) -> List[Dict[str, Any]]:
         {"tool": "demo", "params": {}},
         {"tool": "condocck", "params": {}},
         {"tool": "study", "params": {}},
-        {"tool": "extract", "params": {"jobs": 1}},
-        {"tool": "extract", "params": {"jobs": 2}},
+        {"tool": "extract", "params": {}},
         {"tool": "extract", "params": {"list": True}},
     ]
     for index in range(overlays):
@@ -177,7 +177,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
     """Time a compatible two-job batch at one vs two exec slots.
 
     Two sampled ``conbugck`` campaigns with distinct seeds share an
-    engine signature (``--backend process``, equal ``--jobs``), so
+    engine signature and a ``--jobs`` width, so
     :meth:`~repro.serve.db.RunQueue.claim_batch` hands them to one
     worker as one batch; with ``exec_slots=2`` they execute as one
     concurrent wave.  Output bytes must match across slot counts —
@@ -185,6 +185,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
     the distinct seeds must keep producing distinct outputs (no
     cross-job clobbering through the shared capture plumbing).
     """
+    from conftest import usable_cpus
     from repro.serve.db import DONE, CorpusStore, RunQueue
     from repro.serve.worker import Worker, submit_request
 
@@ -193,7 +194,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
 
     def params_for(seed: int) -> Dict[str, Any]:
         return {"sample": "random", "budget": budget, "seed": seed,
-                "jobs": 2, "backend": "process"}
+                "jobs": 2}
 
     # Tracing off for the whole section: solo waves trace by default,
     # concurrent waves never do, and the comparison must not fold that
@@ -254,7 +255,7 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
     distinct = (_stable_output(outputs[1][seeds[0]])
                 != _stable_output(outputs[1][seeds[1]]))
     speedup = (timings[1] / timings[2]) if timings[2] > 0 else float("inf")
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     return {
         "budget": budget,
         "slots1_s": timings[1],
@@ -294,15 +295,14 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
     try:
         # ---- duplicate vs cold latency --------------------------------
         started = time.perf_counter()
-        cold_run = client.submit_and_wait("extract", {"jobs": 1},
-                                          timeout=120)
+        cold_run = client.submit_and_wait("extract", {}, timeout=120)
         cold_s = time.perf_counter() - started
         probe_id = cold_run["run_id"]
 
         dup_s = float("inf")
         for _ in range(5):
             started = time.perf_counter()
-            submitted = client.submit("extract", {"jobs": 1})
+            submitted = client.submit("extract", {})
             assert submitted["deduplicated"], "duplicate was not dedup'd"
             client.result_bytes(submitted["run"]["run_id"])
             dup_s = min(dup_s, time.perf_counter() - started)
@@ -310,13 +310,12 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
 
         # ---- byte identity vs the direct CLI --------------------------
         service_bytes = client.result_bytes(probe_id)
-        direct_code, direct_out = _direct_cli("main_extract",
-                                              ["--jobs", "1"])
+        direct_code, direct_out = _direct_cli("main_extract", [])
         byte_identical = (direct_code == 0
                           and service_bytes.decode("utf-8") == direct_out)
 
         # ---- mixed-workload throughput --------------------------------
-        uniques = _unique_requests(client, overlays=4)
+        uniques = _unique_requests(client, overlays=5)
         started = time.perf_counter()
         submitted_ids = []
         for index in range(requests_total):
@@ -532,8 +531,8 @@ def run_ci_smoke() -> int:
             {"tool": "condocck", "params": {}},
             {"tool": "study", "params": {}},
             {"tool": "extract", "params": {"list": True}},
-        ] + [{"tool": "extract", "params": {"jobs": jobs}}
-             for jobs in (1, 2, 3, 4)]
+            {"tool": "extract", "params": {}},
+        ]
         for index in range(25 - len(uniques)):
             corpus_id = client.upload_corpus(
                 {"zz_ci.c": f"/* ci overlay {index} */\n"
@@ -610,7 +609,7 @@ def run_ci_smoke() -> int:
         print(f"ci-smoke: service log OK ({log_events} schema-valid "
               f"events)")
 
-        # ---- distributed trace: submit a process-backend campaign
+        # ---- distributed trace: submit a process-worker campaign
         # through the real repro-submit CLI, then require `repro-runs
         # trace` to reassemble it into a single rooted span tree (API
         # row -> worker -> campaign-shard pool children).
@@ -620,8 +619,7 @@ def run_ci_smoke() -> int:
              "sys.exit(main_submit(sys.argv[1:]))",
              "conbugck", "--url", url, "--no-wait",
              "--params", json.dumps({"sample": "random", "budget": 200,
-                                     "shards": 4, "jobs": 2,
-                                     "backend": "process"})],
+                                     "shards": 4, "jobs": 2})],
             capture_output=True, env=env, text=True, timeout=60)
         if submit.returncode != 0:
             print(f"FAIL: repro-submit failed: {submit.stderr}",
@@ -664,8 +662,7 @@ def run_ci_smoke() -> int:
         # calls equivalent.
         probe = next(row for row in
                      (client.run(run_id) for run_id in dict.fromkeys(run_ids))
-                     if row["tool"] == "extract"
-                     and row["params"] == {"jobs": 1})
+                     if row["tool"] == "extract" and row["params"] == {})
         service_out = client.result_bytes(probe["run_id"]).decode("utf-8")
         service_manifest = os.path.join(tmp, "service-manifest.json")
         with open(service_manifest, "w", encoding="utf-8") as fh:
@@ -723,7 +720,7 @@ def run_ci_smoke() -> int:
             [sys.executable, "-c",
              "import sys; from repro.cli import main_extract; "
              "sys.exit(main_extract(sys.argv[1:]))",
-             "--jobs", "1", "--manifest", direct_manifest],
+             "--manifest", direct_manifest],
             capture_output=True, env=env, text=True, timeout=300)
         if direct.returncode != 0:
             print(f"FAIL: direct CLI run failed: {direct.stderr}",

@@ -24,6 +24,16 @@ def emit(name: str, text: str) -> None:
         fh.write(text + "\n")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), which is what a
+    parallel run can use; ``os.cpu_count()`` reports the host's count
+    even under ``taskset``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_ir_cache(tmp_path_factory):
     """Benchmarks must never read a pre-warmed IR cache from the

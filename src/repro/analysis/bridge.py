@@ -83,7 +83,10 @@ class MetadataBridge:
                      writers: Sequence[ComponentSummary],
                      use: BranchUse) -> List[Dependency]:
         out: List[Dependency] = []
-        for ft in use.fields:
+        # Sorted, like the labels below: set iteration order is hash
+        # order, which differs between processes.
+        for ft in sorted(use.fields, key=lambda ft: (ft.struct, ft.field,
+                                                      ft.feature or "")):
             if ft.struct not in BRIDGE_STRUCTS:
                 continue
             for writer in writers:
@@ -111,9 +114,8 @@ class MetadataBridge:
         for write in writer.field_writes:
             if write.field != ft.field or write.struct != ft.struct:
                 continue
-            for label in write.labels:
-                if not isinstance(label, ParamRef):
-                    continue
+            for label in sorted(label for label in write.labels
+                                if isinstance(label, ParamRef)):
                 if label.component != writer.component:
                     continue
                 if ft.feature is not None and label.name != ft.feature:

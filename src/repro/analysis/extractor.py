@@ -13,7 +13,7 @@ and across scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.bridge import ComponentSummary, MetadataBridge
 from repro.analysis.constraints import (
@@ -30,7 +30,7 @@ from repro.corpus.loader import CorpusUnit, load_unit, unit_slices
 from repro.errors import UnknownFunctionError
 from repro.lang.cfg import build_cfg
 from repro.obs.tracer import span
-from repro.perf import resolve_jobs, run_ordered, timed
+from repro.perf import timed
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,13 @@ class ExtractionReport:
 class Extractor:
     """Run extraction over scenarios.
 
-    ``jobs`` controls the fan-out width (``None`` defers to the
-    ``REPRO_JOBS`` environment knob, default sequential).  The parallel
-    path analyzes (unit, function) pairs concurrently but *merges in
-    spec order*, so its dependency sets are byte-identical to a
-    sequential run: ordering comes from the assembly loop, never from
-    thread completion order.
-
-    Extraction always runs in this process: the per-function analyses
-    are small and share every memo table, so ``jobs`` fans out over
-    threads only.
+    Extraction runs sequentially in this process: the per-function
+    analyses are small and share every memo table, and dependency sets
+    assemble in spec order.
     """
 
-    def __init__(self, scenarios: Sequence[ScenarioSpec] = SCENARIOS,
-                 jobs: Optional[int] = None) -> None:
+    def __init__(self, scenarios: Sequence[ScenarioSpec] = SCENARIOS) -> None:
         self.scenarios = tuple(scenarios)
-        self.jobs = resolve_jobs(jobs)
 
     # ------------------------------------------------------------------
     # per-scenario
@@ -290,7 +281,7 @@ class Extractor:
             tasks = [(filename, fn_name)
                      for filename, functions in spec.selected
                      for fn_name in functions]
-            analyzed = iter(run_ordered(self.jobs, self._analyze_one, tasks))
+            analyzed = iter([self._analyze_one(task) for task in tasks])
             deps: List[Dependency] = []
             summaries: List[ComponentSummary] = []
             for filename, functions in spec.selected:
@@ -332,10 +323,10 @@ class Extractor:
 
     def extract_all(self) -> ExtractionReport:
         """Extract every scenario plus the unique union."""
-        with span("extract.all", scenarios=len(self.scenarios),
-                  jobs=self.jobs), timed("extract.all"):
+        with span("extract.all", scenarios=len(self.scenarios)), \
+                timed("extract.all"):
             self._invalidate_stale()
-            results = run_ordered(self.jobs, self.extract_scenario, self.scenarios)
+            results = [self.extract_scenario(spec) for spec in self.scenarios]
             union: List[Dependency] = []
             for result in results:
                 union.extend(result.dependencies)
@@ -355,7 +346,6 @@ def _dedupe(deps: List[Dependency]) -> List[Dependency]:
     return out
 
 
-def extract_all(scenarios: Sequence[ScenarioSpec] = SCENARIOS,
-                jobs: Optional[int] = None) -> ExtractionReport:
+def extract_all(scenarios: Sequence[ScenarioSpec] = SCENARIOS) -> ExtractionReport:
     """Convenience: run the full Table-5 extraction."""
-    return Extractor(scenarios, jobs=jobs).extract_all()
+    return Extractor(scenarios).extract_all()

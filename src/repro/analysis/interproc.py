@@ -41,7 +41,7 @@ from repro.corpus.loader import CorpusUnit, load_unit
 from repro.lang.cfg import build_cfg
 from repro.lang.ir import CallInstr, Ret
 from repro.obs.tracer import span
-from repro.perf import resolve_jobs, run_ordered, timed
+from repro.perf import timed
 
 #: Upper bound on fixpoint rounds (label sets are finite; this is a
 #: safety net, not a tuning knob).
@@ -50,17 +50,10 @@ MAX_ROUNDS = 12
 
 @dataclass
 class UnitAnalysis:
-    """Inter-procedural analysis of one translation unit.
-
-    ``jobs`` fans the per-function engines of each fixpoint round out
-    across threads; the summary updates between rounds stay sequential
-    (they fold over every function's state), so results are identical
-    to a sequential run.
-    """
+    """Inter-procedural analysis of one translation unit."""
 
     unit: CorpusUnit
     sources: ComponentSources
-    jobs: int = 1
     states: Dict[str, TaintState] = dc_field(default_factory=dict)
     rounds: int = 0
 
@@ -108,9 +101,8 @@ class UnitAnalysis:
 
         with span("interproc.round", unit=self.unit.filename,
                   round=self.rounds), timed("interproc.round"):
-            results = run_ordered(self.jobs, run_one,
-                                  list(self.unit.module.functions.items()))
-        return dict(results)
+            return dict(run_one(item)
+                        for item in self.unit.module.functions.items())
 
     @staticmethod
     def _update_field_summaries(states: Dict[str, TaintState],
@@ -176,17 +168,11 @@ def full_pipeline_spec() -> ScenarioSpec:
 
 
 class InterproceduralExtractor:
-    """Scenario extraction with the inter-procedural engine.
+    """Scenario extraction with the inter-procedural engine."""
 
-    ``jobs`` fans out both the per-unit fixpoint engines and the
-    scenario loop; merge order mirrors the sequential loops, so output
-    is byte-identical to ``jobs=1``.
-    """
-
-    def __init__(self, scenarios: Optional[Sequence[ScenarioSpec]] = None,
-                 jobs: Optional[int] = None) -> None:
+    def __init__(self,
+                 scenarios: Optional[Sequence[ScenarioSpec]] = None) -> None:
         self.scenarios = tuple(scenarios) if scenarios else (full_pipeline_spec(),)
-        self.jobs = resolve_jobs(jobs)
 
     def extract_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
         """Extract one scenario with the inter-procedural engine."""
@@ -195,7 +181,7 @@ class InterproceduralExtractor:
         for filename, functions in spec.selected:
             unit = load_unit(filename)
             sources = SOURCES_BY_UNIT[filename]
-            states = UnitAnalysis(unit, sources, jobs=self.jobs).run()
+            states = UnitAnalysis(unit, sources).run()
 
             def derive_one(fn_name: str):
                 func = unit.module.function(fn_name)
@@ -206,7 +192,7 @@ class InterproceduralExtractor:
                 )
                 return state, findings
 
-            derived = run_ordered(self.jobs, derive_one, functions)
+            derived = [derive_one(fn_name) for fn_name in functions]
             summary = ComponentSummary(unit.component, filename)
             for state, findings in derived:
                 deps.extend(findings.dependencies)
@@ -218,13 +204,13 @@ class InterproceduralExtractor:
 
     def extract_all(self) -> ExtractionReport:
         """Extract every configured scenario plus the union."""
-        results = run_ordered(self.jobs, self.extract_scenario, self.scenarios)
+        results = [self.extract_scenario(spec) for spec in self.scenarios]
         union: List[Dependency] = []
         for result in results:
             union.extend(result.dependencies)
         return ExtractionReport(results, _dedupe(union))
 
 
-def extract_interprocedural(jobs: Optional[int] = None) -> ExtractionReport:
+def extract_interprocedural() -> ExtractionReport:
     """Run the full-pipeline inter-procedural extraction."""
-    return InterproceduralExtractor(jobs=jobs).extract_all()
+    return InterproceduralExtractor().extract_all()

@@ -37,14 +37,26 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` flag (where campaign shards run)."""
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default=None,
-                        help="where sampled-campaign shards run (default: "
-                             "$REPRO_BACKEND or thread; process puts them "
-                             "on a spawn process pool — reports are "
-                             "byte-identical either way)")
+def _job_count(text: str) -> int:
+    """``--jobs`` values: an integer >= 1 (argparse exits 2 otherwise)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
+def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--jobs`` flag (process workers for campaign shards)."""
+    parser.add_argument("-j", "--jobs", type=_job_count, default=1,
+                        metavar="N",
+                        help="process workers for sampled-campaign shards "
+                             "(default 1: everything runs sequentially "
+                             "in-process; N > 1 needs a sampled campaign "
+                             "— reports are byte-identical either way)")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +88,6 @@ class _ObsSession:
         self.argv = list(argv) if argv is not None else sys.argv[1:]
         self.report_keys: Optional[List[str]] = None
         self.report_summary: Optional[str] = None
-        self.engine_overrides: dict = {}
         self.campaign: Optional[dict] = None
         self._tracer = None
         self._root_cm = None
@@ -92,10 +103,6 @@ class _ObsSession:
         """Attach a sampled campaign's manifest section (sampler
         identity, shard timings, snapshot traffic, digest)."""
         self.campaign = dict(campaign)
-
-    def set_engine(self, **modes: Optional[str]) -> None:
-        """Record engine knobs the run pinned explicitly (e.g. --backend)."""
-        self.engine_overrides.update(modes)
 
     def __enter__(self) -> "_ObsSession":
         self._start = time.perf_counter()
@@ -140,22 +147,16 @@ class _ObsSession:
             manifest = build_manifest(
                 self.tool,
                 wall_seconds=wall,
-                jobs=self._resolved_jobs(),
+                jobs=getattr(self.args, "jobs", 1),
                 argv=self.argv,
                 report_keys=self.report_keys,
                 report_summary=self.report_summary,
                 trace=self.args.trace,
-                engine_overrides=self.engine_overrides,
                 campaign=self.campaign,
             )
             write_manifest(manifest, self.args.manifest)
             _status(f"wrote run manifest to {self.args.manifest}")
         return False
-
-    def _resolved_jobs(self) -> int:
-        from repro.perf import resolve_jobs
-
-        return resolve_jobs(getattr(self.args, "jobs", None))
 
 
 def _add_sampling_args(parser: argparse.ArgumentParser,
@@ -207,9 +208,6 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
                         help="write the unique dependencies as JSON")
     parser.add_argument("--list", action="store_true",
                         help="print every dependency key")
-    parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
-                        help="parallel analysis workers (0 = one per CPU; "
-                             "default: $REPRO_JOBS or sequential)")
     parser.add_argument("--profile", action="store_true",
                         help="print a per-phase timing breakdown afterwards "
                              "(includes solver and lattice counters)")
@@ -239,7 +237,7 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
         reset_profile()
 
     with _ObsSession("repro-extract", args, argv) as obs:
-        report = extract_all(jobs=args.jobs)
+        report = extract_all()
         obs.set_report([d.key() for d in report.union],
                        summary=f"{len(report.union)} unique dependencies, "
                                f"{len(report.scenarios)} scenarios")
@@ -316,12 +314,9 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--verbose", action="store_true",
                         help="print every violation outcome")
-    parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
-                        help="parallel violation workers (0 = one per CPU; "
-                             "default: $REPRO_JOBS or sequential)")
+    _add_jobs_arg(parser)
     parser.add_argument("--seed", type=int, default=2022,
                         help="seed for budgeted violation draws")
-    _add_backend_arg(parser)
     _add_sampling_args(
         parser,
         sample_help="sharded violation campaign sampler; only 'random' "
@@ -339,20 +334,21 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
         _status(f"repro-conhandleck: --sample {args.sample} is not "
                 f"meaningful over a dependency list (only random draws)")
         return 2
+    sampled = bool(args.sample or args.budget is not None or args.shards > 1)
+    if args.jobs > 1 and not sampled:
+        parser.error("--jobs N > 1 runs sampled-campaign shards on process "
+                     "workers; it needs --sample, --budget or --shards")
     if args.profile:
         reset_profile()
     with _ObsSession("repro-conhandleck", args, argv) as obs:
-        if args.backend:
-            obs.set_engine(backend=args.backend)
-        if args.sample or args.budget is not None or args.shards > 1:
+        if sampled:
             from repro.analysis.extractor import extract_all
 
-            deps = extract_all(jobs=args.jobs).true_dependencies()
+            deps = extract_all().true_dependencies()
             started = time.perf_counter()
             report, meta = sampled_check(
                 deps, seed=args.seed, budget=args.budget,
-                shards=args.shards, jobs=args.jobs,
-                backend=args.backend)
+                shards=args.shards, jobs=args.jobs)
             wall = time.perf_counter() - started
             rate = report.total / wall if wall > 0 else 0.0
             obs.set_campaign(_campaign_section(report, meta))
@@ -386,7 +382,7 @@ def main_conhandleck(argv: Optional[List[str]] = None) -> int:
                 _status("")
                 _status(render_profile())
             return 0 if not report.failure_count else 1
-        report = ConHandleCk().check_extracted(jobs=args.jobs)
+        report = ConHandleCk().check_extracted()
         summary = ", ".join(f"{o.value}={c}"
                             for o, c in report.by_outcome().items() if c)
         obs.set_report([str(r) for r in report.results], summary=summary)
@@ -415,10 +411,7 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("-n", "--count", type=int, default=30)
     parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
-                        help="parallel campaign workers (0 = one per CPU; "
-                             "default: $REPRO_JOBS or sequential)")
-    _add_backend_arg(parser)
+    _add_jobs_arg(parser)
     _add_sampling_args(
         parser,
         sample_help="run a registry-wide sampled campaign instead of the "
@@ -432,24 +425,25 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
     _add_obs_args(parser)
     args = parser.parse_args(argv)
 
+    if args.jobs > 1 and not args.sample:
+        parser.error("--jobs N > 1 runs sampled-campaign shards on process "
+                     "workers; it needs --sample")
+
     from repro.perf import render_profile, reset_profile
     from repro.tools.conbugck import ConBugCk, STAGES, sampled_campaign
 
     if args.profile:
         reset_profile()
     with _ObsSession("repro-conbugck", args, argv) as obs:
-        if args.backend:
-            obs.set_engine(backend=args.backend)
         if args.sample:
             from repro.analysis.extractor import extract_all
 
-            deps = extract_all(jobs=args.jobs).true_dependencies()
+            deps = extract_all().true_dependencies()
             started = time.perf_counter()
             report, meta = sampled_campaign(
                 deps, sample=args.sample, seed=args.seed,
                 budget=args.budget, shards=args.shards,
-                fs_blocks=args.fs_blocks, jobs=args.jobs,
-                backend=args.backend)
+                fs_blocks=args.fs_blocks, jobs=args.jobs)
             wall = time.perf_counter() - started
             rate = report.total / wall if wall > 0 else 0.0
             obs.set_campaign(_campaign_section(report, meta))
@@ -479,10 +473,9 @@ def main_conbugck(argv: Optional[List[str]] = None) -> int:
                 _status("")
                 _status(render_profile())
             return 0
-        generator = ConBugCk.from_extraction(seed=args.seed, jobs=args.jobs)
-        guided = generator.drive(generator.generate(args.count), jobs=args.jobs)
-        naive = generator.drive(generator.generate_naive(args.count),
-                                jobs=args.jobs)
+        generator = ConBugCk.from_extraction(seed=args.seed)
+        guided = generator.drive(generator.generate(args.count))
+        naive = generator.drive(generator.generate_naive(args.count))
         obs.set_report(
             [f"{kind}.{stage}={stats.reached[stage]}"
              for kind, stats in (("guided", guided), ("naive", naive))

@@ -277,7 +277,7 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
         prog="repro-worker",
         description="Run one queue worker: claim batches of compatible "
                     "runs, execute them on the warm pipeline (campaign "
-                    "shards on a process pool under --backend process), "
+                    "shards on a process pool under --jobs N > 1), "
                     "and record obs manifests as the run records.",
     )
     parser.add_argument("--id", default=None,
@@ -299,7 +299,7 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
                         help="concurrent exec slots: run up to N compatible "
                              "batchmates at once (default: "
                              "$REPRO_SERVE_SLOTS or 1; pays off for "
-                             "--backend process campaigns on multi-core "
+                             "sharded --jobs N > 1 campaigns on multi-core "
                              "hosts)")
     parser.add_argument("--max-jobs", type=int, default=None, metavar="N",
                         help="exit after N jobs (default: run forever)")
@@ -359,7 +359,7 @@ def main_submit(argv: Optional[List[str]] = None) -> int:
                         help="service base URL")
     parser.add_argument("--params", metavar="JSON", default=None,
                         help='request params as a JSON object, e.g. '
-                             '\'{"jobs": 2, "list": true}\'')
+                             '\'{"sample": "random", "budget": 500}\'')
     parser.add_argument("--corpus", metavar="ID", default=None,
                         help="corpus snapshot id from a prior upload")
     parser.add_argument("--upload", metavar="FILE", action="append",

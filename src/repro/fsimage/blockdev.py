@@ -1,4 +1,4 @@
-"""An in-memory block device with block-granular I/O accounting.
+"""An in-memory, sparse, copy-on-write block device.
 
 The device is sparse: it stores a map of block number → immutable
 ``bytes`` holding only the blocks that are not all zeroes, and every
@@ -9,9 +9,8 @@ blocks are never mutated in place, :meth:`BlockDevice.clone` is a copy
 of the block map — copy-on-write at block granularity.
 
 It enforces bounds (so a resize bug that writes past the device fails
-loudly), tracks read/write counts per block for the benchmarks, and
-supports growing — which is how the simulated ``resize2fs`` models
-operating on an enlarged partition.
+loudly) and supports growing — which is how the simulated
+``resize2fs`` models operating on an enlarged partition.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ def _check_geometry(num_blocks: int, block_size: int) -> None:
 class BlockDevice:
     """A resizable in-memory device addressed in fixed-size blocks."""
 
-    def __init__(self, num_blocks: int, block_size: int = 4096,
-                 track_io: bool = True) -> None:
+    def __init__(self, num_blocks: int, block_size: int = 4096) -> None:
         _check_geometry(num_blocks, block_size)
         self.block_size = block_size
         self._num_blocks = num_blocks
@@ -54,27 +52,19 @@ class BlockDevice:
         self._blocks: Dict[int, bytes] = {}
         self._zero = _ZERO_BLOCKS[block_size]
         self._closed = False
-        #: Per-block access accounting.  The I/O-pattern benchmarks read
-        #: these dicts; campaign runs that never consume them construct
-        #: the device with ``track_io=False`` to skip the per-access
-        #: dict updates entirely.
-        self.track_io = track_io
-        self.reads: Dict[int, int] = {}
-        self.writes: Dict[int, int] = {}
 
     @classmethod
-    def from_snapshot(cls, snapshot: bytes, block_size: int,
-                      track_io: bool = True) -> "BlockDevice":
+    def from_snapshot(cls, snapshot: bytes, block_size: int) -> "BlockDevice":
         """A fresh, independent device initialized from a snapshot."""
         if not snapshot or len(snapshot) % block_size:
             raise ValueError(
                 f"snapshot of {len(snapshot)} bytes is not a whole number "
                 f"of {block_size}-byte blocks")
-        dev = cls(len(snapshot) // block_size, block_size, track_io)
+        dev = cls(len(snapshot) // block_size, block_size)
         dev._blocks = dev._split(snapshot)
         return dev
 
-    def clone(self, track_io: bool = True) -> "BlockDevice":
+    def clone(self) -> "BlockDevice":
         """An independent device with this device's size and contents.
 
         Only the block map is copied: the two devices share every stored
@@ -82,7 +72,7 @@ class BlockDevice:
         in its own map alone.
         """
         self._check_open()
-        dev = type(self)(self._num_blocks, self.block_size, track_io)
+        dev = type(self)(self._num_blocks, self.block_size)
         dev._blocks = self._blocks.copy()
         return dev
 
@@ -122,8 +112,6 @@ class BlockDevice:
         """Return the contents of one block."""
         self._check_open()
         self._check_range(blockno)
-        if self.track_io:
-            self.reads[blockno] = self.reads.get(blockno, 0) + 1
         return self._blocks.get(blockno, self._zero)
 
     def read_block_view(self, blockno: int) -> memoryview:
@@ -138,8 +126,6 @@ class BlockDevice:
         """
         self._check_open()
         self._check_range(blockno)
-        if self.track_io:
-            self.reads[blockno] = self.reads.get(blockno, 0) + 1
         return memoryview(self._blocks.get(blockno, self._zero))
 
     def write_block(self, blockno: int, data: bytes) -> None:
@@ -150,8 +136,6 @@ class BlockDevice:
             raise ValueError(
                 f"write of {len(data)} bytes exceeds block size {self.block_size}"
             )
-        if self.track_io:
-            self.writes[blockno] = self.writes.get(blockno, 0) + 1
         if len(data) < self.block_size:
             data = b"".join((data, self._zero[len(data):]))
         elif type(data) is not bytes:

@@ -2,11 +2,13 @@
 
 A manifest is the run-level complement of a span trace: one JSON
 document capturing everything needed to explain *why two runs differ*
-— corpus content hashes, the engine-mode knobs (``REPRO_BACKEND``),
-the job count, the counter snapshot, wall time, and a digest of the
-dependency report.  ``repro-runs diff a.json b.json`` reads two
-manifests and prints exactly what differed; the digest comparison is
-what turns "the outputs look the same" into a checked fact.
+— corpus content hashes, the engine modes (empty now that every stage
+has one engine; older manifests diff through
+:data:`RETIRED_ENGINE_KNOBS`), the job count, the counter snapshot,
+wall time, and a digest of the dependency report.  ``repro-runs diff
+a.json b.json`` reads two manifests and prints exactly what differed;
+the digest comparison is what turns "the outputs look the same" into
+a checked fact.
 
 Manifests are written atomically and validate against the checked-in
 ``manifest_schema.json``.
@@ -54,15 +56,6 @@ def report_digest(keys: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def engine_modes() -> Dict[str, str]:
-    """The resolved engine-mode knobs of this process."""
-    # Imported lazily: repro.perf imports repro.obs submodules, so the
-    # reverse module-level import would cycle.
-    from repro.perf import modes
-
-    return modes.resolve_modes()
-
-
 def corpus_hashes() -> Dict[str, str]:
     """sha256 of every corpus translation unit's source text."""
     from repro.corpus.loader import UNIT_COMPONENTS, corpus_path
@@ -81,23 +74,16 @@ def build_manifest(tool: str,
                    report_keys: Optional[Iterable[str]] = None,
                    report_summary: Optional[str] = None,
                    trace: Optional[str] = None,
-                   engine_overrides: Optional[Dict[str, str]] = None,
                    campaign: Optional[Dict[str, Any]] = None,
                    ) -> Dict[str, Any]:
     """Assemble the manifest dict for one finished run.
 
-    ``engine_overrides`` records knobs the run pinned explicitly (e.g.
-    a ``--backend`` flag) that the environment-based resolution below
-    would miss.  ``campaign`` (sampled-campaign runs only) records the
-    sampler identity, shard layout and timings, snapshot-cache traffic,
-    and the streaming campaign digest — the fields ``repro-runs diff``
-    needs to compare two campaign runs.
+    ``campaign`` (sampled-campaign runs only) records the sampler
+    identity, shard layout and timings, snapshot-cache traffic, and the
+    streaming campaign digest — the fields ``repro-runs diff`` needs to
+    compare two campaign runs.
     """
     keys = list(report_keys) if report_keys is not None else None
-    engine = engine_modes()
-    for knob, mode in (engine_overrides or {}).items():
-        if mode is not None:
-            engine[knob] = mode
     created = time.time()
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA_VERSION,
@@ -108,7 +94,7 @@ def build_manifest(tool: str,
         "wall_seconds": wall_seconds,
         "jobs": jobs,
         "argv": list(argv or []),
-        "engine": engine,
+        "engine": {},
         "corpus": corpus_hashes(),
         "counters": {k: v for k, v in sorted(REGISTRY.counters().items())},
         "trace": trace,
@@ -170,6 +156,7 @@ RETIRED_ENGINE_KNOBS: Dict[str, str] = {
     "lex": "regex",
     "parser": "climb",
     "lattice": "intern",
+    "backend": "thread",
 }
 
 

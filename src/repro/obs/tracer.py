@@ -1,13 +1,13 @@
-"""Hierarchical tracing with thread-aware context propagation.
+"""Hierarchical tracing with cross-process span grafting.
 
 Every instrumented phase of the pipeline opens a *span* — a named,
 timed interval carrying structured attributes — and spans nest into a
-tree via a :mod:`contextvars` context variable.  Worker threads do not
-inherit context variables, so :func:`repro.perf.parallel.run_ordered`
-performs an explicit handoff (:func:`capture` in the submitting thread,
-:func:`adopt` in the worker), which makes a ``--jobs N`` run produce
-the *same single rooted tree* as a sequential run — only timings and
-sibling completion order differ.
+tree via a :mod:`contextvars` context variable.  Campaign shards that
+run on process workers (``--jobs N > 1``) record under a worker-local
+tracer and ship their spans back; the parent grafts them under the
+span :func:`capture` returned at submit time, so such a run produces
+the *same single rooted tree* as a sequential one — only timings
+differ.
 
 Cost model
 ----------
@@ -43,8 +43,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-#: The span the current logical context is inside of (per thread *and*
-#: per context — worker threads receive it via capture()/adopt()).
+#: The span the current logical context is inside of (per thread and
+#: per context).
 _CURRENT: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span",
                                                     default=None)
 
@@ -235,25 +235,20 @@ def current() -> Optional[Span]:
 
 
 # ---------------------------------------------------------------------------
-# explicit cross-thread handoff (used by repro.perf.parallel)
+# cross-process handoff (used by the campaign process pool)
 # ---------------------------------------------------------------------------
 
 
 def capture() -> Optional[Span]:
-    """The span a fan-out should hand to its workers.
+    """The span worker-side spans should graft under.
 
-    Called in the *submitting* thread.  Returns ``None`` when tracing
-    is disabled (the cheap common case) or no span is open, in which
-    case workers need no handoff at all.
+    Called in the submitting process before shards fan out.  Returns
+    ``None`` when tracing is disabled (the cheap common case) or no
+    span is open.
     """
     if _ACTIVE is None:
         return None
     return _CURRENT.get()
-
-
-# ---------------------------------------------------------------------------
-# cross-process handoff (used by the campaign process pool)
-# ---------------------------------------------------------------------------
 
 
 def export_spans(tracer: Tracer) -> List[Dict[str, Any]]:
@@ -284,7 +279,7 @@ def graft(exported: List[Dict[str, Any]], tracer: Tracer,
     Fresh span ids are allocated under the receiving tracer's lock so
     referential integrity holds alongside locally recorded spans;
     worker-side roots re-parent to ``parent`` (the span that was open
-    at fan-out time), which keeps a ``--backend process --trace``
+    at fan-out time), which keeps a ``--jobs N --trace`` sharded
     campaign a *single* rooted tree.  Returns the number of spans grafted.
     """
     if not exported:
@@ -337,7 +332,7 @@ def graft(exported: List[Dict[str, Any]], tracer: Tracer,
 #
 # The environment variable is the un-prefixed `TRACEPARENT` (the
 # convention emerging around OTel CLI tooling), NOT `REPRO_TRACEPARENT`:
-# `repro.perf.modes.env_signature()` snapshots every `REPRO_*` variable
+# `repro.perf.procpool.env_signature()` snapshots every `REPRO_*` variable
 # to key the campaign process pool, and a per-run-unique value there
 # would retire the warm pool on every service run.
 
@@ -408,18 +403,3 @@ def traceparent_from_env() -> Optional[str]:
     if parsed is None:
         return None
     return raw.strip().lower()
-
-
-@contextmanager
-def adopt(parent: Span) -> Iterator[None]:
-    """Run the ``with`` body as a logical child of ``parent``.
-
-    Called in a *worker* thread with the span :func:`capture` returned
-    on the submitting side.  Spans opened inside parent to ``parent``,
-    which is what stitches a ``--jobs N`` run into one rooted tree.
-    """
-    token = _CURRENT.set(parent)
-    try:
-        yield
-    finally:
-        _CURRENT.reset(token)

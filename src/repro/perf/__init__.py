@@ -6,8 +6,6 @@ Imported eagerly with the package (cheap, and needed by every command):
   counters, rendered as a text table by the ``--profile`` CLI flag
   (storage lives in :data:`repro.obs.metrics.REGISTRY`, so manifests
   and span attrs read the same numbers);
-- :mod:`repro.perf.parallel` — the ``--jobs``/``REPRO_JOBS`` fan-out
-  helper with deterministic (submission-order) result merging;
 - :mod:`repro.perf.lattice` — the hash-consed label-set lattice the
   sparse taint solver runs on (interned ``frozenset``s + memoized
   binary join), registered below as a memo and a ``--profile``
@@ -17,14 +15,16 @@ Imported eagerly with the package (cheap, and needed by every command):
   :func:`repro.corpus.loader.clear_cache` can drop them all without
   import cycles.
 
-Loaded on first use: :mod:`repro.perf.campaign` (the checker campaign
-engine: parallel fan-out with spec-order merging plus the post-mkfs
-snapshot cache), whose ``SnapshotCache`` and ``run_campaign`` resolve
-lazily from this package, and the submodules imported by path —
-:mod:`~repro.perf.modes` (engine knobs), :mod:`~repro.perf.sampling`
-(campaign samplers), :mod:`~repro.perf.codec` (the analysis-result
-codec) and :mod:`~repro.perf.procpool` (the process pool campaign
-shards run on under ``--backend process``).
+Everything runs sequentially in-process except sampled-campaign
+shards, which ``--jobs N > 1`` puts on N process workers.
+
+Loaded on first use: :mod:`repro.perf.campaign` (the post-mkfs
+snapshot cache and the sharded campaign driver), whose
+``SnapshotCache`` resolves lazily from this package, and the
+submodules imported by path — :mod:`~repro.perf.sampling` (campaign
+samplers), :mod:`~repro.perf.codec` (the analysis-result codec) and
+:mod:`~repro.perf.procpool` (the process pool campaign shards run on
+when ``jobs > 1``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro import _lazy
-from repro.perf.parallel import resolve_jobs, run_ordered
 from repro.perf.timers import (
     bump,
     counters,
@@ -55,14 +54,12 @@ __all__ = [
     "register_memo",
     "render_profile",
     "reset_profile",
-    "resolve_jobs",
-    "run_ordered",
     "stats",
     "timed",
 ]
 
 _lazy.install(globals(), {
-    "repro.perf.campaign": ("SnapshotCache", "run_campaign"),
+    "repro.perf.campaign": ("SnapshotCache",),
 })
 
 #: name -> clear callback for every registered memo table.

@@ -1,4 +1,4 @@
-"""Campaign execution engine: parallel, snapshot-cloning checker runs.
+"""Campaign execution engine: snapshot-cloning, sharded checker runs.
 
 The paper's checkers earn their value at scale — thousands of driven
 configurations — and a campaign spends most of its serial time
@@ -14,20 +14,19 @@ campaigns fast without changing a single result:
   :meth:`~repro.fsimage.blockdev.BlockDevice.clone` of it — a copy of
   its block map, which holds only the blocks mkfs wrote.  Stored blocks
   are immutable, so each driven configuration still gets its own
-  independent device and no mutable state is ever shared across
-  campaign workers.  Deterministic mkfs *failures* are cached too, so a
+  independent device and no mutable state is ever shared between
+  configurations.  Deterministic mkfs *failures* are cached too, so a
   tuple that mkfs rejects is rejected from the cache with the identical
   error.
 
-- :func:`run_campaign` — deterministic parallel fan-out over the
-  ``--jobs``/``REPRO_JOBS`` thread pool.  Items are split into
-  contiguous chunks (cheap on pools much smaller than the campaign) and
-  results are merged back in spec order, so a parallel campaign is
-  byte-identical to a sequential one.  Configuration *generation* stays
-  strictly sequential in the checkers — only the driving fans out.
+- :func:`run_sharded` — the streaming campaign driver.  A sampled
+  campaign is cut into contiguous shards that run sequentially
+  in-process (``jobs <= 1``) or on ``jobs`` process workers
+  (:mod:`repro.perf.procpool`); shard payloads merge in shard order,
+  so the report is identical either way.
 
 Counters: ``campaign.snapshot.hit`` / ``campaign.snapshot.miss`` /
-``campaign.items`` (see ``--profile`` on the checker CLIs).
+``campaign.shards`` (see ``--profile`` on the checker CLIs).
 """
 
 from __future__ import annotations
@@ -36,18 +35,14 @@ import hashlib
 import importlib
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 from repro.errors import ReproError
 from repro.fsimage.blockdev import BlockDevice
 from repro.obs import tracer
 from repro.obs.tracer import span
-from repro.perf.parallel import resolve_jobs, run_ordered
 from repro.perf.timers import bump, timed
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Anything usable as a snapshot-cache key (must be hashable).
 CacheKey = Tuple
@@ -78,8 +73,7 @@ class SnapshotCache:
         return len(self._entries)
 
     def device_for(self, key: CacheKey, num_blocks: int, block_size: int,
-                   build: Callable[[BlockDevice], None],
-                   track_io: bool = True) -> BlockDevice:
+                   build: Callable[[BlockDevice], None]) -> BlockDevice:
         """A fresh device holding the image that ``build`` produces.
 
         ``build`` receives a zeroed device and must format it (raising
@@ -100,9 +94,9 @@ class SnapshotCache:
             bump("campaign.snapshot.hit")
             if isinstance(entry, ReproError):
                 raise entry
-            return entry.clone(track_io=track_io)
+            return entry.clone()
         bump("campaign.snapshot.miss")
-        dev = BlockDevice(num_blocks, block_size, track_io=track_io)
+        dev = BlockDevice(num_blocks, block_size)
         try:
             with span("campaign.snapshot.build", blocks=num_blocks,
                       block_size=block_size):
@@ -119,36 +113,10 @@ class SnapshotCache:
             with self._lock:
                 self._entries.setdefault(key, exc)
             raise
-        template = dev.clone(track_io=False)
+        template = dev.clone()
         with self._lock:
             self._entries.setdefault(key, template)
         return dev
-
-
-def run_campaign(worker: Callable[[T], R], items: Sequence[T],
-                 jobs: Optional[int] = None,
-                 phase: str = "campaign.run") -> List[R]:
-    """Run ``worker`` over every item; results stay in spec order.
-
-    ``jobs`` resolves through :func:`repro.perf.parallel.resolve_jobs`
-    (explicit count, else ``$REPRO_JOBS``, else sequential).  The
-    parallel path splits the campaign into contiguous chunks — a few per
-    worker, so per-item pool overhead does not swamp small items — and
-    flattens chunk results back in submission order, which makes the
-    output identical to ``jobs=1`` for any deterministic worker.
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    bump("campaign.items", len(items))
-    with span(phase, items=len(items), jobs=jobs), timed(phase):
-        if jobs <= 1 or len(items) <= 1:
-            return [worker(item) for item in items]
-        nchunks = min(len(items), jobs * 4)
-        size = (len(items) + nchunks - 1) // nchunks
-        chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        chunk_results = run_ordered(
-            jobs, lambda chunk: [worker(item) for item in chunk], chunks)
-        return [result for chunk in chunk_results for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +128,8 @@ def run_campaign(worker: Callable[[T], R], items: Sequence[T],
 # into contiguous shards, each shard regenerates its own config slice
 # and folds outcomes into a bounded ShardAggregate as it drives, and the
 # parent merges the (small, constant-size) shard payloads.  Shards run
-# on the thread pool or, with backend="process", on the campaign process
-# pool (repro.perf.procpool), whose payloads come back pickled.
+# one after another in this process or, with jobs > 1, on the campaign
+# process pool (repro.perf.procpool), whose payloads come back pickled.
 #
 # Merged results are provably identical to an unsharded sequential run:
 # stage counts are sums, the digest is commutative (a sum of per-config
@@ -358,8 +326,7 @@ def _run_shard_child(runner: str, spec: Dict[str, Any],
 
 def run_sharded(runner: str, spec: Dict[str, Any], total: int,
                 shards: int = 1,
-                jobs: Optional[int] = None,
-                backend: Optional[str] = None,
+                jobs: int = 1,
                 hints: Optional[Sequence[Any]] = None,
                 phase: str = "campaign.sharded") -> CampaignReport:
     """Drive a sampled campaign of ``total`` configs in shards.
@@ -370,17 +337,14 @@ def run_sharded(runner: str, spec: Dict[str, Any], total: int,
     ``hints`` (optional, one per shard — see sampler ``shard_hints``)
     ride along in each shard's spec as ``spec['hint']``.
 
-    Thread backend: shards fan out over ``run_ordered``.  Process
-    backend: each shard runs on the campaign process pool
-    (:mod:`repro.perf.procpool`) and its payload comes back pickled.
-    Both merge in shard order, so the report is identical for any
-    backend, job count, or shard count.
+    With ``jobs <= 1`` the shards run one after another in this
+    process; with ``jobs > 1`` each shard runs on the ``jobs``-worker
+    campaign process pool (:mod:`repro.perf.procpool`) and its payload
+    comes back pickled.  Both merge in shard order, so the report is
+    identical for any job count or shard count.
     """
-    from repro.perf import modes
-
     if runner not in SHARD_RUNNERS:
         raise ValueError(f"unknown shard runner {runner!r}")
-    backend = modes.resolve_mode("backend", backend)
     ranges = shard_ranges(total, shards)
     specs: List[Dict[str, Any]] = []
     for index, (lo, hi) in enumerate(ranges):
@@ -389,19 +353,17 @@ def run_sharded(runner: str, spec: Dict[str, Any], total: int,
             shard_spec["hint"] = hints[index]
         specs.append(shard_spec)
     bump("campaign.shards", len(specs))
-    with span(phase, total=total, shards=len(specs), backend=backend), \
+    with span(phase, total=total, shards=len(specs), jobs=jobs), \
             timed(phase):
-        if backend == "process":
+        if jobs > 1:
             payloads = _run_shards_process(runner, specs, jobs)
         else:
-            payloads = run_ordered(
-                resolve_jobs(jobs),
-                lambda s: _run_shard_local(runner, s), specs)
+            payloads = [_run_shard_local(runner, s) for s in specs]
     return CampaignReport.merge(payloads)
 
 
 def _run_shards_process(runner: str, specs: Sequence[Dict[str, Any]],
-                        jobs: Optional[int]) -> List[Dict[str, Any]]:
+                        jobs: int) -> List[Dict[str, Any]]:
     """Fan shard specs over the process pool; payloads in shard order.
 
     Worker-side spans graft under the span open at submit time, so a

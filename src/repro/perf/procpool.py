@@ -1,12 +1,13 @@
-"""The process pool behind sharded campaigns (``--backend process``).
+"""The process pool behind sharded campaigns (``--jobs N > 1``).
 
 Campaign shards are CPU-bound simulated mkfs → mount → use → fsck
 drives that share no state, so they are the one job that gains from
-real cores; extraction always runs in-process.  :func:`get_pool` hands
-out one lazily created spawn-context ``ProcessPoolExecutor`` keyed by
-``(jobs, REPRO_* snapshot)``: flip any knob or the cache/corpus dir and
-the next call retires the stale pool, so workers always agree with the
-parent (counters ``procpool.created``/``procpool.reused``).
+real cores; everything else runs sequentially in-process.
+:func:`get_pool` hands out one lazily created spawn-context
+``ProcessPoolExecutor`` keyed by ``(jobs, REPRO_* snapshot)``: change
+the cache/corpus dir or any other ``REPRO_*`` variable and the next
+call retires the stale pool, so workers always agree with the parent
+(counters ``procpool.created``/``procpool.reused``).
 :func:`run_ordered` returns results in call order; a worker that dies
 fails the whole call with :class:`ProcessPoolError`, never a partial
 result, and retires the pool.  An ``atexit`` hook and, for long-lived
@@ -18,10 +19,8 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.perf import modes
-from repro.perf.parallel import resolve_jobs
 from repro.perf.timers import bump
 
 
@@ -32,6 +31,19 @@ class ProcessPoolError(RuntimeError):
 #: (jobs, REPRO_* snapshot) -> the live pool.  At most one entry.
 _POOLS: Dict[Tuple[int, Tuple[Tuple[str, str], ...]], Any] = {}
 _POOLS_LOCK = threading.Lock()
+
+
+def env_signature() -> Tuple[Tuple[str, str], ...]:
+    """Sorted snapshot of every ``REPRO_*`` environment variable.
+
+    Two processes with equal signatures resolve every cache and corpus
+    location identically, which is the consistency condition for
+    reusing a persistent worker pool.
+    """
+    return tuple(sorted(
+        (key, value) for key, value in os.environ.items()
+        if key.startswith("REPRO_")
+    ))
 
 
 def _retire(pool) -> None:
@@ -48,13 +60,13 @@ def _retire(pool) -> None:
         worker.join(5.0)
 
 
-def get_pool(jobs: Optional[int] = None):
-    """The shared pool for the current configuration (created on demand)."""
+def get_pool(jobs: int):
+    """The shared ``jobs``-worker pool for the current environment
+    (created on demand)."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    resolved = resolve_jobs(jobs)
-    key = (resolved, modes.env_signature())
+    key = (jobs, env_signature())
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
         if pool is not None and not getattr(pool, "_broken", False):
@@ -65,7 +77,7 @@ def get_pool(jobs: Optional[int] = None):
         # Workers spawn lazily at submit time and inherit the
         # environment then, which the key guarantees is this snapshot.
         pool = ProcessPoolExecutor(
-            max_workers=resolved,
+            max_workers=jobs,
             mp_context=multiprocessing.get_context("spawn"))
         _POOLS[key] = pool
         bump("procpool.created")
@@ -74,7 +86,7 @@ def get_pool(jobs: Optional[int] = None):
     return pool
 
 
-def run_ordered(jobs: Optional[int], fn: Callable[..., Any],
+def run_ordered(jobs: int, fn: Callable[..., Any],
                 calls: Sequence[Tuple[Any, ...]]) -> List[Any]:
     """Run ``fn(*args)`` for every args tuple; results in call order.
 

@@ -53,10 +53,10 @@ def request_key(tool: str,
     """The content key of one service request.
 
     ``corpus`` maps unit filename -> source sha256 (the corpus the run
-    would analyze); ``engine`` is the fully resolved mode dict
-    (:func:`repro.perf.modes.resolve_modes` with the request's pinned
-    knobs applied).  Any difference that could change what executes —
-    a corpus edit, a flipped backend, an extra param — changes the key;
+    would analyze); ``engine`` is the engine-mode dict (empty while
+    every stage has one engine — the slot keeps the key format stable).
+    Any difference that could change what executes — a corpus edit, an
+    extra param — changes the key;
     anything that cannot (submission time, client identity, which API
     thread handled it) is absent from it.
     """

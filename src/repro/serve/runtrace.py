@@ -2,8 +2,8 @@
 
 A run submitted over HTTP crosses three process boundaries: the API
 process that queued it, the ``repro-worker`` that claimed and executed
-it, and the campaign-shard children the CLI fanned out to (``--backend
-process``).  Each leaves its own evidence — the queue row's timestamps,
+it, and the campaign-shard children the CLI fanned out to (``--jobs
+N > 1``).  Each leaves its own evidence — the queue row's timestamps,
 and the run directory's ``trace.jsonl`` written by the worker-driven
 CLI (whose shard spans were already grafted in-process by
 :func:`repro.obs.tracer.graft`).

@@ -13,8 +13,8 @@ identity rather than trusting it.
 Perf shape:
 
 - the worker process is **warm**: in-process memos, the loaded corpus,
-  and the campaign process pool (``--backend process``) survive
-  across jobs, so only the first job of a configuration pays cold
+  and the campaign process pool (``--jobs N > 1``) survive across
+  jobs, so only the first job of a configuration pays cold
   costs — every compatible job after it rides warm memos and the
   shared function-level analysis store;
 - **batching**: a claimed batch shares one engine signature and
@@ -121,20 +121,26 @@ def _opt(option: str) -> Callable[[Any], List[str]]:
     return lambda value: [option, str(value)]
 
 
+def _jobs(value: int) -> List[str]:
+    # The CLI rejects --jobs < 1 too; failing here keeps a bad value
+    # from ever getting a request key of its own.
+    if value < 1:
+        raise RequestError(f"param 'jobs' must be >= 1, got {value}")
+    return ["--jobs", str(value)]
+
+
 _CAMPAIGN_PARAMS = {
-    "jobs": (int, _opt("--jobs")),
+    "jobs": (int, _jobs),
     "seed": (int, _opt("--seed")),
     "sample": (str, _opt("--sample")),
     "budget": (int, _opt("--budget")),
     "shards": (int, _opt("--shards")),
-    "backend": (str, _opt("--backend")),
 }
 
 #: Every tool the service executes.  ``repro-runs`` and ``repro-demo``
 #: style inspection stays client-side; these are the compute requests.
 TOOLS: Dict[str, ToolSpec] = {
     "extract": ToolSpec("extract", "main_extract", {
-        "jobs": (int, _opt("--jobs")),
         "list": (bool, _flag("--list")),
     }),
     "condocck": ToolSpec("condocck", "main_condocck", {}),
@@ -165,21 +171,6 @@ def validate_request(tool: str, params: Optional[Dict[str, Any]]) -> Dict[str, A
     canonical = serve_keys.canonical_params(params)
     spec.build_argv(canonical)  # raises on unknown/ill-typed params
     return canonical
-
-
-def resolved_engine(params: Dict[str, Any]) -> Dict[str, str]:
-    """The engine modes a request would run under, params pinned.
-
-    Part of the request key: two requests differing only in a pinned
-    engine knob execute under different (if byte-identical) engines
-    and keep distinct run records, mirroring the analysis-store key.
-    """
-    from repro.perf import modes
-
-    try:
-        return modes.resolve_modes({"backend": params.get("backend")})
-    except ValueError as exc:
-        raise RequestError(str(exc)) from None
 
 
 class _OutputRouter(io.TextIOBase):
@@ -268,7 +259,7 @@ class Worker:
     :func:`capture_output`).  The payoff comes when the jobs dispatch
     campaign shards to the *process* pool — the slots keep that pool
     saturated — so slots default to 1 and are worth raising only for
-    ``--backend process`` campaigns on a multi-core host.
+    sharded ``--jobs N > 1`` campaigns on a multi-core host.
     """
 
     def __init__(self, db_path: str, data_dir: str,
@@ -415,13 +406,14 @@ class Worker:
     def _wave_key(self, run: Dict[str, Any]) -> Tuple[Any, ...]:
         """Which batchmates may safely share a concurrent wave.
 
-        Process-backend jobs share the campaign process pool, which
+        Jobs with ``jobs > 1`` share the campaign process pool, which
         is keyed by its ``--jobs`` width: a concurrent job with a
         *different* width would retire the pool out from under its
         wavemates, so only equal widths ride one wave together.
         """
-        if run["engine"].get("backend") == "process":
-            return ("process", run["params"].get("jobs"))
+        jobs = run["params"].get("jobs", 1)
+        if jobs > 1:
+            return ("process", jobs)
         return ("inproc",)
 
     def _waves(self, batch: List[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
@@ -611,7 +603,8 @@ def submit_request(queue: RunQueue, store: CorpusStore, tool: str,
     benchmarks) so both enqueue byte-for-byte identical rows.
     """
     canonical = validate_request(tool, params)
-    engine = resolved_engine(canonical)
+    # Every stage has one engine, so the engine part of the key is empty.
+    engine: Dict[str, str] = {}
     corpus = store.hashes(corpus_id)
     run_id = serve_keys.request_key(tool, canonical, corpus, engine)
     row, created = queue.submit(run_id, tool, canonical, engine,

@@ -29,7 +29,7 @@ from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
 from repro.errors import ReproError
 from repro.fsimage.blockdev import BlockDevice
 from repro.obs.tracer import span
-from repro.perf import SnapshotCache, bump, run_campaign, timed
+from repro.perf import SnapshotCache, bump, timed
 from repro.perf.campaign import CampaignReport, ShardAggregate, run_sharded, \
     shard_ranges
 from repro.perf.sampling import Assignment, ConfigSpace, ConstraintIndex, \
@@ -132,12 +132,11 @@ class ConBugCk:
         self._index_dependencies()
 
     @classmethod
-    def from_extraction(cls, seed: int = 2022,
-                        jobs: Optional[int] = None) -> "ConBugCk":
+    def from_extraction(cls, seed: int = 2022) -> "ConBugCk":
         """Build from a fresh Table-5 extraction (validated deps only)."""
         from repro.analysis.extractor import extract_all
 
-        return cls(extract_all(jobs=jobs).true_dependencies(), seed=seed)
+        return cls(extract_all().true_dependencies(), seed=seed)
 
     def _index_dependencies(self) -> None:
         # The index itself lives in repro.perf.sampling so samplers and
@@ -327,16 +326,12 @@ class ConBugCk:
 
     def drive(self, configs: Sequence[GeneratedConfig],
               fs_blocks: int = 512,
-              jobs: Optional[int] = None,
               snapshot_cache: Union[bool, SnapshotCache] = True,
-              track_io: bool = True) -> DriveStats:
+              ) -> DriveStats:
         """Run each configuration through the full ecosystem pipeline.
 
-        This is the campaign engine's main entry: configurations fan out
-        over the ``--jobs``/``REPRO_JOBS`` thread pool (driving only —
-        generation already consumed the RNG sequentially) and per-config
-        outcomes are merged in spec order, so the returned
-        :class:`DriveStats` is identical for any job count.
+        Configurations drive one after another, in spec order (driving
+        only — generation already consumed the RNG).
 
         ``snapshot_cache`` controls the post-mkfs snapshot cache:
         ``True`` (default) uses a fresh per-campaign cache, ``False``
@@ -344,8 +339,7 @@ class ConBugCk:
         :class:`~repro.perf.SnapshotCache` shares snapshots across
         campaigns.  mkfs is deterministic, so the cache never changes
         results — configurations sharing the mkfs-relevant tuple clone
-        one formatted image instead of re-formatting.  ``track_io=False``
-        skips the per-block accounting campaigns never read.
+        one formatted image instead of re-formatting.
         """
         cache: Optional[SnapshotCache]
         if snapshot_cache is True:
@@ -354,9 +348,11 @@ class ConBugCk:
             cache = None
         else:
             cache = snapshot_cache
-        outcomes = run_campaign(
-            lambda config: self._drive_one(config, fs_blocks, cache, track_io),
-            configs, jobs=jobs, phase="campaign.drive")
+        bump("campaign.items", len(configs))
+        with span("campaign.drive", items=len(configs)), \
+                timed("campaign.drive"):
+            outcomes = [self._drive_one(config, fs_blocks, cache)
+                        for config in configs]
         stats = DriveStats(total=len(configs))
         for reached, failure in outcomes:
             for stage in reached:
@@ -366,44 +362,40 @@ class ConBugCk:
         return stats
 
     def _mkfs_device(self, config: GeneratedConfig, fs_blocks: int,
-                     cache: Optional[SnapshotCache],
-                     track_io: bool) -> BlockDevice:
+                     cache: Optional[SnapshotCache]) -> BlockDevice:
         """A freshly formatted device for ``config`` (cached or cold)."""
         def build(dev: BlockDevice) -> None:
             Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
 
         if cache is None:
-            dev = BlockDevice(fs_blocks, config.blocksize, track_io=track_io)
+            dev = BlockDevice(fs_blocks, config.blocksize)
             build(dev)
             return dev
         # Everything mkfs consumes — mount_options is the only field of
         # a GeneratedConfig that is not part of the on-disk format.
         key = (config.features, config.blocksize, config.inode_size,
                config.inode_ratio, config.reserved_percent, fs_blocks)
-        return cache.device_for(key, fs_blocks, config.blocksize, build,
-                                track_io=track_io)
+        return cache.device_for(key, fs_blocks, config.blocksize, build)
 
     def _drive_one(self, config: GeneratedConfig, fs_blocks: int,
                    cache: Optional[SnapshotCache] = None,
-                   track_io: bool = True,
                    ) -> Tuple[Tuple[str, ...], Optional[str]]:
         """Drive one configuration; returns (stages reached, failure).
 
         Pure with respect to the generator: no RNG, no shared mutable
-        state — which is what makes the parallel fan-out deterministic.
+        state.
         """
         with span("conbugck.config", blocksize=config.blocksize,
                   mount_options=config.mount_options):
-            return self._drive_one_inner(config, fs_blocks, cache, track_io)
+            return self._drive_one_inner(config, fs_blocks, cache)
 
     def _drive_one_inner(self, config: GeneratedConfig, fs_blocks: int,
                          cache: Optional[SnapshotCache],
-                         track_io: bool,
                          ) -> Tuple[Tuple[str, ...], Optional[str]]:
         reached: List[str] = []
         try:
             with timed("campaign.stage.mkfs"):
-                dev = self._mkfs_device(config, fs_blocks, cache, track_io)
+                dev = self._mkfs_device(config, fs_blocks, cache)
         except ValueError as exc:
             return (), f"device: {exc}"
         except ReproError as exc:
@@ -440,11 +432,11 @@ class ConBugCk:
 # The entry points below scale ConBugCk past hand-enumerated lists: a
 # seeded sampler (repro.perf.sampling) generates configurations over the
 # full mke2fs+mount param registry, and the sharded streaming driver
-# (repro.perf.campaign.run_sharded) fans contiguous index ranges across
-# the thread or process backend.  Each shard regenerates its own slice
-# from (seed, index) — no config list is ever materialized; a covering
-# array, which is small and exists only whole, ships each shard its rows
-# instead — and folds outcomes into a bounded ShardAggregate, so
+# (repro.perf.campaign.run_sharded) cuts contiguous index ranges that
+# run in-process or, with jobs > 1, on process workers.  Each shard
+# regenerates its own slice from (seed, index) — no config list is ever
+# materialized; a covering array, which is small and exists only whole,
+# ships each shard its rows instead — and folds outcomes into a bounded ShardAggregate, so
 # campaign memory stays constant regardless of N.
 
 #: mkfs params a GeneratedConfig can express numerically.  Everything
@@ -574,7 +566,7 @@ def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
     Outcome-identical to :meth:`ConBugCk._drive_one_inner` with a cache
     (same stage labels, same failure strings) but stripped for campaign
     shards: no per-config span/timer (a 10^6-config shard cannot afford
-    two context managers per stage) and IO accounting off.
+    two context managers per stage).
     """
     def build(dev: BlockDevice) -> None:
         Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
@@ -583,8 +575,7 @@ def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
            config.inode_ratio, config.reserved_percent, fs_blocks)
     reached: List[str] = []
     try:
-        dev = cache.device_for(key, fs_blocks, config.blocksize, build,
-                               track_io=False)
+        dev = cache.device_for(key, fs_blocks, config.blocksize, build)
     except ValueError as exc:
         return (), f"device: {exc}"
     except ReproError as exc:
@@ -634,8 +625,7 @@ def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
     into a bounded :class:`~repro.perf.campaign.ShardAggregate`, and
     reports shard-local cache traffic in the payload counters.  Pure:
     fresh snapshot cache and memo per shard, no shared mutable state —
-    which is what makes thread, process, and sequential runs
-    byte-identical.
+    which is what makes process and sequential runs byte-identical.
     """
     lo, hi = int(spec["lo"]), int(spec["hi"])
     fs_blocks = int(spec.get("fs_blocks", 512))
@@ -684,8 +674,7 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
                      budget: Optional[int] = None,
                      shards: int = 1,
                      fs_blocks: int = 512,
-                     jobs: Optional[int] = None,
-                     backend: Optional[str] = None,
+                     jobs: int = 1,
                      ) -> Tuple[CampaignReport, Dict[str, Any]]:
     """Sample the registry and drive the campaign in streaming shards.
 
@@ -723,7 +712,7 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
     if constraints is not None:
         spec["constraints"] = constraints.as_payload()
     report = run_sharded("conbugck", spec, total, shards=shards, jobs=jobs,
-                         backend=backend, hints=hints)
+                         hints=hints)
     meta = {
         "sampler": sampler.name,
         "seed": seed,
@@ -740,8 +729,7 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
 def sweep_campaign(configs: Sequence[GeneratedConfig],
                    fs_blocks: int = 512,
                    shards: int = 1,
-                   jobs: Optional[int] = None,
-                   backend: Optional[str] = None,
+                   jobs: int = 1,
                    ) -> CampaignReport:
     """Drive an explicit config list through the sharded streaming
     driver (``source="configs"``): each shard receives only its own
@@ -752,4 +740,4 @@ def sweep_campaign(configs: Sequence[GeneratedConfig],
     spec: Dict[str, Any] = {"tool": "conbugck", "source": "configs",
                             "fs_blocks": fs_blocks}
     return run_sharded("conbugck", spec, total, shards=shards, jobs=jobs,
-                       backend=backend, hints=hints)
+                       hints=hints)

@@ -32,7 +32,7 @@ from repro.ecosystem.resize2fs import Resize2fs, Resize2fsConfig
 from repro.errors import MountError, ReproError, UsageError
 from repro.fsimage.blockdev import BlockDevice
 from repro.obs.tracer import span
-from repro.perf import SnapshotCache, run_campaign
+from repro.perf import SnapshotCache, bump, timed
 
 
 class ViolationOutcome(enum.Enum):
@@ -155,26 +155,21 @@ class ConHandleCk:
     # entry points
     # ------------------------------------------------------------------
 
-    def check(self, dependencies: Sequence[Dependency],
-              jobs: Optional[int] = None) -> ViolationReport:
-        """Violate every dependency; returns the report.
-
-        Violations fan out over the ``--jobs``/``REPRO_JOBS`` thread
-        pool and merge back in dependency order — each run builds its
-        own device (snapshot clones included), so the report is
-        identical for any job count.
-        """
+    def check(self, dependencies: Sequence[Dependency]) -> ViolationReport:
+        """Violate every dependency, in dependency order; returns the
+        report."""
         report = ViolationReport()
-        report.results.extend(run_campaign(
-            self.violate, dependencies, jobs=jobs, phase="campaign.violate"))
+        bump("campaign.items", len(dependencies))
+        with span("campaign.violate", items=len(dependencies)), \
+                timed("campaign.violate"):
+            report.results.extend(self.violate(dep) for dep in dependencies)
         return report
 
-    def check_extracted(self, jobs: Optional[int] = None) -> ViolationReport:
+    def check_extracted(self) -> ViolationReport:
         """Run extraction and violate every validated dependency."""
         from repro.analysis.extractor import extract_all
 
-        deps = extract_all(jobs=jobs).true_dependencies()
-        return self.check(deps, jobs=jobs)
+        return self.check(extract_all().true_dependencies())
 
     # ------------------------------------------------------------------
     # single-dependency drivers
@@ -475,8 +470,7 @@ def sampled_check(dependencies: Sequence[Dependency],
                   seed: int = 2022,
                   budget: Optional[int] = None,
                   shards: int = 1,
-                  jobs: Optional[int] = None,
-                  backend: Optional[str] = None,
+                  jobs: int = 1,
                   device_blocks: int = 4096,
                   block_size: int = 4096):
     """Drive a (budgeted) violation campaign in streaming shards.
@@ -488,7 +482,6 @@ def sampled_check(dependencies: Sequence[Dependency],
     dependency exactly once — the classic :meth:`ConHandleCk.check` —
     while a budget scales the campaign to any size via seeded draws.
     """
-    from repro.perf import bump
     from repro.perf.campaign import run_sharded, shard_ranges
 
     total = len(dependencies) if budget is None else int(budget)
@@ -498,8 +491,7 @@ def sampled_check(dependencies: Sequence[Dependency],
         "device_blocks": device_blocks, "block_size": block_size,
     }
     report = run_sharded("conhandleck", spec, total, shards=shards,
-                         jobs=jobs, backend=backend,
-                         phase="campaign.violate.sharded")
+                         jobs=jobs, phase="campaign.violate.sharded")
     meta = {
         "sampler": "deps" if budget is None else "random",
         "seed": seed,

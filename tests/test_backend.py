@@ -1,22 +1,22 @@
-"""Engine modes, the analysis-store codec, cache invalidation, and the
-campaign process pool.
+"""The analysis-store codec, cache invalidation, and the campaign
+process pool.
 
-- engine-mode resolution (explicit > ``REPRO_*`` env > default) and the
-  environment signature the campaign pool is keyed by;
 - the compact binary codec: round-trips, aliasing preservation, loud
   corruption, the closed type registry, schema fingerprint stability;
 - the analysis store: hit/miss/error accounting, corrupt-entry
   tolerance, key sensitivity (frontend version, source slice), ``clear_cache(disk=True)`` coverage;
 - the invalidation graph: the two-wave (changed + bridge-neighbor)
   eager prune;
-- end-to-end: pinned golden digests of the extraction, thread and
-  process campaign backends giving identical CLI output, the process
-  backend's trace staying one rooted tree, warm incremental
+- end-to-end: pinned golden digests of the extraction, process-worker
+  campaigns (``--jobs 2``) giving the same CLI output as sequential
+  ones (``--jobs 1``), a process-worker trace staying one rooted tree,
+  warm incremental
   re-extraction after a single-file edit correct, frontend version
   bumps forcing full recompute, corrupted store entries degrading to
   recompute instead of wrong results;
-- the campaign process pool: ordered results, configuration keying,
-  and a killed worker failing loudly.
+- the campaign process pool: the environment signature it is keyed by,
+  ordered results, configuration keying, and a killed worker failing
+  loudly.
 """
 
 import os
@@ -28,7 +28,7 @@ from hashlib import sha256
 
 import pytest
 
-from repro.perf import codec, modes, procpool
+from repro.perf import codec, procpool
 from repro.perf.procpool import ProcessPoolError
 
 
@@ -41,6 +41,22 @@ def _canonical(report) -> str:
     lines.append("## union")
     lines.extend(dep.key() for dep in report.union)
     return "\n".join(lines)
+
+
+def extraction_digest() -> str:
+    """sha256 of this process's canonical extraction report."""
+    from repro.analysis.extractor import extract_all
+
+    return sha256(_canonical(extract_all()).encode()).hexdigest()
+
+
+def extraction_digests(jobs: int):
+    """The extraction digest in this process (``jobs=1``), or on each
+    of ``jobs`` campaign pool workers — where sharded violation
+    campaigns re-extract their dependency list."""
+    if jobs <= 1:
+        return [extraction_digest()]
+    return procpool.run_ordered(jobs, extraction_digest, [()] * jobs)
 
 
 @pytest.fixture
@@ -60,52 +76,39 @@ def isolated_store(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# engine-mode resolution
+# engine modes: none left, and asking for one is loud
 # ---------------------------------------------------------------------------
 
 
 class TestModes:
-    def test_default_is_first_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert modes.resolve_mode("backend") == "thread"
-        assert modes.knob("backend").default == "thread"
+    """Every stage has one engine and shards run in-process or on
+    ``--jobs`` process workers; what is left of the mode registry is
+    the ``REPRO_*`` signature the campaign pool is keyed by."""
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert modes.resolve_mode("backend") == "process"
+    def test_unknown_mode_is_loud(self, capsys):
+        from repro.cli import main_conbugck
+        from repro.serve.worker import RequestError, validate_request
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert modes.resolve_mode("backend", "thread") == "thread"
-
-    def test_env_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", " Process ")
-        assert modes.resolve_mode("backend") == "process"
-
-    def test_unknown_mode_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fork")
-        with pytest.raises(ValueError, match="unknown backend mode"):
-            modes.resolve_mode("backend")
-        # A retired knob is no knob at all, not a silent default.
-        with pytest.raises(KeyError):
-            modes.resolve_mode("solver", "sparse")
-
-    def test_resolve_modes_covers_every_knob(self, monkeypatch):
-        for knob in modes.KNOBS:
-            monkeypatch.delenv(knob.env, raising=False)
-        resolved = modes.resolve_modes({"backend": "process"})
-        assert set(resolved) == {k.name for k in modes.KNOBS} == {"backend"}
-        assert resolved["backend"] == "process"
+        # The retired backend knob is no knob at all, not a silent
+        # default: the flag is an argparse error, the param a 400.
+        for mode in ("thread", "process", "fork"):
+            with pytest.raises(SystemExit) as exc:
+                main_conbugck(["--sample", "random", "--backend", mode])
+            assert exc.value.code == 2
+            assert "--backend" in capsys.readouterr().err
+            with pytest.raises(RequestError, match="does not accept"):
+                validate_request("conbugck", {"sample": "random",
+                                              "backend": mode})
 
     def test_env_signature_tracks_repro_vars_only(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        before = modes.env_signature()
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        before = procpool.env_signature()
         monkeypatch.setenv("HOME_NOT_REPRO", "x")
-        assert modes.env_signature() == before
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        after = modes.env_signature()
+        assert procpool.env_signature() == before
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/elsewhere")
+        after = procpool.env_signature()
         assert after != before
-        assert ("REPRO_BACKEND", "process") in after
+        assert ("REPRO_CACHE_DIR", "/elsewhere") in after
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +353,9 @@ class TestInvalidationGraph:
 
 class TestPinnedExtraction:
     """sha256 of the default extraction outputs, recorded before the
-    extraction process backend was deleted: in-process extraction at
-    any job count must keep producing exactly these bytes."""
+    extraction process backend was deleted: extraction must keep
+    producing exactly these bytes, in-process and in every campaign
+    pool worker."""
 
     REPORT = ("2ad09294a76928cde8948068f6c53018"
               "316fb3c0fd18c9c4874460c7dcbf1265")
@@ -360,10 +364,7 @@ class TestPinnedExtraction:
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_report_digest(self, jobs):
-        from repro.analysis.extractor import extract_all
-
-        report = _canonical(extract_all(jobs=jobs))
-        assert sha256(report.encode()).hexdigest() == self.REPORT
+        assert extraction_digests(jobs) == [self.REPORT] * jobs
 
     def test_default_stdout_digest(self, capsys):
         from repro.cli import main_extract
@@ -375,21 +376,22 @@ class TestPinnedExtraction:
 
 class TestBackendsEndToEnd:
     def test_process_backend_matches_thread(self, capsys):
+        """Process workers (``--jobs 2``) print what the sequential
+        in-process run (``--jobs 1``) prints."""
         from repro.cli import main_conbugck, main_conhandleck
 
-        def run(main, backend):
+        def run(main, jobs):
             rc = main(["--sample", "random", "--budget", "120",
-                       "--shards", "3", "--jobs", "2",
-                       "--backend", backend])
+                       "--shards", "3", "--jobs", jobs])
             out = capsys.readouterr().out
             # Everything but the wall-clock throughput line.
             return rc, [line for line in out.splitlines()
                         if not line.startswith("throughput:")]
 
         for main in (main_conbugck, main_conhandleck):
-            thread = run(main, "thread")
-            assert thread[1]
-            assert run(main, "process") == thread
+            sequential = run(main, "1")
+            assert sequential[1]
+            assert run(main, "2") == sequential
 
     def test_process_backend_trace_is_one_rooted_tree(self):
         from repro.obs import tracer
@@ -399,7 +401,7 @@ class TestBackendsEndToEnd:
         with tracer.enabled(run):
             with run.span("campaign.run", {}):
                 sampled_campaign(sample="random", budget=40, shards=3,
-                                 jobs=2, backend="process")
+                                 jobs=2)
         roots = run.roots()
         assert [r.name for r in roots] == ["campaign.run"]
         # Worker-side shard spans grafted in, parented under the root.
@@ -439,7 +441,7 @@ class TestBackendsEndToEnd:
 
         # Cold run populates the store; nothing to hit yet.
         disk.reset_cache_stats()
-        extract_all(jobs=1)
+        extract_all()
         cold_hits, cold_misses, cold_stores, _ = stats_snapshot()
         assert cold_hits == 0
         assert cold_stores == cold_misses > 0
@@ -447,7 +449,7 @@ class TestBackendsEndToEnd:
         # Warm, untouched corpus: everything served from the store.
         clear_cache()
         disk.reset_cache_stats()
-        untouched = _canonical(extract_all(jobs=1))
+        untouched = _canonical(extract_all())
         warm_hits, warm_misses, _, _ = stats_snapshot()
         assert warm_misses == 0 and warm_hits == cold_stores
 
@@ -457,7 +459,7 @@ class TestBackendsEndToEnd:
             handle.write("\n/* incremental edit */\n")
         clear_cache()
         disk.reset_cache_stats()
-        incremental = _canonical(extract_all(jobs=1))
+        incremental = _canonical(extract_all())
         edited_hits, edited_misses, _, _ = stats_snapshot()
         assert 0 < edited_misses < cold_misses
         assert edited_hits == cold_stores - edited_misses
@@ -465,7 +467,7 @@ class TestBackendsEndToEnd:
         # untouched run — and, decisively, a cold run of the edited tree.
         assert incremental == untouched
         clear_cache(disk=True)
-        fresh = _canonical(extract_all(jobs=1))
+        fresh = _canonical(extract_all())
         assert incremental == fresh
 
     def test_frontend_version_bump_forces_recompute(self, isolated_store,
@@ -474,13 +476,13 @@ class TestBackendsEndToEnd:
         from repro.corpus import cache as disk
         from repro.corpus.loader import clear_cache
 
-        baseline = _canonical(extract_all(jobs=1))
+        baseline = _canonical(extract_all())
         assert disk.analysis_stats().stores > 0
         monkeypatch.setattr(disk, "FRONTEND_VERSION",
                             disk.FRONTEND_VERSION + "-bumped")
         clear_cache()
         disk.reset_cache_stats()
-        bumped = _canonical(extract_all(jobs=1))
+        bumped = _canonical(extract_all())
         stats = disk.analysis_stats()
         assert stats.hits == 0 and stats.misses > 0
         assert bumped == baseline
@@ -490,7 +492,7 @@ class TestBackendsEndToEnd:
         from repro.corpus import cache as disk
         from repro.corpus.loader import clear_cache
 
-        baseline = _canonical(extract_all(jobs=1))
+        baseline = _canonical(extract_all())
         entries = [name for name in os.listdir(disk.cache_dir())
                    if name.endswith(".an.bin")]
         assert entries
@@ -499,7 +501,7 @@ class TestBackendsEndToEnd:
                 handle.write(b"\x00 corrupted \xff")
         clear_cache()
         disk.reset_cache_stats()
-        recovered = _canonical(extract_all(jobs=1))
+        recovered = _canonical(extract_all())
         stats = disk.analysis_stats()
         assert stats.errors == len(entries)
         assert stats.hits == 0 and stats.stores == len(entries)
@@ -547,8 +549,7 @@ class TestProcessPool:
         def campaign():
             try:
                 outcome["report"] = sampled_campaign(
-                    sample="random", budget=3000, shards=8, jobs=2,
-                    backend="process")
+                    sample="random", budget=3000, shards=8, jobs=2)
             except ProcessPoolError as exc:
                 outcome["error"] = exc
 
@@ -564,6 +565,6 @@ class TestProcessPool:
         assert set(outcome) == {"error"}
         created = counters().get("procpool.created", 0)
         report, _ = sampled_campaign(sample="random", budget=40, shards=2,
-                                     jobs=2, backend="process")
+                                     jobs=2)
         assert counters()["procpool.created"] == created + 1
         assert report.total == 40

@@ -88,14 +88,6 @@ class TestIO:
         dev.zero_block(1)
         assert dev.read_block(1) == bytes(1024)
 
-    def test_io_accounting(self):
-        dev = BlockDevice(4, 1024)
-        dev.write_block(1, b"a")
-        dev.write_block(1, b"b")
-        dev.read_block(1)
-        assert dev.writes[1] == 2
-        assert dev.reads[1] == 1
-
 
 class TestLifecycle:
     def test_closed_device_rejects_io(self):
@@ -283,12 +275,10 @@ class TestSparseSemantics:
         assert source.snapshot() == reference.snapshot()
         assert clone.snapshot() == clone_reference.snapshot()
 
-    def test_clone_starts_with_fresh_accounting(self):
+    def test_clone_of_closed_device_is_rejected(self):
         dev = BlockDevice(4, 1024)
         dev.write_block(1, b"a")
-        dev.read_block(1)
-        clone = dev.clone(track_io=False)
-        assert (clone.reads, clone.writes, clone.track_io) == ({}, {}, False)
+        clone = dev.clone()
         assert clone.read_block(1) == dev.read_block(1)
         dev.close()
         with pytest.raises(DeviceClosedError):

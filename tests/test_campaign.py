@@ -1,20 +1,22 @@
 """Tests for the campaign engine (repro.perf.campaign + checker wiring)."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from repro.ecosystem.mke2fs import Mke2fs
 from repro.errors import UsageError
 from repro.fsimage.blockdev import BlockDevice
-from repro.perf import SnapshotCache, run_campaign
+from repro.perf import SnapshotCache
 from repro.tools.conbugck import (
     ConBugCk,
     DriveStats,
     MAX_STORED_FAILURES,
     VIOLATING_MOUNT_OPTIONS,
 )
-from repro.tools.conhandleck import ConHandleCk, sampled_check
+from repro.tools.conhandleck import (ConHandleCk, ViolationOutcome,
+                                     sampled_check)
 
 
 @pytest.fixture(scope="module")
@@ -25,24 +27,6 @@ def deps(extraction_report):
 def _canonical(stats: DriveStats):
     return (stats.total, stats.reached, stats.failures,
             stats.failures_truncated)
-
-
-# ---------------------------------------------------------------------------
-# run_campaign
-# ---------------------------------------------------------------------------
-
-class TestRunCampaign:
-    def test_preserves_spec_order(self):
-        items = list(range(97))
-        for jobs in (1, 2, 8):
-            assert run_campaign(lambda x: x * x, items, jobs=jobs) == \
-                [x * x for x in items]
-
-    def test_empty_items(self):
-        assert run_campaign(lambda x: x, [], jobs=4) == []
-
-    def test_single_item_stays_sequential(self):
-        assert run_campaign(lambda x: -x, [7], jobs=8) == [-7]
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +79,6 @@ class TestSnapshotCache:
             cache.device_for(("bad",), 512, 1024,
                              lambda dev: pytest.fail("must not rebuild"))
 
-    def test_track_io_flows_to_clones(self):
-        cache = SnapshotCache()
-        cache.device_for(("k",), 512, 1024, self._mkfs)
-        clone = cache.device_for(("k",), 512, 1024, self._mkfs,
-                                 track_io=False)
-        clone.read_block(0)
-        clone.write_block(0, b"x")
-        assert clone.reads == {} and clone.writes == {}
-
     def test_block_map_clone_roundtrip(self):
         written = (0, 1, 2, 9, 10, 40)
 
@@ -134,20 +109,6 @@ class TestBlockDeviceFastPath:
         assert bytes(view) == b"\xaa" * 1024
         view.release()
 
-    def test_accounting_opt_out(self):
-        dev = BlockDevice(4, 1024, track_io=False)
-        dev.read_block(1)
-        dev.read_block_view(1).release()
-        dev.write_block(1, b"z")
-        assert dev.reads == {} and dev.writes == {}
-
-    def test_accounting_default_on(self):
-        dev = BlockDevice(4, 1024)
-        dev.read_block(1)
-        dev.read_block_view(1).release()
-        dev.write_block(1, b"z")
-        assert dev.reads == {1: 2} and dev.writes == {1: 1}
-
     def test_from_snapshot(self):
         dev = BlockDevice(4, 1024)
         dev.write_block(0, b"hello")
@@ -173,7 +134,7 @@ class TestBlockDeviceFastPath:
         snapshot = BlockDevice(256, 4096).snapshot()
         tracemalloc.start()
         try:
-            clone = BlockDevice.from_snapshot(snapshot, 4096, track_io=False)
+            clone = BlockDevice.from_snapshot(snapshot, 4096)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -214,25 +175,23 @@ class TestDriveStats:
 
 
 # ---------------------------------------------------------------------------
-# parallel-vs-sequential equivalence
+# equivalence across snapshot caches and job counts
 # ---------------------------------------------------------------------------
 
 class TestEquivalence:
     def test_drive_identical_across_jobs(self, deps):
+        """``drive`` and the sharded driver agree, in-process (jobs=1)
+        and on process workers (jobs=2)."""
         gen = ConBugCk(deps, seed=11)
         configs = gen.generate(12) + gen.generate_naive(12)
         baseline = ConBugCk(deps, seed=11).drive(
-            configs, jobs=1, snapshot_cache=False)
-        for jobs in (1, 2, 8):
-            stats = ConBugCk(deps, seed=11).drive(configs, jobs=jobs)
-            assert _canonical(stats) == _canonical(baseline), f"jobs={jobs}"
-
-    def test_drive_identical_without_accounting(self, deps):
-        gen = ConBugCk(deps, seed=11)
-        configs = gen.generate(10)
-        with_io = gen.drive(configs, track_io=True)
-        without_io = gen.drive(configs, track_io=False)
-        assert _canonical(with_io) == _canonical(without_io)
+            configs, snapshot_cache=False)
+        assert _canonical(ConBugCk(deps, seed=11).drive(configs)) == \
+            _canonical(baseline)
+        for jobs in (1, 2):
+            report = sweep_campaign(configs, shards=3, jobs=jobs)
+            assert _report_canonical(report) == \
+                _sparse_canonical(baseline), f"jobs={jobs}"
 
     def test_drive_shared_cache_identical(self, deps):
         gen = ConBugCk(deps, seed=11)
@@ -245,10 +204,19 @@ class TestEquivalence:
         assert _canonical(second) == _canonical(cold)
 
     def test_conhandleck_identical_across_jobs(self, deps):
-        baseline = [str(r) for r in ConHandleCk().check(deps, jobs=1).results]
-        for jobs in (2, 8):
-            results = [str(r) for r in ConHandleCk().check(deps, jobs=jobs).results]
-            assert results == baseline, f"jobs={jobs}"
+        """``check`` verdicts match the sharded violation campaign's,
+        in-process (jobs=1) and on process workers (jobs=2)."""
+        results = ConHandleCk().check(deps).results
+        reached = Counter()
+        for result in results:
+            reached[result.outcome.value] += 1
+            reached[result.dependency.key()] += 1
+        corruptions = [f"{r.dependency.key()} — {r.detail}" for r in results
+                       if r.outcome is ViolationOutcome.CORRUPTION]
+        for jobs in (1, 2):
+            report, _meta = sampled_check(deps, shards=3, jobs=jobs)
+            assert report.reached == dict(reached), f"jobs={jobs}"
+            assert [msg for _, msg in report.failures] == corruptions
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +358,10 @@ class TestShardedSweepCampaign:
     def test_matches_sequential_drive(self, deps):
         gen = ConBugCk(deps, seed=13)
         sweep = gen.generate_mount_sweep(48, bases=2, violate_rate=0.6)
-        stats = ConBugCk(deps, seed=13).drive(sweep, jobs=1)
+        stats = ConBugCk(deps, seed=13).drive(sweep)
         baseline = sweep_campaign(sweep, shards=1)
         assert _report_canonical(baseline) == _sparse_canonical(stats)
-        for shards, jobs in ((3, 1), (5, 4), (48, 2)):
+        for shards, jobs in ((3, 1), (5, 2), (48, 1)):
             report = sweep_campaign(sweep, shards=shards, jobs=jobs)
             assert report.digest_hex == baseline.digest_hex, \
                 f"shards={shards}"
@@ -402,11 +370,10 @@ class TestShardedSweepCampaign:
     def test_process_backend_identical(self, deps):
         gen = ConBugCk(deps, seed=13)
         sweep = gen.generate_mount_sweep(30, bases=2, violate_rate=0.6)
-        thread = sweep_campaign(sweep, shards=3)
-        process = sweep_campaign(sweep, shards=3, jobs=2,
-                                 backend="process")
-        assert process.digest_hex == thread.digest_hex
-        assert _report_canonical(process) == _report_canonical(thread)
+        sequential = sweep_campaign(sweep, shards=3)
+        process = sweep_campaign(sweep, shards=3, jobs=2)
+        assert process.digest_hex == sequential.digest_hex
+        assert _report_canonical(process) == _report_canonical(sequential)
 
 
 class TestSampledCampaign:
@@ -442,20 +409,18 @@ class TestSampledCampaign:
     @pytest.mark.parametrize("sample", ["pairwise", "pairwise+feasible"])
     def test_pairwise_shards_and_backends(self, deps, sample):
         runs = {}
-        for shards, backend in ((1, "thread"), (3, "thread"), (7, "thread"),
-                                (3, "process")):
+        for shards, jobs in ((1, 1), (3, 1), (7, 1), (3, 2)):
             reset_profile()
             report, meta = sampled_campaign(deps, sample=sample, seed=2022,
-                                            shards=shards, jobs=2,
-                                            backend=backend)
+                                            shards=shards, jobs=jobs)
             # The array is built once, in the caller, whatever the
-            # shard count or backend: shards get its rows as hints.
+            # shard count or job count: shards get its rows as hints.
             assert counters().get("sampling.twise.build") == 1, \
-                (shards, backend)
+                (shards, jobs)
             assert meta.pop("shards") == min(shards, report.total)
-            runs[shards, backend] = (report.digest_hex,
-                                     _report_canonical(report), meta)
-        baseline = runs[1, "thread"]
+            runs[shards, jobs] = (report.digest_hex,
+                                  _report_canonical(report), meta)
+        baseline = runs[1, 1]
         for key, run in runs.items():
             assert run == baseline, key
         if sample == "pairwise+feasible":
@@ -463,28 +428,29 @@ class TestSampledCampaign:
 
 
 class TestProcessBackendCampaigns:
-    """Process and thread shards give the same report, digest and meta
-    for every campaign kind, whatever the shard count."""
+    """Process-worker shards (``jobs=2``) give the same report, digest
+    and meta as sequential in-process ones (``jobs=1``) for every
+    campaign kind, whatever the shard count."""
 
     @staticmethod
-    def _run(deps, kind, shards, backend):
+    def _run(deps, kind, shards, jobs):
         if kind == "violations":
             return chc.sampled_check(deps, seed=3, budget=24, shards=shards,
-                                     jobs=2, backend=backend)
+                                     jobs=jobs)
         budget = 60 if kind == "random" else None
         return sampled_campaign(deps, sample=kind, seed=2022, budget=budget,
-                                shards=shards, jobs=2, backend=backend)
+                                shards=shards, jobs=jobs)
 
     @pytest.mark.parametrize("kind", ["random", "pairwise",
                                       "pairwise+feasible", "violations"])
     def test_process_matches_thread(self, deps, kind):
         for shards in (1, 3, 8):
-            runs = {}
-            for backend in ("thread", "process"):
-                report, meta = self._run(deps, kind, shards, backend)
-                runs[backend] = (report.digest_hex,
-                                 _report_canonical(report), meta)
-            assert runs["process"] == runs["thread"], (kind, shards)
+            runs = []
+            for jobs in (1, 2):
+                report, meta = self._run(deps, kind, shards, jobs)
+                runs.append((report.digest_hex, _report_canonical(report),
+                             meta))
+            assert runs[1] == runs[0], (kind, shards)
 
 
 class TestConHandleCkSampled:
@@ -549,21 +515,10 @@ class TestSnapshotCacheCounters:
         cache.device_for(("k",), 512, 1024, self._mkfs)
         assert (cache.hits, cache.misses) == (0, 1)
         cache.device_for(("k",), 512, 1024, self._mkfs)
-        cache.device_for(("k",), 512, 1024, self._mkfs, track_io=False)
+        cache.device_for(("k",), 512, 1024, self._mkfs)
         assert (cache.hits, cache.misses) == (2, 1)
-        cache.device_for(("k2",), 512, 1024, self._mkfs, track_io=False)
+        cache.device_for(("k2",), 512, 1024, self._mkfs)
         assert (cache.hits, cache.misses) == (2, 2)
-
-    def test_untracked_clone_matches_tracked(self):
-        cache = SnapshotCache()
-        tracked = cache.device_for(("k",), 512, 1024, self._mkfs)
-        untracked = cache.device_for(("k",), 512, 1024, self._mkfs,
-                                     track_io=False)
-        assert untracked.snapshot() == tracked.snapshot()
-        untracked.write_block(0, b"x" * 1024)
-        assert cache.device_for(("k",), 512, 1024, self._mkfs,
-                                track_io=False).snapshot() == \
-            tracked.snapshot()
 
     def test_cached_rejection_reraised_verbatim(self):
         error = UsageError("mke2fs", "bad geometry")
@@ -572,10 +527,9 @@ class TestSnapshotCacheCounters:
             raise error
 
         cache = SnapshotCache()
-        for track_io in (True, False, False):
+        for _ in range(3):
             with pytest.raises(UsageError) as caught:
-                cache.device_for(("bad",), 512, 1024, build,
-                                 track_io=track_io)
+                cache.device_for(("bad",), 512, 1024, build)
             assert caught.value is error
         assert (cache.hits, cache.misses) == (2, 1)
 

@@ -90,6 +90,22 @@ class TestRetiredFlags:
         assert exc.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("main", [main_conhandleck, main_conbugck])
+    @pytest.mark.parametrize("value", ["thread", "process"])
+    def test_campaign_backend_is_an_argparse_error(self, main, value,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--sample", "random", "--backend", value])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-j", "--jobs"])
+    def test_extract_jobs_is_an_argparse_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_extract([flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["sparse", "dense"])
     def test_extract_solver_is_an_argparse_error(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -104,3 +120,24 @@ class TestRetiredFlags:
             main_serve(["--no-pool"])
         assert exc.value.code == 2
         assert "--no-pool" in capsys.readouterr().err
+
+
+class TestJobsFlag:
+    """``--jobs N`` is N >= 1 process workers for sampled-campaign
+    shards; anything else fails loudly instead of running sequential."""
+
+    @pytest.mark.parametrize("main", [main_conhandleck, main_conbugck])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_out_of_range_is_an_argparse_error(self, main, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--sample", "random", "--budget", "10", "--jobs", value])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main", [main_conhandleck, main_conbugck])
+    def test_workers_without_a_sampled_campaign_exit_2(self, main, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "--sample" in err

@@ -122,8 +122,7 @@ class TestSnapshotCacheConcurrency:
         def hammer(index):
             mark = bytes([index + 1]) * 512
             for _round in range(self.ROUNDS):
-                dev = snapshots.device_for(("k",), 8, 512, build,
-                                           track_io=False)
+                dev = snapshots.device_for(("k",), 8, 512, build)
                 dev.write_block(1, mark)
                 dev.write_bytes(0, mark[:16])
                 if (dev.read_block(1) != mark
@@ -313,8 +312,7 @@ class TestCrossProcessSingleFlight:
             "from repro.serve.db import CorpusStore, RunQueue\n"
             "from repro.serve.worker import submit_request\n"
             "queue, store = RunQueue(sys.argv[1]), CorpusStore(sys.argv[2])\n"
-            "row, created = submit_request(queue, store, 'extract',\n"
-            "                              {'jobs': 1})\n"
+            "row, created = submit_request(queue, store, 'extract', {})\n"
             "print(row['run_id'], int(created))\n"
         )
         env = dict(os.environ,

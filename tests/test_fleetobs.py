@@ -17,7 +17,7 @@ layer:
 - cross-process trace reassembly (:mod:`repro.serve.runtrace` +
   ``repro-runs trace``): a worker-executed run stitches into a single
   rooted span tree, traceparent mismatches are quarantined;
-- trace context through a process-backend campaign (the trace file
+- trace context through a process-worker campaign (the trace file
   carries the traceparent and stays one rooted tree, with the shard
   spans from the pool workers grafted in);
 - the ``repro-top`` dashboard and ``repro-runs tail`` CLI surfaces.
@@ -478,7 +478,7 @@ class TestRunTrace:
 
 
 # ---------------------------------------------------------------------------
-# Trace context through a process-backend campaign
+# Trace context through a process-worker campaign (--jobs 2)
 # ---------------------------------------------------------------------------
 
 
@@ -494,8 +494,8 @@ class TestProcessBackendTrace:
         monkeypatch.setenv(obs_tracer.TRACEPARENT_ENV, traceparent)
         trace = str(tmp_path / "proc.jsonl")
         rc = main_conbugck(["--sample", "random", "--budget", "60",
-                            "--shards", "4", "--backend", "process",
-                            "--jobs", "2", "--trace", trace])
+                            "--shards", "4", "--jobs", "2",
+                            "--trace", trace])
         capsys.readouterr()
         assert rc == 0
         assert obs_events.validate_events_file(trace) > 0

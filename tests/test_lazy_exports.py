@@ -116,7 +116,7 @@ import repro, repro.lang, repro.perf, repro.tools
 sys.setswitchinterval(1e-6)  # switch threads as often as possible
 
 TARGETS = [("repro", "ConBugCk"), ("repro.tools", "ConHandleCk"),
-           ("repro.lang", "parse"), ("repro.perf", "run_campaign")]
+           ("repro.lang", "parse"), ("repro.perf", "SnapshotCache")]
 barrier = threading.Barrier(8)
 errors, resolved = [], {}
 
@@ -149,7 +149,7 @@ def test_concurrent_first_use(tmp_path):
             "repro.ConBugCk": "repro.tools.conbugck.ConBugCk",
             "repro.tools.ConHandleCk": "repro.tools.conhandleck.ConHandleCk",
             "repro.lang.parse": "repro.lang.parser.parse",
-            "repro.perf.run_campaign": "repro.perf.campaign.run_campaign",
+            "repro.perf.SnapshotCache": "repro.perf.campaign.SnapshotCache",
         }
 
 

@@ -207,11 +207,18 @@ class TestExecution:
         assert image is not None
         assert Ext4Image.open(dev).sb.s_blocks_count == 2048
 
-    def test_dry_run_writes_nothing(self):
+    def test_dry_run_writes_nothing(self, monkeypatch):
+        # A spy on both write paths: counting stored blocks afterwards
+        # would miss a write of all zeroes.
         dev = BlockDevice(4096, 4096)
+        writes = []
+        monkeypatch.setattr(dev, "write_block",
+                            lambda *args: writes.append(("block", args)))
+        monkeypatch.setattr(dev, "write_bytes",
+                            lambda *args: writes.append(("bytes", args)))
         result = Mke2fs.from_args(["-n", "-b", "4096", "2048"]).run(dev)
         assert result is None
-        assert not dev.writes
+        assert writes == []
 
     def test_default_features_reach_disk(self):
         image, _dev = mkfs(["-b", "4096", "2048"])

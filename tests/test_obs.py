@@ -10,7 +10,6 @@ results on stdout, status on stderr, one rooted span tree per run.
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -72,45 +71,8 @@ def test_enabled_restores_previous_tracer():
     assert tracer.active() is None
 
 
-def test_capture_adopt_stitches_worker_threads():
-    t = tracer.Tracer("unit")
-    with tracer.enabled(t):
-        with tracer.span("fanout"):
-            parent = tracer.capture()
-
-            def worker():
-                with tracer.adopt(parent):
-                    with tracer.span("in.worker"):
-                        pass
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-    root = t.roots()[0]
-    assert root.name == "fanout"
-    (child,) = t.children(root)
-    assert child.name == "in.worker"
-    assert child.thread != root.thread
-
-
 def test_capture_returns_none_when_disabled():
     assert tracer.capture() is None
-
-
-def test_run_ordered_hands_spans_to_workers():
-    from repro.perf.parallel import run_ordered
-
-    t = tracer.Tracer("unit")
-    with tracer.enabled(t):
-        with tracer.span("pool"):
-            def work(i):
-                with tracer.span("item", index=i):
-                    return i * 2
-            assert run_ordered(4, work, [0, 1, 2, 3]) == [0, 2, 4, 6]
-    root = t.roots()[0]
-    items = t.children(root)
-    assert sorted(s.attrs["index"] for s in items) == [0, 1, 2, 3]
-    assert all(s.parent_id == root.span_id for s in items)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +185,6 @@ def _shape(t: tracer.Tracer, span=None):
     return sorted(out)
 
 
-def _traced_extraction(jobs):
-    from repro.analysis.extractor import extract_all
-
-    t = tracer.Tracer(f"jobs{jobs}")
-    with tracer.enabled(t):
-        report = extract_all(jobs=jobs)
-    return t, report
-
-
 def _canonical(report):
     lines = []
     for result in report.scenarios:
@@ -242,26 +195,60 @@ def _canonical(report):
     return "\n".join(lines)
 
 
-def test_span_tree_same_shape_sequential_and_parallel(extraction_report):
-    t1, r1 = _traced_extraction(jobs=1)
-    t4, r4 = _traced_extraction(jobs=4)
-    assert _canonical(r1) == _canonical(r4)
-    shape1, shape4 = _shape(t1), _shape(t4)
-    assert shape1 == shape4
-    # The tree really is populated: 1 extract.all root, 4 scenarios.
-    assert len(shape1) == 1
-    assert shape1[0][0] == "extract.all"
-    assert len(shape1[0][2]) == 4
+#: Campaign span names whose count and attrs depend only on the campaign
+#: (one sharded root, one span per shard, one per snapshot-cache miss).
+_CAMPAIGN_SPANS = {"campaign.sharded", "campaign.shard",
+                   "campaign.snapshot.build"}
 
 
-def test_parallel_trace_is_single_rooted(extraction_report):
-    t, _report = _traced_extraction(jobs=4)
-    by_id = {s.span_id: s for s in t.spans}
-    roots = [s for s in t.spans if s.parent_id is None]
-    assert len(roots) == 1
-    for span in t.spans:
-        if span.parent_id is not None:
-            assert span.parent_id in by_id
+def _campaign_shape(t: tracer.Tracer, span):
+    """Canonical form of the campaign spans under ``span`` (the job
+    count itself excluded)."""
+    return sorted(
+        (node.name, sorted((k, v) for k, v in node.attrs.items()
+                           if k != "jobs"), _campaign_shape(t, node))
+        for node in t.children(span) if node.name in _CAMPAIGN_SPANS)
+
+
+def test_span_tree_same_shape_sequential_and_parallel():
+    """Shards on process workers (jobs=2) graft the same span tree a
+    sequential in-process campaign (jobs=1) records."""
+    from repro.tools.conbugck import sampled_campaign
+
+    shapes = []
+    for jobs in (1, 2):
+        t = tracer.Tracer(f"jobs{jobs}")
+        with tracer.enabled(t):
+            with tracer.span("campaign.run"):
+                sampled_campaign(sample="random", budget=30, shards=3,
+                                 jobs=jobs)
+        (root,) = t.roots()
+        shapes.append(_campaign_shape(t, root))
+    assert shapes[0] == shapes[1]
+    ((name, _attrs, shards),) = shapes[0]
+    assert name == "campaign.sharded"
+    assert [shard[0] for shard in shards] == ["campaign.shard"] * 3
+
+
+def test_parallel_trace_is_single_rooted(tmp_path, capsys):
+    """A ``--jobs 2 --trace`` campaign is one rooted tree on disk, the
+    pool workers' shard spans grafted under ``campaign.sharded``."""
+    from repro.cli import main_conbugck
+
+    trace = str(tmp_path / "run.jsonl")
+    assert main_conbugck(["--sample", "random", "--budget", "30",
+                          "--shards", "3", "--jobs", "2",
+                          "--trace", trace]) == 0
+    capsys.readouterr()
+    events.validate_events_file(trace)
+    _header, spans = events.read_jsonl(trace)
+    roots = [e for e in spans if e["parent"] is None]
+    assert [e["name"] for e in roots] == ["repro-conbugck"]
+    by_id = {e["id"]: e for e in spans}
+    shards = [e for e in spans if e["name"] == "campaign.shard"]
+    assert len(shards) == 3
+    assert {by_id[e["parent"]]["name"] for e in shards} == \
+        {"campaign.sharded"}
 
 
 def test_tracing_does_not_change_the_report(extraction_report):
@@ -274,8 +261,12 @@ def test_tracing_does_not_change_the_report(extraction_report):
     t = tracer.Tracer("check")
     with tracer.enabled(t):
         traced = _canonical(extract_all())
-    assert len(t) > 0
     assert plain == traced
+    # The tree really is populated: 1 extract.all root, 4 scenarios.
+    shape = _shape(t)
+    assert len(shape) == 1
+    assert shape[0][0] == "extract.all"
+    assert len(shape[0][2]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +347,12 @@ def test_manifest_build_write_load(tmp_path):
     assert loaded["tool"] == "repro-extract"
     assert loaded["report"]["count"] == 2
     assert loaded["report"]["digest"] == manifest.report_digest(["a", "b"])
-    assert set(loaded["engine"]) == {"backend"}
+    assert loaded["engine"] == {}
     assert len(loaded["corpus"]) == 9
 
 
 def test_manifest_schema_rejects_bad_engine_mode(tmp_path):
-    for knob in ("backend", "solver"):  # live and retired knobs alike
+    for knob in ("backend", "solver"):  # retired knobs still validate
         m = manifest.build_manifest("t", wall_seconds=0.0)
         m["engine"][knob] = "quantum"
         with pytest.raises(SchemaError):
@@ -370,8 +361,8 @@ def test_manifest_schema_rejects_bad_engine_mode(tmp_path):
 
 def test_manifest_diff_flags_solver_and_digest():
     a = manifest.build_manifest("t", 1.0, report_keys=["x", "y"])
-    b = manifest.build_manifest("t", 2.0, report_keys=["x", "y"],
-                                engine_overrides={"solver": "dense"})
+    b = manifest.build_manifest("t", 2.0, report_keys=["x", "y"])
+    b["engine"]["solver"] = "dense"
     diff = manifest.diff_manifests(a, b)
     assert any(line == "engine.solver: sparse -> dense" for line in diff)
     assert not manifest.manifests_equivalent(diff)
@@ -388,9 +379,11 @@ def test_manifest_diff_flags_solver_and_digest():
 
 
 #: The engine section manifests recorded before the solver, lexer,
-#: parser, lattice and transport knobs were retired (their defaults).
+#: parser, lattice, transport and backend knobs were retired (their
+#: defaults).
 _RETIRED_DEFAULTS = {"solver": "sparse", "lex": "regex", "parser": "climb",
-                     "lattice": "intern", "transport": "shm"}
+                     "lattice": "intern", "transport": "shm",
+                     "backend": "thread"}
 
 
 def _write_pair(tmp_path, old_engine):
@@ -418,7 +411,7 @@ def test_retired_knobs_at_their_survivor_diff_as_equivalent(tmp_path,
 
 @pytest.mark.parametrize("knob,mode", [
     ("solver", "dense"), ("lex", "scan"), ("parser", "ladder"),
-    ("lattice", "plain"), ("transport", "pickle"),
+    ("lattice", "plain"), ("transport", "pickle"), ("backend", "process"),
 ])
 def test_retired_knob_on_a_deleted_mode_still_differs(tmp_path, capsys,
                                                       knob, mode):
@@ -503,8 +496,7 @@ def test_cli_trace_explain_end_to_end(tmp_path, capsys):
     chrome = str(tmp_path / "run.json")
     man = str(tmp_path / "manifest.json")
     rc = main_extract(["--trace", trace, "--chrome-trace", chrome,
-                       "--manifest", man, "-j", "4",
-                       "--explain", "sparse_super2"])
+                       "--manifest", man, "--explain", "sparse_super2"])
     assert rc == 0
     out, err = capsys.readouterr()
     # stdout: the provenance report; stderr: the artifact status lines.
@@ -521,7 +513,7 @@ def test_cli_trace_explain_end_to_end(tmp_path, capsys):
 
     m = manifest.load_manifest(man)
     assert m["tool"] == "repro-extract"
-    assert m["jobs"] == 4
+    assert m["jobs"] == 1
     assert m["report"]["count"] == 64
 
 
@@ -543,15 +535,15 @@ def test_cli_runs_diff(tmp_path, capsys):
     from repro.cli import main_conbugck, main_runs
 
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main_conbugck(["--manifest", a, "--backend", "thread"]) == 0
-    assert main_conbugck(["--manifest", b, "--backend", "process"]) == 0
+    assert main_conbugck(["--manifest", a]) == 0
+    assert main_conbugck(["--manifest", b, "--count", "10"]) == 0
     capsys.readouterr()
     rc = main_runs(["diff", a, b])
     out, _err = capsys.readouterr()
     assert rc == 1
-    assert "engine.backend: thread -> process" in out
-    # Same modes -> equivalent, exit 0.
-    assert main_conbugck(["--manifest", b, "--backend", "thread"]) == 0
+    assert "report.digest:" in out
+    # Same run -> equivalent, exit 0.
+    assert main_conbugck(["--manifest", b]) == 0
     capsys.readouterr()
     rc = main_runs(["diff", a, b])
     out, _err = capsys.readouterr()

@@ -1,13 +1,20 @@
-"""Tests for the perf substrate: timers, counters, fan-out helpers."""
+"""Tests for the perf substrate: timers, counters, how ``--jobs``
+resolves, the process pool's ordered fan-out, the memo registry."""
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro import perf
-from repro.perf.parallel import JOBS_ENV, resolve_jobs, run_ordered
+from repro.perf import procpool
 from repro.perf.timers import PhaseStat
+
+
+def _slow_for_small(x):
+    time.sleep(0.05 * (5 - x))  # earlier items finish later
+    return x * 10
 
 
 @pytest.fixture(autouse=True)
@@ -81,55 +88,50 @@ class TestRenderProfile:
 
 
 class TestResolveJobs:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert resolve_jobs(None) == 1
+    """``--jobs`` is the only source of the job count: default 1
+    (sequential in-process), an explicit value as given, and the
+    retired ``REPRO_JOBS`` variable has no effect."""
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "8")
-        assert resolve_jobs(3) == 3
+    @staticmethod
+    def _manifest_jobs(tmp_path, argv):
+        from repro.cli import main_conbugck
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "6")
-        assert resolve_jobs(None) == 6
+        path = str(tmp_path / "run.json")
+        assert main_conbugck(argv + ["--manifest", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)["jobs"]
 
-    def test_zero_means_cpu_count(self):
-        import os
+    def test_default_is_sequential(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "8")
+        assert self._manifest_jobs(tmp_path, ["--count", "2"]) == 1
+        assert perf.counters().get("procpool.created", 0) == 0
 
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
-
-    def test_env_auto(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv(JOBS_ENV, "auto")
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
-
-    def test_negative_clamped(self):
-        assert resolve_jobs(-4) == 1
+    def test_explicit_wins(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "8")
+        assert self._manifest_jobs(tmp_path, [
+            "--sample", "random", "--budget", "8", "--shards", "2",
+            "--jobs", "2"]) == 2
 
 
 class TestRunOrdered:
+    """The process pool's ordered fan-out (campaign shards ride it)."""
+
     def test_sequential_path(self):
-        assert run_ordered(1, lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        # One worker runs the calls one after another.
+        assert procpool.run_ordered(1, divmod, [(7, 2), (9, 4)]) == \
+            [(3, 1), (2, 1)]
 
     def test_parallel_preserves_submission_order(self):
-        def slow_for_small(x):
-            time.sleep(0.002 * (5 - x))  # earlier items finish later
-            return x * 10
-
-        assert run_ordered(4, slow_for_small, [1, 2, 3, 4]) == [10, 20, 30, 40]
+        assert procpool.run_ordered(2, _slow_for_small,
+                                    [(1,), (2,), (3,), (4,)]) == \
+            [10, 20, 30, 40]
 
     def test_parallel_propagates_exceptions(self):
-        def boom(x):
-            if x == 2:
-                raise RuntimeError("task failed")
-            return x
-
-        with pytest.raises(RuntimeError):
-            run_ordered(3, boom, [1, 2, 3])
+        with pytest.raises(ZeroDivisionError):
+            procpool.run_ordered(2, divmod, [(1, 1), (1, 0), (2, 1)])
 
     def test_empty_items(self):
-        assert run_ordered(4, lambda x: x, []) == []
+        assert procpool.run_ordered(2, divmod, []) == []
 
 
 class TestMemoRegistry:

@@ -1,9 +1,11 @@
 """Correctness of the pipeline acceleration layer.
 
 The contract under test: no observable behaviour may depend on cache
-state or parallelism.  Cold, disk-warm, and memo-warm runs produce
-identical extractions; editing a corpus source invalidates its disk
-entry; ``jobs=4`` output is byte-identical to ``jobs=1``.
+state or on the process that computes it.  Cold, disk-warm, and
+memo-warm runs produce identical extractions; editing a corpus source
+invalidates its disk entry; extractions on ``jobs`` campaign pool
+workers (fresh processes sharing one cold disk cache) are
+byte-identical to the in-process one.
 """
 
 import os
@@ -17,6 +19,7 @@ from repro.analysis.extractor import extract_all
 from repro.corpus import cache as disk_cache
 from repro.corpus.loader import clear_cache, corpus_path, load_corpus, load_unit
 from repro.lang import cfg as cfg_mod
+from repro.perf import procpool
 
 
 @pytest.fixture
@@ -39,6 +42,16 @@ def _canonical(report):
     lines.append("## union")
     lines.extend(dep.key() for dep in report.union)
     return "\n".join(lines)
+
+
+def _canonical_extraction():
+    return _canonical(extract_all())
+
+
+def _interproc_keys():
+    from repro.analysis.interproc import extract_interprocedural
+
+    return [d.key() for d in extract_interprocedural().union]
 
 
 class TestDiskCache:
@@ -140,19 +153,18 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_jobs_output_byte_identical(self, ir_cache_dir, jobs):
         clear_cache(disk=True)
-        sequential = _canonical(extract_all(jobs=1))
+        sequential = _canonical(extract_all())
         clear_cache(disk=True)
-        parallel = _canonical(extract_all(jobs=jobs))
-        assert parallel == sequential
+        parallel = procpool.run_ordered(jobs, _canonical_extraction,
+                                        [()] * jobs)
+        assert parallel == [sequential] * jobs
 
     def test_interproc_jobs_identical(self, ir_cache_dir):
-        from repro.analysis.interproc import extract_interprocedural
-
         clear_cache(disk=True)
-        sequential = [d.key() for d in extract_interprocedural(jobs=1).union]
+        sequential = _interproc_keys()
         clear_cache(disk=True)
-        parallel = [d.key() for d in extract_interprocedural(jobs=4).union]
-        assert parallel == sequential
+        parallel = procpool.run_ordered(4, _interproc_keys, [()] * 4)
+        assert parallel == [sequential] * 4
 
 
 class TestMemoTables:

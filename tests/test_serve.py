@@ -34,8 +34,8 @@ from repro.obs.manifest import (diff_manifests, load_manifest,
 from repro.serve import keys as serve_keys
 from repro.serve.db import (CLAIMED, DONE, FAILED, QUEUED, CorpusStore,
                             QueueError, RunQueue)
-from repro.serve.worker import (RequestError, Worker, resolved_engine,
-                                submit_request, validate_request)
+from repro.serve.worker import (RequestError, Worker, submit_request,
+                                validate_request)
 
 CORPUS = {"mount.c": "a" * 64, "super.c": "b" * 64}
 ENGINE = {"backend": "inline"}
@@ -261,11 +261,11 @@ class TestValidateRequest:
 
     def test_ill_typed_param(self):
         with pytest.raises(RequestError, match="must be int"):
-            validate_request("extract", {"jobs": "four"})
+            validate_request("conbugck", {"jobs": "four"})
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(RequestError, match="must be an integer"):
-            validate_request("extract", {"jobs": True})
+            validate_request("conbugck", {"jobs": True})
 
     @pytest.mark.parametrize("tool", ["extract", "conhandleck",
                                       "conbugck"])
@@ -278,16 +278,39 @@ class TestValidateRequest:
             validate_request("extract", {"backend": "process"})
 
     def test_valid_request_canonicalizes(self):
-        assert validate_request("extract", {"jobs": 2, "list": None}) == \
+        assert validate_request("conbugck", {"jobs": 2, "seed": None}) == \
             {"jobs": 2}
 
-    def test_resolved_engine_rejects_bad_modes(self):
-        with pytest.raises(RequestError):
-            resolved_engine({"backend": "quantum"})
+    @pytest.mark.parametrize("tool", ["conhandleck", "conbugck"])
+    @pytest.mark.parametrize("value", ["thread", "process"])
+    def test_campaign_backend_param_is_rejected(self, tool, value):
+        with pytest.raises(RequestError, match="does not accept"):
+            validate_request(tool, {"sample": "random", "backend": value})
 
-    def test_resolved_engine_pins_request_knobs(self):
-        engine = resolved_engine({"backend": "process"})
-        assert engine == {"backend": "process"}
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_extract_jobs_param_is_rejected(self, jobs):
+        with pytest.raises(RequestError, match="does not accept"):
+            validate_request("extract", {"jobs": jobs})
+
+    @pytest.mark.parametrize("tool", ["conhandleck", "conbugck"])
+    @pytest.mark.parametrize("jobs", [-5, 0])
+    def test_out_of_range_jobs_is_rejected(self, tool, jobs):
+        with pytest.raises(RequestError, match="must be >= 1"):
+            validate_request(tool, {"sample": "random", "jobs": jobs})
+
+    def test_resolved_engine_rejects_bad_modes(self, queue, store):
+        # No engine mode is selectable, so asking for one — known,
+        # retired or made up — fails at the door, before any key.
+        for mode in ("thread", "process", "quantum"):
+            with pytest.raises(RequestError, match="does not accept"):
+                submit_request(queue, store, "conbugck",
+                               {"sample": "random", "backend": mode})
+        assert queue.stats()["runs"] == 0
+
+    def test_runs_record_an_empty_engine(self, queue, store):
+        row, _created = submit_request(queue, store, "conbugck",
+                                       {"sample": "random", "jobs": 2})
+        assert row["engine"] == {}
 
     def test_retired_solver_param_is_rejected(self):
         with pytest.raises(RequestError, match="does not accept"):
@@ -386,6 +409,14 @@ class TestWorker:
         assert "synthetic tool crash" in run["error"]
         assert worker.jobs_failed == 1
 
+    def test_waves_key_process_jobs_by_width(self, service_dir):
+        worker = make_worker(service_dir)
+        keys = [worker._wave_key({"params": params}) for params in
+                ({}, {"jobs": 1}, {"jobs": 2}, {"jobs": 2, "seed": 7},
+                 {"jobs": 4})]
+        assert keys == [("inproc",), ("inproc",), ("process", 2),
+                        ("process", 2), ("process", 4)]
+
     def test_batch_runs_compatible_jobs_in_one_wave(self, service_dir):
         worker = make_worker(service_dir, batch_limit=4)
         ids = []
@@ -458,8 +489,15 @@ class TestServiceAPI:
         for payload in (("frobnicate", None), ("extract", {"jobs": "x"}),
                         ("extract", {"transport": "shm"}),
                         ("extract", {"solver": "sparse"}),
+                        ("extract", {"jobs": 2}),
                         ("conbugck", {"sample": "random",
-                                      "transport": "pickle"})):
+                                      "transport": "pickle"}),
+                        ("conbugck", {"sample": "random",
+                                      "backend": "process"}),
+                        ("conhandleck", {"sample": "random",
+                                         "backend": "thread"}),
+                        ("conbugck", {"sample": "random", "jobs": -5}),
+                        ("conhandleck", {"sample": "random", "jobs": 0})):
             with pytest.raises(ServiceError) as err:
                 client.submit(*payload)
             assert err.value.status == 400
@@ -522,7 +560,7 @@ class TestServiceAPI:
         results = []
 
         def submit():
-            results.append(client.submit("extract", {"jobs": 1}))
+            results.append(client.submit("extract", {"list": True}))
 
         threads = [threading.Thread(target=submit) for _ in range(8)]
         for thread in threads:
@@ -588,8 +626,7 @@ class TestSignalCleanup:
         queue = RunQueue(os.path.join(data_dir, "service.db"))
         row, _ = submit_request(
             queue, CorpusStore(data_dir), "conbugck",
-            {"sample": "random", "budget": 200, "shards": 4, "jobs": 2,
-             "backend": "process"})
+            {"sample": "random", "budget": 200, "shards": 4, "jobs": 2})
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(os.path.dirname(__file__),
                                            os.pardir, "src"),

@@ -356,23 +356,22 @@ class TestEndToEndDifferential:
     def test_extraction_identical_across_configs_and_jobs(self):
         from repro.analysis.extractor import extract_all
 
-        for jobs in (1, 4):
-            loader.clear_cache(disk=False)
-            canon = _canonical_report(extract_all(jobs=jobs))
-            assert canon.count("\n") > 60  # a real report
-            assert _digest(canon) == \
-                backend_tests.TestPinnedExtraction.REPORT, f"jobs={jobs}"
+        canon = _canonical_report(extract_all())
+        assert canon.count("\n") > 60  # a real report
+        pinned = backend_tests.TestPinnedExtraction.REPORT
+        assert _digest(canon) == pinned
+        # Cold (disk cache off) on campaign pool workers, too.
+        assert backend_tests.extraction_digests(2) == [pinned] * 2
 
     @pytest.mark.usefixtures("cold_memory")
     def test_interprocedural_identical(self):
         from repro.analysis.interproc import extract_interprocedural
 
-        for jobs in (1, 4):
-            loader.clear_cache(disk=False)
-            report = extract_interprocedural(jobs=jobs)
-            keys = sorted(dep.key() for dep in report.union)
-            assert len(keys) == 70
-            assert _digest("\n".join(keys)) == self.INTERPROC, f"jobs={jobs}"
+        loader.clear_cache(disk=False)
+        report = extract_interprocedural()
+        keys = sorted(dep.key() for dep in report.union)
+        assert len(keys) == 70
+        assert _digest("\n".join(keys)) == self.INTERPROC
 
     @pytest.mark.usefixtures("cold_memory")
     def test_checker_verdicts_identical(self):
@@ -381,20 +380,19 @@ class TestEndToEndDifferential:
         from repro.tools.condocck import ConDocCk
         from repro.tools.conhandleck import ConHandleCk
 
-        for jobs in (1, 4):
-            loader.clear_cache(disk=False)
-            report = extract_all(jobs=jobs)
-            lines = ["## condocck"]
-            lines += [f"{i.dependency.key()}|{i.issue}|{i.detail}"
-                      for i in ConDocCk().check(report.union)]
-            lines.append("## conbugck")
-            lines += [repr(config) for config in ConBugCk(
-                report.true_dependencies(), seed=2022).generate(8)]
-            lines.append("## conhandleck")
-            lines += [f"{r.dependency.key()}|{r.outcome}|{r.detail}"
-                      for r in ConHandleCk().check(
-                          report.true_dependencies()[:6], jobs=jobs).results]
-            assert _digest("\n".join(lines)) == self.VERDICTS, f"jobs={jobs}"
+        loader.clear_cache(disk=False)
+        report = extract_all()
+        lines = ["## condocck"]
+        lines += [f"{i.dependency.key()}|{i.issue}|{i.detail}"
+                  for i in ConDocCk().check(report.union)]
+        lines.append("## conbugck")
+        lines += [repr(config) for config in ConBugCk(
+            report.true_dependencies(), seed=2022).generate(8)]
+        lines.append("## conhandleck")
+        lines += [f"{r.dependency.key()}|{r.outcome}|{r.detail}"
+                  for r in ConHandleCk().check(
+                      report.true_dependencies()[:6]).results]
+        assert _digest("\n".join(lines)) == self.VERDICTS
 
 
 class TestWorkCounters:
@@ -412,7 +410,7 @@ class TestWorkCounters:
 
         perf.reset_profile()
         lattice.reset_tallies()
-        report = extract_all(jobs=1)
+        report = extract_all()
         return report, perf.counters()
 
     def test_solver_pops_and_rounds(self, cold_counters):

@@ -17,7 +17,10 @@
   replay.
 
 The measurement asserts byte-identical reports: incremental vs a fresh
-cold extraction of the edited corpus.
+cold extraction of the edited corpus.  Every edit changes the unit's
+bytes, so the stored-report layer above the analysis store misses on
+each incremental run (its tallies are recorded), and the cold runs
+clear it with the other stores.
 
 Results land machine-readable in ``BENCH_backend.json`` at the repo
 root.  Runnable standalone (``python benchmarks/bench_backend.py
@@ -92,7 +95,11 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
     from conftest import usable_cpus
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
-    from repro.corpus.cache import analysis_stats, reset_cache_stats
+    from repro.corpus.cache import (
+        analysis_stats,
+        report_stats,
+        reset_cache_stats,
+    )
     from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
     from repro.perf import reset_profile, stats
 
@@ -154,6 +161,9 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
         live = analysis_stats()  # live object: snapshot before cold reruns
         an_stats = {"hits": live.hits, "misses": live.misses,
                     "stores": live.stores, "errors": live.errors}
+        reports = report_stats()
+        report_tallies = {"hits": reports.hits, "misses": reports.misses,
+                          "stores": reports.stores, "errors": reports.errors}
 
         # Reference: a fresh cold extraction of the *edited* corpus must
         # match what the incremental path produced.
@@ -202,6 +212,9 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
     rendered += (f"\n\nanalysis store during incremental runs: "
                  f"{an_stats['hits']} hits, {an_stats['misses']} misses, "
                  f"{an_stats['stores']} stores, {an_stats['errors']} errors")
+    rendered += (f"\nreport store during incremental runs: "
+                 f"{report_tallies['hits']} hits, "
+                 f"{report_tallies['misses']} misses")
     rendered += (f"\nincremental byte-identical to fresh cold: "
                  f"{'yes' if incremental_identical else 'NO'}")
     rendered += (f"\nwarm-incremental recompute speedup "
@@ -236,6 +249,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
                 "warm_incremental": True,
             },
             "analysis_store": an_stats,
+            "report_store": report_tallies,
             "identical_outputs": {
                 "incremental_vs_cold": bool(incremental_identical),
             },

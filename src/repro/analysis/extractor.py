@@ -8,29 +8,27 @@ pre-selected functions").  The extractor runs taint + constraint
 derivation per function, bridges field traffic across components in
 pipeline order, and dedupes into a unique dependency set per scenario
 and across scenarios.
+
+A finished report is stored whole (:mod:`repro.corpus.cache`), so a
+fresh process over an unchanged corpus reads it back without loading
+the IR, the solver or the bridge; those modules are imported inside
+the functions that run only when the report has to be computed.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.analysis.bridge import ComponentSummary, MetadataBridge
-from repro.analysis.constraints import (
-    derive_constraints,
-    findings_peek,
-    findings_seed,
-)
 from repro.analysis.groundtruth import is_false_positive
 from repro.analysis.model import Category, Dependency
-from repro.analysis.sources import SOURCES_BY_UNIT
-from repro.analysis.taint import analyze_function, memo_peek, memo_seed
-from repro.corpus import cache as disk
-from repro.corpus.loader import CorpusUnit, load_unit, unit_slices
-from repro.errors import UnknownFunctionError
-from repro.lang.cfg import build_cfg
+from repro.corpus import cache as disk, corpus_dir
 from repro.obs.tracer import span
 from repro.perf import timed
+
+if TYPE_CHECKING:
+    from repro.corpus.loader import CorpusUnit
 
 
 @dataclass(frozen=True)
@@ -213,6 +211,17 @@ class Extractor:
         hit seeds both memos, so the pair keeps the identity coupling
         (``findings`` derived from exactly ``state``) the memos assert.
         """
+        from repro.analysis.constraints import (
+            derive_constraints,
+            findings_peek,
+            findings_seed,
+        )
+        from repro.analysis.sources import SOURCES_BY_UNIT
+        from repro.analysis.taint import analyze_function, memo_peek, memo_seed
+        from repro.corpus.loader import load_unit
+        from repro.errors import UnknownFunctionError
+        from repro.lang.cfg import build_cfg
+
         filename, fn_name = task
         with span("extract.function", unit=filename, function=fn_name):
             unit = load_unit(filename)
@@ -254,6 +263,8 @@ class Extractor:
 
     def _store_key(self, unit: CorpusUnit, fn_name: str, sources) -> str:
         """The analysis-store key for one function, or '' when disabled."""
+        from repro.corpus.loader import unit_slices
+
         if not disk.disk_cache_enabled():
             return ""
         slice_hash = unit_slices(unit).get(fn_name, "")
@@ -268,6 +279,8 @@ class Extractor:
     def _record_graph(unit: CorpusUnit, fn_name: str, key: str,
                       state) -> None:
         """Queue this function's invalidation-graph record."""
+        from repro.corpus.loader import unit_slices
+
         disk.record_analysis(
             unit.filename, fn_name, unit_slices(unit)[fn_name], key,
             reads=(f"{r.struct}.{r.field}" for r in state.field_reads),
@@ -276,6 +289,9 @@ class Extractor:
 
     def extract_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
         """Extract one scenario's unique dependency set."""
+        from repro.analysis.bridge import ComponentSummary, MetadataBridge
+        from repro.corpus.loader import load_unit
+
         with span("extract.scenario", scenario=spec.name), \
                 timed("extract.scenario"):
             tasks = [(filename, fn_name)
@@ -313,6 +329,8 @@ class Extractor:
 
     def _invalidate_stale(self) -> None:
         """Eagerly prune store entries orphaned by corpus edits."""
+        from repro.corpus.loader import load_unit, unit_slices
+
         if not disk.disk_cache_enabled():
             return
         current = {
@@ -321,17 +339,44 @@ class Extractor:
         }
         disk.invalidate_changed(current)
 
+    def _report_key(self) -> str:
+        """The report-store key for this extraction, or '' when the
+        disk cache is off or a scenario unit cannot be read."""
+        if not disk.disk_cache_enabled():
+            return ""
+        units = []
+        for filename in self._unit_names():
+            try:
+                with open(os.path.join(corpus_dir(), filename), "rb") as handle:
+                    units.append((filename, handle.read()))
+            except OSError:
+                return ""  # the compute path reports the missing unit
+        kind = type(self)
+        return disk.report_key(f"{kind.__module__}.{kind.__qualname__}",
+                               repr(self.scenarios), units)
+
     def extract_all(self) -> ExtractionReport:
-        """Extract every scenario plus the unique union."""
+        """Extract every scenario plus the unique union.
+
+        The report store answers first; on a miss the scenarios are
+        extracted and the finished report is stored.
+        """
         with span("extract.all", scenarios=len(self.scenarios)), \
                 timed("extract.all"):
+            key = self._report_key()
+            report = disk.load_report(key, ExtractionReport) if key else None
+            if report is not None:
+                return report
             self._invalidate_stale()
             results = [self.extract_scenario(spec) for spec in self.scenarios]
             union: List[Dependency] = []
             for result in results:
                 union.extend(result.dependencies)
             disk.flush_graph()
-            return ExtractionReport(results, _dedupe(union))
+            report = ExtractionReport(results, _dedupe(union))
+            if key:
+                disk.store_report(key, report)
+            return report
 
 
 def _dedupe(deps: List[Dependency]) -> List[Dependency]:

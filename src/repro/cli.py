@@ -212,8 +212,9 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
                         help="print a per-phase timing breakdown afterwards "
                              "(includes solver and lattice counters)")
     parser.add_argument("--cold", action="store_true",
-                        help="drop the persistent IR cache first "
-                             "(measure a from-scratch run)")
+                        help="drop every persistent cache first — IR, "
+                             "analysis store and stored reports (measure a "
+                             "from-scratch run)")
     parser.add_argument("--explain", metavar="PARAM", action="append",
                         default=None,
                         help="print the taint provenance of one parameter "
@@ -226,12 +227,12 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis.extractor import extract_all
-    from repro.analysis.jsonio import dump_dependencies
-    from repro.corpus.loader import clear_cache
     from repro.perf import render_profile, reset_profile
     from repro.reporting.tables import render_table5
 
     if args.cold:
+        from repro.corpus.loader import clear_cache
+
         clear_cache(disk=True)
     if args.profile:
         reset_profile()
@@ -279,6 +280,8 @@ def main_extract(argv: Optional[List[str]] = None) -> int:
                 with open(args.json, "w", encoding="utf-8") as handle:
                     json_mod.dump(payload, handle, indent=2, sort_keys=True)
             else:
+                from repro.analysis.jsonio import dump_dependencies
+
                 dump_dependencies(report.union, args.json)
             _status(f"wrote {len(report.union)} dependencies to {args.json}")
     return 0

@@ -8,7 +8,22 @@ the header comment in each file and DESIGN.md for what is modelled and
 why the substitution preserves the analyzer-relevant structure).
 """
 
+import os
+
 from repro import _lazy
+
+#: Environment override for the corpus directory.  Points the whole
+#: pipeline (loader, caches, benchmarks) at a copy of the corpus —
+#: how the incremental benchmarks edit one file without touching the
+#: checked-in corpus.
+CORPUS_DIR_ENV = "REPRO_CORPUS_DIR"
+
+
+def corpus_dir() -> str:
+    """The directory corpus units load from (honors ``$REPRO_CORPUS_DIR``)."""
+    override = os.environ.get(CORPUS_DIR_ENV, "").strip()
+    return override or os.path.dirname(os.path.abspath(__file__))
+
 
 _lazy.install(globals(), {
     "repro.corpus.loader": ("CorpusUnit", "load_corpus", "load_unit",

@@ -1,8 +1,9 @@
-"""Persistent on-disk caches: compiled IR modules + analysis results.
+"""Persistent on-disk caches: compiled IR modules, analysis results,
+and finished extraction reports.
 
-Two stores share one directory and one invalidation philosophy — keys
-derive from **content, not timestamps**, so stale entries are never
-*wrong*, only unreachable.
+Three stores share one directory and one invalidation philosophy —
+keys derive from **content, not timestamps**, so stale entries are
+never *wrong*, only unreachable.
 
 **Module cache.**  The mini-C frontend dominates cold-pipeline time
 (compiling the corpus costs ~10x the analysis itself), and every CLI
@@ -31,6 +32,23 @@ plus the lines of the function itself, so editing one function's body
 re-analyzes *that function only*; every other function in the unit —
 and every other unit — keeps hitting the store.
 
+**Report store.**  A fresh command over an unchanged corpus needs the
+finished :class:`~repro.analysis.extractor.ExtractionReport`, not the
+IR or the per-function states it was assembled from.  One pickled
+report per extraction is kept under
+
+    sha256(cache schema | analysis schema | frontend version
+           | code digest | extractor class | scenario specs
+           | every scenario unit's source bytes)
+
+The schema and frontend versions are read at call time.  The *code
+digest* hashes, once per process, the sources that decide the report
+(:data:`REPORT_CODE`), so an edit to the analyzer, the bridge or the
+frontend can never be served a report it did not produce.  A hit costs
+one file read and one unpickle: no IR, no store entry, no bridge, and
+none of the analysis modules are imported.  Any edit to a scenario
+unit misses and falls through to the two stores above.
+
 **Invalidation graph.**  ``an_graph.json`` records, per unit and
 function, the slice hash, the store key, and the ``struct.field``
 traffic the function reads and writes.  At extraction start,
@@ -48,7 +66,7 @@ fails to decode is treated as a miss and deleted.
 Knobs:
 
 - ``REPRO_CACHE_DIR``      — cache directory (default ``~/.cache/repro/ir``)
-- ``REPRO_NO_DISK_CACHE``  — set to ``1`` to disable both stores entirely
+- ``REPRO_NO_DISK_CACHE``  — set to ``1`` to disable every store entirely
 """
 
 from __future__ import annotations
@@ -60,12 +78,15 @@ import pickle
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.lang import FRONTEND_VERSION
-from repro.lang.ir import Module
 from repro.obs.tracer import span
 from repro.perf import bump, timed
+
+if TYPE_CHECKING:
+    from repro.lang.ir import Module
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -80,6 +101,12 @@ CACHE_SCHEMA = 1
 #: (e.g. new taint transfer rules, new constraint classifiers) — the
 #: analysis store has no way to see those from corpus content alone.
 ANALYSIS_SCHEMA = 1
+
+#: Name prefix of the temp files atomic writes rename into place.
+_TMP_PREFIX = ".tmp-"
+
+#: File-name suffix of report-store entries.
+_REPORT_SUFFIX = ".report.pkl"
 
 
 @dataclass
@@ -114,6 +141,9 @@ _STATS = DiskCacheStats()
 #: Separate tallies for the function-level analysis store.
 _AN_STATS = DiskCacheStats()
 
+#: Separate tallies for the report store.
+_REPORT_STATS = DiskCacheStats()
+
 
 def cache_stats() -> DiskCacheStats:
     """The process-wide disk-cache tallies (live object)."""
@@ -125,10 +155,15 @@ def analysis_stats() -> DiskCacheStats:
     return _AN_STATS
 
 
+def report_stats() -> DiskCacheStats:
+    """The process-wide report-store tallies (live object)."""
+    return _REPORT_STATS
+
+
 def reset_cache_stats() -> None:
     """Zero the tallies (used by tests and benchmarks)."""
-    _STATS.hits = _STATS.misses = _STATS.stores = _STATS.errors = 0
-    _AN_STATS.hits = _AN_STATS.misses = _AN_STATS.stores = _AN_STATS.errors = 0
+    for tallies in (_STATS, _AN_STATS, _REPORT_STATS):
+        tallies.hits = tallies.misses = tallies.stores = tallies.errors = 0
 
 
 def disk_cache_enabled() -> bool:
@@ -158,8 +193,30 @@ def _entry_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}.ir.pkl")
 
 
+def _write_atomic(path: str, write) -> None:
+    """Run ``write(handle)`` into a temp file, then rename it to ``path``.
+
+    Readers see the old entry or the new one, never a torn one; a
+    failed write removes its temp file and re-raises.
+    """
+    os.makedirs(cache_dir(), exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=cache_dir(), prefix=_TMP_PREFIX)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.remove(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 def load_module(key: str) -> Optional[Module]:
     """The cached module under ``key``, or None on miss/corruption."""
+    from repro.lang.ir import Module
+
     path = _entry_path(key)
     try:
         with span("cache.disk.load", key=key[:12]), timed("cache.disk.load"):
@@ -193,23 +250,10 @@ def store_module(key: str, module: Module) -> bool:
     Failures (read-only cache dir, disk full) are non-fatal: the cache
     degrades to a recompile, never to an error.
     """
-    path = _entry_path(key)
     try:
         with span("cache.disk.store", key=key[:12]), timed("cache.disk.store"):
-            os.makedirs(cache_dir(), exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=cache_dir(), prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(module, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-                raise
+            _write_atomic(_entry_path(key), lambda handle: pickle.dump(
+                module, handle, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
         _STATS.tally("errors")
         bump("cache.disk.error")
@@ -219,30 +263,48 @@ def store_module(key: str, module: Module) -> bool:
     return True
 
 
-def clear_disk_cache() -> int:
-    """Delete every cache entry (both stores + graph); returns the count.
-
-    Covers the module cache (``*.ir.pkl``), the function-level analysis
-    store (``*.an.bin``), and the invalidation graph, so a cleared cache
-    directory can never serve half a pipeline from before the clear.
-    """
-    removed = 0
+def _remove_entries(matches) -> int:
+    """Delete the cache-dir files whose name ``matches``; the count."""
     try:
         names = os.listdir(cache_dir())
     except OSError:
         return 0
+    removed = 0
     for name in names:
-        if not (name.endswith(".ir.pkl") or name.endswith(".an.bin")
-                or name == _GRAPH_NAME):
+        if not matches(name):
             continue
         try:
             os.remove(os.path.join(cache_dir(), name))
             removed += 1
         except OSError:
             pass
+    return removed
+
+
+def clear_disk_cache() -> int:
+    """Delete every cache entry (all stores + graph); returns the count.
+
+    Covers the module cache (``*.ir.pkl``), the function-level analysis
+    store (``*.an.bin``), the report store (``*.report.pkl``), the
+    invalidation graph, and the temp files killed writers leave behind,
+    so a cleared cache directory can never serve half a pipeline (or a
+    whole report) from before the clear.
+    """
+    removed = _remove_entries(lambda name: (
+        name.endswith((".ir.pkl", ".an.bin", _REPORT_SUFFIX))
+        or name == _GRAPH_NAME or name.startswith(_TMP_PREFIX)))
     with _GRAPH_LOCK:
         _GRAPH_PENDING.clear()
     return removed
+
+
+def clear_reports() -> int:
+    """Delete every report-store entry, leaving the other stores warm.
+
+    What a benchmark or a test calls to time or check the IR cache and
+    the analysis store underneath a report that would otherwise hit.
+    """
+    return _remove_entries(lambda name: name.endswith(_REPORT_SUFFIX))
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +414,133 @@ def store_analysis(key: str, state: Any, findings: Any) -> bool:
         _AN_STATS.tally("errors")
         bump("cache.an.error")
         return False
-    path = _analysis_path(key)
     try:
         with span("cache.an.store", key=key[:12]), timed("cache.an.store"):
-            os.makedirs(cache_dir(), exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=cache_dir(), prefix=".tmp-", suffix=".bin"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-                raise
+            _write_atomic(_analysis_path(key), lambda handle: handle.write(blob))
     except Exception:
         _AN_STATS.tally("errors")
         bump("cache.an.error")
         return False
     _AN_STATS.tally("stores")
     bump("cache.an.store")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# report store
+# ---------------------------------------------------------------------------
+
+#: The sources, relative to the ``repro`` package, that decide an
+#: extraction report besides the corpus itself: the analyzer, the
+#: frontend, the corpus loader, and the parameter registry the bridge
+#: consults.  Directories contribute their ``*.py`` files.
+REPORT_CODE = ("analysis", "lang", "corpus", "ecosystem/params.py",
+               "ecosystem/featureset.py")
+
+_CODE_DIGEST: Optional[str] = None
+
+
+def code_digest() -> str:
+    """sha256 over the :data:`REPORT_CODE` sources; '' if unreadable.
+
+    Computed once per process, so the miss path of every extraction
+    after the first pays only for the key; a source edit is seen by
+    the next process.
+    """
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digest = hashlib.sha256()
+        try:
+            for entry in REPORT_CODE:
+                path = os.path.join(root, *entry.split("/"))
+                names = ([os.path.join(entry, name)
+                          for name in sorted(os.listdir(path))
+                          if name.endswith(".py")]
+                         if os.path.isdir(path) else [entry])
+                for name in names:
+                    with open(os.path.join(root, name), "rb") as handle:
+                        blob = handle.read()
+                    digest.update(f"{name} {len(blob)}\n".encode("utf-8"))
+                    digest.update(blob)
+        except OSError:
+            return ""
+        _CODE_DIGEST = digest.hexdigest()
+    return _CODE_DIGEST
+
+
+def report_key(extractor: str, scenarios: str,
+               units: Iterable[Tuple[str, bytes]]) -> str:
+    """Content hash identifying one extraction report; '' when the
+    report cannot be keyed (sources unreadable).
+
+    ``extractor`` names the extractor class, ``scenarios`` is the
+    scenario specs' repr, and ``units`` gives every scenario unit's
+    filename and source bytes.
+    """
+    code = code_digest()
+    if not code:
+        return ""
+    digest = hashlib.sha256()
+    digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
+    digest.update(f"an-schema={ANALYSIS_SCHEMA}\n".encode("utf-8"))
+    digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
+    digest.update(f"code={code}\n".encode("utf-8"))
+    digest.update(f"extractor={extractor}\n".encode("utf-8"))
+    digest.update(f"scenarios={scenarios}\n".encode("utf-8"))
+    for filename, source in units:
+        digest.update(f"unit={filename} {len(source)}\n".encode("utf-8"))
+        digest.update(source)
+    return digest.hexdigest()
+
+
+def _report_path(key: str) -> str:
+    return os.path.join(cache_dir(), f"{key}{_REPORT_SUFFIX}")
+
+
+def load_report(key: str, kind: type) -> Optional[Any]:
+    """The cached report under ``key`` if it is a ``kind``, else None.
+
+    A torn, truncated or foreign entry is a miss, and it is deleted.
+    """
+    path = _report_path(key)
+    try:
+        with span("cache.report.load", key=key[:12]), \
+                timed("cache.report.load"):
+            with open(path, "rb") as handle:
+                report = pickle.load(handle)
+        if not isinstance(report, kind):
+            raise TypeError(f"report entry holds a {type(report).__name__}")
+    except FileNotFoundError:
+        _REPORT_STATS.tally("misses")
+        bump("cache.report.miss")
+        return None
+    except Exception:
+        _REPORT_STATS.tally("errors")
+        bump("cache.report.error")
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        return None
+    _REPORT_STATS.tally("hits")
+    bump("cache.report.hit")
+    return report
+
+
+def store_report(key: str, report: Any) -> bool:
+    """Atomically persist one extraction report; False on failure."""
+    try:
+        with span("cache.report.store", key=key[:12]), \
+                timed("cache.report.store"):
+            _write_atomic(_report_path(key), lambda handle: pickle.dump(
+                report, handle, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        _REPORT_STATS.tally("errors")
+        bump("cache.report.error")
+        return False
+    _REPORT_STATS.tally("stores")
+    bump("cache.report.store")
     return True
 
 
@@ -413,20 +579,8 @@ def _load_graph() -> Dict[str, Dict[str, Dict[str, Any]]]:
 
 def _write_graph(units: Dict[str, Dict[str, Dict[str, Any]]]) -> None:
     payload = {"schema": _GRAPH_SCHEMA, "units": units}
-    os.makedirs(cache_dir(), exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=cache_dir(), prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_path, _graph_path())
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    _write_atomic(_graph_path(), lambda handle: handle.write(blob))
 
 
 def record_analysis(filename: str, function: str, slice_hash: str,

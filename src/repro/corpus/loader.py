@@ -18,19 +18,17 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
+# ``CORPUS_DIR_ENV`` is re-exported: callers set it through this module.
+from repro.corpus import CORPUS_DIR_ENV, corpus_dir as _corpus_dir  # noqa: F401
 from repro.errors import UnknownComponentError
 from repro.lang import compile_c
-from repro.lang.ir import Module
 from repro.obs.tracer import span
 from repro.perf import clear_memos, register_memo, timed
 
-#: Environment override for the corpus directory.  Points the whole
-#: pipeline (loader, caches, benchmarks) at a copy of the corpus —
-#: how the incremental benchmarks edit one file without touching the
-#: checked-in corpus.
-CORPUS_DIR_ENV = "REPRO_CORPUS_DIR"
+if TYPE_CHECKING:
+    from repro.lang.ir import Module
 
 #: Translation unit -> ecosystem component.
 UNIT_COMPONENTS: Dict[str, str] = {
@@ -64,11 +62,6 @@ class CorpusUnit:
 #: content fingerprints.
 _CACHE: Dict[tuple, CorpusUnit] = {}
 _LOAD_LOCK = threading.RLock()
-
-
-def _corpus_dir() -> str:
-    override = os.environ.get(CORPUS_DIR_ENV, "").strip()
-    return override or os.path.dirname(os.path.abspath(__file__))
 
 
 def corpus_path(filename: str) -> str:

@@ -6,10 +6,6 @@ Imported eagerly with the package (cheap, and needed by every command):
   counters, rendered as a text table by the ``--profile`` CLI flag
   (storage lives in :data:`repro.obs.metrics.REGISTRY`, so manifests
   and span attrs read the same numbers);
-- :mod:`repro.perf.lattice` — the hash-consed label-set lattice the
-  sparse taint solver runs on (interned ``frozenset``s + memoized
-  binary join), registered below as a memo and a ``--profile``
-  counter source;
 - the memo registry below — every process-level memo table in the
   analyzer registers a clear callback here so
   :func:`repro.corpus.loader.clear_cache` can drop them all without
@@ -18,11 +14,15 @@ Imported eagerly with the package (cheap, and needed by every command):
 Everything runs sequentially in-process except sampled-campaign
 shards, which ``--jobs N > 1`` puts on N process workers.
 
-Loaded on first use: :mod:`repro.perf.campaign` (the post-mkfs
-snapshot cache and the sharded campaign driver), whose
-``SnapshotCache`` resolves lazily from this package, and the
-submodules imported by path — :mod:`~repro.perf.sampling` (campaign
-samplers), :mod:`~repro.perf.codec` (the analysis-result codec) and
+Loaded on first use: :mod:`repro.perf.lattice` (the hash-consed
+label-set lattice the taint solver runs on, which registers its own
+memo and ``--profile`` counter source when the solver first imports
+it, so a run that never solves shows no lattice rows),
+:mod:`repro.perf.campaign` (the post-mkfs snapshot cache and the
+sharded campaign driver), whose ``SnapshotCache`` resolves lazily from
+this package, and the submodules imported by path —
+:mod:`~repro.perf.sampling` (campaign samplers),
+:mod:`~repro.perf.codec` (the analysis-result codec) and
 :mod:`~repro.perf.procpool` (the process pool campaign shards run on
 when ``jobs > 1``).
 """
@@ -42,14 +42,12 @@ from repro.perf.timers import (
     stats,
     timed,
 )
-from repro.perf import lattice
 
 __all__ = [
     "bump",
     "counters",
     "clear_memos",
     "hit_rates",
-    "lattice",
     "register_counter_source",
     "register_memo",
     "render_profile",
@@ -60,7 +58,7 @@ __all__ = [
 
 _lazy.install(globals(), {
     "repro.perf.campaign": ("SnapshotCache",),
-})
+}, submodules=("lattice",))
 
 #: name -> clear callback for every registered memo table.
 _MEMO_REGISTRY: Dict[str, Callable[[], None]] = {}
@@ -75,13 +73,3 @@ def clear_memos() -> None:
     """Clear every registered memo table (taint, constraints, CFG...)."""
     for clear in _MEMO_REGISTRY.values():
         clear()
-
-
-# The lattice's intern/join tables are one memo (identity keys from the
-# join table point into the intern table), and its lock-free tallies
-# surface in ``--profile`` output through the counter-source hook.
-# Registration is keyed, so re-importing this module (or anything that
-# re-runs it) replaces the entry instead of double-counting.
-register_memo("perf.lattice", lattice.clear)
-register_counter_source(lattice.counters, lattice.reset_tallies,
-                        name="perf.lattice")

@@ -30,6 +30,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, Tuple, TypeVar
 
+from repro.perf import register_counter_source, register_memo
+
 L = TypeVar("L")
 
 _LOCK = threading.Lock()
@@ -125,8 +127,10 @@ def clear() -> None:
     reset_tallies()
 
 
-# Registration with the perf memo registry and the profile counter
-# sources happens in :mod:`repro.perf`'s __init__ (avoids an import
-# cycle); the join table's identity keys point into the intern table,
-# so the two tables always clear together through the single
-# :func:`clear` callback.
+# The intern/join tables are one memo (identity keys from the join
+# table point into the intern table, so they always clear together
+# through :func:`clear`), and the tallies surface in ``--profile``
+# output through the counter-source hook.  Both registrations are
+# keyed, so a re-import replaces its entry instead of double-counting.
+register_memo("perf.lattice", clear)
+register_counter_source(counters, reset_tallies, name="perf.lattice")

@@ -1,17 +1,22 @@
 """Text renderings of Tables 1-5 and Figures 1-2.
 
-Each ``render_*`` function computes its content live (no cached
-numbers) and returns a printable string; the benchmark harness and the
-CLI both use these.
+Each ``render_*`` function computes its content when called (no
+numbers are written into this module) and returns a printable string;
+the benchmark harness and the CLI both use these.  Table 5 and the
+usages render an extraction report, which a warm cache serves from the
+report store (:mod:`repro.corpus.cache`) rather than recomputing.  Only
+those two import the extractor, so the study tables and the figures
+never load the analysis stack.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.texttable import TextTable
-from repro.analysis.extractor import ExtractionReport, extract_all
-from repro.analysis.model import Category
+
+if TYPE_CHECKING:
+    from repro.analysis.extractor import ExtractionReport
 
 
 def render_table1() -> str:
@@ -92,6 +97,9 @@ def render_table4() -> str:
 
 def render_table5(report: Optional[ExtractionReport] = None) -> str:
     """Table 5: extraction results per scenario plus the unique union."""
+    from repro.analysis.extractor import extract_all
+    from repro.analysis.model import Category
+
     report = report if report is not None else extract_all()
     table = TextTable(
         ["Usage Scenario",
@@ -204,6 +212,7 @@ def render_usages(report: Optional[ExtractionReport] = None) -> str:
     from repro.tools.condocck import ConDocCk
     from repro.tools.conhandleck import ConHandleCk
     from repro.tools.conbugck import ConBugCk
+    from repro.analysis.extractor import extract_all
 
     report = report if report is not None else extract_all()
     true_deps = report.true_dependencies()

@@ -446,10 +446,17 @@ class TestBackendsEndToEnd:
         assert cold_hits == 0
         assert cold_stores == cold_misses > 0
 
-        # Warm, untouched corpus: everything served from the store.
+        # Warm, untouched corpus: the stored report answers first...
         clear_cache()
         disk.reset_cache_stats()
         untouched = _canonical(extract_all())
+        assert disk.report_stats().hits == 1
+        assert stats_snapshot() == (0, 0, 0, 0)
+        # ...and underneath it everything is served from the store.
+        assert disk.clear_reports() == 1
+        clear_cache()
+        disk.reset_cache_stats()
+        assert _canonical(extract_all()) == untouched
         warm_hits, warm_misses, _, _ = stats_snapshot()
         assert warm_misses == 0 and warm_hits == cold_stores
 
@@ -460,6 +467,8 @@ class TestBackendsEndToEnd:
         clear_cache()
         disk.reset_cache_stats()
         incremental = _canonical(extract_all())
+        # The edit changed the unit's bytes, so the report key moved.
+        assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
         edited_hits, edited_misses, _, _ = stats_snapshot()
         assert 0 < edited_misses < cold_misses
         assert edited_hits == cold_stores - edited_misses
@@ -486,6 +495,9 @@ class TestBackendsEndToEnd:
         stats = disk.analysis_stats()
         assert stats.hits == 0 and stats.misses > 0
         assert bumped == baseline
+        # The report key covers the frontend version too: the bump
+        # alone misses the stored report, nothing had to drop it.
+        assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
 
     def test_corrupted_store_degrades_to_recompute(self, isolated_store):
         from repro.analysis.extractor import extract_all
@@ -499,6 +511,9 @@ class TestBackendsEndToEnd:
         for name in entries:
             with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
                 handle.write(b"\x00 corrupted \xff")
+        # The intact stored report would answer without reading the
+        # corrupted entries; drop it so the store is exercised.
+        assert disk.clear_reports() == 1
         clear_cache()
         disk.reset_cache_stats()
         recovered = _canonical(extract_all())
@@ -506,6 +521,8 @@ class TestBackendsEndToEnd:
         assert stats.errors == len(entries)
         assert stats.hits == 0 and stats.stores == len(entries)
         assert recovered == baseline
+        reports = disk.report_stats()
+        assert (reports.hits, reports.misses, reports.stores) == (0, 1, 1)
 
 
 # ---------------------------------------------------------------------------

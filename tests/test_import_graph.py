@@ -7,7 +7,9 @@ layering check reads the source instead: module-level imports in
 ``serve/`` and ``obs/`` must never reach the analysis stack.
 
 Run as a script (``python tests/test_import_graph.py``, or ``make
-import-check``) to print each console script's ``repro.*`` module count.
+import-check``) to print each console script's ``repro.*`` module count
+and the source lines those modules hold, i.e. what a fresh interpreter
+compiles when no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+#: What a command served by the stored report must not load: the
+#: solver, constraint derivation, the bridge, the source annotations,
+#: the IR, CFGs, the lattice and the corpus loader.
+REPORT_PATH_SKIPS = (
+    "repro.analysis.taint", "repro.analysis.constraints",
+    "repro.analysis.bridge", "repro.analysis.sources", "repro.lang.ir",
+    "repro.lang.cfg", "repro.perf.lattice", "repro.corpus.loader")
+
+
 def _env(cache_dir: str) -> Dict[str, str]:
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
@@ -88,7 +99,7 @@ def entry_point_modules(script: str, cache_dir: str) -> Set[str]:
 
 
 def warm(cache_dir: str) -> None:
-    """Fill the IR and analysis caches the way a first run does."""
+    """Fill the IR, analysis and report stores the way a first run does."""
     loaded_modules("from repro.cli import main_extract\nmain_extract([])",
                    cache_dir)
 
@@ -112,6 +123,14 @@ class TestEntryPoints:
         modules = loaded_modules("import repro", warm_cache)
         assert within(modules, ["repro"]) == ["repro", "repro._lazy"]
 
+    def test_corpus_cache_and_loader_load_no_ir(self, warm_cache):
+        # Both name the IR only for type checks; it loads when a module
+        # is actually unpickled or compiled.
+        modules = loaded_modules(
+            "import repro.corpus.cache, repro.corpus.loader", warm_cache)
+        assert within(modules, ["repro.lang.ir", "repro.lang.cfg",
+                                "repro.perf.lattice"]) == []
+
     def test_service_client_skips_analysis_and_sqlite(self, warm_cache):
         modules = loaded_modules("import repro.serve.client", warm_cache)
         assert within(modules, ANALYSIS_STACK) == []
@@ -119,7 +138,13 @@ class TestEntryPoints:
         assert within(modules, ["repro.serve.db"]) == []
 
     def test_warm_extract_skips_frontend_and_checkers(self, warm_cache):
-        modules = entry_point_modules("repro-extract", warm_cache)
+        # Without its stored report, a warm extract re-assembles the
+        # report from the IR cache and the analysis store.
+        modules = loaded_modules(
+            "from repro.corpus.cache import clear_reports\n"
+            "assert clear_reports() == 1\n"
+            "from repro.cli import main_extract\n"
+            "main_extract([])", warm_cache)
         frontend = [f"repro.lang.{name}" for name in
                     ("lexer", "parser", "sema", "lower", "ast_nodes")]
         assert within(modules, frontend + [
@@ -128,6 +153,22 @@ class TestEntryPoints:
         # The analysis itself did run.
         assert "repro.analysis.taint" in modules
         assert "repro.lang.ir" in modules
+        # And it stored the report again: the next run reads only that.
+        assert within(entry_point_modules("repro-extract", warm_cache),
+                      REPORT_PATH_SKIPS) == []
+
+    @pytest.mark.parametrize("script", ["repro-extract", "repro-condocck"])
+    def test_stored_report_skips_the_analysis_stack(self, warm_cache,
+                                                    script):
+        modules = entry_point_modules(script, warm_cache)
+        assert within(modules, REPORT_PATH_SKIPS) == []
+        assert "repro.analysis.extractor" in modules
+
+    @pytest.mark.parametrize("script", ["repro-study", "repro-demo"])
+    def test_study_and_demo_never_extract(self, warm_cache, script):
+        modules = entry_point_modules(script, warm_cache)
+        assert within(modules, ["repro.analysis.extractor",
+                                "repro.lang"]) == []
 
     def test_condocck_never_touches_images(self, warm_cache):
         modules = entry_point_modules("repro-condocck", warm_cache)
@@ -243,14 +284,27 @@ class TestLayering:
         assert "repro.perf.timers" in import_closure("repro.serve.worker")
 
 
+def source_lines(modules: Iterable[str]) -> int:
+    """Lines of source in the ``repro`` modules among ``modules``."""
+    total = 0
+    for name in modules:
+        path = module_file(name)
+        if path is not None:
+            with open(path, encoding="utf-8") as handle:
+                total += sum(1 for _line in handle)
+    return total
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         warm(cache_dir)
-        print(f"{'entry point':<20s} {'repro.* modules':>15s}")
+        print(f"{'entry point':<20s} {'repro.* modules':>15s} "
+              f"{'source lines':>12s}")
         for script in ENTRY_POINTS:
             modules = within(entry_point_modules(script, cache_dir),
                              ["repro"])
-            print(f"{script:<20s} {len(modules):>15d}")
+            print(f"{script:<20s} {len(modules):>15d} "
+                  f"{source_lines(modules):>12d}")
     return 0
 
 

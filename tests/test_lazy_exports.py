@@ -211,3 +211,33 @@ def test_profile_lists_lattice_counters(tmp_path):
     profile = _fresh(code, str(tmp_path))
     assert "lattice.join.hit" in profile or "lattice.join.miss" in profile
     assert "lattice.intern" in profile
+
+
+_PROFILE = """\
+import contextlib, io, json, sys
+from repro.cli import main_extract
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    main_extract({argv!r})
+print(json.dumps({{"profile": err.getvalue(),
+                  "lattice": "repro.perf.lattice" in sys.modules}}))
+"""
+
+
+def test_profile_on_a_stored_report_has_no_lattice_rows(tmp_path):
+    cache = str(tmp_path)
+    first = _fresh(_PROFILE.format(argv=["--profile"]), cache)
+    assert "cache.report.miss" in first["profile"]
+    assert "cache.report.store" in first["profile"]
+    # The solver never runs on a hit, so the lattice is never imported
+    # and its rows are absent rather than zero.
+    hit = _fresh(_PROFILE.format(argv=["--profile"]), cache)
+    assert "cache.report.hit" in hit["profile"]
+    assert "cache.report.load" in hit["profile"]
+    assert not hit["lattice"]
+    assert "lattice." not in hit["profile"]
+    # --cold drops the stored report with the other stores: the solver
+    # runs again and its rows are back.
+    cold = _fresh(_PROFILE.format(argv=["--profile", "--cold"]), cache)
+    assert "cache.report.hit" not in cold["profile"]
+    assert cold["lattice"] and "lattice.intern" in cold["profile"]

@@ -253,20 +253,34 @@ def test_parallel_trace_is_single_rooted(tmp_path, capsys):
 
 def test_tracing_does_not_change_the_report(extraction_report):
     from repro.analysis.extractor import extract_all
+    from repro.corpus.cache import clear_reports
     from repro.corpus.loader import clear_cache
 
     clear_cache()
     plain = _canonical(extract_all())
-    clear_cache()
-    t = tracer.Tracer("check")
-    with tracer.enabled(t):
-        traced = _canonical(extract_all())
-    assert plain == traced
-    # The tree really is populated: 1 extract.all root, 4 scenarios.
+
+    def traced_run():
+        clear_cache()
+        t = tracer.Tracer("check")
+        with tracer.enabled(t):
+            assert _canonical(extract_all()) == plain
+        (root,) = t.roots()
+        assert root.name == "extract.all"
+        return t, [child.name for child in t.children(root)]
+
+    # A stored report answers with one load under the root.
+    _, children = traced_run()
+    assert children == ["cache.report.load"]
+    # A miss extracts: the tree really is populated with 4 scenarios,
+    # and the finished report is stored.
+    clear_reports()
+    t, children = traced_run()
     shape = _shape(t)
     assert len(shape) == 1
     assert shape[0][0] == "extract.all"
     assert len(shape[0][2]) == 4
+    assert children[0] == "cache.report.load"
+    assert "cache.report.store" in children
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,14 @@ class TestWarmEqualsCold:
         clear_cache(disk=True)
         cold = _canonical(extract_all())
         clear_cache()  # new-process simulation: memory empty, disk warm
+        disk_cache.clear_reports()  # so the IR cache, not the report, answers
         warm = _canonical(extract_all())
         assert disk_cache.cache_stats().hits > 0
         assert warm == cold
+        clear_cache()
+        hits = disk_cache.report_stats().hits
+        assert _canonical(extract_all()) == cold
+        assert disk_cache.report_stats().hits == hits + 1
 
     def test_memo_warm_run_identical(self, ir_cache_dir):
         first = _canonical(extract_all())

@@ -5,14 +5,11 @@ this one benchmarks the *reproduction's own* analysis pipeline — the
 perf layer added on top of the paper:
 
 - **cold**        — empty disk cache: compile the corpus + analyze;
-- **warm-disk**   — fresh process simulated (in-memory caches dropped),
-  IR modules unpickled from the persistent cache and analyses decoded
-  from the store; the stored report is dropped first, so this row
-  keeps timing the IR cache rather than the report store above it;
-- **warm-report** — fresh process simulated, the stored report read
-  back whole (recorded, no floor);
-- **warm-memo**   — everything memoized in-process (steady state), the
-  stored report dropped first so the memos answer.
+- **warm-disk**   — fresh process simulated (in-memory caches and the
+  stored report dropped by ``clear_cache()``), IR modules unpickled
+  from the persistent cache and analyses decoded from the store;
+- **warm-report** — a repeat extraction, which the stored report
+  answers whole, in this process or a new one (recorded, no floor).
 
 Contract (the ``verify`` target runs ``--smoke`` and fails loudly):
 
@@ -78,12 +75,7 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
 
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
-    from repro.corpus.cache import (
-        cache_stats,
-        clear_reports,
-        report_stats,
-        reset_cache_stats,
-    )
+    from repro.corpus.cache import cache_stats, report_stats, reset_cache_stats
     from repro.corpus.loader import clear_cache
 
     if smoke:
@@ -98,19 +90,13 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
             outputs.append(_canonical(extract_all()))
         return _best_of(repeat, one_run)
 
-    def fresh_process() -> None:
-        clear_cache()
-        clear_reports()
-
     reset_cache_stats()
     cold = timed_run(lambda: clear_cache(disk=True))
-    warm_disk = timed_run(fresh_process)
-    warm_memo = timed_run(clear_reports)  # memos warm from warm-disk
-    warm_report = timed_run(clear_cache)
+    warm_disk = timed_run(clear_cache)
+    warm_report = timed_run(lambda: None)  # warm-disk stored the report
 
     warm_speedup = cold / warm_disk if warm_disk > 0 else float("inf")
     report_speedup = cold / warm_report if warm_report > 0 else float("inf")
-    memo_speedup = cold / warm_memo if warm_memo > 0 else float("inf")
 
     table = TextTable(["configuration", "best s", "vs cold"],
                       title="pipeline wall time "
@@ -118,10 +104,8 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
     table.add_row("cold (compile everything)", f"{cold:.4f}", "1.00x")
     table.add_row("warm disk cache (new process)", f"{warm_disk:.4f}",
                   f"{warm_speedup:.2f}x")
-    table.add_row("stored report (new process)", f"{warm_report:.4f}",
+    table.add_row("stored report", f"{warm_report:.4f}",
                   f"{report_speedup:.2f}x")
-    table.add_row("warm in-process memo", f"{warm_memo:.4f}",
-                  f"{memo_speedup:.2f}x")
     rendered = table.render()
     stats = cache_stats()
     rendered += (f"\n\ndisk cache: {stats.hits} hits, {stats.misses} misses, "
@@ -144,12 +128,10 @@ def run_benchmark(smoke: bool = False, repeat: int = 3,
                 "cold": cold,
                 "warm_disk": warm_disk,
                 "warm_report": warm_report,
-                "warm_memo": warm_memo,
             },
             "speedups": {
                 "warm_disk": warm_speedup,
                 "warm_report": report_speedup,
-                "warm_memo": memo_speedup,
             },
             "floors": {"warm_disk": min_speedup},
             "floor_enforced": {"warm_disk": True},

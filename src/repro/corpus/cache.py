@@ -47,7 +47,11 @@ digest* hashes, once per process, the sources that decide the report
 frontend can never be served a report it did not produce.  A hit costs
 one file read and one unpickle: no IR, no store entry, no bridge, and
 none of the analysis modules are imported.  Any edit to a scenario
-unit misses and falls through to the two stores above.
+unit misses and falls through to the two stores above.  Like module
+entries, reports are not pruned: the report of a corpus state that
+has since been edited stays on disk, unreachable, until a clear.
+The in-memory :func:`repro.corpus.loader.clear_cache` drops reports
+as well, so an extraction after it is assembled from the two stores.
 
 **Invalidation graph.**  ``an_graph.json`` records, per unit and
 function, the slice hash, the store key, and the ``struct.field``
@@ -431,11 +435,17 @@ def store_analysis(key: str, state: Any, findings: Any) -> bool:
 # ---------------------------------------------------------------------------
 
 #: The sources, relative to the ``repro`` package, that decide an
-#: extraction report besides the corpus itself: the analyzer, the
-#: frontend, the corpus loader, and the parameter registry the bridge
-#: consults.  Directories contribute their ``*.py`` files.
-REPORT_CODE = ("analysis", "lang", "corpus", "ecosystem/params.py",
-               "ecosystem/featureset.py")
+#: extraction report besides the corpus itself: every module an
+#: extraction imports, at module level or inside a function.
+#: Directories contribute their ``*.py`` files.
+#: ``tests/test_import_graph.py`` fails if an extraction reaches a
+#: module this list does not cover.
+REPORT_CODE = ("__init__.py", "_lazy.py", "errors.py", "analysis", "lang",
+               "corpus", "common", "ecosystem/__init__.py",
+               "ecosystem/params.py", "ecosystem/featureset.py",
+               "obs/__init__.py", "obs/metrics.py", "obs/tracer.py",
+               "perf/__init__.py", "perf/codec.py", "perf/lattice.py",
+               "perf/timers.py")
 
 _CODE_DIGEST: Optional[str] = None
 

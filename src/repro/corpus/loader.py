@@ -158,20 +158,26 @@ def unit_slices(unit: CorpusUnit) -> Dict[str, str]:
 
 
 def clear_cache(disk: bool = False) -> None:
-    """Drop compiled units and every per-function analysis memo.
+    """Drop compiled units, every per-function analysis memo and the
+    stored extraction reports.
 
     The analysis memos (taint states, constraint findings, CFGs) key
     off unit fingerprints and function objects; dropping units without
     dropping them would at best leak and at worst serve results for
     modules no caller can reach any more, so the two always clear
-    together.  Pass ``disk=True`` to also purge the persistent caches —
-    the IR module cache *and* the function-level analysis store plus
-    its invalidation graph.
+    together.  The stored reports go too: a stored report answers an
+    extraction without loading a unit, so the next extraction after
+    this call is assembled from the IR cache and the analysis store,
+    as it was before reports were stored.  Pass ``disk=True`` to also
+    purge those persistent caches, the invalidation graph and any
+    temp files a killed writer left.
     """
+    from repro.corpus.cache import clear_disk_cache, clear_reports
+
     with _LOAD_LOCK:
         _CACHE.clear()
         clear_memos()
     if disk:
-        from repro.corpus.cache import clear_disk_cache
-
         clear_disk_cache()
+    else:
+        clear_reports()

@@ -25,6 +25,7 @@ import signal
 import threading
 import time
 from hashlib import sha256
+from typing import List
 
 import pytest
 
@@ -57,6 +58,12 @@ def extraction_digests(jobs: int):
     if jobs <= 1:
         return [extraction_digest()]
     return procpool.run_ordered(jobs, extraction_digest, [()] * jobs)
+
+
+def _report_entries(disk) -> List[str]:
+    """The report-store entries in the cache directory."""
+    return sorted(name for name in os.listdir(disk.cache_dir())
+                  if name.endswith(".report.pkl"))
 
 
 @pytest.fixture
@@ -447,13 +454,13 @@ class TestBackendsEndToEnd:
         assert cold_stores == cold_misses > 0
 
         # Warm, untouched corpus: the stored report answers first...
-        clear_cache()
         disk.reset_cache_stats()
         untouched = _canonical(extract_all())
         assert disk.report_stats().hits == 1
         assert stats_snapshot() == (0, 0, 0, 0)
-        # ...and underneath it everything is served from the store.
-        assert disk.clear_reports() == 1
+        untouched_report = _report_entries(disk)
+        # ...and underneath it everything is served from the store
+        # (clear_cache() drops the stored report with the memos).
         clear_cache()
         disk.reset_cache_stats()
         assert _canonical(extract_all()) == untouched
@@ -469,6 +476,7 @@ class TestBackendsEndToEnd:
         incremental = _canonical(extract_all())
         # The edit changed the unit's bytes, so the report key moved.
         assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
+        assert _report_entries(disk) not in ([], untouched_report)
         edited_hits, edited_misses, _, _ = stats_snapshot()
         assert 0 < edited_misses < cold_misses
         assert edited_hits == cold_stores - edited_misses
@@ -487,6 +495,7 @@ class TestBackendsEndToEnd:
 
         baseline = _canonical(extract_all())
         assert disk.analysis_stats().stores > 0
+        baseline_report = _report_entries(disk)
         monkeypatch.setattr(disk, "FRONTEND_VERSION",
                             disk.FRONTEND_VERSION + "-bumped")
         clear_cache()
@@ -495,9 +504,10 @@ class TestBackendsEndToEnd:
         stats = disk.analysis_stats()
         assert stats.hits == 0 and stats.misses > 0
         assert bumped == baseline
-        # The report key covers the frontend version too: the bump
-        # alone misses the stored report, nothing had to drop it.
+        # The report key covers the frontend version too: the bumped
+        # run stored its report under a new key.
         assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
+        assert _report_entries(disk) not in ([], baseline_report)
 
     def test_corrupted_store_degrades_to_recompute(self, isolated_store):
         from repro.analysis.extractor import extract_all
@@ -511,9 +521,8 @@ class TestBackendsEndToEnd:
         for name in entries:
             with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
                 handle.write(b"\x00 corrupted \xff")
-        # The intact stored report would answer without reading the
-        # corrupted entries; drop it so the store is exercised.
-        assert disk.clear_reports() == 1
+        # clear_cache() also drops the intact stored report, which would
+        # otherwise answer without reading the corrupted entries.
         clear_cache()
         disk.reset_cache_stats()
         recovered = _canonical(extract_all())

@@ -212,18 +212,19 @@ def _import_time_nodes(node: ast.AST) -> Iterable[ast.AST]:
         yield from _import_time_nodes(child)
 
 
-def module_level_imports(name: str) -> Set[str]:
+def module_level_imports(name: str, bodies: bool = False) -> Set[str]:
     """The ``repro`` modules that importing ``name`` itself imports.
 
     Only code that runs at import counts (function bodies run later,
-    when called); importing ``a.b.c`` also runs ``a`` and ``a.b``.
+    when called) unless ``bodies`` is set; importing ``a.b.c`` also
+    runs ``a`` and ``a.b``.
     """
     path = module_file(name)
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
     is_package = path.endswith("__init__.py")
     targets: Set[str] = set()
-    for node in _import_time_nodes(tree):
+    for node in (ast.walk(tree) if bodies else _import_time_nodes(tree)):
         if isinstance(node, ast.Import):
             targets.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -245,8 +246,10 @@ def module_level_imports(name: str) -> Set[str]:
     return {m for m in out if m.startswith("repro") and module_file(m)}
 
 
-def import_closure(name: str) -> Set[str]:
-    """Every ``repro`` module importing ``name`` loads, transitively."""
+def import_closure(name: str, bodies: bool = False) -> Set[str]:
+    """Every ``repro`` module importing ``name`` loads, transitively;
+    with ``bodies``, also every module a function of one of them may
+    import when called."""
     seen: Set[str] = set()
     stack = [name]
     while stack:
@@ -254,7 +257,7 @@ def import_closure(name: str) -> Set[str]:
         if current in seen:
             continue
         seen.add(current)
-        stack.extend(module_level_imports(current) - seen)
+        stack.extend(module_level_imports(current, bodies) - seen)
     return seen
 
 
@@ -282,6 +285,35 @@ class TestLayering:
         assert "repro.analysis.taint" in import_closure(
             "repro.obs.provenance")
         assert "repro.perf.timers" in import_closure("repro.serve.worker")
+
+
+class TestReportKey:
+    def test_report_code_covers_every_module_an_extraction_runs(
+            self, tmp_path):
+        # The stored report's key hashes REPORT_CODE; a module an
+        # extraction can run but the key does not hash could be edited
+        # and still be served the old report.  Both what a cold
+        # extraction loads and every import its code can reach count.
+        from repro.corpus.cache import REPORT_CODE
+
+        reached = within(loaded_modules(
+            "from repro.corpus.loader import clear_cache\n"
+            "clear_cache(disk=True)\n"
+            "from repro.analysis.extractor import extract_all\n"
+            "extract_all()", str(tmp_path)), ["repro"])
+        assert "repro.analysis.taint" in reached
+        for name in ("repro.analysis.extractor", "repro.corpus.loader",
+                     "repro.corpus.cache"):
+            reached += import_closure(name, bodies=True)
+        package = os.path.join(SRC, "repro")
+
+        def covered(module: str) -> bool:
+            path = os.path.relpath(module_file(module), package)
+            path = path.replace(os.sep, "/")
+            return any(path == entry or os.path.dirname(path) == entry
+                       for entry in REPORT_CODE)
+
+        assert sorted({m for m in reached if not covered(m)}) == []
 
 
 def source_lines(modules: Iterable[str]) -> int:

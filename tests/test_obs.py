@@ -253,14 +253,12 @@ def test_parallel_trace_is_single_rooted(tmp_path, capsys):
 
 def test_tracing_does_not_change_the_report(extraction_report):
     from repro.analysis.extractor import extract_all
-    from repro.corpus.cache import clear_reports
     from repro.corpus.loader import clear_cache
 
     clear_cache()
     plain = _canonical(extract_all())
 
     def traced_run():
-        clear_cache()
         t = tracer.Tracer("check")
         with tracer.enabled(t):
             assert _canonical(extract_all()) == plain
@@ -272,8 +270,9 @@ def test_tracing_does_not_change_the_report(extraction_report):
     _, children = traced_run()
     assert children == ["cache.report.load"]
     # A miss extracts: the tree really is populated with 4 scenarios,
-    # and the finished report is stored.
-    clear_reports()
+    # and the finished report is stored.  clear_cache() drops the
+    # stored report with the memos.
+    clear_cache()
     t, children = traced_run()
     shape = _shape(t)
     assert len(shape) == 1

@@ -138,12 +138,13 @@ class TestWarmEqualsCold:
     def test_warm_disk_run_identical_to_cold(self, ir_cache_dir):
         clear_cache(disk=True)
         cold = _canonical(extract_all())
-        clear_cache()  # new-process simulation: memory empty, disk warm
-        disk_cache.clear_reports()  # so the IR cache, not the report, answers
+        # Memory empty, disk warm; clear_cache() drops the stored report
+        # too, so the IR cache answers.
+        clear_cache()
         warm = _canonical(extract_all())
         assert disk_cache.cache_stats().hits > 0
         assert warm == cold
-        clear_cache()
+        # The warm run stored the report; the next extraction reads it.
         hits = disk_cache.report_stats().hits
         assert _canonical(extract_all()) == cold
         assert disk_cache.report_stats().hits == hits + 1

@@ -55,10 +55,25 @@ def _tallies():
     return live.hits, live.misses, live.stores, live.errors
 
 
-def _fresh_run(extractor=None):
-    """A new process over the same disk: memos and tallies dropped."""
+def _new_process():
+    """What a new process over the same disk starts from: nothing in
+    memory, zeroed tallies, and every store as this process left it.
+    ``clear_cache()`` drops the stored reports too, so they are put
+    back."""
+    kept = {}
+    for name in _entries():
+        with open(os.path.join(disk.cache_dir(), name), "rb") as handle:
+            kept[name] = handle.read()
     clear_cache()
+    for name, blob in kept.items():
+        with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
+            handle.write(blob)
     disk.reset_cache_stats()
+
+
+def _fresh_run(extractor=None):
+    """One extraction in a new process over the same disk."""
+    _new_process()
     return (extractor or Extractor()).extract_all()
 
 
@@ -105,8 +120,7 @@ class TestMiss:
         }[damage]
         with open(path, "wb") as handle:
             handle.write(damaged)
-        clear_cache()
-        disk.reset_cache_stats()
+        _new_process()
         assert disk.load_report(name[:-len(".report.pkl")],
                                 ExtractionReport) is None
         assert _tallies() == (0, 0, 0, 1)
@@ -216,6 +230,21 @@ class TestClearing:
         assert _entries() == []
         assert _entries(".ir.pkl") and _entries(".an.bin")
 
+    def test_clear_cache_drops_reports_so_the_stores_answer(self, store):
+        # In-process, clear_cache() means "assemble the next extraction
+        # from the IR cache and the analysis store", as it did before
+        # reports were stored; a report left behind would answer it.
+        clear_cache()
+        assert _entries() == []
+        assert _entries(".ir.pkl") and _entries(".an.bin")
+        disk.reset_cache_stats()
+        assert _canonical(extract_all()) == store
+        assert _tallies() == (0, 1, 1, 0)
+        assert disk.cache_stats().hits == 7
+        assert disk.cache_stats().misses == 0
+        analysis = disk.analysis_stats()
+        assert analysis.hits > 0 and analysis.misses == 0
+
     def test_cold_flag_misses_the_report(self, store):
         from repro.cli import main_extract
 
@@ -244,8 +273,7 @@ class TestCliOnAHit:
         argv = ["--explain", "sparse_super2", "--explain", "mount.dax"]
         clear_cache(disk=True)
         cold = self._run(argv)
-        clear_cache()
-        disk.reset_cache_stats()
+        _new_process()
         warm = self._run(argv)
         assert _tallies()[0] == 1
         assert warm == cold and "provenance for" in warm
@@ -259,8 +287,7 @@ class TestCliOnAHit:
 
         clear_cache(disk=True)
         cold = dump("cold.json")
-        clear_cache()
-        disk.reset_cache_stats()
+        _new_process()
         warm = dump("warm.json")
         assert _tallies()[0] == 1
         assert warm == cold and len(warm) == 64

@@ -166,9 +166,9 @@ def clear_cache(disk: bool = False) -> None:
     dropping them would at best leak and at worst serve results for
     modules no caller can reach any more, so the two always clear
     together.  The stored reports go too: a stored report answers an
-    extraction without loading a unit, so the next extraction after
-    this call is assembled from the IR cache and the analysis store,
-    as it was before reports were stored.  Pass ``disk=True`` to also
+    extraction without loading a unit, so dropping it makes the next
+    extraction in this process read units and analyses from the IR
+    cache and the analysis store.  Pass ``disk=True`` to also
     purge those persistent caches, the invalidation graph and any
     temp files a killed writer left.
     """

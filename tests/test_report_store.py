@@ -232,8 +232,8 @@ class TestClearing:
 
     def test_clear_cache_drops_reports_so_the_stores_answer(self, store):
         # In-process, clear_cache() means "assemble the next extraction
-        # from the IR cache and the analysis store", as it did before
-        # reports were stored; a report left behind would answer it.
+        # from the IR cache and the analysis store"; benchmarks time
+        # those layers that way, and a report left behind would answer.
         clear_cache()
         assert _entries() == []
         assert _entries(".ir.pkl") and _entries(".an.bin")

@@ -37,21 +37,22 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _job_count(text: str) -> int:
-    """``--jobs`` values: an integer >= 1 (argparse exits 2 otherwise)."""
+def _count(text: str) -> int:
+    """``--jobs``/``--budget``/``--shards`` values: an integer >= 1
+    (argparse exits 2 otherwise)."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     """The shared ``--jobs`` flag (process workers for campaign shards)."""
-    parser.add_argument("-j", "--jobs", type=_job_count, default=1,
+    parser.add_argument("-j", "--jobs", type=_count, default=1,
                         metavar="N",
                         help="process workers for sampled-campaign shards "
                              "(default 1: everything runs sequentially "
@@ -166,11 +167,11 @@ def _add_sampling_args(parser: argparse.ArgumentParser,
     group = parser.add_argument_group("sampled campaigns")
     group.add_argument("--sample", metavar="SPEC", default=None,
                        help=sample_help)
-    group.add_argument("--budget", type=int, default=None, metavar="N",
+    group.add_argument("--budget", type=_count, default=None, metavar="N",
                        help="campaign size cap: raw configs drawn "
                             "(random needs one; covering arrays are "
                             "truncated to it)")
-    group.add_argument("--shards", type=int, default=1, metavar="N",
+    group.add_argument("--shards", type=_count, default=1, metavar="N",
                        help="contiguous campaign shards; each regenerates "
                             "its own config slice and streams back a "
                             "bounded aggregate (default 1)")

@@ -1,10 +1,12 @@
 """Campaign execution engine: snapshot-cloning, sharded checker runs.
 
 The paper's checkers earn their value at scale — thousands of driven
-configurations — and a campaign spends most of its serial time
-re-running the simulated mkfs for configurations that share the exact
-same on-disk format.  This module provides the two pieces that make
-campaigns fast without changing a single result:
+configurations.  A ConHandleCk violation campaign re-formats the same
+few images over and over (every mount violation formats one base
+image, and setting violations repeat argument vectors), while a
+ConBugCk campaign drives diverse formats that almost never repeat, so
+its configurations are formatted cold.  This module provides the two
+pieces campaigns run on, neither of which changes a single result:
 
 - :class:`SnapshotCache` — a post-mkfs image snapshot cache.  The
   simulated mkfs is fully deterministic (even the UUID derives from the

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations, product
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, \
+from typing import Dict, Iterator, List, NamedTuple, Optional, \
     Sequence, Set, Tuple
 
 from repro.ecosystem.params import ConfigParam, ParamKind, ParamRegistry
@@ -666,37 +666,3 @@ def make_sampler(space: ConfigSpace, kind: str, seed: int,
         return FeasibleSampler(sampler, constraints)
     return sampler
 
-
-class OptionSweepSampler:
-    """The mount-option draw ConBugCk's campaign sweeps are built on.
-
-    Draws one option string per config: with probability
-    ``violate_rate`` a choice from the (finite, hand-enumerated)
-    violating pool, otherwise a guided sample for the base's feature
-    set.  The pool is a hard cap on distinct violating options — a sweep
-    can never surface more than ``len(pool)`` distinct violations no
-    matter its size; callers wanting breadth must grow the pool or
-    lower ``violate_rate``.  Consumes the shared ``rng`` strictly
-    sequentially, preserving ConBugCk's historical draw order so
-    pre-existing seeds reproduce byte-identical sweeps.
-    """
-
-    def __init__(self, rng, pool: Sequence[str], violate_rate: float,
-                 guided: Callable[[Set[str]], str]) -> None:
-        if not pool:
-            raise ValueError("option sweep needs a non-empty violating pool")
-        self.rng = rng
-        self.pool = tuple(pool)
-        self.violate_rate = violate_rate
-        self.guided = guided
-
-    @property
-    def distinct_violations_cap(self) -> int:
-        """Most distinct violating options any sweep of this pool can
-        contain (the documented pool-size cap)."""
-        return len(self.pool)
-
-    def draw(self, features: Set[str]) -> str:
-        if self.rng.random() < self.violate_rate:
-            return self.rng.choice(self.pool)
-        return self.guided(features)

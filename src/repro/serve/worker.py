@@ -121,20 +121,23 @@ def _opt(option: str) -> Callable[[Any], List[str]]:
     return lambda value: [option, str(value)]
 
 
-def _jobs(value: int) -> List[str]:
-    # The CLI rejects --jobs < 1 too; failing here keeps a bad value
-    # from ever getting a request key of its own.
-    if value < 1:
-        raise RequestError(f"param 'jobs' must be >= 1, got {value}")
-    return ["--jobs", str(value)]
+def _count(name: str) -> Callable[[Any], List[str]]:
+    """An integer >= 1 param.  The CLI rejects smaller values too;
+    failing here keeps a bad value from ever getting a request key of
+    its own."""
+    def build(value: int) -> List[str]:
+        if value < 1:
+            raise RequestError(f"param {name!r} must be >= 1, got {value}")
+        return [f"--{name}", str(value)]
+    return build
 
 
 _CAMPAIGN_PARAMS = {
-    "jobs": (int, _jobs),
+    "jobs": (int, _count("jobs")),
     "seed": (int, _opt("--seed")),
     "sample": (str, _opt("--sample")),
-    "budget": (int, _opt("--budget")),
-    "shards": (int, _opt("--shards")),
+    "budget": (int, _count("budget")),
+    "shards": (int, _count("shards")),
 }
 
 #: Every tool the service executes.  ``repro-runs`` and ``repro-demo``

@@ -16,9 +16,8 @@ configuration gets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, \
-    Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.model import Category, Dependency, SubKind
 from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, all_feature_names
@@ -29,11 +28,11 @@ from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
 from repro.errors import ReproError
 from repro.fsimage.blockdev import BlockDevice
 from repro.obs.tracer import span
-from repro.perf import SnapshotCache, bump, timed
+from repro.perf import bump, timed
 from repro.perf.campaign import CampaignReport, ShardAggregate, run_sharded, \
     shard_ranges
 from repro.perf.sampling import Assignment, ConfigSpace, ConstraintIndex, \
-    OptionSweepSampler, make_sampler, parse_sample_spec
+    make_sampler, parse_sample_spec
 
 #: Stages a driven configuration can reach.
 STAGES = ("mkfs", "mount", "use", "fsck-clean")
@@ -42,22 +41,6 @@ STAGES = ("mkfs", "mount", "use", "fsck-clean")
 #: exact past the cap (``failures_truncated``); only the stored strings
 #: are bounded, so a million-config campaign cannot hoard memory.
 MAX_STORED_FAILURES = 200
-
-#: Mount options violating an extracted dependency — each is refused by
-#: the kernel's option validation regardless of on-disk state.
-#: ``generate_mount_sweep`` draws from this pool to model the paper's
-#: naive campaigns, whose configurations mostly die at mount.
-VIOLATING_MOUNT_OPTIONS = (
-    "commit=1000",
-    "journal_ioprio=9",
-    "journal_async_commit",
-    "barrier=2",
-    "auto_da_alloc=5",
-    "max_batch_time=-1",
-    "data=flush",
-    "noload",
-)
-
 
 @dataclass
 class GeneratedConfig:
@@ -118,6 +101,13 @@ class DriveStats:
             self.failures.append(message)
         else:
             self.failures_truncated += 1
+
+
+def _mkfs_device(config: GeneratedConfig, fs_blocks: int) -> BlockDevice:
+    """A freshly formatted sparse device for ``config``."""
+    dev = BlockDevice(fs_blocks, config.blocksize)
+    Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
+    return dev
 
 
 class ConBugCk:
@@ -260,98 +250,21 @@ class ConBugCk:
         return out
 
     # ------------------------------------------------------------------
-    # campaign sweeps
-    # ------------------------------------------------------------------
-
-    def generate_mount_sweep(self, count: int, bases: int = 3,
-                             fs_blocks: int = 512,
-                             blocksize: Optional[int] = None,
-                             violate_rate: float = 0.7,
-                             ) -> List[GeneratedConfig]:
-        """A mount-option sweep over a handful of shared on-disk formats.
-
-        Checker campaigns sweep cheap runtime knobs (mount options) far
-        more often than they churn the on-disk format: the sweep samples
-        ``bases`` dependency-respecting mkfs tuples — each validated
-        against a scratch device, resampling rejects — then emits
-        ``count`` configurations cycling over them, differing only in
-        mount options.  A ``violate_rate`` fraction draws from
-        :data:`VIOLATING_MOUNT_OPTIONS` (the paper's observation that
-        naive configurations die shallow, at mount validation); the rest
-        sample guided options.  ``blocksize`` pins the on-disk block
-        size (inode size clamped to match).  RNG consumption is strictly
-        sequential, so a sweep reproduces exactly no matter how it is
-        later driven.
-
-        The option draw is a :class:`~repro.perf.sampling.
-        OptionSweepSampler` over the violating pool, which makes the
-        pool-size cap explicit: a sweep can never contain more than
-        ``sampler.distinct_violations_cap`` (= ``len(
-        VIOLATING_MOUNT_OPTIONS)``) distinct violating options, no
-        matter how large ``count`` is.  Registry-wide breadth is the
-        sampled-campaign entry points' job (:func:`sampled_campaign`),
-        not this sweep's.
-        """
-        if bases <= 0:
-            raise ValueError(f"bases must be positive, got {bases}")
-        base_configs: List[GeneratedConfig] = []
-        attempts = 0
-        while len(base_configs) < bases:
-            attempts += 1
-            if attempts > 50 * bases:
-                raise ReproError("mount sweep found too few mkfs-valid bases")
-            cand = self._generate_one()
-            if blocksize is not None:
-                cand = replace(cand, blocksize=blocksize,
-                               inode_size=min(cand.inode_size, blocksize))
-            try:
-                scratch = BlockDevice(fs_blocks, cand.blocksize)
-                Mke2fs.from_args(cand.mke2fs_args(fs_blocks)).run(scratch)
-            except (ValueError, ReproError):
-                continue
-            base_configs.append(cand)
-        sampler = OptionSweepSampler(
-            self.rng, VIOLATING_MOUNT_OPTIONS, violate_rate,
-            self._sample_mount_options)
-        sweep: List[GeneratedConfig] = []
-        for i in range(count):
-            base = base_configs[i % len(base_configs)]
-            options = sampler.draw(set(base.features))
-            sweep.append(replace(base, mount_options=options))
-        return sweep
-
-    # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------
 
     def drive(self, configs: Sequence[GeneratedConfig],
-              fs_blocks: int = 512,
-              snapshot_cache: Union[bool, SnapshotCache] = True,
-              ) -> DriveStats:
+              fs_blocks: int = 512) -> DriveStats:
         """Run each configuration through the full ecosystem pipeline.
 
         Configurations drive one after another, in spec order (driving
-        only — generation already consumed the RNG).
-
-        ``snapshot_cache`` controls the post-mkfs snapshot cache:
-        ``True`` (default) uses a fresh per-campaign cache, ``False``
-        re-runs mkfs for every configuration, and passing a
-        :class:`~repro.perf.SnapshotCache` shares snapshots across
-        campaigns.  mkfs is deterministic, so the cache never changes
-        results — configurations sharing the mkfs-relevant tuple clone
-        one formatted image instead of re-formatting.
+        only — generation already consumed the RNG).  Every
+        configuration is formatted cold on its own sparse device.
         """
-        cache: Optional[SnapshotCache]
-        if snapshot_cache is True:
-            cache = SnapshotCache()
-        elif snapshot_cache is False:
-            cache = None
-        else:
-            cache = snapshot_cache
         bump("campaign.items", len(configs))
         with span("campaign.drive", items=len(configs)), \
                 timed("campaign.drive"):
-            outcomes = [self._drive_one(config, fs_blocks, cache)
+            outcomes = [self._drive_one(config, fs_blocks)
                         for config in configs]
         stats = DriveStats(total=len(configs))
         for reached, failure in outcomes:
@@ -361,24 +274,7 @@ class ConBugCk:
                 stats.record_failure(failure)
         return stats
 
-    def _mkfs_device(self, config: GeneratedConfig, fs_blocks: int,
-                     cache: Optional[SnapshotCache]) -> BlockDevice:
-        """A freshly formatted device for ``config`` (cached or cold)."""
-        def build(dev: BlockDevice) -> None:
-            Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
-
-        if cache is None:
-            dev = BlockDevice(fs_blocks, config.blocksize)
-            build(dev)
-            return dev
-        # Everything mkfs consumes — mount_options is the only field of
-        # a GeneratedConfig that is not part of the on-disk format.
-        key = (config.features, config.blocksize, config.inode_size,
-               config.inode_ratio, config.reserved_percent, fs_blocks)
-        return cache.device_for(key, fs_blocks, config.blocksize, build)
-
     def _drive_one(self, config: GeneratedConfig, fs_blocks: int,
-                   cache: Optional[SnapshotCache] = None,
                    ) -> Tuple[Tuple[str, ...], Optional[str]]:
         """Drive one configuration; returns (stages reached, failure).
 
@@ -387,15 +283,14 @@ class ConBugCk:
         """
         with span("conbugck.config", blocksize=config.blocksize,
                   mount_options=config.mount_options):
-            return self._drive_one_inner(config, fs_blocks, cache)
+            return self._drive_one_inner(config, fs_blocks)
 
     def _drive_one_inner(self, config: GeneratedConfig, fs_blocks: int,
-                         cache: Optional[SnapshotCache],
                          ) -> Tuple[Tuple[str, ...], Optional[str]]:
         reached: List[str] = []
         try:
             with timed("campaign.stage.mkfs"):
-                dev = self._mkfs_device(config, fs_blocks, cache)
+                dev = _mkfs_device(config, fs_blocks)
         except ValueError as exc:
             return (), f"device: {exc}"
         except ReproError as exc:
@@ -451,12 +346,6 @@ _MKFS_NUMERIC = ("blocksize", "inode_size", "inode_ratio",
 #: few MiB (the registry allows 64 KiB blocks; 512 fs_blocks of those is
 #: 32 MiB per config — pointless for dependency probing).
 _CAMPAIGN_PROBES = {"blocksize": (1024, 2048, 4096)}
-
-#: Outcome-memo cap per shard: sampled campaigns repeat (format, mount)
-#: pairs heavily (the whole pipeline is deterministic, so a repeated
-#: config has a known outcome), but a diverse shard must not hoard
-#: unbounded memo entries either.
-_OUTCOME_MEMO_CAP = 1 << 16
 
 _MOUNT_PARAMS: Optional[Dict[str, ConfigParam]] = None
 
@@ -539,43 +428,18 @@ def config_from_assignment(space: ConfigSpace,
     )
 
 
-def config_row(config: GeneratedConfig) -> List[object]:
-    """A plain-container form of one config (codec/pickle-safe)."""
-    return [list(config.features), config.blocksize, config.inode_size,
-            config.inode_ratio, config.reserved_percent,
-            config.mount_options]
-
-
-def config_from_row(row: Sequence[object]) -> GeneratedConfig:
-    features, blocksize, inode_size, inode_ratio, reserved, options = row
-    return GeneratedConfig(
-        features=tuple(features),  # type: ignore[arg-type]
-        blocksize=int(blocksize),  # type: ignore[call-overload]
-        inode_size=int(inode_size),  # type: ignore[call-overload]
-        inode_ratio=int(inode_ratio),  # type: ignore[call-overload]
-        reserved_percent=int(reserved),  # type: ignore[call-overload]
-        mount_options=str(options),
-    )
-
-
 def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
-                       cache: SnapshotCache,
                        ) -> Tuple[Tuple[str, ...], Optional[str]]:
     """One config through mkfs→mount→use→fsck, hot-loop variant.
 
-    Outcome-identical to :meth:`ConBugCk._drive_one_inner` with a cache
-    (same stage labels, same failure strings) but stripped for campaign
-    shards: no per-config span/timer (a 10^6-config shard cannot afford
-    two context managers per stage).
+    Outcome-identical to :meth:`ConBugCk._drive_one_inner` (same stage
+    labels, same failure strings) but stripped for campaign shards: no
+    per-config span/timer (a 10^6-config shard cannot afford two
+    context managers per stage).
     """
-    def build(dev: BlockDevice) -> None:
-        Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
-
-    key = (config.features, config.blocksize, config.inode_size,
-           config.inode_ratio, config.reserved_percent, fs_blocks)
     reached: List[str] = []
     try:
-        dev = cache.device_for(key, fs_blocks, config.blocksize, build)
+        dev = _mkfs_device(config, fs_blocks)
     except ValueError as exc:
         return (), f"device: {exc}"
     except ReproError as exc:
@@ -618,52 +482,23 @@ def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Drive global config indices ``[spec['lo'], spec['hi'])``.
 
     The shard runner behind :data:`repro.perf.campaign.SHARD_RUNNERS`
-    ["conbugck"]: regenerates its own slice from the sampler's hint
-    (``source="sampler"``; a covering array's hint is the slice's rows,
-    so no shard rebuilds the array) or drives an explicit config slice
-    shipped as ``spec['hint']`` (``source="configs"``), folds outcomes
-    into a bounded :class:`~repro.perf.campaign.ShardAggregate`, and
-    reports shard-local cache traffic in the payload counters.  Pure:
-    fresh snapshot cache and memo per shard, no shared mutable state —
-    which is what makes process and sequential runs byte-identical.
+    ["conbugck"]: regenerates its own slice from the sampler's hint (a
+    covering array's hint is the slice's rows, so no shard rebuilds the
+    array), drives each config cold and folds outcomes into a bounded
+    :class:`~repro.perf.campaign.ShardAggregate`.  Pure: no shared
+    mutable state, which is what makes process and sequential runs
+    byte-identical.
     """
     lo, hi = int(spec["lo"]), int(spec["hi"])
     fs_blocks = int(spec.get("fs_blocks", 512))
     aggregate = ShardAggregate()
-    cache = SnapshotCache()
-    # Full-outcome memo: the simulated pipeline is deterministic, so a
-    # repeated (format, mount-options) pair has a known outcome and the
-    # drive can be skipped outright (bounded by _OUTCOME_MEMO_CAP).
-    memo: Dict[Tuple, Tuple[Tuple[str, ...], Optional[str]]] = {}
-
-    if spec.get("source") == "configs":
-        rows = spec.get("hint") or []
-        items = ((lo + offset, config_from_row(row))
-                 for offset, row in enumerate(rows))
-        sampler = None
-    else:
-        space, sampler = _sampler_from_spec(spec)
-        items = ((index, config_from_assignment(space, assignment))
-                 for index, assignment in
-                 sampler.iter_range(lo, hi, hint=spec.get("hint")))
-
-    for index, config in items:
-        memo_key = (config.features, config.blocksize, config.inode_size,
-                    config.inode_ratio, config.reserved_percent,
-                    config.mount_options, fs_blocks)
-        outcome = memo.get(memo_key)
-        if outcome is None:
-            outcome = _drive_config_fast(config, fs_blocks, cache)
-            if len(memo) < _OUTCOME_MEMO_CAP:
-                memo[memo_key] = outcome
-            aggregate.tally("campaign.outcome.miss")
-        else:
-            aggregate.tally("campaign.outcome.hit")
-        aggregate.add(index, outcome[0], outcome[1])
-
-    aggregate.tally("campaign.snapshot.hit", cache.hits)
-    aggregate.tally("campaign.snapshot.miss", cache.misses)
-    if sampler is not None and hasattr(sampler, "skipped"):
+    space, sampler = _sampler_from_spec(spec)
+    for index, assignment in sampler.iter_range(lo, hi,
+                                                hint=spec.get("hint")):
+        reached, failure = _drive_config_fast(
+            config_from_assignment(space, assignment), fs_blocks)
+        aggregate.add(index, reached, failure)
+    if hasattr(sampler, "skipped"):
         aggregate.tally("campaign.infeasible_skipped", sampler.skipped)
     return aggregate.as_payload()
 
@@ -706,7 +541,7 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
     ranges = shard_ranges(total, shards)
     hints = sampler.shard_hints(ranges)
     spec: Dict[str, Any] = {
-        "tool": "conbugck", "source": "sampler", "kind": kind, "t": t,
+        "tool": "conbugck", "kind": kind, "t": t,
         "seed": seed, "budget": budget, "fs_blocks": fs_blocks,
     }
     if constraints is not None:
@@ -725,19 +560,3 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
     }
     return report, meta
 
-
-def sweep_campaign(configs: Sequence[GeneratedConfig],
-                   fs_blocks: int = 512,
-                   shards: int = 1,
-                   jobs: int = 1,
-                   ) -> CampaignReport:
-    """Drive an explicit config list through the sharded streaming
-    driver (``source="configs"``): each shard receives only its own
-    slice as the shard hint, so no shard ever holds the full list."""
-    total = len(configs)
-    ranges = shard_ranges(total, shards)
-    hints = [[config_row(c) for c in configs[lo:hi]] for lo, hi in ranges]
-    spec: Dict[str, Any] = {"tool": "conbugck", "source": "configs",
-                            "fs_blocks": fs_blocks}
-    return run_sharded("conbugck", spec, total, shards=shards, jobs=jobs,
-                       hints=hints)

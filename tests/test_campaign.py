@@ -9,11 +9,14 @@ from repro.ecosystem.mke2fs import Mke2fs
 from repro.errors import UsageError
 from repro.fsimage.blockdev import BlockDevice
 from repro.perf import SnapshotCache
+from repro.perf.sampling import ConstraintIndex, FeasibleSampler, \
+    RandomSampler
 from repro.tools.conbugck import (
     ConBugCk,
     DriveStats,
     MAX_STORED_FAILURES,
-    VIOLATING_MOUNT_OPTIONS,
+    build_campaign_space,
+    config_from_assignment,
 )
 from repro.tools.conhandleck import (ConHandleCk, ViolationOutcome,
                                      sampled_check)
@@ -166,42 +169,68 @@ class TestDriveStats:
 
     def test_drive_applies_cap(self, deps):
         gen = ConBugCk(deps, seed=3)
-        sweep = gen.generate_mount_sweep(30, bases=2, violate_rate=1.0)
-        stats = gen.drive(sweep)
-        stats_capped = ConBugCk(deps, seed=3).drive(sweep)
-        # Same sweep, same failures, regardless of how often it's driven.
-        assert stats.failures == stats_capped.failures
-        assert stats.failure_count == len(sweep)
+        configs = gen.generate_naive(MAX_STORED_FAILURES + 40)
+        stats = gen.drive(configs)
+        again = ConBugCk(deps, seed=3).drive(configs)
+        # Same configs, same failures, regardless of how often driven.
+        assert stats.failures == again.failures
+        # Every config short of fsck-clean is a failure, counted exactly
+        # past the storage cap.
+        assert stats.failure_count == stats.total - stats.reached["fsck-clean"]
+        assert len(stats.failures) == MAX_STORED_FAILURES
+        assert stats.failures_truncated > 0
+
+    def test_violations_die_at_mount(self, deps):
+        """A failure names the first stage a config did not reach, and
+        sampled mount options that violate a dependency die at mount
+        validation on a valid image."""
+        gen = ConBugCk(deps, seed=9)
+        space = build_campaign_space()
+        next_stage = {(): ("device:", "mkfs:"), ("mkfs",): ("mount:",),
+                      ("mkfs", "mount"): ("use:",),
+                      ("mkfs", "mount", "use"): ("fsck:",)}
+        died_at_mount = 0
+        for _, assignment in RandomSampler(space, 9, 200).iter_range(0, 200):
+            config = config_from_assignment(space, assignment)
+            reached, failure = gen._drive_one(config, 512)
+            if failure is None:
+                assert reached == ("mkfs", "mount", "use", "fsck-clean")
+                continue
+            assert failure.startswith(next_stage[reached]), (reached, failure)
+            died_at_mount += reached == ("mkfs",)
+        assert died_at_mount > 0
 
 
 # ---------------------------------------------------------------------------
-# equivalence across snapshot caches and job counts
+# equivalence across drive paths and job counts
 # ---------------------------------------------------------------------------
 
 class TestEquivalence:
     def test_drive_identical_across_jobs(self, deps):
-        """``drive`` and the sharded driver agree, in-process (jobs=1)
-        and on process workers (jobs=2)."""
+        """``drive`` over a sample's materialised configs agrees with the
+        sharded sampled campaign, in-process (jobs=1) and on process
+        workers (jobs=2): the two drive bodies (``_drive_one_inner``
+        and the shards' ``_drive_config_fast``) stay outcome-identical,
+        config by config.  ``+feasible`` keeps configs mkfs accepts, so
+        the sample reaches mount and use, not only mkfs."""
+        space = build_campaign_space()
+        sampler = FeasibleSampler(RandomSampler(space, 11, 400),
+                                  ConstraintIndex.from_dependencies(deps))
+        configs = [config_from_assignment(space, assignment) for _, assignment
+                   in sampler.iter_range(0, sampler.total())]
         gen = ConBugCk(deps, seed=11)
-        configs = gen.generate(12) + gen.generate_naive(12)
-        baseline = ConBugCk(deps, seed=11).drive(
-            configs, snapshot_cache=False)
-        assert _canonical(ConBugCk(deps, seed=11).drive(configs)) == \
-            _canonical(baseline)
+        baseline = gen.drive(configs)
+        digest = sum(outcome_digest_term(index, *gen._drive_one(config, 512))
+                     for index, config in enumerate(configs)) % (1 << 256)
+        assert {"mkfs", "mount"} <= {s for s, n in baseline.reached.items()
+                                     if n}
         for jobs in (1, 2):
-            report = sweep_campaign(configs, shards=3, jobs=jobs)
+            report, _meta = sampled_campaign(
+                deps, sample="random+feasible", seed=11, budget=400,
+                shards=3, jobs=jobs)
             assert _report_canonical(report) == \
                 _sparse_canonical(baseline), f"jobs={jobs}"
-
-    def test_drive_shared_cache_identical(self, deps):
-        gen = ConBugCk(deps, seed=11)
-        configs = gen.generate(10)
-        cold = gen.drive(configs, snapshot_cache=False)
-        shared = SnapshotCache()
-        first = gen.drive(configs, snapshot_cache=shared)
-        second = gen.drive(configs, snapshot_cache=shared)
-        assert _canonical(first) == _canonical(cold)
-        assert _canonical(second) == _canonical(cold)
+            assert report.digest == digest, f"jobs={jobs}"
 
     def test_conhandleck_identical_across_jobs(self, deps):
         """``check`` verdicts match the sharded violation campaign's,
@@ -220,47 +249,9 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# mount sweeps
-# ---------------------------------------------------------------------------
-
-class TestMountSweep:
-    def test_deterministic_for_seed(self, deps):
-        a = ConBugCk(deps, seed=9).generate_mount_sweep(40, bases=3)
-        b = ConBugCk(deps, seed=9).generate_mount_sweep(40, bases=3)
-        assert a == b
-
-    def test_shares_mkfs_tuples(self, deps):
-        sweep = ConBugCk(deps, seed=9).generate_mount_sweep(40, bases=3)
-        tuples = {(c.features, c.blocksize, c.inode_size, c.inode_ratio,
-                   c.reserved_percent) for c in sweep}
-        assert len(sweep) == 40
-        assert len(tuples) <= 3
-
-    def test_violations_die_at_mount(self, deps):
-        gen = ConBugCk(deps, seed=9)
-        sweep = gen.generate_mount_sweep(30, bases=2, violate_rate=1.0)
-        assert all(c.mount_options in VIOLATING_MOUNT_OPTIONS for c in sweep)
-        stats = gen.drive(sweep)
-        assert stats.reached["mkfs"] == 30
-        assert stats.reached["mount"] == 0
-        assert all(f.startswith("mount:") for f in stats.failures)
-
-    def test_blocksize_pin(self, deps):
-        sweep = ConBugCk(deps, seed=9).generate_mount_sweep(
-            10, bases=2, blocksize=1024)
-        assert all(c.blocksize == 1024 for c in sweep)
-        assert all(c.inode_size <= 1024 for c in sweep)
-
-    def test_rejects_nonpositive_bases(self, deps):
-        with pytest.raises(ValueError):
-            ConBugCk(deps, seed=9).generate_mount_sweep(10, bases=0)
-
-
-# ---------------------------------------------------------------------------
 # sharded streaming campaigns
 # ---------------------------------------------------------------------------
 
-from hashlib import sha256
 
 from repro.obs.manifest import build_manifest, diff_manifests, \
     validate_manifest
@@ -272,7 +263,7 @@ from repro.perf.campaign import (
 )
 from repro.perf import counters, reset_profile
 from repro.tools import conhandleck as chc
-from repro.tools.conbugck import sweep_campaign, sampled_campaign
+from repro.tools.conbugck import sampled_campaign
 
 
 def _sparse_canonical(stats: DriveStats):
@@ -352,28 +343,6 @@ class TestShardAggregateMerge:
         assert outcome_digest_term(4, ("mkfs",), "boom") != base
         assert outcome_digest_term(3, ("mount",), "boom") != base
         assert outcome_digest_term(3, ("mkfs",), None) != base
-
-
-class TestShardedSweepCampaign:
-    def test_matches_sequential_drive(self, deps):
-        gen = ConBugCk(deps, seed=13)
-        sweep = gen.generate_mount_sweep(48, bases=2, violate_rate=0.6)
-        stats = ConBugCk(deps, seed=13).drive(sweep)
-        baseline = sweep_campaign(sweep, shards=1)
-        assert _report_canonical(baseline) == _sparse_canonical(stats)
-        for shards, jobs in ((3, 1), (5, 2), (48, 1)):
-            report = sweep_campaign(sweep, shards=shards, jobs=jobs)
-            assert report.digest_hex == baseline.digest_hex, \
-                f"shards={shards}"
-            assert _report_canonical(report) == _report_canonical(baseline)
-
-    def test_process_backend_identical(self, deps):
-        gen = ConBugCk(deps, seed=13)
-        sweep = gen.generate_mount_sweep(30, bases=2, violate_rate=0.6)
-        sequential = sweep_campaign(sweep, shards=3)
-        process = sweep_campaign(sweep, shards=3, jobs=2)
-        assert process.digest_hex == sequential.digest_hex
-        assert _report_canonical(process) == _report_canonical(sequential)
 
 
 class TestSampledCampaign:
@@ -471,37 +440,26 @@ class TestConHandleCkSampled:
         assert "sparse_super2" in report.failures[0][1]
 
 
-class TestPinnedSweeps:
-    """generate_mount_sweep is a thin wrapper over OptionSweepSampler;
-    these hashes pin the historical RNG draw order byte-for-byte."""
+class TestCampaignWorkCounters:
+    """Host-independent work gate for the campaign caches that stay.
 
-    PINS = {
-        (2022, 40): "97a8c70d4404bce70ef06b1db6a6ef67"
-                    "9091d3a28588ac15d843bcbe60d8193c",
-        (2022, 300): "9cbdf15adedf3275a7879e87b1cd500a"
-                     "c8ccfc515e2b66b6d9e4835ee867f317",
-        (7, 25): "35a5dd63f7f1f2d516843e2004629851"
-                 "ab201eb96f5dc1ea22b79a08d435b6e6",
-    }
+    ConHandleCk's violation campaign repeats dependencies and base
+    images, so its outcome memo and snapshot cache do pinned amounts of
+    work; ConBugCk formats every config cold and reports no cache
+    traffic at all.
+    """
 
-    @staticmethod
-    def _hash(sweep):
-        return sha256("\n".join(repr(c) for c in sweep).encode()).hexdigest()
-
-    def test_pinned_hashes(self, deps):
-        assert self._hash(ConBugCk(deps, seed=2022).generate_mount_sweep(
-            40)) == self.PINS[(2022, 40)]
-        assert self._hash(ConBugCk(deps, seed=2022).generate_mount_sweep(
-            300, bases=3, fs_blocks=384, blocksize=1024,
-            violate_rate=0.8)) == self.PINS[(2022, 300)]
-        assert self._hash(ConBugCk(deps, seed=7).generate_mount_sweep(
-            25, bases=2, violate_rate=0.3)) == self.PINS[(7, 25)]
-
-    def test_distinct_violations_bounded_by_pool(self, deps):
-        sweep = ConBugCk(deps, seed=2022).generate_mount_sweep(
-            400, bases=2, violate_rate=1.0)
-        assert len({c.mount_options for c in sweep}) <= \
-            len(VIOLATING_MOUNT_OPTIONS)
+    def test_only_violation_campaigns_use_the_caches(self, deps):
+        report, _meta = sampled_check(deps, seed=2022, budget=3000)
+        counters = report.counters
+        assert counters.get("campaign.outcome.hit", 0) == 2941
+        assert (counters["campaign.snapshot.hit"],
+                counters["campaign.snapshot.miss"]) == (14, 40)
+        report, _meta = sampled_campaign(deps, sample="random", seed=2022,
+                                         budget=120, shards=2)
+        assert not [name for name in report.counters
+                    if name.startswith(("campaign.snapshot.",
+                                        "campaign.outcome."))]
 
 
 class TestSnapshotCacheCounters:

@@ -122,17 +122,32 @@ class TestRetiredFlags:
         assert "--no-pool" in capsys.readouterr().err
 
 
+#: Out-of-range campaign sizes: the bare ids are the ``--jobs`` cases.
+_OUT_OF_RANGE = [
+    pytest.param("--jobs", "-5", id="-5"),
+    pytest.param("--jobs", "0", id="0"),
+    pytest.param("--budget", "-3", id="budget=-3"),
+    pytest.param("--budget", "0", id="budget=0"),
+    pytest.param("--shards", "0", id="shards=0"),
+    pytest.param("--shards", "-2", id="shards=-2"),
+]
+
+
 class TestJobsFlag:
     """``--jobs N`` is N >= 1 process workers for sampled-campaign
-    shards; anything else fails loudly instead of running sequential."""
+    shards; anything else fails loudly instead of running sequential.
+    ``--budget`` and ``--shards`` are checked the same way."""
 
     @pytest.mark.parametrize("main", [main_conhandleck, main_conbugck])
-    @pytest.mark.parametrize("value", ["-5", "0"])
-    def test_out_of_range_is_an_argparse_error(self, main, value, capsys):
+    @pytest.mark.parametrize("flag,value", _OUT_OF_RANGE)
+    def test_out_of_range_is_an_argparse_error(self, main, flag, value,
+                                               capsys):
+        argv = {"--sample": "random", "--budget": "10", flag: value}
         with pytest.raises(SystemExit) as exc:
-            main(["--sample", "random", "--budget", "10", "--jobs", value])
+            main([arg for pair in argv.items() for arg in pair])
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flag}: must be >= 1" in err
 
     @pytest.mark.parametrize("main", [main_conhandleck, main_conbugck])
     def test_workers_without_a_sampled_campaign_exit_2(self, main, capsys):

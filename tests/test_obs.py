@@ -197,37 +197,56 @@ def _canonical(report):
 
 #: Campaign span names whose count and attrs depend only on the campaign
 #: (one sharded root, one span per shard, one per snapshot-cache miss).
-_CAMPAIGN_SPANS = {"campaign.sharded", "campaign.shard",
-                   "campaign.snapshot.build"}
+_CAMPAIGN_SPANS = {"campaign.sharded", "campaign.violate.sharded",
+                   "campaign.shard", "campaign.snapshot.build"}
 
 
 def _campaign_shape(t: tracer.Tracer, span):
     """Canonical form of the campaign spans under ``span`` (the job
-    count itself excluded)."""
-    return sorted(
-        (node.name, sorted((k, v) for k, v in node.attrs.items()
-                           if k != "jobs"), _campaign_shape(t, node))
-        for node in t.children(span) if node.name in _CAMPAIGN_SPANS)
+    count itself excluded; other spans are looked through)."""
+    out = []
+    for node in t.children(span):
+        if node.name not in _CAMPAIGN_SPANS:
+            out.extend(_campaign_shape(t, node))
+            continue
+        out.append((node.name, sorted((k, v) for k, v in node.attrs.items()
+                                      if k != "jobs"),
+                    _campaign_shape(t, node)))
+    return sorted(out)
 
 
-def test_span_tree_same_shape_sequential_and_parallel():
+def test_span_tree_same_shape_sequential_and_parallel(extraction_report):
     """Shards on process workers (jobs=2) graft the same span tree a
-    sequential in-process campaign (jobs=1) records."""
+    sequential in-process campaign (jobs=1) records, for a ConBugCk
+    campaign and for a ConHandleCk one, whose shards build snapshots."""
     from repro.tools.conbugck import sampled_campaign
+    from repro.tools.conhandleck import sampled_check
 
-    shapes = []
-    for jobs in (1, 2):
-        t = tracer.Tracer(f"jobs{jobs}")
-        with tracer.enabled(t):
-            with tracer.span("campaign.run"):
-                sampled_campaign(sample="random", budget=30, shards=3,
-                                 jobs=jobs)
-        (root,) = t.roots()
-        shapes.append(_campaign_shape(t, root))
-    assert shapes[0] == shapes[1]
-    ((name, _attrs, shards),) = shapes[0]
-    assert name == "campaign.sharded"
-    assert [shard[0] for shard in shards] == ["campaign.shard"] * 3
+    deps = extraction_report.true_dependencies()
+    campaigns = {
+        "campaign.sharded": lambda jobs: sampled_campaign(
+            sample="random", budget=30, shards=3, jobs=jobs),
+        "campaign.violate.sharded": lambda jobs: sampled_check(
+            deps, seed=2022, budget=30, shards=3, jobs=jobs),
+    }
+    for phase, run in campaigns.items():
+        shapes = []
+        for jobs in (1, 2):
+            t = tracer.Tracer(f"jobs{jobs}")
+            with tracer.enabled(t):
+                with tracer.span("campaign.run"):
+                    run(jobs)
+            (root,) = t.roots()
+            shapes.append(_campaign_shape(t, root))
+        assert shapes[0] == shapes[1], phase
+        ((name, _attrs, shards),) = shapes[0]
+        assert name == phase
+        assert [shard[0] for shard in shards] == ["campaign.shard"] * 3
+        builds = [child[0] for shard in shards for child in shard[2]]
+        if phase == "campaign.violate.sharded":
+            assert builds and set(builds) == {"campaign.snapshot.build"}
+        else:
+            assert builds == []
 
 
 def test_parallel_trace_is_single_rooted(tmp_path, capsys):

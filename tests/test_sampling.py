@@ -12,7 +12,6 @@ from repro.perf.sampling import (
     ConstraintIndex,
     Domain,
     FeasibleSampler,
-    OptionSweepSampler,
     RandomSampler,
     RowSlice,
     Stream,
@@ -403,29 +402,3 @@ class TestParseSampleSpec:
             make_sampler(space, "random", 1, None)
         with pytest.raises(ValueError):
             make_sampler(space, "coverage", 1, 10)
-
-
-# ---------------------------------------------------------------------------
-# OptionSweepSampler
-# ---------------------------------------------------------------------------
-
-class TestOptionSweepSampler:
-    def test_pool_is_a_hard_cap_on_distinct_violations(self):
-        import random
-        pool = ("bad=1", "bad=2", "bad=3")
-        sampler = OptionSweepSampler(random.Random(0), pool, 1.0,
-                                     lambda features: "guided")
-        drawn = {sampler.draw(set()) for _ in range(500)}
-        assert sampler.distinct_violations_cap == 3
-        assert drawn <= set(pool)
-
-    def test_guided_draws_below_rate(self):
-        import random
-        sampler = OptionSweepSampler(random.Random(0), ("bad",), 0.0,
-                                     lambda features: "guided")
-        assert all(sampler.draw(set()) == "guided" for _ in range(20))
-
-    def test_rejects_empty_pool(self):
-        import random
-        with pytest.raises(ValueError):
-            OptionSweepSampler(random.Random(0), (), 0.5, lambda f: "")

@@ -293,10 +293,19 @@ class TestValidateRequest:
             validate_request("extract", {"jobs": jobs})
 
     @pytest.mark.parametrize("tool", ["conhandleck", "conbugck"])
-    @pytest.mark.parametrize("jobs", [-5, 0])
-    def test_out_of_range_jobs_is_rejected(self, tool, jobs):
-        with pytest.raises(RequestError, match="must be >= 1"):
-            validate_request(tool, {"sample": "random", "jobs": jobs})
+    @pytest.mark.parametrize("param,value", [
+        # The bare ids are the ``jobs`` cases.
+        pytest.param("jobs", -5, id="-5"),
+        pytest.param("jobs", 0, id="0"),
+        pytest.param("budget", -3, id="budget=-3"),
+        pytest.param("budget", 0, id="budget=0"),
+        pytest.param("shards", 0, id="shards=0"),
+        pytest.param("shards", -2, id="shards=-2"),
+    ])
+    def test_out_of_range_jobs_is_rejected(self, tool, param, value):
+        with pytest.raises(RequestError,
+                           match=f"param '{param}' must be >= 1"):
+            validate_request(tool, {"sample": "random", param: value})
 
     def test_resolved_engine_rejects_bad_modes(self, queue, store):
         # No engine mode is selectable, so asking for one — known,

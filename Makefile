@@ -4,8 +4,8 @@
 # speedup regresses below its floor, a sharded run stops being
 # byte-identical to sequential, or disabled tracing stops being (near)
 # free — and a traced end-to-end extraction whose artifacts must
-# validate against the checked-in schemas.  The campaign, obs, backend
-# and service benchmarks refresh the machine-readable BENCH_*.json
+# validate against the checked-in schemas.  The campaign, obs and
+# service benchmarks refresh the machine-readable BENCH_*.json
 # files at the repo root, and bench-report folds them into one
 # BENCH_report.json trajectory.
 
@@ -22,14 +22,12 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_pipeline.py --smoke
 	$(PYTHON) benchmarks/bench_campaign.py --smoke
 	$(PYTHON) benchmarks/bench_obs.py --smoke
-	$(PYTHON) benchmarks/bench_backend.py --smoke
 	$(PYTHON) benchmarks/bench_service.py --smoke
 
 bench:
 	$(PYTHON) benchmarks/bench_pipeline.py
 	$(PYTHON) benchmarks/bench_campaign.py
 	$(PYTHON) benchmarks/bench_obs.py
-	$(PYTHON) benchmarks/bench_backend.py
 	$(PYTHON) benchmarks/bench_service.py
 
 # CI service smoke: boot a real repro-serve + two repro-worker

@@ -155,8 +155,7 @@ def _measure_service_telemetry(smoke: bool) -> dict:
     service, _thread = start_in_thread(db_path, data_dir)
     client = ServiceClient(service.url)
     stop = threading.Event()
-    worker = Worker(db_path, data_dir, worker_id="obs-bench-worker",
-                    poll_seconds=0.02)
+    worker = Worker(db_path, data_dir, worker_id="obs-bench-worker")
     worker_thread = threading.Thread(target=worker.run_forever,
                                      args=(stop,), daemon=True)
     worker_thread.start()

@@ -1,12 +1,12 @@
 """Aggregate every ``BENCH_*.json`` into one ``BENCH_report.json``.
 
 Each perf benchmark (``bench_pipeline``, ``bench_campaign``,
-``bench_obs``, ``bench_backend``, ``bench_service``) records its
-machine-readable results in a ``BENCH_<name>.json`` file at the repo
-root.  This tool folds them into a single trajectory file — one entry
-per benchmark with its measured speedups, the floors they are held to,
-and whether each floor currently holds — so a reviewer (or CI) can see
-the whole perf posture of the tree in one read instead of five.
+``bench_obs``, ``bench_service``) records its machine-readable results
+in a ``BENCH_<name>.json`` file at the repo root.  This tool folds them
+into a single trajectory file — one entry per benchmark with its
+measured speedups, the floors they are held to, and whether each floor
+currently holds — so a reviewer (or CI) can see the whole perf posture
+of the tree in one read instead of four.
 
 Floors are *reported*, not re-enforced: each benchmark already fails
 its own run when a floor regresses, and ``make verify`` runs them all

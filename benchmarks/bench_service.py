@@ -286,8 +286,7 @@ def run_benchmark(smoke: bool = False, emit_fn=None) -> int:
     service, _thread = start_in_thread(db_path, data_dir)
     client = ServiceClient(service.url)
     stop = threading.Event()
-    worker = Worker(db_path, data_dir, worker_id="bench-worker",
-                    poll_seconds=0.02)
+    worker = Worker(db_path, data_dir, worker_id="bench-worker")
     worker_thread = threading.Thread(target=worker.run_forever,
                                      args=(stop,), daemon=True)
     worker_thread.start()
@@ -519,8 +518,8 @@ def run_ci_smoke() -> int:
         workers = [
             _spawn(["import sys",
                     "from repro.cli import main_worker",
-                    f"sys.exit(main_worker(['--id', 'ci-w{index}', "
-                    f"'--poll', '0.05']))"], env)
+                    f"sys.exit(main_worker(['--id', 'ci-w{index}']))"],
+                   env)
             for index in range(2)
         ]
         procs.extend(workers)

@@ -249,7 +249,6 @@ class Extractor:
                         memo_seed(func, sources, component, state)
                         findings_seed(func, state, findings, sources,
                                       component, filename)
-                        self._record_graph(unit, fn_name, store_key, state)
                         return state, findings
             cfg = build_cfg(func)
             state = analyze_function(func, sources, component)
@@ -258,11 +257,11 @@ class Extractor:
             )
             if store_key:
                 disk.store_analysis(store_key, state, findings)
-                self._record_graph(unit, fn_name, store_key, state)
             return state, findings
 
     def _store_key(self, unit: CorpusUnit, fn_name: str, sources) -> str:
-        """The analysis-store key for one function, or '' when disabled."""
+        """The analysis-store key for one function, or '' when the store
+        is off or the function cannot be keyed."""
         from repro.corpus.loader import unit_slices
 
         if not disk.disk_cache_enabled():
@@ -273,18 +272,6 @@ class Extractor:
         return disk.analysis_key(
             unit.filename, fn_name, slice_hash, sources.fingerprint(),
             unit.component,
-        )
-
-    @staticmethod
-    def _record_graph(unit: CorpusUnit, fn_name: str, key: str,
-                      state) -> None:
-        """Queue this function's invalidation-graph record."""
-        from repro.corpus.loader import unit_slices
-
-        disk.record_analysis(
-            unit.filename, fn_name, unit_slices(unit)[fn_name], key,
-            reads=(f"{r.struct}.{r.field}" for r in state.field_reads),
-            writes=(f"{w.struct}.{w.field}" for w in state.field_writes),
         )
 
     def extract_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
@@ -327,18 +314,6 @@ class Extractor:
                     seen.append(filename)
         return seen
 
-    def _invalidate_stale(self) -> None:
-        """Eagerly prune store entries orphaned by corpus edits."""
-        from repro.corpus.loader import load_unit, unit_slices
-
-        if not disk.disk_cache_enabled():
-            return
-        current = {
-            filename: dict(unit_slices(load_unit(filename)))
-            for filename in self._unit_names()
-        }
-        disk.invalidate_changed(current)
-
     def _report_key(self) -> str:
         """The report-store key for this extraction, or '' when the
         disk cache is off or a scenario unit cannot be read."""
@@ -367,12 +342,10 @@ class Extractor:
             report = disk.load_report(key, ExtractionReport) if key else None
             if report is not None:
                 return report
-            self._invalidate_stale()
             results = [self.extract_scenario(spec) for spec in self.scenarios]
             union: List[Dependency] = []
             for result in results:
                 union.extend(result.dependencies)
-            disk.flush_graph()
             report = ExtractionReport(results, _dedupe(union))
             if key:
                 disk.store_report(key, report)

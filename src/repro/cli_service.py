@@ -291,10 +291,6 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
                         help="claim lease seconds; a worker that stops "
                              "renewing loses its claims after this long "
                              "(default 120)")
-    parser.add_argument("--poll", type=float, default=None, metavar="SEC",
-                        help="idle queue poll interval (default 0.2; with "
-                             "the queue watcher this is only the floor — "
-                             "idle claims are event-driven)")
     parser.add_argument("--slots", type=int, default=None, metavar="N",
                         help="concurrent exec slots: run up to N compatible "
                              "batchmates at once (default: "
@@ -322,8 +318,6 @@ def main_worker(argv: Optional[List[str]] = None) -> int:
         kwargs["batch_limit"] = int(os.environ["REPRO_SERVE_BATCH"])
     if args.lease is not None:
         kwargs["lease_seconds"] = args.lease
-    if args.poll is not None:
-        kwargs["poll_seconds"] = args.poll
     if args.slots is not None:
         kwargs["exec_slots"] = args.slots
     worker = serve_worker.Worker(db_path, data_dir, worker_id=args.id,

@@ -1,20 +1,22 @@
 """Persistent on-disk caches: compiled IR modules, analysis results,
 and finished extraction reports.
 
-Three stores share one directory and one invalidation philosophy —
-keys derive from **content, not timestamps**, so stale entries are
-never *wrong*, only unreachable.
+Three stores share one directory and one invalidation rule: keys
+derive from **content and code, not timestamps**.  Every key covers
+the inputs of its entry and the *code digest* — sha256, computed once
+per process, over the sources that produce entries
+(:data:`REPORT_CODE`: the frontend, the analyzer, the bridge and the
+codec).  An edit to the corpus or to that code moves the key, so a
+stale entry is never *wrong*, only unreachable.  When the digest
+cannot be computed (sources unreadable) every store is skipped.
 
 **Module cache.**  The mini-C frontend dominates cold-pipeline time
 (compiling the corpus costs ~10x the analysis itself), and every CLI
 invocation used to pay it again.  Each compiled
 :class:`repro.lang.ir.Module` is pickled under
 
-    sha256(cache schema | frontend version | filename | source text)
-
-so editing a corpus file changes its key, and bumping
-:data:`repro.lang.FRONTEND_VERSION` (any change to lexer / parser /
-sema / lower semantics) orphans every old entry at once.
+    sha256(cache schema | frontend version | code digest | filename
+           | source text)
 
 **Function-level analysis store.**  Warm processes skip re-*analysis*
 through in-memory memos, but a fresh process used to redo every taint
@@ -23,49 +25,36 @@ fixpoint even when the corpus had not changed.  The store persists one
 serialized with the compact :mod:`repro.perf.codec`, not pickle —
 keyed by the function's **source slice**, not the whole unit:
 
-    sha256(analysis schema | codec schema | frontend version
-           | filename | function | slice hash | sources fingerprint
-           | component)
+    sha256(codec schema | frontend version | code digest | filename
+           | function | slice hash | sources fingerprint | component)
 
 The slice hash covers the unit's preamble (macros, struct layouts)
 plus the lines of the function itself, so editing one function's body
 re-analyzes *that function only*; every other function in the unit —
-and every other unit — keeps hitting the store.
+and every other unit — keeps hitting the store.  The analysis is
+intra-procedural and the metadata bridge joins the states live after
+loading, so an entry depends on nothing its key leaves out.
 
 **Report store.**  A fresh command over an unchanged corpus needs the
 finished :class:`~repro.analysis.extractor.ExtractionReport`, not the
 IR or the per-function states it was assembled from.  One pickled
 report per extraction is kept under
 
-    sha256(cache schema | analysis schema | frontend version
-           | code digest | extractor class | scenario specs
+    sha256(cache schema | frontend version | code digest
+           | extractor class | scenario specs
            | every scenario unit's source bytes)
 
-The schema and frontend versions are read at call time.  The *code
-digest* hashes, once per process, the sources that decide the report
-(:data:`REPORT_CODE`), so an edit to the analyzer, the bridge or the
-frontend can never be served a report it did not produce.  A hit costs
-one file read and one unpickle: no IR, no store entry, no bridge, and
-none of the analysis modules are imported.  Any edit to a scenario
-unit misses and falls through to the two stores above.  Like module
-entries, reports are not pruned: the report of a corpus state that
-has since been edited stays on disk, unreachable, until a clear.
-The in-memory :func:`repro.corpus.loader.clear_cache` drops reports
-as well, so an extraction after it is assembled from the two stores.
+A hit costs one file read and one unpickle: no IR, no store entry, no
+bridge, and none of the analysis modules are imported.  Any edit to a
+scenario unit misses and falls through to the two stores above.  The
+in-memory :func:`repro.corpus.loader.clear_cache` drops reports as
+well, so an extraction after it is assembled from the two stores.
 
-**Invalidation graph.**  ``an_graph.json`` records, per unit and
-function, the slice hash, the store key, and the ``struct.field``
-traffic the function reads and writes.  At extraction start,
-:func:`invalidate_changed` compares current slices against the graph
-and deletes the entries of changed functions **and** of bridge-affected
-neighbors — functions in *other* units sharing ``struct.field``
-traffic with a changed function.  Content keys already make stale
-entries unreachable; the graph makes the pruning eager and records the
-cross-unit dependency structure for inspection.
-
-All entries are written atomically (temp file + ``os.replace``) so
-concurrent processes never observe a torn entry, and any entry that
-fails to decode is treated as a miss and deleted.
+No store is pruned: the entries of an edited corpus or code state stay
+on disk, unreachable, until :func:`clear_disk_cache`.  All entries are
+written atomically (temp file + ``os.replace``) so concurrent
+processes never observe a torn entry, and any entry that fails to
+decode is treated as a miss and deleted.
 
 Knobs:
 
@@ -76,14 +65,12 @@ Knobs:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 from repro.lang import FRONTEND_VERSION
 from repro.obs.tracer import span
@@ -100,11 +87,6 @@ DISABLE_ENV = "REPRO_NO_DISK_CACHE"
 
 #: Bump when the on-disk entry layout itself changes.
 CACHE_SCHEMA = 1
-
-#: Bump when analysis *semantics* change without a frontend change
-#: (e.g. new taint transfer rules, new constraint classifiers) — the
-#: analysis store has no way to see those from corpus content alone.
-ANALYSIS_SCHEMA = 1
 
 #: Name prefix of the temp files atomic writes rename into place.
 _TMP_PREFIX = ".tmp-"
@@ -183,11 +165,60 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "ir")
 
 
+#: The sources, relative to the ``repro`` package, that decide every
+#: store entry besides the corpus itself: every module an extraction
+#: imports, at module level or inside a function.
+#: Directories contribute their ``*.py`` files.
+#: ``tests/test_import_graph.py`` fails if an extraction reaches a
+#: module this list does not cover.
+REPORT_CODE = ("__init__.py", "_lazy.py", "errors.py", "analysis", "lang",
+               "corpus", "common", "ecosystem/__init__.py",
+               "ecosystem/params.py", "ecosystem/featureset.py",
+               "obs/__init__.py", "obs/metrics.py", "obs/tracer.py",
+               "perf/__init__.py", "perf/codec.py", "perf/lattice.py",
+               "perf/timers.py")
+
+_CODE_DIGEST: Optional[str] = None
+
+
+def code_digest() -> str:
+    """sha256 over the :data:`REPORT_CODE` sources; '' if unreadable.
+
+    Computed once per process, so every key after the first pays only
+    for its own hash; a source edit is seen by the next process.
+    """
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digest = hashlib.sha256()
+        try:
+            for entry in REPORT_CODE:
+                path = os.path.join(root, *entry.split("/"))
+                names = ([os.path.join(entry, name)
+                          for name in sorted(os.listdir(path))
+                          if name.endswith(".py")]
+                         if os.path.isdir(path) else [entry])
+                for name in names:
+                    with open(os.path.join(root, name), "rb") as handle:
+                        blob = handle.read()
+                    digest.update(f"{name} {len(blob)}\n".encode("utf-8"))
+                    digest.update(blob)
+        except OSError:
+            return ""
+        _CODE_DIGEST = digest.hexdigest()
+    return _CODE_DIGEST
+
+
 def module_key(source: str, filename: str) -> str:
-    """Content hash identifying one compiled translation unit."""
+    """Content and code hash identifying one compiled translation unit.
+
+    Also the unit's in-memory fingerprint, so it is never empty; the
+    loader skips the module cache when :func:`code_digest` is ''.
+    """
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
     digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
+    digest.update(f"code={code_digest()}\n".encode("utf-8"))
     digest.update(f"filename={filename}\n".encode("utf-8"))
     digest.update(source.encode("utf-8"))
     return digest.hexdigest()
@@ -286,20 +317,17 @@ def _remove_entries(matches) -> int:
 
 
 def clear_disk_cache() -> int:
-    """Delete every cache entry (all stores + graph); returns the count.
+    """Delete every cache entry (all stores); returns the count.
 
     Covers the module cache (``*.ir.pkl``), the function-level analysis
-    store (``*.an.bin``), the report store (``*.report.pkl``), the
-    invalidation graph, and the temp files killed writers leave behind,
-    so a cleared cache directory can never serve half a pipeline (or a
-    whole report) from before the clear.
+    store (``*.an.bin``), the report store (``*.report.pkl``) and the
+    temp files killed writers leave behind, so a cleared cache
+    directory can never serve half a pipeline (or a whole report) from
+    before the clear.
     """
-    removed = _remove_entries(lambda name: (
+    return _remove_entries(lambda name: (
         name.endswith((".ir.pkl", ".an.bin", _REPORT_SUFFIX))
-        or name == _GRAPH_NAME or name.startswith(_TMP_PREFIX)))
-    with _GRAPH_LOCK:
-        _GRAPH_PENDING.clear()
-    return removed
+        or name.startswith(_TMP_PREFIX)))
 
 
 def clear_reports() -> int:
@@ -347,13 +375,17 @@ def function_slices(source: str, line_of: Dict[str, int]) -> Dict[str, str]:
 
 def analysis_key(filename: str, function: str, slice_hash: str,
                  sources_fp: str, component: str) -> str:
-    """Content hash identifying one function's analysis result."""
+    """Content and code hash identifying one function's analysis
+    result; '' when the result cannot be keyed (sources unreadable)."""
     from repro.perf import codec
 
+    code = code_digest()
+    if not code:
+        return ""
     digest = hashlib.sha256()
-    digest.update(f"an-schema={ANALYSIS_SCHEMA}\n".encode("utf-8"))
     digest.update(f"codec={codec.schema()}\n".encode("utf-8"))
     digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
+    digest.update(f"code={code}\n".encode("utf-8"))
     digest.update(f"filename={filename}\n".encode("utf-8"))
     digest.update(f"function={function}\n".encode("utf-8"))
     digest.update(f"slice={slice_hash}\n".encode("utf-8"))
@@ -434,51 +466,6 @@ def store_analysis(key: str, state: Any, findings: Any) -> bool:
 # report store
 # ---------------------------------------------------------------------------
 
-#: The sources, relative to the ``repro`` package, that decide an
-#: extraction report besides the corpus itself: every module an
-#: extraction imports, at module level or inside a function.
-#: Directories contribute their ``*.py`` files.
-#: ``tests/test_import_graph.py`` fails if an extraction reaches a
-#: module this list does not cover.
-REPORT_CODE = ("__init__.py", "_lazy.py", "errors.py", "analysis", "lang",
-               "corpus", "common", "ecosystem/__init__.py",
-               "ecosystem/params.py", "ecosystem/featureset.py",
-               "obs/__init__.py", "obs/metrics.py", "obs/tracer.py",
-               "perf/__init__.py", "perf/codec.py", "perf/lattice.py",
-               "perf/timers.py")
-
-_CODE_DIGEST: Optional[str] = None
-
-
-def code_digest() -> str:
-    """sha256 over the :data:`REPORT_CODE` sources; '' if unreadable.
-
-    Computed once per process, so the miss path of every extraction
-    after the first pays only for the key; a source edit is seen by
-    the next process.
-    """
-    global _CODE_DIGEST
-    if _CODE_DIGEST is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        try:
-            for entry in REPORT_CODE:
-                path = os.path.join(root, *entry.split("/"))
-                names = ([os.path.join(entry, name)
-                          for name in sorted(os.listdir(path))
-                          if name.endswith(".py")]
-                         if os.path.isdir(path) else [entry])
-                for name in names:
-                    with open(os.path.join(root, name), "rb") as handle:
-                        blob = handle.read()
-                    digest.update(f"{name} {len(blob)}\n".encode("utf-8"))
-                    digest.update(blob)
-        except OSError:
-            return ""
-        _CODE_DIGEST = digest.hexdigest()
-    return _CODE_DIGEST
-
-
 def report_key(extractor: str, scenarios: str,
                units: Iterable[Tuple[str, bytes]]) -> str:
     """Content hash identifying one extraction report; '' when the
@@ -493,7 +480,6 @@ def report_key(extractor: str, scenarios: str,
         return ""
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
-    digest.update(f"an-schema={ANALYSIS_SCHEMA}\n".encode("utf-8"))
     digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
     digest.update(f"code={code}\n".encode("utf-8"))
     digest.update(f"extractor={extractor}\n".encode("utf-8"))
@@ -552,215 +538,3 @@ def store_report(key: str, report: Any) -> bool:
     _REPORT_STATS.tally("stores")
     bump("cache.report.store")
     return True
-
-
-# ---------------------------------------------------------------------------
-# invalidation graph
-# ---------------------------------------------------------------------------
-
-_GRAPH_NAME = "an_graph.json"
-
-#: Graph-file layout version.
-_GRAPH_SCHEMA = 1
-
-_GRAPH_LOCK = threading.Lock()
-
-#: unit -> fn -> record, accumulated in-process and merged into the
-#: on-disk graph by :func:`flush_graph`.
-_GRAPH_PENDING: Dict[str, Dict[str, Dict[str, Any]]] = {}
-
-
-def _graph_path() -> str:
-    return os.path.join(cache_dir(), _GRAPH_NAME)
-
-
-def _load_graph() -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """The on-disk graph, or empty on absence/corruption/version skew."""
-    try:
-        with open(_graph_path(), encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(raw, dict) or raw.get("schema") != _GRAPH_SCHEMA:
-        return {}
-    units = raw.get("units")
-    return units if isinstance(units, dict) else {}
-
-
-def _write_graph(units: Dict[str, Dict[str, Dict[str, Any]]]) -> None:
-    payload = {"schema": _GRAPH_SCHEMA, "units": units}
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    _write_atomic(_graph_path(), lambda handle: handle.write(blob))
-
-
-def record_analysis(filename: str, function: str, slice_hash: str,
-                    key: str, reads: Iterable[str],
-                    writes: Iterable[str]) -> None:
-    """Queue one function's graph record (flushed by :func:`flush_graph`).
-
-    ``reads``/``writes`` are ``struct.field`` strings — the traffic the
-    metadata bridge joins across units, i.e. the edges along which an
-    edit in one unit can affect another unit's *extraction* output.
-    """
-    record = {
-        "slice": slice_hash,
-        "key": key,
-        "reads": sorted(set(reads)),
-        "writes": sorted(set(writes)),
-    }
-    with _GRAPH_LOCK:
-        _GRAPH_PENDING.setdefault(filename, {})[function] = record
-
-
-def merge_pending(records: Dict[str, Dict[str, Dict[str, Any]]]) -> None:
-    """Re-queue graph records (a failed flush hands its batch back)."""
-    with _GRAPH_LOCK:
-        for unit, fns in records.items():
-            _GRAPH_PENDING.setdefault(unit, {}).update(fns)
-
-
-#: Bounded-retry policy for the graph flush: attempts and the base
-#: backoff (doubled per retry), overridable for tests.
-FLUSH_ATTEMPTS = 5
-FLUSH_BACKOFF_SECONDS = 0.01
-
-
-def flush_graph(attempts: Optional[int] = None,
-                backoff: Optional[float] = None) -> bool:
-    """Merge queued records into the on-disk graph (last write wins).
-
-    The read-merge-write runs under an advisory file lock so two
-    concurrent CLI invocations cannot drop each other's batches.  A
-    long-lived service multiplies the contention — many workers share
-    one analysis store — so a failed flush **retries with exponential
-    backoff** (``FLUSH_ATTEMPTS`` tries) and, if every attempt fails,
-    **re-queues** its pending records instead of dropping them: the
-    next flush in this process carries them forward.  Failures stay
-    non-fatal — the graph is an eager-pruning accelerator and an
-    inspection artifact, not a correctness dependency (keys are
-    content-derived).  Returns True when the merge landed on disk.
-    """
-    import time as _time
-
-    attempts = FLUSH_ATTEMPTS if attempts is None else max(1, attempts)
-    backoff = FLUSH_BACKOFF_SECONDS if backoff is None else backoff
-    with _GRAPH_LOCK:
-        if not _GRAPH_PENDING or not disk_cache_enabled():
-            _GRAPH_PENDING.clear()
-            return False
-        pending = {unit: dict(fns) for unit, fns in _GRAPH_PENDING.items()}
-        _GRAPH_PENDING.clear()
-    for attempt in range(attempts):
-        try:
-            with span("cache.an.graph.flush"), _graph_file_lock():
-                units = _load_graph()
-                for unit, fns in pending.items():
-                    units.setdefault(unit, {}).update(fns)
-                _write_graph(units)
-            return True
-        except Exception:
-            bump("cache.an.graph.retry")
-            if attempt + 1 < attempts:
-                _time.sleep(backoff * (2 ** attempt))
-    # Every attempt failed: keep the records for the next flush rather
-    # than silently losing the invalidation edges they carry.
-    merge_pending(pending)
-    bump("cache.an.graph.requeued")
-    bump("cache.an.error")
-    return False
-
-
-def _graph_file_lock():
-    """Advisory cross-process lock guarding graph read-merge-write.
-
-    Degrades to a no-op where ``fcntl`` is unavailable — the merge then
-    falls back to last-write-wins, which only ever loses graph records,
-    never correctness.
-    """
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _lock():
-        try:
-            import fcntl
-        except ImportError:
-            yield
-            return
-        os.makedirs(cache_dir(), exist_ok=True)
-        path = os.path.join(cache_dir(), ".an_graph.lock")
-        with open(path, "w") as handle:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-
-    return _lock()
-
-
-def invalidate_changed(current: Dict[str, Dict[str, str]]) -> int:
-    """Eagerly drop store entries invalidated by corpus edits.
-
-    ``current`` maps unit filename -> {function -> slice hash} for the
-    units about to be analyzed.  Two waves of deletion against the
-    persisted graph:
-
-    1. every function whose slice hash changed (or vanished);
-    2. every function in a *different* unit whose recorded
-       ``struct.field`` reads or writes intersect the changed
-       functions' traffic — the bridge-affected neighbors.
-
-    Returns the number of store entries deleted.  Purely an eager prune:
-    content keys already make the changed functions' old entries
-    unreachable, and neighbor *results* are bitwise unaffected (the
-    bridge joins live states in-process), but re-deriving neighbors
-    keeps the graph's recorded traffic in step with the new corpus.
-    """
-    if not disk_cache_enabled():
-        return 0
-    with _graph_file_lock():
-        return _invalidate_changed_locked(current)
-
-
-def _invalidate_changed_locked(current: Dict[str, Dict[str, str]]) -> int:
-    units = _load_graph()
-    if not units:
-        return 0
-    changed_traffic: Set[str] = set()
-    doomed: List[Tuple[str, str]] = []  # (unit, fn)
-    for unit, fns in units.items():
-        now = current.get(unit)
-        if now is None:
-            continue  # unit not part of this run; leave its entries be
-        for fn, record in fns.items():
-            if now.get(fn) != record.get("slice"):
-                doomed.append((unit, fn))
-                changed_traffic.update(record.get("reads", ()))
-                changed_traffic.update(record.get("writes", ()))
-    if not doomed:
-        return 0
-    changed_units = {unit for unit, _fn in doomed}
-    for unit, fns in units.items():
-        if unit in changed_units:
-            continue
-        for fn, record in fns.items():
-            traffic = set(record.get("reads", ())) | set(record.get("writes", ()))
-            if traffic & changed_traffic:
-                doomed.append((unit, fn))
-    removed = 0
-    with span("cache.an.invalidate", entries=len(doomed)):
-        for unit, fn in doomed:
-            record = units[unit].pop(fn, None)
-            key = (record or {}).get("key", "")
-            if key:
-                try:
-                    os.remove(_analysis_path(key))
-                    removed += 1
-                except OSError:
-                    pass
-        try:
-            _write_graph(units)
-        except Exception:
-            bump("cache.an.error")
-    bump("cache.an.invalidated", removed)
-    return removed

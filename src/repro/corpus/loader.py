@@ -79,13 +79,15 @@ def _compile_unit(filename: str, use_cache: bool) -> CorpusUnit:
     with open(corpus_path(filename), encoding="utf-8") as handle:
         source = handle.read()
     key = disk.module_key(source, filename)
+    use_disk = (use_cache and disk.disk_cache_enabled()
+                and bool(disk.code_digest()))
     module: Optional[Module] = None
-    if use_cache and disk.disk_cache_enabled():
+    if use_disk:
         module = disk.load_module(key)
     if module is None:
         with span("corpus.compile", unit=filename), timed("frontend.compile"):
             module = compile_c(source, filename)
-        if use_cache and disk.disk_cache_enabled():
+        if use_disk:
             disk.store_module(key, module)
     module.component = UNIT_COMPONENTS[filename]
     module.fingerprint = key
@@ -169,8 +171,8 @@ def clear_cache(disk: bool = False) -> None:
     extraction without loading a unit, so dropping it makes the next
     extraction in this process read units and analyses from the IR
     cache and the analysis store.  Pass ``disk=True`` to also
-    purge those persistent caches, the invalidation graph and any
-    temp files a killed writer left.
+    purge those persistent caches and any temp files a killed writer
+    left.
     """
     from repro.corpus.cache import clear_disk_cache, clear_reports
 

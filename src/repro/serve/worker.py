@@ -58,9 +58,6 @@ DEFAULT_BATCH_LIMIT = 8
 #: Default claim lease; must exceed the slowest single job by a margin.
 DEFAULT_LEASE_SECONDS = 120.0
 
-#: Seconds between queue polls when idle.
-DEFAULT_POLL_SECONDS = 0.2
-
 #: Seconds between worker heartbeat upserts while idle.
 HEARTBEAT_SECONDS = 5.0
 
@@ -269,7 +266,6 @@ class Worker:
                  worker_id: Optional[str] = None,
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
-                 poll_seconds: float = DEFAULT_POLL_SECONDS,
                  exec_slots: Optional[int] = None) -> None:
         self.queue = RunQueue(db_path)
         self.store = CorpusStore(data_dir)
@@ -277,7 +273,6 @@ class Worker:
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.batch_limit = max(1, batch_limit)
         self.lease_seconds = lease_seconds
-        self.poll_seconds = poll_seconds
         if exec_slots is None:
             exec_slots = int(os.environ.get("REPRO_SERVE_SLOTS", "1") or 1)
         self.exec_slots = max(1, exec_slots)
@@ -582,13 +577,12 @@ class Worker:
                 break
             if not ran:
                 # Idle heartbeats, throttled: liveness without writing
-                # the database once per poll tick.
+                # the database on every idle wake-up.
                 now = time.time()
                 if now - last_beat >= HEARTBEAT_SECONDS:
                     self.queue.heartbeat(self.worker_id)
                     last_beat = now
-                watcher.wait(token, max(self.poll_seconds, IDLE_WAIT_SECONDS),
-                             stop)
+                watcher.wait(token, IDLE_WAIT_SECONDS, stop)
             else:
                 last_beat = time.time()
         servicelog.emit("worker.offline", worker=self.worker_id)

@@ -1,17 +1,16 @@
-"""The analysis-store codec, cache invalidation, and the campaign
-process pool.
+"""The analysis-store codec, the analysis store's content keys, and
+the campaign process pool.
 
 - the compact binary codec: round-trips, aliasing preservation, loud
   corruption, the closed type registry, schema fingerprint stability;
 - the analysis store: hit/miss/error accounting, corrupt-entry
-  tolerance, key sensitivity (frontend version, source slice), ``clear_cache(disk=True)`` coverage;
-- the invalidation graph: the two-wave (changed + bridge-neighbor)
-  eager prune;
+  tolerance, key sensitivity (frontend version, source slice),
+  ``clear_cache(disk=True)`` coverage;
 - end-to-end: pinned golden digests of the extraction, process-worker
   campaigns (``--jobs 2``) giving the same CLI output as sequential
   ones (``--jobs 1``), a process-worker trace staying one rooted tree,
-  warm incremental
-  re-extraction after a single-file edit correct, frontend version
+  a one-function edit re-analyzing exactly one function (content keys
+  are the only invalidation) and matching a cold run, frontend version
   bumps forcing full recompute, corrupted store entries degrading to
   recompute instead of wrong results;
 - the campaign process pool: the environment signature it is keyed by,
@@ -267,7 +266,14 @@ class TestAnalysisStore:
         # unreachable rather than mis-served.
         monkeypatch.setattr(disk, "FRONTEND_VERSION",
                             disk.FRONTEND_VERSION + "-bumped")
-        assert disk.analysis_key(**base) != key
+        bumped = disk.analysis_key(**base)
+        assert bumped != key
+        # So does an edit to the analyzer's code, and code that cannot
+        # be read leaves the function unkeyed (the store is skipped).
+        monkeypatch.setattr(disk, "_CODE_DIGEST", "0" * 64)
+        assert disk.analysis_key(**base) not in (key, bumped)
+        monkeypatch.setattr(disk, "code_digest", lambda: "")
+        assert disk.analysis_key(**base) == ""
 
     def test_function_slices_localize_edits(self, isolated_store):
         from repro.corpus import cache as disk
@@ -290,67 +296,19 @@ class TestAnalysisStore:
         assert shifted["second"] != before["second"]
 
     def test_clear_cache_disk_wipes_store_and_graph(self, isolated_store):
+        """``clear_cache(disk=True)`` empties every store: IR modules,
+        analysis entries and reports."""
+        from repro.analysis.extractor import extract_all
         from repro.corpus import cache as disk
         from repro.corpus.loader import clear_cache
 
-        key = "e" * 64
-        disk.store_analysis(key, {"x": 1}, [])
-        disk.record_analysis("a.c", "f", "s1", key, ["sb.x"], [])
-        disk.flush_graph()
-        assert os.path.exists(disk._analysis_path(key))
-        assert os.path.exists(os.path.join(disk.cache_dir(), "an_graph.json"))
+        extract_all()
+        suffixes = (".ir.pkl", ".an.bin", ".report.pkl")
+        names = os.listdir(disk.cache_dir())
+        assert all(any(name.endswith(suffix) for name in names)
+                   for suffix in suffixes)
         clear_cache(disk=True)
-        assert not os.path.exists(disk._analysis_path(key))
-        assert not os.path.exists(
-            os.path.join(disk.cache_dir(), "an_graph.json"))
-
-
-# ---------------------------------------------------------------------------
-# invalidation graph
-# ---------------------------------------------------------------------------
-
-
-class TestInvalidationGraph:
-    def test_invalidate_changed_prunes_bridge_neighbors(self, isolated_store):
-        from repro.corpus import cache as disk
-
-        # a.c:f writes sb.x; b.c:g reads it (bridge neighbor); c.c:h
-        # trades in unrelated traffic and must survive.
-        entries = {
-            "k_f": ("a.c", "f", ["other.z"], ["sb.x"]),
-            "k_g": ("b.c", "g", ["sb.x"], []),
-            "k_h": ("c.c", "h", ["other.y"], []),
-        }
-        for key, (unit, fn, reads, writes) in entries.items():
-            disk.store_analysis(key, {"for": fn}, [])
-            disk.record_analysis(unit, fn, f"slice-{fn}", key, reads, writes)
-        disk.flush_graph()
-
-        # Unchanged slices: nothing to prune.
-        current = {"a.c": {"f": "slice-f"}, "b.c": {"g": "slice-g"},
-                   "c.c": {"h": "slice-h"}}
-        assert disk.invalidate_changed(current) == 0
-
-        # Edit f: wave 1 drops f, wave 2 drops g (shares sb.x traffic).
-        current["a.c"]["f"] = "slice-f-edited"
-        assert disk.invalidate_changed(current) == 2
-        assert not os.path.exists(disk._analysis_path("k_f"))
-        assert not os.path.exists(disk._analysis_path("k_g"))
-        assert os.path.exists(disk._analysis_path("k_h"))
-        graph = disk._load_graph()
-        assert "f" not in graph.get("a.c", {})
-        assert "g" not in graph.get("b.c", {})
-        assert graph["c.c"]["h"]["key"] == "k_h"
-
-    def test_units_outside_the_run_are_left_alone(self, isolated_store):
-        from repro.corpus import cache as disk
-
-        disk.store_analysis("k_f", {}, [])
-        disk.record_analysis("a.c", "f", "s1", "k_f", [], ["sb.x"])
-        disk.flush_graph()
-        # a.c is not part of this run's `current`, so its entries stay.
-        assert disk.invalidate_changed({"b.c": {"g": "s9"}}) == 0
-        assert os.path.exists(disk._analysis_path("k_f"))
+        assert os.listdir(disk.cache_dir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +425,40 @@ class TestBackendsEndToEnd:
         warm_hits, warm_misses, _, _ = stats_snapshot()
         assert warm_misses == 0 and warm_hits == cold_stores
 
-        # Edit one unit; only its invalidated slice recomputes, and the
-        # report matches a from-scratch extraction of the edited corpus.
-        with open(corpus_tmp / "mount.c", "a", encoding="utf-8") as handle:
-            handle.write("\n/* incremental edit */\n")
-        clear_cache()
-        disk.reset_cache_stats()
-        incremental = _canonical(extract_all())
-        # The edit changed the unit's bytes, so the report key moved.
-        assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
+        # Each edit below touches one function: exactly that function
+        # is re-analyzed, every other one is served from the store, and
+        # the report matches a from-scratch extraction of the edited
+        # corpus.
+        assert cold_stores == 16
+
+        def edit_and_extract(name, edit):
+            path = corpus_tmp / name
+            text = path.read_text(encoding="utf-8")
+            path.write_text(edit(text), encoding="utf-8")
+            clear_cache()
+            disk.reset_cache_stats()
+            incremental = _canonical(extract_all())
+            # The edit changed the unit's bytes, so the report key moved.
+            assert (disk.report_stats().hits,
+                    disk.report_stats().misses) == (0, 1)
+            edited_hits, edited_misses, _, _ = stats_snapshot()
+            assert (edited_misses, edited_hits) == (1, cold_stores - 1)
+            clear_cache(disk=True)
+            assert incremental == _canonical(extract_all())
+            return incremental
+
+        # A trailing comment lands in the unit's last function's slice
+        # and changes no semantics, so outputs match the untouched run.
+        assert edit_and_extract(
+            "mount.c", lambda text: text + "\n/* incremental edit */\n"
+        ) == untouched
         assert _report_entries(disk) not in ([], untouched_report)
-        edited_hits, edited_misses, _, _ = stats_snapshot()
-        assert 0 < edited_misses < cold_misses
-        assert edited_hits == cold_stores - edited_misses
-        # A trailing comment changes no semantics, so outputs match the
-        # untouched run — and, decisively, a cold run of the edited tree.
-        assert incremental == untouched
-        clear_cache(disk=True)
-        fresh = _canonical(extract_all())
-        assert incremental == fresh
+        # A body edit of a function whose struct.field traffic other
+        # units read through the metadata bridge: the readers' stored
+        # states still hit, and the bridge joins them with the new one.
+        anchor = "int write_superblock(void)\n{"
+        edit_and_extract("mke2fs.c", lambda text: text.replace(
+            anchor, anchor + "\n    int incremental_dead = 1;", 1))
 
     def test_frontend_version_bump_forces_recompute(self, isolated_store,
                                                     monkeypatch):

@@ -14,9 +14,6 @@ guarantees that make that safe:
   threads *and* separate processes never tear an entry, and the
   per-process tallies stay consistent (`DiskCacheStats.tally` is
   atomic);
-- the invalidation-graph flush: transient lock failures retry with
-  backoff; a flush that exhausts its retries re-queues its records
-  instead of dropping them;
 - the queue's single-flight guarantee under true process concurrency:
   many processes submitting the identical request all get one run id.
 """
@@ -226,75 +223,6 @@ class TestAnalysisStoreConcurrency:
 
         _run_threads(16, hammer)
         assert stats.hits == 16 * 200
-
-
-# ---------------------------------------------------------------------------
-# invalidation-graph flush: retry, backoff, re-queue
-# ---------------------------------------------------------------------------
-
-
-def _drain_pending():
-    with cache._GRAPH_LOCK:
-        pending = {unit: dict(fns)
-                   for unit, fns in cache._GRAPH_PENDING.items()}
-        cache._GRAPH_PENDING.clear()
-    return pending
-
-
-@pytest.fixture
-def graph_records():
-    _drain_pending()  # isolate from earlier tests
-    cache.record_analysis("unit.c", "fn_a", "s1", "k1", [], [])
-    yield
-    _drain_pending()
-
-
-class TestFlushRetry:
-    def test_transient_failure_retries_and_lands(self, graph_records,
-                                                 monkeypatch):
-        real_write = cache._write_graph
-        failures = {"left": 2}
-
-        def flaky(units):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise OSError("synthetic lock contention")
-            real_write(units)
-
-        monkeypatch.setattr(cache, "_write_graph", flaky)
-        assert cache.flush_graph(backoff=0.001) is True
-        assert failures["left"] == 0
-        # The records landed: nothing left pending, graph holds them.
-        assert _drain_pending() == {}
-        assert "fn_a" in cache._load_graph().get("unit.c", {})
-
-    def test_exhausted_retries_requeue_the_records(self, graph_records,
-                                                   monkeypatch):
-        def always_fails(units):
-            raise OSError("synthetic persistent failure")
-
-        monkeypatch.setattr(cache, "_write_graph", always_fails)
-        assert cache.flush_graph(attempts=3, backoff=0.001) is False
-        # The batch survived: pending again, nothing silently dropped.
-        pending = _drain_pending()
-        assert "fn_a" in pending.get("unit.c", {})
-
-    def test_concurrent_flushes_lose_no_records(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "graph"))
-        _drain_pending()
-        total = 40
-
-        def flush_some(index):
-            for i in range(total // 8):
-                name = f"fn_{index}_{i}"
-                cache.record_analysis("unit.c", name, "s", name, [], [])
-                cache.flush_graph(backoff=0.001)
-
-        _run_threads(8, flush_some)
-        assert cache.flush_graph(backoff=0.001) in (True, False)
-        recorded = cache._load_graph().get("unit.c", {})
-        assert len(recorded) == 8 * (total // 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The report store: one stored extraction report per content key.
 
 A warm ``extract_all`` reads the finished report back whole; anything
-that could change the report (corpus bytes, frontend or analysis
-versions, the analyzer's own code, the scenario set, the extractor
-class) must miss it, and a recomputed report must equal the stored one.
+that could change the report (corpus bytes, the frontend version,
+the analyzer's own code, the scenario set, the extractor class) must
+miss it, and a recomputed report must equal the stored one.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ class TestMiss:
         assert _tallies() == (0, 1, 1, 0)
         assert _entries() == [name]
 
-    @pytest.mark.parametrize("version", ["FRONTEND_VERSION",
-                                         "ANALYSIS_SCHEMA"])
+    @pytest.mark.parametrize("version", ["FRONTEND_VERSION"])
     def test_version_bump_misses(self, store, monkeypatch, version):
         monkeypatch.setattr(disk, version, f"{getattr(disk, version)}-bumped")
         assert _canonical(_fresh_run()) == store
@@ -142,6 +141,11 @@ class TestMiss:
         monkeypatch.setattr(disk, "_CODE_DIGEST", "0" * 64)
         assert _canonical(_fresh_run()) == store
         assert _tallies() == (0, 1, 1, 0)
+        # The analysis store and the IR cache are keyed on the code too:
+        # an edited analyzer or frontend recomputes everything.
+        analysis, modules = disk.analysis_stats(), disk.cache_stats()
+        assert (analysis.hits, modules.hits) == (0, 0)
+        assert analysis.misses > 0 and modules.misses > 0
 
     def test_code_digest_is_computed_once(self, store):
         digest = disk.code_digest()
@@ -196,6 +200,20 @@ class TestNoWrites:
         report = _fresh_run()
         assert report.total_extracted == 64
         assert _tallies() == (0, 0, 0, 0)
+        assert not os.path.exists(tmp_path / "cache")
+        clear_cache()
+
+    def test_unreadable_code_writes_no_entry(self, tmp_path, monkeypatch):
+        # Without a code digest no key can cover the code, so every
+        # store is skipped rather than keyed on content alone.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        monkeypatch.setattr(disk, "code_digest", lambda: "")
+        report = _fresh_run()
+        assert report.total_extracted == 64
+        for stats in (disk.report_stats(), disk.analysis_stats(),
+                      disk.cache_stats()):
+            assert (stats.hits, stats.misses, stats.stores) == (0, 0, 0)
         assert not os.path.exists(tmp_path / "cache")
         clear_cache()
 

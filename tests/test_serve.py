@@ -644,7 +644,7 @@ class TestSignalCleanup:
             [sys.executable, "-c",
              "import sys; from repro.cli import main_worker; "
              "sys.exit(main_worker(sys.argv[1:]))",
-             "--data-dir", data_dir, "--poll", "0.05"],
+             "--data-dir", data_dir],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
             text=True)
         children = []

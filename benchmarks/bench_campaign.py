@@ -97,8 +97,8 @@ def run_benchmark(smoke: bool = False, jobs: int = 4,
     from repro.analysis.extractor import extract_all
     from repro.common.texttable import TextTable
     from repro.perf.sampling import RandomSampler
-    from repro.tools.conbugck import (ConBugCk, build_campaign_space,
-                                      config_from_assignment,
+    from repro.tools.conbugck import (ConBugCk, ConfigAdapter,
+                                      build_campaign_space,
                                       sampled_campaign)
 
     scale_n = SMOKE_CAMPAIGN_CONFIGS if smoke else FULL_CAMPAIGN_CONFIGS
@@ -115,7 +115,8 @@ def run_benchmark(smoke: bool = False, jobs: int = 4,
     start = time.perf_counter()
     space = build_campaign_space()
     sampler = RandomSampler(space, SEED, scale_n)
-    sampled_configs = [config_from_assignment(space, assignment)
+    adapt = ConfigAdapter(space)
+    sampled_configs = [adapt(assignment)
                        for _, assignment in sampler.iter_range(0, scale_n)]
     sampled_stats = ConBugCk(deps, seed=SEED).drive(
         sampled_configs, fs_blocks=SAMPLED_FS_BLOCKS)

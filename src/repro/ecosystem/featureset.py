@@ -75,11 +75,15 @@ RO_COMPAT = FlagRegistry(
 )
 
 _WORD_OF: Dict[str, FlagRegistry] = {}
+#: Every valid ``-O`` token: ``name`` enables, ``^name`` disables.
+_TOKENS: Dict[str, Tuple[str, bool]] = {}
 for _reg in (COMPAT, INCOMPAT, RO_COMPAT):
     for _name in _reg:
         if _name in _WORD_OF:
             raise RuntimeError(f"feature {_name!r} registered in two words")
         _WORD_OF[_name] = _reg
+        _TOKENS[_name] = (_name, True)
+        _TOKENS["^" + _name] = (_name, False)
 
 #: mke2fs's default feature set for an ext4-type file system.
 DEFAULT_EXT4_FEATURES: Tuple[str, ...] = (
@@ -96,6 +100,9 @@ DEFAULT_EXT4_FEATURES: Tuple[str, ...] = (
     "dir_nlink",
     "extra_isize",
 )
+for _name in DEFAULT_EXT4_FEATURES:
+    if _name not in _WORD_OF:
+        raise RuntimeError(f"default feature {_name!r} is not registered")
 
 
 def all_feature_names() -> Tuple[str, ...]:
@@ -103,12 +110,16 @@ def all_feature_names() -> Tuple[str, ...]:
     return tuple(_WORD_OF)
 
 
+def _unknown(feature: str) -> KeyError:
+    """The error every unknown feature name raises."""
+    return KeyError(f"unknown ext4 feature {feature!r}")
+
+
 def word_of(feature: str) -> str:
     """Which feature word ('compat'/'incompat'/'ro_compat') owns ``feature``."""
-    try:
-        return _WORD_OF[feature].name
-    except KeyError:
-        raise KeyError(f"unknown ext4 feature {feature!r}") from None
+    if feature not in _WORD_OF:
+        raise _unknown(feature)
+    return _WORD_OF[feature].name
 
 
 class FeatureSet:
@@ -121,17 +132,22 @@ class FeatureSet:
 
     @classmethod
     def ext4_defaults(cls) -> "FeatureSet":
-        """The default mke2fs feature set for ``-t ext4``."""
-        return cls(DEFAULT_EXT4_FEATURES)
+        """The default mke2fs feature set for ``-t ext4`` (a fresh set;
+        the names were checked once, at import)."""
+        fs = cls()
+        fs._enabled.update(DEFAULT_EXT4_FEATURES)
+        return fs
 
     def enable(self, feature: str) -> None:
         """Enable a named feature; KeyError if the name is unknown."""
-        word_of(feature)  # validates
+        if feature not in _WORD_OF:
+            raise _unknown(feature)
         self._enabled.add(feature)
 
     def disable(self, feature: str) -> None:
         """Disable a named feature (no-op when not enabled)."""
-        word_of(feature)  # validates
+        if feature not in _WORD_OF:
+            raise _unknown(feature)
         self._enabled.discard(feature)
 
     def __contains__(self, feature: str) -> bool:
@@ -185,12 +201,9 @@ def parse_feature_string(spec: str) -> Tuple[Tuple[str, bool], ...]:
     out = []
     for token in spec.split(","):
         token = token.strip()
-        if not token:
-            continue
-        enabled = True
-        if token.startswith("^"):
-            enabled = False
-            token = token[1:]
-        word_of(token)  # validates, raises KeyError on unknown
-        out.append((token, enabled))
+        pair = _TOKENS.get(token)
+        if pair is not None:
+            out.append(pair)
+        elif token:
+            raise _unknown(token[1:] if token.startswith("^") else token)
     return tuple(out)

@@ -57,32 +57,28 @@ _MIX_B = 0x94D049BB133111EB
 _INDEX_STRIDE = 0xD1B54A32D192ED03
 
 
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer: one 64-bit state to one output word."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * _MIX_A) & _M64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _M64
-    return x ^ (x >> 31)
+def draw(seed: int, index: int,
+         choices: Sequence[Sequence[object]]) -> Assignment:
+    """One value from each of ``choices``, in order, from the splitmix64
+    stream of ``(seed, index)``.
 
-
-class Stream:
-    """A splitmix64 draw stream for one ``(seed, index)`` pair."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int, index: int) -> None:
-        # Decorrelate the two inputs with distinct odd constants so
-        # (seed, index) and (seed+1, index-1) do not collide.
-        self._state = (seed * _GOLDEN + index * _INDEX_STRIDE) & _M64
-
-    def next_word(self) -> int:
-        self._state = (self._state + _GOLDEN) & _M64
-        return _mix64(self._state)
-
-    def pick(self, values: Sequence[object]) -> object:
-        """A deterministic element of ``values`` (len << 2^64, so the
-        modulo bias is far below anything a campaign could observe)."""
-        return values[self.next_word() % len(values)]
+    The stream's state starts at ``seed * GOLDEN + index * STRIDE`` (two
+    distinct odd constants, so ``(seed, index)`` and
+    ``(seed + 1, index - 1)`` do not collide) and advances by ``GOLDEN``
+    per draw; each draw is the splitmix64 finalizer of the state, taken
+    modulo the choice's length (len << 2^64, so the modulo bias is far
+    below anything a campaign could observe).  This is the only
+    implementation of the stream: the loop is inlined because a
+    campaign draws every value of every config through it.
+    """
+    state = (seed * _GOLDEN + index * _INDEX_STRIDE) & _M64
+    out = []
+    for values in choices:
+        state = (state + _GOLDEN) & _M64
+        x = ((state ^ (state >> 30)) * _MIX_A) & _M64
+        x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+        out.append(values[(x ^ (x >> 31)) % len(values)])
+    return tuple(out)
 
 
 class Domain:
@@ -271,19 +267,20 @@ class RandomSampler:
         self.seed = seed
         self.budget = budget
         self.name = "random"
+        self._choices = tuple(d.values for d in space.domains)
 
     def total(self) -> int:
         return self.budget
 
     def assignment_at(self, index: int) -> Assignment:
-        stream = Stream(self.seed, index)
-        return tuple(stream.pick(d.values) for d in self.space.domains)
+        return draw(self.seed, index, self._choices)
 
     def iter_range(self, lo: int, hi: int,
                    hint: Optional[object] = None,
                    ) -> Iterator[Tuple[int, Assignment]]:
+        seed, choices = self.seed, self._choices
         for index in range(lo, min(hi, self.budget)):
-            yield index, self.assignment_at(index)
+            yield index, draw(seed, index, choices)
 
     def shard_hints(self, ranges: Sequence[Tuple[int, int]]) -> List[object]:
         return [None for _ in ranges]
@@ -491,8 +488,9 @@ class TWiseSampler:
         # Fill don't-cares deterministically and restore domain order.
         finished: List[Assignment] = []
         for rowno, row in enumerate(rows):
-            stream = Stream(self.seed, rowno)
-            full = [domains[i][x] if x >= 0 else stream.pick(domains[i])
+            fill = iter(draw(self.seed, rowno, [
+                domains[i] for i, x in enumerate(row) if x < 0]))
+            full = [domains[i][x] if x >= 0 else next(fill)
                     for i, x in enumerate(row)]
             emitted: List[object] = [None] * len(domains)
             for pos, orig in enumerate(order):

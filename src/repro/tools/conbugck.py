@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
 from repro.analysis.model import Category, Dependency, SubKind
 from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, all_feature_names
@@ -29,10 +30,11 @@ from repro.errors import ReproError
 from repro.fsimage.blockdev import BlockDevice
 from repro.obs.tracer import span
 from repro.perf import bump, timed
-from repro.perf.campaign import CampaignReport, ShardAggregate, run_sharded, \
-    shard_ranges
 from repro.perf.sampling import Assignment, ConfigSpace, ConstraintIndex, \
     make_sampler, parse_sample_spec
+
+if TYPE_CHECKING:
+    from repro.perf.campaign import CampaignReport
 
 #: Stages a driven configuration can reach.
 STAGES = ("mkfs", "mount", "use", "fsck-clean")
@@ -347,17 +349,6 @@ _MKFS_NUMERIC = ("blocksize", "inode_size", "inode_ratio",
 #: 32 MiB per config — pointless for dependency probing).
 _CAMPAIGN_PROBES = {"blocksize": (1024, 2048, 4096)}
 
-_MOUNT_PARAMS: Optional[Dict[str, ConfigParam]] = None
-
-
-def _mount_params() -> Dict[str, ConfigParam]:
-    """The registry's mount-component params, by name (lazy, cached)."""
-    global _MOUNT_PARAMS
-    if _MOUNT_PARAMS is None:
-        _MOUNT_PARAMS = {p.name: p for p in EXT4_REGISTRY
-                         if p.component == "mount"}
-    return _MOUNT_PARAMS
-
 
 def build_campaign_space() -> ConfigSpace:
     """The sampling space for registry-wide ConBugCk campaigns.
@@ -394,38 +385,48 @@ def _mount_token(param: ConfigParam, value: object) -> Optional[str]:
     return f"{param.name}={value}"
 
 
-def config_from_assignment(space: ConfigSpace,
-                           assignment: Assignment) -> GeneratedConfig:
-    """Adapt one sampled assignment into a driveable GeneratedConfig.
+class ConfigAdapter:
+    """Adapts sampled assignments over one space into GeneratedConfigs.
 
-    Deterministic and order-stable: features sort alphabetically (the
-    generator's own convention) and mount options follow registry
-    registration order, so the same assignment always produces the same
-    config — and therefore the same campaign digest.
+    The plan (which domain is a numeric knob, a feature or a mount
+    option, and each mount value's token) is built once per space, so
+    adapting one assignment only reads its values.  Deterministic and
+    order-stable: features sort alphabetically (the generator's own
+    convention) and mount options follow registry registration order,
+    so the same assignment always produces the same config — and
+    therefore the same campaign digest.
     """
-    mount_params = _mount_params()
-    feature_names = set(all_feature_names())
-    features: List[str] = []
-    numerics: Dict[str, int] = {}
-    options: List[str] = []
-    for domain, value in zip(space.domains, assignment):
-        if domain.component == "mke2fs":
-            if domain.name in _MKFS_NUMERIC:
-                numerics[domain.name] = int(value)  # type: ignore[arg-type]
-            elif value is True and domain.name in feature_names:
-                features.append(domain.name)
-            continue
-        token = _mount_token(mount_params[domain.name], value)
-        if token is not None:
-            options.append(token)
-    return GeneratedConfig(
-        features=tuple(sorted(features)),
-        blocksize=numerics["blocksize"],
-        inode_size=numerics["inode_size"],
-        inode_ratio=numerics["inode_ratio"],
-        reserved_percent=numerics["reserved_percent"],
-        mount_options=",".join(options),
-    )
+
+    def __init__(self, space: ConfigSpace) -> None:
+        mount_params = {p.name: p for p in EXT4_REGISTRY
+                        if p.component == "mount"}
+        feature_names = set(all_feature_names())
+        numeric: Dict[str, int] = {}
+        features: List[Tuple[str, int]] = []
+        mount: List[Tuple[int, Dict[object, Optional[str]]]] = []
+        for pos, domain in enumerate(space.domains):
+            if domain.component == "mke2fs":
+                if domain.name in _MKFS_NUMERIC:
+                    numeric[domain.name] = pos
+                elif domain.name in feature_names:
+                    features.append((domain.name, pos))
+                continue
+            param = mount_params[domain.name]
+            mount.append((pos, {value: _mount_token(param, value)
+                                for value in domain.values}))
+        # GeneratedConfig's numeric fields carry the params' names.
+        self._numeric = tuple((name, numeric[name]) for name in _MKFS_NUMERIC)
+        self._features = tuple(sorted(features))
+        self._mount = tuple(mount)
+
+    def __call__(self, assignment: Assignment) -> GeneratedConfig:
+        return GeneratedConfig(
+            features=tuple(name for name, pos in self._features
+                           if assignment[pos] is True),
+            mount_options=",".join(filter(None, [
+                tokens[assignment[pos]] for pos, tokens in self._mount])),
+            **{name: int(assignment[pos])  # type: ignore[call-overload]
+               for name, pos in self._numeric})
 
 
 def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
@@ -489,14 +490,16 @@ def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
     mutable state, which is what makes process and sequential runs
     byte-identical.
     """
+    from repro.perf.campaign import ShardAggregate
+
     lo, hi = int(spec["lo"]), int(spec["hi"])
     fs_blocks = int(spec.get("fs_blocks", 512))
     aggregate = ShardAggregate()
     space, sampler = _sampler_from_spec(spec)
+    adapt = ConfigAdapter(space)
     for index, assignment in sampler.iter_range(lo, hi,
                                                 hint=spec.get("hint")):
-        reached, failure = _drive_config_fast(
-            config_from_assignment(space, assignment), fs_blocks)
+        reached, failure = _drive_config_fast(adapt(assignment), fs_blocks)
         aggregate.add(index, reached, failure)
     if hasattr(sampler, "skipped"):
         aggregate.tally("campaign.infeasible_skipped", sampler.skipped)
@@ -525,6 +528,8 @@ def sampled_campaign(dependencies: Sequence[Dependency] = (),
     ``campaign.infeasible_skipped`` (raw draws the constraint check
     rejected), ``campaign.shards``.
     """
+    from repro.perf.campaign import run_sharded, shard_ranges
+
     kind, t, feasible = parse_sample_spec(sample)
     space = build_campaign_space()
     constraints = None

@@ -427,40 +427,47 @@ def run_shard(spec: Dict[str, object]) -> Dict[str, object]:
 
     Without a budget the campaign is the dependency list itself (config
     index = dependency index); with one, index ``i`` draws dependency
-    ``Stream(seed, i) % len(deps)`` — uniform with replacement, the
-    regenerable-anywhere property sharding needs.  Outcomes fold into a
-    bounded :class:`~repro.perf.campaign.ShardAggregate`: the digest
-    covers (outcome, dependency key) per index, failure exemplars are
-    the paper's bad-handling cases (corruption verdicts).
+    ``draw(seed, i, (range(len(deps)),))`` — uniform with replacement,
+    the regenerable-anywhere property sharding needs.  Outcomes fold
+    into a bounded :class:`~repro.perf.campaign.ShardAggregate`: the
+    digest covers (outcome, dependency key) per index, failure
+    exemplars are the paper's bad-handling cases (corruption verdicts).
+    Each dependency is violated, and its outcome and failure text
+    built, once per shard; later draws of it reuse them.
     """
     from repro.perf.campaign import ShardAggregate
-    from repro.perf.sampling import Stream
+    from repro.perf.sampling import draw
 
     lo, hi = int(spec["lo"]), int(spec["hi"])  # type: ignore[arg-type]
     seed = int(spec.get("seed", 2022))  # type: ignore[arg-type]
     budget = spec.get("budget")
     deps = _shard_dependencies()
+    indices = (range(len(deps)),)
     checker = ConHandleCk(
         device_blocks=int(spec.get("device_blocks", 4096)),  # type: ignore[arg-type]
         block_size=int(spec.get("block_size", 4096)))  # type: ignore[arg-type]
     aggregate = ShardAggregate()
-    memo: Dict[int, ViolationResult] = {}
+    memo: Dict[int, Tuple[Tuple[str, str], Optional[str]]] = {}
     for index in range(lo, hi):
         if budget is None:
             dep_index = index
         else:
-            dep_index = Stream(seed, index).next_word() % len(deps)
-        result = memo.get(dep_index)
-        if result is None:
-            result = checker.violate(deps[dep_index])
-            memo[dep_index] = result
-            aggregate.tally("campaign.outcome.miss")
-        else:
-            aggregate.tally("campaign.outcome.hit")
-        dep = deps[dep_index]
-        failure = (f"{dep.key()} — {result.detail}"
-                   if result.outcome is ViolationOutcome.CORRUPTION else None)
-        aggregate.add(index, (result.outcome.value, dep.key()), failure)
+            dep_index = draw(seed, index, indices)[0]
+        outcome = memo.get(dep_index)
+        if outcome is None:
+            dep = deps[dep_index]
+            result = checker.violate(dep)
+            key = dep.key()
+            outcome = memo[dep_index] = (
+                (result.outcome.value, key),
+                f"{key} — {result.detail}"
+                if result.outcome is ViolationOutcome.CORRUPTION else None)
+        aggregate.add(index, *outcome)
+    # Every memo entry was one miss; every other draw was a hit.
+    for name, count in (("campaign.outcome.miss", len(memo)),
+                        ("campaign.outcome.hit", hi - lo - len(memo))):
+        if count:
+            aggregate.tally(name, count)
     aggregate.tally("campaign.snapshot.hit", checker._snapshots.hits)
     aggregate.tally("campaign.snapshot.miss", checker._snapshots.misses)
     return aggregate.as_payload()

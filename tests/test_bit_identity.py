@@ -1,0 +1,226 @@
+"""Bit-identity of the campaign hot loop against test-owned references.
+
+The samplers draw every value of every config through one inlined
+splitmix64 loop (``repro.perf.sampling.draw``), ConBugCk adapts
+assignments through a per-space plan (``ConfigAdapter``) and ConHandleCk
+draws its dependency indices through the same loop.  The references
+below are the straightforward forms those replaced — a stateful stream
+object with a separate finalizer, and an adapter that re-classifies
+every domain for every config — kept here so a change to the fast forms
+that alters a single draw or a single config fails by name, not only as
+a moved campaign digest.
+"""
+
+from typing import Dict, List, Optional, Sequence
+
+import pytest
+
+from repro.ecosystem.featureset import all_feature_names
+from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
+from repro.perf.sampling import ConstraintIndex, FeasibleSampler, \
+    RandomSampler, TWiseSampler, draw
+from repro.tools import conhandleck
+from repro.tools.conbugck import ConfigAdapter, GeneratedConfig, \
+    build_campaign_space
+
+SEEDS = (0, 2022, (1 << 64) + 12345)
+#: Index windows: the start of a campaign and one past 2**40.
+WINDOWS = ((0, 150), ((1 << 40) + 7, (1 << 40) + 157))
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+_INDEX_STRIDE = 0xD1B54A32D192ED03
+
+
+def ref_mix64(x: int) -> int:
+    x &= _M64
+    x = ((x ^ (x >> 30)) * _MIX_A) & _M64
+    x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+    return x ^ (x >> 31)
+
+
+class RefStream:
+    def __init__(self, seed: int, index: int) -> None:
+        self._state = (seed * _GOLDEN + index * _INDEX_STRIDE) & _M64
+
+    def next_word(self) -> int:
+        self._state = (self._state + _GOLDEN) & _M64
+        return ref_mix64(self._state)
+
+    def pick(self, values: Sequence[object]) -> object:
+        return values[self.next_word() % len(values)]
+
+
+def ref_assignment(space, seed: int, index: int) -> tuple:
+    stream = RefStream(seed, index)
+    return tuple(stream.pick(d.values) for d in space.domains)
+
+
+_REF_NUMERIC = ("blocksize", "inode_size", "inode_ratio", "reserved_percent")
+
+
+def ref_mount_token(param: ConfigParam, value: object) -> Optional[str]:
+    if value == param.default:
+        return None
+    if param.kind is ParamKind.FLAG:
+        return param.name if value else f"no{param.name}"
+    return f"{param.name}={value}"
+
+
+def ref_config_from_assignment(space, assignment) -> GeneratedConfig:
+    mount_params = {p.name: p for p in EXT4_REGISTRY
+                    if p.component == "mount"}
+    feature_names = set(all_feature_names())
+    features: List[str] = []
+    numerics: Dict[str, int] = {}
+    options: List[str] = []
+    for domain, value in zip(space.domains, assignment):
+        if domain.component == "mke2fs":
+            if domain.name in _REF_NUMERIC:
+                numerics[domain.name] = int(value)
+            elif value is True and domain.name in feature_names:
+                features.append(domain.name)
+            continue
+        token = ref_mount_token(mount_params[domain.name], value)
+        if token is not None:
+            options.append(token)
+    return GeneratedConfig(
+        features=tuple(sorted(features)),
+        blocksize=numerics["blocksize"],
+        inode_size=numerics["inode_size"],
+        inode_ratio=numerics["inode_ratio"],
+        reserved_percent=numerics["reserved_percent"],
+        mount_options=",".join(options),
+    )
+
+
+@pytest.fixture(scope="module")
+def space():
+    return build_campaign_space()
+
+
+@pytest.fixture(scope="module")
+def constraints(extraction_report):
+    return ConstraintIndex.from_dependencies(
+        extraction_report.true_dependencies())
+
+
+# ---------------------------------------------------------------------------
+# draws
+# ---------------------------------------------------------------------------
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_rows(self, space, seed):
+        for lo, hi in WINDOWS:
+            sampler = RandomSampler(space, seed, hi)
+            expected = [(i, ref_assignment(space, seed, i))
+                        for i in range(lo, hi)]
+            assert list(sampler.iter_range(lo, hi)) == expected
+            assert [sampler.assignment_at(i) for i in range(lo, hi)] == \
+                [row for _, row in expected]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_words(self, seed):
+        # A choice as wide as its draws returns the word modulo it.
+        wide = (range(1 << 62),) * 5
+        for lo, hi in WINDOWS:
+            for index in range(lo, hi):
+                stream = RefStream(seed, index)
+                assert draw(seed, index, wide) == tuple(
+                    stream.next_word() % (1 << 62) for _ in wide)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_feasible_rows_and_skips(self, space, constraints, seed):
+        budget = 400
+        expected, skipped = [], 0
+        for index in range(budget):
+            row = ref_assignment(space, seed, index)
+            if constraints.feasible(space, row):
+                expected.append(row)
+            else:
+                skipped += 1
+        sampler = FeasibleSampler(RandomSampler(space, seed, budget),
+                                  constraints)
+        assert sampler.total() == len(expected)
+        assert sampler.skipped == skipped
+        assert [row for _, row in sampler.iter_range(0, len(expected))] \
+            == expected
+        # A shard resuming from its hint sees the same rows.
+        mid = len(expected) // 2
+        hint = sampler.shard_hints([(mid, len(expected))])[0]
+        fresh = FeasibleSampler(RandomSampler(space, seed, budget),
+                                constraints)
+        assert [row for _, row in fresh.iter_range(
+            mid, len(expected), hint=hint)] == expected[mid:]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dependency_draws(self, extraction_report, seed, monkeypatch):
+        # ConHandleCk's shard draws dependency Stream(seed, i) % len for
+        # every index i, so a payload built from the reference draws
+        # must equal the shard's own, counters included.
+        deps = extraction_report.true_dependencies()
+        monkeypatch.setattr(conhandleck, "_shard_dependencies",
+                            lambda: deps)
+        for lo, hi in WINDOWS:
+            spec = {"lo": lo, "hi": hi, "seed": seed, "budget": 10 ** 13}
+            got = conhandleck.run_shard(spec)
+            assert got == self._reference_shard(deps, spec)
+
+    @staticmethod
+    def _reference_shard(deps, spec):
+        from repro.perf.campaign import ShardAggregate
+
+        checker = conhandleck.ConHandleCk(device_blocks=4096,
+                                          block_size=4096)
+        aggregate = ShardAggregate()
+        memo = {}
+        for index in range(spec["lo"], spec["hi"]):
+            dep_index = RefStream(spec["seed"], index).next_word() % len(deps)
+            result = memo.get(dep_index)
+            if result is None:
+                result = memo[dep_index] = checker.violate(deps[dep_index])
+                aggregate.tally("campaign.outcome.miss")
+            else:
+                aggregate.tally("campaign.outcome.hit")
+            dep = deps[dep_index]
+            failure = (f"{dep.key()} — {result.detail}" if result.outcome
+                       is conhandleck.ViolationOutcome.CORRUPTION else None)
+            aggregate.add(index, (result.outcome.value, dep.key()), failure)
+        aggregate.tally("campaign.snapshot.hit", checker._snapshots.hits)
+        aggregate.tally("campaign.snapshot.miss", checker._snapshots.misses)
+        return aggregate.as_payload()
+
+
+# ---------------------------------------------------------------------------
+# adapted configs
+# ---------------------------------------------------------------------------
+
+class TestAdaptedConfigs:
+    def test_sampled_assignments(self, space):
+        adapt = ConfigAdapter(space)
+        rows = [row for _, row in RandomSampler(space, 2022, 2000)
+                .iter_range(0, 2000)]
+        for seed in (1, 7, 2022):
+            sampler = TWiseSampler(space, 2, seed)
+            rows += [row for _, row in sampler.iter_range(0, sampler.total())]
+        assert len(rows) >= 2000
+        for row in rows:
+            assert adapt(row) == ref_config_from_assignment(space, row), row
+        # The sample exercises every kind of domain the plan knows.
+        configs = [adapt(row) for row in rows]
+        assert len({c.features for c in configs}) > 100
+        assert len({c.mount_options for c in configs}) > 100
+        assert {c.blocksize for c in configs} == {1024, 2048, 4096}
+
+    def test_extremes(self, space):
+        adapt = ConfigAdapter(space)
+        for pick in (0, -1):
+            row = tuple(d.values[pick] for d in space.domains)
+            assert adapt(row) == ref_config_from_assignment(space, row)

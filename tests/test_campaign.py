@@ -15,8 +15,8 @@ from repro.tools.conbugck import (
     ConBugCk,
     DriveStats,
     MAX_STORED_FAILURES,
+    ConfigAdapter,
     build_campaign_space,
-    config_from_assignment,
 )
 from repro.tools.conhandleck import (ConHandleCk, ViolationOutcome,
                                      sampled_check)
@@ -190,8 +190,9 @@ class TestDriveStats:
                       ("mkfs", "mount"): ("use:",),
                       ("mkfs", "mount", "use"): ("fsck:",)}
         died_at_mount = 0
+        adapt = ConfigAdapter(space)
         for _, assignment in RandomSampler(space, 9, 200).iter_range(0, 200):
-            config = config_from_assignment(space, assignment)
+            config = adapt(assignment)
             reached, failure = gen._drive_one(config, 512)
             if failure is None:
                 assert reached == ("mkfs", "mount", "use", "fsck-clean")
@@ -216,7 +217,8 @@ class TestEquivalence:
         space = build_campaign_space()
         sampler = FeasibleSampler(RandomSampler(space, 11, 400),
                                   ConstraintIndex.from_dependencies(deps))
-        configs = [config_from_assignment(space, assignment) for _, assignment
+        adapt = ConfigAdapter(space)
+        configs = [adapt(assignment) for _, assignment
                    in sampler.iter_range(0, sampler.total())]
         gen = ConBugCk(deps, seed=11)
         baseline = gen.drive(configs)
@@ -394,6 +396,32 @@ class TestSampledCampaign:
             assert run == baseline, key
         if sample == "pairwise+feasible":
             assert baseline[0] == self.PAIRWISE_FEASIBLE_DIGEST
+
+
+class TestPinnedDigests:
+    """The seed-2022 random (budget 600) and violation (budget 3000)
+    campaigns, pinned like perfbench's reference round: in one shard,
+    in three and on two process workers."""
+
+    RANDOM_DIGEST = ("30144f41096af65b7d63b4bf6556301c"
+                     "ea194a06fbbebd9dccc9b9498476c9d1")
+    VIOLATIONS_DIGEST = ("9fed4050a51aeacc2ba9a8cb6587cd3d"
+                         "2fce6fb734acf830c0ca4f90c677574b")
+
+    @pytest.mark.parametrize("shards, jobs", [(1, 1), (3, 1), (3, 2)])
+    def test_random(self, deps, shards, jobs):
+        report, meta = sampled_campaign(deps, sample="random", seed=2022,
+                                        budget=600, shards=shards,
+                                        jobs=jobs)
+        assert (report.total, meta["shards"]) == (600, shards)
+        assert report.digest_hex == self.RANDOM_DIGEST
+
+    @pytest.mark.parametrize("shards, jobs", [(1, 1), (3, 1), (3, 2)])
+    def test_violations(self, deps, shards, jobs):
+        report, meta = chc.sampled_check(deps, seed=2022, budget=3000,
+                                         shards=shards, jobs=jobs)
+        assert (report.total, meta["shards"]) == (3000, shards)
+        assert report.digest_hex == self.VIOLATIONS_DIGEST
 
 
 class TestProcessBackendCampaigns:

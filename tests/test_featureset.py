@@ -104,3 +104,75 @@ class TestParseFeatureString:
 
     def test_empty_tokens_skipped(self):
         assert parse_feature_string("extent,,") == (("extent", True),)
+
+
+class TestErrorPaths:
+    """Unknown names fail with one exact message on every path, and the
+    default set is a fresh set each time it is built."""
+
+    @staticmethod
+    def _message(call, *args):
+        with pytest.raises(KeyError) as info:
+            call(*args)
+        return info.value.args
+
+    def test_word_of_message(self):
+        assert self._message(word_of, "warp_drive") == (
+            "unknown ext4 feature 'warp_drive'",)
+
+    def test_enable_and_disable_messages(self):
+        features = FeatureSet(["extent"])
+        assert self._message(features.enable, "hyperspace") == (
+            "unknown ext4 feature 'hyperspace'",)
+        assert self._message(features.disable, "hyperspace") == (
+            "unknown ext4 feature 'hyperspace'",)
+        assert self._message(FeatureSet, ["extent", "nope"]) == (
+            "unknown ext4 feature 'nope'",)
+        assert features.enabled() == {"extent"}
+
+    @pytest.mark.parametrize("spec, name", [
+        ("sparse_super3", "sparse_super3"),
+        ("has_journal,^bogus", "bogus"),
+        (" extent , nope ", "nope"),
+        ("^", ""),
+        ("^ extent", " extent"),
+        ("^^extent", "^extent"),
+        ("Extent", "Extent"),
+    ])
+    def test_parse_messages(self, spec, name):
+        assert self._message(parse_feature_string, spec) == (
+            f"unknown ext4 feature {name!r}",)
+
+    def test_parse_tolerates_blanks_and_whitespace(self):
+        assert parse_feature_string("") == ()
+        assert parse_feature_string(" , ,") == ()
+        assert parse_feature_string(" ^extent ,64bit,,") == (
+            ("extent", False), ("64bit", True))
+
+    def test_mke2fs_invalid_option_set(self):
+        from repro.ecosystem.mke2fs import Mke2fs
+        from repro.errors import UsageError
+
+        for spec, name in (("bogus", "bogus"), ("extent,^bogus", "bogus")):
+            with pytest.raises(UsageError) as info:
+                Mke2fs.from_args(["-O", spec, "1024"])
+            assert str(info.value) == (
+                "mke2fs: invalid filesystem option set: "
+                f"unknown ext4 feature {name!r}")
+
+    def test_defaults_are_independent(self):
+        first = FeatureSet.ext4_defaults()
+        first.disable("has_journal")
+        first.enable("bigalloc")
+        second = FeatureSet.ext4_defaults()
+        assert second.enabled() == set(DEFAULT_EXT4_FEATURES)
+        assert first.enabled() != second.enabled()
+        second.disable("extent")
+        assert "extent" in FeatureSet.ext4_defaults()
+
+    def test_mke2fs_configs_do_not_share_defaults(self):
+        from repro.ecosystem.mke2fs import Mke2fsConfig
+
+        one = Mke2fsConfig()
+        one.features.disable("resize_inode")
+        assert "resize_inode" in Mke2fsConfig().features

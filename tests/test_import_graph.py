@@ -175,6 +175,15 @@ class TestEntryPoints:
         assert within(modules, ["repro.fsimage"]) == []
         assert "repro.tools.condocck" in modules
 
+    def test_default_conbugck_skips_the_campaign_engine(self, warm_cache):
+        # The guided-vs-naive comparison drives configs in-process; only
+        # ``--sample`` campaigns shard, so only they load the engine.
+        modules = entry_point_modules("repro-conbugck", warm_cache)
+        assert "repro.tools.conbugck" in modules
+        assert "repro.perf.sampling" in modules
+        assert within(modules, ["repro.perf.campaign",
+                                "repro.perf.procpool"]) == []
+
     def test_service_clients_skip_analysis(self, warm_cache):
         for script in ("repro-submit", "repro-top"):
             modules = entry_point_modules(script, warm_cache)

@@ -14,8 +14,8 @@ from repro.perf.sampling import (
     FeasibleSampler,
     RandomSampler,
     RowSlice,
-    Stream,
     TWiseSampler,
+    draw,
     make_sampler,
     parse_sample_spec,
 )
@@ -42,27 +42,37 @@ def assert_covers(space, rows, t):
 # ---------------------------------------------------------------------------
 
 class TestStream:
+    """The counter-based splitmix64 stream behind :func:`draw`."""
+
+    #: A choice 2**62 wide draws the raw word's low 62 bits (a
+    #: 2**64-wide range would overflow ``len``).
+    WORDS = (range(1 << 62),)
+
     def test_deterministic_per_index(self):
-        a = [Stream(7, i).next_word() for i in range(100)]
-        b = [Stream(7, i).next_word() for i in range(100)]
+        a = [draw(7, i, self.WORDS) for i in range(100)]
+        b = [draw(7, i, self.WORDS) for i in range(100)]
         assert a == b
+        assert len(set(a)) == 100
 
     def test_counter_addressable(self):
         # Index 50's draws don't depend on having drawn indices 0..49:
         # that O(1) regeneration is what makes shards independent.
-        sequential = [Stream(3, i).next_word() for i in range(60)]
-        assert Stream(3, 50).next_word() == sequential[50]
+        sequential = [draw(3, i, self.WORDS) for i in range(60)]
+        assert draw(3, 50, self.WORDS) == sequential[50]
 
     def test_seed_decorrelates(self):
-        assert [Stream(1, i).next_word() for i in range(20)] != \
-            [Stream(2, i).next_word() for i in range(20)]
+        assert [draw(1, i, self.WORDS) for i in range(20)] != \
+            [draw(2, i, self.WORDS) for i in range(20)]
         # (seed, index) and (seed+1, index-1) must not collide.
-        assert Stream(1, 5).next_word() != Stream(2, 4).next_word()
+        assert draw(1, 5, self.WORDS) != draw(2, 4, self.WORDS)
 
     def test_pick_stays_in_domain(self):
         values = ("a", "b", "c")
-        stream = Stream(9, 0)
-        assert all(stream.pick(values) in values for _ in range(50))
+        picks = draw(9, 0, (values,) * 50)
+        assert len(picks) == 50 and set(picks) <= set(values)
+        # Later draws continue the stream rather than repeat its start.
+        assert draw(9, 0, self.WORDS * 3)[:1] == draw(9, 0, self.WORDS)
+        assert len(set(draw(9, 0, self.WORDS * 3))) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Persistent on-disk caches: compiled IR modules, analysis results,
 and finished extraction reports.
 
-Three stores share one directory and one invalidation rule: keys
-derive from **content and code, not timestamps**.  Every key covers
-the inputs of its entry and the *code digest* — sha256, computed once
-per process, over the sources that produce entries
-(:data:`REPORT_CODE`: the frontend, the analyzer, the bridge and the
-codec).  An edit to the corpus or to that code moves the key, so a
+Three stores share one directory, one serializer and one invalidation
+rule: every entry is pickled, and keys derive from **content and
+code, not timestamps**.  Every key covers the inputs of its entry and
+the *code digest* — sha256, computed once per process, over the
+sources that produce entries (:data:`REPORT_CODE`: the frontend, the
+analyzer and the bridge, and with them every class an entry can
+hold).  An edit to the corpus or to that code moves the key, so a
 stale entry is never *wrong*, only unreachable.  When the digest
 cannot be computed (sources unreadable) every store is skipped.
 
@@ -20,12 +21,11 @@ invocation used to pay it again.  Each compiled
 
 **Function-level analysis store.**  Warm processes skip re-*analysis*
 through in-memory memos, but a fresh process used to redo every taint
-fixpoint even when the corpus had not changed.  The store persists one
-``(TaintState, FunctionFindings)`` pair per analyzed function —
-serialized with the compact :mod:`repro.perf.codec`, not pickle —
-keyed by the function's **source slice**, not the whole unit:
+fixpoint even when the corpus had not changed.  The store pickles one
+``(TaintState, FunctionFindings)`` pair per analyzed function, keyed
+by the function's **source slice**, not the whole unit:
 
-    sha256(codec schema | frontend version | code digest | filename
+    sha256(cache schema | frontend version | code digest | filename
            | function | slice hash | sources fingerprint | component)
 
 The slice hash covers the unit's preamble (macros, struct layouts)
@@ -53,8 +53,10 @@ well, so an extraction after it is assembled from the two stores.
 No store is pruned: the entries of an edited corpus or code state stay
 on disk, unreachable, until :func:`clear_disk_cache`.  All entries are
 written atomically (temp file + ``os.replace``) so concurrent
-processes never observe a torn entry, and any entry that fails to
-decode is treated as a miss and deleted.
+processes never observe a torn entry.  An entry that fails to
+unpickle, or unpickles to the wrong shape (not a ``Module``, not a
+pair, not a report), is tallied as an error and deleted, so the next
+lookup is a clean miss.
 
 Knobs:
 
@@ -91,7 +93,9 @@ CACHE_SCHEMA = 1
 #: Name prefix of the temp files atomic writes rename into place.
 _TMP_PREFIX = ".tmp-"
 
-#: File-name suffix of report-store entries.
+#: File-name suffixes of the three stores' entries.
+_MODULE_SUFFIX = ".ir.pkl"
+_ANALYSIS_SUFFIX = ".an.pkl"
 _REPORT_SUFFIX = ".report.pkl"
 
 
@@ -175,8 +179,7 @@ REPORT_CODE = ("__init__.py", "_lazy.py", "errors.py", "analysis", "lang",
                "corpus", "common", "ecosystem/__init__.py",
                "ecosystem/params.py", "ecosystem/featureset.py",
                "obs/__init__.py", "obs/metrics.py", "obs/tracer.py",
-               "perf/__init__.py", "perf/codec.py", "perf/lattice.py",
-               "perf/timers.py")
+               "perf/__init__.py", "perf/lattice.py", "perf/timers.py")
 
 _CODE_DIGEST: Optional[str] = None
 
@@ -225,7 +228,7 @@ def module_key(source: str, filename: str) -> str:
 
 
 def _entry_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"{key}.ir.pkl")
+    return os.path.join(cache_dir(), f"{key}{_MODULE_SUFFIX}")
 
 
 def _write_atomic(path: str, write) -> None:
@@ -248,54 +251,72 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-def load_module(key: str) -> Optional[Module]:
-    """The cached module under ``key``, or None on miss/corruption."""
-    from repro.lang.ir import Module
+def _load(store: str, tallies: DiskCacheStats, key: str, path: str,
+          accept) -> Optional[Any]:
+    """Unpickle the entry at ``path`` if ``accept`` takes it, else None.
 
-    path = _entry_path(key)
+    ``store`` names the span and counters (``cache.<store>.*``).  An
+    absent entry is a miss; one that fails to unpickle (torn,
+    truncated, version-skewed) or unpickles to something ``accept``
+    rejects is an error, and it is deleted so the next lookup is a
+    clean miss.
+    """
     try:
-        with span("cache.disk.load", key=key[:12]), timed("cache.disk.load"):
+        with span(f"cache.{store}.load", key=key[:12]), \
+                timed(f"cache.{store}.load"):
             with open(path, "rb") as handle:
-                module = pickle.load(handle)
+                value = pickle.load(handle)
+        if not accept(value):
+            raise TypeError(f"entry holds a {type(value).__name__}")
     except FileNotFoundError:
-        _STATS.tally("misses")
-        bump("cache.disk.miss")
+        tallies.tally("misses")
+        bump(f"cache.{store}.miss")
         return None
     except Exception:
-        # A torn or version-skewed entry: drop it and recompile.
-        _STATS.tally("errors")
-        bump("cache.disk.error")
+        tallies.tally("errors")
+        bump(f"cache.{store}.error")
         try:
             os.remove(path)
         except OSError:
             pass
         return None
-    if not isinstance(module, Module):
-        _STATS.tally("errors")
-        bump("cache.disk.error")
-        return None
-    _STATS.tally("hits")
-    bump("cache.disk.hit")
-    return module
+    tallies.tally("hits")
+    bump(f"cache.{store}.hit")
+    return value
+
+
+def _store(store: str, tallies: DiskCacheStats, key: str, path: str,
+           value: Any) -> bool:
+    """Atomically pickle ``value`` to ``path``; False on failure.
+
+    Failures (read-only cache dir, disk full, an unpicklable value) are
+    non-fatal: the store degrades to a recompute, never to an error.
+    """
+    try:
+        with span(f"cache.{store}.store", key=key[:12]), \
+                timed(f"cache.{store}.store"):
+            _write_atomic(path, lambda handle: pickle.dump(
+                value, handle, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        tallies.tally("errors")
+        bump(f"cache.{store}.error")
+        return False
+    tallies.tally("stores")
+    bump(f"cache.{store}.store")
+    return True
+
+
+def load_module(key: str) -> Optional[Module]:
+    """The cached module under ``key``, or None on miss/corruption."""
+    from repro.lang.ir import Module
+
+    return _load("disk", _STATS, key, _entry_path(key),
+                 lambda value: isinstance(value, Module))
 
 
 def store_module(key: str, module: Module) -> bool:
-    """Atomically persist ``module`` under ``key``; False on failure.
-
-    Failures (read-only cache dir, disk full) are non-fatal: the cache
-    degrades to a recompile, never to an error.
-    """
-    try:
-        with span("cache.disk.store", key=key[:12]), timed("cache.disk.store"):
-            _write_atomic(_entry_path(key), lambda handle: pickle.dump(
-                module, handle, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        _STATS.tally("errors")
-        bump("cache.disk.error")
-        return False
-    _STATS.tally("stores")
-    bump("cache.disk.store")
-    return True
+    """Atomically persist ``module`` under ``key``; False on failure."""
+    return _store("disk", _STATS, key, _entry_path(key), module)
 
 
 def _remove_entries(matches) -> int:
@@ -320,13 +341,15 @@ def clear_disk_cache() -> int:
     """Delete every cache entry (all stores); returns the count.
 
     Covers the module cache (``*.ir.pkl``), the function-level analysis
-    store (``*.an.bin``), the report store (``*.report.pkl``) and the
-    temp files killed writers leave behind, so a cleared cache
-    directory can never serve half a pipeline (or a whole report) from
-    before the clear.
+    store (``*.an.pkl``, and the ``*.an.bin`` entries of its retired
+    binary format), the report store (``*.report.pkl``) and the temp
+    files killed writers leave behind, so a cleared cache directory
+    can never serve half a pipeline (or a whole report) from before
+    the clear.
     """
     return _remove_entries(lambda name: (
-        name.endswith((".ir.pkl", ".an.bin", _REPORT_SUFFIX))
+        name.endswith((_MODULE_SUFFIX, _ANALYSIS_SUFFIX, ".an.bin",
+                       _REPORT_SUFFIX))
         or name.startswith(_TMP_PREFIX)))
 
 
@@ -377,13 +400,11 @@ def analysis_key(filename: str, function: str, slice_hash: str,
                  sources_fp: str, component: str) -> str:
     """Content and code hash identifying one function's analysis
     result; '' when the result cannot be keyed (sources unreadable)."""
-    from repro.perf import codec
-
     code = code_digest()
     if not code:
         return ""
     digest = hashlib.sha256()
-    digest.update(f"codec={codec.schema()}\n".encode("utf-8"))
+    digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
     digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
     digest.update(f"code={code}\n".encode("utf-8"))
     digest.update(f"filename={filename}\n".encode("utf-8"))
@@ -395,7 +416,7 @@ def analysis_key(filename: str, function: str, slice_hash: str,
 
 
 def _analysis_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"{key}.an.bin")
+    return os.path.join(cache_dir(), f"{key}{_ANALYSIS_SUFFIX}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,60 +427,17 @@ def _analysis_path(key: str) -> str:
 def load_analysis(key: str) -> Optional[Tuple[Any, Any]]:
     """The cached ``(TaintState, FunctionFindings)`` pair, or None.
 
-    Corrupt or truncated entries — a killed writer, a flipped bit, a
-    codec-schema skew that slipped past the key — decode to a loud
-    :exc:`~repro.perf.codec.CodecError`, which we treat as a miss and
-    delete: the store degrades to a recompute, never to a wrong result.
+    A corrupt, truncated or wrong-shape entry is a deleted miss: the
+    store degrades to a recompute, never to a wrong result.
     """
-    from repro.perf import codec
-
-    path = _analysis_path(key)
-    try:
-        with span("cache.an.load", key=key[:12]), timed("cache.an.load"):
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            pair = codec.loads(blob)
-    except FileNotFoundError:
-        _AN_STATS.tally("misses")
-        bump("cache.an.miss")
-        return None
-    except Exception:
-        _AN_STATS.tally("errors")
-        bump("cache.an.error")
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    if not (isinstance(pair, tuple) and len(pair) == 2):
-        _AN_STATS.tally("errors")
-        bump("cache.an.error")
-        return None
-    _AN_STATS.tally("hits")
-    bump("cache.an.hit")
-    return pair
+    return _load("an", _AN_STATS, key, _analysis_path(key),
+                 lambda value: type(value) is tuple and len(value) == 2)
 
 
 def store_analysis(key: str, state: Any, findings: Any) -> bool:
     """Atomically persist one analysis result; False on failure."""
-    from repro.perf import codec
-
-    try:
-        blob = codec.dumps((state, findings))
-    except Exception:
-        _AN_STATS.tally("errors")
-        bump("cache.an.error")
-        return False
-    try:
-        with span("cache.an.store", key=key[:12]), timed("cache.an.store"):
-            _write_atomic(_analysis_path(key), lambda handle: handle.write(blob))
-    except Exception:
-        _AN_STATS.tally("errors")
-        bump("cache.an.error")
-        return False
-    _AN_STATS.tally("stores")
-    bump("cache.an.store")
-    return True
+    return _store("an", _AN_STATS, key, _analysis_path(key),
+                  (state, findings))
 
 
 # ---------------------------------------------------------------------------
@@ -499,42 +477,10 @@ def load_report(key: str, kind: type) -> Optional[Any]:
 
     A torn, truncated or foreign entry is a miss, and it is deleted.
     """
-    path = _report_path(key)
-    try:
-        with span("cache.report.load", key=key[:12]), \
-                timed("cache.report.load"):
-            with open(path, "rb") as handle:
-                report = pickle.load(handle)
-        if not isinstance(report, kind):
-            raise TypeError(f"report entry holds a {type(report).__name__}")
-    except FileNotFoundError:
-        _REPORT_STATS.tally("misses")
-        bump("cache.report.miss")
-        return None
-    except Exception:
-        _REPORT_STATS.tally("errors")
-        bump("cache.report.error")
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    _REPORT_STATS.tally("hits")
-    bump("cache.report.hit")
-    return report
+    return _load("report", _REPORT_STATS, key, _report_path(key),
+                 lambda value: isinstance(value, kind))
 
 
 def store_report(key: str, report: Any) -> bool:
     """Atomically persist one extraction report; False on failure."""
-    try:
-        with span("cache.report.store", key=key[:12]), \
-                timed("cache.report.store"):
-            _write_atomic(_report_path(key), lambda handle: pickle.dump(
-                report, handle, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        _REPORT_STATS.tally("errors")
-        bump("cache.report.error")
-        return False
-    _REPORT_STATS.tally("stores")
-    bump("cache.report.store")
-    return True
+    return _store("report", _REPORT_STATS, key, _report_path(key), report)

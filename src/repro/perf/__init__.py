@@ -21,8 +21,7 @@ it, so a run that never solves shows no lattice rows),
 :mod:`repro.perf.campaign` (the post-mkfs snapshot cache and the
 sharded campaign driver), whose ``SnapshotCache`` resolves lazily from
 this package, and the submodules imported by path —
-:mod:`~repro.perf.sampling` (campaign samplers),
-:mod:`~repro.perf.codec` (the analysis-result codec) and
+:mod:`~repro.perf.sampling` (campaign samplers) and
 :mod:`~repro.perf.procpool` (the process pool campaign shards run on
 when ``jobs > 1``).
 """

@@ -2,11 +2,15 @@
 
 A run is identified by what it would *compute*, not by who asked or
 when: sha256 over the serve schema version, the tool name, the
-canonicalized request params, the corpus content hashes, and the
-resolved engine modes.  This mirrors the analysis-store key discipline
-(:func:`repro.corpus.cache.analysis_key`) — content in, identity out —
-so two submissions that would produce byte-identical results collapse
-onto one ``runs`` row, one execution, one manifest.
+canonicalized request params, the corpus content hashes, the resolved
+engine modes and the package digest (:func:`package_digest`, every
+source and data file of :mod:`repro`).  This mirrors the
+analysis-store key discipline (:func:`repro.corpus.cache.analysis_key`)
+— content and code in, identity out — so two submissions that would
+produce byte-identical results collapse onto one ``runs`` row, one
+execution, one manifest, and a service upgraded under an existing
+queue runs a request again instead of serving a result its old code
+produced.
 
 Canonicalization drops ``None``-valued params (absent and "defaulted"
 spell the same request) and validates every name/value against the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any, Dict, Optional
 
 #: Queue states of a run (the ``runs.status`` column of
@@ -34,6 +39,46 @@ STATES = (QUEUED, CLAIMED, DONE, FAILED)
 #: changed argv building) — orphans every queued/done run's identity at
 #: once, exactly like a frontend-version bump orphans IR cache entries.
 SERVE_SCHEMA = 1
+
+
+#: File-name suffixes of the package files the run id covers: the
+#: code, the modelled C corpus and the checked-in schemas.
+PACKAGE_SUFFIXES = (".py", ".c", ".json")
+
+_PACKAGE_DIGEST: Optional[str] = None
+
+
+def tree_digest(root: str) -> str:
+    """sha256 over every :data:`PACKAGE_SUFFIXES` file under ``root``,
+    ``__pycache__`` skipped, in sorted relative-path order."""
+    names = []
+    for folder, dirs, files in os.walk(root):
+        dirs[:] = [name for name in dirs if name != "__pycache__"]
+        rel = os.path.relpath(folder, root)
+        names.extend(os.path.normpath(os.path.join(rel, name))
+                     .replace(os.sep, "/")
+                     for name in files if name.endswith(PACKAGE_SUFFIXES))
+    digest = hashlib.sha256()
+    for name in sorted(names):
+        with open(os.path.join(root, name), "rb") as handle:
+            blob = handle.read()
+        digest.update(f"{name} {len(blob)}\n".encode("utf-8"))
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+def package_digest() -> str:
+    """:func:`tree_digest` of the installed ``repro`` package.
+
+    Computed on the first request key and kept for the process, so
+    every later key pays one global read; a code edit is seen by the
+    next server process.
+    """
+    global _PACKAGE_DIGEST
+    if _PACKAGE_DIGEST is None:
+        _PACKAGE_DIGEST = tree_digest(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return _PACKAGE_DIGEST
 
 
 def canonical_params(params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -56,12 +101,13 @@ def request_key(tool: str,
     would analyze); ``engine`` is the engine-mode dict (empty while
     every stage has one engine — the slot keeps the key format stable).
     Any difference that could change what executes — a corpus edit, an
-    extra param — changes the key;
+    extra param, a code edit — changes the key;
     anything that cannot (submission time, client identity, which API
     thread handled it) is absent from it.
     """
     payload = {
         "schema": SERVE_SCHEMA,
+        "code": package_digest(),
         "tool": tool,
         "params": canonical_params(params),
         "corpus": {name: corpus[name] for name in sorted(corpus)},

@@ -1,11 +1,10 @@
-"""The analysis-store codec, the analysis store's content keys, and
-the campaign process pool.
+"""The analysis store, its content keys, and the campaign process pool.
 
-- the compact binary codec: round-trips, aliasing preservation, loud
-  corruption, the closed type registry, schema fingerprint stability;
-- the analysis store: hit/miss/error accounting, corrupt-entry
-  tolerance, key sensitivity (frontend version, source slice),
-  ``clear_cache(disk=True)`` coverage;
+- the analysis store: hit/miss/error accounting, corrupt and
+  wrong-shape entries deleted (the IR cache too), key sensitivity
+  (frontend version, source slice), ``clear_cache(disk=True)``
+  coverage, and the classes a stored entry holds all living in code
+  the key's code digest covers;
 - end-to-end: pinned golden digests of the extraction, process-worker
   campaigns (``--jobs 2``) giving the same CLI output as sequential
   ones (``--jobs 1``), a process-worker trace staying one rooted tree,
@@ -19,6 +18,7 @@ the campaign process pool.
 """
 
 import os
+import pickle
 import shutil
 import signal
 import threading
@@ -28,7 +28,7 @@ from typing import List
 
 import pytest
 
-from repro.perf import codec, procpool
+from repro.perf import procpool
 from repro.perf.procpool import ProcessPoolError
 
 
@@ -118,83 +118,6 @@ class TestModes:
 
 
 # ---------------------------------------------------------------------------
-# codec
-# ---------------------------------------------------------------------------
-
-
-class TestCodec:
-    def test_scalar_and_container_roundtrip(self):
-        value = {
-            "none": None, "bools": (True, False), "int": -(2 ** 40) + 7,
-            "float": 3.5, "text": "mount ✓", "bytes": b"\x00\xff",
-            "list": [1, [2, [3]]], "set": {1, 2}, "frozen": frozenset({"a"}),
-        }
-        decoded = codec.loads(codec.dumps(value))
-        assert decoded == value
-        assert isinstance(decoded["bools"], tuple)
-        assert isinstance(decoded["set"], set)
-        assert isinstance(decoded["frozen"], frozenset)
-
-    def test_registered_dataclass_roundtrip(self):
-        from repro.lang import ir
-
-        const = ir.Const(7)
-        instr = ir.Move(dst=ir.Temp(1), src=const)
-        decoded = codec.loads(codec.dumps(instr))
-        assert decoded == instr
-        assert type(decoded) is ir.Move
-
-    def test_aliasing_is_preserved(self):
-        from repro.lang import ir
-
-        shared = ir.Const(42)
-        labels = frozenset({"sb.s_inodes_count"})
-        decoded = codec.loads(codec.dumps([shared, shared, labels, labels]))
-        assert decoded[0] is decoded[1]
-        assert decoded[2] is decoded[3]
-
-    def test_distinct_equal_objects_stay_distinct(self):
-        from repro.lang import ir
-
-        decoded = codec.loads(codec.dumps([ir.Const(1), ir.Const(1)]))
-        assert decoded[0] == decoded[1]
-        assert decoded[0] is not decoded[1]
-
-    def test_enum_roundtrip(self):
-        from repro.analysis.model import Category
-
-        members = list(Category)
-        assert codec.loads(codec.dumps(members)) == members
-
-    def test_unregistered_type_is_loud(self):
-        class Stray:
-            pass
-
-        with pytest.raises(codec.CodecError):
-            codec.dumps(Stray())
-        with pytest.raises(codec.CodecError):
-            codec.dumps({"ok": [object()]})
-
-    @pytest.mark.parametrize("mangle", [
-        pytest.param(lambda blob: b"XXXX" + blob[4:], id="bad-magic"),
-        pytest.param(lambda blob: blob[:4], id="empty-body"),
-        pytest.param(lambda blob: blob[:-1], id="truncated"),
-        pytest.param(lambda blob: blob + b"\x00", id="trailing-garbage"),
-        pytest.param(lambda blob: blob[:4] + bytes([200]), id="unknown-tag"),
-        pytest.param(lambda blob: blob[:4] + bytes([13, 9]), id="bad-backref"),
-    ])
-    def test_corruption_is_loud(self, mangle):
-        blob = codec.dumps({"k": ["v", frozenset({"x"})], "n": 12345})
-        with pytest.raises(codec.CodecError):
-            codec.loads(mangle(blob))
-
-    def test_schema_is_stable_and_shape_sensitive(self):
-        first = codec.schema()
-        assert isinstance(first, str) and first
-        assert codec.schema() == first  # deterministic across calls
-
-
-# ---------------------------------------------------------------------------
 # analysis store
 # ---------------------------------------------------------------------------
 
@@ -219,7 +142,7 @@ class TestAnalysisStore:
 
     @pytest.mark.parametrize("garbage", [
         pytest.param(b"", id="empty"),
-        pytest.param(b"not a codec stream", id="bad-magic"),
+        pytest.param(b"not a pickle", id="not-a-pickle"),
         pytest.param(None, id="truncated"),  # filled in below
     ])
     def test_corrupt_entry_recovers_as_miss(self, isolated_store, garbage):
@@ -241,15 +164,73 @@ class TestAnalysisStore:
         assert disk.analysis_stats().misses == 1
 
     def test_wrong_shape_entry_is_an_error(self, isolated_store):
+        """An entry that unpickles to the wrong shape is an error and is
+        deleted, in the IR cache and the analysis store alike, so it
+        does not error again on every lookup."""
         from repro.corpus import cache as disk
 
         key = "d" * 64
-        path = disk._analysis_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(codec.dumps(["not", "a", "pair"]))
-        assert disk.load_analysis(key) is None
-        assert disk.analysis_stats().errors == 1
+        for path, load, stats in [
+                (disk._entry_path(key), disk.load_module, disk.cache_stats),
+                (disk._analysis_path(key), disk.load_analysis,
+                 disk.analysis_stats)]:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                pickle.dump(("not", "a", "pair"), handle)
+            assert load(key) is None
+            assert (stats().errors, stats().misses) == (1, 0)
+            assert not os.path.exists(path)
+            assert load(key) is None
+            assert (stats().errors, stats().misses) == (1, 1)
+
+    def test_stored_classes_live_in_digested_code(self, isolated_store):
+        """Pickle names each stored object's class and rebuilds it from
+        that class's current definition, so a class edit must move the
+        keys: every class reachable from a stored IR module, analysis
+        pair or report is defined in code the code digest covers."""
+        import io
+        import sys
+
+        from repro.analysis.extractor import extract_all
+        from repro.analysis.taint import TaintState
+        from repro.corpus import cache as disk
+
+        seen = set()
+        states = []
+
+        class Recorder(pickle.Pickler):
+            # Called for every object except None, bools and exact
+            # ints, floats, strings, bytes and builtin containers; a
+            # class stored as a value is pickled by name as well.
+            def reducer_override(self, obj):
+                seen.add(obj if isinstance(obj, type) else type(obj))
+                if type(obj) is TaintState:
+                    states.append(obj)
+                return NotImplemented
+
+        extract_all()
+        names = sorted(os.listdir(disk.cache_dir()))
+        for suffix in (".ir.pkl", ".an.pkl", ".report.pkl"):
+            assert any(name.endswith(suffix) for name in names)
+        for name in names:
+            with open(os.path.join(disk.cache_dir(), name), "rb") as handle:
+                Recorder(io.BytesIO()).dump(pickle.load(handle))
+        package = os.path.dirname(sys.modules["repro"].__file__)
+
+        def covered(cls) -> bool:
+            path = os.path.relpath(sys.modules[cls.__module__].__file__,
+                                   package).replace(os.sep, "/")
+            return any(path == entry or os.path.dirname(path) == entry
+                       for entry in disk.REPORT_CODE)
+
+        assert {"TaintState", "FunctionFindings", "Module"} <= \
+            {cls.__name__ for cls in seen}
+        assert sorted(cls.__qualname__ for cls in seen
+                      if not covered(cls)) == []
+        # The solver's derived multi-parameter map is never stored.
+        assert states
+        assert [state.function for state in states
+                if state._mpm_cache is not None] == []
 
     def test_analysis_key_sensitivity(self, isolated_store, monkeypatch):
         from repro.corpus import cache as disk
@@ -303,10 +284,14 @@ class TestAnalysisStore:
         from repro.corpus.loader import clear_cache
 
         extract_all()
-        suffixes = (".ir.pkl", ".an.bin", ".report.pkl")
+        suffixes = (".ir.pkl", ".an.pkl", ".report.pkl")
         names = os.listdir(disk.cache_dir())
         assert all(any(name.endswith(suffix) for name in names)
                    for suffix in suffixes)
+        # Entries of the retired binary analysis format go too.
+        with open(os.path.join(disk.cache_dir(), "e" * 64 + ".an.bin"),
+                  "wb") as handle:
+            handle.write(b"RAC1")
         clear_cache(disk=True)
         assert os.listdir(disk.cache_dir()) == []
 
@@ -489,7 +474,7 @@ class TestBackendsEndToEnd:
 
         baseline = _canonical(extract_all())
         entries = [name for name in os.listdir(disk.cache_dir())
-                   if name.endswith(".an.bin")]
+                   if name.endswith(".an.pkl")]
         assert entries
         for name in entries:
             with open(os.path.join(disk.cache_dir(), name), "wb") as handle:

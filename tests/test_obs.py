@@ -455,6 +455,22 @@ def test_retired_knob_on_a_deleted_mode_still_differs(tmp_path, capsys,
     assert f"engine.{knob}: {mode} -> {survivor}" in capsys.readouterr().out
 
 
+class TestTransportKnobs:
+    def test_manifest_records_transport(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")  # ignored now
+        built = manifest.build_manifest("repro-extract", wall_seconds=0.1)
+        assert "transport" not in built["engine"]
+        manifest.validate_manifest(built)
+        # A manifest written when transport was a knob still loads.
+        older = manifest.build_manifest("repro-extract", wall_seconds=0.1)
+        older["engine"]["transport"] = "pickle"
+        manifest.validate_manifest(older)
+        path = tmp_path / "manifest.json"
+        manifest.write_manifest(older, str(path))
+        assert (manifest.load_manifest(str(path))["engine"]["transport"]
+                == "pickle")
+
+
 # ---------------------------------------------------------------------------
 # provenance
 # ---------------------------------------------------------------------------

@@ -241,12 +241,12 @@ class TestClearing:
         assert not [n for n in remaining
                     if n.endswith(".report.pkl") or n.startswith(".tmp-")]
         assert not [n for n in remaining
-                    if n.endswith((".ir.pkl", ".an.bin"))]
+                    if n.endswith((".ir.pkl", ".an.pkl"))]
 
     def test_clear_reports_keeps_the_other_stores(self, store):
         assert disk.clear_reports() == 1
         assert _entries() == []
-        assert _entries(".ir.pkl") and _entries(".an.bin")
+        assert _entries(".ir.pkl") and _entries(".an.pkl")
 
     def test_clear_cache_drops_reports_so_the_stores_answer(self, store):
         # In-process, clear_cache() means "assemble the next extraction
@@ -254,7 +254,7 @@ class TestClearing:
         # those layers that way, and a report left behind would answer.
         clear_cache()
         assert _entries() == []
-        assert _entries(".ir.pkl") and _entries(".an.bin")
+        assert _entries(".ir.pkl") and _entries(".an.pkl")
         disk.reset_cache_stats()
         assert _canonical(extract_all()) == store
         assert _tallies() == (0, 1, 1, 0)

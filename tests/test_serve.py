@@ -102,6 +102,40 @@ class TestRequestKeys:
         assert serve_keys.request_key(*base) != \
             serve_keys.request_key(*mutate(*base))
 
+    def test_code_change_gives_a_new_run_id(self, monkeypatch):
+        # The same tool, params and corpus under other code is another
+        # run: an upgraded service must not dedupe onto old results.
+        base = ("condocck", {}, CORPUS, {})
+        before = serve_keys.request_key(*base)
+        monkeypatch.setattr(serve_keys, "_PACKAGE_DIGEST", "0" * 64)
+        assert serve_keys.request_key(*base) != before
+
+    def test_every_package_file_moves_the_digest(self, tmp_path):
+        import shutil
+
+        package = os.path.dirname(os.path.dirname(serve_keys.__file__))
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert serve_keys.tree_digest(str(copy)) == \
+            serve_keys.package_digest()
+        files = sorted(path for path in copy.rglob("*")
+                       if path.suffix in serve_keys.PACKAGE_SUFFIXES)
+        assert {".py", ".c", ".json"} <= {path.suffix for path in files}
+        seen = {serve_keys.package_digest()}
+        for path in files:
+            blob = path.read_bytes()
+            path.write_bytes(blob + b"\n")
+            seen.add(serve_keys.tree_digest(str(copy)))
+            path.write_bytes(blob)
+        assert len(seen) == len(files) + 1
+        # Bytecode and files of other kinds are not code.
+        (copy / "__pycache__").mkdir()
+        (copy / "__pycache__" / "x.py").write_text("pass\n")
+        (copy / "notes.txt").write_text("notes\n")
+        assert serve_keys.tree_digest(str(copy)) == \
+            serve_keys.package_digest()
+
 
 # ---------------------------------------------------------------------------
 # the runs queue

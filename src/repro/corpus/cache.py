@@ -2,21 +2,22 @@
 and finished extraction reports.
 
 Three stores share one directory, one serializer and one invalidation
-rule: every entry is pickled, and keys derive from **content and
-code, not timestamps**.  Every key covers the inputs of its entry and
-the *code digest* — sha256, computed once per process, over the
-sources that produce entries (:data:`REPORT_CODE`: the frontend, the
-analyzer and the bridge, and with them every class an entry can
-hold).  An edit to the corpus or to that code moves the key, so a
-stale entry is never *wrong*, only unreachable.  When the digest
-cannot be computed (sources unreadable) every store is skipped.
+rule with the command store (:mod:`repro.store`): every entry is
+pickled, and keys derive from **content and code, not timestamps**.
+Every key covers the inputs of its entry and the *package digest*
+(:func:`repro.store.package_digest`: sha256, computed once per
+process, over every source and data file of the ``repro`` package,
+and with them every class an entry can hold).  An edit to the corpus
+or to the package moves the key, so a stale entry is never *wrong*,
+only unreachable.  When the digest cannot be computed (sources
+unreadable) every store is skipped.
 
 **Module cache.**  The mini-C frontend dominates cold-pipeline time
 (compiling the corpus costs ~10x the analysis itself), and every CLI
 invocation used to pay it again.  Each compiled
 :class:`repro.lang.ir.Module` is pickled under
 
-    sha256(cache schema | frontend version | code digest | filename
+    sha256(cache schema | frontend version | package digest | filename
            | source text)
 
 **Function-level analysis store.**  Warm processes skip re-*analysis*
@@ -25,7 +26,7 @@ fixpoint even when the corpus had not changed.  The store pickles one
 ``(TaintState, FunctionFindings)`` pair per analyzed function, keyed
 by the function's **source slice**, not the whole unit:
 
-    sha256(cache schema | frontend version | code digest | filename
+    sha256(cache schema | frontend version | package digest | filename
            | function | slice hash | sources fingerprint | component)
 
 The slice hash covers the unit's preamble (macros, struct layouts)
@@ -40,7 +41,7 @@ finished :class:`~repro.analysis.extractor.ExtractionReport`, not the
 IR or the per-function states it was assembled from.  One pickled
 report per extraction is kept under
 
-    sha256(cache schema | frontend version | code digest
+    sha256(cache schema | frontend version | package digest
            | extractor class | scenario specs
            | every scenario unit's source bytes)
 
@@ -51,7 +52,8 @@ in-memory :func:`repro.corpus.loader.clear_cache` drops reports as
 well, so an extraction after it is assembled from the two stores.
 
 No store is pruned: the entries of an edited corpus or code state stay
-on disk, unreachable, until :func:`clear_disk_cache`.  All entries are
+on disk, unreachable, until :func:`clear_disk_cache`, which also
+deletes the command store's entries.  All entries are
 written atomically (temp file + ``os.replace``) so concurrent
 processes never observe a torn entry.  An entry that fails to
 unpickle, or unpickles to the wrong shape (not a ``Module``, not a
@@ -69,7 +71,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
@@ -77,21 +78,26 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 from repro.lang import FRONTEND_VERSION
 from repro.obs.tracer import span
 from repro.perf import bump, timed
+# The directory, the switch, atomic writes and the digest every key
+# covers are shared with the command store; callers keep reading the
+# first four from here.
+from repro.store import (  # noqa: F401
+    CACHE_DIR_ENV,
+    COMMAND_SUFFIX,
+    DISABLE_ENV,
+    TMP_PREFIX,
+    cache_dir,
+    disk_cache_enabled,
+    package_digest,
+    remove_entries,
+)
+from repro.store import write_atomic as _write_atomic
 
 if TYPE_CHECKING:
     from repro.lang.ir import Module
 
-#: Environment override for the cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Set to a truthy value to disable the disk cache.
-DISABLE_ENV = "REPRO_NO_DISK_CACHE"
-
 #: Bump when the on-disk entry layout itself changes.
 CACHE_SCHEMA = 1
-
-#: Name prefix of the temp files atomic writes rename into place.
-_TMP_PREFIX = ".tmp-"
 
 #: File-name suffixes of the three stores' entries.
 _MODULE_SUFFIX = ".ir.pkl"
@@ -156,72 +162,16 @@ def reset_cache_stats() -> None:
         tallies.hits = tallies.misses = tallies.stores = tallies.errors = 0
 
 
-def disk_cache_enabled() -> bool:
-    """False when ``REPRO_NO_DISK_CACHE`` is set to a truthy value."""
-    return os.environ.get(DISABLE_ENV, "").strip() not in ("1", "true", "yes")
-
-
-def cache_dir() -> str:
-    """The cache directory (not necessarily existing yet)."""
-    override = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "ir")
-
-
-#: The sources, relative to the ``repro`` package, that decide every
-#: store entry besides the corpus itself: every module an extraction
-#: imports, at module level or inside a function.
-#: Directories contribute their ``*.py`` files.
-#: ``tests/test_import_graph.py`` fails if an extraction reaches a
-#: module this list does not cover.
-REPORT_CODE = ("__init__.py", "_lazy.py", "errors.py", "analysis", "lang",
-               "corpus", "common", "ecosystem/__init__.py",
-               "ecosystem/params.py", "ecosystem/featureset.py",
-               "obs/__init__.py", "obs/metrics.py", "obs/tracer.py",
-               "perf/__init__.py", "perf/lattice.py", "perf/timers.py")
-
-_CODE_DIGEST: Optional[str] = None
-
-
-def code_digest() -> str:
-    """sha256 over the :data:`REPORT_CODE` sources; '' if unreadable.
-
-    Computed once per process, so every key after the first pays only
-    for its own hash; a source edit is seen by the next process.
-    """
-    global _CODE_DIGEST
-    if _CODE_DIGEST is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        try:
-            for entry in REPORT_CODE:
-                path = os.path.join(root, *entry.split("/"))
-                names = ([os.path.join(entry, name)
-                          for name in sorted(os.listdir(path))
-                          if name.endswith(".py")]
-                         if os.path.isdir(path) else [entry])
-                for name in names:
-                    with open(os.path.join(root, name), "rb") as handle:
-                        blob = handle.read()
-                    digest.update(f"{name} {len(blob)}\n".encode("utf-8"))
-                    digest.update(blob)
-        except OSError:
-            return ""
-        _CODE_DIGEST = digest.hexdigest()
-    return _CODE_DIGEST
-
-
 def module_key(source: str, filename: str) -> str:
     """Content and code hash identifying one compiled translation unit.
 
     Also the unit's in-memory fingerprint, so it is never empty; the
-    loader skips the module cache when :func:`code_digest` is ''.
+    loader skips the module cache when :func:`package_digest` is ''.
     """
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
     digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
-    digest.update(f"code={code_digest()}\n".encode("utf-8"))
+    digest.update(f"code={package_digest()}\n".encode("utf-8"))
     digest.update(f"filename={filename}\n".encode("utf-8"))
     digest.update(source.encode("utf-8"))
     return digest.hexdigest()
@@ -229,26 +179,6 @@ def module_key(source: str, filename: str) -> str:
 
 def _entry_path(key: str) -> str:
     return os.path.join(cache_dir(), f"{key}{_MODULE_SUFFIX}")
-
-
-def _write_atomic(path: str, write) -> None:
-    """Run ``write(handle)`` into a temp file, then rename it to ``path``.
-
-    Readers see the old entry or the new one, never a torn one; a
-    failed write removes its temp file and re-raises.
-    """
-    os.makedirs(cache_dir(), exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=cache_dir(), prefix=_TMP_PREFIX)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write(handle)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def _load(store: str, tallies: DiskCacheStats, key: str, path: str,
@@ -319,38 +249,21 @@ def store_module(key: str, module: Module) -> bool:
     return _store("disk", _STATS, key, _entry_path(key), module)
 
 
-def _remove_entries(matches) -> int:
-    """Delete the cache-dir files whose name ``matches``; the count."""
-    try:
-        names = os.listdir(cache_dir())
-    except OSError:
-        return 0
-    removed = 0
-    for name in names:
-        if not matches(name):
-            continue
-        try:
-            os.remove(os.path.join(cache_dir(), name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
-
-
 def clear_disk_cache() -> int:
     """Delete every cache entry (all stores); returns the count.
 
     Covers the module cache (``*.ir.pkl``), the function-level analysis
     store (``*.an.pkl``, and the ``*.an.bin`` entries of its retired
-    binary format), the report store (``*.report.pkl``) and the temp
-    files killed writers leave behind, so a cleared cache directory
-    can never serve half a pipeline (or a whole report) from before
+    binary format), the report store (``*.report.pkl``), the command
+    store (``*.cmd.pkl``) and the temp files killed writers leave
+    behind, so a cleared cache directory can never serve half a
+    pipeline (or a whole report, or a command's output) from before
     the clear.
     """
-    return _remove_entries(lambda name: (
+    return remove_entries(lambda name: (
         name.endswith((_MODULE_SUFFIX, _ANALYSIS_SUFFIX, ".an.bin",
-                       _REPORT_SUFFIX))
-        or name.startswith(_TMP_PREFIX)))
+                       _REPORT_SUFFIX, COMMAND_SUFFIX))
+        or name.startswith(TMP_PREFIX)))
 
 
 def clear_reports() -> int:
@@ -359,7 +272,7 @@ def clear_reports() -> int:
     What a benchmark or a test calls to time or check the IR cache and
     the analysis store underneath a report that would otherwise hit.
     """
-    return _remove_entries(lambda name: name.endswith(_REPORT_SUFFIX))
+    return remove_entries(lambda name: name.endswith(_REPORT_SUFFIX))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +313,7 @@ def analysis_key(filename: str, function: str, slice_hash: str,
                  sources_fp: str, component: str) -> str:
     """Content and code hash identifying one function's analysis
     result; '' when the result cannot be keyed (sources unreadable)."""
-    code = code_digest()
+    code = package_digest()
     if not code:
         return ""
     digest = hashlib.sha256()
@@ -453,7 +366,7 @@ def report_key(extractor: str, scenarios: str,
     scenario specs' repr, and ``units`` gives every scenario unit's
     filename and source bytes.
     """
-    code = code_digest()
+    code = package_digest()
     if not code:
         return ""
     digest = hashlib.sha256()

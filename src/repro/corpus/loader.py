@@ -80,7 +80,7 @@ def _compile_unit(filename: str, use_cache: bool) -> CorpusUnit:
         source = handle.read()
     key = disk.module_key(source, filename)
     use_disk = (use_cache and disk.disk_cache_enabled()
-                and bool(disk.code_digest()))
+                and bool(disk.package_digest()))
     module: Optional[Module] = None
     if use_disk:
         module = disk.load_module(key)
@@ -171,8 +171,10 @@ def clear_cache(disk: bool = False) -> None:
     extraction without loading a unit, so dropping it makes the next
     extraction in this process read units and analyses from the IR
     cache and the analysis store.  Pass ``disk=True`` to also
-    purge those persistent caches and any temp files a killed writer
-    left.
+    purge those persistent caches, the command store and any temp
+    files a killed writer left.  The command store is left alone
+    otherwise: no in-process extraction reads it, and a second
+    directory scan would cost every call.
     """
     from repro.corpus.cache import clear_disk_cache, clear_reports
 

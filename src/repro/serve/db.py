@@ -85,6 +85,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.obs import servicelog
 from repro.obs.metrics import REGISTRY, Histogram
 from repro.serve.keys import CLAIMED, DONE, FAILED, QUEUED, STATES  # noqa: F401
+from repro.store import corpus_hashes
 
 #: Seconds a claim stays valid without renewal.
 DEFAULT_LEASE_SECONDS = 120.0
@@ -840,17 +841,10 @@ class CorpusStore:
     def hashes(self, corpus_id: Optional[str]) -> Dict[str, str]:
         """filename -> source sha256 for one snapshot (None = default)."""
         if corpus_id is None:
-            from repro.obs.manifest import corpus_hashes
+            from repro.obs import manifest
 
-            return corpus_hashes()
-        out: Dict[str, str] = {}
-        directory = self.path(corpus_id)
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".c"):
-                continue
-            with open(os.path.join(directory, name), "rb") as handle:
-                out[name] = hashlib.sha256(handle.read()).hexdigest()
-        return out
+            return manifest.corpus_hashes()
+        return corpus_hashes(self.path(corpus_id))
 
     def add(self, files: Dict[str, str]) -> str:
         """Store one overlay upload; returns its content-derived id."""

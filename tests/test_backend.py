@@ -28,8 +28,10 @@ from typing import List
 
 import pytest
 
+from repro import store
 from repro.perf import procpool
 from repro.perf.procpool import ProcessPoolError
+from repro.store import PACKAGE_SUFFIXES
 
 
 def _canonical(report) -> str:
@@ -187,7 +189,7 @@ class TestAnalysisStore:
         """Pickle names each stored object's class and rebuilds it from
         that class's current definition, so a class edit must move the
         keys: every class reachable from a stored IR module, analysis
-        pair or report is defined in code the code digest covers."""
+        pair or report is defined in code the package digest covers."""
         import io
         import sys
 
@@ -218,10 +220,12 @@ class TestAnalysisStore:
         package = os.path.dirname(sys.modules["repro"].__file__)
 
         def covered(cls) -> bool:
+            # A file of the package that the package digest hashes.
             path = os.path.relpath(sys.modules[cls.__module__].__file__,
-                                   package).replace(os.sep, "/")
-            return any(path == entry or os.path.dirname(path) == entry
-                       for entry in disk.REPORT_CODE)
+                                   package)
+            return (not path.startswith(os.pardir)
+                    and "__pycache__" not in path.split(os.sep)
+                    and path.endswith(PACKAGE_SUFFIXES))
 
         assert {"TaintState", "FunctionFindings", "Module"} <= \
             {cls.__name__ for cls in seen}
@@ -251,9 +255,9 @@ class TestAnalysisStore:
         assert bumped != key
         # So does an edit to the analyzer's code, and code that cannot
         # be read leaves the function unkeyed (the store is skipped).
-        monkeypatch.setattr(disk, "_CODE_DIGEST", "0" * 64)
+        monkeypatch.setattr(store, "_PACKAGE_DIGEST", "0" * 64)
         assert disk.analysis_key(**base) not in (key, bumped)
-        monkeypatch.setattr(disk, "code_digest", lambda: "")
+        monkeypatch.setattr(disk, "package_digest", lambda: "")
         assert disk.analysis_key(**base) == ""
 
     def test_function_slices_localize_edits(self, isolated_store):

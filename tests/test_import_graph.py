@@ -6,10 +6,16 @@ wall-clock budgets, so they pass or fail the same way on any host.  The
 layering check reads the source instead: module-level imports in
 ``serve/`` and ``obs/`` must never reach the analysis stack.
 
+The six analysis commands replay repeat runs from the command store
+(:mod:`repro.store`).  The checks of what a command's own code loads
+drop the command entries first, so they see the run the store did not
+answer; one check pins what a replayed run loads.
+
 Run as a script (``python tests/test_import_graph.py``, or ``make
 import-check``) to print each console script's ``repro.*`` module count
 and the source lines those modules hold, i.e. what a fresh interpreter
-compiles when no bytecode is cached.
+compiles when no bytecode is cached, and for the analysis commands the
+same for a run the command store answers.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -65,6 +72,20 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+#: The analysis commands: the console scripts the command store serves.
+ANALYSIS_COMMANDS = ("repro-extract", "repro-condocck", "repro-conhandleck",
+                     "repro-conbugck", "repro-study", "repro-demo")
+
+#: Every ``repro`` module a run answered by the command store loads:
+#: argument parsing, the store and its key, nothing of what the
+#: command itself runs.
+REPLAY_MODULES = ["repro", "repro._lazy", "repro.cli", "repro.corpus",
+                  "repro.store"]
+
+#: Child-code prefix that drops the command store's entries, so the
+#: command that follows runs its own code.
+DROP_COMMANDS = "from repro.store import clear_commands\nclear_commands()\n"
+
 #: What a command served by the stored report must not load: the
 #: solver, constraint derivation, the bridge, the source annotations,
 #: the IR, CFGs, the lattice and the corpus loader.
@@ -92,10 +113,15 @@ def loaded_modules(code: str, cache_dir: str) -> Set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def entry_point_modules(script: str, cache_dir: str) -> Set[str]:
+def entry_point_modules(script: str, cache_dir: str,
+                        replay: bool = False) -> Set[str]:
+    """What ``script`` loads; an analysis command runs its own code
+    unless ``replay`` lets the command store answer it."""
     module, call = ENTRY_POINTS[script]
     name = call.split("(", 1)[0]
-    return loaded_modules(f"from {module} import {name}\n{call}", cache_dir)
+    drop = DROP_COMMANDS if script in ANALYSIS_COMMANDS and not replay else ""
+    return loaded_modules(f"{drop}from {module} import {name}\n{call}",
+                          cache_dir)
 
 
 def warm(cache_dir: str) -> None:
@@ -141,7 +167,8 @@ class TestEntryPoints:
         # Without its stored report, a warm extract re-assembles the
         # report from the IR cache and the analysis store.
         modules = loaded_modules(
-            "from repro.corpus.cache import clear_reports\n"
+            DROP_COMMANDS
+            + "from repro.corpus.cache import clear_reports\n"
             "assert clear_reports() == 1\n"
             "from repro.cli import main_extract\n"
             "main_extract([])", warm_cache)
@@ -183,6 +210,14 @@ class TestEntryPoints:
         assert "repro.perf.sampling" in modules
         assert within(modules, ["repro.perf.campaign",
                                 "repro.perf.procpool"]) == []
+
+    @pytest.mark.parametrize("script", ANALYSIS_COMMANDS)
+    def test_replayed_command_loads_only_the_cli_and_the_store(
+            self, warm_cache, script):
+        first = entry_point_modules(script, warm_cache)  # runs and stores
+        assert within(first, ["repro.cli_run"]) == ["repro.cli_run"]
+        replayed = entry_point_modules(script, warm_cache, replay=True)
+        assert within(replayed, ["repro"]) == REPLAY_MODULES
 
     def test_service_clients_skip_analysis(self, warm_cache):
         for script in ("repro-submit", "repro-top"):
@@ -297,32 +332,42 @@ class TestLayering:
 
 
 class TestReportKey:
-    def test_report_code_covers_every_module_an_extraction_runs(
-            self, tmp_path):
-        # The stored report's key hashes REPORT_CODE; a module an
-        # extraction can run but the key does not hash could be edited
-        # and still be served the old report.  Both what a cold
-        # extraction loads and every import its code can reach count.
-        from repro.corpus.cache import REPORT_CODE
+    def test_every_package_file_feeds_the_store_keys(self, tmp_path,
+                                                     monkeypatch):
+        # Every store key (IR, analysis, report, command) hashes the
+        # package digest, and the digest hashes every file of the
+        # package, so an edit to any one file moves all four keys: no
+        # edit can be answered by an entry its old code produced.
+        from repro import store
+        from repro.corpus import cache as disk
 
-        reached = within(loaded_modules(
-            "from repro.corpus.loader import clear_cache\n"
-            "clear_cache(disk=True)\n"
-            "from repro.analysis.extractor import extract_all\n"
-            "extract_all()", str(tmp_path)), ["repro"])
-        assert "repro.analysis.taint" in reached
-        for name in ("repro.analysis.extractor", "repro.corpus.loader",
-                     "repro.corpus.cache"):
-            reached += import_closure(name, bodies=True)
-        package = os.path.join(SRC, "repro")
+        copy = tmp_path / "repro"
+        shutil.copytree(os.path.join(SRC, "repro"), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        files = sorted(path for path in copy.rglob("*") if path.is_file())
+        # Code, the modelled corpus and schemas: nothing escapes it.
+        assert [path.name for path in files
+                if path.suffix not in store.PACKAGE_SUFFIXES] == []
 
-        def covered(module: str) -> bool:
-            path = os.path.relpath(module_file(module), package)
-            path = path.replace(os.sep, "/")
-            return any(path == entry or os.path.dirname(path) == entry
-                       for entry in REPORT_CODE)
+        def keys():
+            monkeypatch.setattr(store, "_PACKAGE_DIGEST",
+                                store.tree_digest(str(copy)))
+            return (disk.module_key("int x;", "mount.c"),
+                    disk.analysis_key("mount.c", "f", "slice", "fp",
+                                      "mount"),
+                    disk.report_key("Extractor", "()",
+                                    [("mount.c", b"int x;")]),
+                    store.command_key("repro-demo", {}))
 
-        assert sorted({m for m in reached if not covered(m)}) == []
+        assert store.tree_digest(str(copy)) == store.package_digest()
+        seen = [keys()]
+        for path in files:
+            blob = path.read_bytes()
+            path.write_bytes(blob + b"\n")
+            seen.append(keys())
+            path.write_bytes(blob)
+        for column in zip(*seen):
+            assert len(set(column)) == len(files) + 1
 
 
 def source_lines(modules: Iterable[str]) -> int:
@@ -339,13 +384,18 @@ def source_lines(modules: Iterable[str]) -> int:
 def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         warm(cache_dir)
-        print(f"{'entry point':<20s} {'repro.* modules':>15s} "
+        print(f"{'entry point':<28s} {'repro.* modules':>15s} "
               f"{'source lines':>12s}")
         for script in ENTRY_POINTS:
-            modules = within(entry_point_modules(script, cache_dir),
-                             ["repro"])
-            print(f"{script:<20s} {len(modules):>15d} "
-                  f"{source_lines(modules):>12d}")
+            runs = [("", False)]
+            if script in ANALYSIS_COMMANDS:
+                runs.append((" (replayed)", True))
+            for label, replay in runs:
+                modules = within(
+                    entry_point_modules(script, cache_dir, replay=replay),
+                    ["repro"])
+                print(f"{script + label:<28s} {len(modules):>15d} "
+                      f"{source_lines(modules):>12d}")
     return 0
 
 

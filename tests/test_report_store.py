@@ -23,6 +23,7 @@ from repro.analysis.extractor import (
     Extractor,
     extract_all,
 )
+from repro import store as repro_store
 from repro.corpus import cache as disk
 from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
 
@@ -59,7 +60,10 @@ def _new_process():
     """What a new process over the same disk starts from: nothing in
     memory, zeroed tallies, and every store as this process left it.
     ``clear_cache()`` drops the stored reports too, so they are put
-    back."""
+    back.  The command store's entries are dropped: this file checks
+    what a command's own code prints over a stored report, which an
+    entry would answer instead."""
+    repro_store.clear_commands()
     kept = {}
     for name in _entries():
         with open(os.path.join(disk.cache_dir(), name), "rb") as handle:
@@ -138,7 +142,7 @@ class TestMiss:
         assert len(_entries()) == 2
 
     def test_code_digest_change_misses(self, store, monkeypatch):
-        monkeypatch.setattr(disk, "_CODE_DIGEST", "0" * 64)
+        monkeypatch.setattr(repro_store, "_PACKAGE_DIGEST", "0" * 64)
         assert _canonical(_fresh_run()) == store
         assert _tallies() == (0, 1, 1, 0)
         # The analysis store and the IR cache are keyed on the code too:
@@ -148,9 +152,9 @@ class TestMiss:
         assert analysis.misses > 0 and modules.misses > 0
 
     def test_code_digest_is_computed_once(self, store):
-        digest = disk.code_digest()
+        digest = disk.package_digest()
         assert len(digest) == 64
-        assert disk.code_digest() is digest  # memoized, not re-hashed
+        assert disk.package_digest() is digest  # memoized, not re-hashed
 
     def test_one_byte_corpus_edit_misses(self, store, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus"
@@ -208,7 +212,7 @@ class TestNoWrites:
         # store is skipped rather than keyed on content alone.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
-        monkeypatch.setattr(disk, "code_digest", lambda: "")
+        monkeypatch.setattr(disk, "package_digest", lambda: "")
         report = _fresh_run()
         assert report.total_extracted == 64
         for stats in (disk.report_stats(), disk.analysis_stats(),

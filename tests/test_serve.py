@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro import store as repro_store
 from repro.obs.manifest import (diff_manifests, load_manifest,
                                 manifests_equivalent)
 from repro.serve import keys as serve_keys
@@ -107,34 +108,34 @@ class TestRequestKeys:
         # run: an upgraded service must not dedupe onto old results.
         base = ("condocck", {}, CORPUS, {})
         before = serve_keys.request_key(*base)
-        monkeypatch.setattr(serve_keys, "_PACKAGE_DIGEST", "0" * 64)
+        monkeypatch.setattr(repro_store, "_PACKAGE_DIGEST", "0" * 64)
         assert serve_keys.request_key(*base) != before
 
     def test_every_package_file_moves_the_digest(self, tmp_path):
         import shutil
 
-        package = os.path.dirname(os.path.dirname(serve_keys.__file__))
+        package = os.path.dirname(repro_store.__file__)
         copy = tmp_path / "repro"
         shutil.copytree(package, copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        assert serve_keys.tree_digest(str(copy)) == \
-            serve_keys.package_digest()
+        assert repro_store.tree_digest(str(copy)) == \
+            repro_store.package_digest()
         files = sorted(path for path in copy.rglob("*")
-                       if path.suffix in serve_keys.PACKAGE_SUFFIXES)
+                       if path.suffix in repro_store.PACKAGE_SUFFIXES)
         assert {".py", ".c", ".json"} <= {path.suffix for path in files}
-        seen = {serve_keys.package_digest()}
+        seen = {repro_store.package_digest()}
         for path in files:
             blob = path.read_bytes()
             path.write_bytes(blob + b"\n")
-            seen.add(serve_keys.tree_digest(str(copy)))
+            seen.add(repro_store.tree_digest(str(copy)))
             path.write_bytes(blob)
         assert len(seen) == len(files) + 1
         # Bytecode and files of other kinds are not code.
         (copy / "__pycache__").mkdir()
         (copy / "__pycache__" / "x.py").write_text("pass\n")
         (copy / "notes.txt").write_text("notes\n")
-        assert serve_keys.tree_digest(str(copy)) == \
-            serve_keys.package_digest()
+        assert repro_store.tree_digest(str(copy)) == \
+            repro_store.package_digest()
 
 
 # ---------------------------------------------------------------------------

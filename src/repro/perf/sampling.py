@@ -11,7 +11,9 @@ Sampling Algorithms for Configurable Systems" (arXiv 1602.02052):
   stream, so config ``i`` is the same no matter which shard generates it
   or how many configs came before — the property that lets a sharded
   campaign regenerate any slice in O(slice) without materializing the
-  whole campaign.
+  whole campaign.  Every stream word comes from one block kernel,
+  :func:`draw_rows`, which computes :data:`BLOCK` rows per pass with
+  each 64-bit lane in its own 128-bit slot of one int.
 - :class:`TWiseSampler` — greedy IPOG-style covering arrays (``t=2`` is
   pairwise): every value combination of every ``t`` parameters appears
   in at least one sampled config.  Construction is deterministic
@@ -33,12 +35,18 @@ shard: a covering array ships each shard its own rows as a
 Python's :class:`random.Random` is deliberately not used for the
 counter-based streams: splitmix64 is a few integer ops per draw, has no
 624-word init cost per config, and its output is bit-stable across
-platforms and Python versions by construction.
+platforms and Python versions by construction.  Those few ops are what
+packs: over a block they are a dozen bignum operations in C instead of
+a dozen bytecodes per value, ~3x faster over the 66-domain campaign
+space (600 rows: 6–10 ms against 19–34 ms for the per-value loop on a
+shared 2-CPU x86-64 host, Python 3.11.7).
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict, Iterator, List, NamedTuple, Optional, \
     Sequence, Set, Tuple
@@ -56,29 +64,92 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INDEX_STRIDE = 0xD1B54A32D192ED03
 
+#: Rows per kernel pass.  A block's lanes share one int of
+#: ``BLOCK * len(choices) * 128`` bits, so the constant bounds the ints
+#: a pass touches (~66 KiB over the 66-domain campaign space).
+BLOCK = 64
+#: The low 64-bit word of every 128-bit slot, in lane order, from the
+#: slot int's bytes in native order.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" \
+    else slice(None, None, -2)
 
-def draw(seed: int, index: int,
-         choices: Sequence[Sequence[object]]) -> Assignment:
-    """One value from each of ``choices``, in order, from the splitmix64
-    stream of ``(seed, index)``.
 
-    The stream's state starts at ``seed * GOLDEN + index * STRIDE`` (two
-    distinct odd constants, so ``(seed, index)`` and
-    ``(seed + 1, index - 1)`` do not collide) and advances by ``GOLDEN``
-    per draw; each draw is the splitmix64 finalizer of the state, taken
-    modulo the choice's length (len << 2^64, so the modulo bias is far
-    below anything a campaign could observe).  This is the only
-    implementation of the stream: the loop is inlined because a
-    campaign draws every value of every config through it.
+@lru_cache(maxsize=32)
+def _block_lanes(width: int, rows: int) -> Tuple[int, int, int, int]:
+    """``(offsets, ones, mask, nbytes)`` for a block of ``rows`` rows of
+    ``width`` values.  Value ``j`` of row ``r`` is lane ``r * width + j``,
+    in the 128-bit slot of that number: ``offsets`` holds each lane's
+    state offset from the block's first row (``r * STRIDE + (j + 1) *
+    GOLDEN``), ``ones`` a 1 in each slot, ``mask`` 64 ones in each slot,
+    and ``nbytes`` is the block's size.  Cached per shape: a campaign
+    uses one full-block shape per width plus each window's tail."""
+    lanes = width * rows
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+    # Row and column parts built by repeating bytes, added slot-wise.
+    by_row = int.from_bytes(b"".join(
+        ((r * _INDEX_STRIDE) & _M64).to_bytes(16, "little") * width
+        for r in range(rows)), "little")
+    by_column = int.from_bytes(b"".join(
+        ((j * _GOLDEN) & _M64).to_bytes(16, "little")
+        for j in range(1, width + 1)) * rows, "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    return (by_row + by_column) & mask, ones, mask, 16 * lanes
+
+
+def draw_rows(seed: int, lo: int, hi: int,
+              choices: Sequence[Sequence[object]]) -> List[Assignment]:
+    """Rows ``[lo, hi)`` of the ``(seed, index)`` splitmix64 streams:
+    row ``i`` holds one value from each of ``choices``, in order.
+
+    Row ``i``'s stream starts at ``seed * GOLDEN + i * STRIDE`` (two
+    distinct odd constants, so ``(seed, i)`` and ``(seed + 1, i - 1)``
+    do not collide) and advances by ``GOLDEN`` per value; each value is
+    the splitmix64 finalizer of the state, taken modulo the choice's
+    length (len << 2^64, so the modulo bias is far below anything a
+    campaign could observe).  A word depends only on ``(seed, i,
+    position)``, so any window regenerates the same rows.
+
+    This is the stream's only implementation.  It runs a block of
+    :data:`BLOCK` rows per pass: every word of the block sits in its
+    own 128-bit slot of one int, so each add, xor-shift, multiply and
+    mask of the finalizer is one bignum operation over the whole block
+    (a masked 64-bit lane times a 64-bit constant fits its slot).  The
+    words come back through ``to_bytes``, and each domain's column maps
+    through ``values[word % len(values)]``.
     """
-    state = (seed * _GOLDEN + index * _INDEX_STRIDE) & _M64
-    out = []
-    for values in choices:
-        state = (state + _GOLDEN) & _M64
-        x = ((state ^ (state >> 30)) * _MIX_A) & _M64
-        x = ((x ^ (x >> 27)) * _MIX_B) & _M64
-        out.append(values[(x ^ (x >> 31)) % len(values)])
-    return tuple(out)
+    width = len(choices)
+    if not width:
+        return [()] * max(0, hi - lo)
+    out: List[Assignment] = []
+    base = seed * _GOLDEN
+    columns = tuple(zip(range(width), choices, map(len, choices)))
+    for start in range(lo, hi, BLOCK):
+        offsets, ones, mask, nbytes = _block_lanes(width,
+                                                   min(BLOCK, hi - start))
+        x = (((base + start * _INDEX_STRIDE) & _M64) * ones + offsets) & mask
+        x = ((x ^ (x >> 30)) & mask) * _MIX_A & mask
+        x = ((x ^ (x >> 27)) & mask) * _MIX_B & mask
+        # The last shift leaves the next lane's bits above bit 64 of
+        # each slot, which the read below drops.
+        x ^= x >> 31
+        words = memoryview(x.to_bytes(nbytes, sys.byteorder)).cast(
+            "Q")[_LOW_WORDS]
+        out.extend(zip(*[[values[w % n] for w in words[j::width]]
+                         for j, values, n in columns]))
+        bump("sampling.draw.blocks")
+    return out
+
+
+def iter_rows(seed: int, lo: int, hi: int,
+              choices: Sequence[Sequence[object]],
+              ) -> Iterator[Tuple[int, Assignment]]:
+    """``(index, row)`` for rows ``[lo, hi)`` of :func:`draw_rows`,
+    drawn a block at a time, so a consumer that stops early (the
+    feasible scan) draws at most one block past its last row, and a
+    long window never materializes."""
+    for start in range(lo, hi, BLOCK):
+        yield from enumerate(
+            draw_rows(seed, start, min(start + BLOCK, hi), choices), start)
 
 
 class Domain:
@@ -193,6 +264,7 @@ class ConstraintIndex:
         self.conflicts: List[Tuple[str, str]] = [tuple(p) for p in conflicts]
         self.ranges: Dict[str, Tuple[Optional[int], Optional[int]]] = {
             name: (lo, hi) for name, (lo, hi) in (ranges or {}).items()}
+        self._plan: Optional[FeasibilityPlan] = None
 
     @classmethod
     def from_dependencies(cls, dependencies: Sequence[object],
@@ -236,23 +308,68 @@ class ConstraintIndex:
                    ranges={name: (lo, hi) for name, (lo, hi)
                            in dict(payload.get("ranges", {})).items()})
 
+    def plan(self, space: ConfigSpace) -> "FeasibilityPlan":
+        """The feasibility check over ``space``, built on first use per
+        space (the index is final once consulted)."""
+        plan = self._plan
+        if plan is None or plan.space is not space:
+            plan = self._plan = FeasibilityPlan(self, space)
+        return plan
+
     def feasible(self, space: ConfigSpace, assignment: Assignment) -> bool:
         """Whether an assignment satisfies every indexed dependency."""
-        enabled: Set[str] = set()
-        for domain, value in zip(space.domains, assignment):
-            if value is True:
-                enabled.add(domain.name)
-            lo, hi = self.ranges.get(domain.name, (None, None))
-            if isinstance(value, int) and not isinstance(value, bool):
-                if lo is not None and value < lo:
-                    return False
-                if hi is not None and value > hi:
-                    return False
-        for a, b in self.requires:
-            if a in enabled and b not in enabled:
+        return self.plan(space)(assignment)
+
+
+class FeasibilityPlan:
+    """A :class:`ConstraintIndex` resolved to positions of one space.
+
+    A name is enabled when any domain of that name holds ``True``; a
+    ``requires`` pair fails when its first name is enabled and its
+    second is not, a ``conflicts`` pair when both are, and a range when
+    an int (not bool) value falls outside it.  The plan resolves every
+    name to its positions once, so checking one assignment reads only
+    the positions some dependency names: no per-domain walk, no
+    ``enabled`` set.
+    """
+
+    __slots__ = ("space", "_ranges", "_requires", "_conflicts")
+
+    def __init__(self, index: ConstraintIndex, space: ConfigSpace) -> None:
+        positions: Dict[str, List[int]] = {}
+        for pos, domain in enumerate(space.domains):
+            positions.setdefault(domain.name, []).append(pos)
+        self.space = space
+        #: ``(position, lo, hi)`` for every domain with a range.
+        self._ranges = tuple(
+            (pos, lo, hi) for name, (lo, hi) in index.ranges.items()
+            for pos in positions.get(name, ()))
+        #: ``(position of a, positions of b)``: fails when ``a`` is on
+        #: and no ``b`` is.
+        self._requires = tuple(
+            (pos, tuple(positions.get(b, ())))
+            for a, b in index.requires for pos in positions.get(a, ()))
+        #: Position pairs that must not both be on.
+        self._conflicts = tuple(
+            (p, q) for a, b in index.conflicts
+            for p in positions.get(a, ()) for q in positions.get(b, ()))
+
+    def __call__(self, assignment: Assignment) -> bool:
+        for pos, lo, hi in self._ranges:
+            value = assignment[pos]
+            if isinstance(value, int) and not isinstance(value, bool) and (
+                    lo is not None and value < lo
+                    or hi is not None and value > hi):
                 return False
-        for a, b in self.conflicts:
-            if a in enabled and b in enabled:
+        for pos, others in self._requires:
+            if assignment[pos] is True:
+                for other in others:
+                    if assignment[other] is True:
+                        break
+                else:
+                    return False
+        for p, q in self._conflicts:
+            if assignment[p] is True and assignment[q] is True:
                 return False
         return True
 
@@ -273,14 +390,13 @@ class RandomSampler:
         return self.budget
 
     def assignment_at(self, index: int) -> Assignment:
-        return draw(self.seed, index, self._choices)
+        return draw_rows(self.seed, index, index + 1, self._choices)[0]
 
     def iter_range(self, lo: int, hi: int,
                    hint: Optional[object] = None,
                    ) -> Iterator[Tuple[int, Assignment]]:
-        seed, choices = self.seed, self._choices
-        for index in range(lo, min(hi, self.budget)):
-            yield index, draw(seed, index, choices)
+        return iter_rows(self.seed, lo, min(hi, self.budget),
+                         self._choices)
 
     def shard_hints(self, ranges: Sequence[Tuple[int, int]]) -> List[object]:
         return [None for _ in ranges]
@@ -488,8 +604,8 @@ class TWiseSampler:
         # Fill don't-cares deterministically and restore domain order.
         finished: List[Assignment] = []
         for rowno, row in enumerate(rows):
-            fill = iter(draw(self.seed, rowno, [
-                domains[i] for i, x in enumerate(row) if x < 0]))
+            fill = iter(draw_rows(self.seed, rowno, rowno + 1, [
+                domains[i] for i, x in enumerate(row) if x < 0])[0])
             full = [domains[i][x] if x >= 0 else next(fill)
                     for i, x in enumerate(row)]
             emitted: List[object] = [None] * len(domains)
@@ -559,8 +675,9 @@ class FeasibleSampler:
         skipped = 0
         inner_total = self.inner.total()
         want = self.budget if self.budget is not None else inner_total
+        feasible_row = self.constraints.plan(self.space)
         for raw_index, assignment in self.inner.iter_range(0, inner_total):
-            if self.constraints.feasible(self.space, assignment):
+            if feasible_row(assignment):
                 starts.append(raw_index)
                 feasible += 1
                 if feasible >= want:
@@ -595,11 +712,12 @@ class FeasibleSampler:
             raw_start = int(hint)
         emitted = lo
         inner_total = self.inner.total()
+        feasible_row = self.constraints.plan(self.space)
         for raw_index, assignment in self.inner.iter_range(raw_start,
                                                            inner_total):
             if emitted >= hi:
                 return
-            if self.constraints.feasible(self.space, assignment):
+            if feasible_row(assignment):
                 yield emitted, assignment
                 emitted += 1
             else:

@@ -427,32 +427,33 @@ def run_shard(spec: Dict[str, object]) -> Dict[str, object]:
 
     Without a budget the campaign is the dependency list itself (config
     index = dependency index); with one, index ``i`` draws dependency
-    ``draw(seed, i, (range(len(deps)),))`` — uniform with replacement,
-    the regenerable-anywhere property sharding needs.  Outcomes fold
-    into a bounded :class:`~repro.perf.campaign.ShardAggregate`: the
-    digest covers (outcome, dependency key) per index, failure
-    exemplars are the paper's bad-handling cases (corruption verdicts).
+    ``draw_rows(seed, i, i + 1, (range(len(deps)),))[0][0]`` — one lane
+    per index, uniform with replacement, the regenerable-anywhere
+    property sharding needs — and the shard draws its window a block
+    of indices per kernel pass (``iter_rows``).  Outcomes fold into a
+    bounded :class:`~repro.perf.campaign.ShardAggregate`: the digest
+    covers (outcome, dependency key) per index, failure exemplars are
+    the paper's bad-handling cases (corruption verdicts).
     Each dependency is violated, and its outcome and failure text
     built, once per shard; later draws of it reuse them.
     """
     from repro.perf.campaign import ShardAggregate
-    from repro.perf.sampling import draw
+    from repro.perf.sampling import iter_rows
 
     lo, hi = int(spec["lo"]), int(spec["hi"])  # type: ignore[arg-type]
     seed = int(spec.get("seed", 2022))  # type: ignore[arg-type]
     budget = spec.get("budget")
     deps = _shard_dependencies()
-    indices = (range(len(deps)),)
+    if budget is None:
+        picks = ((index, (index,)) for index in range(lo, hi))
+    else:
+        picks = iter_rows(seed, lo, hi, (range(len(deps)),))
     checker = ConHandleCk(
         device_blocks=int(spec.get("device_blocks", 4096)),  # type: ignore[arg-type]
         block_size=int(spec.get("block_size", 4096)))  # type: ignore[arg-type]
     aggregate = ShardAggregate()
     memo: Dict[int, Tuple[Tuple[str, str], Optional[str]]] = {}
-    for index in range(lo, hi):
-        if budget is None:
-            dep_index = index
-        else:
-            dep_index = draw(seed, index, indices)[0]
+    for index, (dep_index,) in picks:
         outcome = memo.get(dep_index)
         if outcome is None:
             dep = deps[dep_index]

@@ -1,31 +1,43 @@
 """Bit-identity of the campaign hot loop against test-owned references.
 
-The samplers draw every value of every config through one inlined
-splitmix64 loop (``repro.perf.sampling.draw``), ConBugCk adapts
-assignments through a per-space plan (``ConfigAdapter``) and ConHandleCk
-draws its dependency indices through the same loop.  The references
-below are the straightforward forms those replaced — a stateful stream
-object with a separate finalizer, and an adapter that re-classifies
-every domain for every config — kept here so a change to the fast forms
-that alters a single draw or a single config fails by name, not only as
-a moved campaign digest.
+The samplers draw every value of every config through one block kernel
+(``repro.perf.sampling.draw_rows``: a block of rows per pass, each
+64-bit splitmix64 lane in its own 128-bit slot of one int), ConBugCk
+adapts assignments through a per-space plan (``ConfigAdapter``), the
+feasible samplers check them through another (``FeasibilityPlan``) and
+ConHandleCk draws its dependency indices through the same kernel, one
+lane per index.  The references below are the straightforward forms
+those replaced — a stateful stream object with a separate finalizer
+drawing one value at a time, an adapter that re-classifies every domain
+for every config, and a feasibility check that walks every domain into
+an ``enabled`` set — kept here so a change to the fast forms that
+alters a single draw, a single config or a single skip fails by name,
+not only as a moved campaign digest.  The windows cover the kernel's
+block edges: lengths that are not a multiple of the block, starts off
+a block boundary, one-row and empty windows.
 """
 
-from typing import Dict, List, Optional, Sequence
+from itertools import product
+from math import ceil
+from typing import Dict, List, Optional, Sequence, Set
 
 import pytest
 
 from repro.ecosystem.featureset import all_feature_names
 from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
-from repro.perf.sampling import ConstraintIndex, FeasibleSampler, \
-    RandomSampler, TWiseSampler, draw
+from repro.perf import counters, reset_profile
+from repro.perf.sampling import BLOCK, ConfigSpace, ConstraintIndex, \
+    Domain, FeasibleSampler, RandomSampler, TWiseSampler, draw_rows
 from repro.tools import conhandleck
 from repro.tools.conbugck import ConfigAdapter, GeneratedConfig, \
-    build_campaign_space
+    build_campaign_space, sampled_campaign
 
 SEEDS = (0, 2022, (1 << 64) + 12345)
-#: Index windows: the start of a campaign and one past 2**40.
-WINDOWS = ((0, 150), ((1 << 40) + 7, (1 << 40) + 157))
+#: Index windows: the start of a campaign (150 rows, not a multiple of
+#: the block), one past 2**40 (off a block boundary), one straddling
+#: two block boundaries, a one-row window and an empty one.
+WINDOWS = ((0, 150), ((1 << 40) + 7, (1 << 40) + 157),
+           (BLOCK - 1, 2 * BLOCK + 1), (77, 78), (90, 90))
 
 # ---------------------------------------------------------------------------
 # references
@@ -60,6 +72,26 @@ class RefStream:
 def ref_assignment(space, seed: int, index: int) -> tuple:
     stream = RefStream(seed, index)
     return tuple(stream.pick(d.values) for d in space.domains)
+
+
+def ref_feasible(index: ConstraintIndex, space, assignment) -> bool:
+    enabled: Set[str] = set()
+    for domain, value in zip(space.domains, assignment):
+        if value is True:
+            enabled.add(domain.name)
+        lo, hi = index.ranges.get(domain.name, (None, None))
+        if isinstance(value, int) and not isinstance(value, bool):
+            if lo is not None and value < lo:
+                return False
+            if hi is not None and value > hi:
+                return False
+    for a, b in index.requires:
+        if a in enabled and b not in enabled:
+            return False
+    for a, b in index.conflicts:
+        if a in enabled and b in enabled:
+            return False
+    return True
 
 
 _REF_NUMERIC = ("blocksize", "inode_size", "inode_ratio", "reserved_percent")
@@ -126,15 +158,51 @@ class TestDraws:
             assert [sampler.assignment_at(i) for i in range(lo, hi)] == \
                 [row for _, row in expected]
 
+    #: Raw words (a choice as wide as its draws returns the word modulo
+    #: it), single-value domains between them (which still consume
+    #: their word), and ConHandleCk's one lane per index.
+    CHOICES = ((range(1 << 62),) * 5,
+               (range(1 << 62), ("only",), (False, True), (7,),
+                range(1 << 62)),
+               (range(59),))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_words(self, seed):
-        # A choice as wide as its draws returns the word modulo it.
-        wide = (range(1 << 62),) * 5
-        for lo, hi in WINDOWS:
+        for choices, (lo, hi) in product(self.CHOICES, WINDOWS):
+            expected = []
             for index in range(lo, hi):
                 stream = RefStream(seed, index)
-                assert draw(seed, index, wide) == tuple(
-                    stream.next_word() % (1 << 62) for _ in wide)
+                expected.append(tuple(stream.pick(values)
+                                      for values in choices))
+            assert draw_rows(seed, lo, hi, choices) == expected, choices
+            assert [draw_rows(seed, i, i + 1, choices)[0]
+                    for i in range(lo, hi)] == expected, choices
+
+    def test_sampler_passes_one_block_at_a_time(self, space):
+        # 600 rows are ceil(600 / BLOCK) kernel passes, not 600: a
+        # per-row draw loop would bump the counter once per row.
+        sampler = RandomSampler(space, 2022, 600)
+        reset_profile()
+        rows = list(sampler.iter_range(0, 600))
+        assert len(rows) == 600
+        assert counters().get("sampling.draw.blocks") == ceil(600 / BLOCK)
+
+    @pytest.mark.parametrize("shards, jobs", [(7, 1), (7, 2)])
+    def test_random_campaign_shards(self, extraction_report, shards, jobs):
+        # Seven shards of 600 start off block boundaries (86, 172, ...);
+        # in-process and on two process workers they must drive exactly
+        # the one-shard campaign.
+        deps = extraction_report.true_dependencies()
+
+        def run(shards, jobs):
+            report, meta = sampled_campaign(deps, sample="random",
+                                            seed=2022, budget=600,
+                                            shards=shards, jobs=jobs)
+            assert meta.pop("shards") == shards
+            return (report.digest_hex, report.total, dict(report.reached),
+                    report.failures, report.failure_count, meta)
+
+        assert run(shards, jobs) == run(1, 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_feasible_rows_and_skips(self, space, constraints, seed):
@@ -142,7 +210,7 @@ class TestDraws:
         expected, skipped = [], 0
         for index in range(budget):
             row = ref_assignment(space, seed, index)
-            if constraints.feasible(space, row):
+            if ref_feasible(constraints, space, row):
                 expected.append(row)
             else:
                 skipped += 1
@@ -159,6 +227,26 @@ class TestDraws:
                                 constraints)
         assert [row for _, row in fresh.iter_range(
             mid, len(expected), hint=hint)] == expected[mid:]
+
+    def test_feasibility_plan_edges(self):
+        # Cases the campaign's own index never reaches: ranges that
+        # reject (also on a bool domain, where they do not apply), a
+        # required name missing from the space, a name held by two
+        # domains, a conflict of a name with itself.
+        space = ConfigSpace([
+            Domain("a", "x", (False, True)), Domain("b", "x", (False, True)),
+            Domain("a", "y", (False, True)), Domain("n", "x", (0, 4, 9)),
+            Domain("flag", "x", (False, True)), Domain("s", "x", ("1", 1)),
+        ])
+        index = ConstraintIndex(
+            requires=[("a", "b"), ("flag", "absent"), ("absent", "b")],
+            conflicts=[("b", "n"), ("s", "s"), ("flag", "a")],
+            ranges={"n": (2, 8), "flag": (5, None), "s": (None, 0),
+                    "absent": (0, 0)})
+        rows = list(product(*(d.values for d in space.domains)))
+        verdicts = [index.feasible(space, row) for row in rows]
+        assert verdicts == [ref_feasible(index, space, row) for row in rows]
+        assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dependency_draws(self, extraction_report, seed, monkeypatch):

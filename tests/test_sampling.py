@@ -15,7 +15,7 @@ from repro.perf.sampling import (
     RandomSampler,
     RowSlice,
     TWiseSampler,
-    draw,
+    draw_rows,
     make_sampler,
     parse_sample_spec,
 )
@@ -42,37 +42,45 @@ def assert_covers(space, rows, t):
 # ---------------------------------------------------------------------------
 
 class TestStream:
-    """The counter-based splitmix64 stream behind :func:`draw`."""
+    """The counter-based splitmix64 stream behind :func:`draw_rows`."""
 
     #: A choice 2**62 wide draws the raw word's low 62 bits (a
     #: 2**64-wide range would overflow ``len``).
     WORDS = (range(1 << 62),)
 
     def test_deterministic_per_index(self):
-        a = [draw(7, i, self.WORDS) for i in range(100)]
-        b = [draw(7, i, self.WORDS) for i in range(100)]
+        a = draw_rows(7, 0, 100, self.WORDS)
+        b = draw_rows(7, 0, 100, self.WORDS)
         assert a == b
         assert len(set(a)) == 100
 
     def test_counter_addressable(self):
         # Index 50's draws don't depend on having drawn indices 0..49:
         # that O(1) regeneration is what makes shards independent.
-        sequential = [draw(3, i, self.WORDS) for i in range(60)]
-        assert draw(3, 50, self.WORDS) == sequential[50]
+        sequential = draw_rows(3, 0, 60, self.WORDS)
+        assert draw_rows(3, 50, 51, self.WORDS) == sequential[50:51]
+        assert draw_rows(3, 13, 60, self.WORDS) == sequential[13:]
 
     def test_seed_decorrelates(self):
-        assert [draw(1, i, self.WORDS) for i in range(20)] != \
-            [draw(2, i, self.WORDS) for i in range(20)]
+        assert draw_rows(1, 0, 20, self.WORDS) != \
+            draw_rows(2, 0, 20, self.WORDS)
         # (seed, index) and (seed+1, index-1) must not collide.
-        assert draw(1, 5, self.WORDS) != draw(2, 4, self.WORDS)
+        assert draw_rows(1, 5, 6, self.WORDS) != \
+            draw_rows(2, 4, 5, self.WORDS)
 
     def test_pick_stays_in_domain(self):
         values = ("a", "b", "c")
-        picks = draw(9, 0, (values,) * 50)
+        [picks] = draw_rows(9, 0, 1, (values,) * 50)
         assert len(picks) == 50 and set(picks) <= set(values)
         # Later draws continue the stream rather than repeat its start.
-        assert draw(9, 0, self.WORDS * 3)[:1] == draw(9, 0, self.WORDS)
-        assert len(set(draw(9, 0, self.WORDS * 3))) == 3
+        [words] = draw_rows(9, 0, 1, self.WORDS * 3)
+        assert words[:1] == draw_rows(9, 0, 1, self.WORDS)[0]
+        assert len(set(words)) == 3
+
+    def test_empty_window_and_no_choices(self):
+        assert draw_rows(9, 5, 5, self.WORDS) == []
+        assert draw_rows(9, 5, 3, self.WORDS) == []
+        assert draw_rows(9, 0, 3, ()) == [(), (), ()]
 
 
 # ---------------------------------------------------------------------------

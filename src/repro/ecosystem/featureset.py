@@ -131,12 +131,17 @@ class FeatureSet:
             self.enable(name)
 
     @classmethod
+    def registered(cls, names: Iterable[str]) -> "FeatureSet":
+        """A fresh set of ``names`` the caller checked once, up front."""
+        fs = cls()
+        fs._enabled.update(names)
+        return fs
+
+    @classmethod
     def ext4_defaults(cls) -> "FeatureSet":
         """The default mke2fs feature set for ``-t ext4`` (a fresh set;
         the names were checked once, at import)."""
-        fs = cls()
-        fs._enabled.update(DEFAULT_EXT4_FEATURES)
-        return fs
+        return cls.registered(DEFAULT_EXT4_FEATURES)
 
     def enable(self, feature: str) -> None:
         """Enable a named feature; KeyError if the name is unknown."""

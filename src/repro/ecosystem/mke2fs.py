@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import uuid as uuid_module
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.common.units import parse_size
 from repro.errors import UsageError
@@ -358,6 +358,19 @@ def _sparse_super2_backups(group_count: int) -> Tuple[int, int]:
     return (1, group_count - 1)
 
 
+def requested_features(names: Iterable[str]) -> FeatureSet:
+    """Exactly ``names``, as ``-O none -O <names>`` requests them: an
+    unknown name raises the usage error that ``-O`` parsing raises."""
+    try:
+        return FeatureSet(names)
+    except KeyError as exc:
+        raise _invalid_features(exc) from None
+
+
+def _invalid_features(exc: KeyError) -> UsageError:
+    return UsageError(COMPONENT, f"invalid filesystem option set: {exc.args[0]}")
+
+
 def _apply_features(cfg: Mke2fsConfig, spec: str) -> None:
     if spec == "none":
         cfg.features = FeatureSet()
@@ -365,7 +378,7 @@ def _apply_features(cfg: Mke2fsConfig, spec: str) -> None:
     try:
         changes = parse_feature_string(spec)
     except KeyError as exc:
-        raise UsageError(COMPONENT, f"invalid filesystem option set: {exc.args[0]}") from None
+        raise _invalid_features(exc) from None
     explicit_on = {name for name, enabled in changes if enabled}
     for name, enabled in changes:
         if enabled:

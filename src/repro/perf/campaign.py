@@ -186,6 +186,12 @@ def outcome_digest_term(index: int, reached: Sequence[str],
     return int.from_bytes(hashlib.sha256(key.encode()).digest(), "big")
 
 
+def outcome_tail(reached: Sequence[str], failure: Optional[str]) -> bytes:
+    """The index-free end of an outcome's digest key, UTF-8 encoded:
+    :func:`outcome_digest_term` hashes ``b"%d" % index + tail``."""
+    return ("\x1f%s\x1f%s" % (",".join(reached), failure or "")).encode()
+
+
 class ShardAggregate:
     """Bounded-memory accumulation of per-config outcomes in one shard."""
 
@@ -200,8 +206,9 @@ class ShardAggregate:
         self.seconds = 0.0
 
     def add(self, index: int, reached: Sequence[str],
-            failure: Optional[str]) -> None:
-        """Fold one config outcome (global index ``index``) in."""
+            failure: Optional[str], tail: Optional[bytes] = None) -> None:
+        """Fold one config outcome (global index ``index``) in; ``tail``
+        is its :func:`outcome_tail`, if the caller memoizes outcomes."""
         self.total += 1
         for stage in reached:
             self.reached[stage] = self.reached.get(stage, 0) + 1
@@ -210,8 +217,11 @@ class ShardAggregate:
                 self.failures.append((index, failure))
             else:
                 self.failures_truncated += 1
-        self.digest = (self.digest + outcome_digest_term(
-            index, reached, failure)) % (1 << _DIGEST_BITS)
+        if tail is None:
+            tail = outcome_tail(reached, failure)
+        term = hashlib.sha256(b"%d" % index + tail).digest()
+        self.digest = (self.digest + int.from_bytes(term, "big")) \
+            % (1 << _DIGEST_BITS)
 
     def tally(self, name: str, count: int = 1) -> None:
         """Count a shard-local event for the merged report's counters."""

@@ -18,11 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, \
-    Tuple
+    Tuple, Union
 
 from repro.analysis.model import Category, Dependency, SubKind
-from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, all_feature_names
-from repro.ecosystem.mke2fs import Mke2fs
+from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, FeatureSet, \
+    all_feature_names
+from repro.ecosystem.mke2fs import Mke2fs, Mke2fsConfig, requested_features
 from repro.ecosystem.mount import Ext4Mount
 from repro.ecosystem.e2fsck import E2fsck, E2fsckConfig
 from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
@@ -70,6 +71,13 @@ class GeneratedConfig:
             str(fs_blocks),
         ]
 
+    def mke2fs_config(self, fs_blocks: int) -> Mke2fsConfig:
+        """What mke2fs parses from :meth:`mke2fs_args`, built directly."""
+        return Mke2fsConfig(
+            features=requested_features(self.features),
+            fs_blocks_count=fs_blocks,
+            **{name: getattr(self, name) for name in _MKFS_NUMERIC})
+
 
 @dataclass
 class DriveStats:
@@ -103,13 +111,6 @@ class DriveStats:
             self.failures.append(message)
         else:
             self.failures_truncated += 1
-
-
-def _mkfs_device(config: GeneratedConfig, fs_blocks: int) -> BlockDevice:
-    """A freshly formatted sparse device for ``config``."""
-    dev = BlockDevice(fs_blocks, config.blocksize)
-    Mke2fs.from_args(config.mke2fs_args(fs_blocks)).run(dev)
-    return dev
 
 
 class ConBugCk:
@@ -276,50 +277,48 @@ class ConBugCk:
                 stats.record_failure(failure)
         return stats
 
-    def _drive_one(self, config: GeneratedConfig, fs_blocks: int,
+    def _drive_one(self, config: DrivenConfig, fs_blocks: int,
                    ) -> Tuple[Tuple[str, ...], Optional[str]]:
-        """Drive one configuration; returns (stages reached, failure).
-
-        Pure with respect to the generator: no RNG, no shared mutable
-        state.
-        """
+        """Drive one configuration under a span; returns (stages
+        reached, failure)."""
         with span("conbugck.config", blocksize=config.blocksize,
                   mount_options=config.mount_options):
-            return self._drive_one_inner(config, fs_blocks)
+            return _drive_config_fast(config, fs_blocks)
 
-    def _drive_one_inner(self, config: GeneratedConfig, fs_blocks: int,
-                         ) -> Tuple[Tuple[str, ...], Optional[str]]:
-        reached: List[str] = []
-        try:
-            with timed("campaign.stage.mkfs"):
-                dev = _mkfs_device(config, fs_blocks)
-        except ValueError as exc:
-            return (), f"device: {exc}"
-        except ReproError as exc:
-            return (), f"mkfs: {exc}"
-        reached.append("mkfs")
-        try:
-            with timed("campaign.stage.mount"):
-                handle = Ext4Mount.mount(dev, config.mount_options)
-        except ReproError as exc:
-            return tuple(reached), f"mount: {exc}"
-        reached.append("mount")
-        try:
-            with timed("campaign.stage.use"):
-                ino = handle.create_file(4, fragmented=True)
-                handle.delete_file(ino)
-                handle.create_file(2)
-                handle.umount()
-        except ReproError as exc:
-            return tuple(reached), f"use: {exc}"
-        reached.append("use")
-        with timed("campaign.stage.fsck"):
-            result = E2fsck(E2fsckConfig(force=True, no_changes=True)).run(dev)
-        if result.is_clean:
-            reached.append("fsck-clean")
-            return tuple(reached), None
-        return tuple(reached), (
-            f"fsck: {len(result.problems)} problems under {config.features}")
+
+def _drive_config_fast(config: DrivenConfig, fs_blocks: int,
+                       ) -> Tuple[Tuple[str, ...], Optional[str]]:
+    """One config through mkfs→mount→use→fsck: (stages reached, failure).
+
+    The one drive body.  :meth:`ConBugCk.drive` calls it under a
+    per-config span; campaign shards call it bare, once per config (a
+    10^6-config shard cannot afford a span each).  The mount options
+    are read only once mkfs has accepted the config.  Pure: no RNG, no
+    shared mutable state.
+    """
+    try:
+        dev = BlockDevice(fs_blocks, config.blocksize)
+        Mke2fs(config.mke2fs_config(fs_blocks)).run(dev)
+    except ValueError as exc:
+        return (), f"device: {exc}"
+    except ReproError as exc:
+        return (), f"mkfs: {exc}"
+    try:
+        handle = Ext4Mount.mount(dev, config.mount_options)
+    except ReproError as exc:
+        return STAGES[:1], f"mount: {exc}"
+    try:
+        ino = handle.create_file(4, fragmented=True)
+        handle.delete_file(ino)
+        handle.create_file(2)
+        handle.umount()
+    except ReproError as exc:
+        return STAGES[:2], f"use: {exc}"
+    result = E2fsck(E2fsckConfig(force=True, no_changes=True)).run(dev)
+    if result.is_clean:
+        return STAGES, None
+    return STAGES[:3], (
+        f"fsck: {len(result.problems)} problems under {config.features}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +385,16 @@ def _mount_token(param: ConfigParam, value: object) -> Optional[str]:
 
 
 class ConfigAdapter:
-    """Adapts sampled assignments over one space into GeneratedConfigs.
+    """Adapts sampled assignments over one space into configurations.
 
     The plan (which domain is a numeric knob, a feature or a mount
     option, and each mount value's token) is built once per space, so
-    adapting one assignment only reads its values.  Deterministic and
-    order-stable: features sort alphabetically (the generator's own
-    convention) and mount options follow registry registration order,
-    so the same assignment always produces the same config — and
-    therefore the same campaign digest.
+    adapting one assignment only reads its values; its feature names
+    come from the registry, so they are checked once, here.
+    Deterministic and order-stable: features sort alphabetically (the
+    generator's own convention) and mount options follow registry
+    registration order, so the same assignment always produces the same
+    config — and therefore the same campaign digest.
     """
 
     def __init__(self, space: ConfigSpace) -> None:
@@ -414,57 +414,57 @@ class ConfigAdapter:
             param = mount_params[domain.name]
             mount.append((pos, {value: _mount_token(param, value)
                                 for value in domain.values}))
-        # GeneratedConfig's numeric fields carry the params' names.
+        # GeneratedConfig and Mke2fsConfig name their fields after the params.
         self._numeric = tuple((name, numeric[name]) for name in _MKFS_NUMERIC)
+        self._blocksize = numeric["blocksize"]
         self._features = tuple(sorted(features))
         self._mount = tuple(mount)
 
     def __call__(self, assignment: Assignment) -> GeneratedConfig:
-        return GeneratedConfig(
-            features=tuple(name for name, pos in self._features
-                           if assignment[pos] is True),
-            mount_options=",".join(filter(None, [
-                tokens[assignment[pos]] for pos, tokens in self._mount])),
-            **{name: int(assignment[pos])  # type: ignore[call-overload]
-               for name, pos in self._numeric})
+        """The readable form of ``assignment``, every field rendered."""
+        sampled = SampledConfig(self, assignment)
+        return GeneratedConfig(features=sampled.features,
+                               mount_options=sampled.mount_options,
+                               **sampled.numbers())
 
 
-def _drive_config_fast(config: GeneratedConfig, fs_blocks: int,
-                       ) -> Tuple[Tuple[str, ...], Optional[str]]:
-    """One config through mkfs→mount→use→fsck, hot-loop variant.
+class SampledConfig:
+    """One sampled assignment as the drive body reads it: the mke2fs
+    configuration comes straight from the assignment, and the feature
+    tuple and mount options render only when read (most sampled configs
+    die in mkfs, before the mount options are needed)."""
 
-    Outcome-identical to :meth:`ConBugCk._drive_one_inner` (same stage
-    labels, same failure strings) but stripped for campaign shards: no
-    per-config span/timer (a 10^6-config shard cannot afford two
-    context managers per stage).
-    """
-    reached: List[str] = []
-    try:
-        dev = _mkfs_device(config, fs_blocks)
-    except ValueError as exc:
-        return (), f"device: {exc}"
-    except ReproError as exc:
-        return (), f"mkfs: {exc}"
-    reached.append("mkfs")
-    try:
-        handle = Ext4Mount.mount(dev, config.mount_options)
-    except ReproError as exc:
-        return tuple(reached), f"mount: {exc}"
-    reached.append("mount")
-    try:
-        ino = handle.create_file(4, fragmented=True)
-        handle.delete_file(ino)
-        handle.create_file(2)
-        handle.umount()
-    except ReproError as exc:
-        return tuple(reached), f"use: {exc}"
-    reached.append("use")
-    result = E2fsck(E2fsckConfig(force=True, no_changes=True)).run(dev)
-    if result.is_clean:
-        reached.append("fsck-clean")
-        return tuple(reached), None
-    return tuple(reached), (
-        f"fsck: {len(result.problems)} problems under {config.features}")
+    __slots__ = ("_plan", "_row", "blocksize")
+
+    def __init__(self, plan: ConfigAdapter, row: Assignment) -> None:
+        self._plan, self._row = plan, row
+        self.blocksize = int(row[plan._blocksize])  # type: ignore[call-overload]
+
+    @property
+    def features(self) -> Tuple[str, ...]:
+        row = self._row
+        return tuple(name for name, pos in self._plan._features
+                     if row[pos] is True)
+
+    @property
+    def mount_options(self) -> str:
+        row = self._row
+        return ",".join(filter(None, [
+            tokens[row[pos]] for pos, tokens in self._plan._mount]))
+
+    def numbers(self) -> Dict[str, int]:
+        return {name: int(self._row[pos])  # type: ignore[call-overload]
+                for name, pos in self._plan._numeric}
+
+    def mke2fs_config(self, fs_blocks: int) -> Mke2fsConfig:
+        """What mke2fs parses from the readable form's ``mke2fs_args``
+        (the plan checked the feature names once)."""
+        return Mke2fsConfig(features=FeatureSet.registered(self.features),
+                            fs_blocks_count=fs_blocks, **self.numbers())
+
+
+#: What the drive body reads of a configuration.
+DrivenConfig = Union[GeneratedConfig, SampledConfig]
 
 
 def _sampler_from_spec(spec: Dict[str, Any]):
@@ -496,10 +496,11 @@ def run_shard(spec: Dict[str, Any]) -> Dict[str, Any]:
     fs_blocks = int(spec.get("fs_blocks", 512))
     aggregate = ShardAggregate()
     space, sampler = _sampler_from_spec(spec)
-    adapt = ConfigAdapter(space)
+    plan = ConfigAdapter(space)
     for index, assignment in sampler.iter_range(lo, hi,
                                                 hint=spec.get("hint")):
-        reached, failure = _drive_config_fast(adapt(assignment), fs_blocks)
+        reached, failure = _drive_config_fast(
+            SampledConfig(plan, assignment), fs_blocks)
         aggregate.add(index, reached, failure)
     if hasattr(sampler, "skipped"):
         aggregate.tally("campaign.infeasible_skipped", sampler.skipped)

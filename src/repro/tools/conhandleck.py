@@ -434,10 +434,10 @@ def run_shard(spec: Dict[str, object]) -> Dict[str, object]:
     bounded :class:`~repro.perf.campaign.ShardAggregate`: the digest
     covers (outcome, dependency key) per index, failure exemplars are
     the paper's bad-handling cases (corruption verdicts).
-    Each dependency is violated, and its outcome and failure text
-    built, once per shard; later draws of it reuse them.
+    Each dependency is violated, and its outcome, failure text and
+    digest tail built, once per shard; later draws of it reuse them.
     """
-    from repro.perf.campaign import ShardAggregate
+    from repro.perf.campaign import ShardAggregate, outcome_tail
     from repro.perf.sampling import iter_rows
 
     lo, hi = int(spec["lo"]), int(spec["hi"])  # type: ignore[arg-type]
@@ -452,17 +452,18 @@ def run_shard(spec: Dict[str, object]) -> Dict[str, object]:
         device_blocks=int(spec.get("device_blocks", 4096)),  # type: ignore[arg-type]
         block_size=int(spec.get("block_size", 4096)))  # type: ignore[arg-type]
     aggregate = ShardAggregate()
-    memo: Dict[int, Tuple[Tuple[str, str], Optional[str]]] = {}
+    memo: Dict[int, Tuple[Tuple[str, str], Optional[str], bytes]] = {}
     for index, (dep_index,) in picks:
         outcome = memo.get(dep_index)
         if outcome is None:
             dep = deps[dep_index]
             result = checker.violate(dep)
             key = dep.key()
+            reached = (result.outcome.value, key)
+            failure = (f"{key} — {result.detail}" if result.outcome
+                       is ViolationOutcome.CORRUPTION else None)
             outcome = memo[dep_index] = (
-                (result.outcome.value, key),
-                f"{key} — {result.detail}"
-                if result.outcome is ViolationOutcome.CORRUPTION else None)
+                reached, failure, outcome_tail(reached, failure))
         aggregate.add(index, *outcome)
     # Every memo entry was one miss; every other draw was a hit.
     for name, count in (("campaign.outcome.miss", len(memo)),

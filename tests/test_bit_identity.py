@@ -14,7 +14,9 @@ an ``enabled`` set — kept here so a change to the fast forms that
 alters a single draw, a single config or a single skip fails by name,
 not only as a moved campaign digest.  The windows cover the kernel's
 block edges: lengths that are not a multiple of the block, starts off
-a block boundary, one-row and empty windows.
+a block boundary, one-row and empty windows.  Drives build the mke2fs
+configuration directly; its reference is what ``Mke2fs.from_args``
+parses from the config's readable argv (``mke2fs_args``).
 """
 
 from itertools import product
@@ -24,13 +26,16 @@ from typing import Dict, List, Optional, Sequence, Set
 import pytest
 
 from repro.ecosystem.featureset import all_feature_names
+from repro.ecosystem.mke2fs import Mke2fs, Mke2fsConfig
 from repro.ecosystem.params import EXT4_REGISTRY, ConfigParam, ParamKind
+from repro.errors import UsageError
 from repro.perf import counters, reset_profile
 from repro.perf.sampling import BLOCK, ConfigSpace, ConstraintIndex, \
     Domain, FeasibleSampler, RandomSampler, TWiseSampler, draw_rows
 from repro.tools import conhandleck
-from repro.tools.conbugck import ConfigAdapter, GeneratedConfig, \
-    build_campaign_space, sampled_campaign
+from repro.tools.conbugck import ConBugCk, ConfigAdapter, GeneratedConfig, \
+    SampledConfig, _drive_config_fast, build_campaign_space, \
+    sampled_campaign
 
 SEEDS = (0, 2022, (1 << 64) + 12345)
 #: Index windows: the start of a campaign (150 rows, not a multiple of
@@ -290,14 +295,20 @@ class TestDraws:
 # adapted configs
 # ---------------------------------------------------------------------------
 
+def sampled_rows(space) -> list:
+    """2 000 random rows and three pairwise covering arrays."""
+    rows = [row for _, row in RandomSampler(space, 2022, 2000)
+            .iter_range(0, 2000)]
+    for seed in (1, 7, 2022):
+        sampler = TWiseSampler(space, 2, seed)
+        rows += [row for _, row in sampler.iter_range(0, sampler.total())]
+    return rows
+
+
 class TestAdaptedConfigs:
     def test_sampled_assignments(self, space):
         adapt = ConfigAdapter(space)
-        rows = [row for _, row in RandomSampler(space, 2022, 2000)
-                .iter_range(0, 2000)]
-        for seed in (1, 7, 2022):
-            sampler = TWiseSampler(space, 2, seed)
-            rows += [row for _, row in sampler.iter_range(0, sampler.total())]
+        rows = sampled_rows(space)
         assert len(rows) >= 2000
         for row in rows:
             assert adapt(row) == ref_config_from_assignment(space, row), row
@@ -312,3 +323,88 @@ class TestAdaptedConfigs:
         for pick in (0, -1):
             row = tuple(d.values[pick] for d in space.domains)
             assert adapt(row) == ref_config_from_assignment(space, row)
+
+
+# ---------------------------------------------------------------------------
+# structured mke2fs configurations
+# ---------------------------------------------------------------------------
+
+def parsed_fields(config: GeneratedConfig, fs_blocks: int = 512) -> dict:
+    """The reference: what mke2fs parses from the config's argv."""
+    return mke2fs_fields(Mke2fs.from_args(config.mke2fs_args(fs_blocks))
+                         .config)
+
+
+def mke2fs_fields(config: Mke2fsConfig) -> dict:
+    fields = dict(vars(config))
+    fields["features"] = config.features.enabled()
+    return fields
+
+
+class TestStructuredMke2fs:
+    """Drives build the mke2fs configuration directly; it must equal
+    what ``Mke2fs.from_args`` parses from ``mke2fs_args``, field by
+    field, for every generator's configs."""
+
+    def test_guided_and_naive(self, extraction_report):
+        gen = ConBugCk(extraction_report.true_dependencies(), seed=2022)
+        configs = gen.generate(300) + gen.generate_naive(300)
+        assert {c.blocksize for c in configs} >= {512, 1024, 131072}
+        for config in configs:
+            assert mke2fs_fields(config.mke2fs_config(512)) == \
+                parsed_fields(config), config
+
+    def test_sampled(self, space):
+        plan = ConfigAdapter(space)
+        for row in sampled_rows(space):
+            reference = ref_config_from_assignment(space, row)
+            expected = parsed_fields(reference)
+            sampled = SampledConfig(plan, row)
+            assert mke2fs_fields(sampled.mke2fs_config(512)) == expected
+            assert (sampled.blocksize, sampled.features,
+                    sampled.mount_options) == (
+                reference.blocksize, reference.features,
+                reference.mount_options)
+
+    def test_unknown_feature_same_usage_error(self):
+        config = GeneratedConfig(features=("extent", "no_such_feature"),
+                                 blocksize=4096, inode_size=256,
+                                 inode_ratio=16384, reserved_percent=5,
+                                 mount_options="")
+        with pytest.raises(UsageError) as parsed:
+            Mke2fs.from_args(config.mke2fs_args(512))
+        with pytest.raises(UsageError) as built:
+            config.mke2fs_config(512)
+        assert str(built.value) == str(parsed.value)
+        assert "no_such_feature" in str(built.value)
+        assert _drive_config_fast(config, 512) == ((), f"mkfs: {parsed.value}")
+
+    def test_drives_never_parse_argv(self, extraction_report, monkeypatch):
+        deps = extraction_report.true_dependencies()
+        expected, _ = sampled_campaign(deps, sample="random", seed=2022,
+                                       budget=400)
+
+        def refuse(cls, args):
+            raise AssertionError(f"mke2fs argv parsed: {args}")
+
+        monkeypatch.setattr(Mke2fs, "from_args", classmethod(refuse))
+        report, _ = sampled_campaign(deps, sample="random", seed=2022,
+                                     budget=400)
+        assert report.digest_hex == expected.digest_hex
+        gen = ConBugCk(deps, seed=2022)
+        assert gen.drive(gen.generate(10)).reached["fsck-clean"] > 0
+        assert gen.drive(gen.generate_naive(10)).total == 10
+
+    def test_mount_options_render_only_after_mkfs(self, extraction_report,
+                                                  monkeypatch):
+        rendered = []
+        original = SampledConfig.mount_options.fget
+
+        def counted(self):
+            rendered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SampledConfig, "mount_options", property(counted))
+        report, _ = sampled_campaign(extraction_report.true_dependencies(),
+                                     sample="random", seed=2022, budget=600)
+        assert report.reached["mkfs"] == len(rendered) > 0

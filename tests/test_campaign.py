@@ -210,10 +210,12 @@ class TestEquivalence:
     def test_drive_identical_across_jobs(self, deps):
         """``drive`` over a sample's materialised configs agrees with the
         sharded sampled campaign, in-process (jobs=1) and on process
-        workers (jobs=2): the two drive bodies (``_drive_one_inner``
-        and the shards' ``_drive_config_fast``) stay outcome-identical,
-        config by config.  ``+feasible`` keeps configs mkfs accepts, so
-        the sample reaches mount and use, not only mkfs."""
+        workers (jobs=2): one drive body serves both, fed readable
+        ``GeneratedConfig``s by ``drive`` and lazily rendered
+        ``SampledConfig``s by the shards, and the two feeds stay
+        outcome-identical, config by config.  ``+feasible`` keeps
+        configs mkfs accepts, so the sample reaches mount and use, not
+        only mkfs."""
         space = build_campaign_space()
         sampler = FeasibleSampler(RandomSampler(space, 11, 400),
                                   ConstraintIndex.from_dependencies(deps))
@@ -261,6 +263,7 @@ from repro.perf.campaign import (
     CampaignReport,
     ShardAggregate,
     outcome_digest_term,
+    outcome_tail,
     shard_ranges,
 )
 from repro.perf import counters, reset_profile
@@ -340,6 +343,29 @@ class TestShardAggregateMerge:
         assert merged.digest == sequential.digest
         assert merged.reached == sequential.reached
 
+    def test_add_sums_outcome_terms(self):
+        """``add`` hashes ``b"%d" % index + tail`` and must equal the sum
+        of :func:`outcome_digest_term` mod 2**256, with or without a
+        memoized tail: repeated outcomes, no failure, and failure text
+        outside ASCII (ConHandleCk's exemplars carry an em dash)."""
+        outcomes = [(i, ("corruption", "mke2fs.x → mount.y"),
+                     "mke2fs.x → mount.y — e2fsck found 2 problems")
+                    for i in range(0, 40, 3)]
+        outcomes += [(i, ("rejected", "mke2fs.blocksize"), None)
+                     for i in range(1, 40, 3)]
+        outcomes += [(i, (), "mkfs: naïve size ≠ 64 blocks")
+                     for i in range(2, 40, 3)]
+        outcomes.append((10 ** 30, ("mkfs", "mount"), ""))
+        expected = sum(outcome_digest_term(*item) for item in outcomes) \
+            % 2 ** 256
+        plain, memoized = ShardAggregate(), ShardAggregate()
+        for index, reached, failure in outcomes:
+            plain.add(index, reached, failure)
+            memoized.add(index, reached, failure,
+                         outcome_tail(reached, failure))
+            assert 0 <= plain.digest < 2 ** 256
+        assert plain.digest == memoized.digest == expected
+
     def test_term_depends_on_every_field(self):
         base = outcome_digest_term(3, ("mkfs",), "boom")
         assert outcome_digest_term(4, ("mkfs",), "boom") != base
@@ -401,7 +427,8 @@ class TestSampledCampaign:
 class TestPinnedDigests:
     """The seed-2022 random (budget 600) and violation (budget 3000)
     campaigns, pinned like perfbench's reference round: in one shard,
-    in three and on two process workers."""
+    in three and on two process workers; and a 20 000-config random
+    campaign of the same seed."""
 
     RANDOM_DIGEST = ("30144f41096af65b7d63b4bf6556301c"
                      "ea194a06fbbebd9dccc9b9498476c9d1")
@@ -415,6 +442,17 @@ class TestPinnedDigests:
                                         jobs=jobs)
         assert (report.total, meta["shards"]) == (600, shards)
         assert report.digest_hex == self.RANDOM_DIGEST
+
+    def test_random_20000(self, deps):
+        """Deep enough that a few hundred configs pass mkfs and a dozen
+        mount, so the lazily rendered mount options are pinned too."""
+        report, meta = sampled_campaign(deps, sample="random", seed=2022,
+                                        budget=20_000, shards=3, jobs=1)
+        assert (report.total, meta["shards"]) == (20_000, 3)
+        assert report.reached == {"mkfs": 431, "mount": 12}
+        assert report.digest_hex == (
+            "30acf60b908c25f449d23d58d6dc631d"
+            "1db957f431965bbfc9bf692e811db454")
 
     @pytest.mark.parametrize("shards, jobs", [(1, 1), (3, 1), (3, 2)])
     def test_violations(self, deps, shards, jobs):

@@ -23,7 +23,7 @@ field and then loads it back still joins with the original writer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.constraints import BranchUse
 from repro.analysis.model import (
@@ -34,7 +34,22 @@ from repro.analysis.model import (
     make_constraint,
 )
 from repro.analysis.sources import BRIDGE_STRUCTS
-from repro.analysis.taint import FieldTaint, FieldWrite
+from repro.analysis.taint import FieldTaint, FieldWrite, Label
+
+
+class FieldStore(NamedTuple):
+    """One metadata-field store as the bridge reads it: a
+    :class:`~repro.analysis.taint.FieldWrite` without its instruction,
+    so it can be stored and loaded without the IR."""
+
+    struct: str
+    field: str
+    labels: FrozenSet[Label]
+
+    @classmethod
+    def of(cls, write: FieldWrite) -> "FieldStore":
+        """The store ``write`` records."""
+        return cls(write.struct, write.field, write.labels)
 
 
 @dataclass
@@ -43,7 +58,7 @@ class ComponentSummary:
 
     component: str
     filename: str
-    field_writes: List[FieldWrite] = dc_field(default_factory=list)
+    field_writes: List[FieldStore] = dc_field(default_factory=list)
     branch_uses: List[BranchUse] = dc_field(default_factory=list)
 
 

@@ -352,35 +352,6 @@ def _memo_key(func: Function, sources: ComponentSources, component: str,
     return (fingerprint, func.name, sources.fingerprint(), component, filename)
 
 
-def findings_peek(func: Function, state: TaintState,
-                  sources: ComponentSources, component: str,
-                  filename: str) -> Optional[FunctionFindings]:
-    """The memoized findings derived from exactly ``state``, or None."""
-    key = _memo_key(func, sources, component, filename)
-    if key is None:
-        return None
-    hit = _FINDINGS_MEMO.get(key)
-    if hit is not None and hit[0] is state:
-        return hit[1]
-    return None
-
-
-def findings_seed(func: Function, state: TaintState,
-                  findings: FunctionFindings, sources: ComponentSources,
-                  component: str, filename: str) -> bool:
-    """Install a (state, findings) pair decoded from the disk store.
-
-    The pair must be the two halves of one stored entry so the memo's
-    identity check (``hit[0] is state``) keeps holding for callers that
-    looked the state up through :func:`repro.analysis.taint.memo_peek`.
-    """
-    key = _memo_key(func, sources, component, filename)
-    if key is None:
-        return False
-    _FINDINGS_MEMO[key] = (state, findings)
-    return True
-
-
 def derive_constraints(func: Function, cfg: CFG, state: TaintState,
                        sources: ComponentSources, component: str,
                        filename: str) -> FunctionFindings:
@@ -393,10 +364,8 @@ def derive_constraints(func: Function, cfg: CFG, state: TaintState,
     :func:`repro.analysis.taint.analyze_function` memoizes states under
     the same key scheme.
     """
-    fingerprint = getattr(func, "module_fingerprint", "")
-    key: Optional[Tuple[str, str, str, str, str]] = None
-    if fingerprint:
-        key = (fingerprint, func.name, sources.fingerprint(), component, filename)
+    key = _memo_key(func, sources, component, filename)
+    if key is not None:
         hit = _FINDINGS_MEMO.get(key)
         if hit is not None and hit[0] is state:
             perf.bump("memo.constraints.hit")

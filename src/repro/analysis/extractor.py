@@ -13,21 +13,27 @@ A finished report is stored whole (:mod:`repro.corpus.cache`), so a
 fresh process over an unchanged corpus reads it back without loading
 the IR, the solver or the bridge; those modules are imported inside
 the functions that run only when the report has to be computed.
+
+Below the report, each pre-selected function resolves to a
+:class:`FunctionSummary` — memo, then the analysis store, then a taint
+solve — and only the last step reads the unit's IR module.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.groundtruth import is_false_positive
 from repro.analysis.model import Category, Dependency
 from repro.corpus import cache as disk, corpus_dir
 from repro.obs.tracer import span
-from repro.perf import timed
+from repro.perf import register_memo, timed
 
 if TYPE_CHECKING:
+    from repro.analysis.bridge import FieldStore
+    from repro.analysis.constraints import FunctionFindings
     from repro.corpus.loader import CorpusUnit
 
 
@@ -186,6 +192,47 @@ class ExtractionReport:
         return [d for d in self.union if not is_false_positive(d)]
 
 
+@dataclass(frozen=True)
+class FunctionSummary:
+    """What extraction reads of one analyzed function: the metadata
+    field stores the bridge joins, the findings, and the definition
+    line the findings' lines were taken at.  The analysis store keeps
+    exactly this, so a store hit loads no taint state and no IR."""
+
+    line: int
+    field_writes: Tuple[FieldStore, ...]
+    findings: FunctionFindings
+
+    def moved_to(self, line: int) -> "FunctionSummary":
+        """This summary for the same function defined on ``line``.
+
+        A stored entry is keyed by the function's source slice, which
+        an edit above the function leaves alone while moving every line
+        of it; the lines that reach output (dependency evidence and the
+        branch lines the bridge cites) move by the same amount.
+        """
+        delta = line - self.line
+        if not delta:
+            return self
+        findings = self.findings
+        deps = [dep.at_line(dep.evidence.line + delta)
+                for dep in findings.dependencies]
+        uses = [replace(use, line=use.line + delta)
+                for use in findings.branch_uses]
+        return FunctionSummary(line, self.field_writes,
+                               replace(findings, dependencies=deps,
+                                       branch_uses=uses))
+
+
+#: (unit fingerprint, function, sources fingerprint, component,
+#: filename) -> summary at that content.  The four Table-5 scenarios
+#: share most of their functions, so one extraction resolves each
+#: function once.
+_SUMMARIES: Dict[Tuple[str, str, str, str, str], FunctionSummary] = {}
+
+register_memo("extract.summaries", _SUMMARIES.clear)
+
+
 class Extractor:
     """Run extraction over scenarios.
 
@@ -201,78 +248,48 @@ class Extractor:
     # per-scenario
     # ------------------------------------------------------------------
 
-    def _analyze_one(self, task: Tuple[str, str]):
-        """Taint + constraints for one pre-selected function.
+    def _summarize(self, unit: CorpusUnit, fn_name: str) -> FunctionSummary:
+        """One pre-selected function's summary.
 
         Resolution order is memo → disk store → compute: the in-memory
-        memos win within a process, the function-level analysis store
-        (:mod:`repro.corpus.cache`) carries results across processes,
-        and only genuinely new content pays for a fixpoint.  A store
-        hit seeds both memos, so the pair keeps the identity coupling
-        (``findings`` derived from exactly ``state``) the memos assert.
+        memo wins within a process, the function-level analysis store
+        (:mod:`repro.corpus.cache`) carries summaries across processes,
+        and only genuinely new content reads the unit's module (which
+        unpickles it, for a unit read from the IR cache) and pays for a
+        fixpoint.  The rest needs only the unit's function index.
         """
-        from repro.analysis.constraints import (
-            derive_constraints,
-            findings_peek,
-            findings_seed,
-        )
         from repro.analysis.sources import SOURCES_BY_UNIT
-        from repro.analysis.taint import analyze_function, memo_peek, memo_seed
-        from repro.corpus.loader import load_unit
         from repro.errors import UnknownFunctionError
-        from repro.lang.cfg import build_cfg
 
-        filename, fn_name = task
+        filename = unit.filename
         with span("extract.function", unit=filename, function=fn_name):
-            unit = load_unit(filename)
-            sources = SOURCES_BY_UNIT[filename]
-            try:
-                func = unit.module.function(fn_name)
-            except KeyError:
+            line = unit.lines.get(fn_name)
+            if line is None:
                 raise UnknownFunctionError(
                     f"pre-selected function {fn_name!r} missing from {filename}"
-                ) from None
-            component = unit.component
-            state = memo_peek(func, sources, component)
-            if state is not None:
-                findings = findings_peek(func, state, sources, component,
-                                         filename)
-                if findings is not None:
-                    return state, findings
-            store_key = self._store_key(unit, fn_name, sources)
+                )
+            sources = SOURCES_BY_UNIT[filename]
+            sources_fp = sources.fingerprint()
+            memo_key = (unit.fingerprint, fn_name, sources_fp,
+                        unit.component, filename)
+            summary = _SUMMARIES.get(memo_key)
+            if summary is not None:
+                return summary
+            store_key = ""
+            if disk.disk_cache_enabled():
+                store_key = disk.analysis_key(
+                    filename, fn_name, unit.slices[fn_name], sources_fp,
+                    unit.component)
             if store_key:
-                loaded = disk.load_analysis(store_key)
-                if loaded is not None:
-                    state, findings = loaded
-                    if (getattr(state, "function", None) == fn_name
-                            and getattr(findings, "function", None) == fn_name):
-                        memo_seed(func, sources, component, state)
-                        findings_seed(func, state, findings, sources,
-                                      component, filename)
-                        return state, findings
-            cfg = build_cfg(func)
-            state = analyze_function(func, sources, component)
-            findings = derive_constraints(
-                func, cfg, state, sources, component, filename
-            )
-            if store_key:
-                disk.store_analysis(store_key, state, findings)
-            return state, findings
-
-    def _store_key(self, unit: CorpusUnit, fn_name: str, sources) -> str:
-        """The analysis-store key for one function, or '' when the store
-        is off or the function cannot be keyed."""
-        from repro.corpus.loader import unit_slices
-
-        if not disk.disk_cache_enabled():
-            return ""
-        slice_hash = unit_slices(unit).get(fn_name, "")
-        if not slice_hash:
-            return ""
-        return disk.analysis_key(
-            unit.filename, fn_name, slice_hash, sources.fingerprint(),
-            unit.component,
-        )
+                summary = disk.load_analysis(store_key, FunctionSummary)
+            if summary is not None and summary.findings.function == fn_name:
+                summary = summary.moved_to(line)
+            else:
+                summary = _compute(unit, fn_name, sources)
+                if store_key:
+                    disk.store_analysis(store_key, summary)
+            _SUMMARIES[memo_key] = summary
+            return summary
 
     def extract_scenario(self, spec: ScenarioSpec) -> ScenarioResult:
         """Extract one scenario's unique dependency set."""
@@ -281,20 +298,16 @@ class Extractor:
 
         with span("extract.scenario", scenario=spec.name), \
                 timed("extract.scenario"):
-            tasks = [(filename, fn_name)
-                     for filename, functions in spec.selected
-                     for fn_name in functions]
-            analyzed = iter([self._analyze_one(task) for task in tasks])
             deps: List[Dependency] = []
             summaries: List[ComponentSummary] = []
             for filename, functions in spec.selected:
                 unit = load_unit(filename)
                 summary = ComponentSummary(unit.component, filename)
-                for _fn_name in functions:
-                    state, findings = next(analyzed)
-                    deps.extend(findings.dependencies)
-                    summary.field_writes.extend(state.field_writes)
-                    summary.branch_uses.extend(findings.branch_uses)
+                for fn_name in functions:
+                    function = self._summarize(unit, fn_name)
+                    deps.extend(function.findings.dependencies)
+                    summary.field_writes.extend(function.field_writes)
+                    summary.branch_uses.extend(function.findings.branch_uses)
                 summaries.append(summary)
             with span("extract.bridge", scenario=spec.name), \
                     timed("extract.bridge"):
@@ -350,6 +363,22 @@ class Extractor:
             if key:
                 disk.store_report(key, report)
             return report
+
+
+def _compute(unit: CorpusUnit, fn_name: str, sources) -> FunctionSummary:
+    """Taint + constraints for one function of ``unit``."""
+    from repro.analysis.bridge import FieldStore
+    from repro.analysis.constraints import derive_constraints
+    from repro.analysis.taint import analyze_function
+    from repro.lang.cfg import build_cfg
+
+    func = unit.module.function(fn_name)
+    state = analyze_function(func, sources, unit.component)
+    findings = derive_constraints(func, build_cfg(func), state, sources,
+                                  unit.component, unit.filename)
+    return FunctionSummary(
+        func.line, tuple(FieldStore.of(write) for write in state.field_writes),
+        findings)
 
 
 def _dedupe(deps: List[Dependency]) -> List[Dependency]:

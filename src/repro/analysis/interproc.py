@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.bridge import ComponentSummary, MetadataBridge
+from repro.analysis.bridge import ComponentSummary, FieldStore, MetadataBridge
 from repro.analysis.constraints import derive_constraints
 from repro.analysis.extractor import (
     ExtractionReport,
@@ -196,7 +196,8 @@ class InterproceduralExtractor:
             summary = ComponentSummary(unit.component, filename)
             for state, findings in derived:
                 deps.extend(findings.dependencies)
-                summary.field_writes.extend(state.field_writes)
+                summary.field_writes.extend(
+                    FieldStore.of(write) for write in state.field_writes)
                 summary.branch_uses.extend(findings.branch_uses)
             summaries.append(summary)
         deps.extend(MetadataBridge(summaries).join())

@@ -152,6 +152,19 @@ class Dependency:
         object.__setattr__(self, "_key", result)
         return result
 
+    def at_line(self, line: int) -> "Dependency":
+        """This dependency with its evidence moved to ``line``.
+
+        Only the evidence changes, so the copy skips re-validation and
+        keeps the cached :meth:`key`, which the evidence is not part of.
+        """
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__)
+        evidence = self.evidence
+        moved.__dict__["evidence"] = Evidence(evidence.filename,
+                                              evidence.function, line)
+        return moved
+
     def describe(self) -> str:
         """One-line human-readable description."""
         cdict = self.constraint_dict

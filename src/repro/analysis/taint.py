@@ -611,29 +611,6 @@ def _memo_key(func: Function, sources: ComponentSources,
     return (fingerprint, func.name, sources.fingerprint(), component)
 
 
-def memo_peek(func: Function, sources: ComponentSources,
-              component: str) -> Optional[TaintState]:
-    """The memoized state for ``func``, without computing on a miss."""
-    key = _memo_key(func, sources, component)
-    return _ANALYSIS_MEMO.get(key) if key is not None else None
-
-
-def memo_seed(func: Function, sources: ComponentSources, component: str,
-              state: TaintState) -> bool:
-    """Install a state (e.g. decoded from the disk store) into the memo.
-
-    Returns False when ``func`` carries no module fingerprint (nothing
-    to key by).  Seeding makes every later :func:`analyze_function`
-    call for the same content return *this exact object*, which is what
-    lets the constraint layer's identity-checked memo pair up with it.
-    """
-    key = _memo_key(func, sources, component)
-    if key is None:
-        return False
-    _ANALYSIS_MEMO[key] = state
-    return True
-
-
 def analyze_function(func: Function, sources: ComponentSources,
                      component: str) -> TaintState:
     """Run the taint engine on one function (memoized per content).

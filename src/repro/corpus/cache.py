@@ -1,5 +1,5 @@
-"""Persistent on-disk caches: compiled IR modules, analysis results,
-and finished extraction reports.
+"""Persistent on-disk caches: compiled IR modules, per-function
+analysis summaries, and finished extraction reports.
 
 Three stores share one directory, one serializer and one invalidation
 rule with the command store (:mod:`repro.store`): every entry is
@@ -12,19 +12,28 @@ or to the package moves the key, so a stale entry is never *wrong*,
 only unreachable.  When the digest cannot be computed (sources
 unreadable) every store is skipped.
 
-**Module cache.**  The mini-C frontend dominates cold-pipeline time
-(compiling the corpus costs ~10x the analysis itself), and every CLI
-invocation used to pay it again.  Each compiled
-:class:`repro.lang.ir.Module` is pickled under
+**Module cache** (``<key>.ir.pkl``).  The mini-C frontend dominates
+cold-pipeline time (compiling the corpus costs ~10x the analysis
+itself), and every CLI invocation used to pay it again.  Each compiled
+:class:`repro.lang.ir.Module` is kept under
 
     sha256(cache schema | frontend version | package digest | filename
            | source text)
 
-**Function-level analysis store.**  Warm processes skip re-*analysis*
-through in-memory memos, but a fresh process used to redo every taint
-fixpoint even when the corpus had not changed.  The store pickles one
-``(TaintState, FunctionFindings)`` pair per analyzed function, keyed
-by the function's **source slice**, not the whole unit:
+as the pair ``(index, module bytes)``: ``index`` maps each function to
+its definition line and the bytes are the pickled module.
+:func:`load_module_entry` reads the pair and :func:`decode_module`
+unpickles the bytes, which the loader does only when a caller first
+reads the unit's module: extraction over stored analyses needs only
+the index, so it never unpickles a module.
+
+**Function-level analysis store** (``<key>.an.pkl``).  A fresh process
+would otherwise redo every taint fixpoint even when the corpus had not
+changed.  The store keeps what extraction reads of one analyzed
+function — a :class:`~repro.analysis.extractor.FunctionSummary`: its
+metadata-field stores, its findings and its definition line when it
+was stored — keyed by the function's **source slice**, not the whole
+unit:
 
     sha256(cache schema | frontend version | package digest | filename
            | function | slice hash | sources fingerprint | component)
@@ -32,14 +41,19 @@ by the function's **source slice**, not the whole unit:
 The slice hash covers the unit's preamble (macros, struct layouts)
 plus the lines of the function itself, so editing one function's body
 re-analyzes *that function only*; every other function in the unit —
-and every other unit — keeps hitting the store.  The analysis is
-intra-procedural and the metadata bridge joins the states live after
-loading, so an entry depends on nothing its key leaves out.
+and every other unit — keeps hitting the store.  A hit for a function
+that has moved (an edit above it added or removed lines) shifts the
+lines it reports by the move.  The analysis is intra-procedural and
+the metadata bridge joins the summaries live after loading, so an
+entry depends on nothing its key leaves out.  Taint states are not
+stored: the consumers that need one (provenance, the inter-procedural
+engine) compute it.
 
-**Report store.**  A fresh command over an unchanged corpus needs the
-finished :class:`~repro.analysis.extractor.ExtractionReport`, not the
-IR or the per-function states it was assembled from.  One pickled
-report per extraction is kept under
+**Report store** (``reports/<key>.report.pkl``).  A fresh command over
+an unchanged corpus needs the finished
+:class:`~repro.analysis.extractor.ExtractionReport`, not the IR or the
+per-function summaries it was assembled from.  One pickled report per
+extraction is kept under
 
     sha256(cache schema | frontend version | package digest
            | extractor class | scenario specs
@@ -49,16 +63,18 @@ A hit costs one file read and one unpickle: no IR, no store entry, no
 bridge, and none of the analysis modules are imported.  Any edit to a
 scenario unit misses and falls through to the two stores above.  The
 in-memory :func:`repro.corpus.loader.clear_cache` drops reports as
-well, so an extraction after it is assembled from the two stores.
+well, so an extraction after it is assembled from the two stores;
+reports live in their own subdirectory so that drop lists the reports
+only, not every IR and analysis entry.
 
 No store is pruned: the entries of an edited corpus or code state stay
 on disk, unreachable, until :func:`clear_disk_cache`, which also
-deletes the command store's entries.  All entries are
+deletes the command store's entries (``*.cmd.json``).  All entries are
 written atomically (temp file + ``os.replace``) so concurrent
 processes never observe a torn entry.  An entry that fails to
-unpickle, or unpickles to the wrong shape (not a ``Module``, not a
-pair, not a report), is tallied as an error and deleted, so the next
-lookup is a clean miss.
+unpickle, or unpickles to the wrong shape (not an index and module
+bytes, not a summary, not a report), is tallied as an error and
+deleted, so the next lookup is a clean miss.
 
 Knobs:
 
@@ -73,7 +89,8 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional,
+                    Tuple)
 
 from repro.lang import FRONTEND_VERSION
 from repro.obs.tracer import span
@@ -97,12 +114,15 @@ if TYPE_CHECKING:
     from repro.lang.ir import Module
 
 #: Bump when the on-disk entry layout itself changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: File-name suffixes of the three stores' entries.
 _MODULE_SUFFIX = ".ir.pkl"
 _ANALYSIS_SUFFIX = ".an.pkl"
 _REPORT_SUFFIX = ".report.pkl"
+
+#: Subdirectory of the cache directory that holds the report store.
+REPORT_DIR = "reports"
 
 
 @dataclass
@@ -182,7 +202,7 @@ def _entry_path(key: str) -> str:
 
 
 def _load(store: str, tallies: DiskCacheStats, key: str, path: str,
-          accept) -> Optional[Any]:
+          accept: Callable[[Any], bool]) -> Optional[Any]:
     """Unpickle the entry at ``path`` if ``accept`` takes it, else None.
 
     ``store`` names the span and counters (``cache.<store>.*``).  An
@@ -203,16 +223,21 @@ def _load(store: str, tallies: DiskCacheStats, key: str, path: str,
         bump(f"cache.{store}.miss")
         return None
     except Exception:
-        tallies.tally("errors")
-        bump(f"cache.{store}.error")
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        _discard(store, tallies, path)
         return None
     tallies.tally("hits")
     bump(f"cache.{store}.hit")
     return value
+
+
+def _discard(store: str, tallies: DiskCacheStats, path: str) -> None:
+    """Tally a bad entry as an error and delete it."""
+    tallies.tally("errors")
+    bump(f"cache.{store}.error")
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def _store(store: str, tallies: DiskCacheStats, key: str, path: str,
@@ -236,17 +261,54 @@ def _store(store: str, tallies: DiskCacheStats, key: str, path: str,
     return True
 
 
-def load_module(key: str) -> Optional[Module]:
-    """The cached module under ``key``, or None on miss/corruption."""
+def _is_module_entry(value: Any) -> bool:
+    """Whether ``value`` is an ``(index, module bytes)`` pair."""
+    return (type(value) is tuple and len(value) == 2
+            and type(value[0]) is dict and type(value[1]) is bytes
+            and all(type(line) is int for line in value[0].values()))
+
+
+def load_module_entry(key: str) -> Optional[Tuple[Dict[str, int], bytes]]:
+    """The module entry under ``key`` — its function index (name ->
+    definition line) and the pickled module — without unpickling the
+    module; None on miss/corruption."""
+    return _load("disk", _STATS, key, _entry_path(key), _is_module_entry)
+
+
+def decode_module(key: str, stored: bytes) -> Optional[Module]:
+    """The module in ``stored``, the bytes of the entry under ``key``.
+
+    Bytes that do not unpickle to a module are tallied as an error and
+    the entry is deleted, like any entry :func:`_load` rejects; the
+    caller compiles instead.
+    """
     from repro.lang.ir import Module
 
-    return _load("disk", _STATS, key, _entry_path(key),
-                 lambda value: isinstance(value, Module))
+    try:
+        module = pickle.loads(stored)
+    except Exception:
+        module = None
+    if not isinstance(module, Module):
+        _discard("disk", _STATS, _entry_path(key))
+        return None
+    return module
 
 
 def store_module(key: str, module: Module) -> bool:
-    """Atomically persist ``module`` under ``key``; False on failure."""
-    return _store("disk", _STATS, key, _entry_path(key), module)
+    """Atomically persist ``module`` and its function index under
+    ``key``; False on failure."""
+    try:
+        entry = ({name: func.line for name, func in module.functions.items()},
+                 pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        _STATS.tally("errors")
+        bump("cache.disk.error")
+        return False
+    return _store("disk", _STATS, key, _entry_path(key), entry)
+
+
+def _report_dir() -> str:
+    return os.path.join(cache_dir(), REPORT_DIR)
 
 
 def clear_disk_cache() -> int:
@@ -254,16 +316,24 @@ def clear_disk_cache() -> int:
 
     Covers the module cache (``*.ir.pkl``), the function-level analysis
     store (``*.an.pkl``, and the ``*.an.bin`` entries of its retired
-    binary format), the report store (``*.report.pkl``), the command
-    store (``*.cmd.pkl``) and the temp files killed writers leave
-    behind, so a cleared cache directory can never serve half a
-    pipeline (or a whole report, or a command's output) from before
-    the clear.
+    binary format), the report store (``reports/*.report.pkl``, and
+    reports of the older layout beside the other entries), the command
+    store (``*.cmd.json``) and the temp files killed writers leave
+    behind in either directory, so a cleared cache directory can never
+    serve half a pipeline (or a whole report, or a command's output)
+    from before the clear.
     """
-    return remove_entries(lambda name: (
-        name.endswith((_MODULE_SUFFIX, _ANALYSIS_SUFFIX, ".an.bin",
-                       _REPORT_SUFFIX, COMMAND_SUFFIX))
-        or name.startswith(TMP_PREFIX)))
+    def entry(name: str) -> bool:
+        return (name.endswith((_MODULE_SUFFIX, _ANALYSIS_SUFFIX, ".an.bin",
+                               _REPORT_SUFFIX, COMMAND_SUFFIX))
+                or name.startswith(TMP_PREFIX))
+
+    removed = remove_entries(entry) + remove_entries(entry, _report_dir())
+    try:
+        os.rmdir(_report_dir())
+    except OSError:
+        pass
+    return removed
 
 
 def clear_reports() -> int:
@@ -271,8 +341,11 @@ def clear_reports() -> int:
 
     What a benchmark or a test calls to time or check the IR cache and
     the analysis store underneath a report that would otherwise hit.
+    Lists the report directory only, so it costs the same however many
+    IR and analysis entries have accumulated.
     """
-    return remove_entries(lambda name: name.endswith(_REPORT_SUFFIX))
+    return remove_entries(lambda name: name.endswith(_REPORT_SUFFIX),
+                          _report_dir())
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +410,20 @@ def _analysis_path(key: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_analysis(key: str) -> Optional[Tuple[Any, Any]]:
-    """The cached ``(TaintState, FunctionFindings)`` pair, or None.
+def load_analysis(key: str, kind: type) -> Optional[Any]:
+    """The cached function summary under ``key`` if it is a ``kind``,
+    else None.
 
     A corrupt, truncated or wrong-shape entry is a deleted miss: the
     store degrades to a recompute, never to a wrong result.
     """
     return _load("an", _AN_STATS, key, _analysis_path(key),
-                 lambda value: type(value) is tuple and len(value) == 2)
+                 lambda value: isinstance(value, kind))
 
 
-def store_analysis(key: str, state: Any, findings: Any) -> bool:
-    """Atomically persist one analysis result; False on failure."""
-    return _store("an", _AN_STATS, key, _analysis_path(key),
-                  (state, findings))
+def store_analysis(key: str, summary: Any) -> bool:
+    """Atomically persist one function summary; False on failure."""
+    return _store("an", _AN_STATS, key, _analysis_path(key), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +455,7 @@ def report_key(extractor: str, scenarios: str,
 
 
 def _report_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"{key}{_REPORT_SUFFIX}")
+    return os.path.join(_report_dir(), f"{key}{_REPORT_SUFFIX}")
 
 
 def load_report(key: str, kind: type) -> Optional[Any]:

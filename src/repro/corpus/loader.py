@@ -9,6 +9,11 @@ parameters belong where, and with its content fingerprint so the
 per-function analysis memos (:mod:`repro.analysis.taint`,
 :mod:`repro.analysis.constraints`) can key off it.
 
+A unit read from the IR cache carries the entry's function index and
+keeps the module pickled until :attr:`CorpusUnit.module` is first
+read: extraction over stored analyses needs only each function's
+definition line and source slice, so it never unpickles a module.
+
 Loading is thread-safe: the parallel extractor may ask for the same
 unit from several workers at once.
 """
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 # ``CORPUS_DIR_ENV`` is re-exported: callers set it through this module.
@@ -25,7 +29,7 @@ from repro.corpus import CORPUS_DIR_ENV, corpus_dir as _corpus_dir  # noqa: F401
 from repro.errors import UnknownComponentError
 from repro.lang import compile_c
 from repro.obs.tracer import span
-from repro.perf import clear_memos, register_memo, timed
+from repro.perf import clear_memos, timed
 
 if TYPE_CHECKING:
     from repro.lang.ir import Module
@@ -44,15 +48,63 @@ UNIT_COMPONENTS: Dict[str, str] = {
     "xfs_growfs.c": "xfs_growfs",
 }
 
+#: Guards unit loads and first reads of a stored module.
+_LOAD_LOCK = threading.RLock()
 
-@dataclass
+
 class CorpusUnit:
-    """One compiled translation unit."""
+    """One translation unit: its source, its content ``fingerprint``
+    (the module key), its function index ``lines`` (name -> definition
+    line) and its compiled module.
 
-    filename: str
-    component: str
-    source: str
-    module: Module
+    ``module`` is unpickled from the stored bytes on first read (or
+    compiled again, if the bytes turn out not to hold a module), so a
+    unit whose functions all come from the analysis store costs one
+    entry read and no unpickle.
+    """
+
+    def __init__(self, filename: str, component: str, source: str,
+                 fingerprint: str, lines: Dict[str, int],
+                 module: Optional[Module] = None, stored: bytes = b"") -> None:
+        self.filename = filename
+        self.component = component
+        self.source = source
+        self.fingerprint = fingerprint
+        self.lines = lines
+        self._module = module
+        self._stored = stored
+        self._slices: Optional[Dict[str, str]] = None
+
+    @property
+    def module(self) -> Module:
+        """The unit's IR module (unpickled or compiled on first read)."""
+        module = self._module
+        if module is None:
+            with _LOAD_LOCK:
+                if self._module is None:
+                    self._module = self._decode()
+                    self._stored = b""
+                module = self._module
+        return module
+
+    def _decode(self) -> Module:
+        from repro.corpus import cache as disk
+
+        module = disk.decode_module(self.fingerprint, self._stored)
+        if module is None:  # the entry was deleted; compile and re-store
+            module = _compile(self.filename, self.source, self.fingerprint,
+                              use_disk=True)
+        return _annotate(module, self.component, self.fingerprint)
+
+    @property
+    def slices(self) -> Dict[str, str]:
+        """Per-function source-slice hashes (see
+        :func:`repro.corpus.cache.function_slices`), computed once."""
+        if self._slices is None:
+            from repro.corpus.cache import function_slices
+
+            self._slices = function_slices(self.source, self.lines)
+        return self._slices
 
 
 #: (resolved corpus dir, filename) -> unit.  The directory is part of
@@ -61,7 +113,6 @@ class CorpusUnit:
 #: corpus; the analysis memos stay safe regardless because they key off
 #: content fingerprints.
 _CACHE: Dict[tuple, CorpusUnit] = {}
-_LOAD_LOCK = threading.RLock()
 
 
 def corpus_path(filename: str) -> str:
@@ -72,35 +123,54 @@ def corpus_path(filename: str) -> str:
     return path
 
 
-def _compile_unit(filename: str, use_cache: bool) -> CorpusUnit:
-    """Compile ``filename`` (or fetch its pickled IR from disk)."""
+def _compile(filename: str, source: str, key: str, use_disk: bool) -> Module:
+    """Compile ``source``, storing the module when ``use_disk``."""
     from repro.corpus import cache as disk
 
-    with open(corpus_path(filename), encoding="utf-8") as handle:
-        source = handle.read()
-    key = disk.module_key(source, filename)
-    use_disk = (use_cache and disk.disk_cache_enabled()
-                and bool(disk.package_digest()))
-    module: Optional[Module] = None
+    with span("corpus.compile", unit=filename), timed("frontend.compile"):
+        module = compile_c(source, filename)
     if use_disk:
-        module = disk.load_module(key)
-    if module is None:
-        with span("corpus.compile", unit=filename), timed("frontend.compile"):
-            module = compile_c(source, filename)
-        if use_disk:
-            disk.store_module(key, module)
-    module.component = UNIT_COMPONENTS[filename]
+        disk.store_module(key, module)
+    return module
+
+
+def _annotate(module: Module, component: str, key: str) -> Module:
+    module.component = component
     module.fingerprint = key
     for func in module.functions.values():
         # Lets the per-function analysis memos key off pure content
         # without a back-pointer walk (set after pickling, so disk
         # entries stay annotation-free).
         func.module_fingerprint = key
-    return CorpusUnit(filename, module.component, source, module)
+    return module
+
+
+def _load(filename: str, use_disk: bool) -> CorpusUnit:
+    """Read ``filename``, then take its module index and bytes from the
+    IR cache when ``use_disk``, else compile it."""
+    from repro.corpus import cache as disk
+
+    with open(corpus_path(filename), encoding="utf-8") as handle:
+        source = handle.read()
+    key = disk.module_key(source, filename)
+    component = UNIT_COMPONENTS[filename]
+    use_disk = (use_disk and disk.disk_cache_enabled()
+                and bool(disk.package_digest()))
+    entry = disk.load_module_entry(key) if use_disk else None
+    if entry is not None:
+        lines, stored = entry
+        return CorpusUnit(filename, component, source, key, lines,
+                          stored=stored)
+    module = _annotate(_compile(filename, source, key, use_disk),
+                       component, key)
+    lines = {name: func.line for name, func in module.functions.items()}
+    return CorpusUnit(filename, component, source, key, lines, module)
 
 
 def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
-    """Compile (or fetch the cached) corpus unit ``filename``."""
+    """Read (from the IR cache, or by compiling) corpus unit
+    ``filename``; with ``use_cache`` the same object comes back until
+    :func:`clear_cache`."""
     cache_key = (_corpus_dir(), filename)
     if use_cache:
         unit = _CACHE.get(cache_key)
@@ -111,11 +181,11 @@ def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
             f"unknown corpus unit {filename!r}; known: {sorted(UNIT_COMPONENTS)}"
         )
     if not use_cache:
-        return _compile_unit(filename, use_cache=False)
+        return _load(filename, use_disk=False)
     with _LOAD_LOCK:
         unit = _CACHE.get(cache_key)  # a racing worker may have won
         if unit is None:
-            unit = _compile_unit(filename, use_cache=True)
+            unit = _load(filename, use_disk=True)
             _CACHE[cache_key] = unit
     return unit
 
@@ -136,27 +206,6 @@ def load_corpus(filenames: Optional[List[str]] = None) -> List[CorpusUnit]:
         seen.add(name)
         unique.append(name)
     return [load_unit(name) for name in unique]
-
-
-#: module fingerprint -> {function -> slice hash}; derived data, so
-#: keyed by content and safe to share across corpus-dir flips.
-_SLICES: Dict[str, Dict[str, str]] = {}
-
-register_memo("corpus.slices", _SLICES.clear)
-
-
-def unit_slices(unit: CorpusUnit) -> Dict[str, str]:
-    """Per-function source-slice hashes of one loaded unit (memoized)."""
-    cached = _SLICES.get(unit.module.fingerprint)
-    if cached is None:
-        from repro.corpus.cache import function_slices
-
-        cached = function_slices(
-            unit.source,
-            {name: fn.line for name, fn in unit.module.functions.items()},
-        )
-        _SLICES[unit.module.fingerprint] = cached
-    return cached
 
 
 def clear_cache(disk: bool = False) -> None:

@@ -3,7 +3,7 @@
 Four stores share one cache directory (:func:`cache_dir`), one switch
 (``REPRO_NO_DISK_CACHE``), atomic writes and one code digest.  Three
 of them live in :mod:`repro.corpus.cache`: the IR modules, the
-per-function analysis pairs and the extraction reports.  The fourth,
+per-function analysis summaries and the extraction reports.  The fourth,
 defined here, holds whole console commands.
 
 This module is a leaf: at import it loads only the standard library,
@@ -86,12 +86,14 @@ def write_atomic(path: str, write: Callable[[Any], None]) -> None:
     """Run ``write(handle)`` into a temp file, then rename it to ``path``.
 
     Readers see the old entry or the new one, never a torn one; a
-    failed write removes its temp file and re-raises.
+    failed write removes its temp file and re-raises.  The temp file
+    lives beside ``path``, whose directory is created if missing.
     """
     import tempfile  # only writers pay for it; a command-store hit does not
 
-    os.makedirs(cache_dir(), exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=cache_dir(), prefix=TMP_PREFIX)
+    folder = os.path.dirname(path)
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=folder, prefix=TMP_PREFIX)
     try:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
@@ -104,10 +106,13 @@ def write_atomic(path: str, write: Callable[[Any], None]) -> None:
         raise
 
 
-def remove_entries(matches: Callable[[str], bool]) -> int:
-    """Delete the cache-dir files whose name ``matches``; the count."""
+def remove_entries(matches: Callable[[str], bool],
+                   folder: Optional[str] = None) -> int:
+    """Delete the files in ``folder`` (default: the cache directory)
+    whose name ``matches``; the count."""
+    folder = folder or cache_dir()
     try:
-        names = os.listdir(cache_dir())
+        names = os.listdir(folder)
     except OSError:
         return 0
     removed = 0
@@ -115,7 +120,7 @@ def remove_entries(matches: Callable[[str], bool]) -> int:
         if not matches(name):
             continue
         try:
-            os.remove(os.path.join(cache_dir(), name))
+            os.remove(os.path.join(folder, name))
             removed += 1
         except OSError:
             pass

@@ -62,9 +62,18 @@ def extraction_digests(jobs: int):
 
 
 def _report_entries(disk) -> List[str]:
-    """The report-store entries in the cache directory."""
-    return sorted(name for name in os.listdir(disk.cache_dir())
-                  if name.endswith(".report.pkl"))
+    """The report-store entries in the report directory."""
+    return sorted(name for name in os.listdir(
+        os.path.join(disk.cache_dir(), disk.REPORT_DIR))
+        if name.endswith(".report.pkl"))
+
+
+def _summary():
+    """A small function summary, the analysis store's entry type."""
+    from repro.analysis.constraints import FunctionFindings
+    from repro.analysis.extractor import FunctionSummary
+
+    return FunctionSummary(3, (), FunctionFindings("fn", [], []))
 
 
 @pytest.fixture
@@ -126,19 +135,21 @@ class TestModes:
 
 class TestAnalysisStore:
     def test_store_then_load_roundtrip(self, isolated_store):
+        from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
         key = "a" * 64
-        assert disk.store_analysis(key, {"taint": [1, 2]}, ["finding"])
-        assert disk.load_analysis(key) == ({"taint": [1, 2]}, ["finding"])
+        assert disk.store_analysis(key, _summary())
+        assert disk.load_analysis(key, FunctionSummary) == _summary()
         stats = disk.analysis_stats()
         assert (stats.hits, stats.misses, stats.stores, stats.errors) == \
             (1, 0, 1, 0)
 
     def test_absent_entry_is_a_miss(self, isolated_store):
+        from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
-        assert disk.load_analysis("b" * 64) is None
+        assert disk.load_analysis("b" * 64, FunctionSummary) is None
         assert disk.analysis_stats().misses == 1
         assert disk.analysis_stats().errors == 0
 
@@ -148,41 +159,62 @@ class TestAnalysisStore:
         pytest.param(None, id="truncated"),  # filled in below
     ])
     def test_corrupt_entry_recovers_as_miss(self, isolated_store, garbage):
+        from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
         key = "c" * 64
-        assert disk.store_analysis(key, {"x": 1}, [2])
+        assert disk.store_analysis(key, _summary())
         path = disk._analysis_path(key)
         if garbage is None:
             with open(path, "rb") as handle:
                 garbage = handle.read()[:-3]
         with open(path, "wb") as handle:
             handle.write(garbage)
-        assert disk.load_analysis(key) is None
+        assert disk.load_analysis(key, FunctionSummary) is None
         assert disk.analysis_stats().errors == 1
         # The poisoned file is gone, so the next lookup is a clean miss.
         assert not os.path.exists(path)
-        assert disk.load_analysis(key) is None
+        assert disk.load_analysis(key, FunctionSummary) is None
         assert disk.analysis_stats().misses == 1
 
     def test_wrong_shape_entry_is_an_error(self, isolated_store):
         """An entry that unpickles to the wrong shape is an error and is
-        deleted, in the IR cache and the analysis store alike, so it
-        does not error again on every lookup."""
+        deleted, in the IR cache (its index and module bytes, then the
+        module in the bytes) and the analysis store alike, so it does
+        not error again on every lookup."""
+        from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
         key = "d" * 64
-        for path, load, stats in [
-                (disk._entry_path(key), disk.load_module, disk.cache_stats),
-                (disk._analysis_path(key), disk.load_analysis,
-                 disk.analysis_stats)]:
+        analysis = (disk._analysis_path(key),
+                    lambda: disk.load_analysis(key, FunctionSummary),
+                    disk.analysis_stats)
+        entry = (disk._entry_path(key), lambda: disk.load_module_entry(key),
+                 disk.cache_stats)
+
+        def module():
+            # A well-formed entry whose bytes are torn or foreign: the
+            # entry reads, its module is the error.
+            loaded = disk.load_module_entry(key)
+            return loaded and disk.decode_module(key, loaded[1])
+
+        cases = [(value, load)
+                 for value in [("not", "a", "pair"), {"not": "a summary"},
+                               ({"fn": "1"}, b"")]
+                 for load in (analysis, entry)]
+        cases += [(({"fn": 1}, blob),
+                   (disk._entry_path(key), module, disk.cache_stats))
+                  for blob in (b"\x80\x05torn",
+                               pickle.dumps(["not", "a", "module"]))]
+        for value, (path, load, stats) in cases:
+            disk.reset_cache_stats()
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as handle:
-                pickle.dump(("not", "a", "pair"), handle)
-            assert load(key) is None
+                pickle.dump(value, handle)
+            assert load() is None
             assert (stats().errors, stats().misses) == (1, 0)
             assert not os.path.exists(path)
-            assert load(key) is None
+            assert load() is None
             assert (stats().errors, stats().misses) == (1, 1)
 
     def test_stored_classes_live_in_digested_code(self, isolated_store):
@@ -194,11 +226,9 @@ class TestAnalysisStore:
         import sys
 
         from repro.analysis.extractor import extract_all
-        from repro.analysis.taint import TaintState
         from repro.corpus import cache as disk
 
         seen = set()
-        states = []
 
         class Recorder(pickle.Pickler):
             # Called for every object except None, bools and exact
@@ -206,17 +236,21 @@ class TestAnalysisStore:
             # class stored as a value is pickled by name as well.
             def reducer_override(self, obj):
                 seen.add(obj if isinstance(obj, type) else type(obj))
-                if type(obj) is TaintState:
-                    states.append(obj)
                 return NotImplemented
 
         extract_all()
-        names = sorted(os.listdir(disk.cache_dir()))
+        paths = sorted(os.path.join(folder, name)
+                       for folder, _dirs, names in os.walk(disk.cache_dir())
+                       for name in names)
         for suffix in (".ir.pkl", ".an.pkl", ".report.pkl"):
-            assert any(name.endswith(suffix) for name in names)
-        for name in names:
-            with open(os.path.join(disk.cache_dir(), name), "rb") as handle:
-                Recorder(io.BytesIO()).dump(pickle.load(handle))
+            assert any(path.endswith(suffix) for path in paths)
+        for path in paths:
+            with open(path, "rb") as handle:
+                value = pickle.load(handle)
+            if path.endswith(".ir.pkl"):
+                # The module is stored as bytes beside its index.
+                value = (value[0], pickle.loads(value[1]))
+            Recorder(io.BytesIO()).dump(value)
         package = os.path.dirname(sys.modules["repro"].__file__)
 
         def covered(cls) -> bool:
@@ -227,14 +261,14 @@ class TestAnalysisStore:
                     and "__pycache__" not in path.split(os.sep)
                     and path.endswith(PACKAGE_SUFFIXES))
 
-        assert {"TaintState", "FunctionFindings", "Module"} <= \
-            {cls.__name__ for cls in seen}
+        names = {cls.__name__ for cls in seen}
+        assert {"FunctionSummary", "FieldStore", "FunctionFindings",
+                "Module", "ExtractionReport"} <= names
         assert sorted(cls.__qualname__ for cls in seen
                       if not covered(cls)) == []
-        # The solver's derived multi-parameter map is never stored.
-        assert states
-        assert [state.function for state in states
-                if state._mpm_cache is not None] == []
+        # Taint states (and the IR instructions they point into) are
+        # never stored: a summary holds what extraction reads.
+        assert not names & {"TaintState", "FieldWrite"}
 
     def test_analysis_key_sensitivity(self, isolated_store, monkeypatch):
         from repro.corpus import cache as disk
@@ -289,7 +323,8 @@ class TestAnalysisStore:
 
         extract_all()
         suffixes = (".ir.pkl", ".an.pkl", ".report.pkl")
-        names = os.listdir(disk.cache_dir())
+        names = [name for _folder, _dirs, files in os.walk(disk.cache_dir())
+                 for name in files]
         assert all(any(name.endswith(suffix) for name in names)
                    for suffix in suffixes)
         # Entries of the retired binary analysis format go too.

@@ -332,14 +332,16 @@ class TestClearing:
     def test_plain_clear_cache_scans_the_directory_once(self, cache,
                                                         monkeypatch):
         # ``clear_cache()`` runs before every in-process re-extraction;
-        # it drops stored reports in one scan and leaves commands be.
+        # it drops stored reports in one scan of the report directory,
+        # never listing the IR and analysis entries (which accumulate,
+        # unpruned, beside the commands), and leaves commands be.
         _run("main_demo")
         scans = []
         listdir = os.listdir
         monkeypatch.setattr(os, "listdir",
                             lambda path: scans.append(path) or listdir(path))
         clear_cache()
-        assert scans == [str(cache)]
+        assert scans == [os.path.join(str(cache), disk.REPORT_DIR)]
         assert len(_entries(cache)) == 1
 
 

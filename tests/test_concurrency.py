@@ -159,15 +159,22 @@ class TestAnalysisStoreConcurrency:
 
     def test_thread_tallies_are_consistent(self):
         cache.reset_cache_stats()
+        from repro.analysis.bridge import FieldStore
+        from repro.analysis.constraints import FunctionFindings
+        from repro.analysis.extractor import FunctionSummary
+
         key = _an_key("threads")
-        payload = ({"state": list(range(32))}, ["finding"])
+        payload = FunctionSummary(
+            7, tuple(FieldStore("super", f"f{n}", frozenset())
+                     for n in range(32)),
+            FunctionFindings("threads", [], []))
 
         def hammer(index):
             for round_no in range(self.ROUNDS):
                 if (index + round_no) % 3 == 0:
-                    assert cache.store_analysis(key, *payload)
+                    assert cache.store_analysis(key, payload)
                 else:
-                    loaded = cache.load_analysis(key)
+                    loaded = cache.load_analysis(key, FunctionSummary)
                     assert loaded is None or loaded == payload
 
         _run_threads(self.THREADS, hammer)
@@ -185,12 +192,17 @@ class TestAnalysisStoreConcurrency:
         key = _an_key("procs")
         script = (
             "import json, sys\n"
+            "from repro.analysis.bridge import FieldStore\n"
+            "from repro.analysis.constraints import FunctionFindings\n"
+            "from repro.analysis.extractor import FunctionSummary\n"
             "from repro.corpus import cache\n"
             "key = sys.argv[1]\n"
-            "payload = ({'blob': 'x' * 4096}, list(range(64)))\n"
+            "payload = FunctionSummary(\n"
+            "    1, (FieldStore('super', 'x' * 4096, frozenset()),),\n"
+            "    FunctionFindings('procs', [], []))\n"
             "for _ in range(20):\n"
-            "    cache.store_analysis(key, *payload)\n"
-            "    loaded = cache.load_analysis(key)\n"
+            "    cache.store_analysis(key, payload)\n"
+            "    loaded = cache.load_analysis(key, FunctionSummary)\n"
             "    assert loaded is None or loaded == payload\n"
             "stats = cache.analysis_stats()\n"
             "print(json.dumps({'hits': stats.hits, 'misses': stats.misses,\n"

@@ -160,21 +160,20 @@ import repro
 repro.extract_all()
 # The run itself loaded every module that owns a memo, so the imports
 # below register nothing new.
-owners = ["repro.analysis.constraints", "repro.analysis.taint",
-          "repro.corpus.loader", "repro.lang.cfg", "repro.perf.lattice"]
+owners = ["repro.analysis.constraints", "repro.analysis.extractor",
+          "repro.analysis.taint", "repro.lang.cfg", "repro.perf.lattice"]
 preloaded = all(name in sys.modules for name in owners)
 registered = sorted(sys.modules["repro.perf"]._MEMO_REGISTRY)
 
 from repro import perf
-from repro.analysis import constraints, taint
-from repro.corpus import loader
+from repro.analysis import constraints, extractor, taint
 from repro.lang import cfg
 from repro.perf import lattice
 
 def sizes():
     return {
         "perf.lattice": len(lattice._JOIN) + len(lattice._INTERN) - 1,
-        "corpus.slices": len(loader._SLICES),
+        "extract.summaries": len(extractor._SUMMARIES),
         "cfg.build": len(cfg._CFG_MEMO),
         "taint.split": len(taint._SPLIT_MEMO),
         "taint.prep": len(taint._PREP_MEMO),
@@ -191,12 +190,11 @@ print(json.dumps({"preloaded": preloaded, "registered": registered,
 
 def test_clear_memos_covers_every_memo(tmp_path):
     out = _fresh(_MEMOS, str(tmp_path))
-    names = {"perf.lattice", "corpus.slices", "cfg.build", "taint.split",
+    names = {"perf.lattice", "extract.summaries", "cfg.build", "taint.split",
              "taint.prep", "taint.analyze", "constraints.derive"}
     assert out["preloaded"]
     assert set(out["registered"]) == names
-    assert all(out["before"][name] > 0 for name in names
-               if name != "corpus.slices"), out["before"]
+    assert all(out["before"][name] > 0 for name in names), out["before"]
     assert out["after"] == dict.fromkeys(names, 0)
 
 

@@ -43,9 +43,17 @@ def _canonical(report) -> str:
     return "\n".join(lines)
 
 
+def _folder(suffix: str) -> str:
+    """Where entries ending in ``suffix`` live: reports in their own
+    subdirectory, the other stores in the cache directory."""
+    if suffix == ".report.pkl":
+        return os.path.join(disk.cache_dir(), disk.REPORT_DIR)
+    return disk.cache_dir()
+
+
 def _entries(suffix: str = ".report.pkl"):
     try:
-        names = os.listdir(disk.cache_dir())
+        names = os.listdir(_folder(suffix))
     except OSError:
         return []
     return sorted(name for name in names if name.endswith(suffix))
@@ -66,11 +74,11 @@ def _new_process():
     repro_store.clear_commands()
     kept = {}
     for name in _entries():
-        with open(os.path.join(disk.cache_dir(), name), "rb") as handle:
+        with open(os.path.join(_folder(".report.pkl"), name), "rb") as handle:
             kept[name] = handle.read()
     clear_cache()
     for name, blob in kept.items():
-        with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
+        with open(os.path.join(_folder(".report.pkl"), name), "wb") as handle:
             handle.write(blob)
     disk.reset_cache_stats()
 
@@ -113,7 +121,7 @@ class TestMiss:
                                         "foreign"])
     def test_damaged_entry_is_a_deleted_miss(self, store, damage):
         (name,) = _entries()
-        path = os.path.join(disk.cache_dir(), name)
+        path = os.path.join(_folder(".report.pkl"), name)
         with open(path, "rb") as handle:
             blob = handle.read()
         damaged = {
@@ -235,17 +243,17 @@ class TestNoWrites:
 
 class TestClearing:
     def test_clear_disk_cache_removes_reports_and_temp_files(self, store):
-        leftovers = [".tmp-killed-writer", ".tmp-abc123.pkl"]
-        for name in leftovers:
-            with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
+        # Killed writers leave temp files beside the entries they were
+        # writing: in the cache directory and in the report directory.
+        leftovers = [os.path.join(disk.cache_dir(), ".tmp-killed-writer"),
+                     os.path.join(disk.cache_dir(), ".tmp-abc123.pkl"),
+                     os.path.join(_folder(".report.pkl"), ".tmp-report")]
+        for path in leftovers:
+            with open(path, "wb") as handle:
                 handle.write(b"partial")
         assert len(_entries()) == 1
         disk.clear_disk_cache()
-        remaining = os.listdir(disk.cache_dir())
-        assert not [n for n in remaining
-                    if n.endswith(".report.pkl") or n.startswith(".tmp-")]
-        assert not [n for n in remaining
-                    if n.endswith((".ir.pkl", ".an.pkl"))]
+        assert os.listdir(disk.cache_dir()) == []
 
     def test_clear_reports_keeps_the_other_stores(self, store):
         assert disk.clear_reports() == 1

@@ -421,7 +421,7 @@ class TestWorkCounters:
     def test_lattice_interns_every_state(self, cold_counters):
         from repro.analysis.extractor import SCENARIOS
         from repro.analysis.sources import SOURCES_BY_UNIT
-        from repro.analysis.taint import memo_peek
+        from repro.analysis.taint import _ANALYSIS_MEMO, _memo_key
 
         _report, counters = cold_counters
         assert counters["lattice.intern.miss"] == 126
@@ -430,9 +430,9 @@ class TestWorkCounters:
             for filename, functions in spec.selected:
                 unit = loader.load_unit(filename)
                 for fn_name in functions:
-                    state = memo_peek(unit.module.function(fn_name),
-                                      SOURCES_BY_UNIT[filename],
-                                      unit.component)
+                    state = _ANALYSIS_MEMO.get(_memo_key(
+                        unit.module.function(fn_name),
+                        SOURCES_BY_UNIT[filename], unit.component))
                     assert state is not None, (filename, fn_name)
                     for labels in state.taint.values():
                         assert lattice.is_interned(labels), \

@@ -16,18 +16,18 @@ the functions that run only when the report has to be computed.
 
 Below the report, each pre-selected function resolves to a
 :class:`FunctionSummary` — memo, then the analysis store, then a taint
-solve — and only the last step reads the unit's IR module.
+solve — and only the last step compiles IR, for that function's body
+alone (:meth:`repro.corpus.loader.CorpusUnit.function`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.analysis.groundtruth import is_false_positive
 from repro.analysis.model import Category, Dependency
-from repro.corpus import cache as disk, corpus_dir
+from repro.corpus import cache as disk
 from repro.obs.tracer import span
 from repro.perf import register_memo, timed
 
@@ -254,9 +254,9 @@ class Extractor:
         Resolution order is memo → disk store → compute: the in-memory
         memo wins within a process, the function-level analysis store
         (:mod:`repro.corpus.cache`) carries summaries across processes,
-        and only genuinely new content reads the unit's module (which
-        unpickles it, for a unit read from the IR cache) and pays for a
-        fixpoint.  The rest needs only the unit's function index.
+        and only genuinely new content compiles the function's body and
+        pays for a fixpoint.  The rest needs only the unit's function
+        index.
         """
         from repro.analysis.sources import SOURCES_BY_UNIT
         from repro.errors import UnknownFunctionError
@@ -329,14 +329,19 @@ class Extractor:
 
     def _report_key(self) -> str:
         """The report-store key for this extraction, or '' when the
-        disk cache is off or a scenario unit cannot be read."""
+        disk cache is off or a scenario unit cannot be read.
+
+        Each unit is keyed by the sources the loader analyzes
+        (:func:`repro.corpus.cache.read_unit`), not by a second read of
+        the file, so an edit on disk after this process read a unit
+        can never file the old unit's report under the new sources.
+        """
         if not disk.disk_cache_enabled():
             return ""
         units = []
         for filename in self._unit_names():
             try:
-                with open(os.path.join(corpus_dir(), filename), "rb") as handle:
-                    units.append((filename, handle.read()))
+                units.append((filename, disk.read_unit(filename)[1]))
             except OSError:
                 return ""  # the compute path reports the missing unit
         kind = type(self)
@@ -372,7 +377,7 @@ def _compute(unit: CorpusUnit, fn_name: str, sources) -> FunctionSummary:
     from repro.analysis.taint import analyze_function
     from repro.lang.cfg import build_cfg
 
-    func = unit.module.function(fn_name)
+    func = unit.function(fn_name)
     state = analyze_function(func, sources, unit.component)
     findings = derive_constraints(func, build_cfg(func), state, sources,
                                   unit.component, unit.filename)

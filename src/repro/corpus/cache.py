@@ -1,5 +1,5 @@
-"""Persistent on-disk caches: compiled IR modules, per-function
-analysis summaries, and finished extraction reports.
+"""Persistent on-disk caches: unit indexes, per-function analysis
+summaries, and finished extraction reports.
 
 Three stores share one directory, one serializer and one invalidation
 rule with the command store (:mod:`repro.store`): every entry is
@@ -12,20 +12,25 @@ or to the package moves the key, so a stale entry is never *wrong*,
 only unreachable.  When the digest cannot be computed (sources
 unreadable) every store is skipped.
 
-**Module cache** (``<key>.ir.pkl``).  The mini-C frontend dominates
-cold-pipeline time (compiling the corpus costs ~10x the analysis
-itself), and every CLI invocation used to pay it again.  Each compiled
-:class:`repro.lang.ir.Module` is kept under
+**Unit sources.**  :func:`read_unit` reads and hashes each corpus unit
+once per process (until :func:`repro.corpus.loader.clear_cache`): the
+loader builds its units from those bytes and the report key is taken
+from the same hashes, so a report is stored only under the sources it
+was extracted from, whatever happens to the files meanwhile.
+
+**IR cache** (``<key>.ir.pkl``).  What extraction reads of a unit
+whose functions the analysis store answers is its function index, not
+its IR.  Each unit's index is kept under
 
     sha256(cache schema | frontend version | package digest | filename
            | source text)
 
-as the pair ``(index, module bytes)``: ``index`` maps each function to
-its definition line and the bytes are the pickled module.
-:func:`load_module_entry` reads the pair and :func:`decode_module`
-unpickles the bytes, which the loader does only when a caller first
-reads the unit's module: extraction over stored analyses needs only
-the index, so it never unpickles a module.
+as the pair ``(lines, slices)``: ``lines`` maps each function to its
+definition line and ``slices`` to its source-slice hash (below).  No
+IR is stored: a unit that misses is outlined (lexed, its declarations
+parsed, its bodies skipped), which yields the index, and IR is
+compiled only for the function bodies an analysis has to run on (see
+:mod:`repro.corpus.loader`).
 
 **Function-level analysis store** (``<key>.an.pkl``).  A fresh process
 would otherwise redo every taint fixpoint even when the corpus had not
@@ -38,16 +43,19 @@ unit:
     sha256(cache schema | frontend version | package digest | filename
            | function | slice hash | sources fingerprint | component)
 
-The slice hash covers the unit's preamble (macros, struct layouts)
-plus the lines of the function itself, so editing one function's body
-re-analyzes *that function only*; every other function in the unit —
-and every other unit — keeps hitting the store.  A hit for a function
-that has moved (an edit above it added or removed lines) shifts the
-lines it reports by the move.  The analysis is intra-procedural and
-the metadata bridge joins the summaries live after loading, so an
-entry depends on nothing its key leaves out.  Taint states are not
-stored: the consumers that need one (provenance, the inter-procedural
-engine) compute it.
+The slice hash (:func:`function_slices`) covers the unit's *context*,
+everything a body is compiled against (the tokens outside the function
+bodies plus the macro table, so a macro defined late or inside a body
+counts too), and the function's own text, so editing one function's
+body re-analyzes *that function only*; every other function in the
+unit — and every other unit — keeps hitting the store.  A hit for a
+function that has moved (lines added or removed in a body above it,
+or comments and blank lines between functions) shifts the lines it
+reports by the move.  The analysis is
+intra-procedural and the metadata bridge joins the summaries live
+after loading, so an entry depends on nothing its key leaves out.
+Taint states are not stored: the consumers that need one (provenance,
+the inter-procedural engine) compute it.
 
 **Report store** (``reports/<key>.report.pkl``).  A fresh command over
 an unchanged corpus needs the finished
@@ -57,24 +65,25 @@ extraction is kept under
 
     sha256(cache schema | frontend version | package digest
            | extractor class | scenario specs
-           | every scenario unit's source bytes)
+           | every scenario unit's IR cache key)
 
-A hit costs one file read and one unpickle: no IR, no store entry, no
-bridge, and none of the analysis modules are imported.  Any edit to a
-scenario unit misses and falls through to the two stores above.  The
-in-memory :func:`repro.corpus.loader.clear_cache` drops reports as
-well, so an extraction after it is assembled from the two stores;
-reports live in their own subdirectory so that drop lists the reports
-only, not every IR and analysis entry.
+A hit costs one source read and hash per unit, one file read and one
+unpickle: no index, no store entry, no bridge, and none of the
+analysis modules are imported.  Any edit to a scenario unit misses
+and falls through to the two stores above.  The in-memory
+:func:`repro.corpus.loader.clear_cache` drops reports as well, so an
+extraction after it is assembled from the two stores; reports live in
+their own subdirectory so that drop lists the reports only, not every
+IR and analysis entry.
 
 No store is pruned: the entries of an edited corpus or code state stay
 on disk, unreachable, until :func:`clear_disk_cache`, which also
 deletes the command store's entries (``*.cmd.json``).  All entries are
 written atomically (temp file + ``os.replace``) so concurrent
 processes never observe a torn entry.  An entry that fails to
-unpickle, or unpickles to the wrong shape (not an index and module
-bytes, not a summary, not a report), is tallied as an error and
-deleted, so the next lookup is a clean miss.
+unpickle, or unpickles to the wrong shape (not an index, not a
+summary, not a report), is tallied as an error and deleted, so the
+next lookup is a clean miss.
 
 Knobs:
 
@@ -92,6 +101,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional,
                     Tuple)
 
+from repro.corpus import corpus_dir
 from repro.lang import FRONTEND_VERSION
 from repro.obs.tracer import span
 from repro.perf import bump, timed
@@ -111,10 +121,10 @@ from repro.store import (  # noqa: F401
 from repro.store import write_atomic as _write_atomic
 
 if TYPE_CHECKING:
-    from repro.lang.ir import Module
+    from repro.lang.frontend import Outline
 
 #: Bump when the on-disk entry layout itself changes.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 #: File-name suffixes of the three stores' entries.
 _MODULE_SUFFIX = ".ir.pkl"
@@ -183,10 +193,10 @@ def reset_cache_stats() -> None:
 
 
 def module_key(source: str, filename: str) -> str:
-    """Content and code hash identifying one compiled translation unit.
+    """Content and code hash identifying one translation unit.
 
     Also the unit's in-memory fingerprint, so it is never empty; the
-    loader skips the module cache when :func:`package_digest` is ''.
+    loader skips the IR cache when :func:`package_digest` is ''.
     """
     digest = hashlib.sha256()
     digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
@@ -261,50 +271,55 @@ def _store(store: str, tallies: DiskCacheStats, key: str, path: str,
     return True
 
 
-def _is_module_entry(value: Any) -> bool:
-    """Whether ``value`` is an ``(index, module bytes)`` pair."""
+def _is_index(value: Any) -> bool:
+    """Whether ``value`` is a ``(lines, slices)`` unit index."""
     return (type(value) is tuple and len(value) == 2
-            and type(value[0]) is dict and type(value[1]) is bytes
-            and all(type(line) is int for line in value[0].values()))
+            and type(value[0]) is dict and type(value[1]) is dict
+            and value[0].keys() == value[1].keys()
+            and all(type(line) is int for line in value[0].values())
+            and all(type(digest) is str for digest in value[1].values()))
 
 
-def load_module_entry(key: str) -> Optional[Tuple[Dict[str, int], bytes]]:
-    """The module entry under ``key`` — its function index (name ->
-    definition line) and the pickled module — without unpickling the
-    module; None on miss/corruption."""
-    return _load("disk", _STATS, key, _entry_path(key), _is_module_entry)
+def load_index(key: str) -> Optional[Tuple[Dict[str, int], Dict[str, str]]]:
+    """The unit index under ``key`` — each function's definition line
+    and source-slice hash; None on miss/corruption."""
+    return _load("disk", _STATS, key, _entry_path(key), _is_index)
 
 
-def decode_module(key: str, stored: bytes) -> Optional[Module]:
-    """The module in ``stored``, the bytes of the entry under ``key``.
+def store_index(key: str, lines: Dict[str, int],
+                slices: Dict[str, str]) -> bool:
+    """Atomically persist one unit index under ``key``; False on
+    failure."""
+    return _store("disk", _STATS, key, _entry_path(key), (lines, slices))
 
-    Bytes that do not unpickle to a module are tallied as an error and
-    the entry is deleted, like any entry :func:`_load` rejects; the
-    caller compiles instead.
+
+#: Path -> (source, module key) of each unit read.
+_SOURCES: Dict[str, Tuple[str, str]] = {}
+
+
+def read_unit(filename: str, path: str = "",
+              memo: bool = True) -> Tuple[str, str]:
+    """Corpus unit ``filename``'s source text and :func:`module_key`,
+    read from ``path`` (default: the unit in :func:`corpus_dir`).
+
+    With ``memo`` the file is read and hashed once per process, until
+    :func:`forget_sources`; the first read wins, so every caller sees
+    the same bytes.  Raises ``OSError`` when the unit cannot be read.
     """
-    from repro.lang.ir import Module
+    path = path or os.path.join(corpus_dir(), filename)
+    entry = _SOURCES.get(path) if memo else None
+    if entry is None:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        entry = (source, module_key(source, filename))
+        if memo:
+            entry = _SOURCES.setdefault(path, entry)
+    return entry
 
-    try:
-        module = pickle.loads(stored)
-    except Exception:
-        module = None
-    if not isinstance(module, Module):
-        _discard("disk", _STATS, _entry_path(key))
-        return None
-    return module
 
-
-def store_module(key: str, module: Module) -> bool:
-    """Atomically persist ``module`` and its function index under
-    ``key``; False on failure."""
-    try:
-        entry = ({name: func.line for name, func in module.functions.items()},
-                 pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        _STATS.tally("errors")
-        bump("cache.disk.error")
-        return False
-    return _store("disk", _STATS, key, _entry_path(key), entry)
+def forget_sources() -> None:
+    """Drop every memoized unit source (the next read goes to disk)."""
+    _SOURCES.clear()
 
 
 def _report_dir() -> str:
@@ -314,7 +329,7 @@ def _report_dir() -> str:
 def clear_disk_cache() -> int:
     """Delete every cache entry (all stores); returns the count.
 
-    Covers the module cache (``*.ir.pkl``), the function-level analysis
+    Covers the IR cache (``*.ir.pkl``), the function-level analysis
     store (``*.an.pkl``, and the ``*.an.bin`` entries of its retired
     binary format), the report store (``reports/*.report.pkl``, and
     reports of the older layout beside the other entries), the command
@@ -353,31 +368,25 @@ def clear_reports() -> int:
 # ---------------------------------------------------------------------------
 
 
-def function_slices(source: str, line_of: Dict[str, int]) -> Dict[str, str]:
-    """Per-function source-slice hashes for one translation unit.
+def function_slices(outline: Outline) -> Dict[str, str]:
+    """Per-function source-slice hashes for one outlined unit.
 
-    ``line_of`` maps function name to its 1-based definition line (the
-    IR carries it).  A function's slice is the unit *preamble* — every
-    line before the first function, i.e. the macros and struct layouts
-    all functions see — plus its own lines up to the next function (or
-    EOF for the last one).  Hash of slice unchanged ⇒ the function's
-    analysis inputs from this unit are unchanged.
+    A function's slice is the unit's *context* — the tokens outside
+    the function bodies plus the macro table, since macros expand
+    across the whole unit wherever they are defined — and the
+    function's own text, from its definition line to its closing
+    brace (:meth:`repro.lang.frontend.Outline.texts`).  Hash of slice
+    unchanged ⇒ the function's analysis inputs from this unit are
+    unchanged.  Positions outside the function are not hashed: an edit
+    inside one body, or a comment or blank line between two functions,
+    moves the functions below it without changing their slices.
     """
-    if not line_of:
-        return {}
-    lines = source.splitlines(keepends=True)
-    ordered = sorted(line_of.items(), key=lambda item: item[1])
-    first_line = ordered[0][1]
-    preamble = hashlib.sha256(
-        "".join(lines[:max(first_line - 1, 0)]).encode("utf-8")
-    ).hexdigest()
+    context, own = outline.texts()
+    shared = hashlib.sha256(context.encode("utf-8")).hexdigest()
     out: Dict[str, str] = {}
-    for index, (name, line) in enumerate(ordered):
-        start = max(line - 1, 0)
-        end = ordered[index + 1][1] - 1 if index + 1 < len(ordered) else len(lines)
-        digest = hashlib.sha256()
-        digest.update(preamble.encode("ascii"))
-        digest.update("".join(lines[start:end]).encode("utf-8"))
+    for name, text in own.items():
+        digest = hashlib.sha256(shared.encode("ascii"))
+        digest.update(text.encode("utf-8"))
         out[name] = digest.hexdigest()
     return out
 
@@ -431,13 +440,13 @@ def store_analysis(key: str, summary: Any) -> bool:
 # ---------------------------------------------------------------------------
 
 def report_key(extractor: str, scenarios: str,
-               units: Iterable[Tuple[str, bytes]]) -> str:
+               units: Iterable[Tuple[str, str]]) -> str:
     """Content hash identifying one extraction report; '' when the
     report cannot be keyed (sources unreadable).
 
     ``extractor`` names the extractor class, ``scenarios`` is the
     scenario specs' repr, and ``units`` gives every scenario unit's
-    filename and source bytes.
+    filename and :func:`module_key` (which covers its source).
     """
     code = package_digest()
     if not code:
@@ -448,9 +457,8 @@ def report_key(extractor: str, scenarios: str,
     digest.update(f"code={code}\n".encode("utf-8"))
     digest.update(f"extractor={extractor}\n".encode("utf-8"))
     digest.update(f"scenarios={scenarios}\n".encode("utf-8"))
-    for filename, source in units:
-        digest.update(f"unit={filename} {len(source)}\n".encode("utf-8"))
-        digest.update(source)
+    for filename, key in units:
+        digest.update(f"unit={filename} {key}\n".encode("utf-8"))
     return digest.hexdigest()
 
 

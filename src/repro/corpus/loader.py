@@ -2,20 +2,29 @@
 
 Units resolve through a two-tier cache: a per-process table (same
 :class:`CorpusUnit` object back on every call) in front of the
-persistent on-disk IR cache (:mod:`repro.corpus.cache`), which lets
-``compile_c`` results survive across processes.  Each resulting IR
-module is tagged with its component name so the analyzer knows which
-parameters belong where, and with its content fingerprint so the
-per-function analysis memos (:mod:`repro.analysis.taint`,
-:mod:`repro.analysis.constraints`) can key off it.
+persistent on-disk IR cache (:mod:`repro.corpus.cache`).  A unit's
+source is read and hashed once per process
+(:func:`repro.corpus.cache.read_unit`), and the same bytes key the
+stored extraction report, so a report is never stored under sources
+other than the ones analyzed.
 
-A unit read from the IR cache carries the entry's function index and
-keeps the module pickled until :attr:`CorpusUnit.module` is first
-read: extraction over stored analyses needs only each function's
-definition line and source slice, so it never unpickles a module.
+The IR cache holds a unit's *index*, not its IR: each function's
+definition line and source-slice hash, which is all extraction reads
+of a function whose analysis the analysis store answers.  On a miss
+the unit is outlined (:func:`repro.lang.compile_c` with
+``bodies=False``: lexed once, its declarations parsed, its function
+bodies skipped) and the index comes from the outline.  IR is compiled
+one function body at a time, when :meth:`CorpusUnit.function` is
+first asked for a function the analysis must run on (a
+``corpus.compile`` span naming the function);
+:attr:`CorpusUnit.module` compiles every body for the readers that
+walk a whole module.  Each function is tagged with its unit's content
+fingerprint so the per-function analysis memos
+(:mod:`repro.analysis.taint`, :mod:`repro.analysis.constraints`) can
+key off it, and the module with its component name.
 
-Loading is thread-safe: the parallel extractor may ask for the same
-unit from several workers at once.
+Loading and compiling are thread-safe: the service may ask for the
+same unit from several threads at once.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from repro.obs.tracer import span
 from repro.perf import clear_memos, timed
 
 if TYPE_CHECKING:
-    from repro.lang.ir import Module
+    from repro.lang.frontend import Outline
+    from repro.lang.ir import Function, Module
 
 #: Translation unit -> ecosystem component.
 UNIT_COMPONENTS: Dict[str, str] = {
@@ -48,63 +58,72 @@ UNIT_COMPONENTS: Dict[str, str] = {
     "xfs_growfs.c": "xfs_growfs",
 }
 
-#: Guards unit loads and first reads of a stored module.
+#: Guards unit loads and compiles.
 _LOAD_LOCK = threading.RLock()
 
 
 class CorpusUnit:
     """One translation unit: its source, its content ``fingerprint``
-    (the module key), its function index ``lines`` (name -> definition
-    line) and its compiled module.
+    (the IR cache key), its function index ``lines`` (name ->
+    definition line) and ``slices`` (name -> source-slice hash, see
+    :func:`repro.corpus.cache.function_slices`).
 
-    ``module`` is unpickled from the stored bytes on first read (or
-    compiled again, if the bytes turn out not to hold a module), so a
-    unit whose functions all come from the analysis store costs one
-    entry read and no unpickle.
+    IR is compiled on demand from the unit's outline, which is built
+    on first need: :meth:`function` compiles one body,
+    :attr:`module` the rest.
     """
 
     def __init__(self, filename: str, component: str, source: str,
                  fingerprint: str, lines: Dict[str, int],
-                 module: Optional[Module] = None, stored: bytes = b"") -> None:
+                 slices: Dict[str, str],
+                 outline: Optional[Outline] = None) -> None:
         self.filename = filename
         self.component = component
         self.source = source
         self.fingerprint = fingerprint
         self.lines = lines
-        self._module = module
-        self._stored = stored
-        self._slices: Optional[Dict[str, str]] = None
+        self.slices = slices
+        self._outline = outline
+        self._functions: Dict[str, Function] = {}
+        self._module: Optional[Module] = None
+
+    def function(self, name: str) -> Function:
+        """Function ``name``'s IR, compiled from its body alone (once);
+        KeyError when the unit defines no such function."""
+        with _LOAD_LOCK:
+            func = self._functions.get(name)
+            if func is None:
+                unit_outline = self._outlined()
+                with span("corpus.compile", unit=self.filename,
+                          function=name), timed("frontend.compile"):
+                    func = unit_outline.function(name)
+                func.module_fingerprint = self.fingerprint
+                self._functions[name] = func
+        return func
 
     @property
     def module(self) -> Module:
-        """The unit's IR module (unpickled or compiled on first read)."""
+        """The unit's IR module, every body compiled (on first read)."""
         module = self._module
         if module is None:
             with _LOAD_LOCK:
                 if self._module is None:
-                    self._module = self._decode()
-                    self._stored = b""
+                    with span("corpus.compile", unit=self.filename), \
+                            timed("frontend.compile"):
+                        module = self._outlined().module()
+                    module.component = self.component
+                    module.fingerprint = self.fingerprint
+                    for func in module.functions.values():
+                        func.module_fingerprint = self.fingerprint
+                    self._functions.update(module.functions)
+                    self._module = module
                 module = self._module
         return module
 
-    def _decode(self) -> Module:
-        from repro.corpus import cache as disk
-
-        module = disk.decode_module(self.fingerprint, self._stored)
-        if module is None:  # the entry was deleted; compile and re-store
-            module = _compile(self.filename, self.source, self.fingerprint,
-                              use_disk=True)
-        return _annotate(module, self.component, self.fingerprint)
-
-    @property
-    def slices(self) -> Dict[str, str]:
-        """Per-function source-slice hashes (see
-        :func:`repro.corpus.cache.function_slices`), computed once."""
-        if self._slices is None:
-            from repro.corpus.cache import function_slices
-
-            self._slices = function_slices(self.source, self.lines)
-        return self._slices
+    def _outlined(self) -> Outline:
+        if self._outline is None:
+            self._outline = _outline(self.filename, self.source)
+        return self._outline
 
 
 #: (resolved corpus dir, filename) -> unit.  The directory is part of
@@ -123,54 +142,39 @@ def corpus_path(filename: str) -> str:
     return path
 
 
-def _compile(filename: str, source: str, key: str, use_disk: bool) -> Module:
-    """Compile ``source``, storing the module when ``use_disk``."""
-    from repro.corpus import cache as disk
-
-    with span("corpus.compile", unit=filename), timed("frontend.compile"):
-        module = compile_c(source, filename)
-    if use_disk:
-        disk.store_module(key, module)
-    return module
-
-
-def _annotate(module: Module, component: str, key: str) -> Module:
-    module.component = component
-    module.fingerprint = key
-    for func in module.functions.values():
-        # Lets the per-function analysis memos key off pure content
-        # without a back-pointer walk (set after pickling, so disk
-        # entries stay annotation-free).
-        func.module_fingerprint = key
-    return module
+def _outline(filename: str, source: str) -> Outline:
+    with span("corpus.outline", unit=filename), timed("frontend.outline"):
+        return compile_c(source, filename, bodies=False)
 
 
 def _load(filename: str, use_disk: bool) -> CorpusUnit:
-    """Read ``filename``, then take its module index and bytes from the
-    IR cache when ``use_disk``, else compile it."""
+    """Read ``filename``, then take its index from the IR cache when
+    ``use_disk``, else outline it (and store the index)."""
     from repro.corpus import cache as disk
 
-    with open(corpus_path(filename), encoding="utf-8") as handle:
-        source = handle.read()
-    key = disk.module_key(source, filename)
+    source, key = disk.read_unit(filename, corpus_path(filename),
+                                 memo=use_disk)
     component = UNIT_COMPONENTS[filename]
     use_disk = (use_disk and disk.disk_cache_enabled()
                 and bool(disk.package_digest()))
-    entry = disk.load_module_entry(key) if use_disk else None
+    entry = disk.load_index(key) if use_disk else None
     if entry is not None:
-        lines, stored = entry
-        return CorpusUnit(filename, component, source, key, lines,
-                          stored=stored)
-    module = _annotate(_compile(filename, source, key, use_disk),
-                       component, key)
-    lines = {name: func.line for name, func in module.functions.items()}
-    return CorpusUnit(filename, component, source, key, lines, module)
+        lines, slices = entry
+        return CorpusUnit(filename, component, source, key, lines, slices)
+    unit_outline = _outline(filename, source)
+    lines = unit_outline.lines
+    slices = disk.function_slices(unit_outline)
+    if use_disk:
+        disk.store_index(key, lines, slices)
+    return CorpusUnit(filename, component, source, key, lines, slices,
+                      unit_outline)
 
 
 def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
-    """Read (from the IR cache, or by compiling) corpus unit
-    ``filename``; with ``use_cache`` the same object comes back until
-    :func:`clear_cache`."""
+    """Read corpus unit ``filename`` and its index (from the IR cache,
+    or by outlining it); with ``use_cache`` the same object comes back
+    until :func:`clear_cache`, and without it the source is read
+    afresh and no store is touched."""
     cache_key = (_corpus_dir(), filename)
     if use_cache:
         unit = _CACHE.get(cache_key)
@@ -191,7 +195,7 @@ def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
 
 
 def load_corpus(filenames: Optional[List[str]] = None) -> List[CorpusUnit]:
-    """Compile several units (default: the whole corpus).
+    """Load several units (default: the whole corpus).
 
     Repeated filenames are deduped (first occurrence wins the slot), so
     scenario specs that mention a unit twice load it once and the
@@ -209,8 +213,8 @@ def load_corpus(filenames: Optional[List[str]] = None) -> List[CorpusUnit]:
 
 
 def clear_cache(disk: bool = False) -> None:
-    """Drop compiled units, every per-function analysis memo and the
-    stored extraction reports.
+    """Drop loaded units and the sources they were read from, every
+    per-function analysis memo and the stored extraction reports.
 
     The analysis memos (taint states, constraint findings, CFGs) key
     off unit fingerprints and function objects; dropping units without
@@ -225,10 +229,12 @@ def clear_cache(disk: bool = False) -> None:
     otherwise: no in-process extraction reads it, and a second
     directory scan would cost every call.
     """
-    from repro.corpus.cache import clear_disk_cache, clear_reports
+    from repro.corpus.cache import (clear_disk_cache, clear_reports,
+                                    forget_sources)
 
     with _LOAD_LOCK:
         _CACHE.clear()
+        forget_sources()
         clear_memos()
     if disk:
         clear_disk_cache()

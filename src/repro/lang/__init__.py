@@ -14,6 +14,12 @@ Typical use::
     module = compile_c(source_text, filename="mke2fs.c")
     for function in module.functions.values():
         ...  # function.blocks, function.instructions
+
+A caller that needs only some functions asks for the unit's outline
+(:mod:`repro.lang.frontend`) and compiles just those bodies::
+
+    unit = compile_c(source_text, filename="mke2fs.c", bodies=False)
+    function = unit.function("parse_mke2fs_options")
 """
 
 #: Version of the frontend's *semantics* (lexer, parser, sema, lowering,
@@ -23,7 +29,13 @@ Typical use::
 #: orphaned at once.
 FRONTEND_VERSION = "1"
 
+from typing import TYPE_CHECKING, Union
+
 from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.lang.frontend import Outline
+    from repro.lang.ir import IRModule
 
 __all__ = ["FRONTEND_VERSION", "compile_c"]
 
@@ -33,22 +45,29 @@ _lazy.install(globals(), {
     "repro.lang.sema": ("analyze",),
     "repro.lang.lower": ("lower",),
     "repro.lang.ir": ("IRModule",),
+    "repro.lang.frontend": ("Outline",),
 })
 
 
-def compile_c(source: str, filename: str = "<input>") -> "IRModule":
-    """Front-to-back compilation: source text to an IR module.
+def compile_c(source: str, filename: str = "<input>", *,
+              bodies: bool = True) -> "Union[IRModule, Outline]":
+    """Front-to-back compilation of one translation unit.
 
-    The frontend loads on the first call, so a run whose IR all comes
-    from the cache only ever imports :mod:`repro.lang.ir`.
+    ``source`` is lexed once and every top-level declaration parsed
+    into the unit's :class:`~repro.lang.frontend.Outline`.  Returns the
+    IR module, every function body compiled; with ``bodies=False``,
+    the outline itself, whose bodies compile one at a time when asked
+    for (:meth:`Outline.function`, :meth:`Outline.module`).
+
+    The frontend loads on the first call, so a run whose function
+    indexes all come from the cache only ever imports
+    :mod:`repro.lang.ir`.
     """
+    from repro.lang.frontend import Outline
     from repro.lang.lower import lower
-    from repro.lang.parser import parse
-    from repro.lang.sema import analyze
 
     # Loading the ``lower`` submodule binds it over the exported
     # function of the same name; put the function back.
     globals()["lower"] = lower
-    tree = parse(source, filename)
-    analyze(tree)
-    return lower(tree)
+    unit = Outline(source, filename)
+    return unit.module() if bodies else unit

@@ -113,10 +113,11 @@ class Token:
 
 @dataclass
 class MacroDef:
-    """One object-like #define and its replacement tokens."""
+    """One object-like #define: its replacement tokens and text."""
     name: str
     tokens: List[Token]
     line: int
+    text: str = ""
 
 
 class Lexer:
@@ -322,7 +323,7 @@ class Lexer:
             tokens = sub._raw_tokens()
             for t in tokens:
                 t.macro = name
-            self.macros[name] = MacroDef(name, tokens, line_start)
+            self.macros[name] = MacroDef(name, tokens, line_start, replacement)
             return
         if body.startswith(("ifdef", "ifndef", "endif", "undef", "pragma", "if", "else", "elif")):
             return  # tolerated and ignored (corpus avoids conditional code)

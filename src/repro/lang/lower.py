@@ -9,7 +9,7 @@ condition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import LoweringError
 from repro.lang import ast_nodes as A
@@ -393,13 +393,22 @@ class FunctionLowering:
         return "?"
 
 
-def lower(unit: A.TranslationUnit) -> Module:
-    """Lower a (semantically checked) translation unit to an IR module."""
+def lower(unit: A.TranslationUnit,
+          lower_function: Optional[Callable[[A.FunctionDef], Function]] = None
+          ) -> Module:
+    """Lower a (semantically checked) translation unit to an IR module.
+
+    ``lower_function`` lowers one function definition; by default each
+    is lowered afresh (an outline passes the bodies it already has).
+    """
+    if lower_function is None:
+        def lower_function(fn: A.FunctionDef) -> Function:
+            return FunctionLowering(fn, unit.filename).lower()
     module = Module(unit.filename)
     for struct in unit.structs:
         module.structs[struct.name] = [f.name for f in struct.fields]
     for fn in unit.functions:
         if fn.body is None:
             continue
-        module.functions[fn.name] = FunctionLowering(fn, unit.filename).lower()
+        module.functions[fn.name] = lower_function(fn)
     return module

@@ -12,11 +12,19 @@ test suite keeps the original 10-level recursive ladder as a reference
 parser; ladder level ``L`` corresponds to climbing with minimum
 precedence ``L + 1`` and both build left-associative trees, so the
 ASTs are identical node for node.
+
+A unit parses in two steps.  :meth:`Parser.parse_outline` parses every
+top-level declaration and skips each function body by brace matching
+over the tokens, recording a :class:`BodySpan` (where the body lies,
+and the typedefs in scope there); :meth:`Parser.parse_body` parses one
+recorded body.  :func:`parse` does both for every body, so a unit
+parsed whole and a unit parsed body by body build the same tree.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.lang import ast_nodes as A
@@ -43,15 +51,38 @@ _PRECEDENCE = {
 }
 
 
+@dataclass
+class BodySpan:
+    """One function definition whose body the outline skipped.
+
+    ``function`` is the definition's header (its ``body`` stays None
+    until :meth:`Parser.parse_body` fills it), the body is tokens
+    ``[start, end)`` (``{`` through its matching ``}``), and ``scope``
+    is the parser's typedef and enum state at the definition.
+    """
+
+    function: A.FunctionDef
+    start: int
+    end: int
+    scope: Tuple[FrozenSet[str], Dict[str, CType], FrozenSet[str]]
+
+
 class Parser:
-    """Parse one translation unit."""
+    """Parse one translation unit.
+
+    Typedef and enum state is replaced, never mutated, when a
+    declaration extends it, so a :class:`BodySpan` snapshots it by
+    reference.
+    """
 
     def __init__(self, tokens: List[Token], filename: str = "<input>") -> None:
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
-        self.typedef_names: Set[str] = set()
-        self.enum_constants: Set[str] = set()
+        self.typedef_names: FrozenSet[str] = frozenset()
+        self._typedefs: Dict[str, CType] = {}
+        self.enum_constants: FrozenSet[str] = frozenset()
+        self._spans: List[BodySpan] = []
 
     # ------------------------------------------------------------------
     # token helpers
@@ -111,10 +142,28 @@ class Parser:
 
     def parse_unit(self) -> A.TranslationUnit:
         """Parse the token stream into a TranslationUnit."""
+        unit, spans = self.parse_outline()
+        for span in spans:
+            span.function.body = self.parse_body(span)
+        return unit
+
+    def parse_outline(self) -> Tuple[A.TranslationUnit, List[BodySpan]]:
+        """Parse every top-level declaration, skipping function bodies.
+
+        The unit lists each definition's header with ``body`` None; the
+        spans say where each skipped body lies, in source order.
+        """
         unit = A.TranslationUnit(self.filename)
+        self._spans = []
         while self._peek().kind is not TokenKind.EOF:
             self._parse_top_level(unit)
-        return unit
+        return unit, self._spans
+
+    def parse_body(self, span: BodySpan) -> A.Block:
+        """Parse the body ``span`` recorded, in the scope it recorded."""
+        self.pos = span.start
+        self.typedef_names, self._typedefs, self.enum_constants = span.scope
+        return self._parse_block()
 
     def _parse_top_level(self, unit: A.TranslationUnit) -> None:
         token = self._peek()
@@ -173,11 +222,9 @@ class Parser:
             ctype = ctype.pointer_to()
         name = self._expect_ident()
         self._expect(";")
-        self.typedef_names.add(name.text)
-        td = A.Typedef(name.text, ctype, start.line)
-        self._typedefs = getattr(self, "_typedefs", {})
-        self._typedefs[name.text] = ctype
-        return td
+        self.typedef_names = self.typedef_names | {name.text}
+        self._typedefs = {**self._typedefs, name.text: ctype}
+        return A.Typedef(name.text, ctype, start.line)
 
     def _parse_struct_decl(self) -> A.StructDecl:
         start = self._expect("struct")
@@ -222,12 +269,12 @@ class Parser:
                     raise self._error("enum value must be an integer literal")
                 next_value = value_token.value
             members.append((member.text, next_value))
-            self.enum_constants.add(member.text)
             next_value += 1
             if not self._accept(","):
                 break
         self._expect("}")
         self._expect(";")
+        self.enum_constants = self.enum_constants | {m for m, _ in members}
         return A.EnumDecl(name, members, start.line)
 
     def _parse_function(self, return_type: CType, name_token: Token, static: bool) -> A.FunctionDef:
@@ -249,12 +296,40 @@ class Parser:
                     if not self._accept(","):
                         break
         self._expect(")")
-        if self._accept(";"):
-            return A.FunctionDef(name_token.text, return_type, params, None,
-                                 name_token.line, static)
-        body = self._parse_block()
-        return A.FunctionDef(name_token.text, return_type, params, body,
-                             name_token.line, static)
+        header = A.FunctionDef(name_token.text, return_type, params, None,
+                               name_token.line, static)
+        if not self._accept(";"):
+            start = self.pos
+            self._skip_body()
+            self._spans.append(BodySpan(
+                header, start, self.pos,
+                (self.typedef_names, self._typedefs, self.enum_constants)))
+        return header
+
+    def _skip_body(self) -> None:
+        """Step over the ``{ ... }`` at ``pos`` by brace matching.
+
+        Only OP tokens count: a string or character literal holding a
+        brace is not one.  A body whose braces never balance is parsed
+        instead, which raises the error a whole-unit parse raises.
+        """
+        if not self._check("{"):
+            self._expect("{")
+        tokens = self.tokens
+        op = TokenKind.OP
+        depth = 0
+        for pos in range(self.pos, len(tokens)):
+            token = tokens[pos]
+            text = token.text
+            if text == "{" and token.kind is op:
+                depth += 1
+            elif text == "}" and token.kind is op:
+                depth -= 1
+                if not depth:
+                    self.pos = pos + 1
+                    return
+        self._parse_block()
+        raise self._error("expected '}'")  # the parse above raised first
 
     # ------------------------------------------------------------------
     # types
@@ -302,7 +377,7 @@ class Parser:
             return CType(base if base != "signed" else "int", unsigned)
         if token.kind is TokenKind.IDENT and token.text in self.typedef_names:
             self._next()
-            resolved = getattr(self, "_typedefs", {}).get(token.text)
+            resolved = self._typedefs.get(token.text)
             if resolved is not None:
                 return CType(resolved.base, resolved.unsigned or unsigned,
                              resolved.struct_name, resolved.pointer,

@@ -91,6 +91,14 @@ class SemanticAnalyzer:
 
     def run(self) -> None:
         """Check the whole unit; raises SemanticError on the first fault."""
+        self.declare()
+        for fn in self.unit.functions:
+            if fn.body is not None:
+                self.check_function(fn)
+
+    def declare(self) -> None:
+        """Build the unit-level tables (structs, enum constants, globals,
+        functions) that every function body is checked against."""
         for struct in self.unit.structs:
             if struct.name in self.structs:
                 raise SemanticError(f"struct {struct.name!r} redefined",
@@ -103,15 +111,13 @@ class SemanticAnalyzer:
             self.globals.declare(gvar.name, gvar.ctype)
         for fn in self.unit.functions:
             self.functions[fn.name] = fn
-        for fn in self.unit.functions:
-            if fn.body is not None:
-                self._check_function(fn)
 
     # ------------------------------------------------------------------
     # functions and statements
     # ------------------------------------------------------------------
 
-    def _check_function(self, fn: A.FunctionDef) -> None:
+    def check_function(self, fn: A.FunctionDef) -> None:
+        """Check one function body against the unit-level tables."""
         scope = Scope(self.globals)
         for param in fn.params:
             scope.declare(param.name, param.ctype)

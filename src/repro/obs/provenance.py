@@ -155,7 +155,7 @@ class ProvenanceIndex:
             return
         unit = load_unit(filename)
         sources = SOURCES_BY_UNIT[filename]
-        func = unit.module.function(fn_name)
+        func = unit.function(fn_name)
         state = analyze_function(func, sources, unit.component)
         findings = derive_constraints(func, build_cfg(func), state, sources,
                                       unit.component, filename)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, \
-    Tuple, Union
+from itertools import compress
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, \
+    Set, Tuple, Union
 
 from repro.analysis.model import Category, Dependency, SubKind
 from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, FeatureSet, \
@@ -384,6 +386,14 @@ def _mount_token(param: ConfigParam, value: object) -> Optional[str]:
     return f"{param.name}={value}"
 
 
+def _tuple_getter(positions: List[int]) -> Callable[[Assignment], tuple]:
+    """``operator.itemgetter`` over ``positions`` that returns a tuple
+    however many positions there are."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row: tuple(row[pos] for pos in positions)
+
+
 class ConfigAdapter:
     """Adapts sampled assignments over one space into configurations.
 
@@ -409,6 +419,14 @@ class ConfigAdapter:
                 if domain.name in _MKFS_NUMERIC:
                     numeric[domain.name] = pos
                 elif domain.name in feature_names:
+                    values = domain.values
+                    # ``(0, 1) == (False, True)``: test identity, since
+                    # a row's feature value is read for truth.
+                    if not (len(values) == 2 and values[0] is False
+                            and values[1] is True):
+                        raise ValueError(
+                            f"feature domain {domain.name!r} must be "
+                            f"(False, True), not {values!r}")
                     features.append((domain.name, pos))
                 continue
             param = mount_params[domain.name]
@@ -417,7 +435,9 @@ class ConfigAdapter:
         # GeneratedConfig and Mke2fsConfig name their fields after the params.
         self._numeric = tuple((name, numeric[name]) for name in _MKFS_NUMERIC)
         self._blocksize = numeric["blocksize"]
-        self._features = tuple(sorted(features))
+        features.sort()
+        self._feature_names = tuple(name for name, _pos in features)
+        self._feature_values = _tuple_getter([pos for _name, pos in features])
         self._mount = tuple(mount)
 
     def __call__(self, assignment: Assignment) -> GeneratedConfig:
@@ -442,9 +462,9 @@ class SampledConfig:
 
     @property
     def features(self) -> Tuple[str, ...]:
-        row = self._row
-        return tuple(name for name, pos in self._plan._features
-                     if row[pos] is True)
+        plan = self._plan
+        return tuple(compress(plan._feature_names,
+                              plan._feature_values(self._row)))
 
     @property
     def mount_options(self) -> str:

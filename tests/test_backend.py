@@ -179,9 +179,9 @@ class TestAnalysisStore:
 
     def test_wrong_shape_entry_is_an_error(self, isolated_store):
         """An entry that unpickles to the wrong shape is an error and is
-        deleted, in the IR cache (its index and module bytes, then the
-        module in the bytes) and the analysis store alike, so it does
-        not error again on every lookup."""
+        deleted, in the IR cache (a unit index: definition lines and
+        slice hashes over the same functions) and the analysis store
+        alike, so it does not error again on every lookup."""
         from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
@@ -189,23 +189,15 @@ class TestAnalysisStore:
         analysis = (disk._analysis_path(key),
                     lambda: disk.load_analysis(key, FunctionSummary),
                     disk.analysis_stats)
-        entry = (disk._entry_path(key), lambda: disk.load_module_entry(key),
+        entry = (disk._entry_path(key), lambda: disk.load_index(key),
                  disk.cache_stats)
-
-        def module():
-            # A well-formed entry whose bytes are torn or foreign: the
-            # entry reads, its module is the error.
-            loaded = disk.load_module_entry(key)
-            return loaded and disk.decode_module(key, loaded[1])
-
         cases = [(value, load)
                  for value in [("not", "a", "pair"), {"not": "a summary"},
-                               ({"fn": "1"}, b"")]
+                               ({"fn": "1"}, {"fn": "ab"}),
+                               ({"fn": 1}, {"other": "ab"}),
+                               # the retired layout: index + module bytes
+                               ({"fn": 1}, pickle.dumps(["a", "module"]))]
                  for load in (analysis, entry)]
-        cases += [(({"fn": 1}, blob),
-                   (disk._entry_path(key), module, disk.cache_stats))
-                  for blob in (b"\x80\x05torn",
-                               pickle.dumps(["not", "a", "module"]))]
         for value, (path, load, stats) in cases:
             disk.reset_cache_stats()
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -247,9 +239,6 @@ class TestAnalysisStore:
         for path in paths:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
-            if path.endswith(".ir.pkl"):
-                # The module is stored as bytes beside its index.
-                value = (value[0], pickle.loads(value[1]))
             Recorder(io.BytesIO()).dump(value)
         package = os.path.dirname(sys.modules["repro"].__file__)
 
@@ -263,12 +252,14 @@ class TestAnalysisStore:
 
         names = {cls.__name__ for cls in seen}
         assert {"FunctionSummary", "FieldStore", "FunctionFindings",
-                "Module", "ExtractionReport"} <= names
+                "ExtractionReport"} <= names
         assert sorted(cls.__qualname__ for cls in seen
                       if not covered(cls)) == []
-        # Taint states (and the IR instructions they point into) are
-        # never stored: a summary holds what extraction reads.
-        assert not names & {"TaintState", "FieldWrite"}
+        # Taint states, IR modules and the IR instructions they hold
+        # are never stored: a summary holds what extraction reads, and
+        # a unit index its function lines and slice hashes.
+        assert not names & {"TaintState", "FieldWrite", "Module",
+                            "Function"}
 
     def test_analysis_key_sensitivity(self, isolated_store, monkeypatch):
         from repro.corpus import cache as disk
@@ -296,23 +287,45 @@ class TestAnalysisStore:
 
     def test_function_slices_localize_edits(self, isolated_store):
         from repro.corpus import cache as disk
+        from repro.lang import compile_c
 
         source = ("#define N 8\n"
                   "int first(void) { return N; }\n"
                   "int second(void) { return 2; }\n")
-        line_of = {"first": 2, "second": 3}
-        before = disk.function_slices(source, line_of)
+
+        def slices(text):
+            return disk.function_slices(compile_c(text, bodies=False))
+
+        before = slices(source)
         assert set(before) == {"first", "second"}
         # Editing one function's body changes only that slice…
         edited = source.replace("return 2", "return 3")
-        after = disk.function_slices(edited, line_of)
+        after = slices(edited)
         assert after["first"] == before["first"]
         assert after["second"] != before["second"]
-        # …while editing the shared preamble changes every slice.
-        preamble = source.replace("#define N 8", "#define N 9")
-        shifted = disk.function_slices(preamble, line_of)
-        assert shifted["first"] != before["first"]
-        assert shifted["second"] != before["second"]
+        # …moving a body, or a comment or blank line between two
+        # functions, leaves a slice alone…
+        moved = source.replace("return N;", "\n  return N;")
+        assert slices(moved)["second"] == before["second"]
+        between = source.replace("int second", "\n/* doc */\nint second")
+        assert slices(between) == before
+        # …but a line moving inside a function (its reported lines are
+        # relative to its definition line) changes that slice only.
+        header = source.replace("int second(void) {",
+                                "int second(void)\n{")
+        assert slices(header)["first"] == before["first"]
+        assert slices(header)["second"] != before["second"]
+        # …while editing the shared context changes every slice, be it
+        # a macro (wherever it is defined) or a declaration between
+        # two functions.
+        for context in (source.replace("#define N 8", "#define N 9"),
+                        source.replace("return 2;",
+                                       "\n#define M 1\nreturn 2;"),
+                        source.replace("int second",
+                                       "int late;\nint second")):
+            shifted = slices(context)
+            assert shifted["first"] != before["first"]
+            assert shifted["second"] != before["second"]
 
     def test_clear_cache_disk_wipes_store_and_graph(self, isolated_store):
         """``clear_cache(disk=True)`` empties every store: IR modules,
@@ -471,11 +484,16 @@ class TestBackendsEndToEnd:
             assert incremental == _canonical(extract_all())
             return incremental
 
-        # A trailing comment lands in the unit's last function's slice
-        # and changes no semantics, so outputs match the untouched run.
-        assert edit_and_extract(
-            "mount.c", lambda text: text + "\n/* incremental edit */\n"
-        ) == untouched
+        # A comment closing the unit's last function body lands in that
+        # function's slice and changes no semantics, so outputs match
+        # the untouched run.  (Text outside every body is the context
+        # of all of the unit's slices; tests/test_reextraction.py
+        # covers edits there.)
+        def close_last_body(text):
+            end = text.rindex("}")
+            return text[:end] + "    /* incremental edit */\n" + text[end:]
+
+        assert edit_and_extract("mount.c", close_last_body) == untouched
         assert _report_entries(disk) not in ([], untouched_report)
         # A body edit of a function whose struct.field traffic other
         # units read through the metadata bridge: the readers' stored

@@ -324,6 +324,43 @@ class TestAdaptedConfigs:
             row = tuple(d.values[pick] for d in space.domains)
             assert adapt(row) == ref_config_from_assignment(space, row)
 
+    def test_feature_domains_must_be_boolean(self, space):
+        """The plan reads a row's feature values for truth, so it takes
+        only ``(False, True)`` feature domains: ``(0, 1)`` compares
+        equal to that but is refused, as is the reversed order."""
+        features = set(all_feature_names())
+        pos = next(i for i, d in enumerate(space.domains)
+                   if d.component == "mke2fs" and d.name in features)
+        name = space.domains[pos].name
+        for values in ((0, 1), (True, False), (False, True, None)):
+            domains = list(space.domains)
+            domains[pos] = Domain(name, "mke2fs", values)
+            with pytest.raises(ValueError, match=name):
+                ConfigAdapter(ConfigSpace(domains))
+
+    @pytest.mark.parametrize("kept", [0, 1, 2])
+    def test_few_feature_domains(self, space, kept):
+        """Spaces with zero, one or two feature domains adapt as the
+        reference does."""
+        features = set(all_feature_names())
+        seen = 0
+        domains = []
+        for domain in space.domains:
+            if domain.component == "mke2fs" and domain.name in features:
+                seen += 1
+                if seen > kept:
+                    continue
+            domains.append(domain)
+        small = ConfigSpace(domains)
+        adapt = ConfigAdapter(small)
+        rows = [row for _, row in RandomSampler(small, 5, 64)
+                .iter_range(0, 64)]
+        configs = [adapt(row) for row in rows]
+        for row, config in zip(rows, configs):
+            assert config == ref_config_from_assignment(small, row)
+        assert {len(config.features) for config in configs} == \
+            set(range(kept + 1))
+
 
 # ---------------------------------------------------------------------------
 # structured mke2fs configurations

@@ -58,18 +58,17 @@ class TestDiskCache:
     def test_store_load_roundtrip(self, ir_cache_dir):
         unit = load_unit("mke2fs.c", use_cache=False)
         key = disk_cache.module_key(unit.source, "mke2fs.c")
-        assert disk_cache.store_module(key, unit.module)
-        entry = disk_cache.load_module_entry(key)
+        assert disk_cache.store_index(key, unit.lines, unit.slices)
+        entry = disk_cache.load_index(key)
         assert entry is not None
-        index, stored = entry
-        assert index == {name: func.line
+        lines, slices = entry
+        assert lines == {name: func.line
                          for name, func in unit.module.functions.items()}
-        loaded = disk_cache.decode_module(key, stored)
-        assert loaded is not None
-        assert set(loaded.functions) == set(unit.module.functions)
+        assert list(lines) == list(unit.module.functions)
+        assert slices == unit.slices and set(slices) == set(lines)
 
     def test_miss_on_unknown_key(self, ir_cache_dir):
-        assert disk_cache.load_module_entry("0" * 64) is None
+        assert disk_cache.load_index("0" * 64) is None
         assert disk_cache.cache_stats().misses == 1
 
     def test_key_depends_on_source_and_filename(self):
@@ -83,7 +82,7 @@ class TestDiskCache:
         path = os.path.join(str(ir_cache_dir), f"{key}.ir.pkl")
         with open(path, "wb") as fh:
             fh.write(b"not a pickle")
-        assert disk_cache.load_module_entry(key) is None
+        assert disk_cache.load_index(key) is None
         assert disk_cache.cache_stats().errors == 1
         assert not os.path.exists(path)
 

@@ -5,13 +5,18 @@ analysis store.
   leaves their slices, and so their store keys, alone: a warm
   ``repro-extract --json`` must still print exactly the lines a run
   with every store disabled prints;
-- work counters for a one-function edit over warm stores: no module of
-  an unedited unit is unpickled (its function index answers), each
-  selected function is loaded from the store at most once, and only the
-  edited function is solved;
+- an edit to anything a body is compiled against — a macro defined
+  late in the unit or inside another body, a late global — moves every
+  slice of the unit, so warm output still equals store-disabled output;
+- the report store is keyed by the sources the extraction analyzed,
+  so an edit after a process read a unit cannot poison it;
+- work counters for a one-function edit over warm stores: only the
+  edited function's body is compiled (none when no scenario selects
+  it), no module is pickled or unpickled, each unit is read and hashed
+  once, and only the edited function is solved;
 - the error and damage paths of the unit index: a missing pre-selected
   function is still an error, a torn IR entry is a deleted miss, and
-  module bytes that hold no module are deleted and compiled again.
+  an entry of another layout is deleted and the unit outlined again.
 """
 
 from __future__ import annotations
@@ -21,14 +26,16 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from repro.corpus import cache as disk
 from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
 
-CORPUS_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                          "repro", "corpus")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+CORPUS_SRC = os.path.join(SRC, "repro", "corpus")
 
 
 @pytest.fixture
@@ -140,57 +147,245 @@ class TestStoredLinesFollowTheirFunction:
         assert "provenance for" in warm
 
 
+#: The define whose value the context tests edit: it bounds the
+#: ``mke2fs.inode_size`` value range that ``parse_mke2fs_options``
+#: checks.
+_DEFINE = "#define EXT2_INODE_SIZE_MAX 4096\n"
+
+
+class TestSliceContext:
+    """Edits outside the analyzed function that change what it compiles
+    to must miss the analysis store."""
+
+    @pytest.mark.parametrize("anchor", [
+        # late in the unit, between two function definitions
+        "int parse_mke2fs_options(int argc",
+        # inside the body of a function no scenario selects
+        "    word = parse_feature_word(str);",
+    ], ids=["late", "in-another-body"])
+    def test_moved_define_value_edit_matches_store_disabled(
+            self, corpus, tmp_path, monkeypatch, anchor):
+        path = corpus / "mke2fs.c"
+        text = path.read_text(encoding="utf-8")
+        assert text.count(_DEFINE) == 1 and text.count(anchor) == 1
+        moved = text.replace(_DEFINE, "").replace(anchor, _DEFINE + anchor)
+        path.write_text(moved, encoding="utf-8")
+        cold = _extract_json(tmp_path, "cold.json")
+        path.write_text(moved.replace(" 4096\n", " 8192\n"), encoding="utf-8")
+        warm, disabled = _warm_and_disabled(tmp_path, monkeypatch, "edit")
+        assert warm == disabled
+        assert warm != cold
+        assert "[128,8192]" in json.dumps(warm)
+
+    def test_late_global_edit_moves_every_slice(self, corpus):
+        from repro.corpus.loader import load_unit
+
+        path = corpus / "mke2fs.c"
+        text = path.read_text(encoding="utf-8")
+        anchor = "int write_superblock(void)"
+        slices = []
+        for declaration in ("int late_global;\n", "long late_global;\n"):
+            path.write_text(text.replace(anchor, declaration + anchor),
+                            encoding="utf-8")
+            clear_cache()
+            slices.append(load_unit("mke2fs.c").slices)
+        before, after = slices
+        assert set(before) == set(after) == {
+            "parse_feature_opts", "parse_mke2fs_options",
+            "check_feature_conflicts", "write_superblock"}
+        assert all(after[name] != before[name] for name in before)
+
+
+class TestTextBetweenFunctions:
+    """Comments and blank lines outside every body change no token, so
+    they leave every slice alone: the moved functions hit the store
+    and report their new lines."""
+
+    def test_doc_comments_and_blank_lines_keep_every_slice(
+            self, corpus, tmp_path, monkeypatch):
+        from repro.corpus.loader import load_unit
+
+        path = corpus / "mke2fs.c"
+        text = path.read_text(encoding="utf-8")
+        before = load_unit("mke2fs.c").slices
+        cold = _extract_json(tmp_path, "cold.json")
+        edited = text.replace("struct ext2_super_block {",
+                              "struct ext2_super_block {\n", 1)
+        for function in ("parse_mke2fs_options", "write_superblock"):
+            anchor = f"int {function}("
+            edited = edited.replace(anchor, f"/* {function}:\n * doc\n */\n"
+                                    + anchor, 1)
+        path.write_text(edited, encoding="utf-8")
+        clear_cache()
+        disk.reset_cache_stats()
+        assert load_unit("mke2fs.c").slices == before
+        warm, disabled = _warm_and_disabled(tmp_path, monkeypatch, "doc")
+        stats = disk.analysis_stats()
+        assert (stats.hits, stats.misses) == (16, 0)
+        assert warm == disabled
+        assert warm != cold  # the lines did move
+
+    def test_a_line_moved_inside_a_header_misses_that_function(
+            self, corpus, tmp_path, monkeypatch):
+        path = corpus / "mke2fs.c"
+        text = path.read_text(encoding="utf-8")
+        _extract_json(tmp_path, "cold.json")
+        path.write_text(text.replace("int write_superblock(void)\n{",
+                                     "int write_superblock(void)\n\n{", 1),
+                        encoding="utf-8")
+        disk.reset_cache_stats()
+        warm, disabled = _warm_and_disabled(tmp_path, monkeypatch, "header")
+        stats = disk.analysis_stats()
+        assert (stats.hits, stats.misses) == (15, 1)
+        assert warm == disabled
+
+
+def _fresh_process_keys() -> list:
+    """Dependency keys of ``extract_all()`` in a new interpreter over
+    this test's corpus and cache directory."""
+    code = ("from repro.analysis.extractor import extract_all\n"
+            "for dep in extract_all().union:\n"
+            "    print(dep.key())\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return sorted(done.stdout.splitlines())
+
+
+class TestReportKey:
+    def test_edit_after_a_read_does_not_poison_the_report_store(
+            self, corpus, monkeypatch):
+        from repro.analysis.extractor import extract_all
+
+        before = sorted(dep.key() for dep in extract_all().union)
+        path = corpus / "mke2fs.c"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            _DEFINE, _DEFINE.replace("4096", "8192")), encoding="utf-8")
+        # Same process, units already read: the old sources are still
+        # the ones analyzed, and the report says so.
+        assert sorted(dep.key() for dep in extract_all().union) == before
+        # A new process reads the edit, and no store answers it with
+        # the old sources' report.
+        fresh = _fresh_process_keys()
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        assert fresh == _fresh_process_keys()
+        assert fresh != before
+        assert any("[128,8192]" in key for key in fresh)
+
+
 class TestOneFunctionEditWork:
     """Host-independent work of re-extracting after a one-function
     edit over warm stores (what perfbench ``reanalysis`` times)."""
 
-    def test_only_the_edited_function_is_solved(self, corpus, monkeypatch):
-        from repro import lang
+    def _work(self, corpus, monkeypatch, edited: str) -> dict:
+        """Warm the stores, insert a line at the top of ``edited``'s
+        body in ``mke2fs.c``, then re-extract as a new process would;
+        returns what the re-extraction did."""
         from repro.analysis.extractor import extract_all
         from repro.analysis.taint import TaintEngine
+        from repro.corpus import loader
+        from repro.lang.frontend import Outline
+        from repro.lang.ir import Module
+        from repro.lang.parser import Parser
+        from repro.obs import tracer
 
         extract_all()  # cold: fills the IR cache and the analysis store
-        edited = ("mke2fs.c", "check_feature_conflicts")
-        _insert_at_body_top(corpus, *edited, 1)
+        _insert_at_body_top(corpus, "mke2fs.c", edited, 1)
 
-        unpickled, compiled, solved = [], [], []
-        decode_module, compile_c, run = (disk.decode_module, lang.compile_c,
-                                         TaintEngine.run)
+        work = {"parsed": [], "outlined": [], "pickled": [], "solved": [],
+                "hashed": [], "compile_c": []}
+        parse_body, init, run = Parser.parse_body, Outline.__init__, \
+            TaintEngine.run
+        module_key = disk.module_key
 
-        def spy_decode(key, stored):
-            unpickled.append(key)
-            return decode_module(key, stored)
+        def spy_parse_body(parser, span):
+            work["parsed"].append(span.function.name)
+            return parse_body(parser, span)
 
-        def spy_compile(source, filename):
-            compiled.append(filename)
-            return compile_c(source, filename)
+        def spy_init(outline, source, filename="<input>"):
+            work["outlined"].append(filename)
+            init(outline, source, filename)
+
+        def spy_getstate(module):
+            work["pickled"].append(("pickle", module.filename))
+            return module.__dict__
+
+        def spy_setstate(module, state):
+            work["pickled"].append(("unpickle", state["filename"]))
+            module.__dict__.update(state)
 
         def spy_run(engine):
-            solved.append(engine.func.name)
+            work["solved"].append(engine.func.name)
             return run(engine)
 
-        monkeypatch.setattr(disk, "decode_module", spy_decode)
-        monkeypatch.setattr("repro.corpus.loader.compile_c", spy_compile)
+        def spy_key(source, filename):
+            work["hashed"].append(filename)
+            return module_key(source, filename)
+
+        compile_c = loader.compile_c
+
+        def spy_compile_c(source, filename="<input>", *, bodies=True):
+            work["compile_c"].append((filename, bodies))
+            return compile_c(source, filename, bodies=bodies)
+
+        monkeypatch.setattr(Parser, "parse_body", spy_parse_body)
+        monkeypatch.setattr(Outline, "__init__", spy_init)
+        monkeypatch.setattr(Module, "__getstate__", spy_getstate,
+                            raising=False)
+        monkeypatch.setattr(Module, "__setstate__", spy_setstate,
+                            raising=False)
         monkeypatch.setattr(TaintEngine, "run", spy_run)
+        monkeypatch.setattr(disk, "module_key", spy_key)
+        monkeypatch.setattr(loader, "compile_c", spy_compile_c)
         clear_cache()
         disk.reset_cache_stats()
-        report = extract_all()
+        trace = tracer.Tracer("edit")
+        with tracer.enabled(trace):
+            assert extract_all().total_extracted == 64
+        work["compile_spans"] = [
+            (span.attrs["unit"], span.attrs.get("function"))
+            for span in trace.spans if span.name == "corpus.compile"]
+        ir, analysis = disk.cache_stats(), disk.analysis_stats()
+        work["ir"] = (ir.hits, ir.misses, ir.errors, ir.stores)
+        work["analysis"] = (analysis.hits, analysis.misses, analysis.errors,
+                            analysis.stores)
+        return work
 
-        assert report.total_extracted == 64
-        # No module of the six unedited units is unpickled: their
-        # function indexes answer; the edited unit is compiled, and its
-        # module is the one the solve reads.
-        assert unpickled == []
-        assert compiled == ["mke2fs.c"]
-        ir = disk.cache_stats()
-        assert (ir.hits, ir.misses, ir.errors) == (6, 1, 0)
+    def _assert_common(self, work: dict) -> None:
+        # The edited unit is outlined; the six other units are answered
+        # by their indexes.  No module is pickled or unpickled anywhere.
+        assert work["outlined"] == ["mke2fs.c"]
+        assert work["compile_c"] == [("mke2fs.c", False)]
+        assert work["pickled"] == []
+        assert work["ir"] == (6, 1, 0, 1)
+        # Each unit is read and hashed once, for the report key and the
+        # unit alike.
+        assert sorted(work["hashed"]) == sorted(set(work["hashed"]))
+        assert len(work["hashed"]) == 7
+
+    def test_only_the_edited_function_is_solved(self, corpus, monkeypatch):
+        edited = "check_feature_conflicts"
+        work = self._work(corpus, monkeypatch, edited)
+        self._assert_common(work)
+        # Only the edited body is compiled, in one traced compile, and
+        # only it is solved.
+        assert work["parsed"] == [edited]
+        assert work["compile_spans"] == [("mke2fs.c", edited)]
+        assert work["solved"] == [edited]
         # Each of the 16 selected functions is looked up once: the
         # edited one misses, the 15 others hit (moved or not).
-        analysis = disk.analysis_stats()
-        assert analysis.hits + analysis.misses + analysis.errors <= 16
-        assert (analysis.hits, analysis.misses, analysis.stores) == (15, 1, 1)
-        # Only the function whose slice changed is solved.
-        assert solved == [edited[1]]
+        assert work["analysis"] == (15, 1, 0, 1)
+
+    def test_an_unselected_edit_compiles_no_body(self, corpus, monkeypatch):
+        # No scenario selects parse_feature_opts: its unit is outlined,
+        # every selected function hits the store, nothing compiles.
+        work = self._work(corpus, monkeypatch, "parse_feature_opts")
+        self._assert_common(work)
+        assert work["parsed"] == []
+        assert work["compile_spans"] == []
+        assert work["solved"] == []
+        assert work["analysis"] == (16, 0, 0, 0)
 
 
 class TestIndexPaths:
@@ -203,7 +398,7 @@ class TestIndexPaths:
         spec = ScenarioSpec("missing", ("mke2fs",),
                             (("mke2fs.c", ("no_such_function",)),))
         # Stores on: the unit is answered by its index (one IR hit, no
-        # module unpickled); stores off: the unit is compiled.
+        # outline); stores off: the unit is outlined.
         for disabled, answered in (("", (1, 0)), ("1", (0, 0))):
             monkeypatch.setenv("REPRO_NO_DISK_CACHE", disabled)
             clear_cache()
@@ -232,35 +427,38 @@ class TestIndexPaths:
         assert [dep.key() for dep in extract_all().union] == baseline
         ir = disk.cache_stats()
         # Each torn entry errors once, is deleted, and is rewritten by
-        # the compile that replaces it.
+        # the outline that replaces it.
         assert (ir.hits, ir.errors, ir.stores) == (0, 7, 7)
         assert all(os.path.exists(path) for path in entries)
-
 
     def test_foreign_module_bytes_compile_and_are_restored(self, corpus):
         import pickle
 
         from repro.corpus.loader import load_unit
 
-        reference = set(load_unit("mke2fs.c").module.functions)
+        unit = load_unit("mke2fs.c")
+        reference = (unit.lines, unit.slices, set(unit.module.functions))
         (name,) = [name for name in os.listdir(disk.cache_dir())
                    if name.endswith(".ir.pkl")]
         path = os.path.join(disk.cache_dir(), name)
         with open(path, "rb") as handle:
-            index, _stored = pickle.load(handle)
+            lines, slices = pickle.load(handle)
+        assert (lines, slices) == reference[:2]
+        # An entry of the retired layout: the index beside the pickled
+        # module.
         with open(path, "wb") as handle:
-            pickle.dump((index, pickle.dumps(["not", "a", "module"])),
-                        handle)
+            pickle.dump((lines, pickle.dumps(unit.module)), handle)
         clear_cache()
         disk.reset_cache_stats()
         unit = load_unit("mke2fs.c")
-        assert unit.lines == index  # the index still answers...
-        assert set(unit.module.functions) == reference  # ...then compiles
+        # The entry is an error: it is deleted, the unit is outlined
+        # again, and the index is stored back in its current layout.
         ir = disk.cache_stats()
-        assert (ir.hits, ir.errors, ir.stores) == (1, 1, 1)
+        assert (ir.hits, ir.errors, ir.stores) == (0, 1, 1)
+        assert (unit.lines, unit.slices,
+                set(unit.module.functions)) == reference
         with open(path, "rb") as handle:
-            assert pickle.loads(pickle.load(handle)[1]).functions.keys() \
-                == reference
+            assert pickle.load(handle) == reference[:2]
 
 
 class TestMovedSummary:

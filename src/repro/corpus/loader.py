@@ -12,11 +12,12 @@ The IR cache holds a unit's *index*, not its IR: each function's
 definition line and source-slice hash, which is all extraction reads
 of a function whose analysis the analysis store answers.  On a miss
 the unit is outlined (:func:`repro.lang.compile_c` with
-``bodies=False``: lexed once, its declarations parsed, its function
-bodies skipped) and the index comes from the outline.  IR is compiled
-one function body at a time, when :meth:`CorpusUnit.function` is
-first asked for a function the analysis must run on (a
-``corpus.compile`` span naming the function);
+``bodies=False``: what lies outside its function bodies is lexed and
+parsed, and each body is skipped as raw source) and the index comes
+from the outline.  IR is compiled one function body at a time, when
+:meth:`CorpusUnit.function` is first asked for a function the
+analysis must run on (a ``corpus.compile`` span naming the function),
+and only then is that body lexed;
 :attr:`CorpusUnit.module` compiles every body for the readers that
 walk a whole module.  Each function is tagged with its unit's content
 fingerprint so the per-function analysis memos

@@ -1,15 +1,22 @@
 """Unit outlines: compile a translation unit one function body at a time.
 
-An :class:`Outline` lexes a unit once (its macro table included) and
-parses every top-level declaration, skipping each function body by
-brace matching (:meth:`repro.lang.parser.Parser.parse_outline`).
-:meth:`Outline.function` then parses, checks and lowers one body
-against the unit-level tables; :meth:`Outline.module` does every body
-the way a whole-unit compile always has: all bodies parse, then all
-are checked, then :func:`repro.lang.lower.lower` assembles the module,
-so the first error a whole-unit compile meets is the one it raises.
-:func:`repro.lang.compile_c` builds an outline and, unless asked for
-the outline itself, its module, so there is one pipeline.
+An :class:`Outline` lexes what lies outside the unit's function bodies
+(the macro table included: directive lines inside a body still run)
+and parses every top-level declaration
+(:meth:`repro.lang.parser.Parser.parse_outline`).  Each body is left
+as raw source: the lexer finds its closing brace by a regex over
+braces, literals, comments and directives, without lexing it (see
+:mod:`repro.lang.lexer`).  :meth:`Outline.function` then lexes,
+parses, checks and lowers one body against the unit-level tables;
+:meth:`Outline.module` does every body the way a whole-unit compile
+always has: all bodies lex, then all parse, then all are checked,
+then :func:`repro.lang.lower.lower` assembles the module, so the first
+error a whole-unit compile meets is the one it raises.  An outline
+that meets a lex or parse error is built again with every body lexed,
+so it raises what a whole-unit lex and parse raise, even when a body
+it skipped holds an earlier error.  :func:`repro.lang.compile_c`
+builds an outline and, unless asked for the outline itself, its
+module, so there is one pipeline.
 
 An outline also splits the unit for the analysis store's slice keys
 (:func:`repro.corpus.cache.function_slices`): each function's own
@@ -23,6 +30,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Optional, Set, Tuple
 
+from repro.errors import LexError, ParseError
 from repro.lang import ast_nodes as A
 from repro.lang.ir import Function, Module
 from repro.lang.lexer import Lexer
@@ -32,8 +40,8 @@ from repro.lang.sema import SemanticAnalyzer
 
 
 class Outline:
-    """One unit's declarations, with its function bodies left as token
-    spans until a caller asks for them.
+    """One unit's declarations, with its function bodies left unlexed
+    until a caller asks for them.
 
     ``lines`` maps each defined function to its definition line (a
     function defined twice keeps its first slot and its last body, as
@@ -43,12 +51,13 @@ class Outline:
     """
 
     def __init__(self, source: str, filename: str = "<input>") -> None:
-        lexer = Lexer(source, filename)
         self.source = source
         self.filename = filename
-        self.macros = lexer.macros
-        self._parser = Parser(lexer.tokenize(), filename)
-        self.unit, self.spans = self._parser.parse_outline()
+        try:
+            self._parse_outline(bodies=False)
+        except (LexError, ParseError):
+            # A skipped body may hold the first error: lex it all.
+            self._parse_outline(bodies=True)
         self._index = {span.function.name: index
                        for index, span in enumerate(self.spans)}
         self.lines: Dict[str, int] = {
@@ -71,6 +80,9 @@ class Outline:
     def module(self) -> Module:
         """The whole unit's IR module, reusing bodies already compiled."""
         every = range(len(self.spans))
+        for span in self.spans:
+            if span.body is not None:
+                self._parser.lex_body(span)
         for index in every:
             self._parse(index)
         for index in every:
@@ -111,6 +123,15 @@ class Outline:
         macros = "".join(f"\0#define {name} {self.macros[name].text}"
                          for name in sorted(self.macros))
         return context + macros, own
+
+    def _parse_outline(self, bodies: bool) -> None:
+        """Lex the unit, its function bodies too only when ``bodies``,
+        and parse every top-level declaration."""
+        lexer = Lexer(self.source, self.filename)
+        self._parser = Parser(lexer.tokenize(bodies), self.filename,
+                              lexer.lex_body)
+        self.macros = lexer.macros
+        self.unit, self.spans = self._parser.parse_outline()
 
     # ------------------------------------------------------------------
     # one body through the pipeline

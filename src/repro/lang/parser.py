@@ -14,17 +14,21 @@ precedence ``L + 1`` and both build left-associative trees, so the
 ASTs are identical node for node.
 
 A unit parses in two steps.  :meth:`Parser.parse_outline` parses every
-top-level declaration and skips each function body by brace matching
-over the tokens, recording a :class:`BodySpan` (where the body lies,
-and the typedefs in scope there); :meth:`Parser.parse_body` parses one
-recorded body.  :func:`parse` does both for every body, so a unit
+top-level declaration and skips each function body, recording a
+:class:`BodySpan` (where the body lies, and the typedefs in scope
+there); :meth:`Parser.parse_body` parses one recorded body.  An
+outline's token stream (``Lexer.tokenize(bodies=False)``) holds each
+body as one ``BODY`` placeholder between its braces, and
+:meth:`Parser.parse_body` lexes such a body when it first parses it;
+in a fully lexed stream a body is skipped by brace matching over its
+tokens.  :func:`parse` does both steps for every body, so a unit
 parsed whole and a unit parsed body by body build the same tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.lang import ast_nodes as A
@@ -58,13 +62,17 @@ class BodySpan:
     ``function`` is the definition's header (its ``body`` stays None
     until :meth:`Parser.parse_body` fills it), the body is tokens
     ``[start, end)`` (``{`` through its matching ``}``), and ``scope``
-    is the parser's typedef and enum state at the definition.
+    is the parser's typedef and enum state at the definition.  When
+    the body was left unlexed, ``body`` is its ``BODY`` placeholder
+    and ``tokens`` the tokens between its braces once lexed.
     """
 
     function: A.FunctionDef
     start: int
     end: int
     scope: Tuple[FrozenSet[str], Dict[str, CType], FrozenSet[str]]
+    body: Optional[Token] = None
+    tokens: Optional[List[Token]] = None
 
 
 class Parser:
@@ -75,9 +83,14 @@ class Parser:
     reference.
     """
 
-    def __init__(self, tokens: List[Token], filename: str = "<input>") -> None:
+    def __init__(self, tokens: List[Token], filename: str = "<input>",
+                 lex_body: Optional[Callable[[Token], List[Token]]] = None
+                 ) -> None:
         self.tokens = tokens
         self.filename = filename
+        #: Lexes the body a ``BODY`` placeholder stands for
+        #: (``Lexer.lex_body`` of the lexer that made ``tokens``).
+        self._lex_body = lex_body
         self.pos = 0
         self.typedef_names: FrozenSet[str] = frozenset()
         self._typedefs: Dict[str, CType] = {}
@@ -161,9 +174,26 @@ class Parser:
 
     def parse_body(self, span: BodySpan) -> A.Block:
         """Parse the body ``span`` recorded, in the scope it recorded."""
-        self.pos = span.start
         self.typedef_names, self._typedefs, self.enum_constants = span.scope
-        return self._parse_block()
+        if span.body is None:
+            self.pos = span.start
+            return self._parse_block()
+        # The braces around the lexed body, and one token of lookahead.
+        tokens = self.tokens
+        self.tokens = [tokens[span.start], *self.lex_body(span),
+                       *tokens[span.end - 1:span.end + 1]]
+        self.pos = 0
+        try:
+            return self._parse_block()
+        finally:
+            self.tokens = tokens
+
+    def lex_body(self, span: BodySpan) -> List[Token]:
+        """The tokens between the braces of a body the outline left
+        unlexed, lexed on the first call."""
+        if span.tokens is None:
+            span.tokens = self._lex_body(span.body)
+        return span.tokens
 
     def _parse_top_level(self, unit: A.TranslationUnit) -> None:
         token = self._peek()
@@ -300,22 +330,29 @@ class Parser:
                                name_token.line, static)
         if not self._accept(";"):
             start = self.pos
-            self._skip_body()
+            body = self._skip_body()
             self._spans.append(BodySpan(
                 header, start, self.pos,
-                (self.typedef_names, self._typedefs, self.enum_constants)))
+                (self.typedef_names, self._typedefs, self.enum_constants),
+                body))
         return header
 
-    def _skip_body(self) -> None:
-        """Step over the ``{ ... }`` at ``pos`` by brace matching.
+    def _skip_body(self) -> Optional[Token]:
+        """Step over the ``{ ... }`` at ``pos``; returns the body's
+        placeholder when it was left unlexed.
 
-        Only OP tokens count: a string or character literal holding a
-        brace is not one.  A body whose braces never balance is parsed
-        instead, which raises the error a whole-unit parse raises.
+        A lexed body is skipped by brace matching, where only OP tokens
+        count: a string or character literal holding a brace is not
+        one.  A body whose braces never balance is parsed instead,
+        which raises the error a whole-unit parse raises.
         """
         if not self._check("{"):
             self._expect("{")
         tokens = self.tokens
+        body = tokens[self.pos + 1]
+        if body.kind is TokenKind.BODY:
+            self.pos += 3  # ``{``, the placeholder, ``}``
+            return body
         op = TokenKind.OP
         depth = 0
         for pos in range(self.pos, len(tokens)):
@@ -327,7 +364,7 @@ class Parser:
                 depth -= 1
                 if not depth:
                     self.pos = pos + 1
-                    return
+                    return None
         self._parse_block()
         raise self._error("expected '}'")  # the parse above raised first
 

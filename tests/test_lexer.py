@@ -158,3 +158,35 @@ class TestProperties:
         token = tokenize(name)[0]
         assert token.text == name
         assert token.kind in (TokenKind.IDENT, TokenKind.KEYWORD)
+
+
+class TestDirectiveLines:
+    """A directive's logical line, and diagnostics inside a #define."""
+
+    def test_block_comment_spanning_lines_continues_a_define(self):
+        # C turns the comment into a space before directives run.
+        tokens = tokenize("#define X 4 /* four\n and more */\nint a = X;",
+                          "t.c")
+        assert [t.text for t in tokens][:-1] == ["int", "a", "=", "4", ";"]
+        assert tokens[0].line == 3
+
+    def test_comment_opener_in_a_string_ends_no_define(self):
+        source = '#define S "/*"\nint x; /* */'
+        assert texts(source) == ["int", "x", ";"]
+
+    def test_error_in_a_define_names_its_source_column(self):
+        with pytest.raises(LexError, match=r"^t\.c:2:15: unexpected character '@'$"):
+            tokenize("int a;\n#define X   4 @", "t.c")
+
+    def test_error_after_a_continuation_names_its_physical_line(self):
+        with pytest.raises(LexError, match=r"^t\.c:2:4: unexpected character '@'$"):
+            tokenize("#define X 1 + \\\n 2 @\n", "t.c")
+
+    def test_crlf_continuation_in_define(self):
+        tokens = tokenize("#define LONG 1 + \\\r\n 2\r\nx = LONG;")
+        values = [t.value for t in tokens if t.kind is TokenKind.INT]
+        assert values == [1, 2]
+
+    def test_unterminated_comment_in_a_define_is_reported_where_it_opens(self):
+        with pytest.raises(LexError, match=r"^t\.c:1:13: unterminated block comment$"):
+            tokenize("#define X 4 /* four\n", "t.c")

@@ -11,9 +11,9 @@ analysis store.
 - the report store is keyed by the sources the extraction analyzed,
   so an edit after a process read a unit cannot poison it;
 - work counters for a one-function edit over warm stores: only the
-  edited function's body is compiled (none when no scenario selects
-  it), no module is pickled or unpickled, each unit is read and hashed
-  once, and only the edited function is solved;
+  edited function's body is lexed and compiled (none when no scenario
+  selects it), no module is pickled or unpickled, each unit is read
+  and hashed once, and only the edited function is solved;
 - the error and damage paths of the unit index: a missing pre-selected
   function is still an error, a torn IR entry is a deleted miss, and
   an entry of another layout is deleted and the unit outlined again.
@@ -289,6 +289,7 @@ class TestOneFunctionEditWork:
         from repro.lang.ir import Module
         from repro.lang.parser import Parser
         from repro.obs import tracer
+        from repro.perf import counters, reset_profile
 
         extract_all()  # cold: fills the IR cache and the analysis store
         _insert_at_body_top(corpus, "mke2fs.c", edited, 1)
@@ -340,9 +341,12 @@ class TestOneFunctionEditWork:
         monkeypatch.setattr(loader, "compile_c", spy_compile_c)
         clear_cache()
         disk.reset_cache_stats()
+        reset_profile()
         trace = tracer.Tracer("edit")
         with tracer.enabled(trace):
             assert extract_all().total_extracted == 64
+        # Bodies the outline left unlexed and a compile then lexed.
+        work["lexed"] = counters().get("frontend.lex.bodies", 0)
         work["compile_spans"] = [
             (span.attrs["unit"], span.attrs.get("function"))
             for span in trace.spans if span.name == "corpus.compile"]
@@ -368,8 +372,9 @@ class TestOneFunctionEditWork:
         edited = "check_feature_conflicts"
         work = self._work(corpus, monkeypatch, edited)
         self._assert_common(work)
-        # Only the edited body is compiled, in one traced compile, and
-        # only it is solved.
+        # Only the edited body is lexed and compiled, in one traced
+        # compile, and only it is solved.
+        assert work["lexed"] == 1
         assert work["parsed"] == [edited]
         assert work["compile_spans"] == [("mke2fs.c", edited)]
         assert work["solved"] == [edited]
@@ -382,6 +387,7 @@ class TestOneFunctionEditWork:
         # every selected function hits the store, nothing compiles.
         work = self._work(corpus, monkeypatch, "parse_feature_opts")
         self._assert_common(work)
+        assert work["lexed"] == 0
         assert work["parsed"] == []
         assert work["compile_spans"] == []
         assert work["solved"] == []

@@ -162,17 +162,6 @@ def _warm_reads(client, run_ids: List[str]) -> None:
         client.manifest(run_id)
 
 
-def _stable_output(text: str) -> str:
-    """Campaign stdout minus its wall-clock line.
-
-    A campaign's report is deterministic except for the measured
-    ``throughput: ... configs/sec`` line; identity assertions compare
-    everything else (the digest line pins the semantic payload).
-    """
-    return "\n".join(line for line in text.splitlines()
-                     if not line.startswith("throughput:"))
-
-
 def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
     """Time a compatible two-job batch at one vs two exec slots.
 
@@ -250,10 +239,8 @@ def _concurrent_worker_section(smoke: bool) -> Dict[str, Any]:
         else:
             os.environ["REPRO_SERVE_TRACE"] = saved_trace
 
-    identical = all(_stable_output(outputs[1][seed])
-                    == _stable_output(outputs[2][seed]) for seed in seeds)
-    distinct = (_stable_output(outputs[1][seeds[0]])
-                != _stable_output(outputs[1][seeds[1]]))
+    identical = all(outputs[1][seed] == outputs[2][seed] for seed in seeds)
+    distinct = outputs[1][seeds[0]] != outputs[1][seeds[1]]
     speedup = (timings[1] / timings[2]) if timings[2] > 0 else float("inf")
     cpus = usable_cpus()
     return {

@@ -332,49 +332,11 @@ def _dedupe(deps: List[Dependency]) -> List[Dependency]:
     return out
 
 
-#: (unit fingerprint, function name, sources fingerprint, component,
-#: filename) -> (taint state, findings).  The taint state rides along
-#: so a hit can be identity-checked against the caller's state: the
-#: inter-procedural extractor derives constraints for the *same*
-#: function under *different* (hook-seeded) states, and those must
-#: never alias the intra-procedural entry.
-_FINDINGS_MEMO: Dict[Tuple[str, str, str, str, str],
-                     Tuple[TaintState, FunctionFindings]] = {}
-
-perf.register_memo("constraints.derive", _FINDINGS_MEMO.clear)
-
-
-def _memo_key(func: Function, sources: ComponentSources, component: str,
-              filename: str) -> Optional[Tuple[str, str, str, str, str]]:
-    fingerprint = getattr(func, "module_fingerprint", "")
-    if not fingerprint:
-        return None
-    return (fingerprint, func.name, sources.fingerprint(), component, filename)
-
-
 def derive_constraints(func: Function, cfg: CFG, state: TaintState,
                        sources: ComponentSources, component: str,
                        filename: str) -> FunctionFindings:
-    """Run constraint derivation for one function (memoized per content).
-
-    Memoized when ``func`` carries a module fingerprint (i.e. was
-    loaded through the corpus loader) *and* ``state`` is the exact
-    object the memoized entry was derived from — which is guaranteed
-    for the intra-procedural pipeline because
-    :func:`repro.analysis.taint.analyze_function` memoizes states under
-    the same key scheme.
-    """
-    key = _memo_key(func, sources, component, filename)
-    if key is not None:
-        hit = _FINDINGS_MEMO.get(key)
-        if hit is not None and hit[0] is state:
-            perf.bump("memo.constraints.hit")
-            return hit[1]
-        perf.bump("memo.constraints.miss")
+    """Run constraint derivation for one function under ``state``."""
     with perf.timed("analysis.constraints"):
-        findings = ConstraintDeriver(
+        return ConstraintDeriver(
             func, cfg, state, sources, component, filename
         ).run()
-    if key is not None:
-        _FINDINGS_MEMO[key] = (state, findings)
-    return findings

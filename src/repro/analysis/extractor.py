@@ -236,9 +236,11 @@ register_memo("extract.summaries", _SUMMARIES.clear)
 class Extractor:
     """Run extraction over scenarios.
 
-    Extraction runs sequentially in this process: the per-function
-    analyses are small and share every memo table, and dependency sets
-    assemble in spec order.
+    Extraction runs sequentially in this process and dependency sets
+    assemble in spec order.  The summary memo is the one in-process
+    memo of a function's analysis: a function shared by several
+    scenarios is solved once, and nothing below it (taint state,
+    findings, CFG) is kept.
     """
 
     def __init__(self, scenarios: Sequence[ScenarioSpec] = SCENARIOS) -> None:

@@ -262,9 +262,9 @@ class TaintEngine:
     - ``call_returns`` — labels the result of a call to a unit-local
       function receives (return-taint summaries).
 
-    Hook label sets are interned on entry so every set the transfer functions touch is canonical —
-    the identity-keyed join memo in :mod:`repro.perf.lattice` requires
-    it.
+    Hook label sets are interned on entry so every set the transfer
+    functions touch is canonical — the solver's pointer-comparison
+    change detection requires it.
     """
 
     def __init__(self, func: Function, sources: ComponentSources,
@@ -587,48 +587,14 @@ def _feature_of(value: Value) -> Optional[str]:
     return None
 
 
-#: (unit fingerprint, function name, sources fingerprint, component)
-#: -> TaintState.  Shared across scenarios and checkers: the
-#: four Table-5 scenarios all pre-select e.g. ``ext4_fill_super``, and
-#: the three checkers each re-run extraction, so one process used to
-#: analyze the same function a dozen times.  Safe to share because a
-#: TaintState is never mutated after :meth:`TaintEngine.run` returns,
-#: keys are pure content (a re-loaded module with the same source hits
-#: the same entry), and only the hook-free intra-procedural engine is
-#: memoized — :mod:`repro.analysis.interproc` builds its hooked engines
-#: directly.
-_ANALYSIS_MEMO: Dict[Tuple[str, str, str, str], TaintState] = {}
-
-perf.register_memo("taint.analyze", _ANALYSIS_MEMO.clear)
-
-
-def _memo_key(func: Function, sources: ComponentSources,
-              component: str) -> Optional[Tuple[str, str, str, str]]:
-    """The analysis-memo key for ``func``, or None when unkeyable."""
-    fingerprint = getattr(func, "module_fingerprint", "")
-    if not fingerprint:
-        return None
-    return (fingerprint, func.name, sources.fingerprint(), component)
-
-
 def analyze_function(func: Function, sources: ComponentSources,
                      component: str) -> TaintState:
-    """Run the taint engine on one function (memoized per content).
+    """Run the taint engine on one function.
 
-    Results are memoized when the function belongs to a fingerprinted
-    module (anything loaded through :mod:`repro.corpus.loader`); ad-hoc
-    functions built by tests analyze unmemoized.
+    Nothing is memoized here: the extractor's summary memo and the
+    analysis store sit above this call, so an extraction solves each
+    function once per content.
     """
-    key = _memo_key(func, sources, component)
-    if key is not None:
-        cached = _ANALYSIS_MEMO.get(key)
-        if cached is not None:
-            perf.bump("memo.taint.hit")
-            return cached
-        perf.bump("memo.taint.miss")
     with obs_span("taint.solve", function=func.name), \
             perf.timed("analysis.taint"):
-        state = TaintEngine(func, sources, component).run()
-    if key is not None:
-        _ANALYSIS_MEMO[key] = state
-    return state
+        return TaintEngine(func, sources, component).run()

@@ -249,8 +249,8 @@ def conhandleck(args: argparse.Namespace, argv: Optional[List[str]],
             for outcome, count in sorted(outcome_counts.items()):
                 print(f"{outcome:>14s}: {count}")
             print(f"digest:      {report.digest_hex}")
-            print(f"throughput:  {rate:,.0f} violations/sec "
-                  f"({wall:.2f}s wall)")
+            _status(f"throughput:  {rate:,.0f} violations/sec "
+                    f"({wall:.2f}s wall)")
             bad_exemplars = report.failures
             for index, message in bad_exemplars:
                 print(f"\nBAD HANDLING [config {index}]: {message}")
@@ -319,8 +319,8 @@ def conbugck(args: argparse.Namespace, argv: Optional[List[str]]) -> int:
             print(f"failures:    {report.failure_count} "
                   f"({len(report.failures)} stored)")
             print(f"digest:      {report.digest_hex}")
-            print(f"throughput:  {rate:,.0f} configs/sec "
-                  f"({wall:.2f}s wall)")
+            _status(f"throughput:  {rate:,.0f} configs/sec "
+                    f"({wall:.2f}s wall)")
             if args.profile:
                 _status("")
                 _status(render_profile())

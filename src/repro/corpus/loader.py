@@ -19,10 +19,8 @@ from the outline.  IR is compiled one function body at a time, when
 analysis must run on (a ``corpus.compile`` span naming the function),
 and only then is that body lexed;
 :attr:`CorpusUnit.module` compiles every body for the readers that
-walk a whole module.  Each function is tagged with its unit's content
-fingerprint so the per-function analysis memos
-(:mod:`repro.analysis.taint`, :mod:`repro.analysis.constraints`) can
-key off it, and the module with its component name.
+walk a whole module, and tags the module with its component name and
+the unit's content fingerprint.
 
 Loading and compiling are thread-safe: the service may ask for the
 same unit from several threads at once.
@@ -98,7 +96,6 @@ class CorpusUnit:
                 with span("corpus.compile", unit=self.filename,
                           function=name), timed("frontend.compile"):
                     func = unit_outline.function(name)
-                func.module_fingerprint = self.fingerprint
                 self._functions[name] = func
         return func
 
@@ -114,8 +111,6 @@ class CorpusUnit:
                         module = self._outlined().module()
                     module.component = self.component
                     module.fingerprint = self.fingerprint
-                    for func in module.functions.values():
-                        func.module_fingerprint = self.fingerprint
                     self._functions.update(module.functions)
                     self._module = module
                 module = self._module
@@ -215,12 +210,12 @@ def load_corpus(filenames: Optional[List[str]] = None) -> List[CorpusUnit]:
 
 def clear_cache(disk: bool = False) -> None:
     """Drop loaded units and the sources they were read from, every
-    per-function analysis memo and the stored extraction reports.
+    registered memo and the stored extraction reports.
 
-    The analysis memos (taint states, constraint findings, CFGs) key
-    off unit fingerprints and function objects; dropping units without
-    dropping them would at best leak and at worst serve results for
-    modules no caller can reach any more, so the two always clear
+    The memos (function summaries, solver preparation, the lattice)
+    key off unit fingerprints and function objects; dropping units
+    without dropping them would at best leak and at worst serve results
+    for modules no caller can reach any more, so the two always clear
     together.  The stored reports go too: a stored report answers an
     extraction without loading a unit, so dropping it makes the next
     extraction in this process read units and analyses from the IR

@@ -7,7 +7,6 @@ asks when classifying a guard as a configuration dependency.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import perf
@@ -194,30 +193,7 @@ def _as_signed(value: int, bits: int = 32) -> int:
     return value
 
 
-#: id(func) -> (weakref to func, CFG).  A CFG is immutable once built
-#: but was being rebuilt for every scenario that pre-selects the same
-#: function.  Keys are object ids with an identity check on hit (the
-#: weakref must still resolve to the *same* object), so a recycled id
-#: can never serve a stale graph.  Entries pin their function alive via
-#: the CFG's back-reference; :func:`repro.corpus.loader.clear_cache`
-#: clears the table through the perf memo registry.
-_CFG_MEMO: Dict[int, Tuple["weakref.ref[Function]", "CFG"]] = {}
-
-
-def _clear_cfg_memo() -> None:
-    _CFG_MEMO.clear()
-
-
-perf.register_memo("cfg.build", _clear_cfg_memo)
-
-
 def build_cfg(func: Function) -> CFG:
-    """Construct (or fetch the memoized) CFG for one function."""
-    entry = _CFG_MEMO.get(id(func))
-    if entry is not None and entry[0]() is func:
-        perf.bump("memo.cfg.hit")
-        return entry[1]
+    """Construct the CFG for one function."""
     with perf.timed("analysis.cfg"):
-        cfg = CFG(func)
-    _CFG_MEMO[id(func)] = (weakref.ref(func), cfg)
-    return cfg
+        return CFG(func)

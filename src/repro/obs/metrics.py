@@ -1,21 +1,11 @@
-"""The metrics registry: phase timings and counters, one store.
+"""The metrics registry: phase timings, counters, histograms and
+gauges, one store.
 
-Historically :mod:`repro.perf.timers` kept three module-level dicts
-(stats, counters, counter sources).  The observability layer needs the
-same numbers — run manifests snapshot them, span attrs reference them —
-so the storage moved here and ``repro.perf.timers`` became a thin view
-over the process-wide :data:`REGISTRY`.  ``--profile`` output is
-unchanged; it now renders this registry.
-
-Two long-standing defects of the old module are fixed here:
-
-- **counter-source registration is keyed** (idempotent): registering
-  the same source twice — easy to do from a module that a test reloads
-  or from two subsystems sharing a helper — replaces the previous
-  entry instead of double-counting every snapshot;
-- **source iteration is race-free**: :meth:`MetricsRegistry.counters`
-  snapshots the source table under the lock before calling out, so a
-  concurrent registration can never resize the dict mid-iteration.
+:mod:`repro.perf.timers` is a thin view over the process-wide
+:data:`REGISTRY`, so ``--profile`` output, run manifests and span
+attrs all read the same numbers.  Every counter is stored here, so
+one :meth:`MetricsRegistry.reset` (``reset_profile()``) zeroes them
+all, and nothing else does.
 
 This module deliberately imports nothing from :mod:`repro.perf` or
 :mod:`repro.analysis` — it sits at the bottom of the observability
@@ -26,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -42,10 +32,6 @@ class PhaseStat:
         if not self.calls:
             return 0.0
         return self.seconds / self.calls * 1e3
-
-
-#: A counter source: a snapshot callable plus an optional reset hook.
-CounterSource = Tuple[Callable[[], Dict[str, int]], Optional[Callable[[], None]]]
 
 
 class Histogram:
@@ -165,13 +151,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe store of phase timings, counters, and counter sources."""
+    """Thread-safe store of phase timings, counters, histograms and
+    gauges."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: Dict[str, PhaseStat] = {}
         self._counters: Dict[str, int] = {}
-        self._sources: Dict[str, CounterSource] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, float] = {}
 
@@ -209,25 +195,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def register_source(self, name: str,
-                        source: Callable[[], Dict[str, int]],
-                        reset: Optional[Callable[[], None]] = None) -> None:
-        """Merge ``source()`` into every :meth:`counters` snapshot.
-
-        Registration is keyed by ``name``: registering the same name
-        again *replaces* the previous source, so repeated module
-        imports or re-initialisation never double-count.  ``reset``,
-        when given, is invoked by :meth:`reset` so external tallies
-        drop with everything else.
-        """
-        with self._lock:
-            self._sources[name] = (source, reset)
-
-    def unregister_source(self, name: str) -> bool:
-        """Remove a registered source; True when it existed."""
-        with self._lock:
-            return self._sources.pop(name, None) is not None
-
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
@@ -239,17 +206,9 @@ class MetricsRegistry:
                     for name, s in self._stats.items()}
 
     def counters(self) -> Dict[str, int]:
-        """Snapshot of the counters (registered sources merged in).
-
-        The source table is copied under the lock; the sources run
-        outside it (they keep their own, often lock-free, tallies).
-        """
+        """Snapshot of the counters."""
         with self._lock:
-            out = dict(self._counters)
-            sources = list(self._sources.values())
-        for source, _reset in sources:
-            out.update(source())
-        return out
+            return dict(self._counters)
 
     def histograms(self) -> Dict[str, Histogram]:
         """Snapshot (deep copies) of every histogram."""
@@ -263,17 +222,12 @@ class MetricsRegistry:
             return dict(self._gauges)
 
     def reset(self) -> None:
-        """Drop all timings, counters, histograms, and gauges; reset
-        every source."""
+        """Drop all timings, counters, histograms, and gauges."""
         with self._lock:
             self._stats.clear()
             self._counters.clear()
             self._histograms.clear()
             self._gauges.clear()
-            sources = list(self._sources.values())
-        for _source, reset in sources:
-            if reset is not None:
-                reset()
 
 
 #: The process-wide registry every subsystem records into.

@@ -15,9 +15,10 @@ Everything runs sequentially in-process except sampled-campaign
 shards, which ``--jobs N > 1`` puts on N process workers.
 
 Loaded on first use: :mod:`repro.perf.lattice` (the hash-consed
-label-set lattice the taint solver runs on, which registers its own
-memo and ``--profile`` counter source when the solver first imports
-it, so a run that never solves shows no lattice rows),
+label-set lattice the taint solver runs on, which registers its intern
+table as a memo when the solver first imports it and counts its
+lookups as ``lattice.intern.*``, so a run that never solves shows no
+lattice rows),
 :mod:`repro.perf.campaign` (the post-mkfs snapshot cache and the
 sharded campaign driver), whose ``SnapshotCache`` resolves lazily from
 this package, and the submodules imported by path —
@@ -35,7 +36,6 @@ from repro.perf.timers import (
     bump,
     counters,
     hit_rates,
-    register_counter_source,
     render_profile,
     reset_profile,
     stats,
@@ -47,7 +47,6 @@ __all__ = [
     "counters",
     "clear_memos",
     "hit_rates",
-    "register_counter_source",
     "register_memo",
     "render_profile",
     "reset_profile",
@@ -69,6 +68,7 @@ def register_memo(name: str, clear: Callable[[], None]) -> None:
 
 
 def clear_memos() -> None:
-    """Clear every registered memo table (taint, constraints, CFG...)."""
+    """Clear every registered memo table (summaries, solver prep,
+    label splits, the lattice)."""
     for clear in _MEMO_REGISTRY.values():
         clear()

@@ -2,17 +2,15 @@
 
 Instrumentation is always on — one dict update per phase enter/exit is
 far below the noise floor of the phases it measures — and thread-safe,
-because the extractor fans scenarios and functions out across worker
-threads.  ``repro-extract --profile`` prints the accumulated breakdown
-via :func:`render_profile`.
+because the service records from its request and worker threads
+(extraction itself runs sequentially).  ``repro-extract --profile``
+prints the accumulated breakdown via :func:`render_profile`.
 
 Storage lives in the observability layer's metrics registry
 (:data:`repro.obs.metrics.REGISTRY`): the functions here are thin
 views over it, so ``--profile`` output, run manifests
 (:mod:`repro.obs.manifest`), and span attributes all read the *same*
-numbers.  Counter-source registration is keyed (idempotent — a
-re-registration replaces, never double-counts) and snapshots copy the
-source table under the registry lock before iterating.
+numbers.
 
 Typical use::
 
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.common.texttable import TextTable
 from repro.obs.metrics import REGISTRY, PhaseStat
@@ -37,30 +35,11 @@ __all__ = [
     "bump",
     "counters",
     "hit_rates",
-    "register_counter_source",
     "render_profile",
     "reset_profile",
     "stats",
     "timed",
 ]
-
-
-def register_counter_source(source: Callable[[], Dict[str, int]],
-                            reset: Optional[Callable[[], None]] = None,
-                            name: Optional[str] = None) -> None:
-    """Merge ``source()`` into every :func:`counters` snapshot.
-
-    Registration is keyed by ``name`` (default: the source callable's
-    module-qualified name), so registering the same source twice — a
-    reloaded module, a re-initialised subsystem — replaces the old
-    entry instead of double-counting every snapshot.  ``reset``, when
-    given, is invoked by :func:`reset_profile` so the external tallies
-    drop with everything else.
-    """
-    if name is None:
-        name = (f"{getattr(source, '__module__', '?')}."
-                f"{getattr(source, '__qualname__', repr(source))}")
-    REGISTRY.register_source(name, source, reset)
 
 
 @contextmanager
@@ -84,7 +63,7 @@ def stats() -> Dict[str, PhaseStat]:
 
 
 def counters() -> Dict[str, int]:
-    """Snapshot of the counters (including registered sources)."""
+    """Snapshot of the counters."""
     return REGISTRY.counters()
 
 

@@ -385,10 +385,7 @@ class TestBackendsEndToEnd:
         def run(main, jobs):
             rc = main(["--sample", "random", "--budget", "120",
                        "--shards", "3", "--jobs", jobs])
-            out = capsys.readouterr().out
-            # Everything but the wall-clock throughput line.
-            return rc, [line for line in out.splitlines()
-                        if not line.startswith("throughput:")]
+            return rc, capsys.readouterr().out
 
         for main in (main_conbugck, main_conhandleck):
             sequential = run(main, "1")

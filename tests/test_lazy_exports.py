@@ -160,25 +160,21 @@ import repro
 repro.extract_all()
 # The run itself loaded every module that owns a memo, so the imports
 # below register nothing new.
-owners = ["repro.analysis.constraints", "repro.analysis.extractor",
-          "repro.analysis.taint", "repro.lang.cfg", "repro.perf.lattice"]
+owners = ["repro.analysis.extractor", "repro.analysis.taint",
+          "repro.perf.lattice"]
 preloaded = all(name in sys.modules for name in owners)
 registered = sorted(sys.modules["repro.perf"]._MEMO_REGISTRY)
 
 from repro import perf
-from repro.analysis import constraints, extractor, taint
-from repro.lang import cfg
+from repro.analysis import extractor, taint
 from repro.perf import lattice
 
 def sizes():
     return {
-        "perf.lattice": len(lattice._JOIN) + len(lattice._INTERN) - 1,
+        "perf.lattice": len(lattice._INTERN) - 1,
         "extract.summaries": len(extractor._SUMMARIES),
-        "cfg.build": len(cfg._CFG_MEMO),
         "taint.split": len(taint._SPLIT_MEMO),
         "taint.prep": len(taint._PREP_MEMO),
-        "taint.analyze": len(taint._ANALYSIS_MEMO),
-        "constraints.derive": len(constraints._FINDINGS_MEMO),
     }
 
 before = sizes()
@@ -190,8 +186,7 @@ print(json.dumps({"preloaded": preloaded, "registered": registered,
 
 def test_clear_memos_covers_every_memo(tmp_path):
     out = _fresh(_MEMOS, str(tmp_path))
-    names = {"perf.lattice", "extract.summaries", "cfg.build", "taint.split",
-             "taint.prep", "taint.analyze", "constraints.derive"}
+    names = {"perf.lattice", "extract.summaries", "taint.split", "taint.prep"}
     assert out["preloaded"]
     assert set(out["registered"]) == names
     assert all(out["before"][name] > 0 for name in names), out["before"]
@@ -207,8 +202,8 @@ def test_profile_lists_lattice_counters(tmp_path):
             "    main_extract(['--profile', '--cold'])\n"
             "print(json.dumps(err.getvalue()))\n")
     profile = _fresh(code, str(tmp_path))
-    assert "lattice.join.hit" in profile or "lattice.join.miss" in profile
-    assert "lattice.intern" in profile
+    assert "lattice.intern.hit" in profile
+    assert "lattice.intern.miss" in profile
 
 
 _PROFILE = """\

@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.obs import events, manifest, tracer
-from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.schema import SchemaError, validate
 
 
@@ -110,51 +109,37 @@ def test_schema_rejects_unknown_keywords():
 
 
 # ---------------------------------------------------------------------------
-# metrics registry (satellite: idempotent counter sources)
+# metrics registry: every counter lives until reset_profile()
 # ---------------------------------------------------------------------------
 
 
-def test_counter_source_registration_is_idempotent():
-    registry = MetricsRegistry()
+def test_clear_cache_keeps_counters_until_reset_profile(tmp_path,
+                                                         monkeypatch):
+    from repro.analysis.extractor import extract_all
+    from repro.corpus import cache as disk_cache
+    from repro.corpus.loader import clear_cache
+    from repro.perf import counters, reset_profile
 
-    def source():
-        return {"test.counter": 7}
+    def tracked():
+        return {name: count for name, count in counters().items()
+                if name.startswith(("lattice.intern.", "cache."))}
 
-    registry.register_source("test.src", source)
-    registry.register_source("test.src", source)  # replaces, not stacks
-    assert registry.counters()["test.counter"] == 7
-
-
-def test_global_register_counter_source_keyed_by_name():
-    from repro.perf.timers import counters, register_counter_source
-
-    tally = {"value": 0}
-
-    def source():
-        tally["value"] += 1
-        return {"test.obs.source.calls": tally["value"]}
-
+    monkeypatch.setenv(disk_cache.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.delenv(disk_cache.DISABLE_ENV, raising=False)
+    clear_cache()
+    reset_profile()
     try:
-        register_counter_source(source, name="test.obs.source")
-        register_counter_source(source, name="test.obs.source")
-        before = tally["value"]
-        counters()
-        # One snapshot -> exactly one call; a double registration of
-        # the old list-based implementation would have called it twice.
-        assert tally["value"] == before + 1
+        extract_all()   # cold: solves, so the lattice is consulted
+        before = tracked()
+        assert before.get("lattice.intern.hit", 0) > 0
+        assert before.get("lattice.intern.miss", 0) > 0
+        assert before.get("cache.an.miss", 0) > 0
+        clear_cache()
+        assert tracked() == before
+        reset_profile()
+        assert tracked() == {}
     finally:
-        assert REGISTRY.unregister_source("test.obs.source")
-
-
-def test_counter_source_reset_hook_runs_on_reset():
-    registry = MetricsRegistry()
-    state = {"n": 5}
-    registry.register_source("test.src", lambda: {"x": state["n"]},
-                             lambda: state.update(n=0))
-    registry.bump("y", 3)
-    registry.reset()
-    assert state["n"] == 0
-    assert registry.counters() == {"x": 0}
+        clear_cache()
 
 
 # ---------------------------------------------------------------------------

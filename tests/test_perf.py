@@ -145,9 +145,8 @@ class TestMemoRegistry:
             perf._MEMO_REGISTRY.pop("test.memo", None)
 
     def test_analysis_memos_registered(self):
-        import repro.analysis.constraints  # noqa: F401  (registers on import)
+        import repro.analysis.extractor  # noqa: F401  (registers on import)
         import repro.analysis.taint  # noqa: F401
-        import repro.lang.cfg  # noqa: F401
 
-        for name in ("taint.analyze", "constraints.derive", "cfg.build"):
+        for name in ("extract.summaries", "taint.split", "taint.prep"):
             assert name in perf._MEMO_REGISTRY

@@ -13,12 +13,11 @@ import shutil
 
 import pytest
 
-from repro.analysis import constraints as constraints_mod
+from repro.analysis import extractor as extractor_mod
 from repro.analysis import taint as taint_mod
 from repro.analysis.extractor import extract_all
 from repro.corpus import cache as disk_cache
 from repro.corpus.loader import clear_cache, corpus_path, load_corpus, load_unit
-from repro.lang import cfg as cfg_mod
 from repro.perf import procpool
 
 
@@ -180,46 +179,22 @@ class TestParallelDeterminism:
 class TestMemoTables:
     def test_extraction_populates_memos(self, ir_cache_dir):
         extract_all()
-        assert taint_mod._ANALYSIS_MEMO
-        assert constraints_mod._FINDINGS_MEMO
-        assert cfg_mod._CFG_MEMO
+        assert extractor_mod._SUMMARIES
+        assert taint_mod._SPLIT_MEMO
+        assert taint_mod._PREP_MEMO
 
-    def test_memo_returns_same_state_object(self, ir_cache_dir):
-        from repro.analysis.sources import SOURCES_BY_UNIT
-        from repro.analysis.taint import analyze_function
-
+    def test_summary_memo_returns_same_object(self, ir_cache_dir):
+        extractor = extractor_mod.Extractor()
         unit = load_unit("ext4_super.c")
-        func = unit.module.function("ext4_fill_super")
-        sources = SOURCES_BY_UNIT["ext4_super.c"]
-        first = analyze_function(func, sources, unit.component)
-        second = analyze_function(func, sources, unit.component)
-        assert second is first
-
-    def test_cfg_memo_returns_same_object(self, ir_cache_dir):
-        from repro.lang.cfg import build_cfg
-
-        func = load_unit("mount.c").module.function("parse_mount_options")
-        assert build_cfg(func) is build_cfg(func)
+        first = extractor._summarize(unit, "ext4_fill_super")
+        assert extractor._summarize(unit, "ext4_fill_super") is first
 
     def test_clear_cache_clears_memos(self, ir_cache_dir):
         extract_all()
         clear_cache()
-        assert not taint_mod._ANALYSIS_MEMO
-        assert not constraints_mod._FINDINGS_MEMO
-        assert not cfg_mod._CFG_MEMO
-
-    def test_adhoc_functions_not_memoized(self):
-        """Functions built by hand (no fingerprint) bypass the memo."""
-        from repro.analysis.sources import ComponentSources
-        from repro.analysis.taint import analyze_function
-        from repro.lang import compile_c
-
-        module = compile_c("int f(int a) { return a; }", "adhoc.c")
-        func = module.function("f")
-        sources = ComponentSources(component="c")
-        before = len(taint_mod._ANALYSIS_MEMO)
-        analyze_function(func, sources, "c")
-        assert len(taint_mod._ANALYSIS_MEMO) == before
+        assert not extractor_mod._SUMMARIES
+        assert not taint_mod._SPLIT_MEMO
+        assert not taint_mod._PREP_MEMO
 
 
 class TestLoadCorpusDedupe:

@@ -128,23 +128,33 @@ class TestStoredLinesFollowTheirFunction:
             self, corpus, tmp_path, monkeypatch):
         from repro.cli import main_extract
 
-        def explain():
+        def explain(tag):
+            """``--explain`` stdout and ``--json --provenance`` bytes."""
+            path = tmp_path / f"{tag}.json"
             out = io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main_extract(["--explain", "sparse_super2",
-                                     "--explain", "mount.dax"]) == 0
-            return out.getvalue()
+                                     "--explain", "mount.dax",
+                                     "--json", str(path),
+                                     "--provenance"]) == 0
+            return out.getvalue(), path.read_bytes()
 
         _extract_json(tmp_path, "cold.json")
         _insert_at_body_top(corpus, "mke2fs.c", "parse_mke2fs_options", 1)
         clear_cache()
-        warm = explain()
+        warm = explain("warm")
+        # An empty store: this process solves every selected function
+        # for the extraction, then again for the provenance records.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "empty-cache"))
+        clear_cache()
+        assert explain("cold") == warm
         with monkeypatch.context() as patch:
             patch.setenv("REPRO_NO_DISK_CACHE", "1")
             clear_cache()
-            assert explain() == warm
-        assert "provenance for" in warm
+            assert explain("disabled") == warm
+        assert "provenance for" in warm[0]
+        assert b'"provenance"' in warm[1]
 
 
 #: The define whose value the context tests edit: it bounds the

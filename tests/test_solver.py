@@ -409,7 +409,6 @@ class TestWorkCounters:
         from repro.analysis.extractor import extract_all
 
         perf.reset_profile()
-        lattice.reset_tallies()
         report = extract_all()
         return report, perf.counters()
 
@@ -421,7 +420,7 @@ class TestWorkCounters:
     def test_lattice_interns_every_state(self, cold_counters):
         from repro.analysis.extractor import SCENARIOS
         from repro.analysis.sources import SOURCES_BY_UNIT
-        from repro.analysis.taint import _ANALYSIS_MEMO, _memo_key
+        from repro.analysis.taint import analyze_function
 
         _report, counters = cold_counters
         assert counters["lattice.intern.miss"] == 126
@@ -430,10 +429,9 @@ class TestWorkCounters:
             for filename, functions in spec.selected:
                 unit = loader.load_unit(filename)
                 for fn_name in functions:
-                    state = _ANALYSIS_MEMO.get(_memo_key(
-                        unit.module.function(fn_name),
-                        SOURCES_BY_UNIT[filename], unit.component))
-                    assert state is not None, (filename, fn_name)
+                    state = analyze_function(
+                        unit.function(fn_name),
+                        SOURCES_BY_UNIT[filename], unit.component)
                     for labels in state.taint.values():
                         assert lattice.is_interned(labels), \
                             (filename, fn_name, labels)
@@ -531,19 +529,19 @@ class TestLattice:
         # when the same join repeats.
         assert PLAIN.join(a, b) is not PLAIN.join(a, b)
         assert merged == PLAIN.join(a, b)
-        sizes = lattice.table_sizes()
+        entries = len(lattice._INTERN)
         assert lattice.join(a, b) is merged
-        assert lattice.table_sizes() == sizes
+        assert len(lattice._INTERN) == entries
 
     def test_hit_rate_tracks_tallies(self):
-        lattice.reset_tallies()
-        a = lattice.intern_labels(frozenset({"hit-rate-p"}))
-        b = lattice.intern_labels(frozenset({"hit-rate-q"}))
+        perf.reset_profile()
+        a = lattice.intern_labels(frozenset({object()}))   # miss
+        b = lattice.intern_labels(frozenset({object()}))   # miss
         lattice.join(a, b)   # miss
         lattice.join(a, b)   # hit
-        assert 0.0 < lattice.hit_rate("join") <= 0.5
-        lattice.reset_tallies()
-        assert lattice.hit_rate("join") == 0.0
+        assert perf.hit_rates(perf.counters())["lattice.intern"] == 0.25
+        perf.reset_profile()
+        assert "lattice.intern" not in perf.hit_rates(perf.counters())
 
 
 class TestDefIndex:

@@ -51,7 +51,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 from repro import perf
 from repro.analysis.model import ParamRef
 from repro.analysis.sources import (
-    BRIDGE_STRUCT,
     FEATURE_MACROS,
     TAINT_PRESERVING_CALLS,
     TYPED_PARSERS,
@@ -61,16 +60,13 @@ from repro.lang.cfg import build_cfg
 from repro.obs.tracer import span as obs_span
 from repro.lang.ir import (
     BinOp,
-    Branch,
     CallInstr,
     Const,
     Function,
     Instr,
-    Jump,
     LoadField,
     LoadIndex,
     Move,
-    Ret,
     StoreField,
     StoreIndex,
     StrConst,

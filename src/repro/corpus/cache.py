@@ -1,89 +1,62 @@
 """Persistent on-disk caches: unit indexes, per-function analysis
 summaries, and finished extraction reports.
 
-Three stores share one directory, one serializer and one invalidation
-rule with the command store (:mod:`repro.store`): every entry is
-pickled, and keys derive from **content and code, not timestamps**.
-Every key covers the inputs of its entry and the *package digest*
-(:func:`repro.store.package_digest`: sha256, computed once per
-process, over every source and data file of the ``repro`` package,
-and with them every class an entry can hold).  An edit to the corpus
-or to the package moves the key, so a stale entry is never *wrong*,
-only unreachable.  When the digest cannot be computed (sources
-unreadable) every store is skipped.
+The three stores are rows of one SQLite table,
+``entries(key TEXT PRIMARY KEY, kind TEXT, code TEXT, value BLOB)`` in
+``<cache dir>/store.db``, each value pickled.  They share the cache
+directory, the switch and the invalidation rule of the command store
+(:mod:`repro.store`): keys derive from **content and code, not
+timestamps**.  Every key covers the inputs of its entry and the
+*package digest* (:func:`repro.store.package_digest`, over every source
+and data file of the ``repro`` package, and so every class an entry can
+hold), so a stale entry is never *wrong*, only unreachable.  When the
+digest cannot be computed every store is skipped.  Unit sources are
+read and hashed once per process (:func:`read_unit`), so a report is
+stored only under the sources it was extracted from.
 
-**Unit sources.**  :func:`read_unit` reads and hashes each corpus unit
-once per process (until :func:`repro.corpus.loader.clear_cache`): the
-loader builds its units from those bytes and the report key is taken
-from the same hashes, so a report is stored only under the sources it
-was extracted from, whatever happens to the files meanwhile.
+**IR cache** (kind ``disk``), keyed by sha256(cache schema | frontend
+version | package digest | filename | source text).  What extraction
+reads of a unit whose functions the analysis store answers is its
+function index ``(lines, slices)``: each function's definition line and
+source-slice hash.  No IR is stored: a unit that misses is outlined
+(its bodies skipped), and IR is compiled only for the bodies an
+analysis runs on (see :mod:`repro.corpus.loader`).
 
-**IR cache** (``<key>.ir.pkl``).  What extraction reads of a unit
-whose functions the analysis store answers is its function index, not
-its IR.  Each unit's index is kept under
+**Analysis store** (kind ``an``), keyed by sha256(cache schema |
+frontend version | package digest | filename | function | slice hash |
+sources fingerprint | component).  One
+:class:`~repro.analysis.extractor.FunctionSummary` per analyzed
+function: its metadata-field stores, its findings and its definition
+line.  The slice hash (:func:`function_slices`) covers everything the
+body is compiled against (the tokens outside the bodies plus the macro
+table) and the function's own text, so editing one body re-analyzes
+*that function only*.  A hit for a function that has moved shifts the
+lines it reports by the move.  The analysis is intra-procedural and
+the metadata bridge joins the summaries after loading, so an entry
+depends on nothing its key leaves out; taint states are not stored.
 
-    sha256(cache schema | frontend version | package digest | filename
-           | source text)
+**Report store** (kind ``report``), keyed by sha256(cache schema |
+frontend version | package digest | extractor class | scenario specs |
+every scenario unit's IR cache key).  One finished
+:class:`~repro.analysis.extractor.ExtractionReport`: a hit costs one
+source read and hash per unit, one row read and one unpickle, and
+imports none of the analysis modules.  :func:`repro.corpus.loader.
+clear_cache` drops the reports (:func:`clear_reports`), so an
+extraction after it is assembled from the two stores above.
 
-as the pair ``(lines, slices)``: ``lines`` maps each function to its
-definition line and ``slices`` to its source-slice hash (below).  No
-IR is stored: a unit that misses is outlined (lexed, its declarations
-parsed, its bodies skipped), which yields the index, and IR is
-compiled only for the function bodies an analysis has to run on (see
-:mod:`repro.corpus.loader`).
-
-**Function-level analysis store** (``<key>.an.pkl``).  A fresh process
-would otherwise redo every taint fixpoint even when the corpus had not
-changed.  The store keeps what extraction reads of one analyzed
-function — a :class:`~repro.analysis.extractor.FunctionSummary`: its
-metadata-field stores, its findings and its definition line when it
-was stored — keyed by the function's **source slice**, not the whole
-unit:
-
-    sha256(cache schema | frontend version | package digest | filename
-           | function | slice hash | sources fingerprint | component)
-
-The slice hash (:func:`function_slices`) covers the unit's *context*,
-everything a body is compiled against (the tokens outside the function
-bodies plus the macro table, so a macro defined late or inside a body
-counts too), and the function's own text, so editing one function's
-body re-analyzes *that function only*; every other function in the
-unit — and every other unit — keeps hitting the store.  A hit for a
-function that has moved (lines added or removed in a body above it,
-or comments and blank lines between functions) shifts the lines it
-reports by the move.  The analysis is
-intra-procedural and the metadata bridge joins the summaries live
-after loading, so an entry depends on nothing its key leaves out.
-Taint states are not stored: the consumers that need one (provenance,
-the inter-procedural engine) compute it.
-
-**Report store** (``reports/<key>.report.pkl``).  A fresh command over
-an unchanged corpus needs the finished
-:class:`~repro.analysis.extractor.ExtractionReport`, not the IR or the
-per-function summaries it was assembled from.  One pickled report per
-extraction is kept under
-
-    sha256(cache schema | frontend version | package digest
-           | extractor class | scenario specs
-           | every scenario unit's IR cache key)
-
-A hit costs one source read and hash per unit, one file read and one
-unpickle: no index, no store entry, no bridge, and none of the
-analysis modules are imported.  Any edit to a scenario unit misses
-and falls through to the two stores above.  The in-memory
-:func:`repro.corpus.loader.clear_cache` drops reports as well, so an
-extraction after it is assembled from the two stores; reports live in
-their own subdirectory so that drop lists the reports only, not every
-IR and analysis entry.
-
-No store is pruned: the entries of an edited corpus or code state stay
-on disk, unreachable, until :func:`clear_disk_cache`, which also
-deletes the command store's entries (``*.cmd.json``).  All entries are
-written atomically (temp file + ``os.replace``) so concurrent
-processes never observe a torn entry.  An entry that fails to
-unpickle, or unpickles to the wrong shape (not an index, not a
-summary, not a report), is tallied as an error and deleted, so the
-next lookup is a clean miss.
+**The database.**  A process opens it on its first load or store
+(importing :mod:`sqlite3` only then) and keeps one connection, shared
+by its threads under one lock, until its pid or the cache directory
+changes: WAL, ``synchronous=NORMAL``, a 30 s busy timeout.  Each load,
+store and delete is one statement and one transaction, so concurrent
+processes never observe a torn entry.  A load with no database file is
+a miss and creates none; a file that is not a database is deleted and
+recreated (``cache.recreated``).  A row that fails to unpickle or has
+the wrong shape is tallied as an error and deleted: a clean miss next.
+The first open also deletes every row whose ``code`` is not the
+package digest (``cache.swept``), so a code edit frees what it made
+unreachable; within one code state the store grows (every corpus
+state's rows stay) until :func:`clear_disk_cache`.
 
 Knobs:
 
@@ -98,41 +71,35 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.corpus import corpus_dir
 from repro.lang import FRONTEND_VERSION
 from repro.obs.tracer import span
 from repro.perf import bump, timed
-# The directory, the switch, atomic writes and the digest every key
-# covers are shared with the command store; callers keep reading the
-# first four from here.
+# The directory, the switch and the digest every key covers are shared
+# with the command store; callers keep reading the first four from here.
 from repro.store import (  # noqa: F401
-    CACHE_DIR_ENV,
-    COMMAND_SUFFIX,
-    DISABLE_ENV,
-    TMP_PREFIX,
-    cache_dir,
-    disk_cache_enabled,
-    package_digest,
-    remove_entries,
-)
-from repro.store import write_atomic as _write_atomic
+    CACHE_DIR_ENV, COMMAND_SUFFIX, DISABLE_ENV, TMP_PREFIX, cache_dir,
+    disk_cache_enabled, package_digest, remove_entries)
 
 if TYPE_CHECKING:
     from repro.lang.frontend import Outline
 
 #: Bump when the on-disk entry layout itself changes.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
-#: File-name suffixes of the three stores' entries.
-_MODULE_SUFFIX = ".ir.pkl"
-_ANALYSIS_SUFFIX = ".an.pkl"
-_REPORT_SUFFIX = ".report.pkl"
+#: The database file under the cache directory (SQLite adds ``-wal``
+#: and ``-shm`` files beside it).
+STORE_DB = "store.db"
 
-#: Subdirectory of the cache directory that holds the report store.
-REPORT_DIR = "reports"
+#: The table, and the partial index that keeps :func:`clear_reports`
+#: from scanning every row.
+_SCHEMA = ("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, "
+           "kind TEXT, code TEXT, value BLOB);"
+           "CREATE INDEX IF NOT EXISTS entries_report ON entries (kind) "
+           "WHERE kind = 'report'")
 
 
 @dataclass
@@ -158,7 +125,7 @@ class DiskCacheStats:
 
 
 #: One lock for every stats object: increments are rare relative to
-#: the file I/O around them, and sharing keeps the dataclass flat.
+#: the store traffic around them, and sharing keeps the dataclass flat.
 _STATS_LOCK = threading.Lock()
 
 
@@ -192,76 +159,143 @@ def reset_cache_stats() -> None:
         tallies.hits = tallies.misses = tallies.stores = tallies.errors = 0
 
 
+def _content_key(*fields: Tuple[str, str]) -> str:
+    """sha256 over the cache schema, the frontend version, the package
+    digest and ``fields``, one ``name=value`` line each."""
+    digest = hashlib.sha256()
+    for name, value in (("schema", str(CACHE_SCHEMA)),
+                        ("frontend", FRONTEND_VERSION),
+                        ("code", package_digest())) + fields:
+        digest.update(f"{name}={value}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
 def module_key(source: str, filename: str) -> str:
     """Content and code hash identifying one translation unit.
 
     Also the unit's in-memory fingerprint, so it is never empty; the
     loader skips the IR cache when :func:`package_digest` is ''.
     """
-    digest = hashlib.sha256()
-    digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
-    digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
-    digest.update(f"code={package_digest()}\n".encode("utf-8"))
-    digest.update(f"filename={filename}\n".encode("utf-8"))
-    digest.update(source.encode("utf-8"))
-    return digest.hexdigest()
+    return _content_key(("filename", filename), ("source", source))
 
 
-def _entry_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"{key}{_MODULE_SUFFIX}")
+#: This process's store connection: ``(pid, database path, connection)``,
+#: used under :data:`_DB_LOCK` (one statement costs tens of µs).
+_DB: Optional[Tuple[int, str, Any]] = None
+_DB_LOCK = threading.Lock()
+#: Connections inherited across ``fork``: kept open, never closed here.
+_INHERITED: List[Any] = []
 
 
-def _load(store: str, tallies: DiskCacheStats, key: str, path: str,
+def _connect(create: bool) -> Optional[Any]:
+    """This process's connection to ``<cache dir>/store.db``, opened on
+    first use and when the pid or the cache directory changes; None
+    when the file is absent and ``create`` is false.  Call under
+    :data:`_DB_LOCK`."""
+    global _DB
+    path = os.path.join(cache_dir(), STORE_DB)
+    if _DB is not None and _DB[:2] == (os.getpid(), path):
+        return _DB[2]
+    _close()
+    if not create and not os.path.exists(path):
+        return None
+    import sqlite3  # on first store use: a command-store replay never pays
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    for retry in (False, True):
+        conn = sqlite3.connect(path, timeout=30.0, isolation_level=None,
+                               check_same_thread=False)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_SCHEMA)
+            break
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            if retry or type(exc) is not sqlite3.DatabaseError:
+                raise  # locked or unwritable, not a foreign file
+            remove_entries(lambda name: name.startswith(STORE_DB),
+                           os.path.dirname(path))
+            bump("cache.recreated")
+    code = package_digest()
+    swept = conn.execute("DELETE FROM entries WHERE code != ?",
+                         (code,)).rowcount if code else 0
+    if swept:
+        bump("cache.swept", swept)
+    _DB = (os.getpid(), path, conn)
+    return conn
+
+
+def _close() -> None:
+    """Forget this process's connection (one inherited across ``fork``
+    is abandoned, not closed).  Call under :data:`_DB_LOCK`."""
+    global _DB
+    if _DB is not None:
+        if _DB[0] == os.getpid():
+            _DB[2].close()
+        else:
+            _INHERITED.append(_DB[2])
+    _DB = None
+
+
+def _execute(sql: str, params: Tuple[Any, ...] = (),
+             create: bool = False) -> Tuple[List[Any], int]:
+    """Run one statement: the rows it returned and the count it
+    changed (none when there is no database and not ``create``)."""
+    with _DB_LOCK:
+        conn = _connect(create)
+        if conn is None:
+            return [], 0
+        cursor = conn.execute(sql, params)
+        return cursor.fetchall(), cursor.rowcount
+
+
+def _load(store: str, tallies: DiskCacheStats, key: str,
           accept: Callable[[Any], bool]) -> Optional[Any]:
-    """Unpickle the entry at ``path`` if ``accept`` takes it, else None.
+    """Unpickle the row under ``key`` if ``accept`` takes it, else None.
 
     ``store`` names the span and counters (``cache.<store>.*``).  An
-    absent entry is a miss; one that fails to unpickle (torn,
-    truncated, version-skewed) or unpickles to something ``accept``
-    rejects is an error, and it is deleted so the next lookup is a
-    clean miss.
+    absent row is a miss; one that fails to unpickle (truncated,
+    version-skewed) or unpickles to something ``accept`` rejects is an
+    error, and it is deleted so the next lookup is a clean miss.
     """
     try:
         with span(f"cache.{store}.load", key=key[:12]), \
                 timed(f"cache.{store}.load"):
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        if not accept(value):
+            rows, _ = _execute("SELECT value FROM entries WHERE key = ?",
+                               (key,))
+            if rows:
+                value = pickle.loads(rows[0][0])
+        if rows and not accept(value):
             raise TypeError(f"entry holds a {type(value).__name__}")
-    except FileNotFoundError:
+    except Exception:
+        tallies.tally("errors")
+        bump(f"cache.{store}.error")
+        try:
+            _execute("DELETE FROM entries WHERE key = ?", (key,))
+        except Exception:
+            pass
+        return None
+    if not rows:
         tallies.tally("misses")
         bump(f"cache.{store}.miss")
-        return None
-    except Exception:
-        _discard(store, tallies, path)
         return None
     tallies.tally("hits")
     bump(f"cache.{store}.hit")
     return value
 
 
-def _discard(store: str, tallies: DiskCacheStats, path: str) -> None:
-    """Tally a bad entry as an error and delete it."""
-    tallies.tally("errors")
-    bump(f"cache.{store}.error")
-    try:
-        os.remove(path)
-    except OSError:
-        pass
-
-
-def _store(store: str, tallies: DiskCacheStats, key: str, path: str,
+def _store(store: str, tallies: DiskCacheStats, key: str,
            value: Any) -> bool:
-    """Atomically pickle ``value`` to ``path``; False on failure.
-
-    Failures (read-only cache dir, disk full, an unpicklable value) are
-    non-fatal: the store degrades to a recompute, never to an error.
-    """
+    """Pickle ``value`` into the row under ``key``; False on failure
+    (an unwritable cache dir, disk full, an unpicklable value): the
+    store degrades to a recompute, never to an error."""
     try:
         with span(f"cache.{store}.store", key=key[:12]), \
                 timed(f"cache.{store}.store"):
-            _write_atomic(path, lambda handle: pickle.dump(
-                value, handle, protocol=pickle.HIGHEST_PROTOCOL))
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            _execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
+                     (key, store, package_digest(), blob), create=True)
     except Exception:
         tallies.tally("errors")
         bump(f"cache.{store}.error")
@@ -283,14 +317,13 @@ def _is_index(value: Any) -> bool:
 def load_index(key: str) -> Optional[Tuple[Dict[str, int], Dict[str, str]]]:
     """The unit index under ``key`` — each function's definition line
     and source-slice hash; None on miss/corruption."""
-    return _load("disk", _STATS, key, _entry_path(key), _is_index)
+    return _load("disk", _STATS, key, _is_index)
 
 
 def store_index(key: str, lines: Dict[str, int],
                 slices: Dict[str, str]) -> bool:
-    """Atomically persist one unit index under ``key``; False on
-    failure."""
-    return _store("disk", _STATS, key, _entry_path(key), (lines, slices))
+    """Persist one unit index under ``key``; False on failure."""
+    return _store("disk", _STATS, key, (lines, slices))
 
 
 #: Path -> (source, module key) of each unit read.
@@ -322,45 +355,46 @@ def forget_sources() -> None:
     _SOURCES.clear()
 
 
-def _report_dir() -> str:
-    return os.path.join(cache_dir(), REPORT_DIR)
-
-
 def clear_disk_cache() -> int:
-    """Delete every cache entry (all stores); returns the count.
+    """Delete every cache entry (all stores); the count of rows and
+    entry files.
 
-    Covers the IR cache (``*.ir.pkl``), the function-level analysis
-    store (``*.an.pkl``, and the ``*.an.bin`` entries of its retired
-    binary format), the report store (``reports/*.report.pkl``, and
-    reports of the older layout beside the other entries), the command
-    store (``*.cmd.json``) and the temp files killed writers leave
-    behind in either directory, so a cleared cache directory can never
-    serve half a pipeline (or a whole report, or a command's output)
-    from before the clear.
+    Empties the store, closes this process's connection and removes the
+    database files, then deletes the command store's entries
+    (``*.cmd.json``) and what the file-per-entry layout left (``*.pkl``,
+    ``*.an.bin``, ``reports/``, temp files): a cleared directory ends
+    empty and can serve nothing from before the clear.
     """
-    def entry(name: str) -> bool:
-        return (name.endswith((_MODULE_SUFFIX, _ANALYSIS_SUFFIX, ".an.bin",
-                               _REPORT_SUFFIX, COMMAND_SUFFIX))
-                or name.startswith(TMP_PREFIX))
-
-    removed = remove_entries(entry) + remove_entries(entry, _report_dir())
+    folder = cache_dir()
     try:
-        os.rmdir(_report_dir())
+        removed = _execute("DELETE FROM entries")[1]
+    except Exception:  # not a database
+        removed = 0
+    with _DB_LOCK:
+        _close()
+        remove_entries(lambda name: name.startswith(STORE_DB), folder)
+    reports = os.path.join(folder, "reports")
+    removed += remove_entries(lambda name: True, reports)
+    try:
+        os.rmdir(reports)
     except OSError:
         pass
-    return removed
+    return removed + remove_entries(
+        lambda name: (name.endswith((".pkl", ".an.bin", COMMAND_SUFFIX))
+                      or name.startswith(TMP_PREFIX)), folder)
 
 
 def clear_reports() -> int:
-    """Delete every report-store entry, leaving the other stores warm.
+    """Delete every report-store row, leaving the other stores warm;
+    the count.  One ``DELETE`` by kind, which creates no database.
 
     What a benchmark or a test calls to time or check the IR cache and
     the analysis store underneath a report that would otherwise hit.
-    Lists the report directory only, so it costs the same however many
-    IR and analysis entries have accumulated.
     """
-    return remove_entries(lambda name: name.endswith(_REPORT_SUFFIX),
-                          _report_dir())
+    try:
+        return _execute("DELETE FROM entries WHERE kind = 'report'")[1]
+    except Exception:
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +429,11 @@ def analysis_key(filename: str, function: str, slice_hash: str,
                  sources_fp: str, component: str) -> str:
     """Content and code hash identifying one function's analysis
     result; '' when the result cannot be keyed (sources unreadable)."""
-    code = package_digest()
-    if not code:
+    if not package_digest():
         return ""
-    digest = hashlib.sha256()
-    digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
-    digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
-    digest.update(f"code={code}\n".encode("utf-8"))
-    digest.update(f"filename={filename}\n".encode("utf-8"))
-    digest.update(f"function={function}\n".encode("utf-8"))
-    digest.update(f"slice={slice_hash}\n".encode("utf-8"))
-    digest.update(f"sources={sources_fp}\n".encode("utf-8"))
-    digest.update(f"component={component}\n".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _analysis_path(key: str) -> str:
-    return os.path.join(cache_dir(), f"{key}{_ANALYSIS_SUFFIX}")
+    return _content_key(("filename", filename), ("function", function),
+                        ("slice", slice_hash), ("sources", sources_fp),
+                        ("component", component))
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +443,15 @@ def _analysis_path(key: str) -> str:
 
 def load_analysis(key: str, kind: type) -> Optional[Any]:
     """The cached function summary under ``key`` if it is a ``kind``,
-    else None.
-
-    A corrupt, truncated or wrong-shape entry is a deleted miss: the
-    store degrades to a recompute, never to a wrong result.
-    """
-    return _load("an", _AN_STATS, key, _analysis_path(key),
+    else None: a corrupt or wrong-shape row is a deleted miss, so the
+    store degrades to a recompute, never to a wrong result."""
+    return _load("an", _AN_STATS, key,
                  lambda value: isinstance(value, kind))
 
 
 def store_analysis(key: str, summary: Any) -> bool:
-    """Atomically persist one function summary; False on failure."""
-    return _store("an", _AN_STATS, key, _analysis_path(key), summary)
+    """Persist one function summary; False on failure."""
+    return _store("an", _AN_STATS, key, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -448,33 +467,20 @@ def report_key(extractor: str, scenarios: str,
     scenario specs' repr, and ``units`` gives every scenario unit's
     filename and :func:`module_key` (which covers its source).
     """
-    code = package_digest()
-    if not code:
+    if not package_digest():
         return ""
-    digest = hashlib.sha256()
-    digest.update(f"schema={CACHE_SCHEMA}\n".encode("utf-8"))
-    digest.update(f"frontend={FRONTEND_VERSION}\n".encode("utf-8"))
-    digest.update(f"code={code}\n".encode("utf-8"))
-    digest.update(f"extractor={extractor}\n".encode("utf-8"))
-    digest.update(f"scenarios={scenarios}\n".encode("utf-8"))
-    for filename, key in units:
-        digest.update(f"unit={filename} {key}\n".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _report_path(key: str) -> str:
-    return os.path.join(_report_dir(), f"{key}{_REPORT_SUFFIX}")
+    return _content_key(("extractor", extractor), ("scenarios", scenarios),
+                        *(("unit", f"{filename} {key}")
+                          for filename, key in units))
 
 
 def load_report(key: str, kind: type) -> Optional[Any]:
-    """The cached report under ``key`` if it is a ``kind``, else None.
-
-    A torn, truncated or foreign entry is a miss, and it is deleted.
-    """
-    return _load("report", _REPORT_STATS, key, _report_path(key),
+    """The cached report under ``key`` if it is a ``kind``, else None
+    (a truncated or foreign row is a miss, and it is deleted)."""
+    return _load("report", _REPORT_STATS, key,
                  lambda value: isinstance(value, kind))
 
 
 def store_report(key: str, report: Any) -> bool:
-    """Atomically persist one extraction report; False on failure."""
-    return _store("report", _REPORT_STATS, key, _report_path(key), report)
+    """Persist one extraction report; False on failure."""
+    return _store("report", _REPORT_STATS, key, report)

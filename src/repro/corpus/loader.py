@@ -219,11 +219,9 @@ def clear_cache(disk: bool = False) -> None:
     together.  The stored reports go too: a stored report answers an
     extraction without loading a unit, so dropping it makes the next
     extraction in this process read units and analyses from the IR
-    cache and the analysis store.  Pass ``disk=True`` to also
-    purge those persistent caches, the command store and any temp
-    files a killed writer left.  The command store is left alone
-    otherwise: no in-process extraction reads it, and a second
-    directory scan would cost every call.
+    cache and the analysis store.  Pass ``disk=True`` to also purge
+    those persistent caches and the command store, which is left alone
+    otherwise: no in-process extraction reads it.
     """
     from repro.corpus.cache import (clear_disk_cache, clear_reports,
                                     forget_sources)

@@ -7,7 +7,7 @@ asks when classifying a guard as a configuration dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import perf
 from repro.lang.ir import BasicBlock, Branch, CallInstr, Const, Function, Ret

@@ -1,10 +1,10 @@
 """What every disk store shares, and the command store.
 
 Four stores share one cache directory (:func:`cache_dir`), one switch
-(``REPRO_NO_DISK_CACHE``), atomic writes and one code digest.  Three
-of them live in :mod:`repro.corpus.cache`: the IR modules, the
-per-function analysis summaries and the extraction reports.  The fourth,
-defined here, holds whole console commands.
+(``REPRO_NO_DISK_CACHE``) and one code digest.  Three of them are rows
+of one SQLite table in ``store.db`` (:mod:`repro.corpus.cache`): unit
+indexes, per-function analysis summaries and extraction reports.  The
+fourth, defined here, holds whole console commands, one JSON file each.
 
 This module is a leaf: at import it loads only the standard library,
 so a console command answered from the command store compiles it and
@@ -35,12 +35,12 @@ with the console script's name as the tool and the corpus hashes taken
 from the effective corpus directory (``REPRO_CORPUS_DIR`` honoured).
 :mod:`repro.cli` decides which runs may use it; runs that ask for fresh
 work or write artifacts beside stdout never do.  A torn or foreign
-entry is deleted and read as a miss.  The entries are JSON, not pickle
-like the other three stores: the key already loads :mod:`json`, and
-three plain values need no more, so a hit imports no serializer of its
-own.  Nor does it use the other stores' load helper, which records
-spans and counters and so would load the observability layer on every
-hit.
+entry is deleted and read as a miss.  The entries are JSON files, not
+pickled rows like the other three stores': the key already loads
+:mod:`json`, three plain values need no more, and a file read needs
+no :mod:`sqlite3`, so a hit imports nothing of its own.  Nor does it
+use the other stores' load helper, which records spans and counters
+and so would load the observability layer on every hit.
 """
 
 from __future__ import annotations

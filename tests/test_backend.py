@@ -24,7 +24,6 @@ import signal
 import threading
 import time
 from hashlib import sha256
-from typing import List
 
 import pytest
 
@@ -32,6 +31,7 @@ from repro import store
 from repro.perf import procpool
 from repro.perf.procpool import ProcessPoolError
 from repro.store import PACKAGE_SUFFIXES
+from tests import store_rows as rows
 
 
 def _canonical(report) -> str:
@@ -59,13 +59,6 @@ def extraction_digests(jobs: int):
     if jobs <= 1:
         return [extraction_digest()]
     return procpool.run_ordered(jobs, extraction_digest, [()] * jobs)
-
-
-def _report_entries(disk) -> List[str]:
-    """The report-store entries in the report directory."""
-    return sorted(name for name in os.listdir(
-        os.path.join(disk.cache_dir(), disk.REPORT_DIR))
-        if name.endswith(".report.pkl"))
 
 
 def _summary():
@@ -164,16 +157,13 @@ class TestAnalysisStore:
 
         key = "c" * 64
         assert disk.store_analysis(key, _summary())
-        path = disk._analysis_path(key)
         if garbage is None:
-            with open(path, "rb") as handle:
-                garbage = handle.read()[:-3]
-        with open(path, "wb") as handle:
-            handle.write(garbage)
+            garbage = rows.blobs()[key][:-3]
+        rows.put(key, garbage)
         assert disk.load_analysis(key, FunctionSummary) is None
         assert disk.analysis_stats().errors == 1
-        # The poisoned file is gone, so the next lookup is a clean miss.
-        assert not os.path.exists(path)
+        # The poisoned row is gone, so the next lookup is a clean miss.
+        assert key not in rows.blobs()
         assert disk.load_analysis(key, FunctionSummary) is None
         assert disk.analysis_stats().misses == 1
 
@@ -186,11 +176,9 @@ class TestAnalysisStore:
         from repro.corpus import cache as disk
 
         key = "d" * 64
-        analysis = (disk._analysis_path(key),
-                    lambda: disk.load_analysis(key, FunctionSummary),
+        analysis = ("an", lambda: disk.load_analysis(key, FunctionSummary),
                     disk.analysis_stats)
-        entry = (disk._entry_path(key), lambda: disk.load_index(key),
-                 disk.cache_stats)
+        entry = ("disk", lambda: disk.load_index(key), disk.cache_stats)
         cases = [(value, load)
                  for value in [("not", "a", "pair"), {"not": "a summary"},
                                ({"fn": "1"}, {"fn": "ab"}),
@@ -198,14 +186,12 @@ class TestAnalysisStore:
                                # the retired layout: index + module bytes
                                ({"fn": 1}, pickle.dumps(["a", "module"]))]
                  for load in (analysis, entry)]
-        for value, (path, load, stats) in cases:
+        for value, (kind, load, stats) in cases:
             disk.reset_cache_stats()
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "wb") as handle:
-                pickle.dump(value, handle)
+            rows.put_value(key, value, kind)
             assert load() is None
             assert (stats().errors, stats().misses) == (1, 0)
-            assert not os.path.exists(path)
+            assert key not in rows.blobs()
             assert load() is None
             assert (stats().errors, stats().misses) == (1, 1)
 
@@ -231,15 +217,10 @@ class TestAnalysisStore:
                 return NotImplemented
 
         extract_all()
-        paths = sorted(os.path.join(folder, name)
-                       for folder, _dirs, names in os.walk(disk.cache_dir())
-                       for name in names)
-        for suffix in (".ir.pkl", ".an.pkl", ".report.pkl"):
-            assert any(path.endswith(suffix) for path in paths)
-        for path in paths:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-            Recorder(io.BytesIO()).dump(value)
+        for kind in ("disk", "an", "report"):
+            assert rows.blobs(kind)
+        for blob in rows.blobs().values():
+            Recorder(io.BytesIO()).dump(pickle.loads(blob))
         package = os.path.dirname(sys.modules["repro"].__file__)
 
         def covered(cls) -> bool:
@@ -335,15 +316,14 @@ class TestAnalysisStore:
         from repro.corpus.loader import clear_cache
 
         extract_all()
-        suffixes = (".ir.pkl", ".an.pkl", ".report.pkl")
-        names = [name for _folder, _dirs, files in os.walk(disk.cache_dir())
-                 for name in files]
-        assert all(any(name.endswith(suffix) for name in names)
-                   for suffix in suffixes)
-        # Entries of the retired binary analysis format go too.
-        with open(os.path.join(disk.cache_dir(), "e" * 64 + ".an.bin"),
-                  "wb") as handle:
-            handle.write(b"RAC1")
+        assert all(rows.blobs(kind) for kind in ("disk", "an", "report"))
+        # Entries of the retired file-per-entry layouts go too.
+        os.makedirs(os.path.join(disk.cache_dir(), "reports"))
+        for name in ("e" * 64 + ".an.bin", "e" * 64 + ".an.pkl",
+                     "e" * 64 + ".ir.pkl",
+                     os.path.join("reports", "e" * 64 + ".report.pkl")):
+            with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
+                handle.write(b"RAC1")
         clear_cache(disk=True)
         assert os.listdir(disk.cache_dir()) == []
 
@@ -450,7 +430,7 @@ class TestBackendsEndToEnd:
         untouched = _canonical(extract_all())
         assert disk.report_stats().hits == 1
         assert stats_snapshot() == (0, 0, 0, 0)
-        untouched_report = _report_entries(disk)
+        untouched_report = rows.keys("report")
         # ...and underneath it everything is served from the store
         # (clear_cache() drops the stored report with the memos).
         clear_cache()
@@ -491,7 +471,7 @@ class TestBackendsEndToEnd:
             return text[:end] + "    /* incremental edit */\n" + text[end:]
 
         assert edit_and_extract("mount.c", close_last_body) == untouched
-        assert _report_entries(disk) not in ([], untouched_report)
+        assert rows.keys("report") not in ([], untouched_report)
         # A body edit of a function whose struct.field traffic other
         # units read through the metadata bridge: the readers' stored
         # states still hit, and the bridge joins them with the new one.
@@ -507,7 +487,7 @@ class TestBackendsEndToEnd:
 
         baseline = _canonical(extract_all())
         assert disk.analysis_stats().stores > 0
-        baseline_report = _report_entries(disk)
+        baseline_report = rows.keys("report")
         monkeypatch.setattr(disk, "FRONTEND_VERSION",
                             disk.FRONTEND_VERSION + "-bumped")
         clear_cache()
@@ -519,7 +499,7 @@ class TestBackendsEndToEnd:
         # The report key covers the frontend version too: the bumped
         # run stored its report under a new key.
         assert (disk.report_stats().hits, disk.report_stats().misses) == (0, 1)
-        assert _report_entries(disk) not in ([], baseline_report)
+        assert rows.keys("report") not in ([], baseline_report)
 
     def test_corrupted_store_degrades_to_recompute(self, isolated_store):
         from repro.analysis.extractor import extract_all
@@ -527,12 +507,10 @@ class TestBackendsEndToEnd:
         from repro.corpus.loader import clear_cache
 
         baseline = _canonical(extract_all())
-        entries = [name for name in os.listdir(disk.cache_dir())
-                   if name.endswith(".an.pkl")]
+        entries = rows.keys("an")
         assert entries
-        for name in entries:
-            with open(os.path.join(disk.cache_dir(), name), "wb") as handle:
-                handle.write(b"\x00 corrupted \xff")
+        for key in entries:
+            rows.put(key, b"\x00 corrupted \xff")
         # clear_cache() also drops the intact stored report, which would
         # otherwise answer without reading the corrupted entries.
         clear_cache()

@@ -33,6 +33,7 @@ import pytest
 from repro import cli, cli_run, store
 from repro.corpus import cache as disk
 from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
+from tests import store_rows as rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -329,19 +330,27 @@ class TestClearing:
             clear()
             assert _entries(cache) == []
 
-    def test_plain_clear_cache_scans_the_directory_once(self, cache,
-                                                        monkeypatch):
+    def test_plain_clear_cache_scans_no_directory(self, cache, monkeypatch):
         # ``clear_cache()`` runs before every in-process re-extraction;
-        # it drops stored reports in one scan of the report directory,
-        # never listing the IR and analysis entries (which accumulate,
-        # unpruned, beside the commands), and leaves commands be.
+        # it drops stored reports with one DELETE by kind, never listing
+        # the cache directory (where commands accumulate), creates no
+        # database when there is none, and leaves commands be.
         _run("main_demo")
         scans = []
         listdir = os.listdir
         monkeypatch.setattr(os, "listdir",
                             lambda path: scans.append(path) or listdir(path))
         clear_cache()
-        assert scans == [os.path.join(str(cache), disk.REPORT_DIR)]
+        assert scans == []
+        assert len(_entries(cache)) == 1
+        assert not os.path.exists(cache / disk.STORE_DB)
+        # Over a warm store it deletes the report row and nothing else.
+        disk.store_report("r" * 64, "report")
+        disk.store_analysis("a" * 64, "summary")
+        del scans[:]
+        clear_cache()
+        assert scans == []
+        assert rows.keys() == ["a" * 64]
         assert len(_entries(cache)) == 1
 
 

@@ -151,11 +151,13 @@ class TestEntryPoints:
 
     def test_corpus_cache_and_loader_load_no_ir(self, warm_cache):
         # Both name the IR only for type checks; it loads when a module
-        # is actually unpickled or compiled.
+        # is actually unpickled or compiled.  The store's database
+        # module loads on the first load or store, not at import.
         modules = loaded_modules(
             "import repro.corpus.cache, repro.corpus.loader", warm_cache)
         assert within(modules, ["repro.lang.ir", "repro.lang.cfg",
                                 "repro.perf.lattice"]) == []
+        assert "sqlite3" not in modules
 
     def test_service_client_skips_analysis_and_sqlite(self, warm_cache):
         modules = loaded_modules("import repro.serve.client", warm_cache)
@@ -218,6 +220,7 @@ class TestEntryPoints:
         assert within(first, ["repro.cli_run"]) == ["repro.cli_run"]
         replayed = entry_point_modules(script, warm_cache, replay=True)
         assert within(replayed, ["repro"]) == REPLAY_MODULES
+        assert "sqlite3" not in replayed
 
     def test_service_clients_skip_analysis(self, warm_cache):
         for script in ("repro-submit", "repro-top"):

@@ -19,6 +19,7 @@ from repro.analysis.extractor import extract_all
 from repro.corpus import cache as disk_cache
 from repro.corpus.loader import clear_cache, corpus_path, load_corpus, load_unit
 from repro.perf import procpool
+from tests import store_rows as rows
 
 
 @pytest.fixture
@@ -78,12 +79,10 @@ class TestDiskCache:
 
     def test_corrupt_entry_is_a_miss_and_removed(self, ir_cache_dir):
         key = "f" * 64
-        path = os.path.join(str(ir_cache_dir), f"{key}.ir.pkl")
-        with open(path, "wb") as fh:
-            fh.write(b"not a pickle")
+        rows.put(key, b"not a pickle", "disk")
         assert disk_cache.load_index(key) is None
         assert disk_cache.cache_stats().errors == 1
-        assert not os.path.exists(path)
+        assert rows.keys() == []
 
     def test_disable_env(self, ir_cache_dir, monkeypatch):
         monkeypatch.setenv(disk_cache.DISABLE_ENV, "1")
@@ -101,8 +100,8 @@ class TestDiskCache:
         load_unit("mount.c")
         assert os.listdir(str(ir_cache_dir))
         assert disk_cache.clear_disk_cache() == 1
-        assert [n for n in os.listdir(str(ir_cache_dir))
-                if n.endswith(".ir.pkl")] == []
+        assert rows.keys("disk") == []
+        assert os.listdir(str(ir_cache_dir)) == []
 
 
 class TestInvalidation:

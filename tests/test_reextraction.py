@@ -13,10 +13,11 @@ analysis store.
 - work counters for a one-function edit over warm stores: only the
   edited function's body is lexed and compiled (none when no scenario
   selects it), no module is pickled or unpickled, each unit is read
-  and hashed once, and only the edited function is solved;
+  and hashed once, only the edited function is solved, and the stores
+  write one row per kind they miss and no file;
 - the error and damage paths of the unit index: a missing pre-selected
-  function is still an error, a torn IR entry is a deleted miss, and
-  an entry of another layout is deleted and the unit outlined again.
+  function is still an error, a torn IR row is a deleted miss, and
+  a row of another layout is deleted and the unit outlined again.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ import sys
 
 import pytest
 
+from repro import store as repro_store
 from repro.corpus import cache as disk
 from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
+from tests import store_rows as rows
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 CORPUS_SRC = os.path.join(SRC, "repro", "corpus")
@@ -305,7 +308,7 @@ class TestOneFunctionEditWork:
         _insert_at_body_top(corpus, "mke2fs.c", edited, 1)
 
         work = {"parsed": [], "outlined": [], "pickled": [], "solved": [],
-                "hashed": [], "compile_c": []}
+                "hashed": [], "compile_c": [], "written": []}
         parse_body, init, run = Parser.parse_body, Outline.__init__, \
             TaintEngine.run
         module_key = disk.module_key
@@ -340,6 +343,20 @@ class TestOneFunctionEditWork:
             work["compile_c"].append((filename, bodies))
             return compile_c(source, filename, bodies=bodies)
 
+        write_atomic = repro_store.write_atomic
+
+        def spy_write_atomic(path, write):
+            work["written"].append(os.path.basename(path))
+            return write_atomic(path, write)
+
+        # Every binding of the file writer, under whatever name a
+        # module imported it.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for name, value in list(vars(module).items()):
+                    if value is write_atomic:
+                        monkeypatch.setattr(module, name, spy_write_atomic)
+
         monkeypatch.setattr(Parser, "parse_body", spy_parse_body)
         monkeypatch.setattr(Outline, "__init__", spy_init)
         monkeypatch.setattr(Module, "__getstate__", spy_getstate,
@@ -360,6 +377,9 @@ class TestOneFunctionEditWork:
         work["compile_spans"] = [
             (span.attrs["unit"], span.attrs.get("function"))
             for span in trace.spans if span.name == "corpus.compile"]
+        work["rows"] = {kind: counters().get(f"cache.{kind}.store", 0)
+                        for kind in ("disk", "an", "report")}
+        work["listed"] = sorted(os.listdir(disk.cache_dir()))
         ir, analysis = disk.cache_stats(), disk.analysis_stats()
         work["ir"] = (ir.hits, ir.misses, ir.errors, ir.stores)
         work["analysis"] = (analysis.hits, analysis.misses, analysis.errors,
@@ -377,6 +397,13 @@ class TestOneFunctionEditWork:
         # unit alike.
         assert sorted(work["hashed"]) == sorted(set(work["hashed"]))
         assert len(work["hashed"]) == 7
+        # The stores write rows of one database, never a file: the
+        # edited unit's index and the report (and, when one is solved,
+        # the edited function's summary) are one row each.
+        assert work["written"] == []
+        assert work["listed"] and all(name.startswith(disk.STORE_DB)
+                                      for name in work["listed"])
+        assert (work["rows"]["disk"], work["rows"]["report"]) == (1, 1)
 
     def test_only_the_edited_function_is_solved(self, corpus, monkeypatch):
         edited = "check_feature_conflicts"
@@ -391,6 +418,7 @@ class TestOneFunctionEditWork:
         # Each of the 16 selected functions is looked up once: the
         # edited one misses, the 15 others hit (moved or not).
         assert work["analysis"] == (15, 1, 0, 1)
+        assert work["rows"]["an"] == 1
 
     def test_an_unselected_edit_compiles_no_body(self, corpus, monkeypatch):
         # No scenario selects parse_feature_opts: its unit is outlined,
@@ -402,6 +430,7 @@ class TestOneFunctionEditWork:
         assert work["compile_spans"] == []
         assert work["solved"] == []
         assert work["analysis"] == (16, 0, 0, 0)
+        assert work["rows"]["an"] == 0
 
 
 class TestIndexPaths:
@@ -429,23 +458,18 @@ class TestIndexPaths:
         from repro.analysis.extractor import extract_all
 
         baseline = [dep.key() for dep in extract_all().union]
-        entries = [os.path.join(disk.cache_dir(), name)
-                   for name in os.listdir(disk.cache_dir())
-                   if name.endswith(".ir.pkl")]
+        entries = rows.blobs("disk")
         assert len(entries) == 7
-        for path in entries:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            with open(path, "wb") as handle:
-                handle.write(blob[:len(blob) // 2])
+        for key, blob in entries.items():
+            rows.put(key, blob[:len(blob) // 2], "disk")
         clear_cache()
         disk.reset_cache_stats()
         assert [dep.key() for dep in extract_all().union] == baseline
         ir = disk.cache_stats()
-        # Each torn entry errors once, is deleted, and is rewritten by
+        # Each torn row errors once, is deleted, and is rewritten by
         # the outline that replaces it.
         assert (ir.hits, ir.errors, ir.stores) == (0, 7, 7)
-        assert all(os.path.exists(path) for path in entries)
+        assert rows.keys("disk") == sorted(entries)
 
     def test_foreign_module_bytes_compile_and_are_restored(self, corpus):
         import pickle
@@ -454,16 +478,12 @@ class TestIndexPaths:
 
         unit = load_unit("mke2fs.c")
         reference = (unit.lines, unit.slices, set(unit.module.functions))
-        (name,) = [name for name in os.listdir(disk.cache_dir())
-                   if name.endswith(".ir.pkl")]
-        path = os.path.join(disk.cache_dir(), name)
-        with open(path, "rb") as handle:
-            lines, slices = pickle.load(handle)
+        (key,) = rows.keys("disk")
+        lines, slices = pickle.loads(rows.blobs()[key])
         assert (lines, slices) == reference[:2]
         # An entry of the retired layout: the index beside the pickled
         # module.
-        with open(path, "wb") as handle:
-            pickle.dump((lines, pickle.dumps(unit.module)), handle)
+        rows.put_value(key, (lines, pickle.dumps(unit.module)), "disk")
         clear_cache()
         disk.reset_cache_stats()
         unit = load_unit("mke2fs.c")
@@ -473,8 +493,7 @@ class TestIndexPaths:
         assert (ir.hits, ir.errors, ir.stores) == (0, 1, 1)
         assert (unit.lines, unit.slices,
                 set(unit.module.functions)) == reference
-        with open(path, "rb") as handle:
-            assert pickle.load(handle) == reference[:2]
+        assert pickle.loads(rows.blobs()[key]) == reference[:2]
 
 
 class TestMovedSummary:

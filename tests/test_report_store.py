@@ -26,6 +26,7 @@ from repro.analysis.extractor import (
 from repro import store as repro_store
 from repro.corpus import cache as disk
 from repro.corpus.loader import CORPUS_DIR_ENV, clear_cache
+from tests import store_rows as rows
 
 CORPUS_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                           "repro", "corpus")
@@ -43,20 +44,9 @@ def _canonical(report) -> str:
     return "\n".join(lines)
 
 
-def _folder(suffix: str) -> str:
-    """Where entries ending in ``suffix`` live: reports in their own
-    subdirectory, the other stores in the cache directory."""
-    if suffix == ".report.pkl":
-        return os.path.join(disk.cache_dir(), disk.REPORT_DIR)
-    return disk.cache_dir()
-
-
-def _entries(suffix: str = ".report.pkl"):
-    try:
-        names = os.listdir(_folder(suffix))
-    except OSError:
-        return []
-    return sorted(name for name in names if name.endswith(suffix))
+def _entries(kind: str = "report"):
+    """The keys of the store's rows of ``kind``."""
+    return rows.keys(kind)
 
 
 def _tallies():
@@ -72,14 +62,10 @@ def _new_process():
     what a command's own code prints over a stored report, which an
     entry would answer instead."""
     repro_store.clear_commands()
-    kept = {}
-    for name in _entries():
-        with open(os.path.join(_folder(".report.pkl"), name), "rb") as handle:
-            kept[name] = handle.read()
+    kept = rows.blobs("report")
     clear_cache()
-    for name, blob in kept.items():
-        with open(os.path.join(_folder(".report.pkl"), name), "wb") as handle:
-            handle.write(blob)
+    for key, blob in kept.items():
+        rows.put(key, blob, "report")
     disk.reset_cache_stats()
 
 
@@ -121,22 +107,18 @@ class TestMiss:
                                         "foreign"])
     def test_damaged_entry_is_a_deleted_miss(self, store, damage):
         (name,) = _entries()
-        path = os.path.join(_folder(".report.pkl"), name)
-        with open(path, "rb") as handle:
-            blob = handle.read()
+        blob = rows.blobs()[name]
         damaged = {
             "truncated": blob[:len(blob) // 2],
             "garbage": b"\x00 not a pickle \xff",
             "empty": b"",
             "foreign": __import__("pickle").dumps({"not": "a report"}),
         }[damage]
-        with open(path, "wb") as handle:
-            handle.write(damaged)
+        rows.put(name, damaged, "report")
         _new_process()
-        assert disk.load_report(name[:-len(".report.pkl")],
-                                ExtractionReport) is None
+        assert disk.load_report(name, ExtractionReport) is None
         assert _tallies() == (0, 0, 0, 1)
-        assert _entries() == []  # the damaged entry was deleted
+        assert _entries() == []  # the damaged row was deleted
         # The next run recomputes the same report and stores it again.
         assert _canonical(_fresh_run()) == store
         assert _tallies() == (0, 1, 1, 0)
@@ -231,11 +213,15 @@ class TestNoWrites:
 
     def test_unwritable_store_degrades_to_no_entry(self, store,
                                                    monkeypatch):
-        def refuse(path, write):
-            raise PermissionError(path)
+        execute = disk._execute
+
+        def refuse(sql, params=(), create=False):
+            if sql.startswith("INSERT"):
+                raise PermissionError(disk.cache_dir())
+            return execute(sql, params, create)
 
         disk.clear_reports()
-        monkeypatch.setattr(disk, "_write_atomic", refuse)
+        monkeypatch.setattr(disk, "_execute", refuse)
         assert _canonical(_fresh_run()) == store
         assert _tallies() == (0, 1, 0, 1)
         assert _entries() == []
@@ -243,22 +229,29 @@ class TestNoWrites:
 
 class TestClearing:
     def test_clear_disk_cache_removes_reports_and_temp_files(self, store):
-        # Killed writers leave temp files beside the entries they were
-        # writing: in the cache directory and in the report directory.
+        # The file-per-entry layout this store replaced left entries,
+        # a report directory, and the temp files of killed writers.
+        reports = os.path.join(disk.cache_dir(), "reports")
+        os.makedirs(reports)
         leftovers = [os.path.join(disk.cache_dir(), ".tmp-killed-writer"),
                      os.path.join(disk.cache_dir(), ".tmp-abc123.pkl"),
-                     os.path.join(_folder(".report.pkl"), ".tmp-report")]
+                     os.path.join(disk.cache_dir(), "a" * 64 + ".ir.pkl"),
+                     os.path.join(reports, ".tmp-report"),
+                     os.path.join(reports, "b" * 64 + ".report.pkl")]
         for path in leftovers:
             with open(path, "wb") as handle:
                 handle.write(b"partial")
         assert len(_entries()) == 1
         disk.clear_disk_cache()
         assert os.listdir(disk.cache_dir()) == []
+        # A load after the clear is a miss and creates no database.
+        assert disk.load_report("c" * 64, ExtractionReport) is None
+        assert os.listdir(disk.cache_dir()) == []
 
     def test_clear_reports_keeps_the_other_stores(self, store):
         assert disk.clear_reports() == 1
         assert _entries() == []
-        assert _entries(".ir.pkl") and _entries(".an.pkl")
+        assert _entries("disk") and _entries("an")
 
     def test_clear_cache_drops_reports_so_the_stores_answer(self, store):
         # In-process, clear_cache() means "assemble the next extraction
@@ -266,7 +259,7 @@ class TestClearing:
         # those layers that way, and a report left behind would answer.
         clear_cache()
         assert _entries() == []
-        assert _entries(".ir.pkl") and _entries(".an.pkl")
+        assert _entries("disk") and _entries("an")
         disk.reset_cache_stats()
         assert _canonical(extract_all()) == store
         assert _tallies() == (0, 1, 1, 0)

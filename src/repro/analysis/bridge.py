@@ -23,7 +23,7 @@ field and then loads it back still joins with the original writer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.constraints import BranchUse
 from repro.analysis.model import (

@@ -15,9 +15,9 @@ the IR, the solver or the bridge; those modules are imported inside
 the functions that run only when the report has to be computed.
 
 Below the report, each pre-selected function resolves to a
-:class:`FunctionSummary` — memo, then the analysis store, then a taint
-solve — and only the last step compiles IR, for that function's body
-alone (:meth:`repro.corpus.loader.CorpusUnit.function`).
+:class:`FunctionSummary` — memo, its unit's index row, the analysis
+store, then a taint solve — and only the last step compiles IR, for
+that function's body alone (:meth:`repro.corpus.loader.CorpusUnit.function`).
 """
 
 from __future__ import annotations
@@ -253,12 +253,11 @@ class Extractor:
     def _summarize(self, unit: CorpusUnit, fn_name: str) -> FunctionSummary:
         """One pre-selected function's summary.
 
-        Resolution order is memo → disk store → compute: the in-memory
-        memo wins within a process, the function-level analysis store
-        (:mod:`repro.corpus.cache`) carries summaries across processes,
-        and only genuinely new content compiles the function's body and
-        pays for a fixpoint.  The rest needs only the unit's function
-        index.
+        Resolution order is memo → unit index row → analysis store →
+        compute: the memo wins within a process, the index row answers
+        an unchanged unit, the analysis store (:mod:`repro.corpus.cache`)
+        the unchanged functions of an edited one, and only genuinely new
+        content compiles the function's body and pays for a fixpoint.
         """
         from repro.analysis.sources import SOURCES_BY_UNIT
         from repro.errors import UnknownFunctionError
@@ -276,6 +275,12 @@ class Extractor:
                         unit.component, filename)
             summary = _SUMMARIES.get(memo_key)
             if summary is not None:
+                return summary
+            summary = (unit.summaries or {}).get(
+                (fn_name, sources_fp, unit.component))
+            if summary is not None:
+                disk.analysis_stats().tally("hits")
+                _SUMMARIES[memo_key] = summary
                 return summary
             store_key = ""
             if disk.disk_cache_enabled():
@@ -303,7 +308,7 @@ class Extractor:
             deps: List[Dependency] = []
             summaries: List[ComponentSummary] = []
             for filename, functions in spec.selected:
-                unit = load_unit(filename)
+                unit = load_unit(filename, summary_kind=FunctionSummary)
                 summary = ComponentSummary(unit.component, filename)
                 for fn_name in functions:
                     function = self._summarize(unit, fn_name)
@@ -368,8 +373,23 @@ class Extractor:
                 union.extend(result.dependencies)
             report = ExtractionReport(results, _dedupe(union))
             if key:
+                self._store_units()
                 disk.store_report(key, report)
             return report
+
+    def _store_units(self) -> None:
+        """Write an index row, with its summaries, for each unit no row
+        answered: one write per missed unit."""
+        from repro.corpus.loader import load_unit
+
+        for filename in self._unit_names():
+            unit = load_unit(filename, summary_kind=FunctionSummary)
+            if unit.summaries is None:
+                unit.summaries = {memo[1:4]: summary for memo, summary
+                                  in list(_SUMMARIES.items())
+                                  if memo[0] == unit.fingerprint}
+                disk.store_index(unit.fingerprint, unit.lines, unit.slices,
+                                 unit.summaries)
 
 
 def _compute(unit: CorpusUnit, fn_name: str, sources) -> FunctionSummary:

@@ -24,7 +24,7 @@ dependencies the intra-procedural prototype misses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bridge import ComponentSummary, FieldStore, MetadataBridge
 from repro.analysis.constraints import derive_constraints

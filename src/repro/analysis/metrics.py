@@ -24,7 +24,7 @@ syscall boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.extractor import ExtractionReport, extract_all
 from repro.analysis.groundtruth import is_false_positive

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.model import Category, Dependency, ParamRef, SubKind
+from repro.analysis.model import Dependency, ParamRef, SubKind
 from repro.corpus.loader import load_unit
 from repro.lang.interp import InterpError, Interpreter
 

@@ -15,23 +15,26 @@ read and hashed once per process (:func:`read_unit`), so a report is
 stored only under the sources it was extracted from.
 
 **IR cache** (kind ``disk``), keyed by sha256(cache schema | frontend
-version | package digest | filename | source text).  What extraction
-reads of a unit whose functions the analysis store answers is its
-function index ``(lines, slices)``: each function's definition line and
-source-slice hash.  No IR is stored: a unit that misses is outlined
-(its bodies skipped), and IR is compiled only for the bodies an
-analysis runs on (see :mod:`repro.corpus.loader`).
+version | package digest | filename | source text).  One index row
+``(lines, slices, summaries)`` per unit: each function's definition line
+and source-slice hash, and each selected function's summary by
+``(function, sources fingerprint, component)``, written once extraction
+has them, so one row answers an unchanged unit.  No IR is stored: a
+unit that misses is outlined (its bodies skipped), and IR is compiled
+only for the bodies an analysis runs on (see :mod:`repro.corpus.loader`).
 
 **Analysis store** (kind ``an``), keyed by sha256(cache schema |
 frontend version | package digest | filename | function | slice hash |
 sources fingerprint | component).  One
 :class:`~repro.analysis.extractor.FunctionSummary` per analyzed
 function: its metadata-field stores, its findings and its definition
-line.  The slice hash (:func:`function_slices`) covers everything the
-body is compiled against (the tokens outside the bodies plus the macro
-table) and the function's own text, so editing one body re-analyzes
-*that function only*.  A hit for a function that has moved shifts the
-lines it reports by the move.  The analysis is intra-procedural and
+line.  Lookup runs memo, index row, this store, solve: this store
+answers the unchanged functions of an edited unit.  The slice hash
+(:func:`function_slices`) covers everything the body is compiled
+against (the tokens outside the bodies plus the macro table) and the
+function's own text, so editing one body re-analyzes *that function
+only*.  A hit for a function that has moved shifts the lines it
+reports by the move.  The analysis is intra-procedural and
 the metadata bridge joins the summaries after loading, so an entry
 depends on nothing its key leaves out; taint states are not stored.
 
@@ -53,6 +56,7 @@ processes never observe a torn entry.  A load with no database file is
 a miss and creates none; a file that is not a database is deleted and
 recreated (``cache.recreated``).  A row that fails to unpickle or has
 the wrong shape is tallied as an error and deleted: a clean miss next.
+A store reopens a file another process deleted (:func:`clear_disk_cache`).
 The first open also deletes every row whose ``code`` is not the
 package digest (``cache.swept``), so a code edit frees what it made
 unreachable; within one code state the store grows (every corpus
@@ -88,7 +92,7 @@ if TYPE_CHECKING:
     from repro.lang.frontend import Outline
 
 #: Bump when the on-disk entry layout itself changes.
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 #: The database file under the cache directory (SQLite adds ``-wal``
 #: and ``-shm`` files beside it).
@@ -179,9 +183,9 @@ def module_key(source: str, filename: str) -> str:
     return _content_key(("filename", filename), ("source", source))
 
 
-#: This process's store connection: ``(pid, database path, connection)``,
-#: used under :data:`_DB_LOCK` (one statement costs tens of µs).
-_DB: Optional[Tuple[int, str, Any]] = None
+#: This process's store connection: ``(pid, database path, connection,
+#: file identity)``, used under :data:`_DB_LOCK` (a statement: tens of µs).
+_DB: Optional[Tuple[int, str, Any, Optional[Tuple[int, int]]]] = None
 _DB_LOCK = threading.Lock()
 #: Connections inherited across ``fork``: kept open, never closed here.
 _INHERITED: List[Any] = []
@@ -189,12 +193,14 @@ _INHERITED: List[Any] = []
 
 def _connect(create: bool) -> Optional[Any]:
     """This process's connection to ``<cache dir>/store.db``, opened on
-    first use and when the pid or the cache directory changes; None
-    when the file is absent and ``create`` is false.  Call under
+    first use and when the pid or the cache directory changes, and for
+    a store (``create``) when the file is no longer the one opened;
+    None when the file is absent and ``create`` is false.  Call under
     :data:`_DB_LOCK`."""
     global _DB
     path = os.path.join(cache_dir(), STORE_DB)
-    if _DB is not None and _DB[:2] == (os.getpid(), path):
+    if _DB is not None and _DB[:2] == (os.getpid(), path) and (
+            not create or _identity(path) == _DB[3]):
         return _DB[2]
     _close()
     if not create and not os.path.exists(path):
@@ -222,8 +228,17 @@ def _connect(create: bool) -> Optional[Any]:
                          (code,)).rowcount if code else 0
     if swept:
         bump("cache.swept", swept)
-    _DB = (os.getpid(), path, conn)
+    _DB = (os.getpid(), path, conn, _identity(path))
     return conn
+
+
+def _identity(path: str) -> Optional[Tuple[int, int]]:
+    """The file's ``(st_dev, st_ino)``; None when there is none."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
 
 
 def _close() -> None:
@@ -305,25 +320,29 @@ def _store(store: str, tallies: DiskCacheStats, key: str,
     return True
 
 
-def _is_index(value: Any) -> bool:
-    """Whether ``value`` is a ``(lines, slices)`` unit index."""
-    return (type(value) is tuple and len(value) == 2
-            and type(value[0]) is dict and type(value[1]) is dict
+def _is_index(value: Any, kind: type) -> bool:
+    """Whether ``value`` is a ``(lines, slices, summaries)`` index row
+    whose summaries are ``kind``s of its functions."""
+    return (type(value) is tuple and len(value) == 3
+            and all(type(part) is dict for part in value)
             and value[0].keys() == value[1].keys()
             and all(type(line) is int for line in value[0].values())
-            and all(type(digest) is str for digest in value[1].values()))
+            and all(type(digest) is str for digest in value[1].values())
+            and all(type(name) is tuple and len(name) == 3
+                    and name[0] in value[0] and isinstance(summary, kind)
+                    for name, summary in value[2].items()))
 
 
-def load_index(key: str) -> Optional[Tuple[Dict[str, int], Dict[str, str]]]:
-    """The unit index under ``key`` — each function's definition line
-    and source-slice hash; None on miss/corruption."""
-    return _load("disk", _STATS, key, _is_index)
+def load_index(key: str, kind: type) -> Optional[tuple]:
+    """The unit index row ``(lines, slices, summaries)`` under ``key``,
+    its summaries ``kind``s; None on miss/corruption."""
+    return _load("disk", _STATS, key, lambda value: _is_index(value, kind))
 
 
-def store_index(key: str, lines: Dict[str, int],
-                slices: Dict[str, str]) -> bool:
-    """Persist one unit index under ``key``; False on failure."""
-    return _store("disk", _STATS, key, (lines, slices))
+def store_index(key: str, lines: Dict[str, int], slices: Dict[str, str],
+                summaries: Dict[Tuple[str, str, str], Any]) -> bool:
+    """Persist one unit index row under ``key``; False on failure."""
+    return _store("disk", _STATS, key, (lines, slices, summaries))
 
 
 #: Path -> (source, module key) of each unit read.

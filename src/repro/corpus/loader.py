@@ -8,10 +8,11 @@ source is read and hashed once per process
 stored extraction report, so a report is never stored under sources
 other than the ones analyzed.
 
-The IR cache holds a unit's *index*, not its IR: each function's
-definition line and source-slice hash, which is all extraction reads
-of a function whose analysis the analysis store answers.  On a miss
-the unit is outlined (:func:`repro.lang.compile_c` with
+The IR cache holds a unit's *index row*, not its IR: each function's
+definition line, source-slice hash and (for the selected functions)
+summary, all a later extraction reads of the unchanged unit.  Only the
+extractor, which names the summary class, reads and writes it.  On a
+miss the unit is outlined (:func:`repro.lang.compile_c` with
 ``bodies=False``: what lies outside its function bodies is lexed and
 parsed, and each body is skipped as raw source) and the index comes
 from the outline.  IR is compiled one function body at a time, when
@@ -65,7 +66,8 @@ class CorpusUnit:
     """One translation unit: its source, its content ``fingerprint``
     (the IR cache key), its function index ``lines`` (name ->
     definition line) and ``slices`` (name -> source-slice hash, see
-    :func:`repro.corpus.cache.function_slices`).
+    :func:`repro.corpus.cache.function_slices`), and the ``summaries``
+    its index row carried (None when no row answered).
 
     IR is compiled on demand from the unit's outline, which is built
     on first need: :meth:`function` compiles one body,
@@ -74,7 +76,7 @@ class CorpusUnit:
 
     def __init__(self, filename: str, component: str, source: str,
                  fingerprint: str, lines: Dict[str, int],
-                 slices: Dict[str, str],
+                 slices: Dict[str, str], summaries: Optional[dict] = None,
                  outline: Optional[Outline] = None) -> None:
         self.filename = filename
         self.component = component
@@ -82,6 +84,7 @@ class CorpusUnit:
         self.fingerprint = fingerprint
         self.lines = lines
         self.slices = slices
+        self.summaries = summaries
         self._outline = outline
         self._functions: Dict[str, Function] = {}
         self._module: Optional[Module] = None
@@ -143,34 +146,33 @@ def _outline(filename: str, source: str) -> Outline:
         return compile_c(source, filename, bodies=False)
 
 
-def _load(filename: str, use_disk: bool) -> CorpusUnit:
-    """Read ``filename``, then take its index from the IR cache when
-    ``use_disk``, else outline it (and store the index)."""
+def _load(filename: str, memo: bool,
+          summary_kind: Optional[type]) -> CorpusUnit:
+    """Read ``filename`` (once per process with ``memo``), then take its
+    index row from the IR cache if ``summary_kind``, else outline it."""
     from repro.corpus import cache as disk
 
     source, key = disk.read_unit(filename, corpus_path(filename),
-                                 memo=use_disk)
+                                 memo=memo)
     component = UNIT_COMPONENTS[filename]
-    use_disk = (use_disk and disk.disk_cache_enabled()
+    use_disk = (summary_kind is not None and disk.disk_cache_enabled()
                 and bool(disk.package_digest()))
-    entry = disk.load_index(key) if use_disk else None
+    entry = disk.load_index(key, summary_kind) if use_disk else None
     if entry is not None:
-        lines, slices = entry
-        return CorpusUnit(filename, component, source, key, lines, slices)
+        return CorpusUnit(filename, component, source, key, *entry)
     unit_outline = _outline(filename, source)
-    lines = unit_outline.lines
-    slices = disk.function_slices(unit_outline)
-    if use_disk:
-        disk.store_index(key, lines, slices)
-    return CorpusUnit(filename, component, source, key, lines, slices,
-                      unit_outline)
+    return CorpusUnit(filename, component, source, key, unit_outline.lines,
+                      disk.function_slices(unit_outline),
+                      outline=unit_outline)
 
 
-def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
-    """Read corpus unit ``filename`` and its index (from the IR cache,
-    or by outlining it); with ``use_cache`` the same object comes back
-    until :func:`clear_cache`, and without it the source is read
-    afresh and no store is touched."""
+def load_unit(filename: str, use_cache: bool = True,
+              summary_kind: Optional[type] = None) -> CorpusUnit:
+    """Read corpus unit ``filename`` and its index (from its IR cache
+    row when the caller names the ``summary_kind`` it reads, else by
+    outlining it); with ``use_cache`` the same object comes back until
+    :func:`clear_cache`, and without it the source is read afresh and
+    no store is touched."""
     cache_key = (_corpus_dir(), filename)
     if use_cache:
         unit = _CACHE.get(cache_key)
@@ -181,11 +183,11 @@ def load_unit(filename: str, use_cache: bool = True) -> CorpusUnit:
             f"unknown corpus unit {filename!r}; known: {sorted(UNIT_COMPONENTS)}"
         )
     if not use_cache:
-        return _load(filename, use_disk=False)
+        return _load(filename, False, None)
     with _LOAD_LOCK:
         unit = _CACHE.get(cache_key)  # a racing worker may have won
         if unit is None:
-            unit = _load(filename, use_disk=True)
+            unit = _load(filename, True, summary_kind)
             _CACHE[cache_key] = unit
     return unit
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import BadSuperblock, UsageError
+from repro.errors import UsageError
 from repro.fsimage.blockdev import BlockDevice
 from repro.fsimage.image import Ext4Image, compute_group_layout, group_has_super
 from repro.fsimage.layout import STATE_CLEAN

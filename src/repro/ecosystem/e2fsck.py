@@ -19,14 +19,13 @@ location for ``-b`` depending on mke2fs's ``sparse_super``/
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import AlreadyMountedError, BadSuperblock, UsageError
 from repro.fsimage.blockdev import BlockDevice
 from repro.fsimage.image import (
     COMPAT_SPARSE_SUPER2,
     Ext4Image,
-    compute_group_layout,
     group_has_super,
 )
 from repro.fsimage.layout import (

@@ -10,7 +10,7 @@ parameter, bridged through ``s_feature_incompat``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import AllocationError, NotMountedError, UsageError
 from repro.ecosystem.mount import Ext4Mount

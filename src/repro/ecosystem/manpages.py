@@ -29,7 +29,7 @@ D12  -G-requires-flex_bg missing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ManualError
 

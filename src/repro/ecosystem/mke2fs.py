@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.common.units import parse_size
 from repro.errors import UsageError
 from repro.fsimage.blockdev import BlockDevice
-from repro.fsimage.image import Ext4Image, compute_group_layout, gdt_size_blocks
+from repro.fsimage.image import Ext4Image
 from repro.fsimage.layout import Superblock
 from repro.ecosystem.featureset import FeatureSet, parse_feature_string
 

@@ -14,8 +14,8 @@ The registry is the single source of truth for:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.ecosystem.featureset import all_feature_names, word_of
 

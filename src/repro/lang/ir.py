@@ -11,7 +11,7 @@ masks stay recognizable after expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------

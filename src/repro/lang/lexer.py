@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LexError

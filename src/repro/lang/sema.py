@@ -14,7 +14,7 @@ resolved :class:`~repro.lang.types.CType` where one is known.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import SemanticError
 from repro.lang import ast_nodes as A

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .metrics import Histogram
 

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.constraints import BranchUse, derive_constraints
 from repro.analysis.model import Dependency, ParamRef
 from repro.analysis.sources import SOURCES_BY_UNIT
-from repro.analysis.taint import FieldTaint, analyze_function
+from repro.analysis.taint import analyze_function
 from repro.corpus.loader import load_unit
 from repro.lang.cfg import build_cfg
 

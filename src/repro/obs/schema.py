@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 #: JSON type name -> python types.  bool must be checked before int
 #: (bool subclasses int in Python).

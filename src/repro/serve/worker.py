@@ -34,7 +34,6 @@ door, not in a worker.
 from __future__ import annotations
 
 import io
-import json
 import os
 import socket
 import sys

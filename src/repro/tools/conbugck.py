@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, \
     Set, Tuple, Union
 
-from repro.analysis.model import Category, Dependency, SubKind
+from repro.analysis.model import Dependency
 from repro.ecosystem.featureset import DEFAULT_EXT4_FEATURES, FeatureSet, \
     all_feature_names
 from repro.ecosystem.mke2fs import Mke2fs, Mke2fsConfig, requested_features

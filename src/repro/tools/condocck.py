@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.model import Dependency, SubKind
 from repro.ecosystem.manpages import (
-    DocConstraint,
     ManualEntry,
     ManualPage,
     build_manual_corpus,

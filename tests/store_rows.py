@@ -3,8 +3,9 @@
 The IR index, the analysis summaries and the reports are rows of one
 SQLite table (:mod:`repro.corpus.cache`).  These helpers open the
 database on their own connection, as another process would, so a
-test can list what was stored or plant a torn, foreign or
-other-code-state row without going through the store's checks.
+test can list and decode what was stored or plant a torn, foreign,
+damaged or other-code-state row without going through the store's
+checks.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def blobs(kind: Optional[str] = None) -> Dict[str, bytes]:
         conn.close()
 
 
+def values(kind: Optional[str] = None) -> Dict[str, Any]:
+    """key -> unpickled value of every row (of ``kind``, if given)."""
+    return {key: pickle.loads(blob) for key, blob in blobs(kind).items()}
+
+
 def keys(kind: Optional[str] = None) -> List[str]:
     """The sorted keys of every row (of ``kind``, if given)."""
     return sorted(blobs(kind))
@@ -66,6 +72,15 @@ def put(key: str, blob: bytes, kind: str = "an",
         conn.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
                      (key, kind, disk.package_digest() if code is None
                       else code, blob))
+    finally:
+        conn.close()
+
+
+def drop(kind: str) -> None:
+    """Delete every row of ``kind``."""
+    conn = _connect()
+    try:
+        conn.execute("DELETE FROM entries WHERE kind = ?", (kind,))
     finally:
         conn.close()
 

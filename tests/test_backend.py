@@ -169,21 +169,30 @@ class TestAnalysisStore:
 
     def test_wrong_shape_entry_is_an_error(self, isolated_store):
         """An entry that unpickles to the wrong shape is an error and is
-        deleted, in the IR cache (a unit index: definition lines and
-        slice hashes over the same functions) and the analysis store
-        alike, so it does not error again on every lookup."""
+        deleted, in the IR cache (a unit index row: definition lines and
+        slice hashes over the same functions, and summaries of those
+        functions) and the analysis store alike, so it does not error
+        again on every lookup."""
         from repro.analysis.extractor import FunctionSummary
         from repro.corpus import cache as disk
 
         key = "d" * 64
         analysis = ("an", lambda: disk.load_analysis(key, FunctionSummary),
                     disk.analysis_stats)
-        entry = ("disk", lambda: disk.load_index(key), disk.cache_stats)
+        entry = ("disk", lambda: disk.load_index(key, FunctionSummary),
+                 disk.cache_stats)
+        summary = FunctionSummary(1, (), None)
         cases = [(value, load)
                  for value in [("not", "a", "pair"), {"not": "a summary"},
-                               ({"fn": "1"}, {"fn": "ab"}),
-                               ({"fn": 1}, {"other": "ab"}),
-                               # the retired layout: index + module bytes
+                               ({"fn": "1"}, {"fn": "ab"}, {}),
+                               ({"fn": 1}, {"other": "ab"}, {}),
+                               ({"fn": 1}, {"fn": "ab"},
+                                {("fn", "fp", "c"): "not a summary"}),
+                               ({"fn": 1}, {"fn": "ab"},
+                                {("other", "fp", "c"): summary}),
+                               # retired layouts: the index alone, and
+                               # the index beside module bytes
+                               ({"fn": 1}, {"fn": "ab"}),
                                ({"fn": 1}, pickle.dumps(["a", "module"]))]
                  for load in (analysis, entry)]
         for value, (kind, load, stats) in cases:
@@ -511,8 +520,10 @@ class TestBackendsEndToEnd:
         assert entries
         for key in entries:
             rows.put(key, b"\x00 corrupted \xff")
-        # clear_cache() also drops the intact stored report, which would
-        # otherwise answer without reading the corrupted entries.
+        # clear_cache() also drops the intact stored report, and the
+        # index rows go too: either would otherwise answer without
+        # reading the corrupted entries.
+        rows.drop("disk")
         clear_cache()
         disk.reset_cache_stats()
         recovered = _canonical(extract_all())

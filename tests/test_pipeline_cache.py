@@ -15,7 +15,8 @@ import pytest
 
 from repro.analysis import extractor as extractor_mod
 from repro.analysis import taint as taint_mod
-from repro.analysis.extractor import extract_all
+from repro.analysis.extractor import (Extractor, FunctionSummary,
+                                      ScenarioSpec, extract_all)
 from repro.corpus import cache as disk_cache
 from repro.corpus.loader import clear_cache, corpus_path, load_corpus, load_unit
 from repro.perf import procpool
@@ -32,6 +33,13 @@ def ir_cache_dir(tmp_path, monkeypatch):
     yield tmp_path
     clear_cache()
     disk_cache.reset_cache_stats()
+
+
+#: One unit's scenario: its extraction writes that unit's index row.
+MOUNT_ONLY = ScenarioSpec("mount", ("mount",),
+                          (("mount.c", ("parse_mount_options",)),))
+MKE2FS_ONLY = ScenarioSpec("mke2fs", ("mke2fs",),
+                           (("mke2fs.c", ("check_feature_conflicts",)),))
 
 
 def _canonical(report):
@@ -58,17 +66,24 @@ class TestDiskCache:
     def test_store_load_roundtrip(self, ir_cache_dir):
         unit = load_unit("mke2fs.c", use_cache=False)
         key = disk_cache.module_key(unit.source, "mke2fs.c")
-        assert disk_cache.store_index(key, unit.lines, unit.slices)
-        entry = disk_cache.load_index(key)
+        summaries = {("write_superblock", "f" * 64, "mke2fs"):
+                     FunctionSummary(unit.lines["write_superblock"], (), None)}
+        assert disk_cache.store_index(key, unit.lines, unit.slices, summaries)
+        entry = disk_cache.load_index(key, FunctionSummary)
         assert entry is not None
-        lines, slices = entry
+        lines, slices, stored = entry
         assert lines == {name: func.line
                          for name, func in unit.module.functions.items()}
         assert list(lines) == list(unit.module.functions)
         assert slices == unit.slices and set(slices) == set(lines)
+        assert stored == summaries
+        # Summaries of another class are an error, and the row goes.
+        assert disk_cache.load_index(key, str) is None
+        assert disk_cache.cache_stats().errors == 1
+        assert rows.keys() == []
 
     def test_miss_on_unknown_key(self, ir_cache_dir):
-        assert disk_cache.load_index("0" * 64) is None
+        assert disk_cache.load_index("0" * 64, FunctionSummary) is None
         assert disk_cache.cache_stats().misses == 1
 
     def test_key_depends_on_source_and_filename(self):
@@ -80,7 +95,7 @@ class TestDiskCache:
     def test_corrupt_entry_is_a_miss_and_removed(self, ir_cache_dir):
         key = "f" * 64
         rows.put(key, b"not a pickle", "disk")
-        assert disk_cache.load_index(key) is None
+        assert disk_cache.load_index(key, FunctionSummary) is None
         assert disk_cache.cache_stats().errors == 1
         assert rows.keys() == []
 
@@ -90,16 +105,25 @@ class TestDiskCache:
         assert os.listdir(str(ir_cache_dir)) == []
 
     def test_loader_populates_and_hits(self, ir_cache_dir):
+        # A reader of IR alone neither looks the index row up nor
+        # writes it; the extraction that resolves the unit's summaries
+        # writes it, once.
         load_unit("mount.c")
+        stats = disk_cache.cache_stats()
+        assert (stats.hits, stats.misses, stats.stores) == (0, 0, 0)
+        Extractor([MOUNT_ONLY]).extract_all()
         assert disk_cache.cache_stats().stores == 1
         clear_cache()  # drop memory, keep disk: simulates a new process
-        load_unit("mount.c")
+        unit = load_unit("mount.c", summary_kind=FunctionSummary)
         assert disk_cache.cache_stats().hits == 1
+        ((function, _sources, component),) = unit.summaries
+        assert (function, component) == ("parse_mount_options", "mount")
 
     def test_clear_disk_cache(self, ir_cache_dir):
-        load_unit("mount.c")
+        Extractor([MOUNT_ONLY]).extract_all()
         assert os.listdir(str(ir_cache_dir))
-        assert disk_cache.clear_disk_cache() == 1
+        # The unit's index row, its one summary and the report.
+        assert disk_cache.clear_disk_cache() == 3
         assert rows.keys("disk") == []
         assert os.listdir(str(ir_cache_dir)) == []
 
@@ -112,10 +136,13 @@ class TestInvalidation:
         monkeypatch.setattr("repro.corpus.loader.corpus_path",
                             lambda name: str(edited))
 
+        extractor = Extractor([MKE2FS_ONLY])
+        extractor.extract_all()
         first = load_unit("mke2fs.c")
         assert disk_cache.cache_stats().stores == 1
 
         clear_cache()
+        extractor.extract_all()
         cached = load_unit("mke2fs.c")
         assert disk_cache.cache_stats().hits == 1
         assert cached.module.fingerprint == first.module.fingerprint
@@ -124,6 +151,7 @@ class TestInvalidation:
         with open(edited, "a", encoding="utf-8") as fh:
             fh.write("\n")
         clear_cache()
+        extractor.extract_all()
         recompiled = load_unit("mke2fs.c")
         assert disk_cache.cache_stats().hits == 1  # unchanged: no stale hit
         assert disk_cache.cache_stats().stores == 2

@@ -13,11 +13,15 @@ analysis store.
 - work counters for a one-function edit over warm stores: only the
   edited function's body is lexed and compiled (none when no scenario
   selects it), no module is pickled or unpickled, each unit is read
-  and hashed once, only the edited function is solved, and the stores
-  write one row per kind they miss and no file;
+  and hashed once, only the edited function is solved, the six
+  unchanged units' index rows answer their summaries (only the edited
+  unit's three functions read analysis rows), and the stores write one
+  row per kind they miss and no file;
 - the error and damage paths of the unit index: a missing pre-selected
-  function is still an error, a torn IR row is a deleted miss, and
-  a row of another layout is deleted and the unit outlined again.
+  function is still an error, a torn IR row is a deleted miss, a row
+  of another layout or with damaged summaries is deleted and the unit
+  outlined again, and summaries stored under another sources
+  fingerprint are not served.
 """
 
 from __future__ import annotations
@@ -68,16 +72,20 @@ def _insert_at_body_top(folder, unit: str, function: str, lines: int) -> None:
     path.write_text(text[:brace] + edit + text[brace:], encoding="utf-8")
 
 
-def _extract_json(tmp_path, name: str) -> list:
+def _extract_json_bytes(tmp_path, name: str) -> bytes:
     """What ``repro-extract --json`` writes, from this process's state."""
     from repro.cli import main_extract
 
-    path = str(tmp_path / name)
+    path = tmp_path / name
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        assert main_extract(["--json", path]) == 0
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        assert main_extract(["--json", str(path)]) == 0
+    return path.read_bytes()
+
+
+def _extract_json(tmp_path, name: str) -> list:
+    """The ``--json`` dependency dicts, from this process's state."""
+    return json.loads(_extract_json_bytes(tmp_path, name))
 
 
 def _warm_and_disabled(tmp_path, monkeypatch, tag: str):
@@ -379,6 +387,8 @@ class TestOneFunctionEditWork:
             for span in trace.spans if span.name == "corpus.compile"]
         work["rows"] = {kind: counters().get(f"cache.{kind}.store", 0)
                         for kind in ("disk", "an", "report")}
+        work["an_loads"] = sum(1 for span in trace.spans
+                               if span.name == "cache.an.load")
         work["listed"] = sorted(os.listdir(disk.cache_dir()))
         ir, analysis = disk.cache_stats(), disk.analysis_stats()
         work["ir"] = (ir.hits, ir.misses, ir.errors, ir.stores)
@@ -404,6 +414,9 @@ class TestOneFunctionEditWork:
         assert work["listed"] and all(name.startswith(disk.STORE_DB)
                                       for name in work["listed"])
         assert (work["rows"]["disk"], work["rows"]["report"]) == (1, 1)
+        # The six unchanged units' index rows answer their 13 selected
+        # functions; only the edited unit's three read analysis rows.
+        assert work["an_loads"] == 3
 
     def test_only_the_edited_function_is_solved(self, corpus, monkeypatch):
         edited = "check_feature_conflicts"
@@ -415,10 +428,11 @@ class TestOneFunctionEditWork:
         assert work["parsed"] == [edited]
         assert work["compile_spans"] == [("mke2fs.c", edited)]
         assert work["solved"] == [edited]
-        # Each of the 16 selected functions is looked up once: the
-        # edited one misses, the 15 others hit (moved or not).
+        # Each of the 16 selected functions is resolved once: the
+        # edited one misses, the 15 others hit (moved or not), 13 of
+        # them in their unit's index row.
         assert work["analysis"] == (15, 1, 0, 1)
-        assert work["rows"]["an"] == 1
+        assert work["rows"] == {"disk": 1, "an": 1, "report": 1}
 
     def test_an_unselected_edit_compiles_no_body(self, corpus, monkeypatch):
         # No scenario selects parse_feature_opts: its unit is outlined,
@@ -474,26 +488,83 @@ class TestIndexPaths:
     def test_foreign_module_bytes_compile_and_are_restored(self, corpus):
         import pickle
 
+        from repro.analysis.extractor import extract_all
         from repro.corpus.loader import load_unit
 
+        extract_all()
         unit = load_unit("mke2fs.c")
         reference = (unit.lines, unit.slices, set(unit.module.functions))
-        (key,) = rows.keys("disk")
-        lines, slices = pickle.loads(rows.blobs()[key])
-        assert (lines, slices) == reference[:2]
-        # An entry of the retired layout: the index beside the pickled
+        key = unit.fingerprint
+        stored = rows.values("disk")[key]
+        assert stored[:2] == reference[:2]
+        # An entry of a retired layout: the index beside the pickled
         # module.
-        rows.put_value(key, (lines, pickle.dumps(unit.module)), "disk")
+        rows.put_value(key, (unit.lines, pickle.dumps(unit.module)), "disk")
         clear_cache()
         disk.reset_cache_stats()
+        extract_all()
         unit = load_unit("mke2fs.c")
         # The entry is an error: it is deleted, the unit is outlined
-        # again, and the index is stored back in its current layout.
+        # again, and the row is stored back in its current layout.
         ir = disk.cache_stats()
-        assert (ir.hits, ir.errors, ir.stores) == (0, 1, 1)
+        assert (ir.hits, ir.errors, ir.stores) == (6, 1, 1)
         assert (unit.lines, unit.slices,
                 set(unit.module.functions)) == reference
-        assert pickle.loads(rows.blobs()[key]) == reference[:2]
+        assert rows.values("disk")[key] == stored
+
+    @pytest.mark.parametrize("damage", [
+        lambda summaries: list(summaries.items()),
+        lambda summaries: {name[:2]: summary
+                           for name, summary in summaries.items()},
+        lambda summaries: {("no_such_function",) + name[1:]: summary
+                           for name, summary in summaries.items()},
+        lambda summaries: {name: summary.findings
+                           for name, summary in summaries.items()},
+    ], ids=["list", "short-key", "unknown-function", "other-class"])
+    def test_damaged_summaries_are_deleted_misses(self, corpus, tmp_path,
+                                                   damage):
+        reference = _extract_json_bytes(tmp_path, "reference.json")
+        stored = rows.values("disk")
+        assert len(stored) == 7
+        for key, (lines, slices, summaries) in stored.items():
+            rows.put_value(key, (lines, slices, damage(summaries)), "disk")
+        clear_cache()
+        disk.reset_cache_stats()
+        assert _extract_json_bytes(tmp_path, "damaged.json") == reference
+        # Each damaged row errors once and is deleted; its unit is
+        # outlined again and the row is written back whole.
+        ir = disk.cache_stats()
+        assert (ir.hits, ir.misses, ir.errors, ir.stores) == (0, 0, 7, 7)
+        assert rows.values("disk") == stored
+
+    def test_other_sources_summaries_are_not_served(self, corpus):
+        from dataclasses import replace
+
+        from repro.analysis.extractor import extract_all
+        from repro.obs import tracer
+
+        baseline = [dep.key() for dep in extract_all().union]
+        # Every stored summary filed under another sources fingerprint,
+        # and emptied, so serving one would change the union.
+        for key, (lines, slices, summaries) in rows.values("disk").items():
+            rows.put_value(key, (lines, slices, {
+                (function, "0" * 64, component): replace(
+                    summary, field_writes=(),
+                    findings=replace(summary.findings, dependencies=[],
+                                     branch_uses=[]))
+                for (function, _sources, component), summary
+                in summaries.items()}), "disk")
+        clear_cache()
+        disk.reset_cache_stats()
+        trace = tracer.Tracer("other-sources")
+        with tracer.enabled(trace):
+            assert [dep.key() for dep in extract_all().union] == baseline
+        # The rows are accepted, but every summary comes from the
+        # analysis store.
+        ir, analysis = disk.cache_stats(), disk.analysis_stats()
+        assert (ir.hits, ir.errors) == (7, 0)
+        assert (analysis.hits, analysis.misses) == (16, 0)
+        assert sum(span.name == "cache.an.load" for span in trace.spans) == 16
 
 
 class TestMovedSummary:

@@ -4,8 +4,9 @@
   the first open in a process deletes every row of another code state,
   so code edits never pile states up;
 - the connection follows the cache directory: a directory change in
-  the middle of a process reads and writes the new directory's rows;
-  threads share it under one lock;
+  the middle of a process reads and writes the new directory's rows,
+  and a store after another process deleted the database writes to a
+  new file; threads share it under one lock;
 - faults degrade to recomputing: a file that is not a database is
   deleted and recreated, and an unwritable cache directory makes every
   store refuse; either way the command's output is unchanged.
@@ -134,6 +135,36 @@ class TestConnection:
         assert rows.keys() == ["a" * 64]
 
 
+    def test_a_store_after_another_process_clears_is_kept(self, cache):
+        """One process stores, a second clears the cache directory, the
+        first stores again: that row lands in the new database file
+        (not the unlinked one), so a third process loads it."""
+        from repro.analysis.extractor import FunctionSummary
+
+        summary = FunctionSummary(3, (), None)
+        assert disk.store_analysis("a" * 64, summary)
+        assert _child(cache, "print(disk.clear_disk_cache())") == "1"
+        assert disk.store_analysis("b" * 64, summary)
+        assert _child(cache, "print(disk.load_analysis('b' * 64, "
+                             "FunctionSummary))") == repr(summary)
+        assert rows.keys() == ["b" * 64]
+
+
+def _child(cache_path, code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter over
+    ``cache_path``, with ``disk`` and ``FunctionSummary`` imported."""
+    child = {key: value for key, value in os.environ.items()
+             if not key.startswith("REPRO_")}
+    child.update(PYTHONPATH=SRC, REPRO_CACHE_DIR=str(cache_path))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.analysis.extractor import FunctionSummary\n"
+         "from repro.corpus import cache as disk\n" + code],
+        env=child, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestSharedConnection:
     def test_threads_share_one_connection(self, cache):
         """More threads than cores store, load and clear on the one
@@ -216,7 +247,7 @@ class TestFaults:
                       disk.report_stats()):
             assert stats.hits == 0 and stats.stores == 0
             assert stats.errors > 0
-        assert not disk.store_index("a" * 64, {}, {})
+        assert not disk.store_index("a" * 64, {}, {}, {})
         assert not disk.store_analysis("a" * 64, FunctionSummary(1, (), None))
         assert not disk.store_report("a" * 64, "report")
         assert not repro_store.store_command("a" * 64, "out", "", 0)

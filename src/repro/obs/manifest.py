@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.schema import load_schema, validate
+from repro.store import corpus_hashes
 
 #: Bump when the manifest layout changes.
 #: v2: optional ``campaign`` section (sampler identity, shard count and
@@ -54,17 +55,6 @@ def report_digest(keys: Iterable[str]) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-def corpus_hashes() -> Dict[str, str]:
-    """sha256 of every corpus translation unit's source text."""
-    from repro.corpus.loader import UNIT_COMPONENTS, corpus_path
-
-    out: Dict[str, str] = {}
-    for filename in sorted(UNIT_COMPONENTS):
-        with open(corpus_path(filename), "rb") as handle:
-            out[filename] = hashlib.sha256(handle.read()).hexdigest()
-    return out
 
 
 def build_manifest(tool: str,

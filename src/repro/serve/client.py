@@ -1,7 +1,7 @@
 """Stdlib HTTP client for the service (``repro-submit``, benches, CI).
 
 Thin by design: every method is one request, JSON in / JSON out, with
-:meth:`ServiceClient.wait` layering the long-poll loop on top.  Errors
+:meth:`ServiceClient.wait_done` layering the long-poll loop on top.  Errors
 surface as :class:`ServiceError` carrying the HTTP status and the
 server's ``error`` message, so callers never parse HTML tracebacks.
 
@@ -15,7 +15,17 @@ Two hot-path behaviours:
 - **conditional GETs**: result/manifest fetches remember the last
   ``ETag`` and body per run and send ``If-None-Match``; a ``304``
   answer reuses the remembered bytes without shipping the body again
-  (``not_modified`` counts the hits).
+  (``not_modified`` counts the hits);
+- **terminal rows**: a ``done`` or ``failed`` run row that a
+  ``submit`` or ``run`` response carries is remembered, and
+  :meth:`ServiceClient.wait_done` answers from it without a request,
+  so a dedup hit on a finished run costs a submit and a fetch.  Safe
+  because both states are terminal: the queue moves rows only out of
+  ``queued`` and ``claimed``, so a remembered row can lag only in its
+  ``submits`` tally.  :meth:`ServiceClient.run` always asks the
+  server.
+
+``round_trips`` counts the requests that got a response.
 
 A request that fails on a stale kept-alive socket (the server closed
 it between calls) is retried once on a fresh connection — safe because
@@ -35,7 +45,8 @@ from urllib.parse import urlsplit
 
 from repro.serve.keys import DONE, FAILED
 
-#: Remembered (etag, body) pairs per client, LRU-bounded.
+#: Remembered (etag, body) pairs per client, LRU-bounded; the
+#: terminal-row memory has the same bound.
 MAX_ETAG_ENTRIES = 256
 
 
@@ -55,6 +66,8 @@ class ServiceClient:
         self.timeout = timeout
         #: Conditional-GET hits answered from remembered bytes.
         self.not_modified = 0
+        #: Requests answered by the server (a retried one counts once).
+        self.round_trips = 0
         split = urlsplit(self.base_url)
         if split.scheme not in ("http", ""):
             raise ServiceError(0, f"unsupported scheme {split.scheme!r}")
@@ -62,9 +75,12 @@ class ServiceClient:
         self._port = split.port or 80
         self._prefix = split.path.rstrip("/")
         self._local = threading.local()
-        self._etag_lock = threading.Lock()
+        #: Guards both memories below.
+        self._memory_lock = threading.Lock()
         self._etags: "OrderedDict[Tuple[str, str], Tuple[str, bytes]]" = \
             OrderedDict()
+        #: run_id -> the last ``done``/``failed`` row seen for it.
+        self._terminal: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     # -- plumbing -------------------------------------------------------
 
@@ -115,6 +131,7 @@ class ServiceClient:
                 conn.request(method, url, body=body, headers=send_headers)
                 response = conn.getresponse()
                 payload = response.read()
+                self.round_trips += 1
                 return (response.status,
                         {k.title(): v for k, v in response.getheaders()},
                         payload)
@@ -147,7 +164,7 @@ class ServiceClient:
         """GET with ``If-None-Match`` revalidation from remembered bytes."""
         key = (kind, run_id)
         headers: Dict[str, str] = {}
-        with self._etag_lock:
+        with self._memory_lock:
             remembered = self._etags.get(key)
             if remembered is not None:
                 self._etags.move_to_end(key)
@@ -165,12 +182,23 @@ class ServiceClient:
             raise ServiceError(status, message)
         etag = resp_headers.get("Etag")
         if etag:
-            with self._etag_lock:
-                self._etags[key] = (etag, body)
-                self._etags.move_to_end(key)
-                while len(self._etags) > MAX_ETAG_ENTRIES:
-                    self._etags.popitem(last=False)
+            self._remember(self._etags, key, (etag, body))
         return body, resp_headers
+
+    def _remember(self, memory: "OrderedDict[Any, Any]", key: Any,
+                  value: Any) -> None:
+        """Store ``value`` under ``key`` in one LRU-bounded memory."""
+        with self._memory_lock:
+            memory[key] = value
+            memory.move_to_end(key)
+            while len(memory) > MAX_ETAG_ENTRIES:
+                memory.popitem(last=False)
+
+    def _note_run(self, run: Dict[str, Any]) -> Dict[str, Any]:
+        """Remember ``run`` if it is terminal; returns it."""
+        if run["status"] in (DONE, FAILED):
+            self._remember(self._terminal, run["run_id"], run)
+        return run
 
     # -- API ------------------------------------------------------------
 
@@ -197,14 +225,16 @@ class ServiceClient:
         body: Dict[str, Any] = {"tool": tool, "params": params or {}}
         if corpus is not None:
             body["corpus"] = corpus
-        return self._request("POST", "/v1/runs", body)
+        submitted = self._request("POST", "/v1/runs", body)
+        self._note_run(submitted["run"])
+        return submitted
 
     def run(self, run_id: str, wait: Optional[float] = None) -> Dict[str, Any]:
         """One run row; ``wait`` long-polls toward a terminal state."""
         path = f"/v1/runs/{run_id}"
         if wait:
             path += f"?wait={wait:g}"
-        return self._request("GET", path)
+        return self._note_run(self._request("GET", path))
 
     def runs(self, status: Optional[str] = None,
              limit: int = 100) -> List[Dict[str, Any]]:
@@ -232,18 +262,25 @@ class ServiceClient:
     # -- composite helpers ---------------------------------------------
 
     def wait_done(self, run_id: str, timeout: float = 120.0) -> Dict[str, Any]:
-        """Long-poll one run to ``done``; ServiceError on fail/timeout."""
+        """Long-poll one run to ``done``; ServiceError on fail/timeout.
+
+        A remembered terminal row answers without a request.
+        """
+        with self._memory_lock:
+            run = self._terminal.get(run_id)
+            if run is not None:
+                self._terminal.move_to_end(run_id)
         deadline = time.monotonic() + timeout
         while True:
+            if run is not None and run["status"] == DONE:
+                return run
+            if run is not None and run["status"] == FAILED:
+                raise ServiceError(0, f"run {run_id} failed: {run.get('error')}")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ServiceError(0, f"run {run_id} still pending after "
                                       f"{timeout:g}s")
             run = self.run(run_id, wait=min(remaining, 10.0))
-            if run["status"] == DONE:
-                return run
-            if run["status"] == FAILED:
-                raise ServiceError(0, f"run {run_id} failed: {run.get('error')}")
 
     def submit_and_wait(self, tool: str,
                         params: Optional[Dict[str, Any]] = None,

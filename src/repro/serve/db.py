@@ -840,11 +840,8 @@ class CorpusStore:
 
     def hashes(self, corpus_id: Optional[str]) -> Dict[str, str]:
         """filename -> source sha256 for one snapshot (None = default)."""
-        if corpus_id is None:
-            from repro.obs import manifest
-
-            return manifest.corpus_hashes()
-        return corpus_hashes(self.path(corpus_id))
+        return corpus_hashes(None if corpus_id is None
+                             else self.path(corpus_id))
 
     def add(self, files: Dict[str, str]) -> str:
         """Store one overlay upload; returns its content-derived id."""

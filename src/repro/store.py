@@ -226,7 +226,8 @@ def request_key(tool: str,
 def corpus_hashes(directory: Optional[str] = None) -> Dict[str, str]:
     """filename -> sha256 of every ``*.c`` unit in ``directory`` (default:
     the effective corpus directory, ``REPRO_CORPUS_DIR`` honoured);
-    OSError if unreadable."""
+    OSError if unreadable.  The command key, the service's run ids and
+    the manifests' ``corpus`` field all hash the corpus here."""
     if directory is None:
         from repro.corpus import corpus_dir
 

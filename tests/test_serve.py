@@ -270,6 +270,29 @@ class TestCorpusStore:
         assert patched["mount.c"] != default["mount.c"]
         assert set(default) <= set(patched)
 
+    def test_default_hashes_and_run_ids_cover_the_shipped_units(
+            self, queue, store, monkeypatch):
+        """The submit path, the command key and the manifest share one
+        corpus hash: on the shipped corpus it equals a sha256 of each
+        unit the loader knows, so run ids are unchanged."""
+        import hashlib
+
+        from repro.corpus.loader import UNIT_COMPONENTS, corpus_path
+        from repro.obs.manifest import build_manifest
+
+        monkeypatch.delenv("REPRO_CORPUS_DIR", raising=False)
+        reference = {}
+        for filename in sorted(UNIT_COMPONENTS):
+            with open(corpus_path(filename), "rb") as handle:
+                reference[filename] = hashlib.sha256(
+                    handle.read()).hexdigest()
+        assert store.hashes(None) == reference
+        assert list(store.hashes(None)) == sorted(reference)
+        assert build_manifest("demo", 0.0)["corpus"] == reference
+        row, _created = submit_request(queue, store, "demo")
+        assert row["run_id"] == serve_keys.request_key(
+            "demo", {}, reference, {})
+
     @pytest.mark.parametrize("name", ["../evil.c", "notes.txt", "a/b.c"])
     def test_invalid_filenames_are_rejected(self, store, name):
         with pytest.raises(QueueError):

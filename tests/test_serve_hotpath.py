@@ -18,9 +18,10 @@ and concurrent worker execution):
   duplicate submissions, bodyless ``304`` on ``If-None-Match``,
   eviction falling back to a correct ``200``, no validator at all in
   the cache-disabled baseline;
-- the client side: remembered-bytes revalidation (``not_modified``)
-  and ``wait``/``wait_done`` timeout semantics under the event-driven
-  wakeup path;
+- the client side: remembered-bytes revalidation (``not_modified``),
+  ``wait``/``wait_done`` timeout semantics under the event-driven
+  wakeup path, and the round trips a call costs (a dedup hit on a
+  finished run: two);
 - the warm read workload's work counters: no new DB connections,
   every result/manifest read a hot-cache hit answered with a ``304``,
   one kept-alive client connection throughout;
@@ -481,6 +482,92 @@ class TestClientConditional:
             assert client.not_modified == 1
             assert client.manifest(run_id) == client.manifest(run_id)
             assert client.not_modified >= 2
+        finally:
+            service.shutdown()
+            service.server_close()
+
+
+class TestRoundTrips:
+    """Requests per client call, counted by ``ServiceClient.round_trips``.
+
+    A ``done``/``failed`` row a response carried is remembered, so
+    ``wait_done`` on it sends nothing; a run that is not terminal yet
+    still long-polls.
+    """
+
+    def test_dedup_hit_of_a_finished_run_makes_two_round_trips(
+            self, service_dir):
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            submitted = client.submit("demo")
+            assert submitted["deduplicated"]
+            row = client.wait_done(submitted["run"]["run_id"], timeout=10)
+            assert row["status"] == DONE and row["run_id"] == run_id
+            assert client.result_bytes(run_id)
+            assert client.round_trips == 2
+        finally:
+            service.shutdown()
+            service.server_close()
+
+    def test_queued_run_still_long_polls_to_done(self, service_dir):
+        service, _thread = _boot(service_dir)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            submitted = client.submit("demo")
+            assert submitted["run"]["status"] == QUEUED
+            worker = make_worker(service_dir)
+
+            def finish_later():
+                time.sleep(0.1)
+                worker.run_once()
+
+            thread = threading.Thread(target=finish_later)
+            thread.start()
+            row = client.wait_done(submitted["run"]["run_id"], timeout=30)
+            thread.join()
+            worker.close()
+            assert row["status"] == DONE
+            polled = client.round_trips
+            assert polled >= 2  # the submit, then at least one long-poll
+            # The long-poll's answer is remembered in turn.
+            assert client.wait_done(row["run_id"], timeout=30) == row
+            assert client.round_trips == polled
+        finally:
+            service.shutdown()
+            service.server_close()
+
+    def test_remembered_failed_row_raises_the_fetched_error(
+            self, service_dir, monkeypatch):
+        import repro.cli as cli
+        from repro.serve.client import ServiceClient, ServiceError
+
+        def explode(argv):
+            raise RuntimeError("synthetic tool crash")
+
+        monkeypatch.setattr(cli, "main_demo", explode)
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        try:
+            fetching = ServiceClient(service.url)
+            with pytest.raises(ServiceError) as fetched:
+                fetching.wait_done(run_id, timeout=10)
+            assert fetching.round_trips == 1
+            assert "synthetic tool crash" in str(fetched.value)
+
+            deduping = ServiceClient(service.url)
+            submitted = deduping.submit("demo")
+            assert submitted["run"]["run_id"] == run_id
+            with pytest.raises(ServiceError) as remembered:
+                deduping.wait_done(run_id, timeout=10)
+            assert deduping.round_trips == 1
+            assert str(remembered.value) == str(fetched.value)
+            assert remembered.value.status == fetched.value.status
         finally:
             service.shutdown()
             service.server_close()

@@ -122,13 +122,6 @@ class CategoryCount:
     extracted: int = 0
     false_positives: int = 0
 
-    @property
-    def fp_rate(self) -> float:
-        """False positives as a fraction of extracted."""
-        if not self.extracted:
-            return 0.0
-        return self.false_positives / self.extracted
-
 
 @dataclass
 class ScenarioResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 from repro.analysis.model import ParamRef
 
@@ -318,10 +318,3 @@ SOURCES_BY_UNIT: Dict[str, ComponentSources] = {
     "xfs_mkfs.c": XFS_MKFS_SOURCES,
     "xfs_growfs.c": XFS_GROWFS_SOURCES,
 }
-
-
-def feature_param(macro: Optional[str]) -> Optional[str]:
-    """Feature name for a feature-bit macro, or None."""
-    if macro is None:
-        return None
-    return FEATURE_MACROS.get(macro)

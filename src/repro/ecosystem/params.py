@@ -99,10 +99,6 @@ class ParamRegistry:
     def __contains__(self, key: str) -> bool:
         return key in self._params
 
-    def by_component(self, component: str) -> List[ConfigParam]:
-        """All parameters belonging to ``component``."""
-        return [p for p in self._params.values() if p.component == component]
-
     def components(self) -> Tuple[str, ...]:
         """Component names, in registration order."""
         seen: List[str] = []

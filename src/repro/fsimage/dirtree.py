@@ -9,7 +9,7 @@ validates, making this another configuration-dependent surface.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ImageError
 from repro.fsimage.dirent import (
@@ -156,21 +156,6 @@ class DirectoryTree:
         group = (ino - 1) // self.image.sb.s_inodes_per_group
         self.image.group_descs[group].bg_used_dirs_count += 1
         return ino
-
-    def link_counts_from_entries(self) -> Dict[int, int]:
-        """References per inode, as e2fsck pass 4 counts them."""
-        refs: Dict[int, int] = {}
-        for ino, inode in self.image.iter_used_inodes():
-            if not inode.is_directory:
-                continue
-            for entry in self.entries(ino):
-                if entry.name == ".":
-                    refs[ino] = refs.get(ino, 0) + 1
-                elif entry.name == "..":
-                    refs[entry.inode] = refs.get(entry.inode, 0) + 1
-                else:
-                    refs[entry.inode] = refs.get(entry.inode, 0) + 1
-        return refs
 
 
 def init_root_directory(image: Ext4Image) -> None:

@@ -370,13 +370,6 @@ class Function:
         for block in self.blocks.values():
             yield from block.instrs
 
-    def block_of(self, instr: Instr) -> Optional[BasicBlock]:
-        """The block containing ``instr``, or None."""
-        for block in self.blocks.values():
-            if instr in block.instrs:
-                return block
-        return None
-
     def __str__(self) -> str:
         head = f"func {self.name}({', '.join(self.params)})"
         return "\n".join([head] + [str(b) for b in self.blocks.values()])

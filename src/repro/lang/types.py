@@ -44,21 +44,6 @@ class CType:
         """A pointer to a struct."""
         return self.base == "struct" and self.pointer > 0
 
-    @property
-    def is_pointer(self) -> bool:
-        """Any pointer or array type."""
-        return self.pointer > 0 or self.array is not None
-
-    @property
-    def is_integral(self) -> bool:
-        """An integer-like scalar type."""
-        return self.pointer == 0 and self.base in ("int", "char", "long", "short")
-
-    @property
-    def is_void(self) -> bool:
-        """The void type."""
-        return self.base == "void" and self.pointer == 0
-
     # ------------------------------------------------------------------
     # derivation
     # ------------------------------------------------------------------
@@ -104,8 +89,3 @@ UNSIGNED_LONG = CType("long", unsigned=True)
 CHAR = CType("char")
 CHAR_PTR = CType("char", pointer=1)
 VOID = CType("void")
-
-
-def struct_type(name: str, pointer: int = 0) -> CType:
-    """The type 'struct name' with ``pointer`` levels of indirection."""
-    return CType("struct", struct_name=name, pointer=pointer)

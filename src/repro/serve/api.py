@@ -9,7 +9,8 @@ Routes (all JSON unless noted):
   queue/exec/request latency histograms derived from the runs table
 - ``POST /v1/runs``                 submit ``{"tool", "params", "corpus"}``
   → 201 with the new run, or 200 with the existing run when the
-  content key deduplicated the request (``deduplicated: true``)
+  content key deduplicated the request (``deduplicated: true``); a
+  ``done`` run's answer carries ``result_etag`` while its result is cached
 - ``GET  /v1/runs``                 recent runs (``?status=``, ``?limit=``)
 - ``GET  /v1/runs/<id>``            one run; ``?wait=<seconds>`` long-polls
   until the run reaches ``done``/``failed`` (or the wait lapses)
@@ -488,8 +489,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except (RequestError, QueueError) as exc:
             self._error(400, str(exc))
             return
-        self._json(201 if created else 200,
-                   {"run": _public_run(run), "deduplicated": not created})
+        answer = {"run": _public_run(run), "deduplicated": not created}
+        entry = self.cache.get((run["run_id"], "result")) \
+            if self.cache is not None and run["status"] == DONE else None
+        if entry is not None:
+            answer["result_etag"] = entry["etag"]
+        self._json(201 if created else 200, answer)
 
     def _upload_corpus(self, body: Dict[str, Any]) -> None:
         files = body.get("files")

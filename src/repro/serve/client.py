@@ -5,7 +5,7 @@ Thin by design: every method is one request, JSON in / JSON out, with
 surface as :class:`ServiceError` carrying the HTTP status and the
 server's ``error`` message, so callers never parse HTML tracebacks.
 
-Two hot-path behaviours:
+Hot-path behaviours:
 
 - **keep-alive**: one persistent ``http.client.HTTPConnection`` per
   thread instead of a fresh TCP connect per call.  The server is a
@@ -18,12 +18,15 @@ Two hot-path behaviours:
   (``not_modified`` counts the hits);
 - **terminal rows**: a ``done`` or ``failed`` run row that a
   ``submit`` or ``run`` response carries is remembered, and
-  :meth:`ServiceClient.wait_done` answers from it without a request,
-  so a dedup hit on a finished run costs a submit and a fetch.  Safe
-  because both states are terminal: the queue moves rows only out of
-  ``queued`` and ``claimed``, so a remembered row can lag only in its
-  ``submits`` tally.  :meth:`ServiceClient.run` always asks the
-  server.
+  :meth:`ServiceClient.wait_done` answers from it without a request.
+  Safe because both states are terminal: the queue moves rows only
+  out of ``queued`` and ``claimed``, so a remembered row can lag only
+  in its ``submits`` tally.  :meth:`ServiceClient.run` always asks;
+- **validated results**: a ``done`` run's submit answer carries the
+  result's ``ETag`` (``result_etag``, while cached); if the remembered
+  bytes carry it, the next :meth:`ServiceClient.result_bytes` returns
+  them without a request (a ``not_modified`` hit), so a warm client's
+  dedup hit on a finished run is one round trip.
 
 ``round_trips`` counts the requests that got a response.
 
@@ -46,7 +49,7 @@ from urllib.parse import urlsplit
 from repro.serve.keys import DONE, FAILED
 
 #: Remembered (etag, body) pairs per client, LRU-bounded; the
-#: terminal-row memory has the same bound.
+#: terminal-row and validation memories have the same bound.
 MAX_ETAG_ENTRIES = 256
 
 
@@ -75,12 +78,14 @@ class ServiceClient:
         self._port = split.port or 80
         self._prefix = split.path.rstrip("/")
         self._local = threading.local()
-        #: Guards both memories below.
+        #: Guards the memories below.
         self._memory_lock = threading.Lock()
         self._etags: "OrderedDict[Tuple[str, str], Tuple[str, bytes]]" = \
             OrderedDict()
         #: run_id -> the last ``done``/``failed`` row seen for it.
         self._terminal: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: ("result", run_id) -> a submit answer's ETag, used once.
+        self._validated: "OrderedDict[Tuple[str, str], str]" = OrderedDict()
 
     # -- plumbing -------------------------------------------------------
 
@@ -166,8 +171,12 @@ class ServiceClient:
         headers: Dict[str, str] = {}
         with self._memory_lock:
             remembered = self._etags.get(key)
+            validated = self._validated.pop(key, None)
             if remembered is not None:
                 self._etags.move_to_end(key)
+        if remembered is not None and remembered[0] == validated:
+            self.not_modified += 1  # the 304 the submit answer carried
+            return remembered[1], {"Etag": validated}
         if remembered is not None:
             headers["If-None-Match"] = remembered[0]
         status, resp_headers, body = self._http("GET", path, headers=headers)
@@ -226,7 +235,10 @@ class ServiceClient:
         if corpus is not None:
             body["corpus"] = corpus
         submitted = self._request("POST", "/v1/runs", body)
-        self._note_run(submitted["run"])
+        run_id = self._note_run(submitted["run"])["run_id"]
+        if submitted.get("result_etag"):
+            self._remember(self._validated, ("result", run_id),
+                           submitted["result_etag"])
         return submitted
 
     def run(self, run_id: str, wait: Optional[float] = None) -> Dict[str, Any]:

@@ -79,6 +79,7 @@ import os
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -89,6 +90,12 @@ from repro.store import corpus_hashes
 
 #: Seconds a claim stays valid without renewal.
 DEFAULT_LEASE_SECONDS = 120.0
+
+#: Age (ns) at their read that corpus units need for a kept hash.
+RACY_NS = 2_000_000_000
+
+#: Snapshot directories whose hashes ``CorpusStore`` keeps, LRU.
+MAX_HASHED_CORPORA = 64
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -306,34 +313,27 @@ class RunQueue:
         ``created`` is False when an identical request already holds
         the row — the dedup hit: the existing row (whatever its state)
         comes back with its ``submits`` tally bumped.
+
+        One autocommit upsert (``fetchall`` ends its write): ``submits``
+        starts at 1 and only grows, so the returned tally tells a first
+        submit from a repeat.
         """
-        now = time.time()
         with self._conn() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            cursor = conn.execute(
-                "INSERT OR IGNORE INTO runs "
-                "(run_id, tool, params, engine, corpus_id, status, created) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (run_id, tool,
-                 json.dumps(params, sort_keys=True),
+            rows = conn.execute(
+                "INSERT INTO runs (run_id, tool, params, engine, corpus_id, "
+                "status, created) VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(run_id) DO UPDATE SET submits = submits + 1 "
+                "RETURNING *",
+                (run_id, tool, json.dumps(params, sort_keys=True),
                  json.dumps(engine, sort_keys=True),
-                 corpus_id, QUEUED, now),
-            )
-            created = cursor.rowcount == 1
-            if not created:
-                conn.execute(
-                    "UPDATE runs SET submits = submits + 1 WHERE run_id = ?",
-                    (run_id,),
-                )
-            row = conn.execute(
-                "SELECT * FROM runs WHERE run_id = ?", (run_id,)
-            ).fetchone()
-            conn.execute("COMMIT")
+                 corpus_id, QUEUED, time.time()),
+            ).fetchall()
+        created = rows[0]["submits"] == 1
         servicelog.emit("run.submitted", proc="queue", run_id=run_id,
                         tool=tool, deduped=not created)
         if not created:
             REGISTRY.bump("serve.deduped")
-        return _row_dict(row), created
+        return _row_dict(rows[0]), created
 
     # -- claiming -------------------------------------------------------
 
@@ -830,6 +830,10 @@ class CorpusStore:
     def __init__(self, root: str) -> None:
         self.root = os.path.join(root, "corpus")
         os.makedirs(self.root, exist_ok=True)
+        #: directory -> (stat key, hashes) of its last trusted hashing.
+        self._hashes: "OrderedDict[str, Tuple[tuple, Dict[str, str]]]" = \
+            OrderedDict()
+        self._hashes_lock = threading.Lock()
 
     def path(self, corpus_id: str) -> str:
         """The snapshot directory for one corpus id (must exist)."""
@@ -839,9 +843,39 @@ class CorpusStore:
         return path
 
     def hashes(self, corpus_id: Optional[str]) -> Dict[str, str]:
-        """filename -> source sha256 for one snapshot (None = default)."""
-        return corpus_hashes(None if corpus_id is None
-                             else self.path(corpus_id))
+        """filename -> source sha256 for one snapshot (None = default).
+
+        Memoized per directory under each unit's (name, inode, size,
+        mtime, ctime).  As in git's racy-clean rule, an entry is kept
+        only when every mtime is ``RACY_NS`` older than the read: a
+        same-size rewrite in the read's timestamp tick keeps the stat.
+        """
+        if corpus_id is None:
+            from repro.corpus import corpus_dir
+
+            directory = corpus_dir()
+        else:
+            directory = self.path(corpus_id)
+        read_ns = time.time_ns()
+        with os.scandir(directory) as entries:
+            key = tuple(sorted(
+                (entry.name, st.st_ino, st.st_size, st.st_mtime_ns,
+                 st.st_ctime_ns)
+                for entry in entries if entry.name.endswith(".c")
+                for st in (entry.stat(),)))
+        with self._hashes_lock:
+            memo = self._hashes.get(directory)
+            if memo is not None and memo[0] == key:
+                self._hashes.move_to_end(directory)
+                return dict(memo[1])
+        hashes = corpus_hashes(directory)
+        if all(unit[3] <= read_ns - RACY_NS for unit in key):
+            with self._hashes_lock:
+                self._hashes[directory] = (key, hashes)
+                self._hashes.move_to_end(directory)
+                while len(self._hashes) > MAX_HASHED_CORPORA:
+                    self._hashes.popitem(last=False)
+        return dict(hashes)
 
     def add(self, files: Dict[str, str]) -> str:
         """Store one overlay upload; returns its content-derived id."""

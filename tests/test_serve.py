@@ -245,6 +245,50 @@ class TestRunQueue:
         assert stats["deduplicated"] == 2
         assert stats["dedup_ratio"] == pytest.approx(0.5)
 
+    def test_racing_first_submits_tally_one_row(self, queue, monkeypatch):
+        """Two threads first-submit one request at once (a rendezvous
+        holds each upsert's answer until both have run): SQLite orders
+        the two writes, so one creates the row and the other bumps it."""
+        import types
+
+        barrier = threading.Barrier(2, timeout=10)
+        cached_conn = queue._cached_conn
+
+        class Rendezvous:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                cursor = self._conn.execute(sql, *args)
+                if "RETURNING" not in sql:
+                    return cursor
+                rows = cursor.fetchall()
+                barrier.wait()
+                return types.SimpleNamespace(fetchall=lambda: rows)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(queue, "_cached_conn",
+                            lambda: Rendezvous(cached_conn()))
+        run_id = serve_keys.request_key("demo", {}, CORPUS, ENGINE)
+        created = []
+
+        def submit():
+            created.append(queue.submit(run_id, "demo", {}, ENGINE)[1])
+
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert sorted(created) == [False, True]
+        assert queue.get(run_id)["submits"] == 2
+        stats = queue.stats()
+        assert stats["runs"] == 1 and stats["submits"] == 2
+        assert stats["dedup_ratio"] == pytest.approx(0.5)
+
 
 class TestCorpusStore:
     def test_same_overlay_same_id(self, store):
@@ -301,6 +345,145 @@ class TestCorpusStore:
     def test_unknown_snapshot_raises(self, store):
         with pytest.raises(QueueError):
             store.path("f" * 32)
+
+
+def _sha(path):
+    import hashlib
+
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _backdate(directory, seconds=60.0):
+    """Move every unit's mtime out of the racy window."""
+    old = time.time() - seconds
+    for name in os.listdir(directory):
+        os.utime(os.path.join(directory, name), (old, old))
+
+
+def _edit_in_place(path):
+    """A same-size rewrite of one byte, mtime restored (ctime moves)."""
+    stat = os.stat(path)
+    with open(path, "r+b") as handle:
+        first = handle.read(1)
+        handle.seek(0)
+        handle.write(b"/" if first != b"/" else b" ")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == \
+        (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+
+
+class TestCorpusHashMemo:
+    """``CorpusStore.hashes`` answers a repeat from each unit's stat;
+    every change below must give new hashes and a new run id, never a
+    dedup hit on the old run."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        import shutil
+
+        from repro.corpus import corpus_dir
+
+        monkeypatch.delenv("REPRO_CORPUS_DIR", raising=False)
+        shipped = corpus_dir()
+        copy = tmp_path / "corpus-copy"
+        copy.mkdir()
+        for name in os.listdir(shipped):
+            if name.endswith(".c"):
+                shutil.copyfile(os.path.join(shipped, name), copy / name)
+        monkeypatch.setenv("REPRO_CORPUS_DIR", str(copy))
+        return str(copy)
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import repro.serve.db as db
+
+        calls = []
+
+        def counting(directory=None):
+            calls.append(directory)
+            return repro_store.corpus_hashes(directory)
+
+        monkeypatch.setattr(db, "corpus_hashes", counting)
+        return calls
+
+    def test_repeat_reads_no_source_once_outside_the_window(
+            self, store, corpus, reads):
+        _backdate(corpus)
+        first = store.hashes(None)
+        assert store.hashes(None) == first == repro_store.corpus_hashes()
+        assert len(reads) == 1
+
+    def test_same_size_edit_with_mtime_restored(self, queue, store, corpus):
+        _backdate(corpus)
+        before, created = submit_request(queue, store, "demo")
+        assert created
+        path = os.path.join(corpus, "mount.c")
+        _edit_in_place(path)  # only the ctime tells
+        hashes = store.hashes(None)
+        assert hashes["mount.c"] == _sha(path)
+        after, created = submit_request(queue, store, "demo")
+        assert created and after["run_id"] != before["run_id"]
+
+    def test_same_size_edit_inside_the_racy_window(
+            self, queue, store, corpus, reads):
+        _backdate(corpus, seconds=0.0)
+        before, _created = submit_request(queue, store, "demo")
+        store.hashes(None)
+        assert len(reads) == 2  # units this fresh are never trusted
+        path = os.path.join(corpus, "mount.c")
+        _edit_in_place(path)
+        assert store.hashes(None)["mount.c"] == _sha(path)
+        after, created = submit_request(queue, store, "demo")
+        assert created and after["run_id"] != before["run_id"]
+
+    def test_unit_added_and_unit_removed(self, queue, store, corpus):
+        _backdate(corpus)
+        base, _created = submit_request(queue, store, "demo")
+        extra = os.path.join(corpus, "zz_extra.c")
+        with open(extra, "w", encoding="utf-8") as handle:
+            handle.write("static int zz_unused;\n")
+        _backdate(corpus)
+        assert "zz_extra.c" in store.hashes(None)
+        added, created = submit_request(queue, store, "demo")
+        assert created and added["run_id"] != base["run_id"]
+        os.remove(os.path.join(corpus, "xfs_growfs.c"))
+        assert "xfs_growfs.c" not in store.hashes(None)
+        removed, created = submit_request(queue, store, "demo")
+        assert created
+        assert removed["run_id"] not in (base["run_id"], added["run_id"])
+
+    def test_overlay_snapshot(self, queue, store, corpus, reads):
+        corpus_id = store.add({"mount.c": "int main(void) { return 0; }\n"})
+        snapshot = store.path(corpus_id)
+        _backdate(snapshot)
+        before, _created = submit_request(queue, store, "demo",
+                                          corpus_id=corpus_id)
+        store.hashes(corpus_id)
+        assert reads == [snapshot]
+        path = os.path.join(snapshot, "mount.c")
+        _edit_in_place(path)
+        assert store.hashes(corpus_id)["mount.c"] == _sha(path)
+        after, created = submit_request(queue, store, "demo",
+                                        corpus_id=corpus_id)
+        assert created and after["run_id"] != before["run_id"]
+
+    def test_memo_keeps_a_bounded_number_of_snapshots(
+            self, store, corpus, reads, monkeypatch):
+        import repro.serve.db as db
+
+        monkeypatch.setattr(db, "MAX_HASHED_CORPORA", 2)
+        snapshots = [store.add({"mount.c": f"// v{n}\n"}) for n in range(3)]
+        for corpus_id in snapshots:
+            _backdate(store.path(corpus_id))
+            store.hashes(corpus_id)
+        assert list(store._hashes) == [store.path(c) for c in snapshots[1:]]
+        store.hashes(snapshots[2])
+        assert len(reads) == 3
+        assert store.hashes(snapshots[0]) == \
+            repro_store.corpus_hashes(store.path(snapshots[0]))
+        assert len(reads) == 4  # the evicted snapshot is hashed again
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ and concurrent worker execution):
 - the client side: remembered-bytes revalidation (``not_modified``),
   ``wait``/``wait_done`` timeout semantics under the event-driven
   wakeup path, and the round trips a call costs (a dedup hit on a
-  finished run: two);
+  finished run: one for a client that remembers the result, two for
+  one that does not);
 - the warm read workload's work counters: no new DB connections,
   every result/manifest read a hot-cache hit answered with a ``304``,
   one kept-alive client connection throughout;
@@ -492,8 +493,99 @@ class TestRoundTrips:
 
     A ``done``/``failed`` row a response carried is remembered, so
     ``wait_done`` on it sends nothing; a run that is not terminal yet
-    still long-polls.
+    still long-polls.  A submit answer's ``result_etag`` that matches
+    the remembered result bytes answers the fetch too, so a warm
+    client's dedup hit is one round trip and a cold client's two.
     """
+
+    def test_warm_dedup_hit_of_a_finished_run_makes_one_round_trip(
+            self, service_dir):
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            result = client.result_bytes(run_id)  # remembers the ETag
+            before, not_modified = client.round_trips, client.not_modified
+            submitted = client.submit("demo")
+            assert submitted["deduplicated"]
+            row = client.wait_done(submitted["run"]["run_id"], timeout=10)
+            assert row["status"] == DONE and row["run_id"] == run_id
+            assert client.result_bytes(run_id) == result
+            assert client.round_trips - before == 1
+            assert client.not_modified - not_modified == 1
+            assert submitted["result_etag"].startswith('"')
+            # The validation is one-shot: the next fetch asks again.
+            assert client.result_bytes(run_id) == result
+            assert client.round_trips - before == 2
+            client.close()
+        finally:
+            service.shutdown()
+            service.server_close()
+
+    def test_cache_off_sends_no_result_etag(self, service_dir):
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir, cache_bytes=0)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            result = client.result_bytes(run_id)
+            assert result
+            before = client.round_trips
+            submitted = client.submit("demo")
+            assert submitted["deduplicated"]
+            assert "result_etag" not in submitted
+            client.wait_done(run_id, timeout=10)
+            assert client.result_bytes(run_id) == result
+            assert client.round_trips - before == 2
+            client.close()
+        finally:
+            service.shutdown()
+            service.server_close()
+
+    def test_result_etag_comes_only_from_a_cached_result(self, service_dir):
+        """A submit hashes no output: until a GET fills the hot cache,
+        a finished run's answer carries no ``result_etag``."""
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            assert "result_etag" not in client.submit("demo")
+            result = client.result_bytes(run_id)
+            submitted = client.submit("demo")
+            assert client._etags[("result", run_id)] == (
+                submitted["result_etag"], result)
+            client.close()
+        finally:
+            service.shutdown()
+            service.server_close()
+
+    def test_other_result_etag_makes_the_client_fetch(self, service_dir):
+        run_id = _finish_one(service_dir)
+        service, _thread = _boot(service_dir)
+        try:
+            from repro.serve.client import ServiceClient
+
+            client = ServiceClient(service.url)
+            result = client.result_bytes(run_id)
+            client._etags[("result", run_id)] = ('"stale"', b"stale bytes")
+            before, not_modified = client.round_trips, client.not_modified
+            submitted = client.submit("demo")
+            assert submitted["result_etag"] != '"stale"'
+            client.wait_done(run_id, timeout=10)
+            assert client.result_bytes(run_id) == result
+            assert client.round_trips - before == 2
+            assert client.not_modified == not_modified
+            assert client._etags[("result", run_id)] == (
+                submitted["result_etag"], result)
+            client.close()
+        finally:
+            service.shutdown()
+            service.server_close()
 
     def test_dedup_hit_of_a_finished_run_makes_two_round_trips(
             self, service_dir):
